@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (HypothesisViolationError, NoBracketError,
                      ParameterDomainError, ToleranceError)
+from .fixedpoint import check_start_value
 from .integrator import (EventSpec, IntegrationConfig, Termination,
                          Trajectory, integrate)
 from .vorticity import VorticityModel
@@ -448,7 +449,16 @@ def _classification_config(a: float, rel_tol: float,
 def classify_shot(model: VorticityModel, a: float,
                   rel_tol: float = 1e-9) -> ShotRecord:
     """Run from psi(0) = a until the orbit either reaches the origin or
-    spends its energy and falls toward one side's well."""
+    spends its energy and falls toward one side's well.
+
+    The start must have positive energy F(a): from E <= 0 the orbit never
+    reaches the energy-zero event and no side can be named.
+    """
+    check_start_value(a)
+    start_energy = model.F(a)
+    if not start_energy > 0.0:
+        raise ParameterDomainError(
+            f"shot a={a!r} starts at energy F(a) = {start_energy!r} <= 0")
     traj = integrate(model, a, _classification_config(a, rel_tol, model))
     _, min_rad = refined_min_radius(traj)
     if traj.termination is Termination.ORIGIN_REACHED:

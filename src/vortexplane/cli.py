@@ -26,8 +26,9 @@ from .analysis import (RingSpec, e_region_entry, ring_entry,
                        scan_for_bracket, shoot_for_origin)
 from .errors import (HypothesisViolationError, NumericalError,
                      ParameterDomainError)
-from .fixedpoint import (banach_solve, beta_from_psi, picard_residual,
-                         picard_solve, select_contraction_constants)
+from .fixedpoint import (banach_solve, beta_from_psi, check_start_value,
+                         picard_residual, picard_solve,
+                         select_contraction_constants)
 from .integrator import (IntegrationConfig, Termination, Trajectory,
                          integrate)
 from .portrait import build_portrait_svg
@@ -64,9 +65,12 @@ _FLAG_FOR_DEST = {
 
 def _as_float(text: str, name: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParameterDomainError(f"{name} must be a number, got {text!r}")
+    if not math.isfinite(value):
+        raise ParameterDomainError(f"{name} must be finite, got {text!r}")
+    return value
 
 
 def _parse_float_list(text: str, name: str) -> List[float]:
@@ -197,14 +201,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     a = _as_float(args.a, "--a")
-    if a < 1.0:
-        raise ParameterDomainError(f"start value a must be >= 1, got {a!r}")
+    check_start_value(a)
     ring = _ring_from_args(args, model)
     rel, abs_ = _tolerances(args, 1e-10)
+    config = IntegrationConfig(r_max=args.rmax, rel_tol=rel, abs_tol=abs_)
     if model.f(a) == 0.0:
         traj = _constant_trajectory(model, a, args.rmax)
     else:
-        config = IntegrationConfig(r_max=args.rmax, rel_tol=rel, abs_tol=abs_)
         traj = integrate(model, a, config)
 
     entry = None
@@ -270,16 +273,13 @@ def cmd_portrait(args: argparse.Namespace) -> int:
     a_values = _parse_float_list(args.a, "--a")
     ring = _ring_from_args(args, model)
     rel, abs_ = _tolerances(args, 1e-10)
+    config = IntegrationConfig(r_max=args.rmax, rel_tol=rel, abs_tol=abs_)
     trajectories = []
     for a in a_values:
-        if a < 1.0:
-            raise ParameterDomainError(
-                f"start value a must be >= 1, got {a!r}")
+        check_start_value(a)
         if model.f(a) == 0.0:
             trajectories.append(_constant_trajectory(model, a, args.rmax))
         else:
-            config = IntegrationConfig(r_max=args.rmax, rel_tol=rel,
-                                       abs_tol=abs_)
             trajectories.append(integrate(model, a, config))
     svg = build_portrait_svg(model, trajectories, ring=ring,
                              clip_radius=args.clip)
@@ -322,8 +322,6 @@ def cmd_shoot(args: argparse.Namespace) -> int:
 def cmd_picard(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     a = _as_float(args.a, "--a")
-    if a < 1.0:
-        raise ParameterDomainError(f"start value a must be >= 1, got {a!r}")
     grid = picard_solve(model, a, r_end=1.0, n=1 << 17, tol=1e-13)
     residual = picard_residual(model, grid)
     slope = beta_from_psi(model, grid)

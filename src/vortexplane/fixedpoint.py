@@ -33,6 +33,13 @@ from .vorticity import VorticityModel
 _PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 
 
+def check_start_value(a: float) -> None:
+    """Reject a start value psi(0) = a that is not a finite number >= 1."""
+    if not (math.isfinite(a) and a >= 1.0):
+        raise ParameterDomainError(
+            f"start value a must be finite and >= 1, got {a!r}")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Samples of a scalar function on an ascending uniform grid."""
@@ -59,8 +66,7 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     particular keeps psi >= a/8 > 0); escape or failure to converge within
     max_iter raises FixedPointFailureError.
     """
-    if a < 1.0:
-        raise ParameterDomainError(f"start value a must be >= 1, got {a!r}")
+    check_start_value(a)
     if not 0.0 < r_end <= 1.0:
         raise ParameterDomainError(
             f"contraction certified for 0 < r_end <= 1, got {r_end!r}")

@@ -8,6 +8,12 @@ endpoints (used for event location, minimum-radius refinement, and all
 after-the-fact sampling, so results never depend on which steps the
 controller happened to take beyond their endpoints).
 
+The minimum radius R = hypot(psi, beta) is refined inside a step (an
+11-point scan of the Hermite, then a golden-section search) only when an
+endpoint lies below r_watch and the step's convex-hull bound on R (see
+_hull_floor) does not rule out a value below both the running minimum and
+origin_radius.  A skipped scan could not have changed either result.
+
 The left endpoint r = 0 is singular, so integrate() opens with a short
 Picard series head on [0, r_handoff] computed by the fixed-point solver
 and hands the state to the stepper at r_handoff.
@@ -17,12 +23,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParameterDomainError, ToleranceError
+from .errors import ParameterDomainError
+from .fixedpoint import beta_from_psi, check_start_value, picard_solve
 from .phaseplane import PhasePoint
 from .quadrature import cumtrapz
 from .vorticity import VorticityModel
@@ -101,7 +108,11 @@ class EventRecord(NamedTuple):
 @dataclass(frozen=True)
 class EventSpec:
     """Scalar event g(r, psi, beta); a root is reported when g changes sign
-    in the stated direction (-1 falling, +1 rising, 0 either)."""
+    in the stated direction (-1 falling, +1 rising, 0 either).
+
+    fn must be a pure function of (r, psi, beta): the stepper evaluates it
+    once per accepted step and reuses that value as the next step's start.
+    """
     name: str
     fn: Callable[[float, float, float], float]
     direction: int = -1
@@ -122,6 +133,22 @@ class IntegrationConfig:
     r_watch: float = 2.5
     events: Tuple[EventSpec, ...] = ()
 
+    def __post_init__(self) -> None:
+        for name in ("r_max", "r_handoff"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterDomainError(
+                    f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ParameterDomainError(
+                f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
+            raise ParameterDomainError(
+                f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
+        if self.max_steps < 1:
+            raise ParameterDomainError(
+                f"max_steps must be >= 1, got {self.max_steps!r}")
+
 
 def _hermite(y0: float, y1: float, d0: float, d1: float, h: float,
              s: float) -> float:
@@ -130,6 +157,62 @@ def _hermite(y0: float, y1: float, d0: float, d1: float, h: float,
             + s * (1.0 - s) ** 2 * h * d0
             + s2 * (3.0 - 2.0 * s) * y1
             + s2 * (s - 1.0) * h * d1)
+
+
+def _hermite_radius(s: float, psi: float, beta: float, psi1: float,
+                    beta1: float, k1p: float, k1b: float, k7p: float,
+                    k7b: float, h: float) -> float:
+    """hypot of the Hermite state at s, bit for bit what
+    math.hypot(_hermite(psi, ...), _hermite(beta, ...)) returns."""
+    s2 = s * s
+    t2 = (1.0 - s) ** 2
+    w0 = (1.0 + 2.0 * s) * t2
+    w1 = s * t2 * h
+    w2 = s2 * (3.0 - 2.0 * s)
+    w3 = s2 * (s - 1.0) * h
+    return math.hypot(w0 * psi + w1 * k1p + w2 * psi1 + w3 * k7p,
+                      w0 * beta + w1 * k1b + w2 * beta1 + w3 * k7b)
+
+
+def _hull_floor(psi: float, beta: float, psi1: float, beta1: float,
+                k1p: float, k1b: float, k7p: float, k7b: float,
+                h: float) -> float:
+    """Lower bound on _hermite_radius over s in [0, 1] for one step.
+
+    The cubic Hermite from P0 = (psi, beta) to P3 = (psi1, beta1) with end
+    slopes h*k1 and h*k7 is the Bezier curve with control points P0,
+    P0 + (h/3) k1, P3 - (h/3) k7, P3, so it stays in their convex hull.
+    For the unit vector u along P0 + P3, R(s) >= u.P(s) >= min_i u.P_i.
+    This holds for either sign of h.  The slack, 1e-12 of the control
+    points' size (plus 1e-300 for underflow), is orders above the few-ulp
+    rounding of this bound and of the radius as _hermite_radius computes it.
+    """
+    sx = psi + psi1
+    sy = beta + beta1
+    norm = math.hypot(sx, sy)
+    slack = 1e-12 * (abs(psi) + abs(beta) + abs(psi1) + abs(beta1)
+                     + abs(h) * (abs(k1p) + abs(k1b) + abs(k7p) + abs(k7b))
+                     ) + 1e-300
+    if norm == 0.0:
+        return -slack
+    ux, uy = sx / norm, sy / norm
+    h3 = h / 3.0
+    c0 = ux * psi + uy * beta
+    c3 = ux * psi1 + uy * beta1
+    return min(c0, c0 + h3 * (ux * k1p + uy * k1b),
+               c3 - h3 * (ux * k7p + uy * k7b), c3) - slack
+
+
+def _dissipation(r: float, hs: float, beta: float, q0: float, q1: float,
+                 q2: float, q3: float, s_hi: float) -> float:
+    """int beta^2/r dr over the first s_hi of a step, 5-point Gauss on the
+    pair's dense beta = beta + hs s (q0 + s q1 + s^2 q2 + s^3 q3)."""
+    acc = 0.0
+    for sg, wg in zip(_GAUSS_S, _GAUSS_W):
+        s = s_hi * sg
+        bd = beta + hs * s * (q0 + s * (q1 + s * (q2 + s * q3)))
+        acc += wg * bd * bd / (r + s * hs)
+    return hs * s_hi * acc
 
 
 @dataclass
@@ -244,12 +327,6 @@ class Trajectory:
     def theta_at(self, r: float) -> float:
         return self.quantity_at("theta", r)
 
-    def energy_at(self, r: float) -> float:
-        return self.quantity_at("E", r)
-
-    def radius_at(self, r: float) -> float:
-        return self.quantity_at("radius", r)
-
     def to_csv(self, fh) -> None:
         fh.write("r,psi,beta,R,theta,E\n")
         for i in range(len(self.r)):
@@ -307,6 +384,12 @@ def _integrate_core(model: VorticityModel, r0: float, psi0: float,
     h = _initial_step(f, r0, psi0, beta0, direction, rtol, atol, span)
     r, psi, beta, theta = r0, psi0, beta0, theta0
     k1p, k1b = beta, -beta / r - f(psi)
+    radius0 = math.hypot(psi, beta)
+    origin_radius = config.origin_radius
+    events = config.events
+    # g(r, psi, beta) of each event at the step's left end, carried over
+    # from the previous step's right end
+    g_left = [spec.fn(r, psi, beta) for spec in events]
     facold = 1e-4
     nsteps = 0
     while True:
@@ -378,28 +461,17 @@ def _integrate_core(model: VorticityModel, r0: float, psi0: float,
         q3 = (_P[0][3] * k1b + _P[2][3] * k3b + _P[3][3] * k4b
               + _P[4][3] * k5b + _P[5][3] * k6b + _P[6][3] * k7b)
 
-        def beta_dense(s: float) -> float:
-            return beta + hs * s * (q0 + s * (q1 + s * (q2 + s * q3)))
-
-        def diss_upto(s_hi: float) -> float:
-            acc = 0.0
-            for sg, wg in zip(_GAUSS_S, _GAUSS_W):
-                s = s_hi * sg
-                bd = beta_dense(s)
-                acc += wg * bd * bd / (r + s * hs)
-            return hs * s_hi * acc
-
         def state_dense(s: float) -> Tuple[float, float]:
             return (_hermite(psi, psi1, k1p, k7p, hs, s),
                     _hermite(beta, beta1, k1b, k7b, hs, s))
 
         # event roots on the Hermite interpolant
         hits: List[Tuple[float, EventSpec, float, float]] = []
-        if config.events:
+        if events:
             grid_states = None
-            for spec in config.events:
-                g0 = spec.fn(r, psi, beta)
-                g1 = spec.fn(r1, psi1, beta1)
+            for i, spec in enumerate(events):
+                g0 = g_left[i]
+                g1 = g_left[i] = spec.fn(r1, psi1, beta1)
                 crossed = ((g0 > 0.0 >= g1 and spec.direction <= 0)
                            or (g0 < 0.0 <= g1 and spec.direction >= 0))
                 if not crossed:
@@ -431,47 +503,64 @@ def _integrate_core(model: VorticityModel, r0: float, psi0: float,
                     break
             hits.sort(key=lambda t: t[0])
 
-        # radius minimum: refine inside the step only near the origin
-        radius0 = math.hypot(psi, beta)
+        # radius minimum: refine inside the step only near the origin, and
+        # only where the hull bound leaves room for a value below both the
+        # running minimum and origin_radius (otherwise the scan below
+        # cannot change min_state or origin_s)
         radius1 = math.hypot(psi1, beta1)
         origin_s = None
-        if min(radius0, radius1) < config.r_watch:
-            rgrid = [(k / 10.0, math.hypot(*state_dense(k / 10.0)))
-                     for k in range(11)]
-            j_min = min(range(11), key=lambda j: rgrid[j][1])
-            cand_s, cand_rad = rgrid[j_min]
-            if cand_rad < min_state[0] or cand_rad < config.origin_radius:
-                lo_s = rgrid[max(0, j_min - 1)][0]
-                hi_s = rgrid[min(10, j_min + 1)][0]
-                a_s, b_s = lo_s, hi_s
+        seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
+        if (min(radius0, radius1) < config.r_watch
+                and not _hull_floor(*seg) >= max(min_state[0],
+                                                 origin_radius)):
+            rgrid = [_hermite_radius(k / 10.0, *seg) for k in range(11)]
+            j_min = min(range(11), key=rgrid.__getitem__)
+            cand_s, cand_rad = j_min / 10.0, rgrid[j_min]
+            if cand_rad < min_state[0] or cand_rad < origin_radius:
+                a_s = max(0, j_min - 1) / 10.0
+                b_s = min(10, j_min + 1) / 10.0
                 c_s = b_s - _INVPHI * (b_s - a_s)
                 d_s = a_s + _INVPHI * (b_s - a_s)
-                fc = math.hypot(*state_dense(c_s))
-                fd = math.hypot(*state_dense(d_s))
+                fc = _hermite_radius(c_s, *seg)
+                fd = _hermite_radius(d_s, *seg)
                 for _ in range(_GOLDEN_ITERS):
-                    if fc < fd:
+                    left = fc < fd
+                    if left:
                         b_s, d_s, fd = d_s, c_s, fc
-                        c_s = b_s - _INVPHI * (b_s - a_s)
-                        fc = math.hypot(*state_dense(c_s))
+                        s = c_s = b_s - _INVPHI * (b_s - a_s)
                     else:
                         a_s, c_s, fc = c_s, d_s, fd
-                        d_s = a_s + _INVPHI * (b_s - a_s)
-                        fd = math.hypot(*state_dense(d_s))
+                        s = d_s = a_s + _INVPHI * (b_s - a_s)
+                    # _hermite_radius(s, *seg), inlined
+                    s2 = s * s
+                    t2 = (1.0 - s) ** 2
+                    w0 = (1.0 + 2.0 * s) * t2
+                    w1 = s * t2 * hs
+                    w2 = s2 * (3.0 - 2.0 * s)
+                    w3 = s2 * (s - 1.0) * hs
+                    rad = math.hypot(
+                        w0 * psi + w1 * k1p + w2 * psi1 + w3 * k7p,
+                        w0 * beta + w1 * k1b + w2 * beta1 + w3 * k7b)
+                    if left:
+                        fc = rad
+                    else:
+                        fd = rad
                 s_ref = 0.5 * (a_s + b_s)
-                rad_ref = math.hypot(*state_dense(s_ref))
+                rad_ref = _hermite_radius(s_ref, *seg)
                 if rad_ref < cand_rad:
                     cand_s, cand_rad = s_ref, rad_ref
                 if cand_rad < min_state[0]:
                     min_state[0] = cand_rad
                     min_state[1] = r + cand_s * hs
-                if cand_rad < config.origin_radius:
+                if cand_rad < origin_radius:
                     origin_s = cand_s
         if radius1 < min_state[0]:
             min_state[0] = radius1
             min_state[1] = r1
 
         # earliest terminal event versus origin capture
-        terminal_hit = next((t for t in hits if t[1].terminal), None)
+        terminal_hit = (next((t for t in hits if t[1].terminal), None)
+                        if hits else None)
         if origin_s is not None and (terminal_hit is None
                                      or origin_s < terminal_hit[0]):
             for s_star, spec, ps, bs in hits:
@@ -484,7 +573,8 @@ def _integrate_core(model: VorticityModel, r0: float, psi0: float,
             th += TWO_PI * round((theta - th) / TWO_PI)
             rows.append((r_star, ps, bs, math.hypot(ps, bs), th,
                          0.5 * bs * bs + F(ps)))
-            diss.append(diss_upto(origin_s))
+            diss.append(_dissipation(r, hs, beta, q0, q1, q2, q3,
+                                     origin_s))
             return Termination.ORIGIN_REACHED
         if terminal_hit is not None:
             s_term = terminal_hit[0]
@@ -498,20 +588,27 @@ def _integrate_core(model: VorticityModel, r0: float, psi0: float,
             th += TWO_PI * round((theta - th) / TWO_PI)
             rows.append((r_star, ps, bs, math.hypot(ps, bs), th,
                          0.5 * bs * bs + F(ps)))
-            diss.append(diss_upto(s_term))
+            diss.append(_dissipation(r, hs, beta, q0, q1, q2, q3,
+                                     s_term))
             return Termination.EVENT
         for s_star, spec, ps, bs in hits:
             events_out.append(EventRecord(spec.name, r + s_star * hs, ps, bs))
 
         rows.append((r1, psi1, beta1, radius1, theta1,
                      0.5 * beta1 * beta1 + F(psi1)))
-        diss.append(diss_upto(1.0))
-        if radius1 < config.origin_radius:
+        # _dissipation(..., 1.0) inlined: s_hi * sg == sg, hs * 1.0 == hs
+        acc = 0.0
+        for sg, wg in zip(_GAUSS_S, _GAUSS_W):
+            bd = beta + hs * sg * (q0 + sg * (q1 + sg * (q2 + sg * q3)))
+            acc += wg * bd * bd / (r + sg * hs)
+        diss.append(hs * acc)
+        if radius1 < origin_radius:
             return Termination.ORIGIN_REACHED
         if last:
             return Termination.REACHED_RMAX
         r, psi, beta, theta = r1, psi1, beta1, theta1
         k1p, k1b = k7p, k7b
+        radius0 = radius1
         err = max(err, 1e-10)
         fac = 0.9 * err ** -0.17 * facold ** 0.04
         h *= min(10.0, max(0.2, fac))
@@ -541,8 +638,6 @@ def series_start(model: VorticityModel, a: float,
                                                      np.ndarray, np.ndarray]:
     """Picard head on [0, r_handoff]: (r, psi, beta, cumulative dissipation)
     on the fine fixed-point grid."""
-    from .fixedpoint import beta_from_psi, picard_solve
-
     grid = picard_solve(model, a, r_end=config.r_handoff, n=config.picard_n,
                         tol=config.picard_tol)
     betas = beta_from_psi(model, grid)
@@ -560,8 +655,7 @@ def integrate(model: VorticityModel, a: float,
     The singular endpoint is covered by the Picard head; event detection
     starts at the handoff radius.
     """
-    if a < 1.0:
-        raise ParameterDomainError(f"start value a must be >= 1, got {a!r}")
+    check_start_value(a)
     if config.r_max <= config.r_handoff:
         raise ParameterDomainError("r_max must exceed r_handoff")
     rs, psis, betas, cum = series_start(model, a, config)

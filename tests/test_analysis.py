@@ -125,6 +125,13 @@ def test_crossing_sequence_window_validation(run10):
         crossing_sequence(run10, r_start=0.0, r_end=1e9)
 
 
+@pytest.mark.parametrize("a", [1.5, 16.0 / 9.0, math.nan, math.inf])
+def test_classify_shot_rejects_start_without_energy(constantin, a):
+    # F(a) <= 0 for a <= 16/9: no energy-zero event can name a side
+    with pytest.raises(ParameterDomainError):
+        classify_shot(constantin, a)
+
+
 def test_classify_shot_sides(constantin):
     assert classify_shot(constantin, 2.0).outcome == "right"
     assert classify_shot(constantin, 4.0).outcome == "left"

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vortexplane.cli import main
 
 
@@ -54,6 +56,27 @@ def test_simulate_constant_orbit(tmp_path, capsys):
 def test_simulate_amplitude_below_one(tmp_path, capsys):
     assert main(["simulate", "--a", "0.5", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol-rel", "0"], ["--tol-rel", "-1"], ["--tol-abs", "nan"],
+    ["--rmax", "inf"], ["--rmax", "nan"], ["--a", "nan"], ["--a", "inf"],
+])
+def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
+    assert main(["simulate", *flags, "--out", str(tmp_path)]) == 2
+    assert "parameter error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("trajectory_*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--a", "nan"], ["shoot", "--a", "nan:5"],
+    ["shoot", "--a", "2:inf"],
+    ["picard", "--a", "nan"], ["picard", "--a", "0.5"],
+    ["portrait", "--a", "2,nan"], ["portrait", "--a", "1", "--rmax", "inf"],
+])
+def test_bad_start_or_range_rejected(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "parameter error" in capsys.readouterr().err
 
 
 def test_simulate_byte_deterministic(tmp_path, capsys):

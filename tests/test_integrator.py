@@ -1,13 +1,18 @@
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from vortexplane import (EventSpec, IntegrationConfig, ParameterDomainError,
-                         Termination, integrate, integrate_backward,
-                         integrate_from)
+                         Termination, classify_shot, integrate,
+                         integrate_backward, integrate_from)
+from vortexplane.integrator import (EventRecord, _hermite, _hermite_radius,
+                                    _hull_floor)
 
 
 def test_against_reference_integrator(constantin, run10):
@@ -129,3 +134,154 @@ def test_csv_round_trip(run10):
 def test_min_radius_tracks_dense_minimum(run10):
     node_min = float(np.min(run10.radius))
     assert run10.min_radius <= node_min + 1e-12
+
+
+# ------------------------------------------------- pinned stepper outputs
+#
+# Digests of outputs the stepper produced before the minimum-radius scan was
+# gated and event values were carried across steps; both changes must leave
+# every byte of them unchanged.
+
+def _digest(traj):
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    return (hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+            hashlib.sha256(traj.dissipation.tobytes()).hexdigest(),
+            repr(traj.min_radius), repr(traj.min_radius_r),
+            traj.termination.value, traj.events)
+
+
+_PINNED = {
+    "run10": (
+        "6a98d9efc3a314cf3a567dc60eaf42fd10310ecd76ebcee578ed1a1583b4a558",
+        "a20e9093b4117fc3b630fd65f20545de270725ea1fbfc14bf975d84de9899dbf",
+        "0.06577227565651608", "63.8512839798916", "reached_rmax", []),
+    "run100": (
+        "5a577bdf0471d2b3f6e78ffdff8ab72e52a74be89189c3cb234c233ced7d223b",
+        "ad7e6648bd56a00f5da0e3f0a50f55210f00fc34a2d50e49ad647ab35c974465",
+        "0.995969163374149", "1997.300474950334", "reached_rmax", []),
+    "example": (
+        "babfbf6b0b93ae44d4557d8b8a565da225ad46b0b0986fbfbb3a0967782be3ee",
+        "746d7069602056a915903217aa5fcf7f405b4170ad38660217f1977e6d89e8e7",
+        "0.06737836331839314", "63.432438635376435", "reached_rmax", []),
+    "powerlaw": (
+        "0de206f2588e3b6937c889778f28d9c2d6354bc97281197c9d3dae4954925bc4",
+        "d7865f96111275f1f7c1c7f11a5c18b6c66e17a28078c4bfff7b369a303d06d3",
+        "0.05313947157723094", "48.29382933478975", "reached_rmax", []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_pinned_orbit(request, name):
+    if name.startswith("run"):
+        traj = request.getfixturevalue(name)
+    else:
+        traj = integrate(request.getfixturevalue(name), 10.0,
+                         IntegrationConfig(r_max=100.0))
+    assert _digest(traj) == _PINNED[name]
+
+
+def test_pinned_origin_capture(constantin):
+    # a wide origin radius turns the a = 10 orbit's closest approach into
+    # an origin capture found by the in-step refinement
+    traj = integrate(constantin, 10.0,
+                     IntegrationConfig(r_max=100.0, origin_radius=0.1))
+    assert _digest(traj) == (
+        "442b9215f97809afa92c9263613062be0a08a7e25e8675fb322e95ca8023d9ab",
+        "fb483d70c0b02692ffa85e581b6034b3d3c50ad31a409085ff011f88f6e286c0",
+        "0.09642318693890424", "63.53963559631905", "origin_reached", [])
+
+
+def test_pinned_backward_sweep(constantin):
+    traj = integrate_backward(constantin, 6.0, 1.5, 0.2)
+    assert _digest(traj) == (
+        "2f29424cd1dbe6985fc9a9515bb9b5329ef91f7266d519dec2ec588e1e2e4934",
+        "1dd777ec7cd1b3e1fa8d30a3cdd549651324d6a174331d9728e9b28e5270ef8b",
+        "1.4992166691760165", "5.916079783099616", "reached_rmax", [])
+
+
+_PINNED_SHOTS = {
+    "constantin": (
+        ("right", "1.872941358853622", "1.5744175127498072"),
+        ("right", "5.509184527907573", "0.07599863651251797"),
+        ("left", "9.062981806555173", "0.7221556932685982")),
+    "example": (
+        ("right", "1.8562727194397814", "1.6061066022181696"),
+        ("right", "5.3535062978997985", "0.09484050108003653"),
+        ("left", "8.995646242935901", "0.7268545776473241")),
+    "powerlaw": (
+        ("right", "1.3038633608090473", "1.7491034065800555"),
+        ("right", "3.422670763957496", "0.7020878023744376"),
+        ("left", "5.92111885349081", "0.7763302209533605")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SHOTS))
+def test_pinned_shots(request, name):
+    model = request.getfixturevalue(name)
+    got = []
+    for a in (2.0, 3.0, 4.0):
+        rec = classify_shot(model, a)
+        assert rec.a == a
+        got.append((rec.outcome, repr(rec.r_stop), repr(rec.min_radius)))
+    assert tuple(got) == _PINNED_SHOTS[name]
+
+
+def test_event_fn_called_once_per_accepted_step(constantin):
+    calls = [0]
+
+    def energy(r, psi, beta):
+        calls[0] += 1
+        return 0.5 * beta * beta + constantin.F(psi)
+
+    traj = integrate(constantin, 10.0, IntegrationConfig(
+        r_max=100.0, events=(EventSpec("energy_zero", energy),)))
+    assert traj.events == [EventRecord(
+        "energy_zero", 60.41671426815308, -1.2844392220872523,
+        0.5395760549152415)]
+    # the Picard head stores 17 rows; every later row is one accepted step
+    steps = len(traj.r) - 17
+    # one call at the start, one per accepted step, and for the single
+    # crossing an 11-point grid plus the bisection
+    assert calls[0] == 1 + steps + 11 + 60
+
+
+# ---------------------------------------------------- hull bound property
+
+_state = st.floats(-10.0, 10.0, allow_nan=False)
+_slope = st.floats(-100.0, 100.0, allow_nan=False)
+_step = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda h: h != 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_state, _state, _state, _state, _slope, _slope, _slope, _slope, _step)
+def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
+                                          k7p, k7b, hs):
+    floor = _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
+    for k in range(101):
+        s = k / 100.0
+        rad = math.hypot(_hermite(psi, psi1, k1p, k7p, hs, s),
+                         _hermite(beta, beta1, k1b, k7b, hs, s))
+        assert _hermite_radius(s, psi, beta, psi1, beta1, k1p, k1b, k7p,
+                               k7b, hs) == rad
+        assert floor <= rad
+
+
+# -------------------------------------------------------- input hardening
+
+@pytest.mark.parametrize("field, value", [
+    ("r_max", math.inf), ("r_max", math.nan), ("r_max", 0.0),
+    ("r_max", -5.0), ("r_handoff", 0.0), ("r_handoff", math.nan),
+    ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", math.inf),
+    ("abs_tol", -1e-12), ("abs_tol", math.nan), ("max_steps", 0),
+])
+def test_config_rejects_bad_values(field, value):
+    kwargs = {"r_max": 10.0, field: value}
+    with pytest.raises(ParameterDomainError):
+        IntegrationConfig(**kwargs)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_non_finite_amplitude_rejected(constantin, a):
+    with pytest.raises(ParameterDomainError):
+        integrate(constantin, a, IntegrationConfig(r_max=10.0))
