@@ -14,9 +14,9 @@ from .analysis import (AxisCrossing, CrossingSequence, EnergyEntry,
                        rate_onset_radius, ring_entry, scan_for_bracket,
                        shoot_for_origin, transversality_check,
                        verify_crossing_bounds)
-from .errors import (ContractionViolationError, FixedPointFailureError,
-                     HypothesisViolationError, InfeasibleConstantsError,
-                     NoBracketError, NotDifferentiableError, NumericalError,
+from .errors import (FixedPointFailureError, HypothesisViolationError,
+                     InfeasibleConstantsError, NoBracketError,
+                     NotDifferentiableError, NumericalError,
                      OriginReachedSignal, ParameterDomainError,
                      ToleranceError, VortexPlaneError)
 from .fixedpoint import (ContractionConstants, GridFunction, banach_solve,
@@ -43,7 +43,6 @@ __all__ = [
     "C2_UPPER_BOUND",
     "ConstantsLedger",
     "ContractionConstants",
-    "ContractionViolationError",
     "CrossingSequence",
     "EnergyEntry",
     "EventSpec",

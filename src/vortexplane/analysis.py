@@ -19,11 +19,11 @@ from .errors import (HypothesisViolationError, NoBracketError,
 from .fixedpoint import check_start_value
 from .integrator import (EventSpec, IntegrationConfig, Termination,
                          Trajectory, integrate)
+from .phaseplane import TWO_PI
+from .search import bisect_root, golden_min
 from .vorticity import VorticityModel
 
 _BISECTIONS = 60
-_INVPHI = 0.6180339887498949
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------- features
@@ -36,19 +36,10 @@ def _refine_crossing(traj: Trajectory, name: str, level: float,
     double resolution places the root far more finely than the nearest
     representable r ever could; returns (r, sigma).
     """
-    lo, hi = 0.0, 1.0
-    glo = traj.quantity_sigma(name, i, lo) - level
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        gm = traj.quantity_sigma(name, i, mid) - level
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
+    def g(s: float) -> float:
+        return traj.quantity_sigma(name, i, s) - level
+
+    s = bisect_root(g, 0.0, 1.0, g(0.0), _BISECTIONS)
     return float(traj.r[i]) + s * float(traj.r[i + 1] - traj.r[i]), s
 
 
@@ -66,26 +57,6 @@ def _first_crossing(traj: Trajectory, name: str, level: float,
     return None
 
 
-def _golden_min(traj: Trajectory, name: str, lo: float, hi: float,
-                iters: int = 80) -> Tuple[float, float]:
-    a_s, b_s = lo, hi
-    c_s = b_s - _INVPHI * (b_s - a_s)
-    d_s = a_s + _INVPHI * (b_s - a_s)
-    fc = traj.quantity_at(name, c_s)
-    fd = traj.quantity_at(name, d_s)
-    for _ in range(iters):
-        if fc < fd:
-            b_s, d_s, fd = d_s, c_s, fc
-            c_s = b_s - _INVPHI * (b_s - a_s)
-            fc = traj.quantity_at(name, c_s)
-        else:
-            a_s, c_s, fc = c_s, d_s, fd
-            d_s = a_s + _INVPHI * (b_s - a_s)
-            fd = traj.quantity_at(name, d_s)
-    mid = 0.5 * (a_s + b_s)
-    return mid, traj.quantity_at(name, mid)
-
-
 def refined_min_radius(traj: Trajectory,
                        r_from: Optional[float] = None) -> Tuple[float, float]:
     """(r, R) at the closest approach to the origin, combining the node
@@ -100,7 +71,8 @@ def refined_min_radius(traj: Trajectory,
     hi = float(traj.r[min(j + 1, len(traj.r) - 1)])
     best_r, best = (float(traj.r[j]), float(traj.radius[j]))
     if hi > lo:
-        cand_r, cand = _golden_min(traj, "radius", lo, hi)
+        cand_r, cand = golden_min(
+            lambda x: traj.quantity_at("radius", x), lo, hi)
         if cand < best:
             best_r, best = cand_r, cand
     if traj.min_radius < best and \

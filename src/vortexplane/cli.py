@@ -36,31 +36,6 @@ from .vorticity import VorticityModel, make_model
 
 SCHEMA_VERSION = 1
 
-# config-file key -> (argparse dest, converter); flags override the file
-_CONFIG_FIELDS = {
-    "model": ("model", str),
-    "c2": ("c2", float),
-    "alpha": ("alpha", float),
-    "a": ("a", str),
-    "rmax": ("rmax", float),
-    "ring": ("ring", str),
-    "tol_rel": ("tol_rel", float),
-    "tol_abs": ("tol_abs", float),
-    "out": ("out", str),
-    "seed": ("seed", int),
-    "psiT": ("psi_t", float),
-    "betaT": ("beta_t", float),
-    "T": ("T", float),
-}
-
-_FLAG_FOR_DEST = {
-    "model": "--model", "c2": "--c2", "alpha": "--alpha", "a": "--a",
-    "rmax": "--rmax", "ring": "--ring", "tol_rel": "--tol-rel",
-    "tol_abs": "--tol-abs", "out": "--out", "seed": "--seed",
-    "psi_t": "--psiT", "beta_t": "--betaT", "T": "--T",
-}
-
-
 # ------------------------------------------------------------- plumbing
 
 def _as_float(text: str, name: str) -> float:
@@ -71,6 +46,15 @@ def _as_float(text: str, name: str) -> float:
     if not math.isfinite(value):
         raise ParameterDomainError(f"{name} must be finite, got {text!r}")
     return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for the float flags: a finite number, else a usage
+    error (exit 2) raised inside parse_args."""
+    try:
+        return _as_float(text, "value")
+    except ParameterDomainError as exc:
+        raise argparse.ArgumentTypeError(f"parameter error: {exc}")
 
 
 def _parse_float_list(text: str, name: str) -> List[float]:
@@ -120,7 +104,7 @@ def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
             continue
         try:
             setattr(args, dest, convert(value))
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise ParameterDomainError(
                 f"config key {key!r}: cannot parse {value!r}")
 
@@ -396,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model", default="constantin",
                         choices=("constantin", "example", "powerlaw"),
                         help="vorticity model id")
-    common.add_argument("--c2", type=float, default=None,
+    common.add_argument("--c2", type=_finite_float, default=None,
                         help="modulation amplitude for the example model")
-    common.add_argument("--alpha", type=float, default=None,
+    common.add_argument("--alpha", type=_finite_float, default=None,
                         help="exponent for the power-law model")
-    common.add_argument("--tol-rel", type=float, default=None,
+    common.add_argument("--tol-rel", type=_finite_float, default=None,
                         dest="tol_rel", help="relative step tolerance")
-    common.add_argument("--tol-abs", type=float, default=None,
+    common.add_argument("--tol-abs", type=_finite_float, default=None,
                         dest="tol_abs", help="absolute step tolerance")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--config", default=None,
@@ -424,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="integrate one orbit and summarize events")
     p.add_argument("--a", default="10", help="start value psi(0)")
-    p.add_argument("--rmax", type=float, default=100.0)
+    p.add_argument("--rmax", type=_finite_float, default=100.0)
     p.add_argument("--ring", default=None,
                    help="capture ring widths as eps:delta")
     p.set_defaults(func=cmd_simulate)
@@ -433,10 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render an SVG phase portrait")
     p.add_argument("--a", default="5,10",
                    help="comma-separated start values")
-    p.add_argument("--rmax", type=float, default=100.0)
+    p.add_argument("--rmax", type=_finite_float, default=100.0)
     p.add_argument("--ring", default=None,
                    help="capture ring widths as eps:delta")
-    p.add_argument("--clip", type=float, default=None,
+    p.add_argument("--clip", type=_finite_float, default=None,
                    help="clip the frame to |psi|, |beta| <= clip")
     p.set_defaults(func=cmd_portrait)
 
@@ -452,9 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("banach", parents=[common],
                        help="backward fixed point on [sqrt(T^2-1), T]")
-    p.add_argument("--psiT", type=float, default=1.0, dest="psi_t")
-    p.add_argument("--betaT", type=float, default=0.0, dest="beta_t")
-    p.add_argument("--T", type=float, default=6.0, dest="T")
+    p.add_argument("--psiT", type=_finite_float, default=1.0, dest="psi_t")
+    p.add_argument("--betaT", type=_finite_float, default=0.0, dest="beta_t")
+    p.add_argument("--T", type=_finite_float, default=6.0, dest="T")
     p.set_defaults(func=cmd_banach)
 
     p = sub.add_parser("verify-paper", parents=[common],
@@ -462,6 +446,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_paper)
 
     return parser
+
+
+def _config_tables(parser: argparse.ArgumentParser) -> tuple:
+    """Config-file key -> (argparse dest, converter) and dest -> flag, over
+    every subcommand's flags; a key is its flag without the dashes, with
+    '-' read as '_'."""
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    actions = [action for command in sub.choices.values()
+               for action in command._actions
+               if action.dest not in ("config", "help")]
+    fields = {action.option_strings[-1][2:].replace("-", "_"):
+              (action.dest, action.type or str) for action in actions}
+    return fields, {action.dest: action.option_strings[-1]
+                    for action in actions}
+
+
+_CONFIG_FIELDS, _FLAG_FOR_DEST = _config_tables(build_parser())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -34,10 +34,6 @@ class FixedPointFailureError(NumericalError):
     """A fixed-point iteration exhausted its budget without converging."""
 
 
-class ContractionViolationError(NumericalError):
-    """Observed iteration ratios persistently exceed the certified factor."""
-
-
 class NotDifferentiableError(NumericalError):
     """A derivative was requested where the vorticity function has a kink."""
 

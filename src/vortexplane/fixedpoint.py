@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (FixedPointFailureError, InfeasibleConstantsError,
                      ParameterDomainError)
 from .quadrature import cumsimpson, cumtrapz
+from .search import bisect_root
 from .vorticity import VorticityModel
 
 _PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
@@ -162,14 +163,10 @@ def select_contraction_constants(T: float = 6.0,
             f"ceiling {_PHI_AT_3!r}")
     if L <= 0.0:
         raise ParameterDomainError("Lipschitz bound must be positive")
-    lo, hi = 1.0 + 1e-12, 3.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rate_transform(mid) < L:
-            lo = mid
-        else:
-            hi = mid
-    lam_star = 0.5 * (lo + hi)
+    # bisect on the predicate rate_transform >= L, never an exact zero:
+    # lam_star is the lower edge of the ulps where rate_transform rounds to L
+    lam_star = bisect_root(lambda lam: 1.0 if rate_transform(lam) >= L
+                           else -1.0, 1.0 + 1e-12, 3.0, -1.0, 200)
     lam_mid = 0.5 * (lam_star + 3.0)
     mll = lam_mid * math.log(lam_mid)
     k_lo = max(mll, L * (1.25 * mll + 0.5))

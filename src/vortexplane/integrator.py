@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .fixedpoint import beta_from_psi, check_start_value, picard_solve
-from .phaseplane import PhasePoint
+from .phaseplane import TWO_PI, PhasePoint
 from .quadrature import cumtrapz
+from .search import _INVPHI, bisect_root
 from .vorticity import VorticityModel
-
-TWO_PI = 2.0 * math.pi
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
@@ -76,7 +75,6 @@ _GAUSS_S = (0.046910077030668004, 0.23076534494715845, 0.5,
 _GAUSS_W = (0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
             0.23931433524968324, 0.11846344252809454)
 
-_INVPHI = 0.6180339887498949
 _EVENT_BISECTIONS = 60
 _GOLDEN_ITERS = 80
 _THETA_STEP_CAP = 0.9 * math.pi
@@ -201,6 +199,41 @@ def _hull_floor(psi: float, beta: float, psi1: float, beta1: float,
     c3 = ux * psi1 + uy * beta1
     return min(c0, c0 + h3 * (ux * k1p + uy * k1b),
                c3 - h3 * (ux * k7p + uy * k7b), c3) - slack
+
+
+def _golden_radius(a_s: float, b_s: float, psi: float, beta: float,
+                   psi1: float, beta1: float, k1p: float, k1b: float,
+                   k7p: float, k7b: float, h: float) -> Tuple[float, float]:
+    """search.golden_min(lambda s: _hermite_radius(s, ...), a_s, b_s,
+    _GOLDEN_ITERS) with _hermite_radius inlined: the same bits, without a
+    call per iteration on the stepper's hottest refinement."""
+    c_s = b_s - _INVPHI * (b_s - a_s)
+    d_s = a_s + _INVPHI * (b_s - a_s)
+    fc = _hermite_radius(c_s, psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, h)
+    fd = _hermite_radius(d_s, psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, h)
+    for _ in range(_GOLDEN_ITERS):
+        left = fc < fd
+        if left:
+            b_s, d_s, fd = d_s, c_s, fc
+            s = c_s = b_s - _INVPHI * (b_s - a_s)
+        else:
+            a_s, c_s, fc = c_s, d_s, fd
+            s = d_s = a_s + _INVPHI * (b_s - a_s)
+        s2 = s * s
+        t2 = (1.0 - s) ** 2
+        w0 = (1.0 + 2.0 * s) * t2
+        w1 = s * t2 * h
+        w2 = s2 * (3.0 - 2.0 * s)
+        w3 = s2 * (s - 1.0) * h
+        rad = math.hypot(w0 * psi + w1 * k1p + w2 * psi1 + w3 * k7p,
+                         w0 * beta + w1 * k1b + w2 * beta1 + w3 * k7b)
+        if left:
+            fc = rad
+        else:
+            fd = rad
+    s_ref = 0.5 * (a_s + b_s)
+    return s_ref, _hermite_radius(s_ref, psi, beta, psi1, beta1, k1p, k1b,
+                                  k7p, k7b, h)
 
 
 def _dissipation(r: float, hs: float, beta: float, q0: float, q1: float,
@@ -488,16 +521,14 @@ def _integrate_core(model: VorticityModel, r0: float, psi0: float,
                           or (ga < 0.0 <= gb and spec.direction >= 0))
                     if not ok:
                         continue
-                    lo_s, hi_s, glo = sa, sb, ga
-                    for _ in range(_EVENT_BISECTIONS):
-                        mid = 0.5 * (lo_s + hi_s)
-                        pm, bm = state_dense(mid)
-                        gm = spec.fn(r + mid * hs, pm, bm)
-                        if glo * gm <= 0.0:
-                            hi_s = mid
-                        else:
-                            lo_s, glo = mid, gm
-                    s_star = 0.5 * (lo_s + hi_s)
+                    def g(s: float) -> float:
+                        # an exact zero sides with the far end: the root
+                        # is the near edge of g's zero set
+                        pm, bm = state_dense(s)
+                        gm = spec.fn(r + s * hs, pm, bm)
+                        return gm if gm != 0.0 else -ga
+
+                    s_star = bisect_root(g, sa, sb, ga, _EVENT_BISECTIONS)
                     ps, bs = state_dense(s_star)
                     hits.append((s_star, spec, ps, bs))
                     break
@@ -517,36 +548,9 @@ def _integrate_core(model: VorticityModel, r0: float, psi0: float,
             j_min = min(range(11), key=rgrid.__getitem__)
             cand_s, cand_rad = j_min / 10.0, rgrid[j_min]
             if cand_rad < min_state[0] or cand_rad < origin_radius:
-                a_s = max(0, j_min - 1) / 10.0
-                b_s = min(10, j_min + 1) / 10.0
-                c_s = b_s - _INVPHI * (b_s - a_s)
-                d_s = a_s + _INVPHI * (b_s - a_s)
-                fc = _hermite_radius(c_s, *seg)
-                fd = _hermite_radius(d_s, *seg)
-                for _ in range(_GOLDEN_ITERS):
-                    left = fc < fd
-                    if left:
-                        b_s, d_s, fd = d_s, c_s, fc
-                        s = c_s = b_s - _INVPHI * (b_s - a_s)
-                    else:
-                        a_s, c_s, fc = c_s, d_s, fd
-                        s = d_s = a_s + _INVPHI * (b_s - a_s)
-                    # _hermite_radius(s, *seg), inlined
-                    s2 = s * s
-                    t2 = (1.0 - s) ** 2
-                    w0 = (1.0 + 2.0 * s) * t2
-                    w1 = s * t2 * hs
-                    w2 = s2 * (3.0 - 2.0 * s)
-                    w3 = s2 * (s - 1.0) * hs
-                    rad = math.hypot(
-                        w0 * psi + w1 * k1p + w2 * psi1 + w3 * k7p,
-                        w0 * beta + w1 * k1b + w2 * beta1 + w3 * k7b)
-                    if left:
-                        fc = rad
-                    else:
-                        fd = rad
-                s_ref = 0.5 * (a_s + b_s)
-                rad_ref = _hermite_radius(s_ref, *seg)
+                s_ref, rad_ref = _golden_radius(max(0, j_min - 1) / 10.0,
+                                                min(10, j_min + 1) / 10.0,
+                                                *seg)
                 if rad_ref < cand_rad:
                     cand_s, cand_rad = s_ref, rad_ref
                 if cand_rad < min_state[0]:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (HypothesisViolationError, NotDifferentiableError,
                      OriginReachedSignal, ParameterDomainError)
+from .search import bisect_root
 from .vorticity import VorticityModel, potential_grid
 
 TWO_PI = 2.0 * math.pi
@@ -98,18 +99,6 @@ def to_polar(point: PhasePoint, prev_angle: Optional[float] = None) -> PolarPoin
     return PolarPoint(radius, theta)
 
 
-def theta_rhs(model: VorticityModel, point: PhasePoint, r: float) -> float:
-    """dtheta/dr = -1 - sin(2 theta)/(2r) + psi g(psi)/R^2."""
-    psi, beta = point
-    if r <= 0.0:
-        raise ParameterDomainError(f"r must be positive, got {r!r}")
-    rr = psi * psi + beta * beta
-    if rr == 0.0:
-        raise OriginReachedSignal("angular rate undefined at the origin")
-    # psi*beta/(r R^2) is sin(2 theta)/(2r)
-    return -1.0 - (psi * beta) / (rr * r) + psi * model.g(psi) / rr
-
-
 def theta_envelope(lambda_g: float, r: float) -> Tuple[float, float]:
     """Bounds for dtheta/dr while E > 0 and r >= 1:
 
@@ -133,19 +122,9 @@ class LevelSetGeometry:
     peak_curvature: float
 
 
-def _bisect(fn, lo: float, hi: float, iters: int = 200,
-            tol: float = 1e-14) -> float:
-    flo = fn(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0 or hi - lo <= tol * max(1.0, abs(mid)):
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def _bisect(fn, lo: float, hi: float) -> float:
+    """Root of fn on the sign-change bracket [lo, hi], to 1e-14 relative."""
+    return bisect_root(fn, lo, hi, fn(lo), 200, 1e-14)
 
 
 def level_set_geometry(model: VorticityModel, n: int = 1024,

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import HypothesisViolationError, ParameterDomainError
 from .quadrature import adaptive_simpson
+from .search import bisect_root
 
 # exact admissibility ceiling for the modulated model parameter:
 # (3 - 2*sqrt(2)) / (4 + 3*sqrt(2)); the rounded figure 0.02 that gets
@@ -74,6 +75,14 @@ class VorticityModel:
         return np.array([self.g(float(x)) for x in np.asarray(u).ravel()]).reshape(np.shape(u))
 
 
+def _at_zero(u: float) -> float:
+    """Value of an odd f or g at an input that is neither > 0 nor < 0:
+    0.0 at (signed) zero; NaN is rejected, not taken for an equilibrium."""
+    if u == 0.0:
+        return 0.0
+    raise ParameterDomainError(f"model input must be a number, got {u!r}")
+
+
 def constantin_model() -> VorticityModel:
     """f(u) = u - sign(u) sqrt(|u|), the square-root vorticity profile."""
 
@@ -82,14 +91,14 @@ def constantin_model() -> VorticityModel:
             return u - math.sqrt(u)
         if u < 0.0:
             return u + math.sqrt(-u)
-        return 0.0
+        return _at_zero(u)
 
     def g(u: float) -> float:
         if u > 0.0:
             return math.sqrt(u)
         if u < 0.0:
             return -math.sqrt(-u)
-        return 0.0
+        return _at_zero(u)
 
     def F(psi: float) -> float:
         a = abs(psi)
@@ -189,14 +198,14 @@ def power_law_model(alpha: float) -> VorticityModel:
             return u - u ** alpha
         if u < 0.0:
             return u + (-u) ** alpha
-        return 0.0
+        return _at_zero(u)
 
     def g(u: float) -> float:
         if u > 0.0:
             return u ** alpha
         if u < 0.0:
             return -((-u) ** alpha)
-        return 0.0
+        return _at_zero(u)
 
     def F(psi: float) -> float:
         a = abs(psi)
@@ -231,11 +240,6 @@ def make_model(model_id: str, c2: Optional[float] = None,
     if model_id == "powerlaw":
         return power_law_model(0.5 if alpha is None else alpha)
     raise ParameterDomainError(f"unknown model id {model_id!r}")
-
-
-def potential(model: VorticityModel, psi: float) -> float:
-    """F(psi) through the model's own evaluator."""
-    return model.F(psi)
 
 
 def potential_by_quadrature(model: VorticityModel, psi: float,
@@ -284,22 +288,8 @@ def find_positive_zero(model: VorticityModel, hi: float = 2.0,
     for u, v in zip(us, vals):
         if v == 0.0:
             return u
-    lo_u = None
     for j in range(len(us) - 1):
         if vals[j] * vals[j + 1] < 0.0:
-            lo_u, hi_u = us[j], us[j + 1]
-            flo = vals[j]
-            break
-    if lo_u is None:
-        raise HypothesisViolationError(
-            "f has no sign change on the probe grid; no positive zero found")
-    for _ in range(200):
-        mid = 0.5 * (lo_u + hi_u)
-        fm = model.f(mid)
-        if fm == 0.0 or hi_u - lo_u <= tol * max(1.0, mid):
-            return mid
-        if flo * fm < 0.0:
-            hi_u = mid
-        else:
-            lo_u, flo = mid, fm
-    return 0.5 * (lo_u + hi_u)
+            return bisect_root(model.f, us[j], us[j + 1], vals[j], 200, tol)
+    raise HypothesisViolationError(
+        "f has no sign change on the probe grid; no positive zero found")

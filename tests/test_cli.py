@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vortexplane.cli import main
+from vortexplane.cli import _CONFIG_FIELDS, main
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -77,6 +77,35 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
 def test_bad_start_or_range_rejected(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert "parameter error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--c2", "nan"], ["simulate", "--alpha", "inf"],
+    ["simulate", "--tol-rel", "nan"], ["simulate", "--tol-abs=-inf"],
+    ["simulate", "--rmax", "nan"], ["portrait", "--clip", "nan"],
+    ["banach", "--psiT", "nan"], ["banach", "--betaT", "inf"],
+    ["banach", "--T", "nan"],
+])
+def test_float_flags_reject_non_finite(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_keys_follow_the_flags():
+    assert sorted(_CONFIG_FIELDS) == [
+        "T", "a", "alpha", "betaT", "c2", "clip", "model", "out", "psiT",
+        "ring", "rmax", "seed", "tol_abs", "tol_rel"]
+    assert _CONFIG_FIELDS["psiT"][0] == "psi_t"
+
+
+def test_config_value_must_be_finite(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("T = nan\n")
+    out = tmp_path / "out"
+    assert main(["banach", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "parameter error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_byte_deterministic(tmp_path, capsys):

@@ -11,8 +11,9 @@ from scipy.integrate import solve_ivp
 from vortexplane import (EventSpec, IntegrationConfig, ParameterDomainError,
                          Termination, classify_shot, integrate,
                          integrate_backward, integrate_from)
-from vortexplane.integrator import (EventRecord, _hermite, _hermite_radius,
-                                    _hull_floor)
+from vortexplane.integrator import (EventRecord, _golden_radius, _hermite,
+                                    _hermite_radius, _hull_floor)
+from vortexplane.search import golden_min
 
 
 def test_against_reference_integrator(constantin, run10):
@@ -265,6 +266,17 @@ def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
         assert _hermite_radius(s, psi, beta, psi1, beta1, k1p, k1b, k7p,
                                k7b, hs) == rad
         assert floor <= rad
+
+
+@settings(max_examples=300, deadline=None)
+@given(_state, _state, _state, _state, _slope, _slope, _slope, _slope, _step,
+       st.integers(0, 10))
+def test_golden_radius_matches_golden_min(psi, beta, psi1, beta1, k1p, k1b,
+                                          k7p, k7b, hs, j_min):
+    seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
+    a_s, b_s = max(0, j_min - 1) / 10.0, min(10, j_min + 1) / 10.0
+    assert _golden_radius(a_s, b_s, *seg) == golden_min(
+        lambda s: _hermite_radius(s, *seg), a_s, b_s)
 
 
 # -------------------------------------------------------- input hardening

@@ -129,3 +129,13 @@ def test_potential_grid_matches_pointwise():
 def test_potential_grid_rejects_descending():
     with pytest.raises(ValueError):
         potential_grid(constantin_model(), np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("model", [constantin_model(), power_law_model(0.3)],
+                         ids=["constantin", "powerlaw"])
+def test_nan_input_is_rejected(model):
+    for fn in (model.f, model.g):
+        with pytest.raises(ParameterDomainError):
+            fn(math.nan)
+        for zero in (0.0, -0.0):
+            assert fn(zero) == 0.0
