@@ -32,6 +32,7 @@ from .search import bisect_root
 from .vorticity import VorticityModel
 
 _PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
+_LAM_LO = 1.0 + 1e-12
 
 
 def check_start_value(a: float) -> None:
@@ -157,16 +158,18 @@ def select_contraction_constants(T: float = 6.0,
     """
     if T < 6.0:
         raise ParameterDomainError(f"anchor radius must be >= 6, got {T!r}")
-    if L >= _PHI_AT_3:
-        raise InfeasibleConstantsError(
-            f"Lipschitz bound {L!r} is not below the rate-transform "
-            f"ceiling {_PHI_AT_3!r}")
-    if L <= 0.0:
+    if not L > 0.0:
         raise ParameterDomainError("Lipschitz bound must be positive")
+    # the lambda* bracket [_LAM_LO, 3] holds a root only inside this range
+    rate_lo = rate_transform(_LAM_LO)
+    if not rate_lo < L < _PHI_AT_3:
+        raise InfeasibleConstantsError(
+            f"Lipschitz bound {L!r} lies outside the rate-transform range "
+            f"({rate_lo!r}, {_PHI_AT_3!r}) over lambda in ({_LAM_LO!r}, 3)")
     # bisect on the predicate rate_transform >= L, never an exact zero:
     # lam_star is the lower edge of the ulps where rate_transform rounds to L
     lam_star = bisect_root(lambda lam: 1.0 if rate_transform(lam) >= L
-                           else -1.0, 1.0 + 1e-12, 3.0, -1.0, 200)
+                           else -1.0, _LAM_LO, 3.0, -1.0, 200)
     lam_mid = 0.5 * (lam_star + 3.0)
     mll = lam_mid * math.log(lam_mid)
     k_lo = max(mll, L * (1.25 * mll + 0.5))

@@ -362,10 +362,12 @@ class Trajectory:
 
     def to_csv(self, fh) -> None:
         fh.write("r,psi,beta,R,theta,E\n")
-        for i in range(len(self.r)):
-            fh.write(f"{float(self.r[i])!r},{float(self.psi[i])!r},"
-                     f"{float(self.beta[i])!r},{float(self.radius[i])!r},"
-                     f"{float(self.theta[i])!r},{float(self.E[i])!r}\n")
+        cols = (self.r, self.psi, self.beta, self.radius, self.theta, self.E)
+        # blocks of rows keep the float lists small next to the text
+        for j in range(0, len(self.r), 4096):
+            rows = zip(*(c[j:j + 4096].tolist() for c in cols))
+            fh.writelines(f"{r!r},{p!r},{b!r},{R!r},{t!r},{e!r}\n"
+                          for r, p, b, R, t, e in rows)
 
 
 def _initial_step(f: Callable[[float], float], r0: float, psi: float,

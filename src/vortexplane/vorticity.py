@@ -15,7 +15,9 @@ certified constants used by the solvers and checks:
     c, nu     ring bound: -c/R^nu <= psi*g(psi)/R^2 <= (1+c)/R^nu for |psi|<=R
 
 All scalar callables accept and return plain floats; the *_arr variants
-are vectorized over numpy arrays and exist for grid-based solvers.
+are vectorized over numpy arrays and exist for grid-based solvers.  g and
+F reject NaN and +-inf.  F is exact for the constantin and power-law
+families and a fixed Gauss-Legendre rule for the modulated one.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ from .search import bisect_root
 # (3 - 2*sqrt(2)) / (4 + 3*sqrt(2)); the rounded figure 0.02 that gets
 # quoted for convenience is strictly below this value
 C2_UPPER_BOUND = (3.0 - 2.0 * math.sqrt(2.0)) / (4.0 + 3.0 * math.sqrt(2.0))
+
+# 12-point Gauss-Legendre on [0, 1], nodes and weights correctly rounded
+_GL_S = (0.009219682876640375, 0.04794137181476257, 0.11504866290284765,
+         0.2063410228566913, 0.3160842505009099, 0.43738329574426554,
+         0.5626167042557345, 0.6839157494990901, 0.7936589771433087,
+         0.8849513370971523, 0.9520586281852375, 0.9907803171233597)
+_GL_W = (0.023587668193255914, 0.05346966299765921, 0.08003916427167311,
+         0.10158371336153296, 0.1167462682691774, 0.12457352290670139,
+         0.12457352290670139, 0.1167462682691774, 0.10158371336153296,
+         0.08003916427167311, 0.05346966299765921, 0.023587668193255914)
+_GL = tuple(zip(_GL_S, _GL_W))
 
 
 @dataclass(frozen=True)
@@ -56,9 +69,6 @@ class VorticityModel:
     ledger: ConstantsLedger
     f_arr: Optional[Callable[[np.ndarray], np.ndarray]] = None
     g_arr: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # True when F itself goes through quadrature, in which case grid
-    # evaluations should use potential_grid to amortize the cost
-    quadrature_potential: bool = False
 
     @property
     def u0(self) -> float:
@@ -76,11 +86,18 @@ class VorticityModel:
 
 
 def _at_zero(u: float) -> float:
-    """Value of an odd f or g at an input that is neither > 0 nor < 0:
+    """Value of an odd f at an input that is neither > 0 nor < 0:
     0.0 at (signed) zero; NaN is rejected, not taken for an equilibrium."""
     if u == 0.0:
         return 0.0
     raise ParameterDomainError(f"model input must be a number, got {u!r}")
+
+
+def _finite(u: float) -> float:
+    """u itself when finite; NaN and +-inf are rejected."""
+    if math.isfinite(u):
+        return u
+    raise ParameterDomainError(f"model input must be finite, got {u!r}")
 
 
 def constantin_model() -> VorticityModel:
@@ -94,14 +111,12 @@ def constantin_model() -> VorticityModel:
         return _at_zero(u)
 
     def g(u: float) -> float:
-        if u > 0.0:
+        if _finite(u) > 0.0:
             return math.sqrt(u)
-        if u < 0.0:
-            return -math.sqrt(-u)
-        return _at_zero(u)
+        return -math.sqrt(-u) if u < 0.0 else 0.0
 
     def F(psi: float) -> float:
-        a = abs(psi)
+        a = abs(_finite(psi))
         return 0.5 * psi * psi - (2.0 / 3.0) * a * math.sqrt(a)
 
     ledger = ConstantsLedger(
@@ -126,6 +141,10 @@ def example_model(c2: float) -> VorticityModel:
     g(u) = sign(u) sqrt(|u|) (1 + c1 - sin(c2 u^2/(u^2+1))) with
     c1 = sin(c2/2), admissible for 0 < c2 < C2_UPPER_BOUND.  The
     modulation keeps u0 = 1 while breaking the closed-form potential.
+    With u = t^2 the modulated part of F integrates 2 t^2 sin(c2 t^4/(t^4+1)),
+    analytic with its nearest singularities 0.71 off the real axis, so a
+    fixed Gauss-Legendre rule per panel of width <= 1 converges
+    geometrically (Trefethen, SIAM Review 50, 2008).
     """
     if not 0.0 < c2 < C2_UPPER_BOUND:
         raise ParameterDomainError(
@@ -143,22 +162,51 @@ def example_model(c2: float) -> VorticityModel:
         return u - s if u > 0.0 else u + s
 
     def g(u: float) -> float:
-        if u == 0.0:
+        if _finite(u) == 0.0:
             return 0.0
         s = math.sqrt(abs(u)) * modulation(u)
         return s if u > 0.0 else -s
 
-    def sin_part(u: float) -> float:
-        uu = u * u
-        return math.sqrt(u) * math.sin(c2 * uu / (uu + 1.0))
+    def panel(lo: float, hi: float) -> float:
+        """int_lo^hi 2 t^2 sin(c2 t^4/(t^4+1)) dt, one Gauss panel."""
+        h = hi - lo
+        acc = 0.0
+        for sg, wg in _GL:
+            t = lo + h * sg
+            tt = t * t
+            t4 = tt * tt
+            acc += wg * tt * math.sin(c2 * t4 / (t4 + 1.0))
+        return 2.0 * h * acc
+
+    def tail(lo: float) -> float:
+        """int_lo^(1/2) 2 s^-4 (sin(c2 w) - sin(c2)) ds, w = 1/(1+s^4), with
+        the difference as -2 cos(c2 (1+w)/2) sin(c2 (1-w)/2)."""
+        h = 0.5 - lo
+        acc = 0.0
+        for sg, wg in _GL:
+            s = lo + h * sg
+            s4 = s * s * s * s
+            q = s4 / (1.0 + s4)  # 1 - w, free of cancellation
+            acc += (wg * math.cos(c2 * (1.0 - 0.5 * q))
+                    * math.sin(0.5 * c2 * q) / s4)
+        return -4.0 * h * acc
+
+    p1 = panel(0.0, 1.0)
+    p2 = p1 + panel(1.0, 2.0)
+    sin_c2 = math.sin(c2)
 
     def F(psi: float) -> float:
-        x = abs(psi)
-        if x == 0.0:
-            return 0.0
-        tol = 1e-10 * max(1.0, x ** 1.5)
-        s = adaptive_simpson(sin_part, 0.0, x, tol=tol)
-        return 0.5 * psi * psi - (1.0 + c1) * (2.0 / 3.0) * x ** 1.5 + s
+        x = abs(_finite(psi))
+        t = math.sqrt(x)
+        if t <= 1.0:
+            s = panel(0.0, t)
+        elif t <= 2.0:
+            s = p1 + panel(1.0, t)
+        else:
+            # past t = 2 the integrand tends to 2 t^2 sin(c2): that part in
+            # closed form, the remainder in s = 1/t on [1/t, 1/2]
+            s = p2 + sin_c2 * (2.0 / 3.0) * (x * t - 8.0) + tail(1.0 / t)
+        return 0.5 * psi * psi - (1.0 + c1) * (2.0 / 3.0) * x * t + s
 
     def f_arr(u: np.ndarray) -> np.ndarray:
         uu = u * u
@@ -183,7 +231,6 @@ def example_model(c2: float) -> VorticityModel:
         model_id="example",
         f=f, g=g, F=F, ledger=ledger,
         f_arr=f_arr, g_arr=g_arr,
-        quadrature_potential=True,
     )
 
 
@@ -201,14 +248,12 @@ def power_law_model(alpha: float) -> VorticityModel:
         return _at_zero(u)
 
     def g(u: float) -> float:
-        if u > 0.0:
+        if _finite(u) > 0.0:
             return u ** alpha
-        if u < 0.0:
-            return -((-u) ** alpha)
-        return _at_zero(u)
+        return -((-u) ** alpha) if u < 0.0 else 0.0
 
     def F(psi: float) -> float:
-        a = abs(psi)
+        a = abs(_finite(psi))
         return 0.5 * psi * psi - a ** (1.0 + alpha) / (1.0 + alpha)
 
     ledger = ConstantsLedger(
@@ -251,29 +296,13 @@ def potential_by_quadrature(model: VorticityModel, psi: float,
 
 
 def potential_grid(model: VorticityModel, psis: np.ndarray) -> np.ndarray:
-    """Evaluate F on an ascending nonnegative grid.
-
-    Closed-form models map directly; quadrature-backed models integrate f
-    segment by segment so the grid costs one sweep instead of one full
-    integral per node.
-    """
+    """F on an ascending nonnegative grid, node by node."""
     psis = np.asarray(psis, dtype=float)
     if psis.ndim != 1 or len(psis) == 0:
         raise ValueError("psis must be a nonempty 1-d array")
     if np.any(np.diff(psis) < 0.0) or psis[0] < 0.0:
         raise ValueError("psis must be ascending and nonnegative")
-    if not model.quadrature_potential:
-        return np.array([model.F(float(p)) for p in psis])
-    out = np.empty(len(psis))
-    acc = adaptive_simpson(model.f, 0.0, float(psis[0]), tol=1e-12) \
-        if psis[0] > 0.0 else 0.0
-    out[0] = acc
-    for j in range(1, len(psis)):
-        seg = adaptive_simpson(model.f, float(psis[j - 1]), float(psis[j]),
-                               tol=1e-13 * max(1.0, float(psis[j])))
-        acc += seg
-        out[j] = acc
-    return out
+    return np.array([model.F(p) for p in psis.tolist()])
 
 
 def find_positive_zero(model: VorticityModel, hi: float = 2.0,

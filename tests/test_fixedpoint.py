@@ -69,6 +69,10 @@ def test_contraction_constants_domain():
         select_contraction_constants(6.0, PHI_AT_3)
     with pytest.raises(InfeasibleConstantsError):
         select_contraction_constants(6.0, 2.61586)
+    # below rate_transform(1 + 1e-12) ~ 2.2e-11 the lambda* bracket holds
+    # no root
+    with pytest.raises(InfeasibleConstantsError):
+        select_contraction_constants(6.0, 1e-13)
 
 
 def test_picard_residual_small(constantin):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vortexplane import (C2_UPPER_BOUND, ParameterDomainError,
                          constantin_model, example_model, find_positive_zero,
                          make_model, potential_by_quadrature, power_law_model)
+from vortexplane.quadrature import adaptive_simpson
 from vortexplane.vorticity import potential_grid
 
 finite_u = st.floats(min_value=-50.0, max_value=50.0,
@@ -131,11 +132,63 @@ def test_potential_grid_rejects_descending():
         potential_grid(constantin_model(), np.array([1.0, 0.5]))
 
 
-@pytest.mark.parametrize("model", [constantin_model(), power_law_model(0.3)],
-                         ids=["constantin", "powerlaw"])
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.model_id)
 def test_nan_input_is_rejected(model):
-    for fn in (model.f, model.g):
+    # g and F reject every non-finite input; f, six calls per step, rejects
+    # NaN in the closed-form families and is not checked for +-inf
+    for fn in (model.g, model.F):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterDomainError):
+                fn(bad)
+    if model.model_id != "example":
         with pytest.raises(ParameterDomainError):
-            fn(math.nan)
+            model.f(math.nan)
+    for fn in (model.f, model.g, model.F):
         for zero in (0.0, -0.0):
             assert fn(zero) == 0.0
+
+
+# ------------------------------------------- Gauss-Legendre example potential
+
+_C2S = (1e-3, 0.02, 0.999 * C2_UPPER_BOUND)
+
+
+@pytest.mark.parametrize("c2", _C2S)
+def test_example_potential_matches_oracle(c2):
+    # oracle: adaptive Simpson of f itself, substituted to u = t^2 so the
+    # integrand 2 t f(t^2) is smooth, far tighter than the bound checked
+    model = example_model(c2)
+    for x in np.logspace(-3.0, 4.0, 200).tolist():
+        scale = max(1.0, 0.5 * x * x)
+        oracle = adaptive_simpson(lambda t: 2.0 * t * model.f(t * t), 0.0,
+                                  math.sqrt(x), 1e-14 * scale)
+        assert abs(model.F(x) - oracle) <= 1e-12 * scale, x
+
+
+@pytest.mark.parametrize("c2", _C2S)
+def test_example_potential_continuous_at_panel_joins(c2):
+    # sqrt(x) = 1 and 2 switch panels; the neighbouring floats must agree
+    # to the slope times their spacing plus a few ulps
+    model = example_model(c2)
+    for x in (1.0, 4.0):
+        lo, hi = math.nextafter(x, 0.0), math.nextafter(x, 8.0)
+        slack = abs(model.f(x)) * (hi - lo) + 4.0 * np.finfo(float).eps
+        assert abs(model.F(hi) - model.F(lo)) <= slack
+        assert abs(model.F(x) - model.F(lo)) <= slack
+        assert abs(model.F(hi) - model.F(x)) <= slack
+
+
+@pytest.mark.parametrize("c2", _C2S)
+def test_example_potential_derivative_is_f(c2):
+    model = example_model(c2)
+    for x in (0.3, 1.5, 3.0, 10.0, 50.0):
+        h = 1e-4 * x
+        slope = (model.F(x + h) - model.F(x - h)) / (2.0 * h)
+        assert abs(slope - model.f(x)) <= 1e-7 * max(1.0, abs(model.f(x)))
+
+
+def test_potential_grid_maps_F_bit_for_bit():
+    psis = np.linspace(0.0, 50.0, 201)
+    for model in _MODELS:
+        point = np.array([model.F(float(p)) for p in psis])
+        assert potential_grid(model, psis).tobytes() == point.tobytes()
