@@ -15,6 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .errors import ParameterDomainError
 from .sequences import kronecker, sample_interval, sample_loglin
 from .vorticity import C2_UPPER_BOUND, VorticityModel, find_positive_zero
 
@@ -97,9 +98,18 @@ def check_decomposition(model: VorticityModel, n: int = 10_000, seed: int = 0,
                    "argmax": float(us[j])})
 
 
+def _check_centre(a: float) -> None:
+    """Reject a ball centre a that is not a finite number > 0: the growth
+    interval [(1-eta/4)a, (1+eta/4)a] is then empty or reversed."""
+    if not (math.isfinite(a) and a > 0.0):
+        raise ParameterDomainError(
+            f"ball centre a must be finite and > 0, got {a!r}")
+
+
 def check_growth(model: VorticityModel, a: float, n: int = 10_000,
                  seed: int = 0, tol: float = 1e-12) -> CheckRecord:
     """eta lies in (3, 7/2] and |f| <= eta a on [(1-eta/4)a, (1+eta/4)a]."""
+    _check_centre(a)
     eta = model.ledger.eta
     range_ok = 3.0 < eta <= 3.5
     lo, hi = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a
@@ -119,6 +129,7 @@ def check_lipschitz(model: VorticityModel, a: float, n: int = 10_000,
                     seed: int = 0, tol: float = 1e-12) -> CheckRecord:
     """Adjacent-pair slopes on the growth interval stay within the ledger's
     Lipschitz constant, which itself sits at or below the 5/2 ceiling."""
+    _check_centre(a)
     eta, L = model.ledger.eta, model.ledger.L
     lo, hi = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a
     xs = np.sort(sample_interval(n, lo, hi, seed=seed))

@@ -36,11 +36,15 @@ def _refine_crossing(traj: Trajectory, name: str, level: float,
     double resolution places the root far more finely than the nearest
     representable r ever could; returns (r, sigma).
     """
-    def g(s: float) -> float:
-        return traj.quantity_sigma(name, i, s) - level
-
-    s = bisect_root(g, 0.0, 1.0, g(0.0), _BISECTIONS)
+    q = traj.hermite(name, i)
+    s = bisect_root(lambda s: q(s) - level, 0.0, 1.0, q(0.0) - level,
+                    _BISECTIONS)
     return float(traj.r[i]) + s * float(traj.r[i + 1] - traj.r[i]), s
+
+
+def _state(traj: Trajectory, i: int, s: float) -> Tuple[float, float]:
+    """(psi, beta) on the Hermite of step i at local coordinate s."""
+    return traj.hermite("psi", i)(s), traj.hermite("beta", i)(s)
 
 
 def _first_crossing(traj: Trajectory, name: str, level: float,
@@ -71,8 +75,11 @@ def refined_min_radius(traj: Trajectory,
     hi = float(traj.r[min(j + 1, len(traj.r) - 1)])
     best_r, best = (float(traj.r[j]), float(traj.radius[j]))
     if hi > lo:
-        cand_r, cand = golden_min(
-            lambda x: traj.quantity_at("radius", x), lo, hi)
+        def radius(x: float) -> float:
+            i, s = traj.locate(x)
+            return traj.hermite("radius", i)(s)
+
+        cand_r, cand = golden_min(radius, lo, hi)
         if cand < best:
             best_r, best = cand_r, cand
     if traj.min_radius < best and \
@@ -163,7 +170,7 @@ def ring_entry(traj: Trajectory, ring: RingSpec) -> Optional[RingEntry]:
     if hit is None:
         return None
     r_star, s_star, i = hit
-    psi_star, beta_star = traj.sample_sigma(i, s_star)
+    psi_star, beta_star = _state(traj, i, s_star)
     min_r, min_rad = refined_min_radius(traj, r_from=r_star)
     return RingEntry(r_entry=r_star, psi=psi_star, beta=beta_star,
                      min_radius_after=min_rad, min_radius_r=min_r,
@@ -197,7 +204,7 @@ def e_region_entry(traj: Trajectory) -> Optional[EnergyEntry]:
     if hit is None:
         return None
     r_star, s_star, i = hit
-    psi_star, beta_star = traj.sample_sigma(i, s_star)
+    psi_star, beta_star = _state(traj, i, s_star)
     rate = -beta_star * beta_star / r_star
     transversal = abs(beta_star) > 1e-8
     return EnergyEntry(r_cross=r_star, psi=psi_star, beta=beta_star,
@@ -231,7 +238,7 @@ def transversality_check(traj: Trajectory,
         if float(traj.E[i]) <= 0.0 or float(traj.E[i + 1]) <= 0.0:
             continue
         r_star, s_star = _refine_crossing(traj, "psi", 0.0, i)
-        psi_star, beta_star = traj.sample_sigma(i, s_star)
+        psi_star, beta_star = _state(traj, i, s_star)
         beta_prime = -beta_star / r_star - traj.model.f(psi_star)
         residual = abs(beta_prime + beta_star / r_star)
         out.append(AxisCrossing(r=r_star, psi=psi_star, beta=beta_star,
@@ -288,12 +295,13 @@ def crossing_sequence(traj: Trajectory,
     if not (traj.r[0] <= r_lo < r_hi <= traj.r[-1]):
         raise ParameterDomainError(
             f"window [{r_lo!r}, {r_hi!r}] not inside the stored range")
-    i_lo = traj.segment(r_lo)
-    i_hi = traj.segment(r_hi) + 1
+    i_lo, s_lo = traj.locate(r_lo)
+    i_end, s_end = traj.locate(r_hi)
+    i_hi = i_end + 1
     if np.any(np.diff(traj.theta[i_lo:i_hi + 1]) >= 0.0):
         return None
-    theta_start = traj.theta_at(r_lo)
-    theta_end = traj.theta_at(r_hi)
+    theta_start = traj.hermite("theta", i_lo)(s_lo)
+    theta_end = traj.hermite("theta", i_end)(s_end)
     r_minus: List[float] = []
     r_plus: List[float] = []
     n = 1
@@ -349,15 +357,15 @@ def verify_crossing_bounds(traj: Trajectory, seq: CrossingSequence,
     s = (1.0 + ring.epsilon) ** (-ring.nu)
 
     # sampled rotation rate on window nodes where the annulus hypothesis holds
-    i_lo = traj.segment(seq.r_start)
-    i_hi = traj.segment(seq.r_end) + 1
+    i_lo = traj.locate(seq.r_start)[0]
+    i_hi = traj.locate(seq.r_end)[0] + 1
     margin = -math.inf
     for i in range(i_lo, i_hi + 1):
         if float(traj.radius[i]) < 1.0 + ring.epsilon:
             continue
         if not seq.r_start <= float(traj.r[i]) <= seq.r_end:
             continue
-        _, dth = traj._quantity_node("theta", i)
+        _, dth = traj.node("theta", i)
         margin = max(margin, dth + eta_hat)
 
     gap_upper = 0.5 * math.pi / eta_hat

@@ -156,8 +156,9 @@ def select_contraction_constants(T: float = 6.0,
     comparison e^x <= 1 + lam x on [0, ln lam].  Geometric mean k keeps
     zeta = k_lo / k strictly below 1.
     """
-    if T < 6.0:
-        raise ParameterDomainError(f"anchor radius must be >= 6, got {T!r}")
+    if not (math.isfinite(T) and T >= 6.0):
+        raise ParameterDomainError(
+            f"anchor radius must be finite and >= 6, got {T!r}")
     if not L > 0.0:
         raise ParameterDomainError("Lipschitz bound must be positive")
     # the lambda* bracket [_LAM_LO, 3] holds a root only inside this range
@@ -199,6 +200,9 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
     certified zeta.  Iterates are confined to the domain
     |psi - psi_T| <= eta psi_T / 4, |beta| <= 2 |beta_T| + eta psi_T.
     """
+    for name, value in (("T", T), ("psi_T", psi_T), ("beta_T", beta_T)):
+        if not math.isfinite(value):
+            raise ParameterDomainError(f"{name} must be finite, got {value!r}")
     if constants is None:
         constants = select_contraction_constants(
             T=T, L=min(model.ledger.L, 2.5))

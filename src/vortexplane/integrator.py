@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .fixedpoint import beta_from_psi, check_start_value, picard_solve
-from .phaseplane import TWO_PI, PhasePoint
+from .phaseplane import TWO_PI
 from .quadrature import cumtrapz
 from .search import _INVPHI, bisect_root
 from .vorticity import VorticityModel
@@ -85,15 +85,6 @@ class Termination(enum.Enum):
     ORIGIN_REACHED = "origin_reached"
     EVENT = "event"
     STEP_FAILURE = "step_failure"
-
-
-class TrajectoryPoint(NamedTuple):
-    r: float
-    psi: float
-    beta: float
-    radius: float
-    theta: float
-    E: float
 
 
 class EventRecord(NamedTuple):
@@ -277,63 +268,28 @@ class Trajectory:
     def n_points(self) -> int:
         return len(self.r)
 
-    def point(self, i: int) -> TrajectoryPoint:
-        return TrajectoryPoint(float(self.r[i]), float(self.psi[i]),
-                               float(self.beta[i]), float(self.radius[i]),
-                               float(self.theta[i]), float(self.E[i]))
-
-    def derivatives(self, i: int) -> Tuple[float, float]:
-        """(psi', beta') at node i from the vector field itself."""
-        r = float(self.r[i])
-        psi = float(self.psi[i])
-        beta = float(self.beta[i])
-        if r == 0.0:
-            return 0.0, -0.5 * self.model.f(psi)
-        return beta, -beta / r - self.model.f(psi)
-
-    def segment(self, r: float) -> int:
-        """Index i with r[i] <= r <= r[i+1]."""
+    def locate(self, r: float) -> Tuple[int, float]:
+        """(i, s) with r[i] <= r <= r[i+1] and s the local coordinate of r
+        in [0, 1] on that step."""
         if not self.r[0] <= r <= self.r[-1]:
             raise ParameterDomainError(
                 f"r={r!r} outside the stored range "
                 f"[{self.r[0]!r}, {self.r[-1]!r}]")
         i = int(np.searchsorted(self.r, r, side="right")) - 1
-        return min(max(i, 0), len(self.r) - 2)
-
-    def _hermite_state(self, i: int, s: float) -> Tuple[float, float]:
+        i = min(max(i, 0), len(self.r) - 2)
         h = float(self.r[i + 1] - self.r[i])
-        d0 = self.derivatives(i)
-        d1 = self.derivatives(i + 1)
-        psi = _hermite(float(self.psi[i]), float(self.psi[i + 1]),
-                       d0[0], d1[0], h, s)
-        beta = _hermite(float(self.beta[i]), float(self.beta[i + 1]),
-                        d0[1], d1[1], h, s)
-        return psi, beta
+        return i, 0.0 if h == 0.0 else (r - float(self.r[i])) / h
 
-    def sample(self, r: float) -> PhasePoint:
-        """Dense state by cubic Hermite on the bracketing step."""
-        i = self.segment(r)
-        h = float(self.r[i + 1] - self.r[i])
-        s = 0.0 if h == 0.0 else (r - float(self.r[i])) / h
-        return PhasePoint(*self._hermite_state(i, s))
-
-    def sample_sigma(self, i: int, s: float) -> PhasePoint:
-        """Dense state at local coordinate s in [0, 1] of segment i; s keeps
-        full precision where r itself would round to a grid endpoint."""
-        return PhasePoint(*self._hermite_state(i, s))
-
-    def quantity_sigma(self, name: str, i: int, s: float) -> float:
-        h = float(self.r[i + 1] - self.r[i])
-        y0, d0 = self._quantity_node(name, i)
-        y1, d1 = self._quantity_node(name, i + 1)
-        return _hermite(y0, y1, d0, d1, h, s)
-
-    def _quantity_node(self, name: str, i: int) -> Tuple[float, float]:
-        """(value, d/dr) of a derived quantity at node i."""
+    def node(self, name: str, i: int) -> Tuple[float, float]:
+        """(value, d/dr) at node i of psi, beta, radius, theta or E, with
+        the derivative taken from the vector field itself."""
         r = float(self.r[i])
         psi = float(self.psi[i])
         beta = float(self.beta[i])
-        dpsi, dbeta = self.derivatives(i)
+        if r == 0.0:
+            dpsi, dbeta = 0.0, -0.5 * self.model.f(psi)
+        else:
+            dpsi, dbeta = beta, -beta / r - self.model.f(psi)
         if name == "theta":
             rr = psi * psi + beta * beta
             dth = 0.0 if rr == 0.0 else (psi * dbeta - beta * dpsi) / rr
@@ -351,14 +307,14 @@ class Trajectory:
             return beta, dbeta
         raise ValueError(f"unknown quantity {name!r}")
 
-    def quantity_at(self, name: str, r: float) -> float:
-        i = self.segment(r)
+    def hermite(self, name: str, i: int) -> Callable[[float], float]:
+        """Cubic Hermite of a quantity on step i as a function of the local
+        coordinate s in [0, 1]; s keeps full precision where r itself would
+        round to a grid endpoint."""
         h = float(self.r[i + 1] - self.r[i])
-        s = 0.0 if h == 0.0 else (r - float(self.r[i])) / h
-        return self.quantity_sigma(name, i, s)
-
-    def theta_at(self, r: float) -> float:
-        return self.quantity_at("theta", r)
+        y0, d0 = self.node(name, i)
+        y1, d1 = self.node(name, i + 1)
+        return lambda s: _hermite(y0, y1, d0, d1, h, s)
 
     def to_csv(self, fh) -> None:
         fh.write("r,psi,beta,R,theta,E\n")
@@ -397,14 +353,14 @@ def _initial_step(f: Callable[[float], float], r0: float, psi: float,
     return min(100.0 * h0, h1, span)
 
 
-def _integrate_core(model: VorticityModel, r0: float, psi0: float,
-                    beta0: float, theta0: float, r_target: float,
+def _integrate_core(model: VorticityModel, r_target: float,
                     direction: float, config: IntegrationConfig,
                     rows: List[Tuple[float, float, float, float, float, float]],
                     diss: List[float],
                     events_out: List[EventRecord],
                     min_state: List[float]) -> Termination:
-    """March from (r0, psi0, beta0) toward r_target; append accepted steps.
+    """March from the state in rows[-1] toward r_target; append accepted
+    steps.
 
     rows/diss/events_out/min_state are mutated in place.  min_state is
     [min_radius, min_radius_r].  Rows are appended in integration order
@@ -413,13 +369,12 @@ def _integrate_core(model: VorticityModel, r0: float, psi0: float,
     f = model.f
     F = model.F
     rtol, atol = config.rel_tol, config.abs_tol
-    span = abs(r_target - r0)
+    r, psi, beta, radius0, theta, _ = rows[-1]
+    span = abs(r_target - r)
     if span <= 0.0:
         raise ParameterDomainError("empty integration range")
-    h = _initial_step(f, r0, psi0, beta0, direction, rtol, atol, span)
-    r, psi, beta, theta = r0, psi0, beta0, theta0
+    h = _initial_step(f, r, psi, beta, direction, rtol, atol, span)
     k1p, k1b = beta, -beta / r - f(psi)
-    radius0 = math.hypot(psi, beta)
     origin_radius = config.origin_radius
     events = config.events
     # g(r, psi, beta) of each event at the step's left end, carried over
@@ -687,9 +642,27 @@ def integrate(model: VorticityModel, a: float,
     head_argmin = int(np.argmin(np.hypot(psis, betas)))
     min_state = [head_min, float(rs[head_argmin])]
     events: List[EventRecord] = []
-    term = _integrate_core(model, config.r_handoff, rows[-1][1], rows[-1][2],
-                           rows[-1][4], config.r_max, 1.0, config, rows, diss,
+    term = _integrate_core(model, config.r_max, 1.0, config, rows, diss,
                            events, min_state)
+    return _assemble(model, rows, diss, term, events, min_state)
+
+
+def _integrate_state(model: VorticityModel, r0: float, psi0: float,
+                     beta0: float, r_target: float, direction: float,
+                     config: IntegrationConfig) -> Trajectory:
+    """Orbit from the interior state (r0, psi0, beta0) to r_target, stored
+    ascending in r whichever way it ran."""
+    rad0 = math.hypot(psi0, beta0)
+    rows = [(r0, psi0, beta0, rad0, math.atan2(beta0, psi0),
+             0.5 * beta0 * beta0 + model.F(psi0))]
+    diss: List[float] = []
+    events: List[EventRecord] = []
+    min_state = [rad0, r0]
+    term = _integrate_core(model, r_target, direction, config, rows, diss,
+                           events, min_state)
+    if direction < 0.0:
+        rows.reverse()
+        diss = [-d for d in reversed(diss)]
     return _assemble(model, rows, diss, term, events, min_state)
 
 
@@ -700,16 +673,8 @@ def integrate_from(model: VorticityModel, r0: float, psi0: float,
         raise ParameterDomainError(f"r0 must be positive, got {r0!r}")
     if config.r_max <= r0:
         raise ParameterDomainError("r_max must exceed r0")
-    rad0 = math.hypot(psi0, beta0)
-    theta0 = math.atan2(beta0, psi0)
-    rows = [(r0, psi0, beta0, rad0, theta0,
-             0.5 * beta0 * beta0 + model.F(psi0))]
-    diss: List[float] = []
-    events: List[EventRecord] = []
-    min_state = [rad0, r0]
-    term = _integrate_core(model, r0, psi0, beta0, theta0, config.r_max, 1.0,
-                           config, rows, diss, events, min_state)
-    return _assemble(model, rows, diss, term, events, min_state)
+    return _integrate_state(model, r0, psi0, beta0, config.r_max, 1.0,
+                            config)
 
 
 def integrate_backward(model: VorticityModel, T: float, psi_T: float,
@@ -729,15 +694,4 @@ def integrate_backward(model: VorticityModel, T: float, psi_T: float,
             f"need 0 < r_end < T, got r_end={r_end!r}, T={T!r}")
     if config is None:
         config = IntegrationConfig(r_max=T)
-    rad0 = math.hypot(psi_T, beta_T)
-    theta0 = math.atan2(beta_T, psi_T)
-    rows = [(T, psi_T, beta_T, rad0, theta0,
-             0.5 * beta_T * beta_T + model.F(psi_T))]
-    diss: List[float] = []
-    events: List[EventRecord] = []
-    min_state = [rad0, T]
-    term = _integrate_core(model, T, psi_T, beta_T, theta0, r_end, -1.0,
-                           config, rows, diss, events, min_state)
-    rows.reverse()
-    diss = [-d for d in reversed(diss)]
-    return _assemble(model, rows, diss, term, events, min_state)
+    return _integrate_state(model, T, psi_T, beta_T, r_end, -1.0, config)

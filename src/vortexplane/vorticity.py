@@ -67,22 +67,18 @@ class VorticityModel:
     g: Callable[[float], float]
     F: Callable[[float], float]
     ledger: ConstantsLedger
-    f_arr: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    g_arr: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    f_arr: Callable[[np.ndarray], np.ndarray]
+    g_arr: Callable[[np.ndarray], np.ndarray]
 
     @property
     def u0(self) -> float:
         return self.ledger.u0
 
     def f_grid(self, u: np.ndarray) -> np.ndarray:
-        if self.f_arr is not None:
-            return self.f_arr(np.asarray(u, dtype=float))
-        return np.array([self.f(float(x)) for x in np.asarray(u).ravel()]).reshape(np.shape(u))
+        return self.f_arr(np.asarray(u, dtype=float))
 
     def g_grid(self, u: np.ndarray) -> np.ndarray:
-        if self.g_arr is not None:
-            return self.g_arr(np.asarray(u, dtype=float))
-        return np.array([self.g(float(x)) for x in np.asarray(u).ravel()]).reshape(np.shape(u))
+        return self.g_arr(np.asarray(u, dtype=float))
 
 
 def _at_zero(u: float) -> float:
@@ -296,12 +292,10 @@ def potential_by_quadrature(model: VorticityModel, psi: float,
 
 
 def potential_grid(model: VorticityModel, psis: np.ndarray) -> np.ndarray:
-    """F on an ascending nonnegative grid, node by node."""
+    """F on a 1-d grid of any order and sign, node by node."""
     psis = np.asarray(psis, dtype=float)
     if psis.ndim != 1 or len(psis) == 0:
         raise ValueError("psis must be a nonempty 1-d array")
-    if np.any(np.diff(psis) < 0.0) or psis[0] < 0.0:
-        raise ValueError("psis must be ascending and nonnegative")
     return np.array([model.F(p) for p in psis.tolist()])
 
 

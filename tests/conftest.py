@@ -37,3 +37,13 @@ def run100(constantin):
 @pytest.fixture(scope="session")
 def acceptance_results():
     return verify.run_all()
+
+
+@pytest.fixture(scope="session")
+def state_at():
+    """(psi, beta) of a trajectory at radius r, read off the cubic Hermite
+    of the step that holds r."""
+    def at(traj, r):
+        i, s = traj.locate(r)
+        return traj.hermite("psi", i)(s), traj.hermite("beta", i)(s)
+    return at

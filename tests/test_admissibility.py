@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from vortexplane import full_report
@@ -64,7 +65,10 @@ def _broken_model() -> VorticityModel:
     ledger = ConstantsLedger(u0=1.0, eta=28.0 / 9.0, L=1.0 + math.sqrt(2.0),
                              lambda_g=0.75, c=0.0, nu=0.5,
                              params={})
-    return VorticityModel(model_id="broken", f=f, g=g, F=big_f, ledger=ledger)
+    return VorticityModel(
+        model_id="broken", f=f, g=g, F=big_f, ledger=ledger,
+        f_arr=lambda u: u - np.copysign(np.sqrt(np.abs(u)), u),
+        g_arr=lambda u: np.full_like(u, 0.5))
 
 
 def test_broken_decomposition_detected():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -46,11 +47,11 @@ def test_energy_entry_frozen(run10):
     assert entry.energy_after < 0.0
 
 
-def test_energy_entry_requires_positive_start(constantin, run10):
+def test_energy_entry_requires_positive_start(constantin, run10, state_at):
     entry = e_region_entry(run10)
     tail = integrate(constantin, 10.0, IntegrationConfig(r_max=100.0))
     # re-running from inside {E < 0} violates the hypothesis
-    psi, beta = tail.sample(entry.r_cross + 5.0)
+    psi, beta = state_at(tail, entry.r_cross + 5.0)
     from vortexplane import integrate_from
     inner = integrate_from(constantin, entry.r_cross + 5.0, psi, beta,
                            IntegrationConfig(r_max=90.0))
@@ -159,3 +160,34 @@ def test_refined_min_radius(run10):
     assert float(run10.r[0]) <= r_at <= float(run10.r[-1])
     with pytest.raises(ParameterDomainError):
         refined_min_radius(run10, r_from=2.0 * float(run10.r[-1]))
+
+
+# ----------------------------------------------- pinned Hermite refinements
+#
+# Recorded before the Trajectory sampling methods became locate, node and
+# hermite; every refinement that reads the stored orbit must keep its bits.
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_pinned_refinements(constantin, run10, run100):
+    ring = RingSpec.for_model(constantin, 0.05, 0.1)
+    seq = crossing_sequence(run100, r_start=rate_onset_radius(run100, ring),
+                            r_end=1990.0)
+    assert _sha(repr(transversality_check(run10))) == (
+        "e6437e7b2ec47f2dbdcdfffcf729d69e894de03a0187a345df63cf5be539c69d")
+    assert _sha(repr(seq.r_minus.tolist())) == (
+        "b833fc836da53197ee93f82fc469abd86331d7d5705f077561955c9a7cda6dcc")
+    assert _sha(repr(seq.r_plus.tolist())) == (
+        "bb009246148c749c90a9f24588423a01d392bf12d239433e4ecc43f360028de1")
+    assert repr(seq.theta_start) == "-30.283038215501886"
+    assert repr(verify_crossing_bounds(run100, seq, ring).rate_margin) == (
+        "-0.35889049351789964")
+    assert _sha(repr(ring_entry(run100, ring))) == (
+        "4e395189cd216efd95c7a4e7e1b938eff263b2e2b185b96a69cab69cf81a3ee9")
+    entry = e_region_entry(run10)
+    assert (repr(entry.r_cross), repr(entry.psi), repr(entry.beta)) == (
+        "60.41671440543745", "-1.284439148011889", "0.5395760744339216")
+    assert repr(refined_min_radius(run10)) == (
+        "(63.8512839798916, 0.06577227565651608)")

@@ -73,10 +73,20 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
     ["shoot", "--a", "2:inf"],
     ["picard", "--a", "nan"], ["picard", "--a", "0.5"],
     ["portrait", "--a", "2,nan"], ["portrait", "--a", "1", "--rmax", "inf"],
+    ["check", "--a", "0"], ["check", "--a", "-5"],
 ])
 def test_bad_start_or_range_rejected(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert "parameter error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--a", "0.001"], 1),     # the growth bound fails at a tiny a
+    (["shoot", "--a", "2:3"], 3),       # both shots fall right: no bracket
+])
+def test_exit_code_contract(tmp_path, capsys, argv, code):
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

@@ -89,9 +89,9 @@ def test_picard_ball_containment(constantin):
     assert float(np.min(grid.values)) >= a / 8.0
 
 
-def test_picard_matches_integrator(constantin, run10):
+def test_picard_matches_integrator(constantin, run10, state_at):
     grid = picard_solve(constantin, 10.0, r_end=1.0, n=1 << 17)
-    psi1, beta1 = run10.sample(1.0)
+    psi1, beta1 = state_at(run10, 1.0)
     assert abs(float(grid.values[-1]) - psi1) < 1e-8
     slope = beta_from_psi(constantin, grid)
     assert abs(float(slope.values[-1]) - beta1) < 1e-6
@@ -114,12 +114,12 @@ def test_banach_equilibrium_probe(constantin):
     assert factor <= c.zeta
 
 
-def test_banach_matches_backward_integration(constantin):
+def test_banach_matches_backward_integration(constantin, state_at):
     psi_g, beta_g, factor = banach_solve(constantin, 6.0, 2.0, 0.1)
     assert math.isclose(factor, 0.04186091098154562, rel_tol=1e-9)
     bw = integrate_backward(constantin, 6.0, 2.0, 0.1)
     for r in np.linspace(float(bw.r[0]) + 1e-9, 6.0, 40):
-        psi_b, beta_b = bw.sample(float(r))
+        psi_b, beta_b = state_at(bw, float(r))
         assert abs(float(psi_g(r)) - psi_b) < 1e-6
         assert abs(float(beta_g(r)) - beta_b) < 1e-6
 
@@ -130,6 +130,19 @@ def test_banach_anchor_guards(constantin):
     eta = constantin.ledger.eta
     with pytest.raises(ParameterDomainError):
         banach_solve(constantin, 6.0, 2.0, eta * 2.0 / 8.0 + 0.01)
+
+
+@pytest.mark.parametrize("T, psi_T, beta_T", [
+    (math.inf, 2.0, 0.1), (math.nan, 2.0, 0.1), (6.0, math.nan, 0.0),
+    (6.0, math.inf, 0.0), (6.0, 2.0, math.nan), (6.0, 2.0, -math.inf)])
+def test_non_finite_anchor_rejected(constantin, T, psi_T, beta_T):
+    # before the up-front check T = inf gave zeta = 0 and a NaN anchor ran
+    # all 400 sweeps before failing
+    if not math.isfinite(T):
+        with pytest.raises(ParameterDomainError):
+            select_contraction_constants(T=T)
+    with pytest.raises(ParameterDomainError):
+        banach_solve(constantin, T, psi_T, beta_T)
 
 
 def test_equilibrium_dichotomy(constantin):

@@ -16,10 +16,10 @@ from vortexplane.integrator import (EventRecord, _golden_radius, _hermite,
 from vortexplane.search import golden_min
 
 
-def test_against_reference_integrator(constantin, run10):
+def test_against_reference_integrator(constantin, run10, state_at):
     # restart from the recorded state at r = 1 and carry it to r = 50 with
     # an independent high order method
-    psi1, beta1 = run10.sample(1.0)
+    psi1, beta1 = state_at(run10, 1.0)
 
     def rhs(r, y):
         return [y[1], -y[1] / r - constantin.f(y[0])]
@@ -27,7 +27,7 @@ def test_against_reference_integrator(constantin, run10):
     sol = solve_ivp(rhs, (1.0, 50.0), [psi1, beta1], method="DOP853",
                     rtol=1e-12, atol=1e-12, dense_output=True)
     assert sol.success
-    psi50, beta50 = run10.sample(50.0)
+    psi50, beta50 = state_at(run10, 50.0)
     assert abs(sol.y[0, -1] - psi50) < 1e-5
     assert abs(sol.y[1, -1] - beta50) < 1e-5
 
@@ -56,31 +56,31 @@ def test_energy_decay_and_balance(request, name, a):
     assert math.isclose(drop, float(np.sum(traj.dissipation)), rel_tol=1e-6)
 
 
-def test_backward_forward_round_trip(constantin):
+def test_backward_forward_round_trip(constantin, state_at):
     # backward sweeps store nodes ascending, so the far end is r[0]
     bw = integrate_backward(constantin, 6.0, 1.5, 0.2)
     r_low = float(bw.r[0])
-    psi0, beta0 = bw.sample(r_low)
+    psi0, beta0 = state_at(bw, r_low)
     fw = integrate_from(constantin, r_low, psi0, beta0,
                         IntegrationConfig(r_max=6.0))
-    psi6, beta6 = fw.sample(6.0)
+    psi6, beta6 = state_at(fw, 6.0)
     assert abs(psi6 - 1.5) < 1e-8
     assert abs(beta6 - 0.2) < 1e-8
 
 
-def test_sample_at_nodes(run10):
+def test_sample_at_nodes(run10, state_at):
     for k in (0, 5, len(run10.r) // 2, len(run10.r) - 1):
-        psi, beta = run10.sample(float(run10.r[k]))
+        psi, beta = state_at(run10, float(run10.r[k]))
         assert math.isclose(psi, float(run10.psi[k]), rel_tol=1e-13, abs_tol=1e-13)
         assert math.isclose(beta, float(run10.beta[k]), rel_tol=1e-13, abs_tol=1e-13)
 
 
 def test_sample_outside_span_raises(run10):
     with pytest.raises(ParameterDomainError):
-        run10.sample(2.0 * float(run10.r[-1]))
+        run10.locate(2.0 * float(run10.r[-1]))
 
 
-def test_terminal_event(constantin):
+def test_terminal_event(constantin, state_at):
     # stop as soon as psi drops below 5; the event root must be the last node
     cfg = IntegrationConfig(r_max=200.0, events=(
         EventSpec(name="psi_below_5",
@@ -91,16 +91,16 @@ def test_terminal_event(constantin):
     hits = [e for e in traj.events if e.name == "psi_below_5"]
     assert len(hits) == 1
     assert math.isclose(hits[0].r, float(traj.r[-1]), rel_tol=1e-12)
-    psi_end, _ = traj.sample(hits[0].r)
+    psi_end, _ = state_at(traj, hits[0].r)
     assert abs(psi_end - 5.0) < 1e-9
 
 
-def test_handoff_radius_invariance(constantin):
+def test_handoff_radius_invariance(constantin, state_at):
     a = 10.0
     t1 = integrate(constantin, a, IntegrationConfig(r_max=50.0, r_handoff=1.0 / 16.0))
     t2 = integrate(constantin, a, IntegrationConfig(r_max=50.0, r_handoff=1.0 / 32.0))
-    p1, b1 = t1.sample(50.0)
-    p2, b2 = t2.sample(50.0)
+    p1, b1 = state_at(t1, 50.0)
+    p2, b2 = state_at(t2, 50.0)
     assert abs(p1 - p2) < 1e-6
     assert abs(b1 - b2) < 1e-6
 
