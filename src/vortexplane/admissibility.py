@@ -136,6 +136,10 @@ def check_lipschitz(model: VorticityModel, a: float, n: int = 10_000,
     fv = model.f_grid(xs)
     dx = np.diff(xs)
     keep = dx > 1e-13 * max(1.0, hi)
+    if not keep.any():
+        raise ParameterDomainError(
+            f"ball centre a={a!r} is too small: the growth interval "
+            f"[{lo!r}, {hi!r}] leaves no sample pair to take a slope over")
     slopes = np.abs(np.diff(fv)[keep] / dx[keep])
     j = int(np.argmax(slopes))
     worst = float(slopes[j])
@@ -205,18 +209,13 @@ def check_level_set_sandwich(model: VorticityModel, n: int = 200,
             witnesses={}, note="needs the modulated model")
     c1 = math.sin(0.5 * c2)
     psis = np.linspace(-4.0, 4.0, n)
-    betas = np.linspace(-4.0, 4.0, n)
     pot = np.array([model.F(float(p)) for p in psis])
     cubic = (2.0 / 3.0) * np.abs(psis) ** 1.5
-    worst_lo, worst_hi = math.inf, math.inf
-    for b in betas:
-        e = 0.5 * b * b + pot
-        base = 0.5 * (psis ** 2 + b * b)
-        lower = base - (1.0 + c1) * cubic
-        upper = base - (1.0 - (c2 - c1)) * cubic
-        scale = 1.0 + np.abs(psis) ** 1.5
-        worst_lo = min(worst_lo, float(np.min((e - lower) / scale)))
-        worst_hi = min(worst_hi, float(np.min((upper - e) / scale)))
+    # beta^2/2 is in the energy and in both surfaces, so it cancels
+    base = 0.5 * psis ** 2
+    scale = 1.0 + np.abs(psis) ** 1.5
+    worst_lo = float(np.min((pot - (base - (1.0 + c1) * cubic)) / scale))
+    worst_hi = float(np.min((base - (1.0 - (c2 - c1)) * cubic - pot) / scale))
     return CheckRecord(
         name="level_set_sandwich",
         passed=bool(worst_lo >= -tol and worst_hi >= -tol), tolerance=tol,

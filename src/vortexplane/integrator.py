@@ -10,13 +10,20 @@ controller happened to take beyond their endpoints).
 
 The minimum radius R = hypot(psi, beta) is refined inside a step (an
 11-point scan of the Hermite, then a golden-section search) only when an
-endpoint lies below r_watch and the step's convex-hull bound on R (see
+endpoint lies below _R_WATCH and the step's convex-hull bound on R (see
 _hull_floor) does not rule out a value below both the running minimum and
 origin_radius.  A skipped scan could not have changed either result.
 
 The left endpoint r = 0 is singular, so integrate() opens with a short
 Picard series head on [0, r_handoff] computed by the fixed-point solver
-and hands the state to the stepper at r_handoff.
+(_PICARD_N points, tolerance _PICARD_TOL) and hands the state to the
+stepper at r_handoff.
+
+The forward, restart and backward sweeps share one core, _integrate_core.
+It ends a step early in one place, at the first terminal event or at an
+origin capture strictly before it; forms every row that is not an accepted
+step's end with _row; and returns the Trajectory, reversed into ascending r
+for a backward sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +82,11 @@ _GAUSS_S = (0.046910077030668004, 0.23076534494715845, 0.5,
 _GAUSS_W = (0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
             0.23931433524968324, 0.11846344252809454)
 
+# Picard head grid size and sweep tolerance
+_PICARD_N = 512
+_PICARD_TOL = 1e-13
+# the in-step search for the radius minimum switches on below this R
+_R_WATCH = 2.5
 _EVENT_BISECTIONS = 60
 _GOLDEN_ITERS = 80
 _THETA_STEP_CAP = 0.9 * math.pi
@@ -114,12 +126,8 @@ class IntegrationConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     r_handoff: float = 0.0625
-    picard_n: int = 512
-    picard_tol: float = 1e-13
     max_steps: int = 2_000_000
     origin_radius: float = 1e-6
-    # interior sampling for the radius minimum switches on below this R
-    r_watch: float = 2.5
     events: Tuple[EventSpec, ...] = ()
 
     def __post_init__(self) -> None:
@@ -353,40 +361,55 @@ def _initial_step(f: Callable[[float], float], r0: float, psi: float,
     return min(100.0 * h0, h1, span)
 
 
+def _row(model: VorticityModel, r: float, psi: float, beta: float,
+         theta_prev: Optional[float] = None
+         ) -> Tuple[float, float, float, float, float, float]:
+    """Stored row (r, psi, beta, R, theta, E) of a state.  A start row
+    (theta_prev None) keeps the raw atan2; any other row has theta unwrapped
+    to within pi of theta_prev, and theta_prev itself at the origin, where
+    the angle is undefined."""
+    th = math.atan2(beta, psi)
+    if theta_prev is not None:
+        th = th if (psi != 0.0 or beta != 0.0) else theta_prev
+        th += TWO_PI * round((theta_prev - th) / TWO_PI)
+    return (r, psi, beta, math.hypot(psi, beta), th,
+            0.5 * beta * beta + model.F(psi))
+
+
 def _integrate_core(model: VorticityModel, r_target: float,
                     direction: float, config: IntegrationConfig,
                     rows: List[Tuple[float, float, float, float, float, float]],
                     diss: List[float],
-                    events_out: List[EventRecord],
-                    min_state: List[float]) -> Termination:
-    """March from the state in rows[-1] toward r_target; append accepted
-    steps.
+                    head_min: Optional[Tuple[float, float]]) -> Trajectory:
+    """March from the state in rows[-1] toward r_target and return the orbit.
 
-    rows/diss/events_out/min_state are mutated in place.  min_state is
-    [min_radius, min_radius_r].  Rows are appended in integration order
-    (callers reverse for backward runs).
+    rows and diss (one interval fewer) are the orbit so far, the start row
+    alone or a Picard head; head_min is the (R, r) of the smallest R on a
+    head, None for a start row.  The core extends both lists in integration
+    order and reverses them for a backward run.
     """
     f = model.f
     F = model.F
     rtol, atol = config.rel_tol, config.abs_tol
     r, psi, beta, radius0, theta, _ = rows[-1]
+    min_radius, min_radius_r = head_min or (radius0, r)
     span = abs(r_target - r)
     if span <= 0.0:
         raise ParameterDomainError("empty integration range")
     h = _initial_step(f, r, psi, beta, direction, rtol, atol, span)
     k1p, k1b = beta, -beta / r - f(psi)
     origin_radius = config.origin_radius
-    events = config.events
+    specs = config.events
+    events: List[EventRecord] = []
     # g(r, psi, beta) of each event at the step's left end, carried over
     # from the previous step's right end
-    g_left = [spec.fn(r, psi, beta) for spec in events]
+    g_left = [spec.fn(r, psi, beta) for spec in specs]
     facold = 1e-4
     nsteps = 0
     while True:
-        if nsteps >= config.max_steps:
-            return Termination.STEP_FAILURE
-        if h < 1e-14 * max(1.0, abs(r)):
-            return Termination.STEP_FAILURE
+        if nsteps >= config.max_steps or h < 1e-14 * max(1.0, abs(r)):
+            term = Termination.STEP_FAILURE
+            break
         last = False
         if direction * (r + direction * h - r_target) >= 0.0:
             h = abs(r_target - r)
@@ -457,9 +480,9 @@ def _integrate_core(model: VorticityModel, r_target: float,
 
         # event roots on the Hermite interpolant
         hits: List[Tuple[float, EventSpec, float, float]] = []
-        if events:
+        if specs:
             grid_states = None
-            for i, spec in enumerate(events):
+            for i, spec in enumerate(specs):
                 g0 = g_left[i]
                 g1 = g_left[i] = spec.fn(r1, psi1, beta1)
                 crossed = ((g0 > 0.0 >= g1 and spec.direction <= 0)
@@ -494,79 +517,55 @@ def _integrate_core(model: VorticityModel, r_target: float,
         # radius minimum: refine inside the step only near the origin, and
         # only where the hull bound leaves room for a value below both the
         # running minimum and origin_radius (otherwise the scan below
-        # cannot change min_state or origin_s)
+        # cannot change min_radius or origin_s)
         radius1 = math.hypot(psi1, beta1)
         origin_s = None
         seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
-        if (min(radius0, radius1) < config.r_watch
-                and not _hull_floor(*seg) >= max(min_state[0],
-                                                 origin_radius)):
+        if (min(radius0, radius1) < _R_WATCH
+                and not _hull_floor(*seg) >= max(min_radius, origin_radius)):
             rgrid = [_hermite_radius(k / 10.0, *seg) for k in range(11)]
             j_min = min(range(11), key=rgrid.__getitem__)
             cand_s, cand_rad = j_min / 10.0, rgrid[j_min]
-            if cand_rad < min_state[0] or cand_rad < origin_radius:
+            if cand_rad < min_radius or cand_rad < origin_radius:
                 s_ref, rad_ref = _golden_radius(max(0, j_min - 1) / 10.0,
                                                 min(10, j_min + 1) / 10.0,
                                                 *seg)
                 if rad_ref < cand_rad:
                     cand_s, cand_rad = s_ref, rad_ref
-                if cand_rad < min_state[0]:
-                    min_state[0] = cand_rad
-                    min_state[1] = r + cand_s * hs
+                if cand_rad < min_radius:
+                    min_radius, min_radius_r = cand_rad, r + cand_s * hs
                 if cand_rad < origin_radius:
                     origin_s = cand_s
-        if radius1 < min_state[0]:
-            min_state[0] = radius1
-            min_state[1] = r1
+        if radius1 < min_radius:
+            min_radius, min_radius_r = radius1, r1
 
-        # earliest terminal event versus origin capture
-        terminal_hit = (next((t for t in hits if t[1].terminal), None)
-                        if hits else None)
-        if origin_s is not None and (terminal_hit is None
-                                     or origin_s < terminal_hit[0]):
-            for s_star, spec, ps, bs in hits:
-                if s_star <= origin_s:
-                    events_out.append(EventRecord(spec.name, r + s_star * hs,
-                                                  ps, bs))
-            ps, bs = state_dense(origin_s)
-            r_star = r + origin_s * hs
-            th = math.atan2(bs, ps) if (ps != 0.0 or bs != 0.0) else theta
-            th += TWO_PI * round((theta - th) / TWO_PI)
-            rows.append((r_star, ps, bs, math.hypot(ps, bs), th,
-                         0.5 * bs * bs + F(ps)))
-            diss.append(_dissipation(r, hs, beta, q0, q1, q2, q3,
-                                     origin_s))
-            return Termination.ORIGIN_REACHED
-        if terminal_hit is not None:
-            s_term = terminal_hit[0]
-            for s_star, spec, ps, bs in hits:
-                if s_star <= s_term:
-                    events_out.append(EventRecord(spec.name, r + s_star * hs,
-                                                  ps, bs))
-            ps, bs = terminal_hit[2], terminal_hit[3]
-            r_star = r + s_term * hs
-            th = math.atan2(bs, ps)
-            th += TWO_PI * round((theta - th) / TWO_PI)
-            rows.append((r_star, ps, bs, math.hypot(ps, bs), th,
-                         0.5 * bs * bs + F(ps)))
-            diss.append(_dissipation(r, hs, beta, q0, q1, q2, q3,
-                                     s_term))
-            return Termination.EVENT
+        # the one early end of a step: the first terminal event, unless the
+        # origin capture comes strictly before it (an event wins a tie)
+        term = None
         for s_star, spec, ps, bs in hits:
-            events_out.append(EventRecord(spec.name, r + s_star * hs, ps, bs))
+            if spec.terminal:
+                term, s_cut, cut = Termination.EVENT, s_star, (ps, bs)
+                break
+        if origin_s is not None and (term is None or origin_s < s_cut):
+            term, s_cut = Termination.ORIGIN_REACHED, origin_s
+            cut = state_dense(origin_s)
+        for s_star, spec, ps, bs in hits:
+            if term is None or s_star <= s_cut:
+                events.append(EventRecord(spec.name, r + s_star * hs, ps, bs))
+        if term is not None:
+            rows.append(_row(model, r + s_cut * hs, cut[0], cut[1], theta))
+            diss.append(_dissipation(r, hs, beta, q0, q1, q2, q3, s_cut))
+            break
 
         rows.append((r1, psi1, beta1, radius1, theta1,
                      0.5 * beta1 * beta1 + F(psi1)))
-        # _dissipation(..., 1.0) inlined: s_hi * sg == sg, hs * 1.0 == hs
-        acc = 0.0
-        for sg, wg in zip(_GAUSS_S, _GAUSS_W):
-            bd = beta + hs * sg * (q0 + sg * (q1 + sg * (q2 + sg * q3)))
-            acc += wg * bd * bd / (r + sg * hs)
-        diss.append(hs * acc)
+        diss.append(_dissipation(r, hs, beta, q0, q1, q2, q3, 1.0))
         if radius1 < origin_radius:
-            return Termination.ORIGIN_REACHED
+            term = Termination.ORIGIN_REACHED
+            break
         if last:
-            return Termination.REACHED_RMAX
+            term = Termination.REACHED_RMAX
+            break
         r, psi, beta, theta = r1, psi1, beta1, theta1
         k1p, k1b = k7p, k7b
         radius0 = radius1
@@ -575,23 +574,17 @@ def _integrate_core(model: VorticityModel, r_target: float,
         h *= min(10.0, max(0.2, fac))
         facold = err
 
-
-def _assemble(model: VorticityModel,
-              rows: Sequence[Tuple[float, float, float, float, float, float]],
-              diss: Sequence[float], termination: Termination,
-              events: List[EventRecord],
-              min_state: Sequence[float]) -> Trajectory:
+    if direction < 0.0:
+        rows.reverse()
+        diss = [-d for d in reversed(diss)]
     arr = np.asarray(rows, dtype=float)
     return Trajectory(
         model=model,
         r=arr[:, 0], psi=arr[:, 1], beta=arr[:, 2],
         radius=arr[:, 3], theta=arr[:, 4], E=arr[:, 5],
         dissipation=np.asarray(diss, dtype=float),
-        termination=termination,
-        events=events,
-        min_radius=float(min_state[0]),
-        min_radius_r=float(min_state[1]),
-    )
+        termination=term, events=events,
+        min_radius=float(min_radius), min_radius_r=float(min_radius_r))
 
 
 def series_start(model: VorticityModel, a: float,
@@ -599,8 +592,8 @@ def series_start(model: VorticityModel, a: float,
                                                      np.ndarray, np.ndarray]:
     """Picard head on [0, r_handoff]: (r, psi, beta, cumulative dissipation)
     on the fine fixed-point grid."""
-    grid = picard_solve(model, a, r_end=config.r_handoff, n=config.picard_n,
-                        tol=config.picard_tol)
+    grid = picard_solve(model, a, r_end=config.r_handoff, n=_PICARD_N,
+                        tol=_PICARD_TOL)
     betas = beta_from_psi(model, grid)
     rs = grid.r
     dens = np.zeros_like(rs)
@@ -624,46 +617,17 @@ def integrate(model: VorticityModel, a: float,
     stride = max(1, n // 16)
     idx = list(range(0, n, stride)) + [n]
 
-    rows: List[Tuple[float, float, float, float, float, float]] = []
-    diss: List[float] = []
-    theta_prev = 0.0
+    rows = []
+    theta = 0.0
     for j in idx:
-        psi_j, beta_j = float(psis[j]), float(betas[j])
-        rad = math.hypot(psi_j, beta_j)
-        th = math.atan2(beta_j, psi_j)
-        th += TWO_PI * round((theta_prev - th) / TWO_PI)
-        theta_prev = th
-        rows.append((float(rs[j]), psi_j, beta_j, rad, th,
-                     0.5 * beta_j * beta_j + model.F(psi_j)))
-    for j0, j1 in zip(idx[:-1], idx[1:]):
-        diss.append(float(cum[j1] - cum[j0]))
-
-    head_min = float(np.min(np.hypot(psis, betas)))
-    head_argmin = int(np.argmin(np.hypot(psis, betas)))
-    min_state = [head_min, float(rs[head_argmin])]
-    events: List[EventRecord] = []
-    term = _integrate_core(model, config.r_max, 1.0, config, rows, diss,
-                           events, min_state)
-    return _assemble(model, rows, diss, term, events, min_state)
-
-
-def _integrate_state(model: VorticityModel, r0: float, psi0: float,
-                     beta0: float, r_target: float, direction: float,
-                     config: IntegrationConfig) -> Trajectory:
-    """Orbit from the interior state (r0, psi0, beta0) to r_target, stored
-    ascending in r whichever way it ran."""
-    rad0 = math.hypot(psi0, beta0)
-    rows = [(r0, psi0, beta0, rad0, math.atan2(beta0, psi0),
-             0.5 * beta0 * beta0 + model.F(psi0))]
-    diss: List[float] = []
-    events: List[EventRecord] = []
-    min_state = [rad0, r0]
-    term = _integrate_core(model, r_target, direction, config, rows, diss,
-                           events, min_state)
-    if direction < 0.0:
-        rows.reverse()
-        diss = [-d for d in reversed(diss)]
-    return _assemble(model, rows, diss, term, events, min_state)
+        rows.append(_row(model, float(rs[j]), float(psis[j]),
+                         float(betas[j]), theta))
+        theta = rows[-1][4]
+    diss = [float(cum[j1] - cum[j0]) for j0, j1 in zip(idx[:-1], idx[1:])]
+    head_radius = np.hypot(psis, betas)
+    k = int(np.argmin(head_radius))
+    return _integrate_core(model, config.r_max, 1.0, config, rows, diss,
+                           (float(head_radius[k]), float(rs[k])))
 
 
 def integrate_from(model: VorticityModel, r0: float, psi0: float,
@@ -673,8 +637,8 @@ def integrate_from(model: VorticityModel, r0: float, psi0: float,
         raise ParameterDomainError(f"r0 must be positive, got {r0!r}")
     if config.r_max <= r0:
         raise ParameterDomainError("r_max must exceed r0")
-    return _integrate_state(model, r0, psi0, beta0, config.r_max, 1.0,
-                            config)
+    return _integrate_core(model, config.r_max, 1.0, config,
+                           [_row(model, r0, psi0, beta0)], [], None)
 
 
 def integrate_backward(model: VorticityModel, T: float, psi_T: float,
@@ -694,4 +658,5 @@ def integrate_backward(model: VorticityModel, T: float, psi_T: float,
             f"need 0 < r_end < T, got r_end={r_end!r}, T={T!r}")
     if config is None:
         config = IntegrationConfig(r_max=T)
-    return _integrate_state(model, T, psi_T, beta_T, r_end, -1.0, config)
+    return _integrate_core(model, r_end, -1.0, config,
+                           [_row(model, T, psi_T, beta_T)], [], None)

@@ -78,11 +78,6 @@ def energy_third(model: VorticityModel, point: PhasePoint, r: float) -> float:
             + (2.0 * beta / r) * (-dd_beta + 2.0 * d_beta / r - beta / (r * r)))
 
 
-def energy_second_third(model: VorticityModel, point: PhasePoint,
-                        r: float) -> Tuple[float, float]:
-    return energy_second(model, point, r), energy_third(model, point, r)
-
-
 def to_polar(point: PhasePoint, prev_angle: Optional[float] = None) -> PolarPoint:
     """Polar form (R, theta) with psi = R cos(theta), beta = R sin(theta).
 
@@ -99,12 +94,13 @@ def to_polar(point: PhasePoint, prev_angle: Optional[float] = None) -> PolarPoin
     return PolarPoint(radius, theta)
 
 
-def theta_envelope(lambda_g: float, r: float) -> Tuple[float, float]:
-    """Bounds for dtheta/dr while E > 0 and r >= 1:
+def theta_envelope(lambda_g: float, r):
+    """Bounds for dtheta/dr while E > 0 and r >= 1, for a float or an array
+    of r:
 
         -1 - 1/(2r) <= dtheta/dr <= -(1 - lambda_g) + 1/(2r).
     """
-    if r < 1.0:
+    if not np.all(np.asarray(r) >= 1.0):
         raise ParameterDomainError(f"envelope requires r >= 1, got {r!r}")
     if not 0.0 < lambda_g < 1.0:
         raise ParameterDomainError(

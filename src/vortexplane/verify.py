@@ -27,6 +27,7 @@ from .fixedpoint import (banach_solve, picard_residual, picard_solve,
                          rate_transform, select_contraction_constants)
 from .integrator import (IntegrationConfig, Trajectory, integrate,
                          integrate_backward, integrate_from)
+from .phaseplane import theta_envelope
 from .vorticity import (constantin_model, example_model, find_positive_zero,
                         potential_by_quadrature, power_law_model)
 
@@ -211,10 +212,9 @@ def criterion_rotation_envelope(cache: RunCache) -> CriterionResult:
     mask = (r[:-1] >= 1.0) & (energy[:-1] > 0.0) & (energy[1:] > 0.0)
     left = r[:-1][mask]
     slopes = (np.diff(theta) / np.diff(r))[mask]
-    lower = -1.0 - 0.5 / left - 1e-4
-    upper = -0.25 + 0.5 / left + 1e-4
-    lo_margin = float(np.min(slopes - lower))
-    hi_margin = float(np.min(upper - slopes))
+    lower, upper = theta_envelope(cache.constantin.ledger.lambda_g, left)
+    lo_margin = float(np.min(slopes - (lower - 1e-4)))
+    hi_margin = float(np.min(upper + 1e-4 - slopes))
     samples = int(len(slopes))
     return CriterionResult(
         7, "rotation rate envelope",

@@ -21,6 +21,12 @@ def powerlaw():
 
 
 @pytest.fixture(scope="session")
+def models(constantin, example, powerlaw):
+    return {"constantin": constantin, "example": example,
+            "powerlaw": powerlaw}
+
+
+@pytest.fixture(scope="session")
 def run10(constantin):
     """a = 10 orbit out to r = 100; crosses into E < 0 around r = 60.4."""
     return integrate(constantin, 10.0, IntegrationConfig(r_max=100.0))

@@ -6,6 +6,7 @@ import pytest
 
 from vortexplane import full_report
 from vortexplane.admissibility import (check_decomposition, check_growth,
+                                       check_level_set_sandwich,
                                        check_lipschitz, check_zero)
 from vortexplane.vorticity import ConstantsLedger, VorticityModel
 
@@ -32,6 +33,26 @@ def test_sandwich_skip_marker(constantin, example):
     rep = full_report(example)
     sandwich = next(c for c in rep.checks if c.name == "level_set_sandwich")
     assert sandwich.passed is True
+
+
+def test_sandwich_matches_beta_grid(example):
+    # the margins over a (psi, beta) grid, where beta^2/2 cancels, agree
+    # with the psi-only pass up to the rounding of beta^2 <= 16
+    w = check_level_set_sandwich(example).witnesses
+    c1, c2 = w["c1"], w["c2"]
+    psis = np.linspace(-4.0, 4.0, 200)
+    pot = np.array([example.F(float(p)) for p in psis])
+    cubic = (2.0 / 3.0) * np.abs(psis) ** 1.5
+    scale = 1.0 + np.abs(psis) ** 1.5
+    lo, hi = math.inf, math.inf
+    for b in np.linspace(-4.0, 4.0, 200):
+        e = 0.5 * b * b + pot
+        base = 0.5 * (psis ** 2 + b * b)
+        lo = min(lo, float(np.min((e - (base - (1.0 + c1) * cubic)) / scale)))
+        hi = min(hi, float(np.min((base - (1.0 - (c2 - c1)) * cubic - e)
+                                  / scale)))
+    assert abs(w["lower_margin"] - lo) <= 1e-14
+    assert abs(w["upper_margin"] - hi) <= 1e-14
 
 
 def test_report_serializes(example):

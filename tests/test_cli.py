@@ -73,7 +73,7 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
     ["shoot", "--a", "2:inf"],
     ["picard", "--a", "nan"], ["picard", "--a", "0.5"],
     ["portrait", "--a", "2,nan"], ["portrait", "--a", "1", "--rmax", "inf"],
-    ["check", "--a", "0"], ["check", "--a", "-5"],
+    ["check", "--a", "0"], ["check", "--a", "-5"], ["check", "--a", "1e-20"],
 ])
 def test_bad_start_or_range_rejected(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2

@@ -68,6 +68,30 @@ def test_backward_forward_round_trip(constantin, state_at):
     assert abs(beta6 - 0.2) < 1e-8
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["constantin", "example", "powerlaw"]),
+       st.floats(2.0, 20.0), st.sampled_from([1e-8, 1e-9, 1e-10]))
+def test_energy_decay_and_balance_property(models, name, a, rel_tol):
+    traj = integrate(models[name], a,
+                     IntegrationConfig(r_max=50.0, rel_tol=rel_tol))
+    assert float(np.diff(traj.E).max(initial=0.0)) <= 1e-7
+    drop = float(traj.E[0] - traj.E[-1])
+    assert math.isclose(drop, float(np.sum(traj.dissipation)), rel_tol=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(6.0, 12.0), st.floats(1.0, 3.0), st.floats(-0.5, 0.5))
+def test_backward_forward_round_trip_property(constantin, T, psi_T, beta_T):
+    # the backward sweep stops at sqrt(T^2 - 1) and is stored ascending
+    bw = integrate_backward(constantin, T, psi_T, beta_T)
+    assert bw.r[-1] == T and bw.r[0] == math.sqrt(T * T - 1.0)
+    fw = integrate_from(constantin, float(bw.r[0]), float(bw.psi[0]),
+                        float(bw.beta[0]), IntegrationConfig(r_max=T))
+    assert fw.r[-1] == T
+    assert abs(fw.psi[-1] - psi_T) < 1e-8
+    assert abs(fw.beta[-1] - beta_T) < 1e-8
+
+
 def test_sample_at_nodes(run10, state_at):
     for k in (0, 5, len(run10.r) // 2, len(run10.r) - 1):
         psi, beta = state_at(run10, float(run10.r[k]))
@@ -209,12 +233,49 @@ def test_pinned_origin_capture(constantin):
         "0.09642318693890424", "63.53963559631905", "origin_reached", [])
 
 
+@pytest.mark.parametrize("terminal, pinned", [
+    # the energy event at r = 60.42 comes before the capture and ends the run
+    (True, ("042b16670cb53568560d6fca61061a59f57e85849461e6d148c21af1df88c95e",
+            "8c4b4cb900d3815f9f2e1c124d4031eab987fcfa4fc5f42042bce10c42fc176a",
+            "0.1894060816655798", "54.340529770582215", "event")),
+    # a non-terminal event is recorded and the capture at r = 63.54 ends it
+    (False, ("442b9215f97809afa92c9263613062be0a08a7e25e8675fb322e95ca8023d9ab",
+             "fb483d70c0b02692ffa85e581b6034b3d3c50ad31a409085ff011f88f6e286c0",
+             "0.09642318693890424", "63.53963559631905", "origin_reached")),
+])
+def test_pinned_capture_against_energy_event(constantin, terminal, pinned):
+    def energy(r, psi, beta):
+        return 0.5 * beta * beta + constantin.F(psi)
+
+    traj = integrate(constantin, 10.0, IntegrationConfig(
+        r_max=100.0, origin_radius=0.1,
+        events=(EventSpec("energy_zero", energy, terminal=terminal),)))
+    assert _digest(traj) == pinned + ([EventRecord(
+        "energy_zero", 60.41671426815308, -1.2844392220872523,
+        0.5395760549152415)],)
+
+
 def test_pinned_backward_sweep(constantin):
     traj = integrate_backward(constantin, 6.0, 1.5, 0.2)
     assert _digest(traj) == (
         "2f29424cd1dbe6985fc9a9515bb9b5329ef91f7266d519dec2ec588e1e2e4934",
         "1dd777ec7cd1b3e1fa8d30a3cdd549651324d6a174331d9728e9b28e5270ef8b",
         "1.4992166691760165", "5.916079783099616", "reached_rmax", [])
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_start_row_keeps_signed_zero_angle(constantin, backward):
+    # the start row stores the raw atan2 of its state, so beta = -0.0 with
+    # psi > 0 keeps theta = -0.0 (an unwrap would add +0.0)
+    if backward:
+        traj = integrate_backward(constantin, 6.0, 1.5, -0.0)
+    else:
+        traj = integrate_from(constantin, 6.0, 1.5, -0.0,
+                              IntegrationConfig(r_max=7.0))
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    start = buf.getvalue().splitlines()[-1 if backward else 1]
+    assert start.split(",")[:5] == ["6.0", "1.5", "-0.0", "1.5", "-0.0"]
 
 
 _PINNED_SHOTS = {

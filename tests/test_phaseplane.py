@@ -9,8 +9,8 @@ from vortexplane import (ParameterDomainError, energy, energy_rate,
                          energy_second, iota, level_set_geometry,
                          theta_envelope, to_polar)
 from vortexplane.errors import NotDifferentiableError, OriginReachedSignal
-from vortexplane.phaseplane import (PhasePoint, energy_second_third,
-                                    radius_bound, scaled_lobe_peak)
+from vortexplane.phaseplane import (PhasePoint, energy_third, radius_bound,
+                                    scaled_lobe_peak)
 
 nice = st.floats(min_value=-20.0, max_value=20.0,
                  allow_nan=False, allow_infinity=False)
@@ -61,7 +61,9 @@ def test_energy_second_matches_difference_quotient(constantin):
 def test_energy_third_sign_structure(constantin):
     # away from the kink both derivatives evaluate and E'' has the stated
     # decomposition 3 beta^2/r^2 + 2 beta f/r
-    second, third = energy_second_third(constantin, PhasePoint(1.5, -0.4), 3.0)
+    point = PhasePoint(1.5, -0.4)
+    second = energy_second(constantin, point, 3.0)
+    third = energy_third(constantin, point, 3.0)
     expected = 3.0 * 0.16 / 9.0 + 2.0 * (-0.4) * constantin.f(1.5) / 3.0
     assert math.isclose(second, expected, rel_tol=1e-12)
     assert math.isfinite(third)
@@ -69,7 +71,7 @@ def test_energy_third_sign_structure(constantin):
 
 def test_energy_third_kink_guard(constantin):
     with pytest.raises(NotDifferentiableError):
-        energy_second_third(constantin, PhasePoint(1e-9, 0.5), 2.0)
+        energy_third(constantin, PhasePoint(1e-9, 0.5), 2.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -103,8 +105,11 @@ def test_theta_envelope_values():
     lo, hi = theta_envelope(0.75, 2.0)
     assert math.isclose(lo, -1.25, rel_tol=1e-15)
     assert math.isclose(hi, 0.0, abs_tol=1e-15)
-    with pytest.raises(ParameterDomainError):
-        theta_envelope(0.75, 0.5)
+    lo, hi = theta_envelope(0.75, np.array([1.0, 2.0]))
+    assert lo.tolist() == [-1.5, -1.25] and hi.tolist() == [0.25, 0.0]
+    for r in (0.5, math.nan, np.array([2.0, 0.5])):
+        with pytest.raises(ParameterDomainError):
+            theta_envelope(0.75, r)
     with pytest.raises(ParameterDomainError):
         theta_envelope(1.5, 2.0)
 
