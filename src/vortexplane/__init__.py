@@ -23,10 +23,9 @@ from .fixedpoint import (ContractionConstants, GridFunction, banach_solve,
                          beta_from_psi, equilibrium_dichotomy_certificate,
                          picard_residual, picard_solve, rate_transform,
                          select_contraction_constants)
-from .integrator import (EventSpec, IntegrationConfig, Termination,
-                         Trajectory, integrate, integrate_backward,
-                         integrate_from)
-from .phaseplane import (energy, energy_rate, energy_second, iota,
+from .integrator import (IntegrationConfig, Termination, Trajectory,
+                         integrate, integrate_backward, integrate_from)
+from .phaseplane import (energy, energy_rate, energy_second,
                          level_set_geometry, theta_envelope, to_polar)
 from .admissibility import AdmissibilityReport, full_report
 from .portrait import build_portrait_svg
@@ -45,7 +44,6 @@ __all__ = [
     "ContractionConstants",
     "CrossingSequence",
     "EnergyEntry",
-    "EventSpec",
     "FixedPointFailureError",
     "GridFunction",
     "HypothesisViolationError",
@@ -83,7 +81,6 @@ __all__ = [
     "integrate",
     "integrate_backward",
     "integrate_from",
-    "iota",
     "level_set_geometry",
     "make_model",
     "picard_residual",

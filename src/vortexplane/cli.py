@@ -158,7 +158,7 @@ def _constant_trajectory(model: VorticityModel, a: float,
         model=model, r=rs, psi=np.array([a, a]), beta=np.zeros(2),
         radius=np.array([a, a]), theta=np.zeros(2),
         E=np.array([level, level]), dissipation=np.zeros(1),
-        termination=Termination.REACHED_RMAX, events=[],
+        termination=Termination.REACHED_RMAX,
         min_radius=a, min_radius_r=0.0)
 
 
@@ -234,9 +234,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "min_radius_after": float(capture.min_radius_after),
             "min_radius_r": float(capture.min_radius_r)},
         "ring_note": capture_note,
-        "stepper_events": [
-            {"name": ev.name, "r": float(ev.r), "psi": float(ev.psi),
-             "beta": float(ev.beta)} for ev in traj.events],
     }
     json_path = _write_json(out, f"events_{tag}.json", payload)
     print(f"model={model.model_id} a={a:g} r_max={args.rmax:g} "

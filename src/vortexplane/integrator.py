@@ -4,8 +4,8 @@ The stepper is an embedded Dormand-Prince 5(4) pair with FSAL, PI step
 control, and two dense representations per accepted step: the order-4
 interpolant of the pair (used to integrate the dissipation density
 beta^2/r with a 5-point Gauss rule) and the cubic Hermite of the stored
-endpoints (used for event location, minimum-radius refinement, and all
-after-the-fact sampling, so results never depend on which steps the
+endpoints (used for the zero-energy stop, minimum-radius refinement, and
+all after-the-fact sampling, so results never depend on which steps the
 controller happened to take beyond their endpoints).
 
 The minimum radius R = hypot(psi, beta) is refined inside a step (an
@@ -20,10 +20,11 @@ Picard series head on [0, r_handoff] computed by the fixed-point solver
 stepper at r_handoff.
 
 The forward, restart and backward sweeps share one core, _integrate_core.
-It ends a step early in one place, at the first terminal event or at an
-origin capture strictly before it; forms every row that is not an accepted
-step's end with _row; and returns the Trajectory, reversed into ascending r
-for a backward sweep.
+It ends a step early in one place: with stop_at_zero_energy, where the
+energy E = beta^2/2 + F(psi) first falls through 0, or at an origin capture
+strictly before that.  It forms every row that is not an accepted step's
+end with _row, and returns the Trajectory, reversed into ascending r for a
+backward sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -87,7 +88,7 @@ _PICARD_N = 512
 _PICARD_TOL = 1e-13
 # the in-step search for the radius minimum switches on below this R
 _R_WATCH = 2.5
-_EVENT_BISECTIONS = 60
+_STOP_BISECTIONS = 60
 _GOLDEN_ITERS = 80
 _THETA_STEP_CAP = 0.9 * math.pi
 
@@ -99,27 +100,6 @@ class Termination(enum.Enum):
     STEP_FAILURE = "step_failure"
 
 
-class EventRecord(NamedTuple):
-    name: str
-    r: float
-    psi: float
-    beta: float
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """Scalar event g(r, psi, beta); a root is reported when g changes sign
-    in the stated direction (-1 falling, +1 rising, 0 either).
-
-    fn must be a pure function of (r, psi, beta): the stepper evaluates it
-    once per accepted step and reuses that value as the next step's start.
-    """
-    name: str
-    fn: Callable[[float, float, float], float]
-    direction: int = -1
-    terminal: bool = False
-
-
 @dataclass(frozen=True)
 class IntegrationConfig:
     r_max: float
@@ -128,10 +108,11 @@ class IntegrationConfig:
     r_handoff: float = 0.0625
     max_steps: int = 2_000_000
     origin_radius: float = 1e-6
-    events: Tuple[EventSpec, ...] = ()
+    # end the run where E = beta^2/2 + F(psi) first falls through 0
+    stop_at_zero_energy: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("r_max", "r_handoff"):
+        for name in ("r_max", "r_handoff", "origin_radius"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ParameterDomainError(
@@ -264,7 +245,6 @@ class Trajectory:
     E: np.ndarray
     dissipation: np.ndarray
     termination: Termination
-    events: List[EventRecord]
     min_radius: float
     min_radius_r: float
 
@@ -386,12 +366,15 @@ def _integrate_core(model: VorticityModel, r_target: float,
     rows and diss (one interval fewer) are the orbit so far, the start row
     alone or a Picard head; head_min is the (R, r) of the smallest R on a
     head, None for a start row.  The core extends both lists in integration
-    order and reverses them for a backward run.
+    order and reverses them for a backward run.  A start already inside
+    origin_radius is captured before the first step.
     """
     f = model.f
     F = model.F
     rtol, atol = config.rel_tol, config.abs_tol
-    r, psi, beta, radius0, theta, _ = rows[-1]
+    # e0 is the stored E at the step's left end: the zero-energy stop
+    # compares it with the right end's stored E
+    r, psi, beta, radius0, theta, e0 = rows[-1]
     min_radius, min_radius_r = head_min or (radius0, r)
     span = abs(r_target - r)
     if span <= 0.0:
@@ -399,14 +382,11 @@ def _integrate_core(model: VorticityModel, r_target: float,
     h = _initial_step(f, r, psi, beta, direction, rtol, atol, span)
     k1p, k1b = beta, -beta / r - f(psi)
     origin_radius = config.origin_radius
-    specs = config.events
-    events: List[EventRecord] = []
-    # g(r, psi, beta) of each event at the step's left end, carried over
-    # from the previous step's right end
-    g_left = [spec.fn(r, psi, beta) for spec in specs]
+    stop = config.stop_at_zero_energy
+    term = Termination.ORIGIN_REACHED if radius0 < origin_radius else None
     facold = 1e-4
     nsteps = 0
-    while True:
+    while term is None:
         if nsteps >= config.max_steps or h < 1e-14 * max(1.0, abs(r)):
             term = Termination.STEP_FAILURE
             break
@@ -478,42 +458,6 @@ def _integrate_core(model: VorticityModel, r_target: float,
             return (_hermite(psi, psi1, k1p, k7p, hs, s),
                     _hermite(beta, beta1, k1b, k7b, hs, s))
 
-        # event roots on the Hermite interpolant
-        hits: List[Tuple[float, EventSpec, float, float]] = []
-        if specs:
-            grid_states = None
-            for i, spec in enumerate(specs):
-                g0 = g_left[i]
-                g1 = g_left[i] = spec.fn(r1, psi1, beta1)
-                crossed = ((g0 > 0.0 >= g1 and spec.direction <= 0)
-                           or (g0 < 0.0 <= g1 and spec.direction >= 0))
-                if not crossed:
-                    continue
-                if grid_states is None:
-                    grid_states = [(k / 10.0,) + state_dense(k / 10.0)
-                                   for k in range(11)]
-                gv = [(s, spec.fn(r + s * hs, ps, bs))
-                      for s, ps, bs in grid_states]
-                for j in range(10):
-                    sa, ga = gv[j]
-                    sb, gb = gv[j + 1]
-                    ok = ((ga > 0.0 >= gb and spec.direction <= 0)
-                          or (ga < 0.0 <= gb and spec.direction >= 0))
-                    if not ok:
-                        continue
-                    def g(s: float) -> float:
-                        # an exact zero sides with the far end: the root
-                        # is the near edge of g's zero set
-                        pm, bm = state_dense(s)
-                        gm = spec.fn(r + s * hs, pm, bm)
-                        return gm if gm != 0.0 else -ga
-
-                    s_star = bisect_root(g, sa, sb, ga, _EVENT_BISECTIONS)
-                    ps, bs = state_dense(s_star)
-                    hits.append((s_star, spec, ps, bs))
-                    break
-            hits.sort(key=lambda t: t[0])
-
         # radius minimum: refine inside the step only near the origin, and
         # only where the hull bound leaves room for a value below both the
         # running minimum and origin_radius (otherwise the scan below
@@ -539,26 +483,39 @@ def _integrate_core(model: VorticityModel, r_target: float,
         if radius1 < min_radius:
             min_radius, min_radius_r = radius1, r1
 
-        # the one early end of a step: the first terminal event, unless the
-        # origin capture comes strictly before it (an event wins a tie)
-        term = None
-        for s_star, spec, ps, bs in hits:
-            if spec.terminal:
-                term, s_cut, cut = Termination.EVENT, s_star, (ps, bs)
-                break
-        if origin_s is not None and (term is None or origin_s < s_cut):
+        # the zero-energy stop: the first falling sign change of E on an
+        # 11-point grid of the Hermite, then bisection
+        e1 = 0.5 * beta1 * beta1 + F(psi1)
+        s_cut = None
+        if stop and e0 > 0.0 >= e1:
+            ev = []
+            for k in range(11):
+                ps, bs = state_dense(k / 10.0)
+                ev.append((k / 10.0, 0.5 * bs * bs + F(ps)))
+            for (sa, ea), (sb, eb) in zip(ev, ev[1:]):
+                if ea > 0.0 >= eb:
+                    def e_of(s: float) -> float:
+                        # an exact zero sides with the far end: the root
+                        # is the near edge of E's zero set
+                        pm, bm = state_dense(s)
+                        em = 0.5 * bm * bm + F(pm)
+                        return em if em != 0.0 else -ea
+
+                    term = Termination.EVENT
+                    s_cut = bisect_root(e_of, sa, sb, ea, _STOP_BISECTIONS)
+                    break
+
+        # the one early end of a step: the zero-energy stop, unless the
+        # origin capture comes strictly before it (the stop wins a tie)
+        if origin_s is not None and (s_cut is None or origin_s < s_cut):
             term, s_cut = Termination.ORIGIN_REACHED, origin_s
-            cut = state_dense(origin_s)
-        for s_star, spec, ps, bs in hits:
-            if term is None or s_star <= s_cut:
-                events.append(EventRecord(spec.name, r + s_star * hs, ps, bs))
-        if term is not None:
-            rows.append(_row(model, r + s_cut * hs, cut[0], cut[1], theta))
+        if s_cut is not None:
+            ps, bs = state_dense(s_cut)
+            rows.append(_row(model, r + s_cut * hs, ps, bs, theta))
             diss.append(_dissipation(r, hs, beta, q0, q1, q2, q3, s_cut))
             break
 
-        rows.append((r1, psi1, beta1, radius1, theta1,
-                     0.5 * beta1 * beta1 + F(psi1)))
+        rows.append((r1, psi1, beta1, radius1, theta1, e1))
         diss.append(_dissipation(r, hs, beta, q0, q1, q2, q3, 1.0))
         if radius1 < origin_radius:
             term = Termination.ORIGIN_REACHED
@@ -568,7 +525,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
             break
         r, psi, beta, theta = r1, psi1, beta1, theta1
         k1p, k1b = k7p, k7b
-        radius0 = radius1
+        radius0, e0 = radius1, e1
         err = max(err, 1e-10)
         fac = 0.9 * err ** -0.17 * facold ** 0.04
         h *= min(10.0, max(0.2, fac))
@@ -583,7 +540,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
         r=arr[:, 0], psi=arr[:, 1], beta=arr[:, 2],
         radius=arr[:, 3], theta=arr[:, 4], E=arr[:, 5],
         dissipation=np.asarray(diss, dtype=float),
-        termination=term, events=events,
+        termination=term,
         min_radius=float(min_radius), min_radius_r=float(min_radius_r))
 
 
@@ -606,8 +563,8 @@ def integrate(model: VorticityModel, a: float,
               config: IntegrationConfig) -> Trajectory:
     """Orbit of the admissible profile from psi(0) = a, beta(0) = 0.
 
-    The singular endpoint is covered by the Picard head; event detection
-    starts at the handoff radius.
+    The singular endpoint is covered by the Picard head; the zero-energy
+    stop and the origin capture start at the handoff radius.
     """
     check_start_value(a)
     if config.r_max <= config.r_handoff:

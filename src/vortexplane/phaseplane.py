@@ -2,8 +2,7 @@
 
 Energy E = beta^2/2 + F(psi) decays like E' = -beta^2/r along orbits.  This
 module evaluates E and its first three radial derivatives, the polar angle
-dynamics, the zero level set of E (the lobes), and the scaling factor that
-projects a phase point onto that level set along its ray.
+dynamics, and the zero level set of E (the lobes).
 """
 
 from __future__ import annotations
@@ -179,55 +178,3 @@ def scaled_lobe_curve(eps: float, n: int = 512) -> Tuple[np.ndarray, np.ndarray]
     psis = np.linspace(0.0, peak, n)
     val = (4.0 / 3.0) * (1.0 + eps) * psis ** 1.5 - psis ** 2
     return psis, np.sqrt(np.maximum(0.0, val))
-
-
-def iota(model: VorticityModel, point: PhasePoint,
-         scan_points: int = 400) -> Optional[float]:
-    """Ray scaling onto the zero level set: smallest iota > 0 with
-    E(iota psi, iota beta) = 0, or None when the ray misses the lobes.
-
-    Points on the beta axis scale to the origin only (E > 0 along the whole
-    ray), hence None.  For the square-root model the closed form
-    iota = (16/9)|psi|^3 / R^4 is used; it is even in (psi, beta) -> -(psi, beta)
-    like the generic answer.
-    """
-    psi, beta = point
-    if psi == 0.0:
-        return None
-    if model.model_id == "constantin":
-        rr = psi * psi + beta * beta
-        if rr == 0.0:
-            return None
-        return (16.0 / 9.0) * abs(psi) ** 3 / (rr * rr)
-
-    def e_ray(t: float) -> float:
-        return 0.5 * (t * beta) ** 2 + model.F(t * psi)
-
-    # E(t .) < 0 for small t (the subquadratic well wins), so scan for the
-    # first sign change on a log grid
-    lo_exp, hi_t = -12.0, (scaled_lobe_peak(1.0) + 2.0) / abs(psi)
-    ts = np.logspace(lo_exp, math.log10(hi_t), scan_points)
-    prev_t, prev_v = 0.0, -0.0
-    for t in ts:
-        v = e_ray(float(t))
-        if v == 0.0:
-            return float(t)
-        if prev_v < 0.0 <= v:
-            return _bisect(e_ray, prev_t, float(t))
-        prev_t, prev_v = float(t), v
-    return None
-
-
-def radius_bound(model: VorticityModel, energy0: float) -> float:
-    """Apriori bound on R while E <= energy0: sqrt(psi_max^2 + 2(energy0 - F(u0)))
-    where psi_max solves F(psi) = energy0 on [u0, inf)."""
-    if energy0 < 0.0:
-        raise ParameterDomainError("energy0 must be nonnegative")
-    u0 = model.ledger.u0
-    hi = max(2.0 * u0, 2.0)
-    while model.F(hi) <= energy0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise HypothesisViolationError("potential fails to reach energy0")
-    psi_max = _bisect(lambda p: model.F(p) - energy0, u0, hi)
-    return math.sqrt(psi_max ** 2 + 2.0 * (energy0 - model.F(u0)))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from vortexplane import (EventSpec, IntegrationConfig, ParameterDomainError,
-                         Termination, classify_shot, integrate,
-                         integrate_backward, integrate_from)
-from vortexplane.integrator import (EventRecord, _golden_radius, _hermite,
-                                    _hermite_radius, _hull_floor)
+from vortexplane import (IntegrationConfig, ParameterDomainError, Termination,
+                         classify_shot, integrate, integrate_backward,
+                         integrate_from)
+from vortexplane.integrator import (_golden_radius, _hermite, _hermite_radius,
+                                    _hull_floor)
 from vortexplane.search import golden_min
 
 
@@ -104,21 +105,6 @@ def test_sample_outside_span_raises(run10):
         run10.locate(2.0 * float(run10.r[-1]))
 
 
-def test_terminal_event(constantin, state_at):
-    # stop as soon as psi drops below 5; the event root must be the last node
-    cfg = IntegrationConfig(r_max=200.0, events=(
-        EventSpec(name="psi_below_5",
-                  fn=lambda r, psi, beta: psi - 5.0,
-                  direction=-1, terminal=True),))
-    traj = integrate(constantin, 10.0, cfg)
-    assert traj.termination is Termination.EVENT
-    hits = [e for e in traj.events if e.name == "psi_below_5"]
-    assert len(hits) == 1
-    assert math.isclose(hits[0].r, float(traj.r[-1]), rel_tol=1e-12)
-    psi_end, _ = state_at(traj, hits[0].r)
-    assert abs(psi_end - 5.0) < 1e-9
-
-
 def test_handoff_radius_invariance(constantin, state_at):
     a = 10.0
     t1 = integrate(constantin, a, IntegrationConfig(r_max=50.0, r_handoff=1.0 / 16.0))
@@ -189,26 +175,26 @@ def _digest(traj):
     return (hashlib.sha256(buf.getvalue().encode()).hexdigest(),
             hashlib.sha256(traj.dissipation.tobytes()).hexdigest(),
             repr(traj.min_radius), repr(traj.min_radius_r),
-            traj.termination.value, traj.events)
+            traj.termination.value)
 
 
 _PINNED = {
     "run10": (
         "6a98d9efc3a314cf3a567dc60eaf42fd10310ecd76ebcee578ed1a1583b4a558",
         "a20e9093b4117fc3b630fd65f20545de270725ea1fbfc14bf975d84de9899dbf",
-        "0.06577227565651608", "63.8512839798916", "reached_rmax", []),
+        "0.06577227565651608", "63.8512839798916", "reached_rmax"),
     "run100": (
         "5a577bdf0471d2b3f6e78ffdff8ab72e52a74be89189c3cb234c233ced7d223b",
         "ad7e6648bd56a00f5da0e3f0a50f55210f00fc34a2d50e49ad647ab35c974465",
-        "0.995969163374149", "1997.300474950334", "reached_rmax", []),
+        "0.995969163374149", "1997.300474950334", "reached_rmax"),
     "example": (
         "f2eb58e5a9e0e61f3aadc755530c1d1ae41ec7c4de554dc2d2926d3e17ca8d05",
         "746d7069602056a915903217aa5fcf7f405b4170ad38660217f1977e6d89e8e7",
-        "0.06737836331839314", "63.432438635376435", "reached_rmax", []),
+        "0.06737836331839314", "63.432438635376435", "reached_rmax"),
     "powerlaw": (
         "0de206f2588e3b6937c889778f28d9c2d6354bc97281197c9d3dae4954925bc4",
         "d7865f96111275f1f7c1c7f11a5c18b6c66e17a28078c4bfff7b369a303d06d3",
-        "0.05313947157723094", "48.29382933478975", "reached_rmax", []),
+        "0.05313947157723094", "48.29382933478975", "reached_rmax"),
 }
 
 
@@ -230,29 +216,20 @@ def test_pinned_origin_capture(constantin):
     assert _digest(traj) == (
         "442b9215f97809afa92c9263613062be0a08a7e25e8675fb322e95ca8023d9ab",
         "fb483d70c0b02692ffa85e581b6034b3d3c50ad31a409085ff011f88f6e286c0",
-        "0.09642318693890424", "63.53963559631905", "origin_reached", [])
+        "0.09642318693890424", "63.53963559631905", "origin_reached")
 
 
-@pytest.mark.parametrize("terminal, pinned", [
-    # the energy event at r = 60.42 comes before the capture and ends the run
-    (True, ("042b16670cb53568560d6fca61061a59f57e85849461e6d148c21af1df88c95e",
-            "8c4b4cb900d3815f9f2e1c124d4031eab987fcfa4fc5f42042bce10c42fc176a",
-            "0.1894060816655798", "54.340529770582215", "event")),
-    # a non-terminal event is recorded and the capture at r = 63.54 ends it
-    (False, ("442b9215f97809afa92c9263613062be0a08a7e25e8675fb322e95ca8023d9ab",
-             "fb483d70c0b02692ffa85e581b6034b3d3c50ad31a409085ff011f88f6e286c0",
-             "0.09642318693890424", "63.53963559631905", "origin_reached")),
-])
-def test_pinned_capture_against_energy_event(constantin, terminal, pinned):
-    def energy(r, psi, beta):
-        return 0.5 * beta * beta + constantin.F(psi)
-
+def test_pinned_capture_against_energy_event(constantin):
+    # the zero-energy stop at r = 60.42 comes before the capture at
+    # r = 63.54 (test_pinned_origin_capture) and ends the run
     traj = integrate(constantin, 10.0, IntegrationConfig(
-        r_max=100.0, origin_radius=0.1,
-        events=(EventSpec("energy_zero", energy, terminal=terminal),)))
-    assert _digest(traj) == pinned + ([EventRecord(
-        "energy_zero", 60.41671426815308, -1.2844392220872523,
-        0.5395760549152415)],)
+        r_max=100.0, origin_radius=0.1, stop_at_zero_energy=True))
+    assert _digest(traj) == (
+        "042b16670cb53568560d6fca61061a59f57e85849461e6d148c21af1df88c95e",
+        "8c4b4cb900d3815f9f2e1c124d4031eab987fcfa4fc5f42042bce10c42fc176a",
+        "0.1894060816655798", "54.340529770582215", "event")
+    assert (traj.r[-1], traj.psi[-1], traj.beta[-1]) == (
+        60.41671426815308, -1.2844392220872523, 0.5395760549152415)
 
 
 def test_pinned_backward_sweep(constantin):
@@ -260,7 +237,7 @@ def test_pinned_backward_sweep(constantin):
     assert _digest(traj) == (
         "2f29424cd1dbe6985fc9a9515bb9b5329ef91f7266d519dec2ec588e1e2e4934",
         "1dd777ec7cd1b3e1fa8d30a3cdd549651324d6a174331d9728e9b28e5270ef8b",
-        "1.4992166691760165", "5.916079783099616", "reached_rmax", [])
+        "1.4992166691760165", "5.916079783099616", "reached_rmax")
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -276,6 +253,22 @@ def test_start_row_keeps_signed_zero_angle(constantin, backward):
     traj.to_csv(buf)
     start = buf.getvalue().splitlines()[-1 if backward else 1]
     assert start.split(",")[:5] == ["6.0", "1.5", "-0.0", "1.5", "-0.0"]
+
+
+@pytest.mark.parametrize("psi0, beta0", [(0.0, 0.0), (0.0, -0.0),
+                                         (-0.0, 0.0), (-0.0, -0.0)])
+def test_start_inside_origin_radius_is_captured(constantin, psi0, beta0):
+    # a start row with R < origin_radius ends the run before the first step;
+    # stepping from the origin would meet the theta cap at a start angle of
+    # +-pi (psi = -0.0) and halve h down to a step failure
+    traj = integrate_from(constantin, 2.0, psi0, beta0,
+                          IntegrationConfig(r_max=10.0))
+    assert traj.termination is Termination.ORIGIN_REACHED
+    assert traj.n_points == 1 and traj.dissipation.size == 0
+    assert (traj.r[0], traj.min_radius, traj.min_radius_r) == (2.0, 0.0, 2.0)
+    bw = integrate_backward(constantin, 6.0, 0.0, 0.0)
+    assert bw.termination is Termination.ORIGIN_REACHED
+    assert bw.n_points == 1 and bw.r[0] == 6.0
 
 
 _PINNED_SHOTS = {
@@ -306,22 +299,26 @@ def test_pinned_shots(request, name):
 
 
 def test_event_fn_called_once_per_accepted_step(constantin):
+    # the stop reads the stored E of each accepted step, so F is called once
+    # per row and per accepted step, plus the stop's search and cut row
     calls = [0]
 
-    def energy(r, psi, beta):
+    def counting_F(psi):
         calls[0] += 1
-        return 0.5 * beta * beta + constantin.F(psi)
+        return constantin.F(psi)
 
-    traj = integrate(constantin, 10.0, IntegrationConfig(
-        r_max=100.0, events=(EventSpec("energy_zero", energy),)))
-    assert traj.events == [EventRecord(
-        "energy_zero", 60.41671426815308, -1.2844392220872523,
-        0.5395760549152415)]
-    # the Picard head stores 17 rows; every later row is one accepted step
+    model = dataclasses.replace(constantin, F=counting_F)
+    traj = integrate(model, 10.0, IntegrationConfig(
+        r_max=100.0, stop_at_zero_energy=True))
+    assert traj.termination is Termination.EVENT
+    assert (traj.r[-1], traj.psi[-1], traj.beta[-1]) == (
+        60.41671426815308, -1.2844392220872523, 0.5395760549152415)
+    # the Picard head stores 17 rows; every later row but the cut row is
+    # one accepted step, and the step holding the stop is one more
     steps = len(traj.r) - 17
-    # one call at the start, one per accepted step, and for the single
-    # crossing an 11-point grid plus the bisection
-    assert calls[0] == 1 + steps + 11 + 60
+    # 17 head rows, one per accepted step, and for the single crossing an
+    # 11-point grid, the bisection and the cut row
+    assert calls[0] == 17 + steps + 11 + 60 + 1
 
 
 # ---------------------------------------------------- hull bound property
@@ -363,6 +360,8 @@ def test_golden_radius_matches_golden_min(psi, beta, psi1, beta1, k1p, k1b,
     ("r_max", -5.0), ("r_handoff", 0.0), ("r_handoff", math.nan),
     ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", math.inf),
     ("abs_tol", -1e-12), ("abs_tol", math.nan), ("max_steps", 0),
+    ("origin_radius", math.nan), ("origin_radius", -1.0),
+    ("origin_radius", 0.0), ("origin_radius", math.inf),
 ])
 def test_config_rejects_bad_values(field, value):
     kwargs = {"r_max": 10.0, field: value}

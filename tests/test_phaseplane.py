@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexplane import (ParameterDomainError, energy, energy_rate,
-                         energy_second, iota, level_set_geometry,
-                         theta_envelope, to_polar)
+                         energy_second, level_set_geometry, theta_envelope,
+                         to_polar)
 from vortexplane.errors import NotDifferentiableError, OriginReachedSignal
-from vortexplane.phaseplane import (PhasePoint, energy_third, radius_bound,
-                                    scaled_lobe_peak)
+from vortexplane.phaseplane import PhasePoint, energy_third, scaled_lobe_peak
 
 nice = st.floats(min_value=-20.0, max_value=20.0,
                  allow_nan=False, allow_infinity=False)
@@ -131,51 +130,3 @@ def test_level_set_geometry(constantin):
 def test_scaled_lobe_peak():
     assert math.isclose(scaled_lobe_peak(0.0), 16.0 / 9.0, rel_tol=1e-15)
     assert scaled_lobe_peak(0.05) > 16.0 / 9.0
-
-
-def test_iota_closed_form(constantin):
-    for psi, beta in ((1.3, -0.7), (0.4, 0.1), (-2.0, 1.5)):
-        rr = psi * psi + beta * beta
-        expected = (16.0 / 9.0) * abs(psi) ** 3 / rr ** 2
-        assert math.isclose(iota(constantin, PhasePoint(psi, beta)),
-                            expected, rel_tol=1e-9)
-
-
-def test_iota_is_one_on_lobe(constantin):
-    # the square-root lobe in polar form is R = (16/9) |cos theta|^3
-    for theta in (0.1, 0.8, 2.2, -1.2):
-        radius = (16.0 / 9.0) * abs(math.cos(theta)) ** 3
-        pt = PhasePoint(radius * math.cos(theta), radius * math.sin(theta))
-        assert abs(0.5 * pt.beta ** 2 + constantin.F(pt.psi)) < 1e-12
-        assert math.isclose(iota(constantin, pt), 1.0, rel_tol=1e-9)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=0.05, max_value=20.0))
-def test_iota_ray_scaling(constantin, t):
-    base = PhasePoint(1.1, -0.6)
-    scaled = PhasePoint(base.psi * t, base.beta * t)
-    assert math.isclose(iota(constantin, scaled),
-                        iota(constantin, base) / t, rel_tol=1e-9)
-
-
-def test_iota_beta_axis_is_none(constantin, example):
-    assert iota(constantin, PhasePoint(0.0, 1.0)) is None
-    assert iota(example, PhasePoint(0.0, -2.0)) is None
-
-
-def test_iota_generic_matches_quadratic_scan(example):
-    # the modulated model takes the generic scan path; its answer must put
-    # the scaled point on the zero level set
-    pt = PhasePoint(1.2, 0.5)
-    scale = iota(example, pt)
-    assert scale is not None
-    scaled = PhasePoint(pt.psi * scale, pt.beta * scale)
-    assert abs(0.5 * scaled.beta ** 2 + example.F(scaled.psi)) < 1e-9
-
-
-def test_radius_bound_dominates_orbit(constantin, run10):
-    bound = radius_bound(constantin, float(run10.E[0]))
-    assert float(np.max(run10.radius)) <= bound
-    with pytest.raises(ParameterDomainError):
-        radius_bound(constantin, -1.0)
