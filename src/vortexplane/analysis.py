@@ -8,6 +8,7 @@ the same stored points give identical diagnostics.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -65,24 +66,29 @@ def refined_min_radius(traj: Trajectory,
     """(r, R) at the closest approach to the origin, combining the node
     minimum, a golden-section pass on the bracketing segments, and the
     minimum the stepper tracked inside its own steps."""
-    mask = traj.r >= (traj.r[0] if r_from is None else r_from)
-    if not np.any(mask):
+    r_from = traj.r[0] if r_from is None else r_from
+    idx = np.flatnonzero(traj.r >= r_from)
+    if not len(idx):
         raise ParameterDomainError("r_from beyond the stored range")
-    idx = np.flatnonzero(mask)
     j = idx[int(np.argmin(traj.radius[idx]))]
-    lo = float(traj.r[max(j - 1, 0)])
-    hi = float(traj.r[min(j + 1, len(traj.r) - 1)])
+    k0 = max(j - 1, 0)
+    nodes = traj.r[k0:k0 + 4].tolist()
+    lo, hi = nodes[0], float(traj.r[min(j + 1, len(traj.r) - 1)])
     best_r, best = (float(traj.r[j]), float(traj.radius[j]))
     if hi > lo:
+        # radius Hermites built once, steps picked as Trajectory.locate does
+        qs = [traj.hermite("radius", i)
+              for i in range(k0, min(k0 + 3, len(traj.r) - 1))]
+
         def radius(x: float) -> float:
-            i, s = traj.locate(x)
-            return traj.hermite("radius", i)(s)
+            i = min(bisect.bisect_right(nodes, x) - 1, len(qs) - 1)
+            h = nodes[i + 1] - nodes[i]
+            return qs[i](0.0 if h == 0.0 else (x - nodes[i]) / h)
 
         cand_r, cand = golden_min(radius, lo, hi)
         if cand < best:
             best_r, best = cand_r, cand
-    if traj.min_radius < best and \
-            traj.min_radius_r >= (traj.r[0] if r_from is None else r_from):
+    if traj.min_radius < best and traj.min_radius_r >= r_from:
         best_r, best = traj.min_radius_r, traj.min_radius
     return best_r, best
 

@@ -42,6 +42,13 @@ def check_start_value(a: float) -> None:
             f"start value a must be finite and >= 1, got {a!r}")
 
 
+def require_finite(**values: float) -> None:
+    """Reject the first keyword argument whose value is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterDomainError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Samples of a scalar function on an ascending uniform grid."""
@@ -200,9 +207,7 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
     certified zeta.  Iterates are confined to the domain
     |psi - psi_T| <= eta psi_T / 4, |beta| <= 2 |beta_T| + eta psi_T.
     """
-    for name, value in (("T", T), ("psi_T", psi_T), ("beta_T", beta_T)):
-        if not math.isfinite(value):
-            raise ParameterDomainError(f"{name} must be finite, got {value!r}")
+    require_finite(T=T, psi_T=psi_T, beta_T=beta_T)
     if constants is None:
         constants = select_contraction_constants(
             T=T, L=min(model.ledger.L, 2.5))

@@ -12,7 +12,10 @@ The minimum radius R = hypot(psi, beta) is refined inside a step (an
 11-point scan of the Hermite, then a golden-section search) only when an
 endpoint lies below _R_WATCH and the step's convex-hull bound on R (see
 _hull_floor) does not rule out a value below both the running minimum and
-origin_radius.  A skipped scan could not have changed either result.
+origin_radius.  A search on a step whose hull floor clears origin_radius
+cannot capture: it waits until a later grid minimum falls between that
+floor and its own grid minimum, a step could capture, or the run ends.  A
+skipped scan or search could not have changed either result.
 
 The left endpoint r = 0 is singular, so integrate() opens with a short
 Picard series head on [0, r_handoff] computed by the fixed-point solver
@@ -37,10 +40,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fixedpoint import beta_from_psi, check_start_value, picard_solve
+from .fixedpoint import (beta_from_psi, check_start_value, picard_solve,
+                         require_finite)
 from .phaseplane import TWO_PI
 from .quadrature import cumtrapz
-from .search import _INVPHI, bisect_root
+from .search import bisect_root, golden_min
 from .vorticity import VorticityModel
 
 # Dormand-Prince 5(4) tableau
@@ -89,7 +93,6 @@ _PICARD_TOL = 1e-13
 # the in-step search for the radius minimum switches on below this R
 _R_WATCH = 2.5
 _STOP_BISECTIONS = 60
-_GOLDEN_ITERS = 80
 _THETA_STEP_CAP = 0.9 * math.pi
 
 
@@ -112,14 +115,11 @@ class IntegrationConfig:
     stop_at_zero_energy: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("r_max", "r_handoff", "origin_radius"):
+        for name in ("r_max", "r_handoff", "origin_radius", "rel_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ParameterDomainError(
                     f"{name} must be finite and positive, got {value!r}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise ParameterDomainError(
-                f"rel_tol must be finite and positive, got {self.rel_tol!r}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
             raise ParameterDomainError(
                 f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
@@ -181,39 +181,16 @@ def _hull_floor(psi: float, beta: float, psi1: float, beta1: float,
                c3 - h3 * (ux * k7p + uy * k7b), c3) - slack
 
 
-def _golden_radius(a_s: float, b_s: float, psi: float, beta: float,
-                   psi1: float, beta1: float, k1p: float, k1b: float,
-                   k7p: float, k7b: float, h: float) -> Tuple[float, float]:
-    """search.golden_min(lambda s: _hermite_radius(s, ...), a_s, b_s,
-    _GOLDEN_ITERS) with _hermite_radius inlined: the same bits, without a
-    call per iteration on the stepper's hottest refinement."""
-    c_s = b_s - _INVPHI * (b_s - a_s)
-    d_s = a_s + _INVPHI * (b_s - a_s)
-    fc = _hermite_radius(c_s, psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, h)
-    fd = _hermite_radius(d_s, psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, h)
-    for _ in range(_GOLDEN_ITERS):
-        left = fc < fd
-        if left:
-            b_s, d_s, fd = d_s, c_s, fc
-            s = c_s = b_s - _INVPHI * (b_s - a_s)
-        else:
-            a_s, c_s, fc = c_s, d_s, fd
-            s = d_s = a_s + _INVPHI * (b_s - a_s)
-        s2 = s * s
-        t2 = (1.0 - s) ** 2
-        w0 = (1.0 + 2.0 * s) * t2
-        w1 = s * t2 * h
-        w2 = s2 * (3.0 - 2.0 * s)
-        w3 = s2 * (s - 1.0) * h
-        rad = math.hypot(w0 * psi + w1 * k1p + w2 * psi1 + w3 * k7p,
-                         w0 * beta + w1 * k1b + w2 * beta1 + w3 * k7b)
-        if left:
-            fc = rad
-        else:
-            fd = rad
-    s_ref = 0.5 * (a_s + b_s)
-    return s_ref, _hermite_radius(s_ref, psi, beta, psi1, beta1, k1p, k1b,
-                                  k7p, k7b, h)
+def _radius_search(r: float, seg: Tuple[float, ...], rgrid: List[float],
+                   j_min: int) -> Tuple[float, float, float]:
+    """(s, R, r at s) of a step's radius minimum: golden_min of
+    _hermite_radius(s, *seg) around the 11-point grid minimum rgrid[j_min]
+    where it is lower, else that grid point; r is the step's left end."""
+    s, rad = golden_min(lambda s: _hermite_radius(s, *seg),
+                        max(0, j_min - 1) / 10.0, min(10, j_min + 1) / 10.0)
+    if not rad < rgrid[j_min]:
+        s, rad = j_min / 10.0, rgrid[j_min]
+    return s, rad, r + s * seg[-1]
 
 
 def _dissipation(r: float, hs: float, beta: float, q0: float, q1: float,
@@ -384,6 +361,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
     origin_radius = config.origin_radius
     stop = config.stop_at_zero_energy
     term = Termination.ORIGIN_REACHED if radius0 < origin_radius else None
+    pending = pending_floor = None
     facold = 1e-4
     nsteps = 0
     while term is None:
@@ -458,28 +436,35 @@ def _integrate_core(model: VorticityModel, r_target: float,
             return (_hermite(psi, psi1, k1p, k7p, hs, s),
                     _hermite(beta, beta1, k1b, k7b, hs, s))
 
-        # radius minimum: refine inside the step only near the origin, and
-        # only where the hull bound leaves room for a value below both the
-        # running minimum and origin_radius (otherwise the scan below
-        # cannot change min_radius or origin_s)
-        radius1 = math.hypot(psi1, beta1)
-        origin_s = None
-        seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
-        if (min(radius0, radius1) < _R_WATCH
-                and not _hull_floor(*seg) >= max(min_radius, origin_radius)):
-            rgrid = [_hermite_radius(k / 10.0, *seg) for k in range(11)]
-            j_min = min(range(11), key=rgrid.__getitem__)
-            cand_s, cand_rad = j_min / 10.0, rgrid[j_min]
-            if cand_rad < min_radius or cand_rad < origin_radius:
-                s_ref, rad_ref = _golden_radius(max(0, j_min - 1) / 10.0,
-                                                min(10, j_min + 1) / 10.0,
-                                                *seg)
-                if rad_ref < cand_rad:
-                    cand_s, cand_rad = s_ref, rad_ref
-                if cand_rad < min_radius:
-                    min_radius, min_radius_r = cand_rad, r + cand_s * hs
-                if cand_rad < origin_radius:
-                    origin_s = cand_s
+        # radius minimum, refined only where the hull bound leaves room (see
+        # the module docstring); a deferred search waits in pending with its
+        # result known to lie in [pending_floor, min_radius]
+        radius1, origin_s = math.hypot(psi1, beta1), None
+        if min(radius0, radius1) < _R_WATCH:
+            seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
+            floor = _hull_floor(*seg)
+            if not floor >= max(min_radius, origin_radius):
+                rgrid = [_hermite_radius(k / 10.0, *seg) for k in range(11)]
+                j_min = min(range(11), key=rgrid.__getitem__)
+                cand_rad = rgrid[j_min]
+                if pending is not None and (
+                        not floor >= origin_radius
+                        or pending_floor <= cand_rad < min_radius):
+                    _, min_radius, min_radius_r = _radius_search(*pending)
+                    pending = None
+                if cand_rad < min_radius or cand_rad < origin_radius:
+                    search = (r, seg, rgrid, j_min)
+                    if floor >= origin_radius:
+                        pending, pending_floor = search, floor
+                        min_radius = cand_rad
+                    else:
+                        cand_s, cand_rad, cand_r = _radius_search(*search)
+                        if cand_rad < min_radius:
+                            min_radius, min_radius_r = cand_rad, cand_r
+                        if cand_rad < origin_radius:
+                            origin_s = cand_s
+        # radius1, the s = 1 grid value, never undercuts a pending min_radius:
+        # it is >= this step's grid minimum or hull floor, or >= _R_WATCH
         if radius1 < min_radius:
             min_radius, min_radius_r = radius1, r1
 
@@ -531,6 +516,8 @@ def _integrate_core(model: VorticityModel, r_target: float,
         h *= min(10.0, max(0.2, fac))
         facold = err
 
+    if pending is not None:
+        _, min_radius, min_radius_r = _radius_search(*pending)
     if direction < 0.0:
         rows.reverse()
         diss = [-d for d in reversed(diss)]
@@ -590,6 +577,7 @@ def integrate(model: VorticityModel, a: float,
 def integrate_from(model: VorticityModel, r0: float, psi0: float,
                    beta0: float, config: IntegrationConfig) -> Trajectory:
     """Forward orbit from an interior state (r0 > 0)."""
+    require_finite(r0=r0, psi0=psi0, beta0=beta0)
     if r0 <= 0.0:
         raise ParameterDomainError(f"r0 must be positive, got {r0!r}")
     if config.r_max <= r0:
@@ -606,6 +594,7 @@ def integrate_backward(model: VorticityModel, T: float, psi_T: float,
     Results are stored ascending in r like every other trajectory; the
     per-interval dissipation keeps the ascending orientation.
     """
+    require_finite(T=T, psi_T=psi_T, beta_T=beta_T)
     if r_end is None:
         if T <= 1.0:
             raise ParameterDomainError("default r_end needs T > 1")

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import inspect
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +14,8 @@ from scipy.integrate import solve_ivp
 from vortexplane import (IntegrationConfig, ParameterDomainError, Termination,
                          classify_shot, integrate, integrate_backward,
                          integrate_from)
-from vortexplane.integrator import (_golden_radius, _hermite, _hermite_radius,
-                                    _hull_floor)
-from vortexplane.search import golden_min
+from vortexplane import integrator
+from vortexplane.integrator import _hermite, _hermite_radius, _hull_floor
 
 
 def test_against_reference_integrator(constantin, run10, state_at):
@@ -232,6 +233,23 @@ def test_pinned_capture_against_energy_event(constantin):
         60.41671426815308, -1.2844392220872523, 0.5395760549152415)
 
 
+@pytest.mark.parametrize("rel_tol, pinned", [
+    (1e-3, ("4f47151883208cb2fb504b28de55a150d47fbfdf52ea300b89a0d890e5322c7d",
+            "7787303122792f5e05f373da7ccb6ec22032f1602aff710a5e76170edf40eed4",
+            "0.4681841216853815", "24.150535178990733", "origin_reached")),
+    (1e-6, ("74227f69f027a4e5b322f87edf1a6a4ea84dc501ae169747634edba3c361c750",
+            "d8e5279340395cae212fa559d8ed02eca4a64ca9316ec5c5478793d5d21697ed",
+            "0.48121314537079024", "24.018378013934207", "origin_reached")),
+])
+def test_pinned_in_step_capture(constantin, rel_tol, pinned):
+    # the orbit dips inside origin_radius and out again within one step, so
+    # only the in-step search finds the capture, at s = 0.22 and 0.54
+    traj = integrate_from(constantin, 5.0, 1.0, -2.0, IntegrationConfig(
+        r_max=35.0, rel_tol=rel_tol, origin_radius=0.5))
+    assert _digest(traj) == pinned
+    assert traj.radius[-2] > 0.5 > traj.radius[-1] == traj.min_radius
+
+
 def test_pinned_backward_sweep(constantin):
     traj = integrate_backward(constantin, 6.0, 1.5, 0.2)
     assert _digest(traj) == (
@@ -342,15 +360,80 @@ def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
         assert floor <= rad
 
 
-@settings(max_examples=300, deadline=None)
-@given(_state, _state, _state, _state, _slope, _slope, _slope, _slope, _step,
-       st.integers(0, 10))
-def test_golden_radius_matches_golden_min(psi, beta, psi1, beta1, k1p, k1b,
-                                          k7p, k7b, hs, j_min):
-    seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
-    a_s, b_s = max(0, j_min - 1) / 10.0, min(10, j_min + 1) / 10.0
-    assert _golden_radius(a_s, b_s, *seg) == golden_min(
-        lambda s: _hermite_radius(s, *seg), a_s, b_s)
+# ------------------------------------------------- deferred radius searches
+#
+# A search for the step's radius minimum that cannot capture waits until a
+# comparison needs its value or the run ends.  The sweep digest was recorded
+# while every new running minimum still ran its search at once.
+
+class _Searches:
+    """Calls of the core's radius search: (source line, whether the caller's
+    hull floor lies below origin_radius)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        search = integrator._radius_search
+
+        def counted(*args):
+            frame = sys._getframe(1)
+            floor = frame.f_locals.get("floor")
+            self.calls.append((frame.f_lineno, floor is not None and
+                               floor < frame.f_locals["origin_radius"]))
+            return search(*args)
+
+        monkeypatch.setattr(integrator, "_radius_search", counted)
+
+
+@pytest.fixture(scope="module")
+def shot_sweep(models):
+    """Three models x a = 2, 2.25, ... 12 x origin_radius 1e-6 and 0.1 with
+    the zero-energy stop: the sha256 of each run's termination, min_radius,
+    min_radius_r and last row, and the radius searches it made."""
+    digest = hashlib.sha256()
+    with pytest.MonkeyPatch.context() as mp:
+        searches = _Searches(mp)
+        for name in sorted(models):
+            for k in range(41):
+                a = 2.0 + 0.25 * k
+                for origin_radius in (1e-6, 0.1):
+                    traj = integrate(models[name], a, IntegrationConfig(
+                        r_max=50.0 + 0.8 * a * a, rel_tol=1e-9,
+                        origin_radius=origin_radius,
+                        stop_at_zero_energy=True))
+                    last = tuple(float(c[-1]) for c in (
+                        traj.r, traj.psi, traj.beta, traj.radius,
+                        traj.theta, traj.E))
+                    digest.update(repr((
+                        traj.termination.value, repr(traj.min_radius),
+                        repr(traj.min_radius_r), last)).encode())
+    return digest.hexdigest(), searches.calls
+
+
+def test_pinned_shot_sweep(shot_sweep):
+    assert shot_sweep[0] == (
+        "909e9697330d1e590dd096f84a06db5050890ef1ea904b4a1f0c66efc41806ec")
+
+
+def test_every_search_site_fires(shot_sweep):
+    # the sites in source order: a pending search settled at the grid gate,
+    # a step with room for a capture searching at once, and the end of the
+    # run; the grid gate settles both where a grid minimum falls inside the
+    # pending interval and where the step could capture
+    lines, first = inspect.getsourcelines(integrator._integrate_core)
+    sites = [first + k for k, line in enumerate(lines)
+             if "_radius_search(" in line]
+    assert len(sites) == 3
+    fired = set(shot_sweep[1])
+    assert {line for line, _ in fired} == set(sites)
+    assert {(sites[0], False), (sites[0], True)} <= fired
+
+
+def test_searches_per_orbit(constantin, monkeypatch):
+    # every new running minimum used to run a search: 2,753 on this orbit
+    searches = _Searches(monkeypatch)
+    integrate(constantin, 45.0,
+              IntegrationConfig(r_max=0.8 * 45.0 ** 2 + 50.0, rel_tol=1e-9))
+    assert 0 < len(searches.calls) <= 10
 
 
 # -------------------------------------------------------- input hardening
@@ -373,3 +456,19 @@ def test_config_rejects_bad_values(field, value):
 def test_non_finite_amplitude_rejected(constantin, a):
     with pytest.raises(ParameterDomainError):
         integrate(constantin, a, IntegrationConfig(r_max=10.0))
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_start_state_rejected(constantin, backward, position,
+                                         value):
+    args = [6.0, 1.5, 0.2]
+    args[position] = value
+    name = (("T", "psi_T", "beta_T") if backward
+            else ("r0", "psi0", "beta0"))[position]
+    with pytest.raises(ParameterDomainError, match=f"^{name} must be finite"):
+        if backward:
+            integrate_backward(constantin, *args)
+        else:
+            integrate_from(constantin, *args, IntegrationConfig(r_max=10.0))

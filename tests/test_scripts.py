@@ -12,7 +12,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("script", ["ring_capture_demo.py",
                                     "shooting_scan.py",
-                                    "portrait_gallery.py"])
+                                    "portrait_gallery.py",
+                                    "bench.py"])
 def test_script_help(script):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
