@@ -27,7 +27,9 @@ It ends a step early in one place: with stop_at_zero_energy, where the
 energy E = beta^2/2 + F(psi) first falls through 0, or at an origin capture
 strictly before that.  It forms every row that is not an accepted step's
 end with _row, and returns the Trajectory, reversed into ascending r for a
-backward sweep.
+backward sweep.  An accepted step calls no Python function but f and F: the
+core inlines _hull_floor, the 11-point grid of _hermite_radius and the
+full-step _dissipation, each with the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -80,12 +82,17 @@ _P = (
     (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
      69997945.0 / 29380423.0),
 )
+((_P00, _P01, _P02, _P03), _, (_P20, _P21, _P22, _P23),
+ (_P30, _P31, _P32, _P33), (_P40, _P41, _P42, _P43),
+ (_P50, _P51, _P52, _P53), (_P60, _P61, _P62, _P63)) = _P
 
 # 5-point Gauss-Legendre on [0, 1]
 _GAUSS_S = (0.046910077030668004, 0.23076534494715845, 0.5,
             0.7692346550528415, 0.953089922969332)
 _GAUSS_W = (0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
             0.23931433524968324, 0.11846344252809454)
+_GS0, _GS1, _GS2, _GS3, _GS4 = _GAUSS_S
+_GW0, _GW1, _GW2, _GW3, _GW4 = _GAUSS_W
 
 # Picard head grid size and sweep tolerance
 _PICARD_N = 512
@@ -150,6 +157,13 @@ def _hermite_radius(s: float, psi: float, beta: float, psi1: float,
     w3 = s2 * (s - 1.0) * h
     return math.hypot(w0 * psi + w1 * k1p + w2 * psi1 + w3 * k7p,
                       w0 * beta + w1 * k1b + w2 * beta1 + w3 * k7b)
+
+
+# _hermite_radius's weights at s = k/10, k = 0..10, formed by its own
+# operations; the second and fourth still lack the factor h
+_GRID_W = tuple(((1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2,
+                 s * s * (3.0 - 2.0 * s), s * s * (s - 1.0))
+                for s in [k / 10.0 for k in range(11)])
 
 
 def _hull_floor(psi: float, beta: float, psi1: float, beta1: float,
@@ -348,6 +362,8 @@ def _integrate_core(model: VorticityModel, r_target: float,
     """
     f = model.f
     F = model.F
+    hypot, atan2 = math.hypot, math.atan2
+    append_row, append_diss = rows.append, diss.append
     rtol, atol = config.rel_tol, config.abs_tol
     # e0 is the stored E at the step's left end: the zero-energy stop
     # compares it with the right end's stored E
@@ -414,7 +430,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
             h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
             continue
 
-        theta1 = math.atan2(beta1, psi1)
+        theta1 = atan2(beta1, psi1)
         theta1 += TWO_PI * round((theta - theta1) / TWO_PI)
         if abs(theta1 - theta) >= _THETA_STEP_CAP:
             # one step must never wrap the phase by anything close to a
@@ -423,37 +439,55 @@ def _integrate_core(model: VorticityModel, r_target: float,
             continue
 
         # dense polynomial of the pair, for the dissipation quadrature
-        q0 = (_P[0][0] * k1b + _P[2][0] * k3b + _P[3][0] * k4b
-              + _P[4][0] * k5b + _P[5][0] * k6b + _P[6][0] * k7b)
-        q1 = (_P[0][1] * k1b + _P[2][1] * k3b + _P[3][1] * k4b
-              + _P[4][1] * k5b + _P[5][1] * k6b + _P[6][1] * k7b)
-        q2 = (_P[0][2] * k1b + _P[2][2] * k3b + _P[3][2] * k4b
-              + _P[4][2] * k5b + _P[5][2] * k6b + _P[6][2] * k7b)
-        q3 = (_P[0][3] * k1b + _P[2][3] * k3b + _P[3][3] * k4b
-              + _P[4][3] * k5b + _P[5][3] * k6b + _P[6][3] * k7b)
-
-        def state_dense(s: float) -> Tuple[float, float]:
-            return (_hermite(psi, psi1, k1p, k7p, hs, s),
-                    _hermite(beta, beta1, k1b, k7b, hs, s))
+        q0 = (_P00 * k1b + _P20 * k3b + _P30 * k4b + _P40 * k5b + _P50 * k6b
+              + _P60 * k7b)
+        q1 = (_P01 * k1b + _P21 * k3b + _P31 * k4b + _P41 * k5b + _P51 * k6b
+              + _P61 * k7b)
+        q2 = (_P02 * k1b + _P22 * k3b + _P32 * k4b + _P42 * k5b + _P52 * k6b
+              + _P62 * k7b)
+        q3 = (_P03 * k1b + _P23 * k3b + _P33 * k4b + _P43 * k5b + _P53 * k6b
+              + _P63 * k7b)
 
         # radius minimum, refined only where the hull bound leaves room (see
         # the module docstring); a deferred search waits in pending with its
         # result known to lie in [pending_floor, min_radius]
-        radius1, origin_s = math.hypot(psi1, beta1), None
+        radius1, origin_s = hypot(psi1, beta1), None
         if min(radius0, radius1) < _R_WATCH:
-            seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
-            floor = _hull_floor(*seg)
+            # _hull_floor(*seg) inlined, same operations and order: the step's
+            # Hermite is the Bezier curve on P0, P0 + hs k1/3, P3 - hs k7/3,
+            # P3, so R >= u.P >= min_i u.P_i for u along P0 + P3, less slack
+            sx, sy = psi + psi1, beta + beta1
+            norm = hypot(sx, sy)
+            slack = 1e-12 * (abs(psi) + abs(beta) + abs(psi1) + abs(beta1)
+                             + abs(hs) * (abs(k1p) + abs(k1b) + abs(k7p)
+                                          + abs(k7b))) + 1e-300
+            if norm == 0.0:
+                floor = -slack
+            else:
+                ux, uy = sx / norm, sy / norm
+                h3 = hs / 3.0
+                c0 = ux * psi + uy * beta
+                c3 = ux * psi1 + uy * beta1
+                floor = min(c0, c0 + h3 * (ux * k1p + uy * k1b),
+                            c3 - h3 * (ux * k7p + uy * k7b), c3) - slack
             if not floor >= max(min_radius, origin_radius):
-                rgrid = [_hermite_radius(k / 10.0, *seg) for k in range(11)]
-                j_min = min(range(11), key=rgrid.__getitem__)
-                cand_rad = rgrid[j_min]
+                # _hermite_radius(k / 10, *seg) for k = 0..10: w1*hs and
+                # w3*hs are its (s*t2)*h and (s2*(s-1))*h
+                rgrid = [hypot(w0 * psi + w1 * hs * k1p + w2 * psi1
+                               + w3 * hs * k7p,
+                               w0 * beta + w1 * hs * k1b + w2 * beta1
+                               + w3 * hs * k7b)
+                         for w0, w1, w2, w3 in _GRID_W]
+                cand_rad = min(rgrid)
+                j_min = rgrid.index(cand_rad)
                 if pending is not None and (
                         not floor >= origin_radius
                         or pending_floor <= cand_rad < min_radius):
                     _, min_radius, min_radius_r = _radius_search(*pending)
                     pending = None
                 if cand_rad < min_radius or cand_rad < origin_radius:
-                    search = (r, seg, rgrid, j_min)
+                    search = (r, (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b,
+                                  hs), rgrid, j_min)
                     if floor >= origin_radius:
                         pending, pending_floor = search, floor
                         min_radius = cand_rad
@@ -473,6 +507,10 @@ def _integrate_core(model: VorticityModel, r_target: float,
         e1 = 0.5 * beta1 * beta1 + F(psi1)
         s_cut = None
         if stop and e0 > 0.0 >= e1:
+            def state_dense(s: float) -> Tuple[float, float]:
+                return (_hermite(psi, psi1, k1p, k7p, hs, s),
+                        _hermite(beta, beta1, k1b, k7b, hs, s))
+
             ev = []
             for k in range(11):
                 ps, bs = state_dense(k / 10.0)
@@ -495,13 +533,25 @@ def _integrate_core(model: VorticityModel, r_target: float,
         if origin_s is not None and (s_cut is None or origin_s < s_cut):
             term, s_cut = Termination.ORIGIN_REACHED, origin_s
         if s_cut is not None:
-            ps, bs = state_dense(s_cut)
-            rows.append(_row(model, r + s_cut * hs, ps, bs, theta))
-            diss.append(_dissipation(r, hs, beta, q0, q1, q2, q3, s_cut))
+            append_row(_row(model, r + s_cut * hs,
+                            _hermite(psi, psi1, k1p, k7p, hs, s_cut),
+                            _hermite(beta, beta1, k1b, k7b, hs, s_cut), theta))
+            append_diss(_dissipation(r, hs, beta, q0, q1, q2, q3, s_cut))
             break
 
-        rows.append((r1, psi1, beta1, radius1, theta1, e1))
-        diss.append(_dissipation(r, hs, beta, q0, q1, q2, q3, 1.0))
+        append_row((r1, psi1, beta1, radius1, theta1, e1))
+        # _dissipation(..., 1.0) unrolled: s_hi = 1.0 makes s = sg and
+        # hs*s_hi = hs, and 0.0 + t0 = t0 as each term t is >= +0
+        b0 = beta + hs * _GS0 * (q0 + _GS0 * (q1 + _GS0 * (q2 + _GS0 * q3)))
+        b1 = beta + hs * _GS1 * (q0 + _GS1 * (q1 + _GS1 * (q2 + _GS1 * q3)))
+        b2 = beta + hs * _GS2 * (q0 + _GS2 * (q1 + _GS2 * (q2 + _GS2 * q3)))
+        b3 = beta + hs * _GS3 * (q0 + _GS3 * (q1 + _GS3 * (q2 + _GS3 * q3)))
+        b4 = beta + hs * _GS4 * (q0 + _GS4 * (q1 + _GS4 * (q2 + _GS4 * q3)))
+        append_diss(hs * (_GW0 * b0 * b0 / (r + _GS0 * hs)
+                          + _GW1 * b1 * b1 / (r + _GS1 * hs)
+                          + _GW2 * b2 * b2 / (r + _GS2 * hs)
+                          + _GW3 * b3 * b3 / (r + _GS3 * hs)
+                          + _GW4 * b4 * b4 / (r + _GS4 * hs)))
         if radius1 < origin_radius:
             term = Termination.ORIGIN_REACHED
             break

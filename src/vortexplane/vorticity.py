@@ -15,8 +15,8 @@ certified constants used by the solvers and checks:
     c, nu     ring bound: -c/R^nu <= psi*g(psi)/R^2 <= (1+c)/R^nu for |psi|<=R
 
 All scalar callables accept and return plain floats; the *_arr variants
-are vectorized over numpy arrays and exist for grid-based solvers.  g and
-F reject NaN and +-inf.  F is exact for the constantin and power-law
+are vectorized over numpy arrays and exist for grid-based solvers.  f, g
+and F reject NaN and +-inf.  F is exact for the constantin and power-law
 families and a fixed Gauss-Legendre rule for the modulated one.
 """
 
@@ -36,6 +36,8 @@ from .search import bisect_root
 # (3 - 2*sqrt(2)) / (4 + 3*sqrt(2)); the rounded figure 0.02 that gets
 # quoted for convenience is strictly below this value
 C2_UPPER_BOUND = (3.0 - 2.0 * math.sqrt(2.0)) / (4.0 + 3.0 * math.sqrt(2.0))
+
+_INF = math.inf
 
 # 12-point Gauss-Legendre on [0, 1], nodes and weights correctly rounded
 _GL_S = (0.009219682876640375, 0.04794137181476257, 0.11504866290284765,
@@ -82,11 +84,13 @@ class VorticityModel:
 
 
 def _at_zero(u: float) -> float:
-    """Value of an odd f at an input that is neither > 0 nor < 0:
-    0.0 at (signed) zero; NaN is rejected, not taken for an equilibrium."""
+    """Value of an odd f at an input that is neither finite > 0 nor finite
+    < 0: 0.0 at (signed) zero; NaN and +-inf are rejected, not taken for an
+    equilibrium."""
     if u == 0.0:
         return 0.0
-    raise ParameterDomainError(f"model input must be a number, got {u!r}")
+    raise ParameterDomainError(
+        f"model input must be a finite number, got {u!r}")
 
 
 def _finite(u: float) -> float:
@@ -100,9 +104,9 @@ def constantin_model() -> VorticityModel:
     """f(u) = u - sign(u) sqrt(|u|), the square-root vorticity profile."""
 
     def f(u: float) -> float:
-        if u > 0.0:
+        if 0.0 < u < _INF:
             return u - math.sqrt(u)
-        if u < 0.0:
+        if -_INF < u < 0.0:
             return u + math.sqrt(-u)
         return _at_zero(u)
 
@@ -152,10 +156,16 @@ def example_model(c2: float) -> VorticityModel:
         return 1.0 + c1 - math.sin(c2 * uu / (uu + 1.0))
 
     def f(u: float) -> float:
-        if u == 0.0:
-            return 0.0
-        s = math.sqrt(abs(u)) * modulation(u)
-        return u - s if u > 0.0 else u + s
+        # modulation(u) inlined: f runs six times per stepper step
+        if 0.0 < u < _INF:
+            uu = u * u
+            return u - math.sqrt(u) * (1.0 + c1
+                                       - math.sin(c2 * uu / (uu + 1.0)))
+        if -_INF < u < 0.0:
+            uu = u * u
+            return u + math.sqrt(-u) * (1.0 + c1
+                                        - math.sin(c2 * uu / (uu + 1.0)))
+        return _at_zero(u)
 
     def g(u: float) -> float:
         if _finite(u) == 0.0:
@@ -237,9 +247,9 @@ def power_law_model(alpha: float) -> VorticityModel:
     eta = 28.0 / 9.0
 
     def f(u: float) -> float:
-        if u > 0.0:
+        if 0.0 < u < _INF:
             return u - u ** alpha
-        if u < 0.0:
+        if -_INF < u < 0.0:
             return u + (-u) ** alpha
         return _at_zero(u)
 

@@ -360,6 +360,97 @@ def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
         assert floor <= rad
 
 
+# --------------------------------------------- inlined per-step helpers
+#
+# An accepted step calls no Python function but f and F: the core carries
+# inlined copies of _hull_floor, of _hermite_radius on the 11-point grid and
+# of the full-step _dissipation.  The tracer below holds all three to their
+# references bit for bit on every step that forms them; the full-step
+# dissipation is pinned by the dissipation sha256s of _PINNED as well.
+
+def _core_lines(text):
+    """Source line numbers of the lines of _integrate_core holding text."""
+    lines, first = inspect.getsourcelines(integrator._integrate_core)
+    return [first + k for k, line in enumerate(lines) if text in line]
+
+
+@pytest.mark.parametrize("stop", [False, True])
+@pytest.mark.parametrize("name", ["constantin", "example", "powerlaw"])
+def test_inlined_helpers_match_references(models, name, stop):
+    # a line event fires before its line runs: at the floor test floor is
+    # this step's, at the argmin the grid is, and after the dissipation
+    # append the last dissipation is
+    [at_floor] = _core_lines("if not floor >= max(min_radius, origin_radius)")
+    [at_grid] = _core_lines("cand_rad = min(rgrid)")
+    [at_diss] = _core_lines("if radius1 < origin_radius:")
+    checked = {at_floor: 0, at_grid: 0, at_diss: 0}
+
+    def bits(values):
+        return [v.hex() for v in values]
+
+    def local_trace(frame, event, arg):
+        if event == "line" and frame.f_lineno in checked:
+            v = frame.f_locals
+            seg = tuple(v[k] for k in ("psi", "beta", "psi1", "beta1", "k1p",
+                                       "k1b", "k7p", "k7b", "hs"))
+            if frame.f_lineno == at_floor:
+                assert v["floor"].hex() == _hull_floor(*seg).hex()
+            elif frame.f_lineno == at_grid:
+                assert bits(v["rgrid"]) == bits(
+                    [_hermite_radius(k / 10, *seg) for k in range(11)])
+            else:
+                assert v["diss"][-1].hex() == integrator._dissipation(
+                    v["r"], v["hs"], v["beta"], v["q0"], v["q1"], v["q2"],
+                    v["q3"], 1.0).hex()
+            checked[frame.f_lineno] += 1
+        return local_trace
+
+    def trace(frame, event, arg):
+        if frame.f_code is integrator._integrate_core.__code__:
+            return local_trace
+        return None
+
+    sys.settrace(trace)
+    try:
+        integrate(models[name], 10.0, IntegrationConfig(
+            r_max=100.0, stop_at_zero_energy=stop))
+    finally:
+        sys.settrace(None)
+    assert min(checked.values()) > 0, checked
+
+
+def test_no_per_step_helper_calls(constantin):
+    # a setprofile guard: _dissipation runs once, for the cut step,
+    # _hull_floor never runs, _hermite_radius runs only inside golden_min,
+    # and no Python function but f, F and the grid's comprehension is called
+    # from the core on more than a few steps
+    from_core, radius_callers = {}, set()
+    core = integrator._integrate_core.__code__
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if frame.f_back.f_code is core:
+            from_core[code.co_name] = from_core.get(code.co_name, 0) + 1
+        if code is _hermite_radius.__code__:
+            radius_callers.add(frame.f_back.f_back.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        traj = integrate(constantin, 10.0, IntegrationConfig(
+            r_max=100.0, stop_at_zero_energy=True))
+    finally:
+        sys.setprofile(None)
+    assert traj.termination is Termination.EVENT
+    assert from_core["_dissipation"] == 1
+    assert "_hull_floor" not in from_core
+    assert radius_callers == {"golden_min"}
+    # the comprehension is a call of its own only before Python 3.12
+    busy = {name for name, n in from_core.items() if n > 100}
+    assert {"f", "F"} <= busy <= {"f", "F", "<listcomp>"}
+
+
 # ------------------------------------------------- deferred radius searches
 #
 # A search for the step's radius minimum that cannot capture waits until a
@@ -419,9 +510,7 @@ def test_every_search_site_fires(shot_sweep):
     # a step with room for a capture searching at once, and the end of the
     # run; the grid gate settles both where a grid minimum falls inside the
     # pending interval and where the step could capture
-    lines, first = inspect.getsourcelines(integrator._integrate_core)
-    sites = [first + k for k, line in enumerate(lines)
-             if "_radius_search(" in line]
+    sites = _core_lines("_radius_search(")
     assert len(sites) == 3
     fired = set(shot_sweep[1])
     assert {line for line, _ in fired} == set(sites)
