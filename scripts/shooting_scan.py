@@ -32,9 +32,10 @@ def main() -> None:
               f"{rec.min_radius:12.6f}")
         a += args.step
 
-    a_lo, a_hi, _ = scan_for_bracket(model, args.lo, args.hi, args.step)
+    a_lo, a_hi, scanned = scan_for_bracket(model, args.lo, args.hi, args.step)
     print(f"\nbracket: [{a_lo:g}, {a_hi:g}]")
-    result = shoot_for_origin(model, a_lo, a_hi, tol=args.tol)
+    result = shoot_for_origin(model, a_lo, a_hi, tol=args.tol,
+                              ends=(scanned[-2], scanned[-1]))
     print(f"critical amplitude a* = {result.a_star:.10f}")
     print(f"closest approach to the origin: R = "
           f"{result.min_radius_achieved:.6e}")

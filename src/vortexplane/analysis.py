@@ -8,7 +8,6 @@ the same stored points give identical diagnostics.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -20,7 +19,7 @@ from .errors import (HypothesisViolationError, NoBracketError,
 from .fixedpoint import check_start_value
 from .integrator import IntegrationConfig, Termination, Trajectory, integrate
 from .phaseplane import TWO_PI
-from .search import bisect_root, golden_min
+from .search import bisect_root
 from .vorticity import VorticityModel
 
 _BISECTIONS = 60
@@ -59,38 +58,6 @@ def _first_crossing(traj: Trajectory, name: str, level: float,
             r_star, s = _refine_crossing(traj, name, level, i)
             return r_star, s, i
     return None
-
-
-def refined_min_radius(traj: Trajectory,
-                       r_from: Optional[float] = None) -> Tuple[float, float]:
-    """(r, R) at the closest approach to the origin, combining the node
-    minimum, a golden-section pass on the bracketing segments, and the
-    minimum the stepper tracked inside its own steps."""
-    r_from = traj.r[0] if r_from is None else r_from
-    idx = np.flatnonzero(traj.r >= r_from)
-    if not len(idx):
-        raise ParameterDomainError("r_from beyond the stored range")
-    j = idx[int(np.argmin(traj.radius[idx]))]
-    k0 = max(j - 1, 0)
-    nodes = traj.r[k0:k0 + 4].tolist()
-    lo, hi = nodes[0], float(traj.r[min(j + 1, len(traj.r) - 1)])
-    best_r, best = (float(traj.r[j]), float(traj.radius[j]))
-    if hi > lo:
-        # radius Hermites built once, steps picked as Trajectory.locate does
-        qs = [traj.hermite("radius", i)
-              for i in range(k0, min(k0 + 3, len(traj.r) - 1))]
-
-        def radius(x: float) -> float:
-            i = min(bisect.bisect_right(nodes, x) - 1, len(qs) - 1)
-            h = nodes[i + 1] - nodes[i]
-            return qs[i](0.0 if h == 0.0 else (x - nodes[i]) / h)
-
-        cand_r, cand = golden_min(radius, lo, hi)
-        if cand < best:
-            best_r, best = cand_r, cand
-    if traj.min_radius < best and traj.min_radius_r >= r_from:
-        best_r, best = traj.min_radius_r, traj.min_radius
-    return best_r, best
 
 
 # ------------------------------------------------------------------- rings
@@ -176,7 +143,7 @@ def ring_entry(traj: Trajectory, ring: RingSpec) -> Optional[RingEntry]:
         return None
     r_star, s_star, i = hit
     psi_star, beta_star = _state(traj, i, s_star)
-    min_r, min_rad = refined_min_radius(traj, r_from=r_star)
+    min_r, min_rad = traj.closest_approach(r_from=r_star)
     return RingEntry(r_entry=r_star, psi=psi_star, beta=beta_star,
                      min_radius_after=min_rad, min_radius_r=min_r,
                      liminf_floor=ring.liminf_floor)
@@ -443,18 +410,17 @@ def classify_shot(model: VorticityModel, a: float,
         raise ParameterDomainError(
             f"shot a={a!r} starts at energy F(a) = {start_energy!r} <= 0")
     traj = integrate(model, a, _classification_config(a, rel_tol, model))
-    _, min_rad = refined_min_radius(traj)
     if traj.termination is Termination.ORIGIN_REACHED:
-        return ShotRecord(a=a, outcome="origin", r_stop=float(traj.r[-1]),
-                          min_radius=min_rad)
-    if traj.termination is Termination.EVENT:
-        psi_end = float(traj.psi[-1])
-        return ShotRecord(a=a, outcome="right" if psi_end > 0.0 else "left",
-                          r_stop=float(traj.r[-1]), min_radius=min_rad)
-    raise ToleranceError(
-        f"shot a={a!r} did not resolve within r <= "
-        f"{_classification_config(a, rel_tol, model).r_max!r} "
-        f"(termination {traj.termination.value})")
+        outcome = "origin"
+    elif traj.termination is Termination.EVENT:
+        outcome = "right" if float(traj.psi[-1]) > 0.0 else "left"
+    else:
+        raise ToleranceError(
+            f"shot a={a!r} did not resolve within r <= "
+            f"{_classification_config(a, rel_tol, model).r_max!r} "
+            f"(termination {traj.termination.value})")
+    return ShotRecord(a=a, outcome=outcome, r_stop=float(traj.r[-1]),
+                      min_radius=traj.min_radius)
 
 
 def scan_for_bracket(model: VorticityModel, a_start: float = 2.0,
@@ -478,15 +444,23 @@ def scan_for_bracket(model: VorticityModel, a_start: float = 2.0,
 
 def shoot_for_origin(model: VorticityModel, a_lo: float, a_hi: float,
                      tol: float = 1e-6, rel_tol: float = 1e-9,
-                     max_iter: int = 60) -> ShootingResult:
+                     max_iter: int = 60,
+                     ends: Optional[Tuple[ShotRecord, ShotRecord]] = None
+                     ) -> ShootingResult:
     """Bisect between start values whose orbits fall on opposite sides.
 
     The orbit through the separating start value reaches the origin; the
     bisection squeezes the bracket to width tol and records the closest
-    approach achieved along the way.
+    approach achieved along the way.  ends, the records of a_lo and a_hi at
+    this rel_tol (scan_for_bracket's last two), spares shooting them again.
     """
-    lo = classify_shot(model, a_lo, rel_tol)
-    hi = classify_shot(model, a_hi, rel_tol)
+    if ends is None:
+        ends = (classify_shot(model, a_lo, rel_tol),
+                classify_shot(model, a_hi, rel_tol))
+    lo, hi = ends
+    if (lo.a, hi.a) != (a_lo, a_hi):
+        raise ParameterDomainError(
+            f"ends shot {lo.a!r}, {hi.a!r}, not [{a_lo!r}, {a_hi!r}]")
     history = [lo, hi]
     if lo.outcome == "origin" or hi.outcome == "origin":
         star = lo if lo.outcome == "origin" else hi

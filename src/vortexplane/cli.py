@@ -158,8 +158,7 @@ def _constant_trajectory(model: VorticityModel, a: float,
         model=model, r=rs, psi=np.array([a, a]), beta=np.zeros(2),
         radius=np.array([a, a]), theta=np.zeros(2),
         E=np.array([level, level]), dissipation=np.zeros(1),
-        termination=Termination.REACHED_RMAX,
-        min_radius=a, min_radius_r=0.0)
+        termination=Termination.REACHED_RMAX)
 
 
 # ------------------------------------------------------------- commands
@@ -280,7 +279,8 @@ def cmd_shoot(args: argparse.Namespace) -> int:
     rel, _ = _tolerances(args, 1e-9)
     lo, hi, history = scan_for_bracket(model, a_start=a_lo, a_stop=a_hi,
                                        step=1.0, rel_tol=rel)
-    result = shoot_for_origin(model, lo, hi, tol=1e-6, rel_tol=rel)
+    result = shoot_for_origin(model, lo, hi, tol=1e-6, rel_tol=rel,
+                              ends=(history[-2], history[-1]))
     out = _ensure_out(args)
     payload = {
         "schema_version": SCHEMA_VERSION,

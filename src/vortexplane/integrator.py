@@ -4,18 +4,14 @@ The stepper is an embedded Dormand-Prince 5(4) pair with FSAL, PI step
 control, and two dense representations per accepted step: the order-4
 interpolant of the pair (used to integrate the dissipation density
 beta^2/r with a 5-point Gauss rule) and the cubic Hermite of the stored
-endpoints (used for the zero-energy stop, minimum-radius refinement, and
-all after-the-fact sampling, so results never depend on which steps the
-controller happened to take beyond their endpoints).
+endpoints (used for the zero-energy stop, the origin capture, the closest
+approach and all after-the-fact sampling, so results never depend on which
+steps the controller happened to take beyond their endpoints).
 
-The minimum radius R = hypot(psi, beta) is refined inside a step (an
-11-point scan of the Hermite, then a golden-section search) only when an
-endpoint lies below _R_WATCH and the step's convex-hull bound on R (see
-_hull_floor) does not rule out a value below both the running minimum and
-origin_radius.  A search on a step whose hull floor clears origin_radius
-cannot capture: it waits until a later grid minimum falls between that
-floor and its own grid minimum, a step could capture, or the run ends.  A
-skipped scan or search could not have changed either result.
+In the loop R = hypot(psi, beta) serves only the origin capture: a step
+with an endpoint below _R_WATCH gets its hull bound on R (_hull_floor), and
+only where that lies below origin_radius an 11-point grid and a golden
+search.  Trajectory.closest_approach finds the closest approach afterwards.
 
 The left endpoint r = 0 is singular, so integrate() opens with a short
 Picard series head on [0, r_handoff] computed by the fixed-point solver
@@ -28,8 +24,8 @@ energy E = beta^2/2 + F(psi) first falls through 0, or at an origin capture
 strictly before that.  It forms every row that is not an accepted step's
 end with _row, and returns the Trajectory, reversed into ascending r for a
 backward sweep.  An accepted step calls no Python function but f and F: the
-core inlines _hull_floor, the 11-point grid of _hermite_radius and the
-full-step _dissipation, each with the same operations in the same order.
+core inlines _hull_floor and the full-step _dissipation, each with the
+same operations in the same order.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -159,17 +156,14 @@ def _hermite_radius(s: float, psi: float, beta: float, psi1: float,
                       w0 * beta + w1 * k1b + w2 * beta1 + w3 * k7b)
 
 
-# _hermite_radius's weights at s = k/10, k = 0..10, formed by its own
-# operations; the second and fourth still lack the factor h
-_GRID_W = tuple(((1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2,
-                 s * s * (3.0 - 2.0 * s), s * s * (s - 1.0))
-                for s in [k / 10.0 for k in range(11)])
+# steps per block of Trajectory.closest_approach
+_BLOCK = 4096
 
 
-def _hull_floor(psi: float, beta: float, psi1: float, beta1: float,
-                k1p: float, k1b: float, k7p: float, k7b: float,
-                h: float) -> float:
-    """Lower bound on _hermite_radius over s in [0, 1] for one step.
+def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, h,
+                hypot=np.hypot):
+    """Lower bound on _hermite_radius over s in [0, 1], for one step or for
+    numpy arrays of steps.
 
     The cubic Hermite from P0 = (psi, beta) to P3 = (psi1, beta1) with end
     slopes h*k1 and h*k7 is the Bezier curve with control points P0,
@@ -178,33 +172,41 @@ def _hull_floor(psi: float, beta: float, psi1: float, beta1: float,
     This holds for either sign of h.  The slack, 1e-12 of the control
     points' size (plus 1e-300 for underflow), is orders above the few-ulp
     rounding of this bound and of the radius as _hermite_radius computes it.
+    On floats with hypot=math.hypot it gives the bits of the core's inline
+    copy.
     """
     sx = psi + psi1
     sy = beta + beta1
-    norm = math.hypot(sx, sy)
+    norm = hypot(sx, sy)
     slack = 1e-12 * (abs(psi) + abs(beta) + abs(psi1) + abs(beta1)
                      + abs(h) * (abs(k1p) + abs(k1b) + abs(k7p) + abs(k7b))
                      ) + 1e-300
-    if norm == 0.0:
-        return -slack
-    ux, uy = sx / norm, sy / norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux, uy = np.divide(sx, norm), np.divide(sy, norm)
     h3 = h / 3.0
     c0 = ux * psi + uy * beta
     c3 = ux * psi1 + uy * beta1
-    return min(c0, c0 + h3 * (ux * k1p + uy * k1b),
-               c3 - h3 * (ux * k7p + uy * k7b), c3) - slack
+    floor = np.minimum(np.minimum(c0, c0 + h3 * (ux * k1p + uy * k1b)),
+                       np.minimum(c3 - h3 * (ux * k7p + uy * k7b), c3))
+    return np.where(norm == 0.0, -slack, floor - slack)
 
 
-def _radius_search(r: float, seg: Tuple[float, ...], rgrid: List[float],
-                   j_min: int) -> Tuple[float, float, float]:
-    """(s, R, r at s) of a step's radius minimum: golden_min of
-    _hermite_radius(s, *seg) around the 11-point grid minimum rgrid[j_min]
-    where it is lower, else that grid point; r is the step's left end."""
-    s, rad = golden_min(lambda s: _hermite_radius(s, *seg),
-                        max(0, j_min - 1) / 10.0, min(10, j_min + 1) / 10.0)
-    if not rad < rgrid[j_min]:
-        s, rad = j_min / 10.0, rgrid[j_min]
-    return s, rad, r + s * seg[-1]
+def _radius_grid(seg: Tuple[float, ...], s_lo: float = 0.0) -> List[float]:
+    """_hermite_radius(s, *seg) at s = s_lo + (1 - s_lo) k/10, k = 0..10."""
+    return [_hermite_radius(s_lo + (1.0 - s_lo) * (k / 10.0), *seg)
+            for k in range(11)]
+
+
+def _radius_search(seg: Tuple[float, ...], rgrid: List[float],
+                   s_lo: float = 0.0) -> Tuple[float, float]:
+    """(s, R) of a step's radius minimum: golden_min of
+    _hermite_radius(s, *seg) around the minimum of rgrid, the step's
+    _radius_grid(seg, s_lo), where it is lower, else that grid point."""
+    j = rgrid.index(min(rgrid))
+    lo, mid, hi = (s_lo + (1.0 - s_lo) * (k / 10.0)
+                   for k in (max(0, j - 1), j, min(10, j + 1)))
+    s, rad = golden_min(lambda s: _hermite_radius(s, *seg), lo, hi)
+    return (s, rad) if rad < rgrid[j] else (mid, rgrid[j])
 
 
 def _dissipation(r: float, hs: float, beta: float, q0: float, q1: float,
@@ -236,8 +238,6 @@ class Trajectory:
     E: np.ndarray
     dissipation: np.ndarray
     termination: Termination
-    min_radius: float
-    min_radius_r: float
 
     @property
     def model_id(self) -> str:
@@ -295,6 +295,52 @@ class Trajectory:
         y1, d1 = self.node(name, i + 1)
         return lambda s: _hermite(y0, y1, d0, d1, h, s)
 
+    def closest_approach(self, r_from: Optional[float] = None
+                         ) -> Tuple[float, float]:
+        """(r, R) of the smallest R = hypot(psi, beta) on the Hermite of the
+        stored steps over [r_from, r[-1]], the whole orbit by default.
+
+        One numpy pass in blocks forms each step's _hull_floor from the node
+        slopes of node(); only steps whose floor lies below the smallest node
+        radius get the grid, and _radius_search runs on them in order of grid
+        minimum while a floor is below the best value found."""
+        r, psi, beta, radius = self.r, self.psi, self.beta, self.radius
+        i0, s0 = (0, 0.0) if r_from is None else self.locate(r_from)
+        first = i0 + 1 if s0 > 0.0 else i0
+        k = first + int(np.argmin(radius[first:]))
+        best_r, best = float(r[k]), float(radius[k])
+        cands = []
+        for lo in range(i0, len(r) - 1, _BLOCK):
+            hi = min(lo + _BLOCK, len(r) - 1) + 1
+            rs, ps, bs = r[lo:hi], psi[lo:hi], beta[lo:hi]
+            fp = self.model.f_arr(ps)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                db = np.where(rs == 0.0, -0.5 * fp, -bs / rs - fp)
+            dp = np.where(rs == 0.0, 0.0, bs)
+            cols = (ps[:-1], bs[:-1], ps[1:], bs[1:], dp[:-1], db[:-1],
+                    dp[1:], db[1:], np.diff(rs))
+            floor = _hull_floor(*cols)
+            for j in np.flatnonzero(floor < best).tolist():
+                seg = tuple(float(c[j]) for c in cols)
+                s_lo = s0 if lo + j == i0 else 0.0
+                grid = _radius_grid(seg, s_lo)
+                cands.append((min(grid), float(floor[j]), lo + j, s_lo, grid,
+                              seg))
+        for _, floor, i, s_lo, grid, seg in sorted(cands, key=lambda c: c[0]):
+            if floor < best:
+                s, rad = _radius_search(seg, grid, s_lo)
+                if rad < best:
+                    best_r, best = float(r[i]) + s * seg[-1], rad
+        r_lo = float(r[0] if r_from is None else r_from)
+        return min(max(best_r, r_lo), float(r[-1])), best
+
+    @cached_property
+    def _closest(self) -> Tuple[float, float]:
+        return self.closest_approach()
+
+    min_radius = property(lambda self: self._closest[1])
+    min_radius_r = property(lambda self: self._closest[0])
+
     def to_csv(self, fh) -> None:
         fh.write("r,psi,beta,R,theta,E\n")
         cols = (self.r, self.psi, self.beta, self.radius, self.theta, self.E)
@@ -350,13 +396,11 @@ def _row(model: VorticityModel, r: float, psi: float, beta: float,
 def _integrate_core(model: VorticityModel, r_target: float,
                     direction: float, config: IntegrationConfig,
                     rows: List[Tuple[float, float, float, float, float, float]],
-                    diss: List[float],
-                    head_min: Optional[Tuple[float, float]]) -> Trajectory:
+                    diss: List[float]) -> Trajectory:
     """March from the state in rows[-1] toward r_target and return the orbit.
 
     rows and diss (one interval fewer) are the orbit so far, the start row
-    alone or a Picard head; head_min is the (R, r) of the smallest R on a
-    head, None for a start row.  The core extends both lists in integration
+    alone or a Picard head.  The core extends both lists in integration
     order and reverses them for a backward run.  A start already inside
     origin_radius is captured before the first step.
     """
@@ -368,7 +412,6 @@ def _integrate_core(model: VorticityModel, r_target: float,
     # e0 is the stored E at the step's left end: the zero-energy stop
     # compares it with the right end's stored E
     r, psi, beta, radius0, theta, e0 = rows[-1]
-    min_radius, min_radius_r = head_min or (radius0, r)
     span = abs(r_target - r)
     if span <= 0.0:
         raise ParameterDomainError("empty integration range")
@@ -377,11 +420,14 @@ def _integrate_core(model: VorticityModel, r_target: float,
     origin_radius = config.origin_radius
     stop = config.stop_at_zero_energy
     term = Termination.ORIGIN_REACHED if radius0 < origin_radius else None
-    pending = pending_floor = None
     facold = 1e-4
     nsteps = 0
+    # max, min and abs as comparisons that pick the same operand (max(a, b)
+    # is b only where b > a); an absolute value may come out as -0.0 where
+    # it only adds to a positive term; r > 0 and h > 0 on every sweep
+    apsi, abeta = abs(psi), abs(beta)
     while term is None:
-        if nsteps >= config.max_steps or h < 1e-14 * max(1.0, abs(r)):
+        if nsteps >= config.max_steps or h < 1e-14 * (r if r > 1.0 else 1.0):
             term = Termination.STEP_FAILURE
             break
         last = False
@@ -423,16 +469,21 @@ def _integrate_core(model: VorticityModel, r_target: float,
                    + _E7 * k7p)
         eb = hs * (_E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b
                    + _E7 * k7b)
-        sc_p = atol + rtol * max(abs(psi), abs(psi1))
-        sc_b = atol + rtol * max(abs(beta), abs(beta1))
+        ap1 = psi1 if psi1 >= 0.0 else -psi1
+        ab1 = beta1 if beta1 >= 0.0 else -beta1
+        sc_p = atol + rtol * (ap1 if ap1 > apsi else apsi)
+        sc_b = atol + rtol * (ab1 if ab1 > abeta else abeta)
         err = math.sqrt(0.5 * ((ep / sc_p) ** 2 + (eb / sc_b) ** 2))
         if err > 1.0:
-            h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
+            # min(1.0, max(0.1, fac)) with fac < 0.9
+            fac = 0.9 * err ** -0.2
+            h *= fac if fac > 0.1 else 0.1
             continue
 
         theta1 = atan2(beta1, psi1)
         theta1 += TWO_PI * round((theta - theta1) / TWO_PI)
-        if abs(theta1 - theta) >= _THETA_STEP_CAP:
+        dtheta = theta1 - theta
+        if dtheta >= _THETA_STEP_CAP or dtheta <= -_THETA_STEP_CAP:
             # one step must never wrap the phase by anything close to a
             # half turn, or angle bookkeeping becomes ambiguous
             h *= 0.5
@@ -448,19 +499,20 @@ def _integrate_core(model: VorticityModel, r_target: float,
         q3 = (_P03 * k1b + _P23 * k3b + _P33 * k4b + _P43 * k5b + _P53 * k6b
               + _P63 * k7b)
 
-        # radius minimum, refined only where the hull bound leaves room (see
-        # the module docstring); a deferred search waits in pending with its
-        # result known to lie in [pending_floor, min_radius]
+        # origin capture inside the step (see the module docstring)
         radius1, origin_s = hypot(psi1, beta1), None
-        if min(radius0, radius1) < _R_WATCH:
+        if radius0 < _R_WATCH or radius1 < _R_WATCH:
             # _hull_floor(*seg) inlined, same operations and order: the step's
             # Hermite is the Bezier curve on P0, P0 + hs k1/3, P3 - hs k7/3,
             # P3, so R >= u.P >= min_i u.P_i for u along P0 + P3, less slack
             sx, sy = psi + psi1, beta + beta1
             norm = hypot(sx, sy)
-            slack = 1e-12 * (abs(psi) + abs(beta) + abs(psi1) + abs(beta1)
-                             + abs(hs) * (abs(k1p) + abs(k1b) + abs(k7p)
-                                          + abs(k7b))) + 1e-300
+            slack = 1e-12 * (apsi + abeta + ap1 + ab1
+                             + h * ((k1p if k1p >= 0.0 else -k1p)
+                                    + (k1b if k1b >= 0.0 else -k1b)
+                                    + (k7p if k7p >= 0.0 else -k7p)
+                                    + (k7b if k7b >= 0.0 else -k7b))
+                             ) + 1e-300
             if norm == 0.0:
                 floor = -slack
             else:
@@ -470,62 +522,31 @@ def _integrate_core(model: VorticityModel, r_target: float,
                 c3 = ux * psi1 + uy * beta1
                 floor = min(c0, c0 + h3 * (ux * k1p + uy * k1b),
                             c3 - h3 * (ux * k7p + uy * k7b), c3) - slack
-            if not floor >= max(min_radius, origin_radius):
-                # _hermite_radius(k / 10, *seg) for k = 0..10: w1*hs and
-                # w3*hs are its (s*t2)*h and (s2*(s-1))*h
-                rgrid = [hypot(w0 * psi + w1 * hs * k1p + w2 * psi1
-                               + w3 * hs * k7p,
-                               w0 * beta + w1 * hs * k1b + w2 * beta1
-                               + w3 * hs * k7b)
-                         for w0, w1, w2, w3 in _GRID_W]
-                cand_rad = min(rgrid)
-                j_min = rgrid.index(cand_rad)
-                if pending is not None and (
-                        not floor >= origin_radius
-                        or pending_floor <= cand_rad < min_radius):
-                    _, min_radius, min_radius_r = _radius_search(*pending)
-                    pending = None
-                if cand_rad < min_radius or cand_rad < origin_radius:
-                    search = (r, (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b,
-                                  hs), rgrid, j_min)
-                    if floor >= origin_radius:
-                        pending, pending_floor = search, floor
-                        min_radius = cand_rad
-                    else:
-                        cand_s, cand_rad, cand_r = _radius_search(*search)
-                        if cand_rad < min_radius:
-                            min_radius, min_radius_r = cand_rad, cand_r
-                        if cand_rad < origin_radius:
-                            origin_s = cand_s
-        # radius1, the s = 1 grid value, never undercuts a pending min_radius:
-        # it is >= this step's grid minimum or hull floor, or >= _R_WATCH
-        if radius1 < min_radius:
-            min_radius, min_radius_r = radius1, r1
+            if not floor >= origin_radius:
+                seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
+                cand_s, cand_rad = _radius_search(seg, _radius_grid(seg))
+                if cand_rad < origin_radius:
+                    origin_s = cand_s
 
         # the zero-energy stop: the first falling sign change of E on an
         # 11-point grid of the Hermite, then bisection
         e1 = 0.5 * beta1 * beta1 + F(psi1)
         s_cut = None
         if stop and e0 > 0.0 >= e1:
-            def state_dense(s: float) -> Tuple[float, float]:
-                return (_hermite(psi, psi1, k1p, k7p, hs, s),
-                        _hermite(beta, beta1, k1b, k7b, hs, s))
+            def e_at(s: float) -> float:
+                pm = _hermite(psi, psi1, k1p, k7p, hs, s)
+                bm = _hermite(beta, beta1, k1b, k7b, hs, s)
+                return 0.5 * bm * bm + F(pm)
 
-            ev = []
-            for k in range(11):
-                ps, bs = state_dense(k / 10.0)
-                ev.append((k / 10.0, 0.5 * bs * bs + F(ps)))
-            for (sa, ea), (sb, eb) in zip(ev, ev[1:]):
-                if ea > 0.0 >= eb:
-                    def e_of(s: float) -> float:
-                        # an exact zero sides with the far end: the root
-                        # is the near edge of E's zero set
-                        pm, bm = state_dense(s)
-                        em = 0.5 * bm * bm + F(pm)
-                        return em if em != 0.0 else -ea
-
+            ev = [e_at(k / 10.0) for k in range(11)]
+            for k in range(10):
+                ea = ev[k]
+                if ea > 0.0 >= ev[k + 1]:
+                    # an exact zero sides with the far end: the root is the
+                    # near edge of E's zero set
                     term = Termination.EVENT
-                    s_cut = bisect_root(e_of, sa, sb, ea, _STOP_BISECTIONS)
+                    s_cut = bisect_root(lambda s: e_at(s) or -ea, k / 10.0,
+                                        (k + 1) / 10.0, ea, _STOP_BISECTIONS)
                     break
 
         # the one early end of a step: the zero-energy stop, unless the
@@ -559,15 +580,16 @@ def _integrate_core(model: VorticityModel, r_target: float,
             term = Termination.REACHED_RMAX
             break
         r, psi, beta, theta = r1, psi1, beta1, theta1
+        apsi, abeta = ap1, ab1
         k1p, k1b = k7p, k7b
         radius0, e0 = radius1, e1
-        err = max(err, 1e-10)
+        if 1e-10 > err:
+            err = 1e-10
         fac = 0.9 * err ** -0.17 * facold ** 0.04
-        h *= min(10.0, max(0.2, fac))
+        fac = fac if fac > 0.2 else 0.2
+        h *= fac if fac < 10.0 else 10.0
         facold = err
 
-    if pending is not None:
-        _, min_radius, min_radius_r = _radius_search(*pending)
     if direction < 0.0:
         rows.reverse()
         diss = [-d for d in reversed(diss)]
@@ -577,8 +599,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
         r=arr[:, 0], psi=arr[:, 1], beta=arr[:, 2],
         radius=arr[:, 3], theta=arr[:, 4], E=arr[:, 5],
         dissipation=np.asarray(diss, dtype=float),
-        termination=term,
-        min_radius=float(min_radius), min_radius_r=float(min_radius_r))
+        termination=term)
 
 
 def series_start(model: VorticityModel, a: float,
@@ -618,10 +639,7 @@ def integrate(model: VorticityModel, a: float,
                          float(betas[j]), theta))
         theta = rows[-1][4]
     diss = [float(cum[j1] - cum[j0]) for j0, j1 in zip(idx[:-1], idx[1:])]
-    head_radius = np.hypot(psis, betas)
-    k = int(np.argmin(head_radius))
-    return _integrate_core(model, config.r_max, 1.0, config, rows, diss,
-                           (float(head_radius[k]), float(rs[k])))
+    return _integrate_core(model, config.r_max, 1.0, config, rows, diss)
 
 
 def integrate_from(model: VorticityModel, r0: float, psi0: float,
@@ -633,7 +651,7 @@ def integrate_from(model: VorticityModel, r0: float, psi0: float,
     if config.r_max <= r0:
         raise ParameterDomainError("r_max must exceed r0")
     return _integrate_core(model, config.r_max, 1.0, config,
-                           [_row(model, r0, psi0, beta0)], [], None)
+                           [_row(model, r0, psi0, beta0)], [])
 
 
 def integrate_backward(model: VorticityModel, T: float, psi_T: float,
@@ -655,4 +673,4 @@ def integrate_backward(model: VorticityModel, T: float, psi_T: float,
     if config is None:
         config = IntegrationConfig(r_max=T)
     return _integrate_core(model, r_end, -1.0, config,
-                           [_row(model, T, psi_T, beta_T)], [], None)
+                           [_row(model, T, psi_T, beta_T)], [])

@@ -300,7 +300,8 @@ def criterion_shooting(cache: RunCache) -> CriterionResult:
     bisection to width 1e-6 drives the closest approach below 0.05."""
     a_lo, a_hi, scan_history = scan_for_bracket(
         cache.constantin, a_start=2.0, a_stop=200.0, step=1.0)
-    result = shoot_for_origin(cache.constantin, a_lo, a_hi, tol=1e-6)
+    result = shoot_for_origin(cache.constantin, a_lo, a_hi, tol=1e-6,
+                              ends=(scan_history[-2], scan_history[-1]))
     return CriterionResult(
         11, "origin shooting",
         result.min_radius_achieved < 0.05,

@@ -23,6 +23,7 @@ families and a fixed Gauss-Legendre rule for the modulated one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -38,6 +39,10 @@ from .search import bisect_root
 C2_UPPER_BOUND = (3.0 - 2.0 * math.sqrt(2.0)) / (4.0 + 3.0 * math.sqrt(2.0))
 
 _INF = math.inf
+# u * u overflows past |u| ~ 1.34e154: the largest double in its place keeps
+# the modulated model's c2 uu / (uu + 1) at its limit c2
+_MAX = sys.float_info.max
+_BIG = 1e154  # the modulated f squares u inline only below this
 
 # 12-point Gauss-Legendre on [0, 1], nodes and weights correctly rounded
 _GL_S = (0.009219682876640375, 0.04794137181476257, 0.11504866290284765,
@@ -152,20 +157,22 @@ def example_model(c2: float) -> VorticityModel:
     c1 = math.sin(0.5 * c2)
 
     def modulation(u: float) -> float:
-        uu = u * u
+        uu = min(u * u, _MAX)
         return 1.0 + c1 - math.sin(c2 * uu / (uu + 1.0))
 
     def f(u: float) -> float:
         # modulation(u) inlined: f runs six times per stepper step
-        if 0.0 < u < _INF:
+        if 0.0 < u < _BIG:
             uu = u * u
             return u - math.sqrt(u) * (1.0 + c1
                                        - math.sin(c2 * uu / (uu + 1.0)))
-        if -_INF < u < 0.0:
+        if -_BIG < u < 0.0:
             uu = u * u
             return u + math.sqrt(-u) * (1.0 + c1
                                         - math.sin(c2 * uu / (uu + 1.0)))
-        return _at_zero(u)
+        # zero, or |u| >= _BIG: u - g(u) is the inline form where u * u is
+        # finite, and g rejects NaN and +-inf
+        return u - g(u) if u else 0.0
 
     def g(u: float) -> float:
         if _finite(u) == 0.0:
@@ -214,15 +221,13 @@ def example_model(c2: float) -> VorticityModel:
             s = p2 + sin_c2 * (2.0 / 3.0) * (x * t - 8.0) + tail(1.0 / t)
         return 0.5 * psi * psi - (1.0 + c1) * (2.0 / 3.0) * x * t + s
 
-    def f_arr(u: np.ndarray) -> np.ndarray:
-        uu = u * u
-        mod = 1.0 + c1 - np.sin(c2 * uu / (uu + 1.0))
-        return u - np.sign(u) * np.sqrt(np.abs(u)) * mod
-
     def g_arr(u: np.ndarray) -> np.ndarray:
-        uu = u * u
+        uu = np.minimum(u * u, _MAX)
         mod = 1.0 + c1 - np.sin(c2 * uu / (uu + 1.0))
         return np.sign(u) * np.sqrt(np.abs(u)) * mod
+
+    def f_arr(u: np.ndarray) -> np.ndarray:
+        return u - g_arr(u)
 
     ledger = ConstantsLedger(
         u0=1.0,

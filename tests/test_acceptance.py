@@ -33,3 +33,20 @@ def test_report_is_canonical_json(acceptance_results):
     assert [c["id"] for c in payload["criteria"]] == list(range(1, 14))
     # canonical form: re-serialization reproduces the exact bytes
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == text
+
+
+def test_pinned_report(acceptance_results):
+    # criteria 8 and 11 report closest approaches found after the run by
+    # Trajectory.closest_approach; with them the report's sha256 went from
+    # 9da20b34... to 13958c7b... (criterion 8's minimum moved in its last
+    # digits, criterion 13's byte count from 4094 to 4097)
+    import hashlib
+
+    c8, c11 = acceptance_results[7].measures, acceptance_results[10].measures
+    assert (repr(c8["min_radius_after"]), repr(c8["min_radius_r"]),
+            repr(c11["min_radius_achieved"])) == (
+        "0.0010521711778573924", "6346.556633259517",
+        "0.00011994385321280488")
+    text = verify.render_report(acceptance_results)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "13958c7bc8b1303bf3daa86bab82d546024bcc6f261b7b29bacbfb66bc7651b0")

@@ -10,7 +10,6 @@ from vortexplane import (HypothesisViolationError, IntegrationConfig,
                          integrate, rate_onset_radius, ring_entry,
                          scan_for_bracket, shoot_for_origin,
                          transversality_check, verify_crossing_bounds)
-from vortexplane.analysis import refined_min_radius
 
 
 def test_ring_spec_floor(constantin, example):
@@ -154,18 +153,47 @@ def test_shooting_frozen(constantin):
     assert isinstance(result.origin_hit, bool)
 
 
+def test_shoot_reuses_scan_ends(constantin, monkeypatch):
+    # the scan's last two records are the bracket ends: passed as ends they
+    # are not shot again, and the result is the same
+    from vortexplane import analysis
+    a_lo, a_hi, history = scan_for_bracket(constantin, 2.0, 6.0, 1.0)
+    fresh = shoot_for_origin(constantin, a_lo, a_hi, tol=1e-3)
+    shots = []
+    classify = analysis.classify_shot
+
+    def counted(model, a, rel_tol=1e-9):
+        shots.append(a)
+        return classify(model, a, rel_tol)
+
+    monkeypatch.setattr(analysis, "classify_shot", counted)
+    ends = (history[-2], history[-1])
+    assert shoot_for_origin(constantin, a_lo, a_hi, tol=1e-3,
+                            ends=ends) == fresh
+    assert len(shots) == len(fresh.history) - 2
+    assert a_lo not in shots and a_hi not in shots
+    with pytest.raises(ParameterDomainError):
+        shoot_for_origin(constantin, a_lo, a_hi, ends=ends[::-1])
+
+
 def test_refined_min_radius(run10):
-    r_at, value = refined_min_radius(run10)
+    r_at, value = run10.closest_approach()
+    assert (r_at, value) == (run10.min_radius_r, run10.min_radius)
     assert value <= float(np.min(run10.radius)) + 1e-12
     assert float(run10.r[0]) <= r_at <= float(run10.r[-1])
     with pytest.raises(ParameterDomainError):
-        refined_min_radius(run10, r_from=2.0 * float(run10.r[-1]))
+        run10.closest_approach(r_from=2.0 * float(run10.r[-1]))
 
 
 # ----------------------------------------------- pinned Hermite refinements
 #
 # Recorded before the Trajectory sampling methods became locate, node and
 # hermite; every refinement that reads the stored orbit must keep its bits.
+# The ring entry's min_radius_r and the closest approach were re-recorded
+# when Trajectory.closest_approach replaced refined_min_radius: the r of
+# the minimum moves in its last digits (1997.300474951147 ->
+# 1997.3004749503928 and 63.8512839798916 -> 63.85128397989159), and the
+# value by one ulp on run10.
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -185,9 +213,9 @@ def test_pinned_refinements(constantin, run10, run100):
     assert repr(verify_crossing_bounds(run100, seq, ring).rate_margin) == (
         "-0.35889049351789964")
     assert _sha(repr(ring_entry(run100, ring))) == (
-        "4e395189cd216efd95c7a4e7e1b938eff263b2e2b185b96a69cab69cf81a3ee9")
+        "996886914e4deae509564afda862b543637291d2f9abed17554efa7ca3a2156f")
     entry = e_region_entry(run10)
     assert (repr(entry.r_cross), repr(entry.psi), repr(entry.beta)) == (
         "60.41671440543745", "-1.284439148011889", "0.5395760744339216")
-    assert repr(refined_min_radius(run10)) == (
-        "(63.8512839798916, 0.06577227565651608)")
+    assert repr(run10.closest_approach()) == (
+        "(63.85128397989159, 0.06577227565651607)")

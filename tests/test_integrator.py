@@ -15,6 +15,7 @@ from vortexplane import (IntegrationConfig, ParameterDomainError, Termination,
                          classify_shot, integrate, integrate_backward,
                          integrate_from)
 from vortexplane import integrator
+from vortexplane.analysis import _classification_config
 from vortexplane.integrator import _hermite, _hermite_radius, _hull_floor
 
 
@@ -164,11 +165,14 @@ def test_min_radius_tracks_dense_minimum(run10):
 #
 # Digests of outputs the stepper produced before the minimum-radius scan was
 # gated and event values were carried across steps; both changes must leave
-# every byte of them unchanged.  The example model's CSV digest and shot
-# radii were re-recorded when its potential moved from adaptive Simpson to
-# Gauss-Legendre: only the E column (by at most 2.1e-9) and the energy-event
-# radii r_stop moved; r, psi, beta, R, theta, the dissipation and every
-# min_radius kept their bits.
+# every byte of the rows, the dissipation and the termination unchanged.
+# The example model's CSV digest and shot radii were re-recorded when its
+# potential moved from adaptive Simpson to Gauss-Legendre: only the E column
+# (by at most 2.1e-9) and the energy-event radii r_stop moved.  The
+# min_radius reprs were re-recorded when the closest approach moved out of
+# the stepper into Trajectory.closest_approach: it reads the Hermite of the
+# stored steps, whose widths r[i+1] - r[i] need not equal the stepper's h
+# bit for bit, and a cut step's stored Hermite is not the uncut one.
 
 def _digest(traj):
     buf = io.StringIO()
@@ -183,19 +187,19 @@ _PINNED = {
     "run10": (
         "6a98d9efc3a314cf3a567dc60eaf42fd10310ecd76ebcee578ed1a1583b4a558",
         "a20e9093b4117fc3b630fd65f20545de270725ea1fbfc14bf975d84de9899dbf",
-        "0.06577227565651608", "63.8512839798916", "reached_rmax"),
+        "0.06577227565651607", "63.85128397989159", "reached_rmax"),
     "run100": (
         "5a577bdf0471d2b3f6e78ffdff8ab72e52a74be89189c3cb234c233ced7d223b",
         "ad7e6648bd56a00f5da0e3f0a50f55210f00fc34a2d50e49ad647ab35c974465",
-        "0.995969163374149", "1997.300474950334", "reached_rmax"),
+        "0.9959691633741489", "1997.3004749503928", "reached_rmax"),
     "example": (
         "f2eb58e5a9e0e61f3aadc755530c1d1ae41ec7c4de554dc2d2926d3e17ca8d05",
         "746d7069602056a915903217aa5fcf7f405b4170ad38660217f1977e6d89e8e7",
-        "0.06737836331839314", "63.432438635376435", "reached_rmax"),
+        "0.06737836331839314", "63.43243863536576", "reached_rmax"),
     "powerlaw": (
         "0de206f2588e3b6937c889778f28d9c2d6354bc97281197c9d3dae4954925bc4",
         "d7865f96111275f1f7c1c7f11a5c18b6c66e17a28078c4bfff7b369a303d06d3",
-        "0.05313947157723094", "48.29382933478975", "reached_rmax"),
+        "0.05313947157723093", "48.29382933788288", "reached_rmax"),
 }
 
 
@@ -291,17 +295,17 @@ def test_start_inside_origin_radius_is_captured(constantin, psi0, beta0):
 
 _PINNED_SHOTS = {
     "constantin": (
-        ("right", "1.872941358853622", "1.5744175127498072"),
-        ("right", "5.509184527907573", "0.07599863651251797"),
+        ("right", "1.872941358853622", "1.606888590162289"),
+        ("right", "5.509184527907573", "0.07956817120825264"),
         ("left", "9.062981806555173", "0.7221556932685982")),
     "example": (
-        ("right", "1.8562727194449589", "1.6061066022181696"),
-        ("right", "5.353506304956302", "0.09484050108003653"),
+        ("right", "1.8562727194449589", "1.6087594061005037"),
+        ("right", "5.353506304956302", "0.10165397983964845"),
         ("left", "8.995646242982131", "0.7268545776473241")),
     "powerlaw": (
-        ("right", "1.3038633608090473", "1.7491034065800555"),
-        ("right", "3.422670763957496", "0.7020878023744376"),
-        ("left", "5.92111885349081", "0.7763302209533605")),
+        ("right", "1.3038633608090473", "1.7514083861504457"),
+        ("right", "3.422670763957496", "0.7523587292365531"),
+        ("left", "5.92111885349081", "0.7763302209537044")),
 }
 
 
@@ -314,6 +318,97 @@ def test_pinned_shots(request, name):
         assert rec.a == a
         got.append((rec.outcome, repr(rec.r_stop), repr(rec.min_radius)))
     assert tuple(got) == _PINNED_SHOTS[name]
+
+
+# Rows-only digests, recorded before the closest approach left the stepper:
+# the step sequence never read it, so every run keeps these bits.
+
+def _rows(traj):
+    """sha256 of what the step sequence decides: the six stored columns
+    (which fix the CSV), the dissipation and the termination."""
+    digest = hashlib.sha256()
+    for col in (traj.r, traj.psi, traj.beta, traj.radius, traj.theta,
+                traj.E, traj.dissipation):
+        digest.update(col.tobytes())
+    digest.update(traj.termination.value.encode())
+    return digest.hexdigest()
+
+
+def _shot(name, a):
+    return lambda m: integrate(m[name], a,
+                               _classification_config(a, 1e-9, m[name]))
+
+
+_ROW_RUNS = {
+    "example": lambda m: integrate(m["example"], 10.0,
+                                   IntegrationConfig(r_max=100.0)),
+    "powerlaw": lambda m: integrate(m["powerlaw"], 10.0,
+                                    IntegrationConfig(r_max=100.0)),
+    "capture": lambda m: integrate(m["constantin"], 10.0, IntegrationConfig(
+        r_max=100.0, origin_radius=0.1)),
+    "capture_stop": lambda m: integrate(m["constantin"], 10.0,
+                                        IntegrationConfig(
+                                            r_max=100.0, origin_radius=0.1,
+                                            stop_at_zero_energy=True)),
+    "in_step_0.001": lambda m: integrate_from(
+        m["constantin"], 5.0, 1.0, -2.0,
+        IntegrationConfig(r_max=35.0, rel_tol=1e-3, origin_radius=0.5)),
+    "in_step_1e-06": lambda m: integrate_from(
+        m["constantin"], 5.0, 1.0, -2.0,
+        IntegrationConfig(r_max=35.0, rel_tol=1e-6, origin_radius=0.5)),
+    "backward": lambda m: integrate_backward(m["constantin"], 6.0, 1.5, 0.2),
+}
+_ROW_RUNS.update({f"shot_{name}_{a:g}": _shot(name, a)
+                  for name in ("constantin", "example", "powerlaw")
+                  for a in (2.0, 3.0, 4.0)})
+
+_ROWS = {
+    "run10":
+        "2de3b96b4be45a77bd9a990d849d1e46a69bbf9028974de02c5f61c04096867c",
+    "run100":
+        "b8a7d7937d25b4ec6640565b379a0735c6e8d131bce26397b3745c72798f453a",
+    "example":
+        "78a8f710b2b515d0828cc13cae16ef23c326b4033fc1620f45a8ba4984553ac7",
+    "powerlaw":
+        "07a0fbe4aff6a4e63e5c3d7efb4520728e25cc98741fd83b43dc357361ecff2a",
+    "capture":
+        "074cb4bbde42bb77db3c0de893e477d779109c3cc3ebc81a2983fded6e643002",
+    "capture_stop":
+        "0f22b76c5650b24bee502834e8b594666a122b6695e429738665bfdf5d68d9d6",
+    "in_step_0.001":
+        "3c912995281a6fb04a36ca748c94481739f040d9c698bd843f791fe49aa48183",
+    "in_step_1e-06":
+        "06a78a499569a6dab079a751509f4f524acd4d69a0aaa66f7171efd0c2747463",
+    "backward":
+        "c69ae2db647056544ef1b4506efd2fe2017ec79f45d6f66c5916a583af89a768",
+    "shot_constantin_2":
+        "4c5c28223f9c3de7c356081322d2a7ff2fc53152d904091f0385af4e52239a92",
+    "shot_constantin_3":
+        "bc7b65fa118ff89cc8f103d516d8440dcb6882109d4df5b13afe3a5cd6feec77",
+    "shot_constantin_4":
+        "b7fff16502d7b252fec9a02117bb4a53d4ddde5a4cf30c8c2d8a96d2b3facf4a",
+    "shot_example_2":
+        "fdcfe645f924323d44e4f265a45e162f5668064ea870a5346586d53be5af1fde",
+    "shot_example_3":
+        "ce1fa94b2203b4fc56747b89e99425d4b4b88ce989e92005dfbce27c5ca8233d",
+    "shot_example_4":
+        "903faa9e41bbbeed3440a661c78d36677448f9fd16e4919db3921f30802b3ff3",
+    "shot_powerlaw_2":
+        "a42fb778db3a198873dea7a3b728449e3597300297de66873d66b7a1f136cf05",
+    "shot_powerlaw_3":
+        "1e99bda2a2863ec3acac47406e829cb0e4eb03ddcc7a2f782283781b8af600ad",
+    "shot_powerlaw_4":
+        "1b1e84db78f4d1a774e1a96f8d41a651b639beb6d87a64b2895e28761d8ff33c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROWS))
+def test_rows_unchanged(request, models, name):
+    if name in _ROW_RUNS:
+        traj = _ROW_RUNS[name](models)
+    else:
+        traj = request.getfixturevalue(name)
+    assert _rows(traj) == _ROWS[name]
 
 
 def test_event_fn_called_once_per_accepted_step(constantin):
@@ -350,7 +445,10 @@ _step = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda h: h != 0.0)
 @given(_state, _state, _state, _state, _slope, _slope, _slope, _slope, _step)
 def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
                                           k7p, k7b, hs):
-    floor = _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
+    seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
+    # the core's copy on floats, and the closest-approach pass on arrays
+    floor = max(float(_hull_floor(*seg, hypot=math.hypot)),
+                float(_hull_floor(*(np.array([v]) for v in seg))[0]))
     for k in range(101):
         s = k / 100.0
         rad = math.hypot(_hermite(psi, psi1, k1p, k7p, hs, s),
@@ -363,10 +461,12 @@ def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
 # --------------------------------------------- inlined per-step helpers
 #
 # An accepted step calls no Python function but f and F: the core carries
-# inlined copies of _hull_floor, of _hermite_radius on the 11-point grid and
-# of the full-step _dissipation.  The tracer below holds all three to their
-# references bit for bit on every step that forms them; the full-step
-# dissipation is pinned by the dissipation sha256s of _PINNED as well.
+# inlined copies of _hull_floor and of the full-step _dissipation.  The
+# tracer below holds both to their references bit for bit on every step
+# that forms them; the full-step dissipation is pinned by the dissipation
+# sha256s of _PINNED as well.  The capture gate's grid and search run only
+# where the hull floor lies below origin_radius, so these runs take
+# origin_radius 0.3, which the orbits reach at r = 34 to 54.
 
 def _core_lines(text):
     """Source line numbers of the lines of _integrate_core holding text."""
@@ -377,16 +477,11 @@ def _core_lines(text):
 @pytest.mark.parametrize("stop", [False, True])
 @pytest.mark.parametrize("name", ["constantin", "example", "powerlaw"])
 def test_inlined_helpers_match_references(models, name, stop):
-    # a line event fires before its line runs: at the floor test floor is
-    # this step's, at the argmin the grid is, and after the dissipation
-    # append the last dissipation is
-    [at_floor] = _core_lines("if not floor >= max(min_radius, origin_radius)")
-    [at_grid] = _core_lines("cand_rad = min(rgrid)")
+    # a line event fires before its line runs: at the capture gate floor is
+    # this step's, and after the dissipation append the last dissipation is
+    [at_floor] = _core_lines("if not floor >= origin_radius:")
     [at_diss] = _core_lines("if radius1 < origin_radius:")
-    checked = {at_floor: 0, at_grid: 0, at_diss: 0}
-
-    def bits(values):
-        return [v.hex() for v in values]
+    checked = {at_floor: 0, at_diss: 0}
 
     def local_trace(frame, event, arg):
         if event == "line" and frame.f_lineno in checked:
@@ -394,10 +489,8 @@ def test_inlined_helpers_match_references(models, name, stop):
             seg = tuple(v[k] for k in ("psi", "beta", "psi1", "beta1", "k1p",
                                        "k1b", "k7p", "k7b", "hs"))
             if frame.f_lineno == at_floor:
-                assert v["floor"].hex() == _hull_floor(*seg).hex()
-            elif frame.f_lineno == at_grid:
-                assert bits(v["rgrid"]) == bits(
-                    [_hermite_radius(k / 10, *seg) for k in range(11)])
+                assert v["floor"].hex() == float(
+                    _hull_floor(*seg, hypot=math.hypot)).hex()
             else:
                 assert v["diss"][-1].hex() == integrator._dissipation(
                     v["r"], v["hs"], v["beta"], v["q0"], v["q1"], v["q2"],
@@ -412,18 +505,20 @@ def test_inlined_helpers_match_references(models, name, stop):
 
     sys.settrace(trace)
     try:
-        integrate(models[name], 10.0, IntegrationConfig(
-            r_max=100.0, stop_at_zero_energy=stop))
+        traj = integrate(models[name], 10.0, IntegrationConfig(
+            r_max=100.0, origin_radius=0.3, stop_at_zero_energy=stop))
     finally:
         sys.settrace(None)
+    assert traj.termination is Termination.ORIGIN_REACHED
     assert min(checked.values()) > 0, checked
 
 
 def test_no_per_step_helper_calls(constantin):
-    # a setprofile guard: _dissipation runs once, for the cut step,
-    # _hull_floor never runs, _hermite_radius runs only inside golden_min,
-    # and no Python function but f, F and the grid's comprehension is called
-    # from the core on more than a few steps
+    # a setprofile guard: _dissipation and the capture gate's grid and
+    # search run once, for the cut step, _hull_floor never runs,
+    # _hermite_radius runs only in the grid and inside golden_min, and no
+    # Python function but f and F is called from the core on more than a
+    # few steps
     from_core, radius_callers = {}, set()
     core = integrator._integrate_core.__code__
 
@@ -434,95 +529,151 @@ def test_no_per_step_helper_calls(constantin):
         if frame.f_back.f_code is core:
             from_core[code.co_name] = from_core.get(code.co_name, 0) + 1
         if code is _hermite_radius.__code__:
-            radius_callers.add(frame.f_back.f_back.f_code.co_name)
+            # the lambda and, before Python 3.12, the comprehension are
+            # frames of their own
+            back = frame.f_back
+            while back.f_code.co_name in ("<lambda>", "<listcomp>"):
+                back = back.f_back
+            radius_callers.add(back.f_code.co_name)
 
     sys.setprofile(profile)
     try:
         traj = integrate(constantin, 10.0, IntegrationConfig(
-            r_max=100.0, stop_at_zero_energy=True))
+            r_max=100.0, origin_radius=0.3, stop_at_zero_energy=True))
     finally:
         sys.setprofile(None)
-    assert traj.termination is Termination.EVENT
-    assert from_core["_dissipation"] == 1
+    assert traj.termination is Termination.ORIGIN_REACHED
+    assert from_core["_dissipation"] == from_core["_radius_search"] == 1
+    assert from_core["_radius_grid"] == 1
     assert "_hull_floor" not in from_core
-    assert radius_callers == {"golden_min"}
-    # the comprehension is a call of its own only before Python 3.12
+    assert radius_callers == {"golden_min", "_radius_grid"}
     busy = {name for name, n in from_core.items() if n > 100}
-    assert {"f", "F"} <= busy <= {"f", "F", "<listcomp>"}
+    assert busy == {"f", "F"}
 
 
-# ------------------------------------------------- deferred radius searches
-#
-# A search for the step's radius minimum that cannot capture waits until a
-# comparison needs its value or the run ends.  The sweep digest was recorded
-# while every new running minimum still ran its search at once.
-
-class _Searches:
-    """Calls of the core's radius search: (source line, whether the caller's
-    hull floor lies below origin_radius)."""
-
-    def __init__(self, monkeypatch):
-        self.calls = []
-        search = integrator._radius_search
-
-        def counted(*args):
-            frame = sys._getframe(1)
-            floor = frame.f_locals.get("floor")
-            self.calls.append((frame.f_lineno, floor is not None and
-                               floor < frame.f_locals["origin_radius"]))
-            return search(*args)
-
-        monkeypatch.setattr(integrator, "_radius_search", counted)
-
+# ------------------------------------------------------------ shot sweep
 
 @pytest.fixture(scope="module")
 def shot_sweep(models):
     """Three models x a = 2, 2.25, ... 12 x origin_radius 1e-6 and 0.1 with
     the zero-energy stop: the sha256 of each run's termination, min_radius,
-    min_radius_r and last row, and the radius searches it made."""
-    digest = hashlib.sha256()
-    with pytest.MonkeyPatch.context() as mp:
-        searches = _Searches(mp)
-        for name in sorted(models):
-            for k in range(41):
-                a = 2.0 + 0.25 * k
-                for origin_radius in (1e-6, 0.1):
-                    traj = integrate(models[name], a, IntegrationConfig(
-                        r_max=50.0 + 0.8 * a * a, rel_tol=1e-9,
-                        origin_radius=origin_radius,
-                        stop_at_zero_energy=True))
-                    last = tuple(float(c[-1]) for c in (
-                        traj.r, traj.psi, traj.beta, traj.radius,
-                        traj.theta, traj.E))
-                    digest.update(repr((
-                        traj.termination.value, repr(traj.min_radius),
-                        repr(traj.min_radius_r), last)).encode())
-    return digest.hexdigest(), searches.calls
+    min_radius_r and last row, and the sha256 of the runs' rows-only
+    digests."""
+    digest, rows = hashlib.sha256(), hashlib.sha256()
+    for name in sorted(models):
+        for k in range(41):
+            a = 2.0 + 0.25 * k
+            for origin_radius in (1e-6, 0.1):
+                traj = integrate(models[name], a, IntegrationConfig(
+                    r_max=50.0 + 0.8 * a * a, rel_tol=1e-9,
+                    origin_radius=origin_radius, stop_at_zero_energy=True))
+                last = tuple(float(c[-1]) for c in (
+                    traj.r, traj.psi, traj.beta, traj.radius, traj.theta,
+                    traj.E))
+                digest.update(repr((
+                    traj.termination.value, repr(traj.min_radius),
+                    repr(traj.min_radius_r), last)).encode())
+                rows.update(_rows(traj).encode())
+    return digest.hexdigest(), rows.hexdigest()
 
 
 def test_pinned_shot_sweep(shot_sweep):
-    assert shot_sweep[0] == (
-        "909e9697330d1e590dd096f84a06db5050890ef1ea904b4a1f0c66efc41806ec")
+    assert shot_sweep == (
+        "70135b23b42d5790ed96f3a3588930ccd9f2970c8b771a723dd1b4bfd04e2ab6",
+        "46d5d215f45606814a00362f2bf9fd647f66f41da882c53b6471117a2d291ae3")
 
 
-def test_every_search_site_fires(shot_sweep):
-    # the sites in source order: a pending search settled at the grid gate,
-    # a step with room for a capture searching at once, and the end of the
-    # run; the grid gate settles both where a grid minimum falls inside the
-    # pending interval and where the step could capture
-    sites = _core_lines("_radius_search(")
-    assert len(sites) == 3
-    fired = set(shot_sweep[1])
-    assert {line for line, _ in fired} == set(sites)
-    assert {(sites[0], False), (sites[0], True)} <= fired
+# ------------------------------------------- closest approach after the run
+
+def _sampled_min(traj, r_from, n=201):
+    """(R, i, s) of the smallest of n evenly spaced Hermite radii on each
+    stored step at or past r_from, with node slopes from Trajectory.node."""
+    slopes = np.array([(traj.node("psi", i)[1], traj.node("beta", i)[1])
+                       for i in range(traj.n_points)])
+    h = np.diff(traj.r)[:, None]
+    s = np.linspace(0.0, 1.0, n)[None, :]
+    t = 1.0 - s
+    w = ((1.0 + 2.0 * s) * t * t, s * t * t * h, s * s * (3.0 - 2.0 * s),
+         s * s * (s - 1.0) * h)
+    psi, beta = (w[0] * y[:-1, None] + w[1] * d[:-1, None]
+                 + w[2] * y[1:, None] + w[3] * d[1:, None]
+                 for y, d in ((traj.psi, slopes[:, 0]),
+                              (traj.beta, slopes[:, 1])))
+    rad = np.where(traj.r[:-1, None] + s * h >= r_from,
+                   np.hypot(psi, beta), np.inf)
+    i, k = np.unravel_index(int(np.argmin(rad)), rad.shape)
+    return float(rad[i, k]), int(i), k / (n - 1.0)
 
 
-def test_searches_per_orbit(constantin, monkeypatch):
-    # every new running minimum used to run a search: 2,753 on this orbit
-    searches = _Searches(monkeypatch)
-    integrate(constantin, 45.0,
-              IntegrationConfig(r_max=0.8 * 45.0 ** 2 + 50.0, rel_tol=1e-9))
-    assert 0 < len(searches.calls) <= 10
+def _refined_sample(traj, r_from):
+    """The 201-point sampling, and its best point refined by 2,001 points
+    of the scalar Hermite within one spacing of it, on either side of a
+    node."""
+    sampled, i, s_best = _sampled_min(traj, r_from)
+    windows = [(i, s_best - 0.005, s_best + 0.005)]
+    if s_best == 1.0 and i + 2 < traj.n_points:
+        windows.append((i + 1, 0.0, 0.005))
+    if s_best == 0.0 and i > 0:
+        windows.append((i - 1, 0.995, 1.0))
+    refined = sampled
+    for j, s_lo, s_hi in windows:
+        psi, beta = traj.hermite("psi", j), traj.hermite("beta", j)
+        h = float(traj.r[j + 1] - traj.r[j])
+        for s in np.linspace(max(0.0, s_lo), min(1.0, s_hi), 2001).tolist():
+            if float(traj.r[j]) + s * h >= r_from:
+                refined = min(refined, math.hypot(psi(s), beta(s)))
+    return sampled, refined
+
+
+@pytest.mark.parametrize("stop", [False, True])
+@pytest.mark.parametrize("name", ["constantin", "example", "powerlaw"])
+def test_closest_approach_against_dense_sampling(models, name, stop):
+    # never above a 201-point sampling of the stored steps, and within
+    # 1e-12 of the orbit's scale of that sampling refined near its best
+    # point, over the whole orbit and from r_from inside a step
+    for a in (2.0, 3.0013, 5.5, 10.0):
+        traj = integrate(models[name], a, IntegrationConfig(
+            r_max=50.0 + 0.8 * a * a, rel_tol=1e-9, stop_at_zero_energy=stop))
+        scale = float(np.max(traj.radius))
+        j = 2 * traj.n_points // 3
+        for r_from in (None, 0.5 * float(traj.r[j] + traj.r[j + 1])):
+            r_at, value = traj.closest_approach(r_from)
+            lo = float(traj.r[0]) if r_from is None else r_from
+            sampled, refined = _refined_sample(traj, lo)
+            assert value <= sampled
+            assert abs(value - refined) <= 1e-12 * scale
+            assert lo <= r_at <= float(traj.r[-1])
+
+
+def test_min_radius_inside_stored_range(constantin):
+    # the in-loop minimum used to fold in the uncut step past a stop: on
+    # 11 of these 80 runs min_radius_r lay beyond r[-1]
+    for k in range(40):
+        a = 2.0 + 0.25 * k
+        for origin_radius in (1e-6, 0.1):
+            traj = integrate(constantin, a, IntegrationConfig(
+                r_max=80.0, origin_radius=origin_radius,
+                stop_at_zero_energy=True))
+            assert traj.r[0] <= traj.min_radius_r <= traj.r[-1]
+            assert traj.min_radius <= float(np.min(traj.radius))
+
+
+def test_capture_grid_idle_while_shooting(constantin, monkeypatch):
+    # the core scans a step's Hermite only where its hull floor lies below
+    # origin_radius; a whole shooting solve never gets there
+    from vortexplane import shoot_for_origin
+    calls = {}
+    search = integrator._radius_search
+
+    def counted(*args):
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] = calls.get(caller, 0) + 1
+        return search(*args)
+
+    monkeypatch.setattr(integrator, "_radius_search", counted)
+    result = shoot_for_origin(constantin, 2.0, 4.0, tol=1e-6)
+    assert "_integrate_core" not in calls
+    assert 0 < calls["closest_approach"] <= 2 * len(result.history)
 
 
 # -------------------------------------------------------- input hardening

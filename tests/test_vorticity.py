@@ -140,6 +140,27 @@ def test_nan_input_is_rejected(model):
             assert fn(zero) == 0.0
 
 
+def test_example_finite_past_square_overflow(example):
+    # u * u overflows past |u| ~ 1.34e154, where the modulation used to
+    # become inf / inf; below that f keeps the bits of its inline form
+    c1, c2 = math.sin(0.01), 0.02
+    for u in (1e150, 1e154, 1.3e154):
+        uu = u * u
+        mod = 1.0 + c1 - math.sin(c2 * uu / (uu + 1.0))
+        assert example.f(u) == u - math.sqrt(u) * mod
+        assert example.f(-u) == -u + math.sqrt(u) * mod
+    for u in (1e155, 1e200, -1e200, 1e308):
+        assert math.isfinite(example.f(u)) and math.isfinite(example.g(u))
+        assert example.f(u) == u - example.g(u)
+    with np.errstate(over="ignore"):
+        values = example.f_arr(np.array([1e200, -1e200, 1e154, 2.0]))
+    assert np.all(np.isfinite(values))
+    assert values[3] == example.f(2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterDomainError, match="finite"):
+            example.f(bad)
+
+
 # ------------------------------------------- Gauss-Legendre example potential
 
 _C2S = (1e-3, 0.02, 0.999 * C2_UPPER_BOUND)
