@@ -11,7 +11,8 @@ Usage:
 
 import argparse
 
-from vortexplane import classify_shot, scan_for_bracket, shoot_for_origin
+from vortexplane import (NoBracketError, classify_shot, scan_for_bracket,
+                         shoot_for_origin)
 from vortexplane.vorticity import constantin_model
 
 
@@ -24,15 +25,28 @@ def main() -> None:
     args = ap.parse_args()
 
     model = constantin_model()
-    print(f"{'a':>8}  {'outcome':>8}  {'r_stop':>10}  {'min R':>12}")
-    a = args.lo
-    while a <= args.hi + 1e-12:
-        rec = classify_shot(model, a)
-        print(f"{a:8.3f}  {rec.outcome:>8}  {rec.r_stop:10.3f}  "
-              f"{rec.min_radius:12.6f}")
-        a += args.step
 
-    a_lo, a_hi, scanned = scan_for_bracket(model, args.lo, args.hi, args.step)
+    def shots(a):
+        # classify_shot from a up to --hi, stepping a as the scan does
+        while a <= args.hi + 1e-12:
+            yield classify_shot(model, a)
+            a += args.step
+
+    def print_table(table):
+        print(f"{'a':>8}  {'outcome':>8}  {'r_stop':>10}  {'min R':>12}")
+        for rec in table:
+            print(f"{rec.a:8.3f}  {rec.outcome:>8}  {rec.r_stop:10.3f}  "
+                  f"{rec.min_radius:12.6f}")
+
+    # the table is the scan's history plus the shots past the bracket; a
+    # failed scan returns no history, so then the table is shot on its own
+    try:
+        a_lo, a_hi, scanned = scan_for_bracket(model, args.lo, args.hi,
+                                               args.step)
+    except NoBracketError:
+        print_table(shots(args.lo))
+        raise
+    print_table(scanned + list(shots(scanned[-1].a + args.step)))
     print(f"\nbracket: [{a_lo:g}, {a_hi:g}]")
     result = shoot_for_origin(model, a_lo, a_hi, tol=args.tol,
                               ends=(scanned[-2], scanned[-1]))

@@ -204,8 +204,9 @@ def transversality_check(traj: Trajectory,
     for i in range(len(traj.r) - 1):
         if traj.r[i + 1] > stop:
             break
+        # b = 0 is a crossing node a window stored: the search closes on it
         a, b = float(traj.psi[i]), float(traj.psi[i + 1])
-        if a == 0.0 or a * b >= 0.0:
+        if a == 0.0 or a * b > 0.0:
             continue
         if float(traj.E[i]) <= 0.0 or float(traj.E[i + 1]) <= 0.0:
             continue

@@ -34,21 +34,9 @@ class FixedPointFailureError(NumericalError):
     """A fixed-point iteration exhausted its budget without converging."""
 
 
-class NotDifferentiableError(NumericalError):
-    """A derivative was requested where the vorticity function has a kink."""
-
-
 class NoBracketError(NumericalError):
     """A bisection was requested on endpoints with equal classification."""
 
 
 class InfeasibleConstantsError(NumericalError):
     """The admissible interval for the contraction constants is empty."""
-
-
-class OriginReachedSignal(VortexPlaneError):
-    """Raised when a polar conversion lands exactly on the origin.
-
-    This is a control-flow signal, not a failure: integration treats the
-    origin as a terminal set.
-    """

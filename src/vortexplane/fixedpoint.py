@@ -62,9 +62,6 @@ class GridFunction:
     def h(self) -> float:
         return float(self.r[1] - self.r[0])
 
-    def __len__(self) -> int:
-        return len(self.r)
-
 
 def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
                  n: int = 512, tol: float = 1e-13,

@@ -23,9 +23,16 @@ It ends a step early in one place: with stop_at_zero_energy, where the
 energy E = beta^2/2 + F(psi) first falls through 0, or at an origin capture
 strictly before that.  It forms every row that is not an accepted step's
 end with _row, and returns the Trajectory, reversed into ascending r for a
-backward sweep.  An accepted step calls no Python function but f and F: the
-core inlines _hull_floor and the full-step _dissipation, each with the
-same operations in the same order.
+backward sweep.  An accepted step calls no Python function but f and F, or
+hands over to a crossing window: the core inlines _hull_floor and the
+full-step _dissipation, each with the same operations in the same order.
+
+For the square-root families, f(sig t^2) = sig (t^2 - t m(t^2)), so psi(r)
+carries a (r - r_c)^(5/2) term at each crossing r_c of psi = 0, where no
+r-step is smooth.  A forward sweep hands each crossing with |psi| < 1/4 to a
+crossing window (_window), which steps t = sqrt|psi|, where the orbit is
+analytic.  An entry floor on E keeps E > 0 and R > origin_radius through a
+window, so the zero-energy stop and the origin capture stay on the plain path.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .fixedpoint import (beta_from_psi, check_start_value, picard_solve,
 from .phaseplane import TWO_PI
 from .quadrature import cumtrapz
 from .search import bisect_root, golden_min
-from .vorticity import VorticityModel
+from .vorticity import SQRT_FAMILY_NEG_F, VorticityModel
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
@@ -90,6 +97,10 @@ _GAUSS_W = (0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
             0.23931433524968324, 0.11846344252809454)
 _GS0, _GS1, _GS2, _GS3, _GS4 = _GAUSS_S
 _GW0, _GW1, _GW2, _GW3, _GW4 = _GAUSS_W
+# the dense polynomial at each Gauss point: y(s) = y0 + h sum_i k_i W[i]
+_GAUSS_P = tuple(tuple(s * (p0 + s * (p1 + s * (p2 + s * p3)))
+                       for p0, p1, p2, p3 in _P[:1] + _P[2:])
+                 for s in _GAUSS_S)
 
 # Picard head grid size and sweep tolerance
 _PICARD_N = 512
@@ -98,6 +109,9 @@ _PICARD_TOL = 1e-13
 _R_WATCH = 2.5
 _STOP_BISECTIONS = 60
 _THETA_STEP_CAP = 0.9 * math.pi
+# crossing windows (_window) open below |psi| = _WINDOW_PSI = _WINDOW_T^2;
+# there |beta| stays above _BETA_MIN (or origin_radius)
+_WINDOW_PSI, _WINDOW_T, _BETA_MIN = 0.25, 0.5, 0.05
 
 
 class Termination(enum.Enum):
@@ -172,8 +186,7 @@ def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, h,
     This holds for either sign of h.  The slack, 1e-12 of the control
     points' size (plus 1e-300 for underflow), is orders above the few-ulp
     rounding of this bound and of the radius as _hermite_radius computes it.
-    On floats with hypot=math.hypot it gives the bits of the core's inline
-    copy.
+    On floats with hypot=math.hypot it gives the core's inline copy's bits.
     """
     sx = psi + psi1
     sy = beta + beta1
@@ -240,16 +253,14 @@ class Trajectory:
     termination: Termination
 
     @property
-    def model_id(self) -> str:
-        return self.model.model_id
-
-    @property
     def n_points(self) -> int:
         return len(self.r)
 
     def locate(self, r: float) -> Tuple[int, float]:
         """(i, s) with r[i] <= r <= r[i+1] and s the local coordinate of r
         in [0, 1] on that step."""
+        if len(self.r) < 2:
+            raise ParameterDomainError("a one-row trajectory has no steps")
         if not self.r[0] <= r <= self.r[-1]:
             raise ParameterDomainError(
                 f"r={r!r} outside the stored range "
@@ -305,6 +316,8 @@ class Trajectory:
         radius get the grid, and _radius_search runs on them in order of grid
         minimum while a floor is below the best value found."""
         r, psi, beta, radius = self.r, self.psi, self.beta, self.radius
+        if len(r) == 1 and r_from in (None, r[0]):
+            return float(r[0]), float(radius[0])
         i0, s0 = (0, 0.0) if r_from is None else self.locate(r_from)
         first = i0 + 1 if s0 > 0.0 else i0
         k = first + int(np.argmin(radius[first:]))
@@ -393,6 +406,81 @@ def _row(model: VorticityModel, r: float, psi: float, beta: float,
             0.5 * beta * beta + model.F(psi))
 
 
+def _window(f, F, r, psi, beta, theta, e, h, facold, rtol, atol, r_target,
+            e_floor, append_row, append_diss):
+    """Cross psi = 0 in t = sqrt|psi| from the state after an accepted step.
+
+    z = r + i beta (one complex state) runs in t, psi = sig t^2, by the same
+    pair: t falls to 0, where the crossing is stored with psi = 0, then rises
+    (sig flipped) to _WINDOW_T.  Each t-step stores a row and int 2 sig t
+    beta/r dt, 5-point Gauss on the dense z; a step past r_target, below
+    1e-14, or to E or beta^2/2 <= e_floor is not taken.  Returns the last
+    row's (r, psi, beta, theta, E), the next r-step, facold and attempts."""
+    sig = 1.0 if psi > 0.0 else -1.0
+    t, hdir, t_end, attempts = math.sqrt(sig * psi), -1.0, 0.0, 0
+    ab, z = abs(beta), complex(r, beta)
+    ht = h * ab / (t + t)  # dr = 2t dt / |beta|
+
+    def rhs(tt, zz):  # dz/dt = dr/dt (1 + i dbeta/dr)
+        kr = 2.0 * sig * tt / zz.imag
+        return complex(kr, (-zz.imag / zz.real - f(sig * tt * tt)) * kr)
+
+    k1 = rhs(t, z)
+    while True:
+        last = hdir * (t + hdir * ht - t_end) >= 0.0
+        if last:
+            ht = hdir * (t_end - t)
+        if ht < 1e-14:
+            break
+        hs = hdir * ht
+        attempts += 1
+        k2 = rhs(t + _C2 * hs, z + hs * _A21 * k1)
+        k3 = rhs(t + _C3 * hs, z + hs * (_A31 * k1 + _A32 * k2))
+        k4 = rhs(t + _C4 * hs, z + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = rhs(t + _C5 * hs, z + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3
+                                         + _A54 * k4))
+        t1 = t_end if last else t + hs
+        k6 = rhs(t1, z + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                               + _A65 * k5))
+        z1 = z + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = rhs(t1, z1)
+        ez = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
+                   + _E7 * k7)
+        r1, beta1, ab1 = z1.real, z1.imag, abs(z1.imag)
+        err = math.sqrt(0.5 * ((ez.real / (atol + rtol * r1)) ** 2 + (
+            ez.imag / (atol + rtol * (ab1 if ab1 > ab else ab))) ** 2))
+        if err > 1.0:
+            fac = 0.9 * err ** -0.2
+            ht *= fac if fac > 0.1 else 0.1
+            continue
+        psi1 = sig * t1 * t1
+        e1 = 0.5 * beta1 * beta1 + F(psi1)
+        if not (r1 < r_target and e1 > e_floor < 0.5 * beta1 * beta1):
+            break
+        theta1 = math.atan2(beta1, psi1)
+        theta1 += TWO_PI * round((theta - theta1) / TWO_PI)
+        append_row((r1, psi1, beta1, math.hypot(psi1, beta1), theta1, e1))
+        acc = 0.0
+        for s, wg, (w1, w3, w4, w5, w6, w7) in zip(_GAUSS_S, _GAUSS_W,
+                                                   _GAUSS_P):
+            zg = z + hs * (w1 * k1 + w3 * k3 + w4 * k4 + w5 * k5 + w6 * k6
+                           + w7 * k7)
+            acc += wg * (t + s * hs) * zg.imag / zg.real
+        append_diss(2.0 * sig * hs * acc)
+        z, psi, theta, t, e, ab, k1 = z1, psi1, theta1, t1, e1, ab1, k7
+        err = err if err > 1e-10 else 1e-10
+        fac = 0.9 * err ** -0.17 * facold ** 0.04
+        fac = fac if fac > 0.2 else 0.2
+        ht *= fac if fac < 10.0 else 10.0
+        facold = err
+        if last:
+            if hdir > 0.0:
+                break
+            sig, hdir, t_end = -sig, 1.0, _WINDOW_T  # on past the crossing
+    return (z.real, psi, z.imag, theta, e, ht * (t + t + ht) / ab, facold,
+            attempts)
+
+
 def _integrate_core(model: VorticityModel, r_target: float,
                     direction: float, config: IntegrationConfig,
                     rows: List[Tuple[float, float, float, float, float, float]],
@@ -404,8 +492,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
     order and reverses them for a backward run.  A start already inside
     origin_radius is captured before the first step.
     """
-    f = model.f
-    F = model.F
+    f, F = model.f, model.F
     hypot, atan2 = math.hypot, math.atan2
     append_row, append_diss = rows.append, diss.append
     rtol, atol = config.rel_tol, config.abs_tol
@@ -417,11 +504,11 @@ def _integrate_core(model: VorticityModel, r_target: float,
         raise ParameterDomainError("empty integration range")
     h = _initial_step(f, r, psi, beta, direction, rtol, atol, span)
     k1p, k1b = beta, -beta / r - f(psi)
-    origin_radius = config.origin_radius
-    stop = config.stop_at_zero_energy
+    origin_radius, stop = config.origin_radius, config.stop_at_zero_energy
     term = Termination.ORIGIN_REACHED if radius0 < origin_radius else None
-    facold = 1e-4
-    nsteps = 0
+    facold, nsteps = 1e-4, 0
+    neg_f = SQRT_FAMILY_NEG_F.get(model.model_id) if direction > 0.0 else None
+    e_floor = 0.5 * max(origin_radius, _BETA_MIN) ** 2
     # max, min and abs as comparisons that pick the same operand (max(a, b)
     # is b only where b > a); an absolute value may come out as -0.0 where
     # it only adds to a positive term; r > 0 and h > 0 on every sweep
@@ -589,6 +676,21 @@ def _integrate_core(model: VorticityModel, r_target: float,
         fac = fac if fac > 0.2 else 0.2
         h *= fac if fac < 10.0 else 10.0
         facold = err
+        # a crossing window opens where E stays above e_floor in it: there
+        # -neg_f <= F <= 0, 2E <= beta^2 <= 2(E + neg_f), and E falls by
+        # int 2t|beta|/r dt <= sqrt(2|E + neg_f|) (|psi| + 1/4)/r as t runs
+        # |psi|^(1/2) -> 0 -> 1/2.  So beta^2/2 >= E > e_floor > 0 there, and
+        # R >= |beta| > origin_radius: neither the stop nor the capture fires
+        if (neg_f and 1e-20 < ap1 < _WINDOW_PSI and psi1 * beta1 < 0.0
+                and e1 - math.sqrt(2.0 * abs(e1 + neg_f))
+                * (ap1 + _WINDOW_PSI) / r1 > e_floor):
+            r, psi, beta, theta, e0, h, facold, n = _window(
+                f, F, r, psi, beta, theta, e0, h, facold, rtol, atol,
+                r_target, e_floor, append_row, append_diss)
+            nsteps += n
+            assert 0.5 * beta * beta > e_floor  # the window bails out above it
+            apsi, abeta = abs(psi), abs(beta)
+            k1p, k1b, radius0 = beta, -beta / r - f(psi), hypot(psi, beta)
 
     if direction < 0.0:
         rows.reverse()

@@ -1,96 +1,23 @@
-"""Phase-plane quantities for the damped system psi' = beta, beta' = -beta/r - f(psi).
+"""Phase-plane geometry of psi' = beta, beta' = -beta/r - f(psi).
 
 Energy E = beta^2/2 + F(psi) decays like E' = -beta^2/r along orbits.  This
-module evaluates E and its first three radial derivatives, the polar angle
-dynamics, and the zero level set of E (the lobes).
+module holds the rotation-rate envelope of the polar angle while E > 0 and
+the zero level set of E (the lobes).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import (HypothesisViolationError, NotDifferentiableError,
-                     OriginReachedSignal, ParameterDomainError)
+from .errors import HypothesisViolationError, ParameterDomainError
 from .search import bisect_root
 from .vorticity import VorticityModel, potential_grid
 
 TWO_PI = 2.0 * math.pi
-
-
-class PhasePoint(NamedTuple):
-    psi: float
-    beta: float
-
-
-class PolarPoint(NamedTuple):
-    radius: float
-    angle: float
-
-
-def energy(model: VorticityModel, point: PhasePoint) -> float:
-    psi, beta = point
-    return 0.5 * beta * beta + model.F(psi)
-
-
-def energy_rate(point: PhasePoint, r: float) -> float:
-    """dE/dr = -beta^2/r; model independent."""
-    _, beta = point
-    if r <= 0.0:
-        raise ParameterDomainError(f"r must be positive, got {r!r}")
-    return -beta * beta / r
-
-
-def energy_second(model: VorticityModel, point: PhasePoint, r: float) -> float:
-    """d2E/dr2 = 3 beta^2/r^2 + 2 beta f(psi)/r."""
-    psi, beta = point
-    if r <= 0.0:
-        raise ParameterDomainError(f"r must be positive, got {r!r}")
-    return 3.0 * beta * beta / (r * r) + 2.0 * beta * model.f(psi) / r
-
-
-def _fprime(model: VorticityModel, psi: float) -> float:
-    # central difference; the kink of g at 0 makes the stencil meaningless
-    # when it straddles the origin
-    h = 1e-6 * (1.0 + abs(psi))
-    if abs(psi) <= 2.0 * h:
-        raise NotDifferentiableError(
-            f"f'(psi) requested within {2*h:.2e} of the kink at psi=0")
-    return (model.f(psi + h) - model.f(psi - h)) / (2.0 * h)
-
-def energy_third(model: VorticityModel, point: PhasePoint, r: float) -> float:
-    """d3E/dr3 via the chain rule; f' by central difference.
-
-    Raises NotDifferentiableError when psi sits on (or numerically at) the
-    kink of f, where the one-sided slopes diverge.
-    """
-    psi, beta = point
-    if r <= 0.0:
-        raise ParameterDomainError(f"r must be positive, got {r!r}")
-    fp = model.f(psi)
-    d_beta = -beta / r - fp
-    dd_beta = -d_beta / r + beta / (r * r) - _fprime(model, psi) * beta
-    return (-2.0 * d_beta * d_beta / r
-            + (2.0 * beta / r) * (-dd_beta + 2.0 * d_beta / r - beta / (r * r)))
-
-
-def to_polar(point: PhasePoint, prev_angle: Optional[float] = None) -> PolarPoint:
-    """Polar form (R, theta) with psi = R cos(theta), beta = R sin(theta).
-
-    With prev_angle given, the branch of theta is chosen within pi of it
-    (continuous unwrapping).  The origin has no angle: OriginReachedSignal.
-    """
-    psi, beta = point
-    radius = math.hypot(psi, beta)
-    if radius == 0.0:
-        raise OriginReachedSignal("polar angle undefined at the origin")
-    theta = math.atan2(beta, psi)
-    if prev_angle is not None:
-        theta += TWO_PI * round((prev_angle - theta) / TWO_PI)
-    return PolarPoint(radius, theta)
 
 
 def theta_envelope(lambda_g: float, r):

@@ -55,6 +55,12 @@ _GL_W = (0.023587668193255914, 0.05346966299765921, 0.08003916427167311,
          0.08003916427167311, 0.05346966299765921, 0.023587668193255914)
 _GL = tuple(zip(_GL_S, _GL_W))
 
+# Square-root families by model_id (f analytic in t = sqrt|psi|, as the
+# integrator's crossing windows need), with a bound on -F for |psi| <= 1/4:
+# -F = int_0^|psi| (sqrt(u) m(u) - u) du, m = 1 or the example's modulation,
+# 1 <= m < 1.011 (c2 u^2/(u^2+1) <= c2/17), so 0 <= -F < 1.011/12 - 1/32
+SQRT_FAMILY_NEG_F = {"constantin": 1.0 / 12.0, "example": 1.0 / 12.0}
+
 
 @dataclass(frozen=True)
 class ConstantsLedger:

@@ -135,7 +135,7 @@ def test_simulate_reports_energy_entry(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     payload = json.loads(next(tmp_path.glob("events_*.json")).read_text())
-    assert abs(payload["energy_entry"]["r_cross"] - 60.41671440543745) < 1e-6
+    assert abs(payload["energy_entry"]["r_cross"] - 60.41671315322521) < 1e-6
 
 
 def test_portrait_requires_amplitudes(tmp_path, capsys):

@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 
 from vortexplane import (IntegrationConfig, ParameterDomainError, Termination,
                          classify_shot, integrate, integrate_backward,
-                         integrate_from)
+                         integrate_from, transversality_check)
 from vortexplane import integrator
 from vortexplane.analysis import _classification_config
 from vortexplane.integrator import _hermite, _hermite_radius, _hull_floor
@@ -172,7 +172,9 @@ def test_min_radius_tracks_dense_minimum(run10):
 # min_radius reprs were re-recorded when the closest approach moved out of
 # the stepper into Trajectory.closest_approach: it reads the Hermite of the
 # stored steps, whose widths r[i+1] - r[i] need not equal the stepper's h
-# bit for bit, and a cut step's stored Hermite is not the uncut one.
+# bit for bit, and a cut step's stored Hermite is not the uncut one.  The
+# constantin and example pins were re-recorded when the crossing windows
+# landed: they step each crossing above the entry floor in t = sqrt|psi|.
 
 def _digest(traj):
     buf = io.StringIO()
@@ -185,17 +187,17 @@ def _digest(traj):
 
 _PINNED = {
     "run10": (
-        "6a98d9efc3a314cf3a567dc60eaf42fd10310ecd76ebcee578ed1a1583b4a558",
-        "a20e9093b4117fc3b630fd65f20545de270725ea1fbfc14bf975d84de9899dbf",
-        "0.06577227565651607", "63.85128397989159", "reached_rmax"),
+        "d75458a4f230655d012dbd854a9f97cc15b0bd7c4f7b3d3b17513035509ebde8",
+        "f42a61f2764521e27958af8b41f7487af7c6a80e01d8cb0473890a782b0a19fb",
+        "0.06577233390592918", "63.85128504842183", "reached_rmax"),
     "run100": (
-        "5a577bdf0471d2b3f6e78ffdff8ab72e52a74be89189c3cb234c233ced7d223b",
-        "ad7e6648bd56a00f5da0e3f0a50f55210f00fc34a2d50e49ad647ab35c974465",
-        "0.9959691633741489", "1997.3004749503928", "reached_rmax"),
+        "4124b432b46660dc8e02ff7e17d23455c973ecad6388171590a400be18826d6f",
+        "ef28366ce707843cf2ea0261553e2520835591ef7a7bd624c36849c8406dee8f",
+        "0.9959293355044907", "1997.3097961980372", "reached_rmax"),
     "example": (
-        "f2eb58e5a9e0e61f3aadc755530c1d1ae41ec7c4de554dc2d2926d3e17ca8d05",
-        "746d7069602056a915903217aa5fcf7f405b4170ad38660217f1977e6d89e8e7",
-        "0.06737836331839314", "63.43243863536576", "reached_rmax"),
+        "5e3ef3c4f19b1f4aadb08334585d36183589d697005b5d6556bb658e35c3cff1",
+        "f9614a39cc9079d8daf3f143962ec0c4ee5647a92771bd2518dda21b174f77a5",
+        "0.0673784994889951", "63.432441082347474", "reached_rmax"),
     "powerlaw": (
         "0de206f2588e3b6937c889778f28d9c2d6354bc97281197c9d3dae4954925bc4",
         "d7865f96111275f1f7c1c7f11a5c18b6c66e17a28078c4bfff7b369a303d06d3",
@@ -219,39 +221,54 @@ def test_pinned_origin_capture(constantin):
     traj = integrate(constantin, 10.0,
                      IntegrationConfig(r_max=100.0, origin_radius=0.1))
     assert _digest(traj) == (
-        "442b9215f97809afa92c9263613062be0a08a7e25e8675fb322e95ca8023d9ab",
-        "fb483d70c0b02692ffa85e581b6034b3d3c50ad31a409085ff011f88f6e286c0",
-        "0.09642318693890424", "63.53963559631905", "origin_reached")
+        "9dc2ca868e58a7cfea6b7c565c30da3600fe28192ddb177faf614e11627c9386",
+        "8319c33249dde54dfb1d64c3a3b05ac01cf91faeb5b867b33c2dac735fa4322d",
+        "0.09934598854690692", "63.52295142659583", "origin_reached")
 
 
 def test_pinned_capture_against_energy_event(constantin):
     # the zero-energy stop at r = 60.42 comes before the capture at
-    # r = 63.54 (test_pinned_origin_capture) and ends the run
+    # r = 63.52 (test_pinned_origin_capture) and ends the run
     traj = integrate(constantin, 10.0, IntegrationConfig(
         r_max=100.0, origin_radius=0.1, stop_at_zero_energy=True))
     assert _digest(traj) == (
-        "042b16670cb53568560d6fca61061a59f57e85849461e6d148c21af1df88c95e",
-        "8c4b4cb900d3815f9f2e1c124d4031eab987fcfa4fc5f42042bce10c42fc176a",
-        "0.1894060816655798", "54.340529770582215", "event")
+        "1b6ffb37126185bf219bfc020591f8b52e07599f36a0482c7281793ba610864d",
+        "98a7a279221ff47d99a960027a3950fff93de03ab152886e39e628a07de3f14f",
+        "0.18940573027435773", "54.34067260114012", "event")
     assert (traj.r[-1], traj.psi[-1], traj.beta[-1]) == (
-        60.41671426815308, -1.2844392220872523, 0.5395760549152415)
+        60.416712707648934, -1.2844407321947728, 0.5395756320085118)
 
 
 @pytest.mark.parametrize("rel_tol, pinned", [
-    (1e-3, ("4f47151883208cb2fb504b28de55a150d47fbfdf52ea300b89a0d890e5322c7d",
-            "7787303122792f5e05f373da7ccb6ec22032f1602aff710a5e76170edf40eed4",
-            "0.4681841216853815", "24.150535178990733", "origin_reached")),
-    (1e-6, ("74227f69f027a4e5b322f87edf1a6a4ea84dc501ae169747634edba3c361c750",
-            "d8e5279340395cae212fa559d8ed02eca4a64ca9316ec5c5478793d5d21697ed",
-            "0.48121314537079024", "24.018378013934207", "origin_reached")),
+    (1e-3, (0.019, (
+        "d03be51fc6ae033682c5d3d85fb407f763fe7f8a30adb3129b26a9bee75c6e2b",
+        "89fc2ff5ac87f5659ef64acea09095b1f2050359bc447e9130ae8ddcb4caa23d",
+        "0.016883081002241646", "23.126148505344087", "origin_reached"))),
+    (1e-6, (0.0044, (
+        "a1aca63f1dd8270edb98cd0a4c6b008a3d1c3a0d382642039d5f8c2c39e7970f",
+        "a0765bbe0fcc09f6c9d05662a19d70bc0d82b905b097ef87f99ec34b580a7937",
+        "0.0041797988420702245", "23.380513849190166", "origin_reached"))),
 ])
 def test_pinned_in_step_capture(constantin, rel_tol, pinned):
     # the orbit dips inside origin_radius and out again within one step, so
-    # only the in-step search finds the capture, at s = 0.22 and 0.54
-    traj = integrate_from(constantin, 5.0, 1.0, -2.0, IntegrationConfig(
-        r_max=35.0, rel_tol=rel_tol, origin_radius=0.5))
-    assert _digest(traj) == pinned
-    assert traj.radius[-2] > 0.5 > traj.radius[-1] == traj.min_radius
+    # only the in-step search finds the capture, at s = 0.20 and 0.41.  An
+    # origin_radius below _BETA_MIN leaves the windows' entry floor as it is,
+    # so the run with the default radius takes the same steps and shows the
+    # uncut step: both of its ends lie outside origin_radius
+    origin_radius, digest = pinned
+
+    def run(**kw):
+        return integrate_from(constantin, 8.0, -0.5, -1.0, IntegrationConfig(
+            r_max=35.0, rel_tol=rel_tol, **kw))
+
+    traj = run(origin_radius=origin_radius)
+    assert _digest(traj) == digest
+    n = traj.n_points
+    full = run()
+    assert np.array_equal(full.r[:n - 1], traj.r[:-1])
+    assert full.r[n - 2] < traj.r[-1] < full.r[n - 1]
+    assert min(full.radius[:n]) > origin_radius
+    assert origin_radius > traj.radius[-1] >= traj.min_radius
 
 
 def test_pinned_backward_sweep(constantin):
@@ -293,15 +310,31 @@ def test_start_inside_origin_radius_is_captured(constantin, psi0, beta0):
     assert bw.n_points == 1 and bw.r[0] == 6.0
 
 
+def test_one_row_trajectory(constantin):
+    # a captured start has no step: locate refuses (it used to return step
+    # -1, whose Hermite ran from r[-1] to r[0]) and the closest approach is
+    # the start row itself
+    traj = integrate_from(constantin, 2.0, 0.0, 1e-7,
+                          IntegrationConfig(r_max=10.0))
+    assert traj.n_points == 1
+    for r in (2.0, 3.0):
+        with pytest.raises(ParameterDomainError, match="no steps"):
+            traj.locate(r)
+    assert traj.closest_approach() == traj.closest_approach(2.0) == (2.0,
+                                                                      1e-7)
+    with pytest.raises(ParameterDomainError):
+        traj.closest_approach(2.5)
+
+
 _PINNED_SHOTS = {
     "constantin": (
         ("right", "1.872941358853622", "1.606888590162289"),
         ("right", "5.509184527907573", "0.07956817120825264"),
-        ("left", "9.062981806555173", "0.7221556932685982")),
+        ("left", "9.062981070661111", "0.7221542993085137")),
     "example": (
         ("right", "1.8562727194449589", "1.6087594061005037"),
         ("right", "5.353506304956302", "0.10165397983964845"),
-        ("left", "8.995646242982131", "0.7268545776473241")),
+        ("left", "8.995645653983024", "0.7268529009852007")),
     "powerlaw": (
         ("right", "1.3038633608090473", "1.7514083861504457"),
         ("right", "3.422670763957496", "0.7523587292365531"),
@@ -321,7 +354,10 @@ def test_pinned_shots(request, name):
 
 
 # Rows-only digests, recorded before the closest approach left the stepper:
-# the step sequence never read it, so every run keeps these bits.
+# the step sequence never read it.  Runs that open no crossing window keep
+# these bits: the power law, the backward sweep, the shots at a = 2 and 3,
+# and constantin and example a = 2 to r = 100 (recorded before the windows);
+# the others were re-recorded with the windows.
 
 def _rows(traj):
     """sha256 of what the step sequence decides: the six stored columns
@@ -351,34 +387,42 @@ _ROW_RUNS = {
                                             r_max=100.0, origin_radius=0.1,
                                             stop_at_zero_energy=True)),
     "in_step_0.001": lambda m: integrate_from(
-        m["constantin"], 5.0, 1.0, -2.0,
-        IntegrationConfig(r_max=35.0, rel_tol=1e-3, origin_radius=0.5)),
+        m["constantin"], 8.0, -0.5, -1.0,
+        IntegrationConfig(r_max=35.0, rel_tol=1e-3, origin_radius=0.019)),
     "in_step_1e-06": lambda m: integrate_from(
-        m["constantin"], 5.0, 1.0, -2.0,
-        IntegrationConfig(r_max=35.0, rel_tol=1e-6, origin_radius=0.5)),
+        m["constantin"], 8.0, -0.5, -1.0,
+        IntegrationConfig(r_max=35.0, rel_tol=1e-6, origin_radius=0.0044)),
     "backward": lambda m: integrate_backward(m["constantin"], 6.0, 1.5, 0.2),
 }
+_ROW_RUNS.update({f"{name}_a2": (lambda m, name=name: integrate(
+    m[name], 2.0, IntegrationConfig(r_max=100.0)))
+    for name in ("constantin", "example")})
 _ROW_RUNS.update({f"shot_{name}_{a:g}": _shot(name, a)
                   for name in ("constantin", "example", "powerlaw")
                   for a in (2.0, 3.0, 4.0)})
 
 _ROWS = {
     "run10":
-        "2de3b96b4be45a77bd9a990d849d1e46a69bbf9028974de02c5f61c04096867c",
+        "d34fcce0ae3dff55e9f1d3729fab64f3cda0e9befc459c72cd1d7472ed37cb44",
     "run100":
-        "b8a7d7937d25b4ec6640565b379a0735c6e8d131bce26397b3745c72798f453a",
+        "00b6db125120a2225da8c70c43d41542457ad8141e2264e23a5ef1c4555a3c1c",
     "example":
-        "78a8f710b2b515d0828cc13cae16ef23c326b4033fc1620f45a8ba4984553ac7",
+        "b896d7b01d3c1a085c2b0a388da6128721507c46aa76e9ab6ee30735efa571df",
     "powerlaw":
         "07a0fbe4aff6a4e63e5c3d7efb4520728e25cc98741fd83b43dc357361ecff2a",
+    # no crossing (recorded before the crossing windows)
+    "constantin_a2":
+        "813366d99205d1112550eb31b5e77466355ce5cc2feb3689f2e60899a867c92f",
+    "example_a2":
+        "18436a2b32c7b829a9cd94cc75b5c9ff872a7eccf91b0bf5e81fb279c3e82a6b",
     "capture":
-        "074cb4bbde42bb77db3c0de893e477d779109c3cc3ebc81a2983fded6e643002",
+        "d6d49b598b377b68aea1efaecffdcc7f77b377b49e3d556e2c658e1cb40fe7c9",
     "capture_stop":
-        "0f22b76c5650b24bee502834e8b594666a122b6695e429738665bfdf5d68d9d6",
+        "d76153817157dc34e50518514ad7c6abe741f8c34af5818b1aa2de3b490b6f05",
     "in_step_0.001":
-        "3c912995281a6fb04a36ca748c94481739f040d9c698bd843f791fe49aa48183",
+        "89941fcaceda65c3ee2aaa4f0c94485c5cf27c0c1be75b1e6fff3e1fcafeba0f",
     "in_step_1e-06":
-        "06a78a499569a6dab079a751509f4f524acd4d69a0aaa66f7171efd0c2747463",
+        "80dec5dcfc1f2812f02810f2ad002c46ec6a9506c46a3a36d1c3f8bc2f208fdf",
     "backward":
         "c69ae2db647056544ef1b4506efd2fe2017ec79f45d6f66c5916a583af89a768",
     "shot_constantin_2":
@@ -386,13 +430,13 @@ _ROWS = {
     "shot_constantin_3":
         "bc7b65fa118ff89cc8f103d516d8440dcb6882109d4df5b13afe3a5cd6feec77",
     "shot_constantin_4":
-        "b7fff16502d7b252fec9a02117bb4a53d4ddde5a4cf30c8c2d8a96d2b3facf4a",
+        "0ec44944731e88f1e3222eb0013d6b667e8616472110189094337cc167895f93",
     "shot_example_2":
         "fdcfe645f924323d44e4f265a45e162f5668064ea870a5346586d53be5af1fde",
     "shot_example_3":
         "ce1fa94b2203b4fc56747b89e99425d4b4b88ce989e92005dfbce27c5ca8233d",
     "shot_example_4":
-        "903faa9e41bbbeed3440a661c78d36677448f9fd16e4919db3921f30802b3ff3",
+        "e786568b54dd5a2fc6a3e2843701637ef2d495d0619fff5b25519c047438f925",
     "shot_powerlaw_2":
         "a42fb778db3a198873dea7a3b728449e3597300297de66873d66b7a1f136cf05",
     "shot_powerlaw_3":
@@ -425,13 +469,78 @@ def test_event_fn_called_once_per_accepted_step(constantin):
         r_max=100.0, stop_at_zero_energy=True))
     assert traj.termination is Termination.EVENT
     assert (traj.r[-1], traj.psi[-1], traj.beta[-1]) == (
-        60.41671426815308, -1.2844392220872523, 0.5395760549152415)
+        60.416712707648934, -1.2844407321947728, 0.5395756320085118)
     # the Picard head stores 17 rows; every later row but the cut row is
     # one accepted step, and the step holding the stop is one more
     steps = len(traj.r) - 17
     # 17 head rows, one per accepted step, and for the single crossing an
     # 11-point grid, the bisection and the cut row
     assert calls[0] == 17 + steps + 11 + 60 + 1
+
+
+# ------------------------------------------------------ crossing windows
+#
+# The square-root families cross psi = 0 in t = sqrt|psi| wherever the
+# entry floor on E holds; the crossing itself is then a stored node.
+
+def test_crossings_are_nodes(run10, constantin, powerlaw, state_at):
+    zero = run10.r[run10.psi == 0.0]
+    assert len(zero) == 9
+    assert [c.r for c in transversality_check(run10)] == zero.tolist()
+    # the power law and backward sweeps never open a window
+    traj = integrate(powerlaw, 10.0, IntegrationConfig(r_max=100.0))
+    assert not np.any(traj.psi == 0.0)
+    bw = integrate_backward(constantin, 30.0, *state_at(run10, 30.0),
+                            r_end=5.0)
+    assert np.count_nonzero(np.diff(np.sign(bw.psi))) >= 4
+    assert not np.any(bw.psi == 0.0)
+
+
+def test_window_rejects_few_attempts(constantin):
+    # f runs 3 times to start and 6 times per attempt (a window adds 2 per
+    # crossing); the plain stepper rejected 11.9 % of its attempts here
+    calls = [0]
+
+    def counting_f(u):
+        calls[0] += 1
+        return constantin.f(u)
+
+    traj = integrate(dataclasses.replace(constantin, f=counting_f), 20.0,
+                     IntegrationConfig(r_max=370.0, rel_tol=1e-9))
+    steps = int(np.count_nonzero(traj.r > 0.0625))
+    assert 1.0 - steps / ((calls[0] - 3) / 6.0) < 0.05
+
+
+@pytest.mark.parametrize("offset", [-0.01, 0.01, 0.2])
+def test_window_ends_before_r_target(constantin, run10, state_at, offset):
+    # r_max just before or after the first crossing: the window takes no
+    # step past it, and the plain path lands on r_max
+    r_max = float(run10.r[run10.psi == 0.0][0]) + offset
+    traj = integrate(constantin, 10.0, IntegrationConfig(r_max=r_max))
+    assert traj.termination is Termination.REACHED_RMAX
+    assert traj.r[-1] == r_max and np.all(np.diff(traj.r) > 0.0)
+    psi, beta = state_at(run10, r_max)
+    assert abs(traj.psi[-1] - psi) < 1e-5 and abs(traj.beta[-1] - beta) < 1e-5
+
+
+def test_window_bails_out_below_the_floor(constantin, run10, monkeypatch):
+    # an F 1000 lower near psi = 0 puts E under the floor inside every
+    # window, which then hands its last row back: the plain path crosses,
+    # on the same f, to the same end state
+    F, window, opened = constantin.F, integrator._window, []
+
+    def counted(*args):
+        opened.append(args[2])
+        return window(*args)
+
+    monkeypatch.setattr(integrator, "_window", counted)
+    low = dataclasses.replace(
+        constantin, F=lambda psi: F(psi) - (1e3 if abs(psi) < 0.1 else 0.0))
+    traj = integrate(low, 10.0, IntegrationConfig(r_max=100.0))
+    assert traj.termination is Termination.REACHED_RMAX
+    assert len(opened) >= 5 and not np.any(traj.psi == 0.0)
+    assert abs(traj.psi[-1] - run10.psi[-1]) < 1e-6
+    assert abs(traj.beta[-1] - run10.beta[-1]) < 1e-6
 
 
 # ---------------------------------------------------- hull bound property
@@ -579,8 +688,8 @@ def shot_sweep(models):
 
 def test_pinned_shot_sweep(shot_sweep):
     assert shot_sweep == (
-        "70135b23b42d5790ed96f3a3588930ccd9f2970c8b771a723dd1b4bfd04e2ab6",
-        "46d5d215f45606814a00362f2bf9fd647f66f41da882c53b6471117a2d291ae3")
+        "240a16cc4ab5ccc206dbe558acc156d646b6cb3a312da4abdcfc198150a486f9",
+        "e9f25aca46fcc89df78ae08f41e0c0fcf62dc84df78be9bdefada847efcf3b39")
 
 
 # ------------------------------------------- closest approach after the run

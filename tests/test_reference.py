@@ -1,0 +1,70 @@
+"""Global error of the stepper against an independent reference.
+
+scipy's DOP853 at rtol 1e-13 starts from the package's own Picard head and
+is read at every stored node on [1, 100]; against a run at rtol 1e-12 and
+2.5e-14 it is good to 3e-10 on these orbits.  The bounds are the errors
+the plain r-stepper measured, rounded up in the second digit; a change to
+the stepper may lower them but not exceed them.
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from vortexplane import IntegrationConfig, integrate
+from vortexplane.integrator import series_start
+
+_RTOLS = (1e-8, 1e-9, 1e-10)
+
+# (model, a): (psi, beta) error bound at each rel_tol in _RTOLS
+_BOUNDS = {
+    ("constantin", 2.0): ((2.4e-8, 1.7e-8), (2.4e-9, 1.7e-9),
+                          (2.6e-10, 1.8e-10)),
+    ("constantin", 10.0): ((5.0e-5, 3.8e-5), (7.6e-6, 5.7e-6),
+                           (7.4e-7, 5.6e-7)),
+    ("example", 2.0): ((2.4e-8, 1.7e-8), (2.4e-9, 1.7e-9),
+                       (2.6e-10, 1.9e-10)),
+    ("example", 10.0): ((4.5e-5, 3.5e-5), (7.4e-6, 5.7e-6),
+                        (1.8e-6, 1.4e-6)),
+}
+
+
+@pytest.fixture(scope="module")
+def errors(models):
+    """(model, a) -> [(psi error, beta error) at each rel_tol in _RTOLS]."""
+    out = {}
+    for name, a in _BOUNDS:
+        model = models[name]
+        f = model.f
+        rs, psis, betas, _ = series_start(model, a,
+                                          IntegrationConfig(r_max=100.0))
+        ref = solve_ivp(lambda r, y: (y[1], -y[1] / r - f(y[0])),
+                        (float(rs[-1]), 100.0),
+                        [float(psis[-1]), float(betas[-1])], method="DOP853",
+                        rtol=1e-13, atol=1e-14, dense_output=True)
+        assert ref.success
+        out[name, a] = []
+        for rel_tol in _RTOLS:
+            traj = integrate(model, a, IntegrationConfig(r_max=100.0,
+                                                         rel_tol=rel_tol))
+            keep = traj.r >= 1.0
+            psi_ref, beta_ref = ref.sol(traj.r[keep])
+            out[name, a].append(
+                (float(np.max(np.abs(psi_ref - traj.psi[keep]))),
+                 float(np.max(np.abs(beta_ref - traj.beta[keep])))))
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(_BOUNDS))
+def test_global_error_within_bounds(errors, key):
+    for got, bound in zip(errors[key], _BOUNDS[key]):
+        assert got[0] <= bound[0] and got[1] <= bound[1], (got, bound)
+
+
+@pytest.mark.parametrize("key", sorted(_BOUNDS))
+def test_global_error_proportional_to_tolerance(errors, key):
+    # each decade of rel_tol takes a factor 3 to 30 off both errors (the
+    # plain r-stepper: 4.1 to 10.6)
+    for coarse, fine in zip(errors[key], errors[key][1:]):
+        for c, g in zip(coarse, fine):
+            assert 3.0 <= c / g <= 30.0, (coarse, fine)
