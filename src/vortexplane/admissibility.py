@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .sequences import kronecker, sample_interval, sample_loglin
-from .vorticity import C2_UPPER_BOUND, VorticityModel, find_positive_zero
+from .vorticity import (C2_UPPER_BOUND, VorticityModel, find_positive_zero,
+                        potential_grid)
 
 SCHEMA_VERSION = 1
 
@@ -75,8 +76,8 @@ def check_oddness(model: VorticityModel, n: int = 10_000, seed: int = 0,
                   tol: float = 1e-12) -> CheckRecord:
     """f(-u) = -f(u) on samples of [-100, 100]."""
     us = sample_interval(n, -100.0, 100.0, seed=seed)
-    fv = model.f_grid(us)
-    fm = model.f_grid(-us)
+    fv = model.f_arr(us)
+    fm = model.f_arr(-us)
     dev = np.abs(fm + fv) / (1.0 + np.abs(fv))
     j = int(np.argmax(dev))
     return CheckRecord(
@@ -89,7 +90,7 @@ def check_decomposition(model: VorticityModel, n: int = 10_000, seed: int = 0,
                         tol: float = 1e-12) -> CheckRecord:
     """f(u) = u - g(u) exactly, sampled."""
     us = sample_interval(n, -100.0, 100.0, seed=seed)
-    dev = np.abs(model.f_grid(us) - (us - model.g_grid(us))) \
+    dev = np.abs(model.f_arr(us) - (us - model.g_arr(us))) \
         / (1.0 + np.abs(us))
     j = int(np.argmax(dev))
     return CheckRecord(
@@ -114,7 +115,7 @@ def check_growth(model: VorticityModel, a: float, n: int = 10_000,
     range_ok = 3.0 < eta <= 3.5
     lo, hi = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a
     xs = sample_interval(n, lo, hi, seed=seed)
-    fv = np.abs(model.f_grid(xs))
+    fv = np.abs(model.f_arr(xs))
     j = int(np.argmax(fv))
     bound = eta * a
     bound_ok = bool(fv[j] <= bound * (1.0 + tol))
@@ -133,7 +134,7 @@ def check_lipschitz(model: VorticityModel, a: float, n: int = 10_000,
     eta, L = model.ledger.eta, model.ledger.L
     lo, hi = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a
     xs = np.sort(sample_interval(n, lo, hi, seed=seed))
-    fv = model.f_grid(xs)
+    fv = model.f_arr(xs)
     dx = np.diff(xs)
     keep = dx > 1e-13 * max(1.0, hi)
     if not keep.any():
@@ -157,9 +158,9 @@ def check_lambda(model: VorticityModel, n: int = 1000,
     int_0^psi g >= psi g(psi) / (2 lambda_g), sampled on a log grid."""
     lam = model.ledger.lambda_g
     psis = sample_loglin(n, 1e-3, 1e3, seed=0)
-    flux = psis * model.g_grid(psis)
+    flux = psis * model.g_arr(psis)
     # int_0^psi g = psi^2/2 - F(psi)
-    gints = np.array([0.5 * p * p - model.F(float(p)) for p in psis])
+    gints = 0.5 * psis * psis - potential_grid(model, psis)
     lhs_ok = bool(np.all(flux >= -tol * (1.0 + np.abs(flux))))
     margin = gints - flux / (2.0 * lam)
     scale = 1.0 + np.abs(flux)
@@ -183,7 +184,7 @@ def check_ring_bound(model: VorticityModel, n: int = 10_000, seed: int = 0,
     radii = 10.0 ** (-2.0 + 5.0 * pts[:, 0])
     ts = 2.0 * pts[:, 1] - 1.0
     psis = ts * radii
-    vals = psis * model.g_grid(psis) / radii ** 2
+    vals = psis * model.g_arr(psis) / radii ** 2
     upper = (1.0 + c) * radii ** (-nu)
     lower = -c * radii ** (-nu)
     scale = np.maximum(1.0, radii ** (-nu))
@@ -209,7 +210,7 @@ def check_level_set_sandwich(model: VorticityModel, n: int = 200,
             witnesses={}, note="needs the modulated model")
     c1 = math.sin(0.5 * c2)
     psis = np.linspace(-4.0, 4.0, n)
-    pot = np.array([model.F(float(p)) for p in psis])
+    pot = potential_grid(model, psis)
     cubic = (2.0 / 3.0) * np.abs(psis) ** 1.5
     # beta^2/2 is in the energy and in both surfaces, so it cancels
     base = 0.5 * psis ** 2

@@ -1,9 +1,10 @@
 """Orbit diagnostics: ring capture, energy-region entry, rotation counting,
 and shooting for the origin.
 
-Everything here consumes stored trajectories and refines features on the
-cubic Hermite interpolant between accepted steps, so two trajectories with
-the same stored points give identical diagnostics.
+Everything here consumes stored trajectories.  A boolean mask over the
+stored columns picks the steps that hold a feature, and only those steps
+are refined on the cubic Hermite interpolant between accepted steps, so two
+trajectories with the same stored points give identical diagnostics.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from .errors import (HypothesisViolationError, NoBracketError,
                      ParameterDomainError, ToleranceError)
 from .fixedpoint import check_start_value
-from .integrator import IntegrationConfig, Termination, Trajectory, integrate
+from .integrator import (_BLOCK, IntegrationConfig, Termination, Trajectory,
+                         integrate)
 from .phaseplane import TWO_PI
 from .search import bisect_root
 from .vorticity import VorticityModel
@@ -46,18 +48,16 @@ def _state(traj: Trajectory, i: int, s: float) -> Tuple[float, float]:
     return traj.hermite("psi", i)(s), traj.hermite("beta", i)(s)
 
 
-def _first_crossing(traj: Trajectory, name: str, level: float,
-                    falling: bool = True,
-                    i_from: int = 0) -> Optional[Tuple[float, float, int]]:
-    """(r, sigma, segment index) of the first directional level crossing."""
-    vals = getattr(traj, name)
-    for i in range(i_from, len(vals) - 1):
-        a, b = float(vals[i]) - level, float(vals[i + 1]) - level
-        hit = (a > 0.0 >= b) if falling else (a < 0.0 <= b)
-        if hit:
-            r_star, s = _refine_crossing(traj, name, level, i)
-            return r_star, s, i
-    return None
+def _first_crossing(traj: Trajectory, name: str,
+                    level: float) -> Optional[Tuple[float, float, int]]:
+    """(r, sigma, segment index) of the first downward crossing of level."""
+    col = getattr(traj, name)
+    hits = np.flatnonzero((col[:-1] > level) & (col[1:] <= level))
+    if len(hits) == 0:
+        return None
+    i = int(hits[0])
+    r_star, s = _refine_crossing(traj, name, level, i)
+    return r_star, s, i
 
 
 # ------------------------------------------------------------------- rings
@@ -138,7 +138,7 @@ def ring_entry(traj: Trajectory, ring: RingSpec) -> Optional[RingEntry]:
         raise HypothesisViolationError(
             f"start radius {float(traj.radius[0])!r} must exceed "
             f"8 (1 + delta) = {8.0 * level!r}")
-    hit = _first_crossing(traj, "radius", level, falling=True)
+    hit = _first_crossing(traj, "radius", level)
     if hit is None:
         return None
     r_star, s_star, i = hit
@@ -172,7 +172,7 @@ def e_region_entry(traj: Trajectory) -> Optional[EnergyEntry]:
     if float(traj.E[0]) <= 0.0:
         raise HypothesisViolationError(
             "energy must be positive at the start of the window")
-    hit = _first_crossing(traj, "E", 0.0, falling=True)
+    hit = _first_crossing(traj, "E", 0.0)
     if hit is None:
         return None
     r_star, s_star, i = hit
@@ -198,20 +198,28 @@ def transversality_check(traj: Trajectory,
                          r_to: Optional[float] = None) -> List[AxisCrossing]:
     """All psi = 0 crossings while E > 0: each must be transversal
     (|beta| > 1e-8) and satisfy the flow identity beta' + beta/r = -f(psi),
-    whose residual at the axis is |f(psi*)| ~ 0."""
+    whose residual at the axis is |f(psi*)| ~ 0.
+
+    A step holds a crossing when psi leaves one strict sign for zero or the
+    other sign (signs are compared, never multiplied); with r_to, only the
+    steps that end at or before it count.
+    """
+    k = len(traj.r) if r_to is None else int(
+        np.searchsorted(traj.r, r_to, side="right"))
+    psi, E = traj.psi[:k], traj.E[:k]
+    a, b = psi[:-1], psi[1:]
+    hits = (((a > 0.0) & (b <= 0.0)) | ((a < 0.0) & (b >= 0.0))) \
+        & (E[:-1] > 0.0) & (E[1:] > 0.0)
     out: List[AxisCrossing] = []
-    stop = float(traj.r[-1]) if r_to is None else r_to
-    for i in range(len(traj.r) - 1):
-        if traj.r[i + 1] > stop:
-            break
-        # b = 0 is a crossing node a window stored: the search closes on it
-        a, b = float(traj.psi[i]), float(traj.psi[i + 1])
-        if a == 0.0 or a * b > 0.0:
-            continue
-        if float(traj.E[i]) <= 0.0 or float(traj.E[i + 1]) <= 0.0:
-            continue
-        r_star, s_star = _refine_crossing(traj, "psi", 0.0, i)
-        psi_star, beta_star = _state(traj, i, s_star)
+    for i in np.flatnonzero(hits).tolist():
+        if psi[i + 1] == 0.0:
+            # a crossing window stored the crossing as this node; a search
+            # would close on it and read psi = +0.0 (the node may hold -0.0)
+            r_star, psi_star = float(traj.r[i + 1]), 0.0
+            beta_star = float(traj.beta[i + 1])
+        else:
+            r_star, s_star = _refine_crossing(traj, "psi", 0.0, i)
+            psi_star, beta_star = _state(traj, i, s_star)
         beta_prime = -beta_star / r_star - traj.model.f(psi_star)
         residual = abs(beta_prime + beta_star / r_star)
         out.append(AxisCrossing(r=r_star, psi=psi_star, beta=beta_star,
@@ -329,17 +337,20 @@ def verify_crossing_bounds(traj: Trajectory, seq: CrossingSequence,
             f"nonpositive certified rate eta_hat = {eta_hat!r}")
     s = (1.0 + ring.epsilon) ** (-ring.nu)
 
-    # sampled rotation rate on window nodes where the annulus hypothesis holds
-    i_lo = traj.locate(seq.r_start)[0]
-    i_hi = traj.locate(seq.r_end)[0] + 1
+    # sampled rotation rate on window nodes where the annulus hypothesis
+    # holds: theta' = (psi beta' - beta^2) / R^2 from the vector field, in
+    # blocks so that no temporary spans the window
+    i_lo = int(np.searchsorted(traj.r, seq.r_start, side="left"))
+    i_hi = int(np.searchsorted(traj.r, seq.r_end, side="right"))
     margin = -math.inf
-    for i in range(i_lo, i_hi + 1):
-        if float(traj.radius[i]) < 1.0 + ring.epsilon:
-            continue
-        if not seq.r_start <= float(traj.r[i]) <= seq.r_end:
-            continue
-        _, dth = traj.node("theta", i)
-        margin = max(margin, dth + eta_hat)
+    for lo in range(i_lo, i_hi, _BLOCK):
+        part = slice(lo, min(lo + _BLOCK, i_hi))
+        keep = traj.radius[part] >= 1.0 + ring.epsilon
+        r, psi, beta = (c[part][keep] for c in (traj.r, traj.psi, traj.beta))
+        dbeta = -beta / r - traj.model.f_arr(psi)
+        dth = (psi * dbeta - beta * beta) / (psi * psi + beta * beta)
+        if len(dth):
+            margin = max(margin, float(np.max(dth + eta_hat)))
 
     gap_upper = 0.5 * math.pi / eta_hat
     gap_lower = math.pi / (3.0 - 2.0 * ring.c * s)

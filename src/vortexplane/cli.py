@@ -131,10 +131,6 @@ def _resolve_model(args: argparse.Namespace) -> VorticityModel:
     return make_model(args.model, c2=args.c2, alpha=args.alpha)
 
 
-def _model_tag(model: VorticityModel) -> str:
-    return model.model_id
-
-
 def _ring_from_args(args: argparse.Namespace,
                     model: VorticityModel) -> Optional[RingSpec]:
     if not getattr(args, "ring", None):
@@ -168,7 +164,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     a_values = tuple(_parse_float_list(args.a, "--a"))
     report = full_report(model, a_values=a_values, seed=args.seed)
     out = _ensure_out(args)
-    path = _write_json(out, f"check_{_model_tag(model)}.json",
+    path = _write_json(out, f"check_{model.model_id}.json",
                        report.to_json_dict())
     for check in report.checks:
         if check.passed is None:
@@ -205,7 +201,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             capture_note = str(exc)
 
     out = _ensure_out(args)
-    tag = f"{_model_tag(model)}_a{a:g}"
+    tag = f"{model.model_id}_a{a:g}"
     csv_path = os.path.join(out, f"trajectory_{tag}.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         traj.to_csv(fh)
@@ -264,7 +260,7 @@ def cmd_portrait(args: argparse.Namespace) -> int:
     svg = build_portrait_svg(model, trajectories, ring=ring,
                              clip_radius=args.clip)
     out = _ensure_out(args)
-    path = _write_text(out, f"portrait_{_model_tag(model)}.svg", svg)
+    path = _write_text(out, f"portrait_{model.model_id}.svg", svg)
     print(f"wrote {path} ({len(svg.encode('utf-8'))} bytes, "
           f"{len(trajectories)} orbits)")
     return 0
@@ -293,7 +289,7 @@ def cmd_shoot(args: argparse.Namespace) -> int:
         "min_radius_achieved": result.min_radius_achieved,
         "bisection_evaluations": len(result.history),
     }
-    path = _write_json(out, f"shoot_{_model_tag(model)}.json", payload)
+    path = _write_json(out, f"shoot_{model.model_id}.json", payload)
     print(f"bracket=({lo:g}, {hi:g}) a_star={result.a_star!r}")
     print(f"min_radius_achieved={result.min_radius_achieved!r}")
     print(f"wrote {path}")
@@ -317,7 +313,7 @@ def cmd_picard(args: argparse.Namespace) -> int:
         "beta_end": float(slope.values[-1]),
         "residual": residual,
     }
-    path = _write_json(out, f"picard_{_model_tag(model)}.json", payload)
+    path = _write_json(out, f"picard_{model.model_id}.json", payload)
     print(f"psi({grid.r[-1]:g}) = {float(grid.values[-1])!r}")
     print(f"beta({grid.r[-1]:g}) = {float(slope.values[-1])!r}")
     print(f"residual = {residual!r}")
@@ -349,7 +345,7 @@ def cmd_banach(args: argparse.Namespace) -> int:
         "beta_low": float(beta.values[0]),
         "max_dev_from_anchor_value": dev_from_anchor,
     }
-    path = _write_json(out, f"banach_{_model_tag(model)}.json", payload)
+    path = _write_json(out, f"banach_{model.model_id}.json", payload)
     print(f"interval=[{psi.r[0]:.6f}, {psi.r[-1]:g}] "
           f"zeta={constants.zeta:.6f} factor={factor:.6f}")
     if args.beta_t == 0.0 and model.f(args.psi_t) == 0.0:

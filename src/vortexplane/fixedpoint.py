@@ -55,9 +55,6 @@ class GridFunction:
     r: np.ndarray
     values: np.ndarray
 
-    def __call__(self, x):
-        return np.interp(x, self.r, self.values)
-
     @property
     def h(self) -> float:
         return float(self.r[1] - self.r[0])
@@ -84,7 +81,7 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     ball = eta * a / 4.0
     psi = np.full(n + 1, float(a))
     for _ in range(max_iter):
-        w = rs * model.f_grid(psi)
+        w = rs * model.f_arr(psi)
         inner = cumtrapz(w, h)
         integrand = np.zeros(n + 1)
         integrand[1:] = inner[1:] / rs[1:]
@@ -108,7 +105,7 @@ def picard_residual(model: VorticityModel, grid: GridFunction) -> float:
     rs, psi = grid.r, grid.values
     a = float(psi[0])
     h = grid.h
-    w = rs * model.f_grid(psi)
+    w = rs * model.f_arr(psi)
     inner = cumsimpson(w, h)
     integrand = np.zeros(len(rs))
     integrand[1:] = inner[1:] / rs[1:]
@@ -119,7 +116,7 @@ def picard_residual(model: VorticityModel, grid: GridFunction) -> float:
 def beta_from_psi(model: VorticityModel, grid: GridFunction) -> GridFunction:
     """beta = -(1/r) int_0^r tau f(psi) dtau on the same grid (beta(0) = 0)."""
     rs, psi = grid.r, grid.values
-    w = rs * model.f_grid(psi)
+    w = rs * model.f_arr(psi)
     inner = cumsimpson(w, grid.h)
     beta = np.zeros(len(rs))
     beta[1:] = -inner[1:] / rs[1:]
@@ -230,7 +227,7 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
     floor = 1e3 * np.finfo(float).eps * max(1.0, psi_T)
     for _ in range(max_iter):
         new_psi = psi_T - _tail(beta, h)
-        new_beta = beta_T * T / rs + _tail(rs * model.f_grid(psi), h) / rs
+        new_beta = beta_T * T / rs + _tail(rs * model.f_arr(psi), h) / rs
         dev_psi = float(np.max(np.abs(new_psi - psi_T)))
         dev_beta = float(np.max(np.abs(new_beta)))
         if dev_psi > psi_ball * (1.0 + 1e-12) \

@@ -170,7 +170,7 @@ def _hermite_radius(s: float, psi: float, beta: float, psi1: float,
                       w0 * beta + w1 * k1b + w2 * beta1 + w3 * k7b)
 
 
-# steps per block of Trajectory.closest_approach
+# steps per block of the array passes over stored steps
 _BLOCK = 4096
 
 

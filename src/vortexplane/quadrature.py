@@ -96,7 +96,3 @@ def cumsimpson(y: np.ndarray, h: float) -> np.ndarray:
     inc[1:-1] = 0.5 * (right_half[:-1] + left_half[1:])
     np.cumsum(inc, out=out[1:])
     return out
-
-
-def trapezoid(y: np.ndarray, h: float) -> float:
-    return float(h * (np.sum(y) - 0.5 * (y[0] + y[-1])))

@@ -118,7 +118,7 @@ def criterion_admissibility_ledger(cache: RunCache) -> CriterionResult:
     max_slope = 0.0
     for a in (1.0, 10.0, 100.0):
         u = np.linspace(a - eta * a / 4.0, a + eta * a / 4.0, 20001)
-        values = cache.example.f_grid(u)
+        values = cache.example.f_arr(u)
         growth_ratio = max(growth_ratio,
                            float(np.max(np.abs(values))) / (eta * a))
         max_slope = max(max_slope,
@@ -277,22 +277,18 @@ def criterion_crossing_gaps(cache: RunCache) -> CriterionResult:
             10, "crossing gaps and linear growth", False,
             "pi/(2 eta) >= gap >= pi/3 - 1e-3, linear cap + 1e-3",
             {"count": 0})
-    eta_hat = ring.rate_eta(r_minus)
-    gaps = seq.r_plus - seq.r_minus
-    upper_ok = bool(np.all(gaps <= 0.5 * math.pi / eta_hat))
-    lower_ok = bool(np.all(gaps >= math.pi / 3.0 - 1e-3))
-    ns = np.arange(1, seq.count + 1, dtype=float)
-    caps = (2.0 * math.pi * ns - 0.25 * math.pi) / eta_hat + r_minus + 1e-3
-    linear_ok = bool(np.all(seq.r_plus <= caps))
+    # the audit's gap floor pi/(3 - 2cs) is pi/3 at c = 0; its upper test
+    # allows the slack, this criterion's does not
     audit = verify_crossing_bounds(traj, seq, ring, slack=1e-3)
+    gaps = audit.gaps
     return CriterionResult(
         10, "crossing gaps and linear growth",
-        upper_ok and lower_ok and linear_ok and audit.ok,
+        bool(np.all(gaps <= audit.gap_upper)) and audit.ok,
         "pi/(2 eta) >= gap >= pi/3 - 1e-3, linear cap + 1e-3",
-        {"count": int(seq.count), "eta_hat": float(eta_hat),
+        {"count": int(seq.count), "eta_hat": float(audit.eta_hat),
          "min_gap": float(np.min(gaps)), "max_gap": float(np.max(gaps)),
-         "gap_upper": float(0.5 * math.pi / eta_hat),
-         "linear_ok": linear_ok, "audit_ok": bool(audit.ok)})
+         "gap_upper": float(audit.gap_upper),
+         "linear_ok": audit.linear_bound_ok, "audit_ok": bool(audit.ok)})
 
 
 def criterion_shooting(cache: RunCache) -> CriterionResult:

@@ -87,12 +87,6 @@ class VorticityModel:
     def u0(self) -> float:
         return self.ledger.u0
 
-    def f_grid(self, u: np.ndarray) -> np.ndarray:
-        return self.f_arr(np.asarray(u, dtype=float))
-
-    def g_grid(self, u: np.ndarray) -> np.ndarray:
-        return self.g_arr(np.asarray(u, dtype=float))
-
 
 def _at_zero(u: float) -> float:
     """Value of an odd f at an input that is neither finite > 0 nor finite

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from vortexplane import (HypothesisViolationError, IntegrationConfig,
                          integrate, rate_onset_radius, ring_entry,
                          scan_for_bracket, shoot_for_origin,
                          transversality_check, verify_crossing_bounds)
+from vortexplane import analysis
+from vortexplane.integrator import Trajectory
 
 
 def test_ring_spec_floor(constantin, example):
@@ -69,6 +72,26 @@ def test_transversality_roster(run10):
     assert radii == sorted(radii)
 
 
+def test_transversality_r_to(run10, powerlaw):
+    # run10's crossings are nodes a window stored; the power law has no
+    # windows, so each of its crossings is refined inside a step.  r_to
+    # keeps exactly the crossings whose step ends at or before it, also
+    # when it falls inside a step that holds a crossing.
+    short = integrate(powerlaw, 20.0, IntegrationConfig(r_max=30.0))
+    for traj, refined in ((run10, False), (short, True)):
+        full = transversality_check(traj)
+        radii = np.array([c.r for c in full])
+        ends = traj.r[np.searchsorted(traj.r, radii)]
+        assert np.all(ends > radii) if refined else np.all(ends == radii)
+        cuts = {float(traj.r[0]), float(traj.r[-1])}
+        for c, end in zip(full, ends):
+            cuts |= {c.r, float(end), float(np.nextafter(end, 0.0)),
+                     0.5 * (c.r + float(end))}
+        for r_to in sorted(cuts):
+            assert transversality_check(traj, r_to=r_to) == [
+                c for c, end in zip(full, ends) if end <= r_to]
+
+
 def test_ring_entry_frozen(constantin, run100):
     ring = RingSpec.for_model(constantin, 0.05, 0.1)
     entry = ring_entry(run100, ring)
@@ -84,6 +107,45 @@ def test_ring_entry_requires_wide_start(constantin):
     traj = integrate(constantin, 5.0, IntegrationConfig(r_max=10.0))
     with pytest.raises(HypothesisViolationError):
         ring_entry(traj, ring)
+
+
+def test_entries_none_without_crossing(constantin):
+    # up to r = 5 the a = 10 orbit stays far outside the ring and at E > 0
+    traj = integrate(constantin, 10.0, IntegrationConfig(r_max=5.0))
+    assert float(np.min(traj.radius)) > 1.1 and float(traj.E[-1]) > 0.0
+    assert ring_entry(traj, RingSpec.for_model(constantin, 0.05, 0.1)) is None
+    assert e_region_entry(traj) is None
+
+
+def _count_calls(code, fn, *args):
+    """Calls of the function with this code object while fn(*args) runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_scans_read_stored_nodes(constantin, run10, run100):
+    # a setprofile guard: the crossings a window stored as nodes are read,
+    # not searched, and the rate margin takes the slopes from the columns
+    refine = analysis._refine_crossing.__code__
+    ring = RingSpec.for_model(constantin, 0.05, 0.1)
+    seq = crossing_sequence(run100, r_start=rate_onset_radius(run100, ring),
+                            r_end=1990.0)
+    assert _count_calls(refine, transversality_check, run10) == 0
+    assert _count_calls(Trajectory.node.__code__, verify_crossing_bounds,
+                        run100, seq, ring) == 0
+    # the guard sees the search it forbids: the energy entry refines a step
+    assert _count_calls(refine, e_region_entry, run10) == 1
 
 
 def test_rate_onset_frozen(constantin, run100):

@@ -120,8 +120,9 @@ def test_banach_matches_backward_integration(constantin, state_at):
     bw = integrate_backward(constantin, 6.0, 2.0, 0.1)
     for r in np.linspace(float(bw.r[0]) + 1e-9, 6.0, 40):
         psi_b, beta_b = state_at(bw, float(r))
-        assert abs(float(psi_g(r)) - psi_b) < 1e-6
-        assert abs(float(beta_g(r)) - beta_b) < 1e-6
+        assert abs(float(np.interp(r, psi_g.r, psi_g.values)) - psi_b) < 1e-6
+        assert abs(float(np.interp(r, beta_g.r, beta_g.values)) - beta_b) \
+            < 1e-6
 
 
 def test_banach_anchor_guards(constantin):
