@@ -15,11 +15,14 @@ sweeping back to sqrt(T^2 - 1) gives the system
 a contraction in the weighted sup metric  sup max(|dpsi|, |dbeta|) e^{-kr}
 for a window of rates k derived below.  Grid operators use the trapezoid
 rule; the Simpson re-evaluation serves as an independent residual oracle.
+A Picard sweep is one left-to-right pass over cache-sized blocks of the
+grid that gives the iterates of the whole-grid trapezoid rule bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -33,6 +36,8 @@ from .vorticity import VorticityModel
 
 _PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 _LAM_LO = 1.0 + 1e-12
+# nodes per block of a Picard sweep: a block's work arrays stay in L2
+_BLOCK = 16384
 
 
 def check_start_value(a: float) -> None:
@@ -51,13 +56,34 @@ def require_finite(**values: float) -> None:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples of a scalar function on an ascending uniform grid."""
+    """Samples of a scalar function on an ascending uniform grid.
+
+    A fixed-point solve also records how many sweeps it ran and the sup
+    change of its last sweep; other grids leave both at 0.
+    """
     r: np.ndarray
     values: np.ndarray
+    sweeps: int = 0
+    last_change: float = 0.0
 
     @property
     def h(self) -> float:
         return float(self.r[1] - self.r[0])
+
+
+def _check_budget(n: int, n_min: int, tol: float, max_iter: int) -> None:
+    """Reject a grid size, tolerance or sweep budget no solve can run on."""
+    for name, value in (("n", n), ("max_iter", max_iter)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ParameterDomainError(
+                f"{name} must be an integer, got {value!r}")
+    if n < n_min:
+        raise ParameterDomainError(f"need at least {n_min} intervals")
+    if max_iter < 1:
+        raise ParameterDomainError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterDomainError(
+            f"tol must be finite and >= 0, got {tol!r}")
 
 
 def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
@@ -68,33 +94,71 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     Every iterate must stay in the ball |psi - a| <= eta a / 4 (which in
     particular keeps psi >= a/8 > 0); escape or failure to converge within
     max_iter raises FixedPointFailureError.
+
+    A sweep is one left-to-right pass over blocks of _BLOCK nodes, so a
+    block's work arrays stay in cache.  Each block re-evaluates r f(psi)
+    at the node to its left and carries over that node's integrand and
+    both running sums; the sums add left to right as np.cumsum does, so
+    the iterates are those of the whole-grid trapezoid rule bit for bit.
     """
     check_start_value(a)
     if not 0.0 < r_end <= 1.0:
         raise ParameterDomainError(
             f"contraction certified for 0 < r_end <= 1, got {r_end!r}")
-    if n < 8:
-        raise ParameterDomainError("need at least 8 intervals")
+    _check_budget(n, 8, tol, max_iter)
     eta = model.ledger.eta
     rs = np.linspace(0.0, r_end, n + 1)
     h = float(rs[1] - rs[0])
+    half_h = 0.5 * h
     ball = eta * a / 4.0
     psi = np.full(n + 1, float(a))
-    for _ in range(max_iter):
-        w = rs * model.f_arr(psi)
-        inner = cumtrapz(w, h)
-        integrand = np.zeros(n + 1)
-        integrand[1:] = inner[1:] / rs[1:]
-        new = a - cumtrapz(integrand, h)
-        dev = float(np.max(np.abs(new - a)))
+    new = psi.copy()  # node 0 stays at a
+    # per block: its first node, its end, and views of the work arrays,
+    # whose index 0 holds the node left of the block
+    width = min(_BLOCK, n)
+    w, g, t = np.empty(width + 1), np.empty(width + 1), np.empty(width)
+    blocks = []
+    for s in range(1, n + 1, _BLOCK):
+        e = min(s + _BLOCK, n + 1)
+        wk, gk, tk = w[:e - s + 1], g[:e - s + 1], t[:e - s]
+        blocks.append((s, e, rs[s - 1:e], rs[s:e], wk, wk[1:], wk[:-1],
+                       gk[1:], gk[:-1], tk))
+    # max|new - a| and max|new - psi| of each block; their np.max keeps a
+    # NaN, as the whole-grid max does
+    stats = np.empty((len(blocks), 2))
+    for sweep in range(1, max_iter + 1):
+        # -0.0 + x == x for every x, signed zeros included
+        inner = outer = -0.0
+        g[0] = 0.0
+        for k, (s, e, r_left, r, wk, w_hi, w_lo, g_hi, g_lo, tk) \
+                in enumerate(blocks):
+            np.multiply(r_left, model.f_arr(psi[s - 1:e]), out=wk)
+            np.add(w_hi, w_lo, out=tk)
+            tk *= half_h
+            tk[0] += inner
+            np.cumsum(tk, out=tk)
+            inner = tk[-1]
+            np.divide(tk, r, out=g_hi)
+            np.add(g_hi, g_lo, out=tk)
+            tk *= half_h
+            tk[0] += outer
+            np.cumsum(tk, out=tk)
+            outer = tk[-1]
+            g[0] = g_hi[-1]
+            block = new[s:e]
+            np.subtract(a, tk, out=block)
+            np.subtract(block, a, out=tk)
+            stats[k, 0] = np.abs(tk, out=tk).max()
+            np.subtract(block, psi[s:e], out=tk)
+            stats[k, 1] = np.abs(tk, out=tk).max()
+        dev, change = stats.max(axis=0).tolist()
         if dev > ball * (1.0 + 1e-12):
             raise FixedPointFailureError(
                 f"iterate left the ball: |psi - a| reached {dev!r} "
                 f"against radius {ball!r}")
-        change = float(np.max(np.abs(new - psi)))
-        psi = new
+        psi, new = new, psi
         if change <= tol * a:
-            return GridFunction(rs, psi)
+            return GridFunction(rs, psi, sweeps=sweep, last_change=change)
     raise FixedPointFailureError(
         f"no convergence within {max_iter} sweeps (last change {change!r})")
 
@@ -202,6 +266,7 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
     |psi - psi_T| <= eta psi_T / 4, |beta| <= 2 |beta_T| + eta psi_T.
     """
     require_finite(T=T, psi_T=psi_T, beta_T=beta_T)
+    _check_budget(n, 1, tol, max_iter)
     if constants is None:
         constants = select_contraction_constants(
             T=T, L=min(model.ledger.L, 2.5))
@@ -225,7 +290,7 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
     prev_wdist = None
     factor = 0.0
     floor = 1e3 * np.finfo(float).eps * max(1.0, psi_T)
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         new_psi = psi_T - _tail(beta, h)
         new_beta = beta_T * T / rs + _tail(rs * model.f_arr(psi), h) / rs
         dev_psi = float(np.max(np.abs(new_psi - psi_T)))
@@ -244,7 +309,9 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
             factor = max(factor, wdist / prev_wdist)
         prev_wdist = wdist
         if change <= tol * max(1.0, psi_T):
-            return GridFunction(rs, psi), GridFunction(rs, beta), factor
+            return (GridFunction(rs, psi, sweeps=sweep, last_change=change),
+                    GridFunction(rs, beta, sweeps=sweep, last_change=change),
+                    factor)
     raise FixedPointFailureError(
         f"no convergence within {max_iter} sweeps (last change {change!r})")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterDomainError
+
 # 1/phi and the 2-d generalization via the plastic number.
 _GOLDEN_STEP = 0.6180339887498949
 _PLASTIC = 1.3247179572447460
@@ -22,7 +24,7 @@ def kronecker(n: int, dim: int = 1, seed: int = 0) -> np.ndarray:
     equidistribution quality.
     """
     if n <= 0 or dim <= 0:
-        raise ValueError("n and dim must be positive")
+        raise ParameterDomainError("n and dim must be positive")
     if dim == 1:
         alphas = np.array([_GOLDEN_STEP])
     else:
@@ -44,5 +46,5 @@ def sample_interval(n: int, lo: float, hi: float, seed: int = 0) -> np.ndarray:
 def sample_loglin(n: int, lo: float, hi: float, seed: int = 0) -> np.ndarray:
     """Quasi-random points that equidistribute in log scale on [lo, hi]."""
     if lo <= 0 or hi <= lo:
-        raise ValueError("need 0 < lo < hi")
+        raise ParameterDomainError("need 0 < lo < hi")
     return np.exp(sample_interval(n, np.log(lo), np.log(hi), seed))

@@ -310,7 +310,7 @@ def potential_grid(model: VorticityModel, psis: np.ndarray) -> np.ndarray:
     """F on a 1-d grid of any order and sign, node by node."""
     psis = np.asarray(psis, dtype=float)
     if psis.ndim != 1 or len(psis) == 0:
-        raise ValueError("psis must be a nonempty 1-d array")
+        raise ParameterDomainError("psis must be a nonempty 1-d array")
     return np.array([model.F(p) for p in psis.tolist()])
 
 

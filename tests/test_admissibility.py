@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from vortexplane import full_report
+from vortexplane import ParameterDomainError, full_report
 from vortexplane.admissibility import (check_decomposition, check_growth,
-                                       check_level_set_sandwich,
+                                       check_lambda, check_level_set_sandwich,
                                        check_lipschitz, check_zero)
 from vortexplane.vorticity import ConstantsLedger, VorticityModel
 
@@ -112,3 +112,9 @@ def test_individual_checks_expose_witnesses(constantin):
     lip = check_lipschitz(constantin, 10.0)
     assert lip.passed
     assert lip.witnesses["max_slope"] < constantin.ledger.L
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_check_lambda_rejects_empty_sample(constantin, n):
+    with pytest.raises(ParameterDomainError):
+        check_lambda(constantin, n=n)

@@ -1,15 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexplane import (InfeasibleConstantsError, ParameterDomainError,
-                         banach_solve, beta_from_psi, integrate_backward,
-                         picard_residual, picard_solve, rate_transform,
-                         select_contraction_constants)
-from vortexplane.fixedpoint import equilibrium_dichotomy_certificate
+from vortexplane import (FixedPointFailureError, InfeasibleConstantsError,
+                         ParameterDomainError, banach_solve, beta_from_psi,
+                         integrate_backward, picard_residual, picard_solve,
+                         rate_transform, select_contraction_constants)
+from vortexplane.fixedpoint import _BLOCK, equilibrium_dichotomy_certificate
+from vortexplane.quadrature import cumtrapz
 
 PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 
@@ -104,6 +106,102 @@ def test_picard_domain_guards(constantin):
         picard_solve(constantin, 2.0, r_end=1.5)
     with pytest.raises(ParameterDomainError):
         picard_solve(constantin, 2.0, n=4)
+
+
+def _whole_grid_picard(model, a, r_end, n, tol=1e-13, max_iter=200):
+    # the sweep as one pass of whole-grid numpy operations: the oracle for
+    # the blocked sweep of picard_solve
+    rs = np.linspace(0.0, r_end, n + 1)
+    h = float(rs[1] - rs[0])
+    ball = model.ledger.eta * a / 4.0
+    psi = np.full(n + 1, float(a))
+    for sweep in range(1, max_iter + 1):
+        w = rs * model.f_arr(psi)
+        inner = cumtrapz(w, h)
+        integrand = np.zeros(n + 1)
+        integrand[1:] = inner[1:] / rs[1:]
+        new = a - cumtrapz(integrand, h)
+        dev = float(np.max(np.abs(new - a)))
+        if dev > ball * (1.0 + 1e-12):
+            raise FixedPointFailureError(
+                f"iterate left the ball: |psi - a| reached {dev!r} "
+                f"against radius {ball!r}")
+        change = float(np.max(np.abs(new - psi)))
+        psi = new
+        if change <= tol * a:
+            return rs, psi, sweep, change
+    raise FixedPointFailureError(
+        f"no convergence within {max_iter} sweeps (last change {change!r})")
+
+
+# blocks cover nodes 1..n, so n = _BLOCK + 1 and 2 _BLOCK + 1 end on a
+# one-node block
+_ORACLE_GRIDS = [(512, 0.0625), (1 << 17, 1.0)] + [
+    (n, 1.0) for n in (_BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                       2 * _BLOCK, 2 * _BLOCK + 1)]
+
+
+@pytest.mark.parametrize("n, r_end", _ORACLE_GRIDS)
+def test_blocked_sweep_matches_whole_grid(models, n, r_end):
+    for model in models.values():
+        for a in (1.5, 10.0):
+            rs, psi, sweeps, change = _whole_grid_picard(model, a, r_end, n)
+            grid = picard_solve(model, a, r_end=r_end, n=n)
+            assert grid.r.tobytes() == rs.tobytes()
+            assert grid.values.tobytes() == psi.tobytes()
+            assert (grid.sweeps, grid.last_change) == (sweeps, change)
+
+
+def test_picard_ball_escape_message(constantin):
+    tiny = replace(constantin, ledger=replace(constantin.ledger, eta=1e-6))
+    with pytest.raises(FixedPointFailureError) as ref:
+        _whole_grid_picard(tiny, 10.0, 1.0, _BLOCK + 1)
+    with pytest.raises(FixedPointFailureError) as got:
+        picard_solve(tiny, 10.0, r_end=1.0, n=_BLOCK + 1)
+    assert "left the ball" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+
+
+def test_picard_budget_exhausted_message(constantin):
+    with pytest.raises(FixedPointFailureError) as ref:
+        _whole_grid_picard(constantin, 10.0, 1.0, 2 * _BLOCK, max_iter=2)
+    with pytest.raises(FixedPointFailureError) as got:
+        picard_solve(constantin, 10.0, r_end=1.0, n=2 * _BLOCK, max_iter=2)
+    assert "no convergence within 2 sweeps" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+
+
+_BAD_BUDGETS = [dict(max_iter=0), dict(max_iter=-1), dict(max_iter=2.0),
+                dict(tol=math.nan), dict(tol=math.inf), dict(tol=-1e-13),
+                dict(n=64.5), dict(n=64.0), dict(n=True)]
+
+
+@pytest.mark.parametrize("bad", _BAD_BUDGETS, ids=repr)
+def test_picard_rejects_bad_budget(constantin, bad):
+    with pytest.raises(ParameterDomainError):
+        picard_solve(constantin, 2.0, **bad)
+
+
+@pytest.mark.parametrize("bad", _BAD_BUDGETS + [dict(n=0)], ids=repr)
+def test_banach_rejects_bad_budget(constantin, bad):
+    with pytest.raises(ParameterDomainError):
+        banach_solve(constantin, 6.0, 2.0, 0.1, **bad)
+
+
+def test_solvers_count_sweeps(constantin):
+    grid = picard_solve(constantin, 10.0, r_end=1.0, n=1 << 12, tol=1e-13)
+    assert grid.sweeps >= 2 and grid.last_change <= 1e-13 * 10.0
+    last = picard_solve(constantin, 10.0, r_end=1.0, n=1 << 12, tol=1e-13,
+                        max_iter=grid.sweeps)
+    assert last.values.tobytes() == grid.values.tobytes()
+    with pytest.raises(FixedPointFailureError):
+        picard_solve(constantin, 10.0, r_end=1.0, n=1 << 12, tol=1e-13,
+                     max_iter=grid.sweeps - 1)
+    psi_g, beta_g, _ = banach_solve(constantin, 6.0, 2.0, 0.1)
+    assert psi_g.sweeps == beta_g.sweeps >= 2
+    assert psi_g.last_change == beta_g.last_change <= 1e-12 * 2.0
+    with pytest.raises(FixedPointFailureError):
+        banach_solve(constantin, 6.0, 2.0, 0.1, max_iter=psi_g.sweeps - 1)
 
 
 def test_banach_equilibrium_probe(constantin):

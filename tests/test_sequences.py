@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexplane import ParameterDomainError
 from vortexplane.sequences import kronecker, sample_interval, sample_loglin
 
 
@@ -47,3 +49,15 @@ def test_sample_loglin_spans_decades():
     pts = sample_loglin(500, 1e-2, 1e3, seed=0)
     assert np.all(pts >= 1e-2) and np.all(pts <= 1e3)
     assert np.any(pts < 1.0) and np.any(pts > 100.0)
+
+
+@pytest.mark.parametrize("n, dim", [(0, 1), (-3, 1), (4, 0)])
+def test_kronecker_rejects_empty_request(n, dim):
+    with pytest.raises(ParameterDomainError):
+        kronecker(n, dim)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (2.0, 2.0)])
+def test_sample_loglin_rejects_bad_range(lo, hi):
+    with pytest.raises(ParameterDomainError):
+        sample_loglin(10, lo, hi)

@@ -127,6 +127,12 @@ def test_potential_grid_matches_pointwise():
         assert np.max(np.abs(grid - point)) < 1e-9
 
 
+@pytest.mark.parametrize("psis", [[], np.zeros((2, 2))])
+def test_potential_grid_rejects_empty_or_2d(psis):
+    with pytest.raises(ParameterDomainError):
+        potential_grid(_MODELS[0], psis)
+
+
 @pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.model_id)
 def test_nan_input_is_rejected(model):
     # f, g and F reject every non-finite input in every family; f, six calls
