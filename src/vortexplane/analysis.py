@@ -247,19 +247,14 @@ class CrossingSequence:
         return len(self.r_plus)
 
 
-def _monotone_theta_crossing(traj: Trajectory, target: float, i_lo: int,
-                             i_hi: int) -> float:
-    """Radius where the (strictly decreasing) angle reaches target,
-    searching nodes i_lo..i_hi."""
-    th = traj.theta
-    lo, hi = i_lo, i_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if th[mid] >= target:
-            lo = mid
-        else:
-            hi = mid
-    return _refine_crossing(traj, "theta", target, lo)[0]
+def _theta_nodes(window: np.ndarray, targets: Sequence[float],
+                 i_lo: int) -> np.ndarray:
+    """For each target, the last node of the strictly decreasing angle
+    window (nodes i_lo..) at or above it, short of the window's last node:
+    the node a bisection over the window picks."""
+    k = np.searchsorted(-window, -np.asarray(targets, dtype=float),
+                        side="right")
+    return np.minimum(i_lo + k - 1, i_lo + len(window) - 2)
 
 
 def crossing_sequence(traj: Trajectory,
@@ -278,13 +273,12 @@ def crossing_sequence(traj: Trajectory,
             f"window [{r_lo!r}, {r_hi!r}] not inside the stored range")
     i_lo, s_lo = traj.locate(r_lo)
     i_end, s_end = traj.locate(r_hi)
-    i_hi = i_end + 1
-    if np.any(np.diff(traj.theta[i_lo:i_hi + 1]) >= 0.0):
+    window = traj.theta[i_lo:i_end + 2]
+    if np.any(np.diff(window) >= 0.0):
         return None
     theta_start = traj.hermite("theta", i_lo)(s_lo)
     theta_end = traj.hermite("theta", i_end)(s_end)
-    r_minus: List[float] = []
-    r_plus: List[float] = []
+    taus: List[float] = []      # tau_minus, tau_plus of each rotation
     n = 1
     while True:
         tau_minus = theta_start + theta0 - TWO_PI * n
@@ -294,14 +288,15 @@ def crossing_sequence(traj: Trajectory,
                 raise ParameterDomainError(
                     "theta0 must define a drop below the starting angle")
             break
-        r_minus.append(_monotone_theta_crossing(traj, tau_minus, i_lo, i_hi))
-        r_plus.append(_monotone_theta_crossing(traj, tau_plus, i_lo, i_hi))
+        taus += [tau_minus, tau_plus]
         n += 1
+    radii = np.array([_refine_crossing(traj, "theta", tau, int(node))[0]
+                      for tau, node in zip(taus,
+                                           _theta_nodes(window, taus, i_lo))])
     return CrossingSequence(r_start=r_lo, r_end=r_hi,
                             theta_start=theta_start, theta0=theta0,
-                            theta1=theta1,
-                            r_minus=np.asarray(r_minus),
-                            r_plus=np.asarray(r_plus))
+                            theta1=theta1, r_minus=radii[0::2],
+                            r_plus=radii[1::2])
 
 
 @dataclass(frozen=True)

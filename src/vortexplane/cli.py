@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,10 +71,12 @@ def _parse_pair(text: str, name: str) -> Tuple[float, float]:
     return _as_float(pieces[0], name), _as_float(pieces[1], name)
 
 
-def _load_config(path: str) -> Dict[str, str]:
+def _load_config(path: str) -> List[str]:
+    """The file's `key = value` lines as `--key=value` arguments, with `_`
+    in a key read as `-`."""
     if not os.path.exists(path):
         raise ParameterDomainError(f"config file not found: {path}")
-    data: Dict[str, str] = {}
+    flags: List[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -84,29 +86,8 @@ def _load_config(path: str) -> Dict[str, str]:
                 raise ParameterDomainError(
                     f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = line.split("=", 1)
-            data[key.strip().replace("-", "_")] = value.strip()
-    return data
-
-
-def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Fill namespace slots from the config file for flags absent in argv."""
-    if not getattr(args, "config", None):
-        return
-    loaded = _load_config(args.config)
-    for key, value in loaded.items():
-        if key not in _CONFIG_FIELDS:
-            raise ParameterDomainError(f"unknown config key {key!r}")
-        dest, convert = _CONFIG_FIELDS[key]
-        flag = _FLAG_FOR_DEST[dest]
-        explicit = any(tok == flag or tok.startswith(flag + "=")
-                       for tok in argv)
-        if explicit:
-            continue
-        try:
-            setattr(args, dest, convert(value))
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ParameterDomainError(
-                f"config key {key!r}: cannot parse {value!r}")
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _ensure_out(args: argparse.Namespace) -> str:
@@ -133,17 +114,16 @@ def _resolve_model(args: argparse.Namespace) -> VorticityModel:
 
 def _ring_from_args(args: argparse.Namespace,
                     model: VorticityModel) -> Optional[RingSpec]:
-    if not getattr(args, "ring", None):
+    if not args.ring:
         return None
     eps, delta = _parse_pair(args.ring, "--ring")
     return RingSpec.for_model(model, epsilon=eps, delta=delta)
 
 
-def _tolerances(args: argparse.Namespace,
-                rel_default: float) -> Tuple[float, float]:
-    rel = args.tol_rel if args.tol_rel is not None else rel_default
-    abs_ = args.tol_abs if args.tol_abs is not None else 1e-12
-    return rel, abs_
+def _orbit_config(args: argparse.Namespace) -> IntegrationConfig:
+    rel = 1e-10 if args.tol_rel is None else args.tol_rel
+    return IntegrationConfig(r_max=args.rmax, rel_tol=rel,
+                             abs_tol=args.tol_abs)
 
 
 def _constant_trajectory(model: VorticityModel, a: float,
@@ -182,8 +162,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     a = _as_float(args.a, "--a")
     check_start_value(a)
     ring = _ring_from_args(args, model)
-    rel, abs_ = _tolerances(args, 1e-10)
-    config = IntegrationConfig(r_max=args.rmax, rel_tol=rel, abs_tol=abs_)
+    config = _orbit_config(args)
     if model.f(a) == 0.0:
         traj = _constant_trajectory(model, a, args.rmax)
     else:
@@ -210,8 +189,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "model": model.model_id,
         "a": a,
         "r_max": args.rmax,
-        "rel_tol": rel,
-        "abs_tol": abs_,
+        "rel_tol": config.rel_tol,
+        "abs_tol": config.abs_tol,
         "samples": int(len(traj.r)),
         "termination": traj.termination.value,
         "min_radius": float(traj.min_radius),
@@ -248,8 +227,7 @@ def cmd_portrait(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     a_values = _parse_float_list(args.a, "--a")
     ring = _ring_from_args(args, model)
-    rel, abs_ = _tolerances(args, 1e-10)
-    config = IntegrationConfig(r_max=args.rmax, rel_tol=rel, abs_tol=abs_)
+    config = _orbit_config(args)
     trajectories = []
     for a in a_values:
         check_start_value(a)
@@ -272,7 +250,7 @@ def cmd_shoot(args: argparse.Namespace) -> int:
     if a_lo < 1.0 or a_hi <= a_lo:
         raise ParameterDomainError(
             f"--a must give 1 <= lo < hi, got {args.a!r}")
-    rel, _ = _tolerances(args, 1e-9)
+    rel = 1e-9 if args.tol_rel is None else args.tol_rel
     lo, hi, history = scan_for_bracket(model, a_start=a_lo, a_stop=a_hi,
                                        step=1.0, rel_tol=rel)
     result = shoot_for_origin(model, lo, hi, tol=1e-6, rel_tol=rel,
@@ -369,107 +347,93 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", default="constantin",
-                        choices=("constantin", "example", "powerlaw"),
-                        help="vorticity model id")
-    common.add_argument("--c2", type=_finite_float, default=None,
-                        help="modulation amplitude for the example model")
-    common.add_argument("--alpha", type=_finite_float, default=None,
-                        help="exponent for the power-law model")
-    common.add_argument("--tol-rel", type=_finite_float, default=None,
-                        dest="tol_rel", help="relative step tolerance")
-    common.add_argument("--tol-abs", type=_finite_float, default=None,
-                        dest="tol_abs", help="absolute step tolerance")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--config", default=None,
-                        help="key=value config file; flags take precedence")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampling sequences")
+    # each subcommand takes exactly the flags its cmd_* reads
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--out", default=".", help="output directory")
+    base.add_argument("--config", default=None,
+                      help="file of key = value lines, one per flag of this "
+                           "command; flags on the command line win")
+    model = argparse.ArgumentParser(add_help=False, parents=[base])
+    model.add_argument("--model", default="constantin",
+                       choices=("constantin", "example", "powerlaw"),
+                       help="vorticity model id")
+    model.add_argument("--c2", type=_finite_float, default=None,
+                       help="modulation amplitude for the example model")
+    model.add_argument("--alpha", type=_finite_float, default=None,
+                       help="exponent for the power-law model")
+    rel = argparse.ArgumentParser(add_help=False, parents=[model])
+    rel.add_argument("--tol-rel", type=_finite_float, default=None,
+                     help="relative step tolerance (default 1e-10, "
+                          "1e-9 for shoot)")
+    orbit = argparse.ArgumentParser(add_help=False, parents=[rel])
+    orbit.add_argument("--tol-abs", type=_finite_float, default=1e-12,
+                       help="absolute step tolerance")
+    orbit.add_argument("--rmax", type=_finite_float, default=100.0)
+    orbit.add_argument("--ring", default=None,
+                       help="capture ring widths as eps:delta")
 
     parser = argparse.ArgumentParser(
         prog="vortexplane",
         description="phase-plane toolkit for radial vorticity profiles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[model],
                        help="run the admissibility report")
     p.add_argument("--a", default="1,10,100",
                    help="comma-separated start values")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for sampling sequences")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[orbit],
                        help="integrate one orbit and summarize events")
     p.add_argument("--a", default="10", help="start value psi(0)")
-    p.add_argument("--rmax", type=_finite_float, default=100.0)
-    p.add_argument("--ring", default=None,
-                   help="capture ring widths as eps:delta")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("portrait", parents=[common],
+    p = sub.add_parser("portrait", parents=[orbit],
                        help="render an SVG phase portrait")
     p.add_argument("--a", default="5,10",
                    help="comma-separated start values")
-    p.add_argument("--rmax", type=_finite_float, default=100.0)
-    p.add_argument("--ring", default=None,
-                   help="capture ring widths as eps:delta")
     p.add_argument("--clip", type=_finite_float, default=None,
                    help="clip the frame to |psi|, |beta| <= clip")
     p.set_defaults(func=cmd_portrait)
 
-    p = sub.add_parser("shoot", parents=[common],
+    p = sub.add_parser("shoot", parents=[rel],
                        help="bisect start values toward the origin orbit")
     p.add_argument("--a", default="2:20", help="scan range as lo:hi")
     p.set_defaults(func=cmd_shoot)
 
-    p = sub.add_parser("picard", parents=[common],
+    p = sub.add_parser("picard", parents=[model],
                        help="short-range fixed point on [0, 1]")
     p.add_argument("--a", default="2", help="start value psi(0)")
     p.set_defaults(func=cmd_picard)
 
-    p = sub.add_parser("banach", parents=[common],
+    p = sub.add_parser("banach", parents=[model],
                        help="backward fixed point on [sqrt(T^2-1), T]")
     p.add_argument("--psiT", type=_finite_float, default=1.0, dest="psi_t")
     p.add_argument("--betaT", type=_finite_float, default=0.0, dest="beta_t")
-    p.add_argument("--T", type=_finite_float, default=6.0, dest="T")
+    p.add_argument("--T", type=_finite_float, default=6.0)
     p.set_defaults(func=cmd_banach)
 
-    p = sub.add_parser("verify-paper", parents=[common],
+    p = sub.add_parser("verify-paper", parents=[base],
                        help="run the full acceptance suite")
     p.set_defaults(func=cmd_verify_paper)
 
     return parser
 
 
-def _config_tables(parser: argparse.ArgumentParser) -> tuple:
-    """Config-file key -> (argparse dest, converter) and dest -> flag, over
-    every subcommand's flags; a key is its flag without the dashes, with
-    '-' read as '_'."""
-    sub = next(action for action in parser._actions
-               if isinstance(action, argparse._SubParsersAction))
-    actions = [action for command in sub.choices.values()
-               for action in command._actions
-               if action.dest not in ("config", "help")]
-    fields = {action.option_strings[-1][2:].replace("-", "_"):
-              (action.dest, action.type or str) for action in actions}
-    return fields, {action.dest: action.option_strings[-1]
-                    for action in actions}
-
-
-_CONFIG_FIELDS, _FLAG_FOR_DEST = _config_tables(build_parser())
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags go first, so the command line's win
+            args = parser.parse_args(
+                argv[:1] + _load_config(args.config) + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        _apply_config(args, argv)
-        return args.func(args)
     except ParameterDomainError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

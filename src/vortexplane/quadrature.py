@@ -18,7 +18,7 @@ from .errors import ToleranceError
 _MAX_DEPTH = 48
 
 
-def _simpson_panel(f, a, fa, b, fb, m, fm):
+def _simpson_panel(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -27,8 +27,8 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, floor, depth):
     rm = 0.5 * (m + b)
     flm = f(lm)
     frm = f(rm)
-    left = _simpson_panel(f, a, fa, m, fm, lm, flm)
-    right = _simpson_panel(f, m, fm, b, fb, rm, frm)
+    left = _simpson_panel(a, fa, m, fm, flm)
+    right = _simpson_panel(m, fm, b, fb, frm)
     err = left + right - whole
     if abs(err) <= 15.0 * max(tol, floor):
         return left + right + err / 15.0
@@ -53,7 +53,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    whole = _simpson_panel(f, a, fa, b, fb, m, fm)
+    whole = _simpson_panel(a, fa, b, fb, fm)
     floor = 0.25 * np.finfo(float).eps * (abs(whole) + abs(b - a))
     return _adaptive(f, a, fa, b, fb, m, fm, whole, tol, floor, 0)
 

@@ -288,7 +288,14 @@ def power_law_model(alpha: float) -> VorticityModel:
 
 def make_model(model_id: str, c2: Optional[float] = None,
                alpha: Optional[float] = None) -> VorticityModel:
-    """Build a model from its string id plus numeric parameters."""
+    """Build a model from its string id plus numeric parameters; a
+    parameter the family does not take is an error."""
+    if c2 is not None and model_id != "example":
+        raise ParameterDomainError(
+            f"c2 applies to the example model only, not {model_id!r}")
+    if alpha is not None and model_id != "powerlaw":
+        raise ParameterDomainError(
+            f"alpha applies to the powerlaw model only, not {model_id!r}")
     if model_id == "constantin":
         return constantin_model()
     if model_id == "example":

@@ -174,6 +174,27 @@ def test_crossing_sequence_run100(constantin, run100):
     assert report.ok
 
 
+def test_theta_nodes_match_bisection(run100):
+    # the per-target bisection the node search replaced, kept as reference
+    def bisect(th, target, lo, hi):
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if th[mid] >= target:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    i_lo, _ = run100.locate(1500.0)
+    i_hi = run100.locate(1600.0)[0] + 1
+    th = run100.theta
+    window = th[i_lo:i_hi + 1]
+    # every node value, i_hi's included, and the midpoints between them
+    targets = np.concatenate([window, 0.5 * (window[1:] + window[:-1])])
+    nodes = analysis._theta_nodes(window, targets.tolist(), i_lo)
+    assert nodes.tolist() == [bisect(th, t, i_lo, i_hi) for t in targets]
+
+
 def test_crossing_sequence_stalls_to_none(run10):
     # inside the potential well the angle is no longer strictly decreasing
     seq = crossing_sequence(run10, r_start=50.0, r_end=90.0)

@@ -1,8 +1,30 @@
 import json
+import re
 
 import pytest
 
-from vortexplane.cli import _CONFIG_FIELDS, main
+from vortexplane.cli import main
+
+_BASE = {"--out", "--config"}
+_MODEL = _BASE | {"--model", "--c2", "--alpha"}
+_REL = _MODEL | {"--tol-rel"}
+_ORBIT = _REL | {"--tol-abs", "--rmax", "--ring"}
+# the long flags of each subcommand: exactly the ones its cmd_* reads
+FLAGS = {
+    "check": _MODEL | {"--a", "--seed"},
+    "simulate": _ORBIT | {"--a"},
+    "portrait": _ORBIT | {"--a", "--clip"},
+    "shoot": _REL | {"--a"},
+    "picard": _MODEL | {"--a"},
+    "banach": _MODEL | {"--psiT", "--betaT", "--T"},
+    "verify-paper": _BASE,
+}
+# a value each flag itself would accept
+VALUES = {"--out": "elsewhere", "--config": "run.cfg", "--model": "example",
+          "--c2": "0.02", "--alpha": "0.3", "--tol-rel": "1e-9",
+          "--tol-abs": "1e-12", "--rmax": "20", "--ring": "0.05:0.1",
+          "--a": "2", "--seed": "3", "--clip": "3", "--psiT": "1",
+          "--betaT": "0", "--T": "6"}
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -74,10 +96,16 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
     ["picard", "--a", "nan"], ["picard", "--a", "0.5"],
     ["portrait", "--a", "2,nan"], ["portrait", "--a", "1", "--rmax", "inf"],
     ["check", "--a", "0"], ["check", "--a", "-5"], ["check", "--a", "1e-20"],
+    ["check", "--model", "constantin", "--c2", "0.5"],
+    ["check", "--model", "example", "--alpha", "0.3"],
+    ["check", "--model", "constantin", "--c2", "0.5", "--alpha", "7"],
+    ["simulate", "--model", "powerlaw", "--c2", "0.02"],
 ])
 def test_bad_start_or_range_rejected(tmp_path, capsys, argv):
-    assert main([*argv, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
     assert "parameter error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -102,11 +130,29 @@ def test_float_flags_reject_non_finite(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-def test_config_keys_follow_the_flags():
-    assert sorted(_CONFIG_FIELDS) == [
-        "T", "a", "alpha", "betaT", "c2", "clip", "model", "out", "psiT",
-        "ring", "rmax", "seed", "tol_abs", "tol_rel"]
-    assert _CONFIG_FIELDS["psiT"][0] == "psi_t"
+def test_flag_table_counts_51_slots():
+    assert set().union(*FLAGS.values()) == set(VALUES)
+    assert sum(len(flags) for flags in FLAGS.values()) == 51
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_exactly_the_command_flags(capsys, command):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert listed - {"--help"} == FLAGS[command]
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_foreign_flag_or_config_key_is_usage_error(tmp_path, capsys,
+                                                    command):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    for flag in sorted(set(VALUES) - FLAGS[command]):
+        assert main([command, flag, VALUES[flag], "--out", str(out)]) == 2
+        cfg.write_text(f"{flag[2:].replace('-', '_')} = {VALUES[flag]}\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists(), flag
+    capsys.readouterr()
 
 
 def test_config_value_must_be_finite(tmp_path, capsys):
@@ -186,15 +232,26 @@ def test_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sample configuration\nmodel = constantin\na = 1\n"
                    "rmax = 50\n")
-    out = tmp_path / "out"
-    out.mkdir()
-    code = main(["simulate", "--config", str(cfg), "--rmax", "30",
-                 "--out", str(out)])
+    # the flag wins over the config value for rmax, also abbreviated
+    for flag in ("--rmax", "--rm"):
+        out = tmp_path / flag
+        code = main(["simulate", "--config", str(cfg), flag, "30",
+                     "--out", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        lines = next(out.glob("trajectory_*.csv")).read_text().splitlines()
+        assert float(lines[-1].split(",")[0]) == 30.0, flag
+
+
+def test_config_keys_read_underscore_as_dash(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol_rel = 1e-9  # relative\ntol-abs = 1e-11\n")
+    code = main(["simulate", "--a", "2", "--rmax", "20", "--config",
+                 str(cfg), "--out", str(tmp_path)])
     assert code == 0
     capsys.readouterr()
-    lines = next(out.glob("trajectory_*.csv")).read_text().splitlines()
-    # flag wins over the config value for rmax
-    assert float(lines[-1].split(",")[0]) == 30.0
+    payload = json.loads(next(tmp_path.glob("events_*.json")).read_text())
+    assert (payload["rel_tol"], payload["abs_tol"]) == (1e-9, 1e-11)
 
 
 def test_config_unknown_key(tmp_path, capsys):

@@ -119,6 +119,16 @@ def test_make_model_dispatch():
         make_model("unknown")
 
 
+@pytest.mark.parametrize("model_id, params", [
+    ("constantin", {"c2": 0.02}), ("constantin", {"alpha": 0.3}),
+    ("example", {"alpha": 0.3}), ("powerlaw", {"c2": 0.02}),
+    ("example", {"c2": 0.02, "alpha": 0.3}),
+])
+def test_make_model_rejects_a_foreign_parameter(model_id, params):
+    with pytest.raises(ParameterDomainError, match="applies to the"):
+        make_model(model_id, **params)
+
+
 def test_potential_grid_matches_pointwise():
     psis = np.linspace(0.0, 3.0, 21)
     for model in _MODELS:
