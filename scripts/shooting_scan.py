@@ -2,8 +2,9 @@
 
 Each shot integrates until the orbit leaves {E > 0}; the side of the psi
 axis where that happens classifies the amplitude as over- or undershooting.
-A sign change brackets the critical amplitude, bisection refines it, and
-the shot table plus the refined value are printed.
+A sign change brackets the critical amplitude, a fit to the orbit's
+arrival at the origin refines it, and the shot table, the refined value,
+the arrival radius R and the fit's residual are printed.
 
 Usage:
     python3 shooting_scan.py [--lo 2] [--hi 12] [--step 1] [--tol 1e-6]
@@ -51,7 +52,12 @@ def main() -> None:
     result = shoot_for_origin(model, a_lo, a_hi, tol=args.tol,
                               ends=(scanned[-2], scanned[-1]))
     print(f"critical amplitude a* = {result.a_star:.10f}")
-    print(f"closest approach to the origin: R = "
+    if result.arrival_radius is None:
+        print("arrival fit: not confirmed, a* from bisection")
+    else:
+        print(f"arrival radius R = {result.arrival_radius:.6f}, "
+              f"fit residual {result.fit_residual:.3e}")
+    print(f"closest approach to the origin: min R = "
           f"{result.min_radius_achieved:.6e}")
     print(f"origin event fired: {result.origin_hit}")
 

@@ -10,6 +10,7 @@ trajectories with the same stored points give identical diagnostics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -17,14 +18,22 @@ import numpy as np
 
 from .errors import (HypothesisViolationError, NoBracketError,
                      ParameterDomainError, ToleranceError)
-from .fixedpoint import check_start_value
+from .fixedpoint import check_start_value, require_finite
 from .integrator import (_BLOCK, IntegrationConfig, Termination, Trajectory,
-                         integrate)
+                         arrival_start, integrate, integrate_backward)
 from .phaseplane import TWO_PI
 from .search import bisect_root
-from .vorticity import VorticityModel
+from .vorticity import VorticityModel, arrival_law
 
 _BISECTIONS = 60
+# the arrival fit of shoot_for_origin: the backward start lies
+# _ARRIVAL_S0 inside R, the part-orbits meet at _MATCH_SHARE of the
+# larger stop radius of the bracket's ends, and the fit ends once its step
+# falls below _FIT_STEP of (a, R) or after _FIT_ITER iterations
+_ARRIVAL_S0 = 0.05
+_MATCH_SHARE = 0.5
+_FIT_STEP = 1e-8
+_FIT_ITER = 12
 
 
 # ---------------------------------------------------------------- features
@@ -391,6 +400,9 @@ class ShootingResult:
     origin_hit: bool
     min_radius_achieved: float
     history: List[ShotRecord] = field(default_factory=list)
+    # the fit to the arrival (None where the bisection safeguard decided)
+    arrival_radius: Optional[float] = None
+    fit_residual: Optional[float] = None
 
 
 def _classification_config(a: float, rel_tol: float,
@@ -435,6 +447,12 @@ def scan_for_bracket(model: VorticityModel, a_start: float = 2.0,
                      rel_tol: float = 1e-9
                      ) -> Tuple[float, float, List[ShotRecord]]:
     """Walk start values until two consecutive shots fall on opposite sides."""
+    require_finite(a_start=a_start, a_stop=a_stop, step=step)
+    # a += step must move a at both ends of the walk, and so between them
+    if not (step > 0.0 and a_start + step > a_start
+            and a_stop + step > a_stop):
+        raise ParameterDomainError(
+            f"step {step!r} does not advance a on [{a_start!r}, {a_stop!r}]")
     history: List[ShotRecord] = []
     prev: Optional[ShotRecord] = None
     a = a_start
@@ -449,18 +467,129 @@ def scan_for_bracket(model: VorticityModel, a_start: float = 2.0,
         f"no classification change on [{a_start!r}, {a_stop!r}]")
 
 
+class _NoFit(Exception):
+    """A part-orbit of the arrival fit cannot run to the matching radius."""
+
+
+def _fit_arrival(model: VorticityModel, lo: ShotRecord, hi: ShotRecord,
+                 rel_tol: float) -> Optional[Tuple[float, float, float]]:
+    """(a, R, residual) of the orbit from psi(0) = a that reaches the
+    origin at r = R, or None where the fit fails.
+
+    The forward part-orbit from a and the backward one from the arrival
+    start at R - _ARRIVAL_S0 must meet in (psi, beta) at the matching
+    radius r_m: shooting to a fitting point (Keller 1968; Numerical
+    Recipes, 3rd ed., 18.2).  The forward state depends on a alone and the
+    backward one on R alone, so each column of the Jacobian is a secant of
+    its own side.  The first a column is a forward difference; the first R
+    column is -(psi', beta') at r_m, as moving R moves the arrival orbit
+    along r up to the damping's dependence on r.  A step in a that would
+    leave the bracket (lo.a, hi.a) goes half way to the end it crosses.
+    Once a step falls below _FIT_STEP of (a, R) the fit returns the point
+    past it, with the larger mismatch of the last two part-orbits as the
+    residual.  It fails where R - _ARRIVAL_S0 falls to r_m or below, a
+    part-orbit stops short of r_m, or _FIT_ITER steps do not converge, and
+    it is not tried for a model without an arrival law.
+    """
+    law = arrival_law(model)
+    if law is None:
+        return None
+    r_m = _MATCH_SHARE * max(lo.r_stop, hi.r_stop)
+    s0 = _ARRIVAL_S0
+    forward_config = IntegrationConfig(r_max=r_m, rel_tol=rel_tol,
+                                       abs_tol=1e-12)
+    # backward sweeps read no r_max; the tiny origin_radius keeps the
+    # capture gate shut near the arrival
+    backward_config = IntegrationConfig(r_max=r_m, rel_tol=rel_tol,
+                                        abs_tol=1e-12, origin_radius=1e-300)
+
+    def forward(a: float) -> Tuple[float, float]:
+        traj = integrate(model, a, forward_config)
+        if traj.termination is not Termination.REACHED_RMAX:
+            raise _NoFit
+        return float(traj.psi[-1]), float(traj.beta[-1])
+
+    def backward(R: float) -> Tuple[float, float]:
+        if not R - s0 > r_m:
+            raise _NoFit
+        psi, beta = arrival_start(model, R, s0)
+        traj = integrate_backward(model, R - s0, psi, beta, r_end=r_m,
+                                  config=backward_config)
+        if traj.termination is not Termination.REACHED_RMAX:
+            raise _NoFit
+        return float(traj.psi[0]), float(traj.beta[0])
+
+    # start: a where the ends' closest approaches, signed by side, would
+    # vanish if linear in a; R where |psi(r_m)| = k (R - r_m)^p, at least
+    # 3 s0 past r_m
+    width = hi.a - lo.a
+    a = lo.a + width * lo.min_radius / (lo.min_radius + hi.min_radius)
+    alpha, lam = law
+    p = 2.0 / (1.0 - alpha)
+    k = (lam / (p * (p - 1.0))) ** (1.0 / (1.0 - alpha))
+    try:
+        fp, fb = forward(a)
+        R = r_m + max((abs(fp) / k) ** (1.0 / p), 3.0 * s0)
+        bp, bb = backward(R)
+        da = 1e-3 * width
+        ap, ab = forward(a + da)
+        ap, ab = (ap - fp) / da, (ab - fb) / da
+        rp, rb = -bb, bb / r_m + model.f(bp)
+        for _ in range(_FIT_ITER):
+            # Newton step on (fp - bp, fb - bb) with Jacobian columns
+            # (ap, ab) in a and -(rp, rb) in R
+            gp, gb = fp - bp, fb - bb
+            det = rp * ab - ap * rb
+            if not (det != 0.0 and math.isfinite(det)):
+                return None
+            step_a = (gp * rb - gb * rp) / det
+            step_R = (gp * ab - gb * ap) / det
+            if (abs(step_a) <= _FIT_STEP * abs(a)
+                    and abs(step_R) <= _FIT_STEP * R):
+                return a + step_a, R + step_R, max(abs(gp), abs(gb))
+            if not lo.a < a + step_a < hi.a:
+                step_a = 0.5 * ((hi.a if step_a > 0.0 else lo.a) - a)
+            a1, R1 = a + step_a, R + step_R
+            fp1, fb1 = forward(a1)
+            bp1, bb1 = backward(R1)
+            if step_a:
+                ap, ab = (fp1 - fp) / step_a, (fb1 - fb) / step_a
+            if step_R:
+                rp, rb = (bp1 - bp) / step_R, (bb1 - bb) / step_R
+            a, R, fp, fb, bp, bb = a1, R1, fp1, fb1, bp1, bb1
+    except _NoFit:
+        pass
+    return None
+
+
 def shoot_for_origin(model: VorticityModel, a_lo: float, a_hi: float,
                      tol: float = 1e-6, rel_tol: float = 1e-9,
                      max_iter: int = 60,
                      ends: Optional[Tuple[ShotRecord, ShotRecord]] = None
                      ) -> ShootingResult:
-    """Bisect between start values whose orbits fall on opposite sides.
+    """The start value a* in (a_lo, a_hi) whose orbit reaches the origin,
+    and the radius R where it does.
 
-    The orbit through the separating start value reaches the origin; the
-    bisection squeezes the bracket to width tol and records the closest
-    approach achieved along the way.  ends, the records of a_lo and a_hi at
-    this rel_tol (scan_for_bracket's last two), spares shooting them again.
+    a_lo and a_hi must classify on opposite sides.  A fit to the arrival
+    (_fit_arrival) gives a* and R; the shots a* -/+ tol/2 then confirm it by
+    classifying on the sides of a_lo and a_hi, which ends the solve with
+    the bracket [a* - tol/2, a* + tol/2].  Where the fit fails or is not
+    confirmed, bisection on the classification, from the bracket the shots
+    left, is the safeguard: it squeezes the bracket to width tol, and
+    a_star is its midpoint.  history holds the classification shots, the
+    ends first, and min_radius_achieved their closest approach to the
+    origin.  ends, the records of a_lo and a_hi at this rel_tol
+    (scan_for_bracket's last two), spares shooting them again.
     """
+    require_finite(a_lo=a_lo, a_hi=a_hi, tol=tol)
+    if not a_lo < a_hi:
+        raise ParameterDomainError(f"need a_lo < a_hi, got {a_lo!r}, {a_hi!r}")
+    if not tol > 0.0:
+        raise ParameterDomainError(f"tol must be positive, got {tol!r}")
+    if (isinstance(max_iter, bool)
+            or not isinstance(max_iter, numbers.Integral) or max_iter < 1):
+        raise ParameterDomainError(
+            f"max_iter must be an integer >= 1, got {max_iter!r}")
     if ends is None:
         ends = (classify_shot(model, a_lo, rel_tol),
                 classify_shot(model, a_hi, rel_tol))
@@ -479,12 +608,17 @@ def shoot_for_origin(model: VorticityModel, a_lo: float, a_hi: float,
         raise NoBracketError(
             f"both endpoints classify as {lo.outcome!r}; no separatrix "
             f"bracketed on [{a_lo!r}, {a_hi!r}]")
+    fit = _fit_arrival(model, lo, hi, rel_tol) if a_hi - a_lo > tol else None
+    probes = [] if fit is None else [fit[0] - 0.5 * tol, fit[0] + 0.5 * tol]
     left_a, right_a = a_lo, a_hi
     origin_hit = False
     for _ in range(max_iter):
-        if right_a - left_a <= tol:
+        if right_a - left_a <= tol or [left_a, right_a] == probes:
             break
-        mid = 0.5 * (left_a + right_a)
+        # a probe of the fit while one lies inside the bracket (a probe
+        # shot becomes an end), then midpoints
+        mid = next((a for a in probes if left_a < a < right_a),
+                   0.5 * (left_a + right_a))
         rec = classify_shot(model, mid, rel_tol)
         history.append(rec)
         if rec.outcome == "origin":
@@ -495,8 +629,12 @@ def shoot_for_origin(model: VorticityModel, a_lo: float, a_hi: float,
             left_a = mid
         else:
             right_a = mid
+    confirmed = [left_a, right_a] == probes
     return ShootingResult(
-        a_lo=left_a, a_hi=right_a, a_star=0.5 * (left_a + right_a),
+        a_lo=left_a, a_hi=right_a,
+        a_star=fit[0] if confirmed else 0.5 * (left_a + right_a),
         origin_hit=origin_hit,
         min_radius_achieved=min(r.min_radius for r in history),
-        history=history)
+        history=history,
+        arrival_radius=fit[1] if confirmed else None,
+        fit_residual=fit[2] if confirmed else None)

@@ -34,7 +34,7 @@ from .integrator import (IntegrationConfig, Termination, Trajectory,
 from .portrait import build_portrait_svg
 from .vorticity import VorticityModel, make_model
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # ------------------------------------------------------------- plumbing
 
@@ -64,10 +64,12 @@ def _parse_float_list(text: str, name: str) -> List[float]:
     return [_as_float(piece.strip(), name) for piece in items]
 
 
-def _parse_pair(text: str, name: str) -> Tuple[float, float]:
+def _parse_pair(text: str, name: str,
+                form: str = "lo:hi") -> Tuple[float, float]:
     pieces = text.split(":")
     if len(pieces) != 2:
-        raise ParameterDomainError(f"{name} must look like lo:hi, got {text!r}")
+        raise ParameterDomainError(
+            f"{name} must look like {form}, got {text!r}")
     return _as_float(pieces[0], name), _as_float(pieces[1], name)
 
 
@@ -116,7 +118,7 @@ def _ring_from_args(args: argparse.Namespace,
                     model: VorticityModel) -> Optional[RingSpec]:
     if not args.ring:
         return None
-    eps, delta = _parse_pair(args.ring, "--ring")
+    eps, delta = _parse_pair(args.ring, "--ring", "eps:delta")
     return RingSpec.for_model(model, epsilon=eps, delta=delta)
 
 
@@ -265,10 +267,14 @@ def cmd_shoot(args: argparse.Namespace) -> int:
         "a_star": result.a_star,
         "origin_hit": bool(result.origin_hit),
         "min_radius_achieved": result.min_radius_achieved,
-        "bisection_evaluations": len(result.history),
+        "arrival_radius": result.arrival_radius,
+        "fit_residual": result.fit_residual,
+        "classification_shots": len(result.history),
     }
     path = _write_json(out, f"shoot_{model.model_id}.json", payload)
     print(f"bracket=({lo:g}, {hi:g}) a_star={result.a_star!r}")
+    print(f"arrival_radius={result.arrival_radius!r} "
+          f"fit_residual={result.fit_residual!r}")
     print(f"min_radius_achieved={result.min_radius_achieved!r}")
     print(f"wrote {path}")
     return 0

@@ -16,7 +16,9 @@ search.  Trajectory.closest_approach finds the closest approach afterwards.
 The left endpoint r = 0 is singular, so integrate() opens with a short
 Picard series head on [0, r_handoff] computed by the fixed-point solver
 (_PICARD_N points, tolerance _PICARD_TOL) and hands the state to the
-stepper at r_handoff.
+stepper at r_handoff.  The other end an orbit can have, its arrival at the
+origin at a finite radius R, starts a backward sweep from arrival_start's
+series.
 
 The forward, restart and backward sweeps share one core, _integrate_core.
 It ends a step early in one place: with stop_at_zero_energy, where the
@@ -51,7 +53,7 @@ from .fixedpoint import (beta_from_psi, check_start_value, picard_solve,
 from .phaseplane import TWO_PI
 from .quadrature import cumtrapz
 from .search import bisect_root, golden_min
-from .vorticity import SQRT_FAMILY_NEG_F, VorticityModel
+from .vorticity import SQRT_FAMILY_NEG_F, VorticityModel, arrival_law
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
@@ -717,6 +719,37 @@ def series_start(model: VorticityModel, a: float,
     dens[1:] = betas.values[1:] ** 2 / rs[1:]
     cum = cumtrapz(dens, float(rs[1] - rs[0]))
     return rs, grid.values, betas.values, cum
+
+
+def arrival_start(model: VorticityModel, R: float,
+                  s: float) -> Tuple[float, float]:
+    """(psi, beta) at r = R - s on the orbit that reaches the origin at R.
+
+    Where f(u) = u - lam u^alpha (1 + O(u^2)) as u -> 0+
+    (vorticity.arrival_law), the orbit arrives as
+    psi = k s^p (1 + b1 s + b2 s^2 + O(s^3)) with p = 2/(1 - alpha) and
+    k = (lam/(p(p-1)))^(1/(1-alpha)).  The damping psi'/r gives
+    b1 = c/R, c = 1/((p+1) - alpha(p-1)); b2 adds the linear part of f.
+    """
+    require_finite(R=R, s=s)
+    if not 0.0 < s < R:
+        raise ParameterDomainError(f"need 0 < s < R, got s={s!r}, R={R!r}")
+    law = arrival_law(model)
+    if law is None:
+        raise ParameterDomainError(
+            f"no arrival law for model {model.model_id!r}")
+    alpha, lam = law
+    p = 2.0 / (1.0 - alpha)
+    q = p * (p - 1.0)
+    k = (lam / q) ** (1.0 / (1.0 - alpha))
+    b1 = 1.0 / (R * ((p + 1.0) - alpha * (p - 1.0)))
+    b2 = ((((p + 1.0) * b1 + p / R) / R
+           - 0.5 * alpha * (1.0 - alpha) * q * b1 * b1 - 1.0)
+          / ((p + 2.0) * (p + 1.0) - alpha * q))
+    ks = k * s ** (p - 1.0)
+    # beta = dpsi/dr = -dpsi/ds
+    return (ks * s * (1.0 + s * (b1 + s * b2)),
+            -ks * (p + s * ((p + 1.0) * b1 + s * (p + 2.0) * b2)))
 
 
 def integrate(model: VorticityModel, a: float,

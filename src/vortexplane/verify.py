@@ -292,8 +292,10 @@ def criterion_crossing_gaps(cache: RunCache) -> CriterionResult:
 
 
 def criterion_shooting(cache: RunCache) -> CriterionResult:
-    """11. A classification change exists among integer start values and
-    bisection to width 1e-6 drives the closest approach below 0.05."""
+    """11. A classification change exists among integer start values, and
+    the shots that confirm the arrival fit to width 1e-6 drive the closest
+    approach below 0.05.  a*, the arrival radius R and the fit residual
+    are reported."""
     a_lo, a_hi, scan_history = scan_for_bracket(
         cache.constantin, a_start=2.0, a_stop=200.0, step=1.0)
     result = shoot_for_origin(cache.constantin, a_lo, a_hi, tol=1e-6,
@@ -304,6 +306,8 @@ def criterion_shooting(cache: RunCache) -> CriterionResult:
         "bracket width 1e-6 reaches min R < 0.05",
         {"bracket_lo": float(a_lo), "bracket_hi": float(a_hi),
          "a_star": float(result.a_star),
+         "arrival_radius": result.arrival_radius,
+         "fit_residual": result.fit_residual,
          "min_radius_achieved": float(result.min_radius_achieved),
          "evaluations": int(len(scan_history) + len(result.history))})
 

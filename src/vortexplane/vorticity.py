@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -303,6 +303,20 @@ def make_model(model_id: str, c2: Optional[float] = None,
     if model_id == "powerlaw":
         return power_law_model(0.5 if alpha is None else alpha)
     raise ParameterDomainError(f"unknown model id {model_id!r}")
+
+
+def arrival_law(model: VorticityModel) -> Optional[Tuple[float, float]]:
+    """(alpha, lam) with f(u) = u - lam u^alpha (1 + O(u^2)) as u -> 0+: the
+    law by which an orbit of the family arrives at the origin; None for a
+    model outside the three families."""
+    if model.model_id == "constantin":
+        return 0.5, 1.0
+    if model.model_id == "example":
+        # the modulation is 1 + c1 - O(u^2)
+        return 0.5, 1.0 + math.sin(0.5 * model.ledger.params["c2"])
+    if model.model_id == "powerlaw":
+        return model.ledger.params["alpha"], 1.0
+    return None
 
 
 def potential_by_quadrature(model: VorticityModel, psi: float,

@@ -42,15 +42,19 @@ def test_pinned_report(acceptance_results):
     # digits, criterion 13's byte count from 4094 to 4097).  The crossing
     # windows moved every constantin orbit with a crossing above their
     # entry floor: 13958c7b... -> 7b902df2... (criterion 4's imbalance
-    # 1.90e-8 -> 1.42e-10, criterion 8's minimum 0.00105 -> 0.00153);
-    # criterion 11's measures did not move
+    # 1.90e-8 -> 1.42e-10, criterion 8's minimum 0.00105 -> 0.00153).
+    # Criterion 11 fits the arrival and confirms it with two shots instead
+    # of bisecting: 7b902df2... -> 34cbbd33... (a* 3.0013413429260254 ->
+    # 3.0013417657354937, min_radius_achieved 0.00011994385321280488 ->
+    # 0.0003662699930531855, 25 -> 7 classification shots, and the new
+    # measures arrival_radius and fit_residual)
     import hashlib
 
     c8, c11 = acceptance_results[7].measures, acceptance_results[10].measures
     assert (repr(c8["min_radius_after"]), repr(c8["min_radius_r"]),
-            repr(c11["min_radius_achieved"])) == (
+            repr(c11["min_radius_achieved"]), repr(c11["a_star"])) == (
         "0.0015345102657080478", "6346.799864930902",
-        "0.00011994385321280488")
+        "0.0003662699930531855", "3.0013417657354937")
     text = verify.render_report(acceptance_results)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "7b902df2d8e3ac5158d9053b6c2049ca6a4a994502525fbf763a90e732824c32")
+        "34cbbd33c85f05bbae0b2a0b7ed081c10d6fddff5d53bd3f6b8c0414093953d9")

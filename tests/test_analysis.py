@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -12,7 +14,7 @@ from vortexplane import (HypothesisViolationError, IntegrationConfig,
                          scan_for_bracket, shoot_for_origin,
                          transversality_check, verify_crossing_bounds)
 from vortexplane import analysis
-from vortexplane.integrator import Trajectory
+from vortexplane.integrator import Trajectory, arrival_start
 
 
 def test_ring_spec_floor(constantin, example):
@@ -257,6 +259,158 @@ def test_shoot_reuses_scan_ends(constantin, monkeypatch):
     assert a_lo not in shots and a_hi not in shots
     with pytest.raises(ParameterDomainError):
         shoot_for_origin(constantin, a_lo, a_hi, ends=ends[::-1])
+
+
+# a* of the shooting models: perfbench/refdata.json, a scipy DOP853
+# bisection to width 1e-10 (read-only; perfbench/reference.py writes it)
+with open(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "refdata.json")) as _fh:
+    A_STAR_REF = json.load(_fh)["a_star"]
+# arrival radii of the fit with s0 = 0.0125 at rel_tol 1e-11
+ARRIVAL_REF = {"constantin": 6.92234375, "example": 6.87741809,
+               "powerlaw": 5.14631934}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-10, 1e-11])
+@pytest.mark.parametrize("family", ["constantin", "example", "powerlaw"])
+def test_arrival_fit_matches_reference(models, family, rel_tol):
+    model = models[family]
+    for a_start in (2.0, 2.5, 2.99):
+        lo, hi, history = scan_for_bracket(model, a_start, rel_tol=rel_tol)
+        result = shoot_for_origin(model, lo, hi, rel_tol=rel_tol,
+                                  ends=(history[-2], history[-1]))
+        assert abs(result.a_star - A_STAR_REF[family]) <= 1e-9
+        assert abs(result.arrival_radius - ARRIVAL_REF[family]) <= 1e-6
+        assert result.fit_residual <= 1e-8
+        # the ends and the two shots that confirm the fit
+        assert len(result.history) == 4
+        assert (result.a_lo, result.a_hi) == (result.a_star - 0.5e-6,
+                                              result.a_star + 0.5e-6)
+
+
+@pytest.mark.parametrize("family", ["constantin", "example", "powerlaw"])
+def test_arrival_fit_converged_in_s0(models, monkeypatch, family):
+    # the series start's truncation moves R, hardly a*.  At rel_tol 1e-11
+    # the integration error stays below the measure: at 1e-9 the two
+    # backward sweeps alone move a* by up to 1.2e-11 (2.3e-12 at 1e-10)
+    model = models[family]
+    lo, hi, history = scan_for_bracket(model, 2.0, rel_tol=1e-11)
+    ends = (history[-2], history[-1])
+    full = shoot_for_origin(model, lo, hi, rel_tol=1e-11, ends=ends)
+    monkeypatch.setattr(analysis, "_ARRIVAL_S0", 0.5 * analysis._ARRIVAL_S0)
+    half = shoot_for_origin(model, lo, hi, rel_tol=1e-11, ends=ends)
+    assert abs(half.a_star - full.a_star) < 1e-11
+    assert abs(half.arrival_radius - full.arrival_radius) < 1e-5
+
+
+def test_arrival_start_leading_terms(models):
+    # psi = k s^p (1 + c s/R + O(s^2)), c = 1/((p+1) - alpha (p-1)):
+    # k = 1/144, c = 2/7 for constantin and p = 20/7 for the power law
+    for family, p, k, c in (
+            ("constantin", 4.0, 1.0 / 144.0, 2.0 / 7.0),
+            ("example", 4.0, ((1.0 + math.sin(0.01)) / 12.0) ** 2, 2.0 / 7.0),
+            ("powerlaw", 20.0 / 7.0, (49.0 / 260.0) ** (1.0 / 0.7),
+             1.0 / (27.0 / 7.0 - 0.3 * 13.0 / 7.0))):
+        R, s = 6.0, 1e-4
+        psi, beta = arrival_start(models[family], R, s)
+        assert (psi / (k * s ** p) - 1.0) * R / s == pytest.approx(c, 1e-3)
+        assert -beta * s / psi == pytest.approx(p, 1e-3)
+    for R, s in ((6.0, 0.0), (6.0, 6.0), (6.0, math.nan), (math.inf, 0.1)):
+        with pytest.raises(ParameterDomainError):
+            arrival_start(models["constantin"], R, s)
+
+
+def _flipped_beta(model, R, s):
+    # a start the fit cannot follow
+    psi, beta = arrival_start(model, R, s)
+    return psi, -beta
+
+
+def _fixed_state(model, R, s):
+    # a start the fit follows to a point the confirming shots reject
+    return 1e-3, -1e-2
+
+
+@pytest.mark.parametrize("start", [_flipped_beta, _fixed_state])
+def test_failed_fit_falls_back_to_bisection(constantin, monkeypatch, start):
+    lo, hi, history = scan_for_bracket(constantin, 2.0)
+    monkeypatch.setattr(analysis, "arrival_start", start)
+    result = shoot_for_origin(constantin, lo, hi, tol=1e-6,
+                              ends=(history[-2], history[-1]))
+    assert result.a_hi - result.a_lo <= 1e-6
+    assert result.a_lo - 1e-8 <= A_STAR_REF["constantin"] <= result.a_hi + 1e-8
+    assert result.a_star == 0.5 * (result.a_lo + result.a_hi)
+    assert result.arrival_radius is None and result.fit_residual is None
+    assert len(result.history) > 4
+
+
+def test_model_without_arrival_law_bisects(constantin):
+    # a model outside the three families has no arrival series: the solve
+    # is bisection alone, as before the fit
+    import dataclasses
+    custom = dataclasses.replace(constantin, model_id="custom")
+    with pytest.raises(ParameterDomainError):
+        arrival_start(custom, 6.0, 0.05)
+    result = shoot_for_origin(custom, 3.0, 4.0, tol=1e-3)
+    assert result.arrival_radius is None and result.fit_residual is None
+    assert result.a_hi - result.a_lo <= 1e-3 and len(result.history) == 12
+
+
+@pytest.mark.parametrize("family", ["constantin", "example", "powerlaw"])
+def test_arrival_fit_saves_f_calls(models, monkeypatch, family):
+    # f calls of one solve on the same bracket, counted on a
+    # dataclasses.replace copy of the model as perfbench's tracer counts
+    # them: the fit against bisection alone (the fit switched off)
+    import dataclasses
+    model = models[family]
+    lo, hi, history = scan_for_bracket(model, 2.0)
+    ends = (history[-2], history[-1])
+    calls = [0]
+
+    def counted(u):
+        calls[0] += 1
+        return model.f(u)
+
+    copy = dataclasses.replace(model, f=counted)
+    fitted = shoot_for_origin(copy, lo, hi, tol=1e-6, ends=ends)
+    fit_calls = calls[0]
+    calls[0] = 0
+    monkeypatch.setattr(analysis, "_fit_arrival", lambda *args: None)
+    bisected = shoot_for_origin(copy, lo, hi, tol=1e-6, ends=ends)
+    assert fitted.arrival_radius is not None
+    assert len(bisected.history) == 22
+    assert fit_calls <= 0.6 * calls[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: scan_for_bracket(m, 2.0, 3.0, step=0.0),
+    lambda m: scan_for_bracket(m, 2.0, 3.0, step=1e-300),
+    lambda m: scan_for_bracket(m, 2.0, 20.0, step=1e-15),
+    lambda m: scan_for_bracket(m, 2.0, 3.0, step=-1.0),
+    lambda m: scan_for_bracket(m, 2.0, 3.0, step=math.nan),
+    lambda m: scan_for_bracket(m, 2.0, 3.0, step=math.inf),
+    lambda m: scan_for_bracket(m, math.nan, 3.0),
+    lambda m: scan_for_bracket(m, 2.0, math.inf),
+    lambda m: shoot_for_origin(m, 3.0, 4.0, tol=math.nan),
+    lambda m: shoot_for_origin(m, 3.0, 4.0, tol=0.0),
+    lambda m: shoot_for_origin(m, 3.0, 4.0, tol=-1.0),
+    lambda m: shoot_for_origin(m, 3.0, 4.0, tol=math.inf),
+    lambda m: shoot_for_origin(m, math.nan, 4.0),
+    lambda m: shoot_for_origin(m, 3.0, math.inf),
+    lambda m: shoot_for_origin(m, 4.0, 3.0),
+    lambda m: shoot_for_origin(m, 3.0, 4.0, max_iter=0),
+    lambda m: shoot_for_origin(m, 3.0, 4.0, max_iter=-1),
+    lambda m: shoot_for_origin(m, 3.0, 4.0, max_iter=2.5),
+    lambda m: shoot_for_origin(m, 3.0, 4.0, max_iter=True),
+])
+def test_shooting_rejects_bad_input(constantin, monkeypatch, call):
+    # refused before any shot, so no case can loop
+    def no_shot(*args, **kwargs):
+        raise AssertionError("shot before the input was checked")
+
+    monkeypatch.setattr(analysis, "classify_shot", no_shot)
+    with pytest.raises(ParameterDomainError):
+        call(constantin)
 
 
 def test_refined_min_radius(run10):

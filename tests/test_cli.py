@@ -72,7 +72,8 @@ def test_simulate_constant_orbit(tmp_path, capsys):
     events = list(tmp_path.glob("events_*.json"))
     assert len(events) == 1
     payload = json.loads(events[0].read_text())
-    assert payload["schema_version"] == 1
+    # 2 since shoot's bisection_evaluations became classification_shots
+    assert payload["schema_version"] == 2
 
 
 def test_simulate_amplitude_below_one(tmp_path, capsys):
@@ -279,6 +280,24 @@ def test_config_missing_file(tmp_path, capsys):
 def test_shoot_command(tmp_path, capsys):
     code = main(["shoot", "--a", "2:6", "--out", str(tmp_path)])
     assert code == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
     payload = json.loads(next(tmp_path.glob("shoot_*.json")).read_text())
+    assert payload["schema_version"] == 2
     assert abs(payload["a_star"] - 3.0013413429260254) < 1e-3
+    assert abs(payload["arrival_radius"] - 6.92234) < 1e-5
+    assert 0.0 <= payload["fit_residual"] <= 1e-8
+    # the two bracket ends and the two shots that confirm the fit
+    assert payload["classification_shots"] == 4
+    assert "bisection_evaluations" not in payload
+    assert f"arrival_radius={payload['arrival_radius']!r}" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--ring", "0.1"],
+     "parameter error: --ring must look like eps:delta, got '0.1'"),
+    (["shoot", "--a", "2"],
+     "parameter error: --a must look like lo:hi, got '2'"),
+])
+def test_pair_flags_name_their_form(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == message

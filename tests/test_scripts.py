@@ -62,12 +62,15 @@ def _counted_scan(monkeypatch, *argv):
 
 def test_shooting_scan_shoots_each_start_once(monkeypatch, capsys):
     # the table comes from the scan's history plus the shots past the
-    # bracket, so no start value is classified twice
+    # bracket, so no start value is classified twice; the solve adds the
+    # two shots that confirm the arrival fit (bisection to 1e-3 took 10)
     main, shots = _counted_scan(monkeypatch, "--tol", "1e-3")
     main()
-    table = capsys.readouterr().out.split("\n\n")[0].splitlines()[1:]
+    out = capsys.readouterr().out
+    table = out.split("\n\n")[0].splitlines()[1:]
     assert [float(line.split()[0]) for line in table] == shots[:11]
-    assert len(shots) == len(set(shots)) == 11 + 10
+    assert len(shots) == len(set(shots)) == 11 + 2
+    assert "arrival radius R = 6.92234" in out
 
 
 def test_shooting_scan_prints_the_table_without_a_bracket(monkeypatch,
