@@ -34,6 +34,8 @@ _ARRIVAL_S0 = 0.05
 _MATCH_SHARE = 0.5
 _FIT_STEP = 1e-8
 _FIT_ITER = 12
+# scan_for_bracket refuses a walk of more start values (one shot each)
+_SCAN_MAX_SHOTS = 10_000
 
 
 # ---------------------------------------------------------------- features
@@ -453,6 +455,10 @@ def scan_for_bracket(model: VorticityModel, a_start: float = 2.0,
             and a_stop + step > a_stop):
         raise ParameterDomainError(
             f"step {step!r} does not advance a on [{a_start!r}, {a_stop!r}]")
+    if (a_stop - a_start) / step >= _SCAN_MAX_SHOTS:
+        raise ParameterDomainError(
+            f"step {step!r} walks more than {_SCAN_MAX_SHOTS} start values "
+            f"on [{a_start!r}, {a_stop!r}]")
     history: List[ShotRecord] = []
     prev: Optional[ShotRecord] = None
     a = a_start

@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="phase-plane toolkit for radial vorticity profiles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[model],
+    p = sub.add_parser("check", parents=[model], allow_abbrev=False,
                        help="run the admissibility report")
     p.add_argument("--a", default="1,10,100",
                    help="comma-separated start values")
@@ -391,12 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for sampling sequences")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("simulate", parents=[orbit],
+    p = sub.add_parser("simulate", parents=[orbit], allow_abbrev=False,
                        help="integrate one orbit and summarize events")
     p.add_argument("--a", default="10", help="start value psi(0)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("portrait", parents=[orbit],
+    p = sub.add_parser("portrait", parents=[orbit], allow_abbrev=False,
                        help="render an SVG phase portrait")
     p.add_argument("--a", default="5,10",
                    help="comma-separated start values")
@@ -404,24 +404,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clip the frame to |psi|, |beta| <= clip")
     p.set_defaults(func=cmd_portrait)
 
-    p = sub.add_parser("shoot", parents=[rel],
-                       help="bisect start values toward the origin orbit")
+    p = sub.add_parser("shoot", parents=[rel], allow_abbrev=False,
+                       help="fit the start value of the origin orbit")
     p.add_argument("--a", default="2:20", help="scan range as lo:hi")
     p.set_defaults(func=cmd_shoot)
 
-    p = sub.add_parser("picard", parents=[model],
+    p = sub.add_parser("picard", parents=[model], allow_abbrev=False,
                        help="short-range fixed point on [0, 1]")
     p.add_argument("--a", default="2", help="start value psi(0)")
     p.set_defaults(func=cmd_picard)
 
-    p = sub.add_parser("banach", parents=[model],
+    p = sub.add_parser("banach", parents=[model], allow_abbrev=False,
                        help="backward fixed point on [sqrt(T^2-1), T]")
     p.add_argument("--psiT", type=_finite_float, default=1.0, dest="psi_t")
     p.add_argument("--betaT", type=_finite_float, default=0.0, dest="beta_t")
     p.add_argument("--T", type=_finite_float, default=6.0)
     p.set_defaults(func=cmd_banach)
 
-    p = sub.add_parser("verify-paper", parents=[base],
+    p = sub.add_parser("verify-paper", parents=[base], allow_abbrev=False,
                        help="run the full acceptance suite")
     p.set_defaults(func=cmd_verify_paper)
 

@@ -1,12 +1,15 @@
 """Adaptive integration of psi' = beta, beta' = -beta/r - f(psi).
 
-The stepper is an embedded Dormand-Prince 5(4) pair with FSAL, PI step
-control, and two dense representations per accepted step: the order-4
-interpolant of the pair (used to integrate the dissipation density
-beta^2/r with a 5-point Gauss rule) and the cubic Hermite of the stored
-endpoints (used for the zero-energy stop, the origin capture, the closest
-approach and all after-the-fact sampling, so results never depend on which
-steps the controller happened to take beyond their endpoints).
+The stepper is DOP853, the 8th-order Dormand-Prince pair of Hairer, Norsett
+& Wanner (Solving ODEs I, 2nd ed., II.10): 12 stages with FSAL, Hairer's
+error norm, which blends the pair's 5th- and 3rd-order estimates, and
+I-control of the step.  Each accepted step has two dense representations:
+the pair's 7th-order dense output, which costs 3 more stages and which the
+5-point Gauss rule of the dissipation density beta^2/r reads, and the cubic
+Hermite of the stored endpoints (used for the zero-energy stop, the origin
+capture, the closest approach and all after-the-fact sampling, so results
+never depend on which steps the controller happened to take beyond their
+endpoints).  An orbit stores one row per accepted step.
 
 In the loop R = hypot(psi, beta) serves only the origin capture: a step
 with an endpoint below _R_WATCH gets its hull bound on R (_hull_floor), and
@@ -26,8 +29,9 @@ energy E = beta^2/2 + F(psi) first falls through 0, or at an origin capture
 strictly before that.  It forms every row that is not an accepted step's
 end with _row, and returns the Trajectory, reversed into ascending r for a
 backward sweep.  An accepted step calls no Python function but f and F, or
-hands over to a crossing window: the core inlines _hull_floor and the
-full-step _dissipation, each with the same operations in the same order.
+hands over to a crossing window: the core inlines _hull_floor, _dense and
+the full-step _dissipation, each with the same operations in the same
+order.
 
 For the square-root families, f(sig t^2) = sig (t^2 - t m(t^2)), so psi(r)
 carries a (r - r_c)^(5/2) term at each crossing r_c of psi = 0, where no
@@ -55,54 +59,122 @@ from .quadrature import cumtrapz
 from .search import bisect_root, golden_min
 from .vorticity import SQRT_FAMILY_NEG_F, VorticityModel, arrival_law
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
-                                71.0 / 1920.0, -17253.0 / 339200.0,
-                                22.0 / 525.0, -1.0 / 40.0)
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.10), with
+# stages numbered from 1: k_i = f(r + c_i h, y + h sum_j a_ij k_j).  Stages
+# 1-12 make the 8th-order step y1 = y + h sum_j b_j k_j (c_12 = 1); k13 =
+# f(r + h, y1) starts the next step; 14-16 serve the 7th-order dense output.
+# Only the nonzero a_ij, b_j and error and dense weights are named.
+_C2, _C3, _C4, _C5, _C6, _C7 = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25)
+_C8, _C9, _C10, _C11, _C14, _C15, _C16 = (
+    0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 0.1,
+    0.2, 0.7777777777777778)
+_A2_1 = 0.05260015195876773
+_A3_1, _A3_2 = 0.0197250569845379, 0.0591751709536137
+_A4_1, _A4_3 = 0.02958758547680685, 0.08876275643042054
+_A5_1, _A5_3, _A5_4 = (0.2413651341592667, -0.8845494793282861,
+                       0.924834003261792)
+_A6_1, _A6_4, _A6_5 = (0.037037037037037035, 0.17082860872947386,
+                       0.12546768756682242)
+_A7_1, _A7_4, _A7_5, _A7_6 = (0.037109375, 0.17025221101954405,
+                              0.06021653898045596, -0.017578125)
+_A8_1, _A8_4, _A8_5, _A8_6, _A8_7 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+    -0.015319437748624402, 0.008273789163814023)
+_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+    27.59209969944671, 20.154067550477894, -43.48988418106996)
+_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+    21.230051448181193, 15.279233632882423, -33.28821096898486,
+    -0.020331201708508627)
+_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505,
+    2.4936055526796523, -3.0467644718982196)
+(_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10,
+ _A12_11) = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625,
+    -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+    -8.87285693353063, 12.360567175794303, 0.6433927460157636)
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+    0.20136540080403034, 0.04471061572777259)
+# the error estimates: h sum_j e_j k_j, of 5th (_E5) and 3rd order (_E3)
+_E5_1, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294)
+_E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = (
+    -0.18980075407240762, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+    0.20136540080403034, 0.02265179219836082)
+# the dense-output stages
+_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13 = (
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025,
+    -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+    0.007567897660545699, -0.008298)
+_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14 = (
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566,
+    -0.05492374857139099, -0.00010834732869724932, 0.0003825710908356584,
+    -0.00034046500868740456, 0.1413124436746325)
+_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15 = (
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599,
+    4.06898981839711, 0.3567271874552811, -0.0013990241651590145,
+    2.9475147891527724, -9.15095847217987)
+# dense output y(s) = y + s (d0 + u (d1 + s (d2 + u (d3 + s (d4 + u (d5
+# + s d6)))))), u = 1 - s, with d0 = y1 - y, d1 = h k1 - d0,
+# d2 = 2 d0 - h (k1 + k13) and d_m = h sum_j _Dm_j k_j for m = 3..6
+(_D3_1, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13, _D3_14,
+ _D3_15, _D3_16) = (
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917,
+    2.38466765651207, 2.117034582445028, -0.871391583777973,
+    2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+    18.148505520854727, -9.194632392478356, -4.436036387594894)
+(_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14,
+ _D4_15, _D4_16) = (
+    10.427508642579134, 242.28349177525817, 165.20045171727028,
+    -374.5467547226902, -22.113666853125306, 7.733432668472264,
+    -30.674084731089398, -9.332130526430229, 15.697238121770845,
+    -31.139403219565178, -9.35292435884448, 35.81684148639408)
+(_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14,
+ _D5_15, _D5_16) = (
+    19.985053242002433, -387.0373087493518, -189.17813819516758,
+    527.8081592054236, -11.57390253995963, 6.8812326946963,
+    -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+    -60.19669523126412, 84.32040550667716, 11.99229113618279)
+(_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14,
+ _D6_15, _D6_16) = (
+    -25.69393346270375, -154.18974869023643, -231.5293791760455,
+    357.6391179106141, 93.40532418362432, -37.45832313645163,
+    104.0996495089623, 29.8402934266605, -43.53345659001114,
+    96.32455395918828, -39.17726167561544, -149.72683625798564)
 
-# dense-output polynomial: y(s) = y0 + h s (Q0 + s Q1 + s^2 Q2 + s^3 Q3),
-# Q_j = sum_i k_i P[i][j]; each row of P sums to the 5th-order weight b_i
-_P = (
-    (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
-     -12715105075.0 / 11282082432.0),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
-     87487479700.0 / 32700410799.0),
-    (0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
-     -10690763975.0 / 1880347072.0),
-    (0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
-     701980252875.0 / 199316789632.0),
-    (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
-     -1453857185.0 / 822651844.0),
-    (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
-     69997945.0 / 29380423.0),
-)
-((_P00, _P01, _P02, _P03), _, (_P20, _P21, _P22, _P23),
- (_P30, _P31, _P32, _P33), (_P40, _P41, _P42, _P43),
- (_P50, _P51, _P52, _P53), (_P60, _P61, _P62, _P63)) = _P
-
-# 5-point Gauss-Legendre on [0, 1]
+# 5-point Gauss-Legendre on [0, 1], with u = 1 - s at each point
 _GAUSS_S = (0.046910077030668004, 0.23076534494715845, 0.5,
             0.7692346550528415, 0.953089922969332)
 _GAUSS_W = (0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
             0.23931433524968324, 0.11846344252809454)
+_GAUSS_U = tuple(1.0 - s for s in _GAUSS_S)
 _GS0, _GS1, _GS2, _GS3, _GS4 = _GAUSS_S
 _GW0, _GW1, _GW2, _GW3, _GW4 = _GAUSS_W
-# the dense polynomial at each Gauss point: y(s) = y0 + h sum_i k_i W[i]
-_GAUSS_P = tuple(tuple(s * (p0 + s * (p1 + s * (p2 + s * p3)))
-                       for p0, p1, p2, p3 in _P[:1] + _P[2:])
-                 for s in _GAUSS_S)
+_GU0, _GU1, _GU2, _GU3, _GU4 = _GAUSS_U
+
+# step control: the error norm is Hairer's, against _TOL_SCALE times the
+# requested rel_tol and abs_tol; a step's factor is _SAFETY err^(-1/8), at
+# most 3, at most 1 right after a rejection and at least 0.2 on one.
+# Aiming at err = _SAFETY^8 = 0.17 with the tolerances scaled up keeps the
+# global error below the 5(4) pair's at every rel_tol (see ROADMAP, Where
+# the time goes) and rejects few steps.  A crossing window hands over an
+# r-step of at most _EXIT_STEP |psi/beta|.
+_TOL_SCALE, _SAFETY, _EXIT_STEP = 0.77, 0.8, 0.6
+# the rows are sampled after the run on their cubic Hermite, which must
+# resolve the damping beta/r near the centre and psi's (r - r_c)^(5/2) term
+# at a crossing: an r-step is at most _R_STEP r, a window's t-step at most
+# _WINDOW_DT
+_R_STEP, _WINDOW_DT = 0.08, 0.1
 
 # Picard head grid size and sweep tolerance
 _PICARD_N = 512
@@ -158,8 +230,8 @@ def _hermite(y0: float, y1: float, d0: float, d1: float, h: float,
 
 
 def _hermite_radius(s: float, psi: float, beta: float, psi1: float,
-                    beta1: float, k1p: float, k1b: float, k7p: float,
-                    k7b: float, h: float) -> float:
+                    beta1: float, k1p: float, k1b: float, k13p: float,
+                    k13b: float, h: float) -> float:
     """hypot of the Hermite state at s, bit for bit what
     math.hypot(_hermite(psi, ...), _hermite(beta, ...)) returns."""
     s2 = s * s
@@ -168,22 +240,22 @@ def _hermite_radius(s: float, psi: float, beta: float, psi1: float,
     w1 = s * t2 * h
     w2 = s2 * (3.0 - 2.0 * s)
     w3 = s2 * (s - 1.0) * h
-    return math.hypot(w0 * psi + w1 * k1p + w2 * psi1 + w3 * k7p,
-                      w0 * beta + w1 * k1b + w2 * beta1 + w3 * k7b)
+    return math.hypot(w0 * psi + w1 * k1p + w2 * psi1 + w3 * k13p,
+                      w0 * beta + w1 * k1b + w2 * beta1 + w3 * k13b)
 
 
 # steps per block of the array passes over stored steps
 _BLOCK = 4096
 
 
-def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, h,
+def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, h,
                 hypot=np.hypot):
     """Lower bound on _hermite_radius over s in [0, 1], for one step or for
     numpy arrays of steps.
 
     The cubic Hermite from P0 = (psi, beta) to P3 = (psi1, beta1) with end
-    slopes h*k1 and h*k7 is the Bezier curve with control points P0,
-    P0 + (h/3) k1, P3 - (h/3) k7, P3, so it stays in their convex hull.
+    slopes h*k1 and h*k13 is the Bezier curve with control points P0,
+    P0 + (h/3) k1, P3 - (h/3) k13, P3, so it stays in their convex hull.
     For the unit vector u along P0 + P3, R(s) >= u.P(s) >= min_i u.P_i.
     This holds for either sign of h.  The slack, 1e-12 of the control
     points' size (plus 1e-300 for underflow), is orders above the few-ulp
@@ -194,7 +266,7 @@ def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, h,
     sy = beta + beta1
     norm = hypot(sx, sy)
     slack = 1e-12 * (abs(psi) + abs(beta) + abs(psi1) + abs(beta1)
-                     + abs(h) * (abs(k1p) + abs(k1b) + abs(k7p) + abs(k7b))
+                     + abs(h) * (abs(k1p) + abs(k1b) + abs(k13p) + abs(k13b))
                      ) + 1e-300
     with np.errstate(divide="ignore", invalid="ignore"):
         ux, uy = np.divide(sx, norm), np.divide(sy, norm)
@@ -202,7 +274,7 @@ def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, h,
     c0 = ux * psi + uy * beta
     c3 = ux * psi1 + uy * beta1
     floor = np.minimum(np.minimum(c0, c0 + h3 * (ux * k1p + uy * k1b)),
-                       np.minimum(c3 - h3 * (ux * k7p + uy * k7b), c3))
+                       np.minimum(c3 - h3 * (ux * k13p + uy * k13b), c3))
     return np.where(norm == 0.0, -slack, floor - slack)
 
 
@@ -224,14 +296,41 @@ def _radius_search(seg: Tuple[float, ...], rgrid: List[float],
     return (s, rad) if rad < rgrid[j] else (mid, rgrid[j])
 
 
-def _dissipation(r: float, hs: float, beta: float, q0: float, q1: float,
-                 q2: float, q3: float, s_hi: float) -> float:
+def _dense(hs, y, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15,
+           k16):
+    """(d0, ..., d6) of the pair's dense output on a step from y to y1, for
+    floats or the window's complex states (see the tableau)."""
+    d0 = y1 - y
+    return (d0, hs * k1 - d0, d0 + d0 - hs * (k13 + k1),
+            hs * (_D3_1 * k1 + _D3_6 * k6 + _D3_7 * k7 + _D3_8 * k8
+                  + _D3_9 * k9 + _D3_10 * k10 + _D3_11 * k11 + _D3_12 * k12
+                  + _D3_13 * k13 + _D3_14 * k14 + _D3_15 * k15
+                  + _D3_16 * k16),
+            hs * (_D4_1 * k1 + _D4_6 * k6 + _D4_7 * k7 + _D4_8 * k8
+                  + _D4_9 * k9 + _D4_10 * k10 + _D4_11 * k11 + _D4_12 * k12
+                  + _D4_13 * k13 + _D4_14 * k14 + _D4_15 * k15
+                  + _D4_16 * k16),
+            hs * (_D5_1 * k1 + _D5_6 * k6 + _D5_7 * k7 + _D5_8 * k8
+                  + _D5_9 * k9 + _D5_10 * k10 + _D5_11 * k11 + _D5_12 * k12
+                  + _D5_13 * k13 + _D5_14 * k14 + _D5_15 * k15
+                  + _D5_16 * k16),
+            hs * (_D6_1 * k1 + _D6_6 * k6 + _D6_7 * k7 + _D6_8 * k8
+                  + _D6_9 * k9 + _D6_10 * k10 + _D6_11 * k11 + _D6_12 * k12
+                  + _D6_13 * k13 + _D6_14 * k14 + _D6_15 * k15
+                  + _D6_16 * k16))
+
+
+def _dissipation(r: float, hs: float, beta: float,
+                 dense: Tuple[float, ...], s_hi: float) -> float:
     """int beta^2/r dr over the first s_hi of a step, 5-point Gauss on the
-    pair's dense beta = beta + hs s (q0 + s q1 + s^2 q2 + s^3 q3)."""
+    pair's dense beta with coefficients dense = _dense(hs, beta, ...)."""
+    d0, d1, d2, d3, d4, d5, d6 = dense
     acc = 0.0
     for sg, wg in zip(_GAUSS_S, _GAUSS_W):
         s = s_hi * sg
-        bd = beta + hs * s * (q0 + s * (q1 + s * (q2 + s * q3)))
+        u = 1.0 - s
+        bd = beta + s * (d0 + u * (d1 + s * (d2 + u * (d3 + s * (
+            d4 + u * (d5 + s * d6))))))
         acc += wg * bd * bd / (r + s * hs)
     return hs * s_hi * acc
 
@@ -389,7 +488,7 @@ def _initial_step(f: Callable[[float], float], r0: float, psi: float,
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, 1e-3 * h0)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     return min(100.0 * h0, h1, span)
 
 
@@ -408,16 +507,17 @@ def _row(model: VorticityModel, r: float, psi: float, beta: float,
             0.5 * beta * beta + model.F(psi))
 
 
-def _window(f, F, r, psi, beta, theta, e, h, facold, rtol, atol, r_target,
-            e_floor, append_row, append_diss):
+def _window(f, F, r, psi, beta, theta, e, h, rtol, atol, r_target, e_floor,
+            append_row, append_diss):
     """Cross psi = 0 in t = sqrt|psi| from the state after an accepted step.
 
     z = r + i beta (one complex state) runs in t, psi = sig t^2, by the same
     pair: t falls to 0, where the crossing is stored with psi = 0, then rises
     (sig flipped) to _WINDOW_T.  Each t-step stores a row and int 2 sig t
     beta/r dt, 5-point Gauss on the dense z; a step past r_target, below
-    1e-14, or to E or beta^2/2 <= e_floor is not taken.  Returns the last
-    row's (r, psi, beta, theta, E), the next r-step, facold and attempts."""
+    1e-14, or to E or beta^2/2 <= e_floor is not taken.  rtol and atol are
+    the core's scaled tolerances.  Returns the last row's (r, psi, beta,
+    theta, E), the next r-step and the attempts."""
     sig = 1.0 if psi > 0.0 else -1.0
     t, hdir, t_end, attempts = math.sqrt(sig * psi), -1.0, 0.0, 0
     ab, z = abs(beta), complex(r, beta)
@@ -427,33 +527,63 @@ def _window(f, F, r, psi, beta, theta, e, h, facold, rtol, atol, r_target,
         kr = 2.0 * sig * tt / zz.imag
         return complex(kr, (-zz.imag / zz.real - f(sig * tt * tt)) * kr)
 
-    k1 = rhs(t, z)
+    k1, rejected = rhs(t, z), False
     while True:
-        last = hdir * (t + hdir * ht - t_end) >= 0.0
+        if ht > _WINDOW_DT:
+            ht = _WINDOW_DT
+        # a step that would stop within 1 % of it to t_end goes there, so
+        # that no sliver of a step is left: its rows would coincide
+        last = hdir * (t_end - t) <= 1.01 * ht
         if last:
             ht = hdir * (t_end - t)
         if ht < 1e-14:
             break
         hs = hdir * ht
         attempts += 1
-        k2 = rhs(t + _C2 * hs, z + hs * _A21 * k1)
-        k3 = rhs(t + _C3 * hs, z + hs * (_A31 * k1 + _A32 * k2))
-        k4 = rhs(t + _C4 * hs, z + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(t + _C5 * hs, z + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3
-                                         + _A54 * k4))
+        k2 = rhs(t + _C2 * hs, z + hs * _A2_1 * k1)
+        k3 = rhs(t + _C3 * hs, z + hs * (_A3_1 * k1 + _A3_2 * k2))
+        k4 = rhs(t + _C4 * hs, z + hs * (_A4_1 * k1 + _A4_3 * k3))
+        k5 = rhs(t + _C5 * hs, z + hs * (_A5_1 * k1 + _A5_3 * k3
+                                         + _A5_4 * k4))
+        k6 = rhs(t + _C6 * hs, z + hs * (_A6_1 * k1 + _A6_4 * k4
+                                         + _A6_5 * k5))
+        k7 = rhs(t + _C7 * hs, z + hs * (_A7_1 * k1 + _A7_4 * k4
+                                         + _A7_5 * k5 + _A7_6 * k6))
+        k8 = rhs(t + _C8 * hs, z + hs * (_A8_1 * k1 + _A8_4 * k4
+                                         + _A8_5 * k5 + _A8_6 * k6
+                                         + _A8_7 * k7))
+        k9 = rhs(t + _C9 * hs, z + hs * (_A9_1 * k1 + _A9_4 * k4
+                                         + _A9_5 * k5 + _A9_6 * k6
+                                         + _A9_7 * k7 + _A9_8 * k8))
+        k10 = rhs(t + _C10 * hs, z + hs * (_A10_1 * k1 + _A10_4 * k4
+                                           + _A10_5 * k5 + _A10_6 * k6
+                                           + _A10_7 * k7 + _A10_8 * k8
+                                           + _A10_9 * k9))
+        k11 = rhs(t + _C11 * hs, z + hs * (_A11_1 * k1 + _A11_4 * k4
+                                           + _A11_5 * k5 + _A11_6 * k6
+                                           + _A11_7 * k7 + _A11_8 * k8
+                                           + _A11_9 * k9 + _A11_10 * k10))
         t1 = t_end if last else t + hs
-        k6 = rhs(t1, z + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                               + _A65 * k5))
-        z1 = z + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = rhs(t1, z1)
-        ez = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-                   + _E7 * k7)
+        k12 = rhs(t1, z + hs * (_A12_1 * k1 + _A12_4 * k4 + _A12_5 * k5
+                                + _A12_6 * k6 + _A12_7 * k7 + _A12_8 * k8
+                                + _A12_9 * k9 + _A12_10 * k10
+                                + _A12_11 * k11))
+        z1 = z + hs * (_B1 * k1 + _B6 * k6 + _B7 * k7 + _B8 * k8 + _B9 * k9
+                       + _B10 * k10 + _B11 * k11 + _B12 * k12)
+        e5 = (_E5_1 * k1 + _E5_6 * k6 + _E5_7 * k7 + _E5_8 * k8 + _E5_9 * k9
+              + _E5_10 * k10 + _E5_11 * k11 + _E5_12 * k12)
+        e3 = (_E3_1 * k1 + _E3_6 * k6 + _E3_7 * k7 + _E3_8 * k8 + _E3_9 * k9
+              + _E3_10 * k10 + _E3_11 * k11 + _E3_12 * k12)
         r1, beta1, ab1 = z1.real, z1.imag, abs(z1.imag)
-        err = math.sqrt(0.5 * ((ez.real / (atol + rtol * r1)) ** 2 + (
-            ez.imag / (atol + rtol * (ab1 if ab1 > ab else ab))) ** 2))
+        sc_r = atol + rtol * r1
+        sc_b = atol + rtol * (ab1 if ab1 > ab else ab)
+        x5 = (e5.real / sc_r) ** 2 + (e5.imag / sc_b) ** 2
+        x3 = (e3.real / sc_r) ** 2 + (e3.imag / sc_b) ** 2
+        err = ht * x5 / math.sqrt(2.0 * (x5 + 0.01 * x3)) if x5 else 0.0
         if err > 1.0:
-            fac = 0.9 * err ** -0.2
-            ht *= fac if fac > 0.1 else 0.1
+            fac = _SAFETY * err ** -0.125
+            ht *= fac if fac > 0.2 else 0.2
+            rejected = True
             continue
         psi1 = sig * t1 * t1
         e1 = 0.5 * beta1 * beta1 + F(psi1)
@@ -462,25 +592,38 @@ def _window(f, F, r, psi, beta, theta, e, h, facold, rtol, atol, r_target,
         theta1 = math.atan2(beta1, psi1)
         theta1 += TWO_PI * round((theta - theta1) / TWO_PI)
         append_row((r1, psi1, beta1, math.hypot(psi1, beta1), theta1, e1))
+        k13 = rhs(t1, z1)
+        k14 = rhs(t + _C14 * hs, z + hs * (_A14_1 * k1 + _A14_7 * k7
+                                           + _A14_8 * k8 + _A14_9 * k9
+                                           + _A14_10 * k10 + _A14_11 * k11
+                                           + _A14_12 * k12 + _A14_13 * k13))
+        k15 = rhs(t + _C15 * hs, z + hs * (_A15_1 * k1 + _A15_6 * k6
+                                           + _A15_7 * k7 + _A15_8 * k8
+                                           + _A15_11 * k11 + _A15_12 * k12
+                                           + _A15_13 * k13 + _A15_14 * k14))
+        k16 = rhs(t + _C16 * hs, z + hs * (_A16_1 * k1 + _A16_6 * k6
+                                           + _A16_7 * k7 + _A16_8 * k8
+                                           + _A16_9 * k9 + _A16_13 * k13
+                                           + _A16_14 * k14 + _A16_15 * k15))
+        d0, d1, d2, d3, d4, d5, d6 = _dense(hs, z, z1, k1, k6, k7, k8, k9,
+                                            k10, k11, k12, k13, k14, k15, k16)
         acc = 0.0
-        for s, wg, (w1, w3, w4, w5, w6, w7) in zip(_GAUSS_S, _GAUSS_W,
-                                                   _GAUSS_P):
-            zg = z + hs * (w1 * k1 + w3 * k3 + w4 * k4 + w5 * k5 + w6 * k6
-                           + w7 * k7)
+        for s, u, wg in zip(_GAUSS_S, _GAUSS_U, _GAUSS_W):
+            zg = z + s * (d0 + u * (d1 + s * (d2 + u * (d3 + s * (
+                d4 + u * (d5 + s * d6))))))
             acc += wg * (t + s * hs) * zg.imag / zg.real
         append_diss(2.0 * sig * hs * acc)
-        z, psi, theta, t, e, ab, k1 = z1, psi1, theta1, t1, e1, ab1, k7
-        err = err if err > 1e-10 else 1e-10
-        fac = 0.9 * err ** -0.17 * facold ** 0.04
-        fac = fac if fac > 0.2 else 0.2
-        ht *= fac if fac < 10.0 else 10.0
-        facold = err
+        z, psi, theta, t, e, ab, k1 = z1, psi1, theta1, t1, e1, ab1, k13
+        fac = _SAFETY * err ** -0.125 if err > 1e-10 else 3.0
+        if rejected and fac > 1.0:
+            fac = 1.0
+        rejected = False
+        ht *= fac if fac < 3.0 else 3.0
         if last:
             if hdir > 0.0:
                 break
             sig, hdir, t_end = -sig, 1.0, _WINDOW_T  # on past the crossing
-    return (z.real, psi, z.imag, theta, e, ht * (t + t + ht) / ab, facold,
-            attempts)
+    return z.real, psi, z.imag, theta, e, ht * (t + t + ht) / ab, attempts
 
 
 def _integrate_core(model: VorticityModel, r_target: float,
@@ -495,9 +638,9 @@ def _integrate_core(model: VorticityModel, r_target: float,
     origin_radius is captured before the first step.
     """
     f, F = model.f, model.F
-    hypot, atan2 = math.hypot, math.atan2
+    hypot, atan2, sqrt = math.hypot, math.atan2, math.sqrt
     append_row, append_diss = rows.append, diss.append
-    rtol, atol = config.rel_tol, config.abs_tol
+    rtol, atol = _TOL_SCALE * config.rel_tol, _TOL_SCALE * config.abs_tol
     # e0 is the stored E at the step's left end: the zero-energy stop
     # compares it with the right end's stored E
     r, psi, beta, radius0, theta, e0 = rows[-1]
@@ -508,7 +651,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
     k1p, k1b = beta, -beta / r - f(psi)
     origin_radius, stop = config.origin_radius, config.stop_at_zero_energy
     term = Termination.ORIGIN_REACHED if radius0 < origin_radius else None
-    facold, nsteps = 1e-4, 0
+    nsteps, rejected = 0, False
     neg_f = SQRT_FAMILY_NEG_F.get(model.model_id) if direction > 0.0 else None
     e_floor = 0.5 * max(origin_radius, _BETA_MIN) ** 2
     # max, min and abs as comparisons that pick the same operand (max(a, b)
@@ -519,6 +662,8 @@ def _integrate_core(model: VorticityModel, r_target: float,
         if nsteps >= config.max_steps or h < 1e-14 * (r if r > 1.0 else 1.0):
             term = Termination.STEP_FAILURE
             break
+        if h > _R_STEP * r:
+            h = _R_STEP * r
         last = False
         if direction * (r + direction * h - r_target) >= 0.0:
             h = abs(r_target - r)
@@ -526,47 +671,88 @@ def _integrate_core(model: VorticityModel, r_target: float,
         hs = direction * h
         nsteps += 1
 
-        p2 = psi + hs * _A21 * k1p
-        b2 = beta + hs * _A21 * k1b
-        r2 = r + _C2 * hs
-        k2p, k2b = b2, -b2 / r2 - f(p2)
-        p3 = psi + hs * (_A31 * k1p + _A32 * k2p)
-        b3 = beta + hs * (_A31 * k1b + _A32 * k2b)
-        r3 = r + _C3 * hs
-        k3p, k3b = b3, -b3 / r3 - f(p3)
-        p4 = psi + hs * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
-        b4 = beta + hs * (_A41 * k1b + _A42 * k2b + _A43 * k3b)
-        r4 = r + _C4 * hs
-        k4p, k4b = b4, -b4 / r4 - f(p4)
-        p5 = psi + hs * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
-        b5 = beta + hs * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
-        r5 = r + _C5 * hs
-        k5p, k5b = b5, -b5 / r5 - f(p5)
-        p6 = psi + hs * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p
-                         + _A65 * k5p)
-        b6 = beta + hs * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b
-                          + _A65 * k5b)
-        r6 = r + hs
-        k6p, k6b = b6, -b6 / r6 - f(p6)
-        psi1 = psi + hs * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p
-                           + _B6 * k6p)
-        beta1 = beta + hs * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b
-                             + _B6 * k6b)
+        # stage i: kip is beta at the stage, the slope of psi
+        k2p = beta + hs * _A2_1 * k1b
+        k2b = -k2p / (r + _C2 * hs) - f(psi + hs * _A2_1 * k1p)
+        k3p = beta + hs * (_A3_1 * k1b + _A3_2 * k2b)
+        k3b = -k3p / (r + _C3 * hs) - f(psi + hs * (_A3_1 * k1p
+                                                    + _A3_2 * k2p))
+        k4p = beta + hs * (_A4_1 * k1b + _A4_3 * k3b)
+        k4b = -k4p / (r + _C4 * hs) - f(psi + hs * (_A4_1 * k1p
+                                                    + _A4_3 * k3p))
+        k5p = beta + hs * (_A5_1 * k1b + _A5_3 * k3b + _A5_4 * k4b)
+        k5b = -k5p / (r + _C5 * hs) - f(psi + hs * (
+            _A5_1 * k1p + _A5_3 * k3p + _A5_4 * k4p))
+        k6p = beta + hs * (_A6_1 * k1b + _A6_4 * k4b + _A6_5 * k5b)
+        k6b = -k6p / (r + _C6 * hs) - f(psi + hs * (
+            _A6_1 * k1p + _A6_4 * k4p + _A6_5 * k5p))
+        k7p = beta + hs * (_A7_1 * k1b + _A7_4 * k4b + _A7_5 * k5b
+                           + _A7_6 * k6b)
+        k7b = -k7p / (r + _C7 * hs) - f(psi + hs * (
+            _A7_1 * k1p + _A7_4 * k4p + _A7_5 * k5p + _A7_6 * k6p))
+        k8p = beta + hs * (_A8_1 * k1b + _A8_4 * k4b + _A8_5 * k5b
+                           + _A8_6 * k6b + _A8_7 * k7b)
+        k8b = -k8p / (r + _C8 * hs) - f(psi + hs * (
+            _A8_1 * k1p + _A8_4 * k4p + _A8_5 * k5p + _A8_6 * k6p
+            + _A8_7 * k7p))
+        k9p = beta + hs * (_A9_1 * k1b + _A9_4 * k4b + _A9_5 * k5b
+                           + _A9_6 * k6b + _A9_7 * k7b + _A9_8 * k8b)
+        k9b = -k9p / (r + _C9 * hs) - f(psi + hs * (
+            _A9_1 * k1p + _A9_4 * k4p + _A9_5 * k5p + _A9_6 * k6p
+            + _A9_7 * k7p + _A9_8 * k8p))
+        k10p = beta + hs * (_A10_1 * k1b + _A10_4 * k4b + _A10_5 * k5b
+                            + _A10_6 * k6b + _A10_7 * k7b + _A10_8 * k8b
+                            + _A10_9 * k9b)
+        k10b = -k10p / (r + _C10 * hs) - f(psi + hs * (
+            _A10_1 * k1p + _A10_4 * k4p + _A10_5 * k5p + _A10_6 * k6p
+            + _A10_7 * k7p + _A10_8 * k8p + _A10_9 * k9p))
+        k11p = beta + hs * (_A11_1 * k1b + _A11_4 * k4b + _A11_5 * k5b
+                            + _A11_6 * k6b + _A11_7 * k7b + _A11_8 * k8b
+                            + _A11_9 * k9b + _A11_10 * k10b)
+        k11b = -k11p / (r + _C11 * hs) - f(psi + hs * (
+            _A11_1 * k1p + _A11_4 * k4p + _A11_5 * k5p + _A11_6 * k6p
+            + _A11_7 * k7p + _A11_8 * k8p + _A11_9 * k9p + _A11_10 * k10p))
+        k12p = beta + hs * (_A12_1 * k1b + _A12_4 * k4b + _A12_5 * k5b
+                            + _A12_6 * k6b + _A12_7 * k7b + _A12_8 * k8b
+                            + _A12_9 * k9b + _A12_10 * k10b
+                            + _A12_11 * k11b)
+        k12b = -k12p / (r + hs) - f(psi + hs * (
+            _A12_1 * k1p + _A12_4 * k4p + _A12_5 * k5p + _A12_6 * k6p
+            + _A12_7 * k7p + _A12_8 * k8p + _A12_9 * k9p + _A12_10 * k10p
+            + _A12_11 * k11p))
+        psi1 = psi + hs * (_B1 * k1p + _B6 * k6p + _B7 * k7p + _B8 * k8p
+                           + _B9 * k9p + _B10 * k10p + _B11 * k11p
+                           + _B12 * k12p)
+        beta1 = beta + hs * (_B1 * k1b + _B6 * k6b + _B7 * k7b + _B8 * k8b
+                             + _B9 * k9b + _B10 * k10b + _B11 * k11b
+                             + _B12 * k12b)
         r1 = r_target if last else r + hs
-        k7p, k7b = beta1, -beta1 / r1 - f(psi1)
-        ep = hs * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p
-                   + _E7 * k7p)
-        eb = hs * (_E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b
-                   + _E7 * k7b)
+        # Hairer's error norm: the 5th-order estimate, damped where it
+        # exceeds a tenth of the 3rd-order one
         ap1 = psi1 if psi1 >= 0.0 else -psi1
         ab1 = beta1 if beta1 >= 0.0 else -beta1
         sc_p = atol + rtol * (ap1 if ap1 > apsi else apsi)
         sc_b = atol + rtol * (ab1 if ab1 > abeta else abeta)
-        err = math.sqrt(0.5 * ((ep / sc_p) ** 2 + (eb / sc_b) ** 2))
+        ep = (_E5_1 * k1p + _E5_6 * k6p + _E5_7 * k7p + _E5_8 * k8p
+              + _E5_9 * k9p + _E5_10 * k10p + _E5_11 * k11p
+              + _E5_12 * k12p) / sc_p
+        eb = (_E5_1 * k1b + _E5_6 * k6b + _E5_7 * k7b + _E5_8 * k8b
+              + _E5_9 * k9b + _E5_10 * k10b + _E5_11 * k11b
+              + _E5_12 * k12b) / sc_b
+        x5 = ep * ep + eb * eb
+        ep = (_E3_1 * k1p + _E3_6 * k6p + _E3_7 * k7p + _E3_8 * k8p
+              + _E3_9 * k9p + _E3_10 * k10p + _E3_11 * k11p
+              + _E3_12 * k12p) / sc_p
+        eb = (_E3_1 * k1b + _E3_6 * k6b + _E3_7 * k7b + _E3_8 * k8b
+              + _E3_9 * k9b + _E3_10 * k10b + _E3_11 * k11b
+              + _E3_12 * k12b) / sc_b
+        err = h * x5 / sqrt(2.0 * (x5 + 0.01 * (ep * ep + eb * eb))
+                            ) if x5 else 0.0
         if err > 1.0:
-            # min(1.0, max(0.1, fac)) with fac < 0.9
-            fac = 0.9 * err ** -0.2
-            h *= fac if fac > 0.1 else 0.1
+            # max(0.2, fac) with fac < _SAFETY
+            fac = _SAFETY * err ** -0.125
+            h *= fac if fac > 0.2 else 0.2
+            rejected = True
             continue
 
         theta1 = atan2(beta1, psi1)
@@ -576,31 +762,67 @@ def _integrate_core(model: VorticityModel, r_target: float,
             # one step must never wrap the phase by anything close to a
             # half turn, or angle bookkeeping becomes ambiguous
             h *= 0.5
+            rejected = True
             continue
 
-        # dense polynomial of the pair, for the dissipation quadrature
-        q0 = (_P00 * k1b + _P20 * k3b + _P30 * k4b + _P40 * k5b + _P50 * k6b
-              + _P60 * k7b)
-        q1 = (_P01 * k1b + _P21 * k3b + _P31 * k4b + _P41 * k5b + _P51 * k6b
-              + _P61 * k7b)
-        q2 = (_P02 * k1b + _P22 * k3b + _P32 * k4b + _P42 * k5b + _P52 * k6b
-              + _P62 * k7b)
-        q3 = (_P03 * k1b + _P23 * k3b + _P33 * k4b + _P43 * k5b + _P53 * k6b
-              + _P63 * k7b)
+        # the end slope (the next step's first stage) and the dense-output
+        # stages; _dense(hs, beta, beta1, k1b, ...) inlined, for the
+        # dissipation quadrature
+        k13p, k13b = beta1, -beta1 / r1 - f(psi1)
+        k14p = beta + hs * (_A14_1 * k1b + _A14_7 * k7b + _A14_8 * k8b
+                            + _A14_9 * k9b + _A14_10 * k10b + _A14_11 * k11b
+                            + _A14_12 * k12b + _A14_13 * k13b)
+        k14b = -k14p / (r + _C14 * hs) - f(psi + hs * (
+            _A14_1 * k1p + _A14_7 * k7p + _A14_8 * k8p + _A14_9 * k9p
+            + _A14_10 * k10p + _A14_11 * k11p + _A14_12 * k12p
+            + _A14_13 * k13p))
+        k15p = beta + hs * (_A15_1 * k1b + _A15_6 * k6b + _A15_7 * k7b
+                            + _A15_8 * k8b + _A15_11 * k11b + _A15_12 * k12b
+                            + _A15_13 * k13b + _A15_14 * k14b)
+        k15b = -k15p / (r + _C15 * hs) - f(psi + hs * (
+            _A15_1 * k1p + _A15_6 * k6p + _A15_7 * k7p + _A15_8 * k8p
+            + _A15_11 * k11p + _A15_12 * k12p + _A15_13 * k13p
+            + _A15_14 * k14p))
+        k16p = beta + hs * (_A16_1 * k1b + _A16_6 * k6b + _A16_7 * k7b
+                            + _A16_8 * k8b + _A16_9 * k9b + _A16_13 * k13b
+                            + _A16_14 * k14b + _A16_15 * k15b)
+        k16b = -k16p / (r + _C16 * hs) - f(psi + hs * (
+            _A16_1 * k1p + _A16_6 * k6p + _A16_7 * k7p + _A16_8 * k8p
+            + _A16_9 * k9p + _A16_13 * k13p + _A16_14 * k14p
+            + _A16_15 * k15p))
+        d0 = beta1 - beta
+        d1 = hs * k1b - d0
+        d2 = d0 + d0 - hs * (k13b + k1b)
+        d3 = hs * (_D3_1 * k1b + _D3_6 * k6b + _D3_7 * k7b + _D3_8 * k8b
+                   + _D3_9 * k9b + _D3_10 * k10b + _D3_11 * k11b
+                   + _D3_12 * k12b + _D3_13 * k13b + _D3_14 * k14b
+                   + _D3_15 * k15b + _D3_16 * k16b)
+        d4 = hs * (_D4_1 * k1b + _D4_6 * k6b + _D4_7 * k7b + _D4_8 * k8b
+                   + _D4_9 * k9b + _D4_10 * k10b + _D4_11 * k11b
+                   + _D4_12 * k12b + _D4_13 * k13b + _D4_14 * k14b
+                   + _D4_15 * k15b + _D4_16 * k16b)
+        d5 = hs * (_D5_1 * k1b + _D5_6 * k6b + _D5_7 * k7b + _D5_8 * k8b
+                   + _D5_9 * k9b + _D5_10 * k10b + _D5_11 * k11b
+                   + _D5_12 * k12b + _D5_13 * k13b + _D5_14 * k14b
+                   + _D5_15 * k15b + _D5_16 * k16b)
+        d6 = hs * (_D6_1 * k1b + _D6_6 * k6b + _D6_7 * k7b + _D6_8 * k8b
+                   + _D6_9 * k9b + _D6_10 * k10b + _D6_11 * k11b
+                   + _D6_12 * k12b + _D6_13 * k13b + _D6_14 * k14b
+                   + _D6_15 * k15b + _D6_16 * k16b)
 
         # origin capture inside the step (see the module docstring)
         radius1, origin_s = hypot(psi1, beta1), None
         if radius0 < _R_WATCH or radius1 < _R_WATCH:
             # _hull_floor(*seg) inlined, same operations and order: the step's
-            # Hermite is the Bezier curve on P0, P0 + hs k1/3, P3 - hs k7/3,
+            # Hermite is the Bezier curve on P0, P0 + hs k1/3, P3 - hs k13/3,
             # P3, so R >= u.P >= min_i u.P_i for u along P0 + P3, less slack
             sx, sy = psi + psi1, beta + beta1
             norm = hypot(sx, sy)
             slack = 1e-12 * (apsi + abeta + ap1 + ab1
                              + h * ((k1p if k1p >= 0.0 else -k1p)
                                     + (k1b if k1b >= 0.0 else -k1b)
-                                    + (k7p if k7p >= 0.0 else -k7p)
-                                    + (k7b if k7b >= 0.0 else -k7b))
+                                    + (k13p if k13p >= 0.0 else -k13p)
+                                    + (k13b if k13b >= 0.0 else -k13b))
                              ) + 1e-300
             if norm == 0.0:
                 floor = -slack
@@ -610,9 +832,9 @@ def _integrate_core(model: VorticityModel, r_target: float,
                 c0 = ux * psi + uy * beta
                 c3 = ux * psi1 + uy * beta1
                 floor = min(c0, c0 + h3 * (ux * k1p + uy * k1b),
-                            c3 - h3 * (ux * k7p + uy * k7b), c3) - slack
+                            c3 - h3 * (ux * k13p + uy * k13b), c3) - slack
             if not floor >= origin_radius:
-                seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
+                seg = (psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, hs)
                 cand_s, cand_rad = _radius_search(seg, _radius_grid(seg))
                 if cand_rad < origin_radius:
                     origin_s = cand_s
@@ -623,8 +845,8 @@ def _integrate_core(model: VorticityModel, r_target: float,
         s_cut = None
         if stop and e0 > 0.0 >= e1:
             def e_at(s: float) -> float:
-                pm = _hermite(psi, psi1, k1p, k7p, hs, s)
-                bm = _hermite(beta, beta1, k1b, k7b, hs, s)
+                pm = _hermite(psi, psi1, k1p, k13p, hs, s)
+                bm = _hermite(beta, beta1, k1b, k13b, hs, s)
                 return 0.5 * bm * bm + F(pm)
 
             ev = [e_at(k / 10.0) for k in range(11)]
@@ -644,19 +866,26 @@ def _integrate_core(model: VorticityModel, r_target: float,
             term, s_cut = Termination.ORIGIN_REACHED, origin_s
         if s_cut is not None:
             append_row(_row(model, r + s_cut * hs,
-                            _hermite(psi, psi1, k1p, k7p, hs, s_cut),
-                            _hermite(beta, beta1, k1b, k7b, hs, s_cut), theta))
-            append_diss(_dissipation(r, hs, beta, q0, q1, q2, q3, s_cut))
+                            _hermite(psi, psi1, k1p, k13p, hs, s_cut),
+                            _hermite(beta, beta1, k1b, k13b, hs, s_cut),
+                            theta))
+            append_diss(_dissipation(r, hs, beta, (d0, d1, d2, d3, d4, d5, d6),
+                                     s_cut))
             break
 
         append_row((r1, psi1, beta1, radius1, theta1, e1))
-        # _dissipation(..., 1.0) unrolled: s_hi = 1.0 makes s = sg and
-        # hs*s_hi = hs, and 0.0 + t0 = t0 as each term t is >= +0
-        b0 = beta + hs * _GS0 * (q0 + _GS0 * (q1 + _GS0 * (q2 + _GS0 * q3)))
-        b1 = beta + hs * _GS1 * (q0 + _GS1 * (q1 + _GS1 * (q2 + _GS1 * q3)))
-        b2 = beta + hs * _GS2 * (q0 + _GS2 * (q1 + _GS2 * (q2 + _GS2 * q3)))
-        b3 = beta + hs * _GS3 * (q0 + _GS3 * (q1 + _GS3 * (q2 + _GS3 * q3)))
-        b4 = beta + hs * _GS4 * (q0 + _GS4 * (q1 + _GS4 * (q2 + _GS4 * q3)))
+        # _dissipation(..., 1.0) unrolled: s_hi = 1.0 makes s = sg, u = 1 - sg
+        # and hs*s_hi = hs, and 0.0 + t0 = t0 as each term t is >= +0
+        b0 = beta + _GS0 * (d0 + _GU0 * (d1 + _GS0 * (d2 + _GU0 * (
+            d3 + _GS0 * (d4 + _GU0 * (d5 + _GS0 * d6))))))
+        b1 = beta + _GS1 * (d0 + _GU1 * (d1 + _GS1 * (d2 + _GU1 * (
+            d3 + _GS1 * (d4 + _GU1 * (d5 + _GS1 * d6))))))
+        b2 = beta + _GS2 * (d0 + _GU2 * (d1 + _GS2 * (d2 + _GU2 * (
+            d3 + _GS2 * (d4 + _GU2 * (d5 + _GS2 * d6))))))
+        b3 = beta + _GS3 * (d0 + _GU3 * (d1 + _GS3 * (d2 + _GU3 * (
+            d3 + _GS3 * (d4 + _GU3 * (d5 + _GS3 * d6))))))
+        b4 = beta + _GS4 * (d0 + _GU4 * (d1 + _GS4 * (d2 + _GU4 * (
+            d3 + _GS4 * (d4 + _GU4 * (d5 + _GS4 * d6))))))
         append_diss(hs * (_GW0 * b0 * b0 / (r + _GS0 * hs)
                           + _GW1 * b1 * b1 / (r + _GS1 * hs)
                           + _GW2 * b2 * b2 / (r + _GS2 * hs)
@@ -668,16 +897,23 @@ def _integrate_core(model: VorticityModel, r_target: float,
         if last:
             term = Termination.REACHED_RMAX
             break
+        # the step factor, at most 1 right after a rejection and at most 3.
+        # While a square-root family's orbit closes in on psi = 0, whose
+        # branch point of f bounds the r-steps, h also shrinks with the
+        # distance |psi/beta| to it
+        fac = _SAFETY * err ** -0.125 if err > 1e-10 else 3.0
+        if rejected and fac > 1.0:
+            fac = 1.0
+        rejected = False
+        if neg_f and psi1 * beta1 < 0.0 and psi * beta < 0.0:
+            rho0, rho1 = apsi / abeta, ap1 / ab1
+            if rho1 < rho0:
+                fac *= rho1 / rho0
+        h *= fac if fac < 3.0 else 3.0
         r, psi, beta, theta = r1, psi1, beta1, theta1
         apsi, abeta = ap1, ab1
-        k1p, k1b = k7p, k7b
+        k1p, k1b = k13p, k13b
         radius0, e0 = radius1, e1
-        if 1e-10 > err:
-            err = 1e-10
-        fac = 0.9 * err ** -0.17 * facold ** 0.04
-        fac = fac if fac > 0.2 else 0.2
-        h *= fac if fac < 10.0 else 10.0
-        facold = err
         # a crossing window opens where E stays above e_floor in it: there
         # -neg_f <= F <= 0, 2E <= beta^2 <= 2(E + neg_f), and E falls by
         # int 2t|beta|/r dt <= sqrt(2|E + neg_f|) (|psi| + 1/4)/r as t runs
@@ -686,13 +922,17 @@ def _integrate_core(model: VorticityModel, r_target: float,
         if (neg_f and 1e-20 < ap1 < _WINDOW_PSI and psi1 * beta1 < 0.0
                 and e1 - math.sqrt(2.0 * abs(e1 + neg_f))
                 * (ap1 + _WINDOW_PSI) / r1 > e_floor):
-            r, psi, beta, theta, e0, h, facold, n = _window(
-                f, F, r, psi, beta, theta, e0, h, facold, rtol, atol,
-                r_target, e_floor, append_row, append_diss)
+            r, psi, beta, theta, e0, h, n = _window(
+                f, F, r, psi, beta, theta, e0, h, rtol, atol, r_target,
+                e_floor, append_row, append_diss)
             nsteps += n
             assert 0.5 * beta * beta > e_floor  # the window bails out above it
             apsi, abeta = abs(psi), abs(beta)
             k1p, k1b, radius0 = beta, -beta / r - f(psi), hypot(psi, beta)
+            # the first r-step past a full window is a share of the distance
+            # |psi/beta| back to the branch point
+            if apsi == _WINDOW_PSI and h > _EXIT_STEP * apsi / abeta:
+                h = _EXIT_STEP * apsi / abeta
 
     if direction < 0.0:
         rows.reverse()

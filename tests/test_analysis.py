@@ -43,7 +43,7 @@ def test_ring_rate_eta():
 def test_energy_entry_frozen(run10):
     entry = e_region_entry(run10)
     assert entry is not None
-    assert abs(entry.r_cross - 60.41671315322521) < 1e-6
+    assert abs(entry.r_cross - 60.41671079364288) < 1e-6
     assert entry.side == "left"
     assert entry.psi < 0.0
     assert entry.transversal
@@ -98,7 +98,7 @@ def test_ring_entry_frozen(constantin, run100):
     ring = RingSpec.for_model(constantin, 0.05, 0.1)
     entry = ring_entry(run100, ring)
     assert entry is not None
-    assert abs(entry.r_entry - 1770.7324140687228) < 1e-5
+    assert abs(entry.r_entry - 1770.732520980025) < 1e-5
     assert entry.min_radius_after <= 1.05
     assert entry.min_radius_after >= 0.0
     assert entry.r_entry < entry.min_radius_r <= float(run100.r[-1])
@@ -153,7 +153,7 @@ def test_scans_read_stored_nodes(constantin, run10, run100):
 def test_rate_onset_frozen(constantin, run100):
     ring = RingSpec.for_model(constantin, 0.05, 0.1)
     r_minus = rate_onset_radius(run100, ring)
-    assert abs(r_minus - 35.470162789669) < 1e-6
+    assert abs(r_minus - 35.61113293026504) < 1e-6
     with pytest.raises(HypothesisViolationError):
         rate_onset_radius(run100, ring, margin=0.9999)
 
@@ -413,6 +413,36 @@ def test_shooting_rejects_bad_input(constantin, monkeypatch, call):
         call(constantin)
 
 
+def _counting_shots(monkeypatch):
+    """Replace classify_shot by a stub that counts its calls and always
+    lands left, so a walk finds no bracket."""
+    shots = []
+
+    def stub(model, a, rel_tol=1e-9):
+        shots.append(a)
+        return analysis.ShotRecord(a, "left", 10.0, 1.0)
+
+    monkeypatch.setattr(analysis, "classify_shot", stub)
+    return shots
+
+
+def test_scan_refuses_a_long_walk(constantin, monkeypatch):
+    # step=1e-9 on [2, 20] would walk about 1.8e10 start values
+    shots = _counting_shots(monkeypatch)
+    for step in (1e-9, 18.0 / analysis._SCAN_MAX_SHOTS):
+        with pytest.raises(ParameterDomainError):
+            scan_for_bracket(constantin, 2.0, 20.0, step=step)
+    assert shots == []
+
+
+def test_scan_walks_criterion_11_range(constantin, monkeypatch):
+    # criterion 11 walks [2, 200] with step 1: 199 start values
+    shots = _counting_shots(monkeypatch)
+    with pytest.raises(NoBracketError):
+        scan_for_bracket(constantin, 2.0, 200.0, step=1.0)
+    assert shots == [2.0 + k for k in range(199)]
+
+
 def test_refined_min_radius(run10):
     r_at, value = run10.closest_approach()
     assert (r_at, value) == (run10.min_radius_r, run10.min_radius)
@@ -442,18 +472,18 @@ def test_pinned_refinements(constantin, run10, run100):
     seq = crossing_sequence(run100, r_start=rate_onset_radius(run100, ring),
                             r_end=1990.0)
     assert _sha(repr(transversality_check(run10))) == (
-        "af68f53004546cbea24ef220f52e1d21680b14e58515f485a809f595693fe949")
+        "d241f66d22c265763969f7a1292729eb020ac96ee75264299d6e83017aa9c9a5")
     assert _sha(repr(seq.r_minus.tolist())) == (
-        "4b68307b0f403b23e851788620028a7f69a0da437ba97ce9b1679c2b8d9c8c42")
+        "7f3da0d992219b8791faf442cb9c2db5416d74dc1910e42347c93194184d5a4e")
     assert _sha(repr(seq.r_plus.tolist())) == (
-        "b86a7b6d3b607a0d3e6ef222ed6373c96ad472056ab9b98b594df429b9c12a14")
-    assert repr(seq.theta_start) == "-30.265262265677244"
+        "9747244d5e628a32933561e1c7ede0387315ea00fda46c86f5816ecd988ebd7c")
+    assert repr(seq.theta_start) == "-30.395128155160812"
     assert repr(verify_crossing_bounds(run100, seq, ring).rate_margin) == (
-        "-0.35889289639606753")
+        "-0.3592525893710906")
     assert _sha(repr(ring_entry(run100, ring))) == (
-        "8aad952ff848494b57506cfef58d5f5d542a455d57d265dba55f0ad4b2657d3f")
+        "faecc6fd6efd503763fd3ddefe6833b14415a32785181c057dc1cc309f151e10")
     entry = e_region_entry(run10)
     assert (repr(entry.r_cross), repr(entry.psi), repr(entry.beta)) == (
-        "60.41671315322521", "-1.2844404917726662", "0.5395756953597769")
+        "60.41671079364288", "-1.2844416594275987", "0.5395748645786087")
     assert repr(run10.closest_approach()) == (
-        "(63.85128504842183, 0.06577233390592918)")
+        "(63.851279557813626, 0.06577157320082933)")

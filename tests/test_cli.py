@@ -182,7 +182,7 @@ def test_simulate_reports_energy_entry(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     payload = json.loads(next(tmp_path.glob("events_*.json")).read_text())
-    assert abs(payload["energy_entry"]["r_cross"] - 60.41671315322521) < 1e-6
+    assert abs(payload["energy_entry"]["r_cross"] - 60.41671079364288) < 1e-6
 
 
 def test_portrait_requires_amplitudes(tmp_path, capsys):
@@ -233,15 +233,26 @@ def test_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sample configuration\nmodel = constantin\na = 1\n"
                    "rmax = 50\n")
-    # the flag wins over the config value for rmax, also abbreviated
-    for flag in ("--rmax", "--rm"):
-        out = tmp_path / flag
-        code = main(["simulate", "--config", str(cfg), flag, "30",
-                     "--out", str(out)])
-        assert code == 0
-        capsys.readouterr()
-        lines = next(out.glob("trajectory_*.csv")).read_text().splitlines()
-        assert float(lines[-1].split(",")[0]) == 30.0, flag
+    # the flag wins over the config value for rmax
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--rmax", "30",
+                 "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    lines = next(out.glob("trajectory_*.csv")).read_text().splitlines()
+    assert float(lines[-1].split(",")[0]) == 30.0
+    # an abbreviated flag is a usage error, not a prefix of --rmax
+    assert main(["simulate", "--config", str(cfg), "--rm", "30",
+                 "--out", str(tmp_path / "abbrev")]) == 2
+    capsys.readouterr()
+
+
+def test_no_option_abbreviations(tmp_path, capsys):
+    # --a is a prefix of banach's --alpha only
+    assert main(["banach", "--model", "powerlaw", "--a", "0.4",
+                 "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_keys_read_underscore_as_dash(tmp_path, capsys):

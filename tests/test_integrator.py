@@ -19,6 +19,35 @@ from vortexplane.analysis import _classification_config
 from vortexplane.integrator import _hermite, _hermite_radius, _hull_floor
 
 
+def test_tableau_matches_scipy():
+    # every hard-coded DOP853 constant equals scipy's: A (with B its 13th
+    # row), C, E3, E5 and the dense-output rows D; a weight that scipy
+    # holds as zero has no constant.  Each stage's A row sums to its node
+    # to 1e-15 of the row's absolute sum: weights up to 43 in size carry
+    # rounding of a few 1e-15 each, so that is the sum's own resolution.
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    def named(prefix, i):
+        return getattr(integrator, f"{prefix}{i}", None)
+
+    for i in range(2, 17):
+        prefix = "_B" if i == 13 else f"_A{i}_"
+        row = [named(prefix, j) for j in range(1, 17)]
+        assert [0.0 if v is None else v for v in row] == ref.A[i - 1].tolist()
+        assert all(v is None for v, w in zip(row, ref.A[i - 1]) if w == 0.0)
+        c = 1.0 if i in (12, 13) else named("_C", i)
+        assert c == ref.C[i - 1]
+        weights = [v for v in row if v is not None]
+        assert abs(math.fsum(weights) - c) <= 1e-15 * math.fsum(
+            map(abs, weights))
+    for name, table in (("_E3_", ref.E3), ("_E5_", ref.E5)):
+        row = [named(name, j) for j in range(1, 14)]
+        assert [0.0 if v is None else v for v in row] == table.tolist()
+    for m in range(3, 7):
+        row = [named(f"_D{m}_", j) for j in range(1, 17)]
+        assert [0.0 if v is None else v for v in row] == ref.D[m - 3].tolist()
+
+
 def test_against_reference_integrator(constantin, run10, state_at):
     # restart from the recorded state at r = 1 and carry it to r = 50 with
     # an independent high order method
@@ -175,6 +204,8 @@ def test_min_radius_tracks_dense_minimum(run10):
 # bit for bit, and a cut step's stored Hermite is not the uncut one.  The
 # constantin and example pins were re-recorded when the crossing windows
 # landed: they step each crossing above the entry floor in t = sqrt|psi|.
+# Every pin in this file was re-recorded when the DOP853 pair replaced the
+# 5(4) pair: it stores one row per accepted step, about 4x fewer rows.
 
 def _digest(traj):
     buf = io.StringIO()
@@ -187,21 +218,21 @@ def _digest(traj):
 
 _PINNED = {
     "run10": (
-        "d75458a4f230655d012dbd854a9f97cc15b0bd7c4f7b3d3b17513035509ebde8",
-        "f42a61f2764521e27958af8b41f7487af7c6a80e01d8cb0473890a782b0a19fb",
-        "0.06577233390592918", "63.85128504842183", "reached_rmax"),
+        "db7419b999709d5bd2120aec47d0a71cf90eeb34387e1476c20481d03ed71956",
+        "4adcba1cb8454348ebd712bf75f69cff947a1bd775f48be4a590146d338407c8",
+        "0.06577157320082933", "63.851279557813626", "reached_rmax"),
     "run100": (
-        "4124b432b46660dc8e02ff7e17d23455c973ecad6388171590a400be18826d6f",
-        "ef28366ce707843cf2ea0261553e2520835591ef7a7bd624c36849c8406dee8f",
-        "0.9959293355044907", "1997.3097961980372", "reached_rmax"),
+        "23a37e130432ca2085aad92aab24a9a6a565074e4afa30e21bada23bd301e72a",
+        "3d8bd3c97b582be7afa695ea1ad3cb9a7f31cf5fd52d36e570d88f8139b1fdcb",
+        "0.995929722302343", "1997.3097086528517", "reached_rmax"),
     "example": (
-        "5e3ef3c4f19b1f4aadb08334585d36183589d697005b5d6556bb658e35c3cff1",
-        "f9614a39cc9079d8daf3f143962ec0c4ee5647a92771bd2518dda21b174f77a5",
-        "0.0673784994889951", "63.432441082347474", "reached_rmax"),
+        "a4b29e309dc5469f44437f2ca49b5125e255037c81da8d0d8e54d22302d39d7f",
+        "7c7d5ff747160487de4fb9b8f7c684aac7b343dcb7e66511bfc5e355ba74d75c",
+        "0.0673779676308721", "63.43242623465643", "reached_rmax"),
     "powerlaw": (
-        "0de206f2588e3b6937c889778f28d9c2d6354bc97281197c9d3dae4954925bc4",
-        "d7865f96111275f1f7c1c7f11a5c18b6c66e17a28078c4bfff7b369a303d06d3",
-        "0.05313947157723093", "48.29382933788288", "reached_rmax"),
+        "48cd95a47963acf22c1ecb1fd7d428c72dfa440f6c0218b11498231164cf0ee6",
+        "5ea6e36f4a03e0348d82b841e1769eee7358db711b7ce58e7ddd3d49ff2ef79d",
+        "0.053139447371702585", "48.29383262544251", "reached_rmax"),
 }
 
 
@@ -221,9 +252,9 @@ def test_pinned_origin_capture(constantin):
     traj = integrate(constantin, 10.0,
                      IntegrationConfig(r_max=100.0, origin_radius=0.1))
     assert _digest(traj) == (
-        "9dc2ca868e58a7cfea6b7c565c30da3600fe28192ddb177faf614e11627c9386",
-        "8319c33249dde54dfb1d64c3a3b05ac01cf91faeb5b867b33c2dac735fa4322d",
-        "0.09934598854690692", "63.52295142659583", "origin_reached")
+        "dc8f2582673059a2d3405284c1a044b4679d9da1a116976bdef5a7be991ed1b4",
+        "8045d52d9d92a445ebbd47859a135f1c30110729987160e8bac6f3e2ead6cdf2",
+        "0.09893175221647375", "63.52528525625046", "origin_reached")
 
 
 def test_pinned_capture_against_energy_event(constantin):
@@ -232,26 +263,26 @@ def test_pinned_capture_against_energy_event(constantin):
     traj = integrate(constantin, 10.0, IntegrationConfig(
         r_max=100.0, origin_radius=0.1, stop_at_zero_energy=True))
     assert _digest(traj) == (
-        "1b6ffb37126185bf219bfc020591f8b52e07599f36a0482c7281793ba610864d",
-        "98a7a279221ff47d99a960027a3950fff93de03ab152886e39e628a07de3f14f",
-        "0.18940573027435773", "54.34067260114012", "event")
+        "005299c2ca146fc0b9b7db05d0f3eccb7cdd31333a761c4d8403adaf74ef4607",
+        "e4e4a5a5063eeff245f9152991d3278002fa8e73c83e3ec0e7fbd104562a3e61",
+        "0.18940536382704526", "54.340883522107696", "event")
     assert (traj.r[-1], traj.psi[-1], traj.beta[-1]) == (
-        60.416712707648934, -1.2844407321947728, 0.5395756320085118)
+        60.41665374119911, -1.2844724429737688, 0.5395667507592703)
 
 
 @pytest.mark.parametrize("rel_tol, pinned", [
-    (1e-3, (0.019, (
-        "d03be51fc6ae033682c5d3d85fb407f763fe7f8a30adb3129b26a9bee75c6e2b",
-        "89fc2ff5ac87f5659ef64acea09095b1f2050359bc447e9130ae8ddcb4caa23d",
-        "0.016883081002241646", "23.126148505344087", "origin_reached"))),
+    (1e-3, (0.006, (
+        "d0d1bd3f7c0d0552509563b6e2da7d195c3f995b93545d2facf7f1fbb5f9780b",
+        "002e12077b3339fdc2023c7f40c1a33b929e447df5e92bca23cd570e36db4eb9",
+        "0.0017015702915421423", "23.500938459473407", "origin_reached"))),
     (1e-6, (0.0044, (
-        "a1aca63f1dd8270edb98cd0a4c6b008a3d1c3a0d382642039d5f8c2c39e7970f",
-        "a0765bbe0fcc09f6c9d05662a19d70bc0d82b905b097ef87f99ec34b580a7937",
-        "0.0041797988420702245", "23.380513849190166", "origin_reached"))),
+        "43ca13e7123cb529dad0676a338d98aadff67aca87f2d3e34b478acc7f10553e",
+        "02b364617be8102ae9afa08caaa559de780c51a281d3cc6fd7865908b8d9ac18",
+        "0.004157304175397608", "23.3808992472912", "origin_reached"))),
 ])
 def test_pinned_in_step_capture(constantin, rel_tol, pinned):
     # the orbit dips inside origin_radius and out again within one step, so
-    # only the in-step search finds the capture, at s = 0.20 and 0.41.  An
+    # only the in-step search finds the capture, at s = 0.65 and 0.74.  An
     # origin_radius below _BETA_MIN leaves the windows' entry floor as it is,
     # so the run with the default radius takes the same steps and shows the
     # uncut step: both of its ends lie outside origin_radius
@@ -274,9 +305,9 @@ def test_pinned_in_step_capture(constantin, rel_tol, pinned):
 def test_pinned_backward_sweep(constantin):
     traj = integrate_backward(constantin, 6.0, 1.5, 0.2)
     assert _digest(traj) == (
-        "2f29424cd1dbe6985fc9a9515bb9b5329ef91f7266d519dec2ec588e1e2e4934",
-        "1dd777ec7cd1b3e1fa8d30a3cdd549651324d6a174331d9728e9b28e5270ef8b",
-        "1.4992166691760165", "5.916079783099616", "reached_rmax")
+        "fbb89d0bd6f8f37d332f64324b003d5b9a7957aa4a6308dc6dda76eacc7b763d",
+        "2c3abcdf5c9d149cd121f478ca538faceccde15065d0eafd13d0b599572af7bb",
+        "1.4992166691760747", "5.916079783099616", "reached_rmax")
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -328,17 +359,17 @@ def test_one_row_trajectory(constantin):
 
 _PINNED_SHOTS = {
     "constantin": (
-        ("right", "1.872941358853622", "1.606888590162289"),
-        ("right", "5.509184527907573", "0.07956817120825264"),
-        ("left", "9.062981070661111", "0.7221542993085137")),
+        ("right", "1.8729411547254216", "1.606888652432775"),
+        ("right", "5.509232632080097", "0.07956044774012183"),
+        ("left", "9.062835163192794", "0.7221463520931478")),
     "example": (
-        ("right", "1.8562727194449589", "1.6087594061005037"),
-        ("right", "5.353506304956302", "0.10165397983964845"),
-        ("left", "8.995645653983024", "0.7268529009852007")),
+        ("right", "1.8562726925042867", "1.60875941427084"),
+        ("right", "5.353558795953192", "0.10164408335115938"),
+        ("left", "8.995507182339917", "0.7268453882675049")),
     "powerlaw": (
-        ("right", "1.3038633608090473", "1.7514083861504457"),
-        ("right", "3.422670763957496", "0.7523587292365531"),
-        ("left", "5.92111885349081", "0.7763302209537044")),
+        ("right", "1.3038631180855955", "1.751408437573355"),
+        ("right", "3.42267079217478", "0.7523587021721206"),
+        ("left", "5.920966334427431", "0.7763299935091983")),
 }
 
 
@@ -353,11 +384,8 @@ def test_pinned_shots(request, name):
     assert tuple(got) == _PINNED_SHOTS[name]
 
 
-# Rows-only digests, recorded before the closest approach left the stepper:
-# the step sequence never read it.  Runs that open no crossing window keep
-# these bits: the power law, the backward sweep, the shots at a = 2 and 3,
-# and constantin and example a = 2 to r = 100 (recorded before the windows);
-# the others were re-recorded with the windows.
+# Rows-only digests of what the step sequence decides, which never read the
+# closest approach.  All were re-recorded with the DOP853 pair.
 
 def _rows(traj):
     """sha256 of what the step sequence decides: the six stored columns
@@ -403,46 +431,46 @@ _ROW_RUNS.update({f"shot_{name}_{a:g}": _shot(name, a)
 
 _ROWS = {
     "run10":
-        "d34fcce0ae3dff55e9f1d3729fab64f3cda0e9befc459c72cd1d7472ed37cb44",
+        "a1d03b5a8c7fb2aaa565dbe60acef6fa9b7f3ae11334571665dde167066e4c42",
     "run100":
-        "00b6db125120a2225da8c70c43d41542457ad8141e2264e23a5ef1c4555a3c1c",
+        "e90ebc741ed47b7e483def7b74b40ea5cf2c18f3315c151cfe6a89ccacd319a3",
     "example":
-        "b896d7b01d3c1a085c2b0a388da6128721507c46aa76e9ab6ee30735efa571df",
+        "39cf90d061056b0cb2b6d43a2874815e945656100e06d555ed0b1fe04513d663",
     "powerlaw":
-        "07a0fbe4aff6a4e63e5c3d7efb4520728e25cc98741fd83b43dc357361ecff2a",
-    # no crossing (recorded before the crossing windows)
+        "88e0df0b10f722188e0e5ffbf940d18b57dd5b14971ab114ee2f337878dbc127",
+    # no crossing
     "constantin_a2":
-        "813366d99205d1112550eb31b5e77466355ce5cc2feb3689f2e60899a867c92f",
+        "cbf3094f50ec41a706890077b7cf29d85dc2003a4057b400867dc53ee630c950",
     "example_a2":
-        "18436a2b32c7b829a9cd94cc75b5c9ff872a7eccf91b0bf5e81fb279c3e82a6b",
+        "45b7490a3b76f6aeb5346803d8acb0e4ff720221840a598fa8847eaef85c48a8",
     "capture":
-        "d6d49b598b377b68aea1efaecffdcc7f77b377b49e3d556e2c658e1cb40fe7c9",
+        "6245333857e8b490bbf4eb9922663fec70259db13468d9acff636dd42ec18a61",
     "capture_stop":
-        "d76153817157dc34e50518514ad7c6abe741f8c34af5818b1aa2de3b490b6f05",
+        "e164195ae5befcfafceff47749344cbf0e982d6adcd2343d5e1b8c013951918b",
     "in_step_0.001":
-        "89941fcaceda65c3ee2aaa4f0c94485c5cf27c0c1be75b1e6fff3e1fcafeba0f",
+        "1845fff0dec17b9f985362dedb3375e27e3582fb1fb9a052f4f089ffed1f260a",
     "in_step_1e-06":
-        "80dec5dcfc1f2812f02810f2ad002c46ec6a9506c46a3a36d1c3f8bc2f208fdf",
+        "1ad8e82dbdf283c789a53f5e1a1f88b716a79fe344eaf49c1f77213756f060ec",
     "backward":
-        "c69ae2db647056544ef1b4506efd2fe2017ec79f45d6f66c5916a583af89a768",
+        "1eef1bf3ce187c9551b7562101ffd65aa72853ac2ad4e1afc49d18a12ecdca87",
     "shot_constantin_2":
-        "4c5c28223f9c3de7c356081322d2a7ff2fc53152d904091f0385af4e52239a92",
+        "17b85cb92c9f6a2ea0ea2abcad238bd1c1a22cc62f419993b93dc1a53321b202",
     "shot_constantin_3":
-        "bc7b65fa118ff89cc8f103d516d8440dcb6882109d4df5b13afe3a5cd6feec77",
+        "3a73495e11ae1c910d9e610693b4a3422da54647512e8b09f26844cf1a05f566",
     "shot_constantin_4":
-        "0ec44944731e88f1e3222eb0013d6b667e8616472110189094337cc167895f93",
+        "2c498f245a214a867b078e64ef426a7f5d6efb5c3fdf2f0621200442b0b005b6",
     "shot_example_2":
-        "fdcfe645f924323d44e4f265a45e162f5668064ea870a5346586d53be5af1fde",
+        "7e3030a9e2d3c85db8ec9b4dd8bb47bf22dedfca8f1e9396a024a1adc5882881",
     "shot_example_3":
-        "ce1fa94b2203b4fc56747b89e99425d4b4b88ce989e92005dfbce27c5ca8233d",
+        "c9659a1c7caa351dde2f5677e501edb08823ad6578e8292aa7253927f9a00f3e",
     "shot_example_4":
-        "e786568b54dd5a2fc6a3e2843701637ef2d495d0619fff5b25519c047438f925",
+        "bbb0ba67cc5e1999e5c2350e92880b8a2b00b050d43ca21f14a2b024b112664c",
     "shot_powerlaw_2":
-        "a42fb778db3a198873dea7a3b728449e3597300297de66873d66b7a1f136cf05",
+        "c9df4c392bf64362a154f1ccf704d77362529c9979ee7aa6ce5ba3a01602d23a",
     "shot_powerlaw_3":
-        "1e99bda2a2863ec3acac47406e829cb0e4eb03ddcc7a2f782283781b8af600ad",
+        "a9782ee25988be28c6a9e11be747255d18a5a9b4ef2c6dfece1a72bf9574a388",
     "shot_powerlaw_4":
-        "1b1e84db78f4d1a774e1a96f8d41a651b639beb6d87a64b2895e28761d8ff33c",
+        "44af80d1b45bdeb4cf2cff52eb0f11f7dc6da92a44d6923ba8d009dc86ab832a",
 }
 
 
@@ -469,7 +497,7 @@ def test_event_fn_called_once_per_accepted_step(constantin):
         r_max=100.0, stop_at_zero_energy=True))
     assert traj.termination is Termination.EVENT
     assert (traj.r[-1], traj.psi[-1], traj.beta[-1]) == (
-        60.416712707648934, -1.2844407321947728, 0.5395756320085118)
+        60.41665374119911, -1.2844724429737688, 0.5395667507592703)
     # the Picard head stores 17 rows; every later row but the cut row is
     # one accepted step, and the step holding the stop is one more
     steps = len(traj.r) - 17
@@ -497,8 +525,9 @@ def test_crossings_are_nodes(run10, constantin, powerlaw, state_at):
 
 
 def test_window_rejects_few_attempts(constantin):
-    # f runs 3 times to start and 6 times per attempt (a window adds 2 per
-    # crossing); the plain stepper rejected 11.9 % of its attempts here
+    # f runs 3 times to start, 11 times per attempt and 4 more times per
+    # accepted step (a window adds 2 per crossing); the plain 5(4) stepper
+    # rejected 11.9 % of its attempts here
     calls = [0]
 
     def counting_f(u):
@@ -508,7 +537,7 @@ def test_window_rejects_few_attempts(constantin):
     traj = integrate(dataclasses.replace(constantin, f=counting_f), 20.0,
                      IntegrationConfig(r_max=370.0, rel_tol=1e-9))
     steps = int(np.count_nonzero(traj.r > 0.0625))
-    assert 1.0 - steps / ((calls[0] - 3) / 6.0) < 0.05
+    assert 1.0 - steps / ((calls[0] - 3 - 4 * steps) / 11.0) < 0.05
 
 
 @pytest.mark.parametrize("offset", [-0.01, 0.01, 0.2])
@@ -570,10 +599,10 @@ def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
 # --------------------------------------------- inlined per-step helpers
 #
 # An accepted step calls no Python function but f and F: the core carries
-# inlined copies of _hull_floor and of the full-step _dissipation.  The
-# tracer below holds both to their references bit for bit on every step
-# that forms them; the full-step dissipation is pinned by the dissipation
-# sha256s of _PINNED as well.  The capture gate's grid and search run only
+# inlined copies of _hull_floor, of the dense-output coefficients _dense and
+# of the full-step _dissipation.  The tracer below holds all three to their
+# references bit for bit on every step that forms them; the full-step
+# dissipation is pinned by the dissipation sha256s of _PINNED as well.  The capture gate's grid and search run only
 # where the hull floor lies below origin_radius, so these runs take
 # origin_radius 0.3, which the orbits reach at r = 34 to 54.
 
@@ -596,14 +625,18 @@ def test_inlined_helpers_match_references(models, name, stop):
         if event == "line" and frame.f_lineno in checked:
             v = frame.f_locals
             seg = tuple(v[k] for k in ("psi", "beta", "psi1", "beta1", "k1p",
-                                       "k1b", "k7p", "k7b", "hs"))
+                                       "k1b", "k13p", "k13b", "hs"))
             if frame.f_lineno == at_floor:
                 assert v["floor"].hex() == float(
                     _hull_floor(*seg, hypot=math.hypot)).hex()
             else:
+                dense = tuple(v[f"d{m}"] for m in range(7))
+                ks = [v[f"k{j}b"] for j in (1, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                                            15, 16)]
+                assert [d.hex() for d in dense] == [d.hex() for d in (
+                    integrator._dense(v["hs"], v["beta"], v["beta1"], *ks))]
                 assert v["diss"][-1].hex() == integrator._dissipation(
-                    v["r"], v["hs"], v["beta"], v["q0"], v["q1"], v["q2"],
-                    v["q3"], 1.0).hex()
+                    v["r"], v["hs"], v["beta"], dense, 1.0).hex()
             checked[frame.f_lineno] += 1
         return local_trace
 
@@ -688,8 +721,8 @@ def shot_sweep(models):
 
 def test_pinned_shot_sweep(shot_sweep):
     assert shot_sweep == (
-        "240a16cc4ab5ccc206dbe558acc156d646b6cb3a312da4abdcfc198150a486f9",
-        "e9f25aca46fcc89df78ae08f41e0c0fcf62dc84df78be9bdefada847efcf3b39")
+        "fe6fa0bab4ed1b2cdc426ff088fb1fbdcb105f624536f3b9ecf2ba103dc1dd32",
+        "24ac96820608f98ad98eb88032a17fb15aa2cb82250f0a020b598ce95b7a9792")
 
 
 # ------------------------------------------- closest approach after the run
@@ -708,7 +741,11 @@ def _sampled_min(traj, r_from, n=201):
                  + w[2] * y[1:, None] + w[3] * d[1:, None]
                  for y, d in ((traj.psi, slopes[:, 0]),
                               (traj.beta, slopes[:, 1])))
-    rad = np.where(traj.r[:-1, None] + s * h >= r_from,
+    # r >= r_from in the local coordinate of r_from, which r[i] + s h can
+    # miss by a rounding of r
+    i0, s0 = traj.locate(r_from)
+    step = np.arange(len(h))[:, None]
+    rad = np.where((step > i0) | ((step == i0) & (s >= s0)),
                    np.hypot(psi, beta), np.inf)
     i, k = np.unravel_index(int(np.argmin(rad)), rad.shape)
     return float(rad[i, k]), int(i), k / (n - 1.0)
@@ -725,12 +762,14 @@ def _refined_sample(traj, r_from):
     if s_best == 0.0 and i > 0:
         windows.append((i - 1, 0.995, 1.0))
     refined = sampled
+    i0, s0 = traj.locate(r_from)
     for j, s_lo, s_hi in windows:
+        if j < i0:
+            continue
         psi, beta = traj.hermite("psi", j), traj.hermite("beta", j)
-        h = float(traj.r[j + 1] - traj.r[j])
-        for s in np.linspace(max(0.0, s_lo), min(1.0, s_hi), 2001).tolist():
-            if float(traj.r[j]) + s * h >= r_from:
-                refined = min(refined, math.hypot(psi(s), beta(s)))
+        lo = max(s0 if j == i0 else 0.0, s_lo)
+        for s in np.linspace(lo, min(1.0, s_hi), 2001).tolist():
+            refined = min(refined, math.hypot(psi(s), beta(s)))
     return sampled, refined
 
 
