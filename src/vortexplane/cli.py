@@ -296,6 +296,8 @@ def cmd_picard(args: argparse.Namespace) -> int:
         "psi_end": float(grid.values[-1]),
         "beta_end": float(slope.values[-1]),
         "residual": residual,
+        "sweeps": grid.sweeps,
+        "last_change": grid.last_change,
     }
     path = _write_json(out, f"picard_{model.model_id}.json", payload)
     print(f"psi({grid.r[-1]:g}) = {float(grid.values[-1])!r}")

@@ -17,6 +17,10 @@ for a window of rates k derived below.  Grid operators use the trapezoid
 rule; the Simpson re-evaluation serves as an independent residual oracle.
 A Picard sweep is one left-to-right pass over cache-sized blocks of the
 grid that gives the iterates of the whole-grid trapezoid rule bit for bit.
+On a fine grid the iterates start from the fixed point of a grid
+_COARSE_RATIO times coarser, read onto the fine nodes by linear
+interpolation (nested iteration; Hackbusch, Multi-Grid Methods and
+Applications, 1985, ch. 5); smaller grids start from the constant a.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ _PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 _LAM_LO = 1.0 + 1e-12
 # nodes per block of a Picard sweep: a block's work arrays stay in L2
 _BLOCK = 16384
+# a Picard solve on n intervals starts from the solve on n // _COARSE_RATIO
+# intervals once that has at least _COARSE_MIN; the integrator's 512-point
+# heads stay far below and keep their constant start
+_COARSE_RATIO, _COARSE_MIN = 64, 512
 
 
 def check_start_value(a: float) -> None:
@@ -95,6 +103,13 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     particular keeps psi >= a/8 > 0); escape or failure to converge within
     max_iter raises FixedPointFailureError.
 
+    When n // _COARSE_RATIO >= _COARSE_MIN the iterates start from the
+    fixed point on n // _COARSE_RATIO intervals (same tol and max_iter),
+    interpolated linearly onto the n + 1 nodes; otherwise from psi = a.
+    The interpolant is a convex combination of coarse values inside the
+    ball, so the start lies in it too.  A failure of the coarse solve
+    names the coarse start and both grid sizes.
+
     A sweep is one left-to-right pass over blocks of _BLOCK nodes, so a
     block's work arrays stay in cache.  Each block re-evaluates r f(psi)
     at the node to its left and carries over that node's integrand and
@@ -111,7 +126,18 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     h = float(rs[1] - rs[0])
     half_h = 0.5 * h
     ball = eta * a / 4.0
-    psi = np.full(n + 1, float(a))
+    coarse_n = n // _COARSE_RATIO
+    if coarse_n >= _COARSE_MIN:
+        try:
+            coarse = picard_solve(model, a, r_end, coarse_n, tol, max_iter)
+        except FixedPointFailureError as exc:
+            raise FixedPointFailureError(
+                f"coarse start on {coarse_n} intervals for the {n}-interval "
+                f"grid failed: {exc}") from exc
+        # the ends coincide, so node 0 reads a
+        psi = np.interp(rs, coarse.r, coarse.values)
+    else:
+        psi = np.full(n + 1, float(a))
     new = psi.copy()  # node 0 stays at a
     # per block: its first node, its end, and views of the work arrays,
     # whose index 0 holds the node left of the block

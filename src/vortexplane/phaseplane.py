@@ -61,16 +61,21 @@ def level_set_geometry(model: VorticityModel, n: int = 1024,
     """
     probes = np.linspace(0.0, scan_hi, 2000)[1:]
     fvals = potential_grid(model, probes)
-    roots = []
-    for j in range(len(probes) - 1):
-        if fvals[j] == 0.0:
-            roots.append(float(probes[j]))
-        elif fvals[j] * fvals[j + 1] < 0.0:
-            roots.append(_bisect(model.F, float(probes[j]), float(probes[j + 1])))
-    if not roots:
+    # a root at a probe where F is 0, else in the bracket it opens by a
+    # sign change; only the first and the last are refined
+    hits = np.flatnonzero((fvals[:-1] == 0.0)
+                          | (fvals[:-1] * fvals[1:] < 0.0))
+    if len(hits) == 0:
         raise HypothesisViolationError(
             "F has no positive root on the scan range; level set unbounded")
-    psi_minus, psi_plus = roots[0], roots[-1]
+
+    def root(j: int) -> float:
+        if fvals[j] == 0.0:
+            return float(probes[j])
+        return _bisect(model.F, float(probes[j]), float(probes[j + 1]))
+
+    psi_minus = root(hits[0])
+    psi_plus = root(hits[-1]) if len(hits) > 1 else psi_minus
     if psi_plus <= model.ledger.u0:
         raise HypothesisViolationError(
             "level set root does not clear the positive equilibrium")

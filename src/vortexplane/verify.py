@@ -161,6 +161,7 @@ def criterion_picard_window(cache: RunCache) -> CriterionResult:
     ball_ratio = 0.0
     end_ratio = math.inf
     residual = 0.0
+    measures: Dict[str, object] = {}
     for a in (1.0, 10.0, 100.0):
         grid = picard_solve(model, a, r_end=1.0, n=1 << 17, tol=1e-13)
         ball_ratio = max(ball_ratio,
@@ -168,12 +169,14 @@ def criterion_picard_window(cache: RunCache) -> CriterionResult:
                          / (eta * a / 4.0))
         end_ratio = min(end_ratio, float(grid.values[-1]) / (a / 8.0))
         residual = max(residual, picard_residual(model, grid))
+        measures[f"a{a:g}_sweeps"] = grid.sweeps
+        measures[f"a{a:g}_last_change"] = grid.last_change
+    measures.update(ball_ratio=ball_ratio, end_ratio=end_ratio,
+                    residual=residual)
     return CriterionResult(
         5, "short-range fixed point",
         ball_ratio <= 1.0 and end_ratio >= 1.0 and residual < 1e-8,
-        "|psi - a| <= eta a/4, psi(1) >= a/8, residual < 1e-8",
-        {"ball_ratio": ball_ratio, "end_ratio": end_ratio,
-         "residual": residual})
+        "|psi - a| <= eta a/4, psi(1) >= a/8, residual < 1e-8", measures)
 
 
 def criterion_contraction(cache: RunCache) -> CriterionResult:

@@ -15,8 +15,9 @@ certified constants used by the solvers and checks:
     c, nu     ring bound: -c/R^nu <= psi*g(psi)/R^2 <= (1+c)/R^nu for |psi|<=R
 
 All scalar callables accept and return plain floats; the *_arr variants
-are vectorized over numpy arrays and exist for grid-based solvers.  f, g
-and F reject NaN and +-inf.  F is exact for the constantin and power-law
+are vectorized over numpy arrays and exist for grid-based solvers; F_arr
+gives F's bits over finite nodes (constantin and modulated families).  f,
+g and F reject NaN and +-inf.  F is exact for the constantin and power-law
 families and a fixed Gauss-Legendre rule for the modulated one.
 """
 
@@ -82,6 +83,9 @@ class VorticityModel:
     ledger: ConstantsLedger
     f_arr: Callable[[np.ndarray], np.ndarray]
     g_arr: Callable[[np.ndarray], np.ndarray]
+    # F over an array of finite nodes, bit for bit F's values; None where
+    # no array form keeps F's bits
+    F_arr: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def u0(self) -> float:
@@ -124,6 +128,10 @@ def constantin_model() -> VorticityModel:
         a = abs(_finite(psi))
         return 0.5 * psi * psi - (2.0 / 3.0) * a * math.sqrt(a)
 
+    def F_arr(psi: np.ndarray) -> np.ndarray:
+        a = np.abs(psi)
+        return 0.5 * psi * psi - (2.0 / 3.0) * a * np.sqrt(a)
+
     ledger = ConstantsLedger(
         u0=1.0,
         eta=28.0 / 9.0,
@@ -137,6 +145,7 @@ def constantin_model() -> VorticityModel:
         f=f, g=g, F=F, ledger=ledger,
         f_arr=lambda u: u - np.sign(u) * np.sqrt(np.abs(u)),
         g_arr=lambda u: np.sign(u) * np.sqrt(np.abs(u)),
+        F_arr=F_arr,
     )
 
 
@@ -180,7 +189,10 @@ def example_model(c2: float) -> VorticityModel:
         s = math.sqrt(abs(u)) * modulation(u)
         return s if u > 0.0 else -s
 
-    def panel(lo: float, hi: float) -> float:
+    # panel and tail take a float or an array of upper (lower) limits,
+    # with math's sin and cos for F and numpy's for F_arr; the tests check
+    # that the two round alike, so F_arr keeps F's bits
+    def panel(lo, hi, sin=math.sin):
         """int_lo^hi 2 t^2 sin(c2 t^4/(t^4+1)) dt, one Gauss panel."""
         h = hi - lo
         acc = 0.0
@@ -188,10 +200,10 @@ def example_model(c2: float) -> VorticityModel:
             t = lo + h * sg
             tt = t * t
             t4 = tt * tt
-            acc += wg * tt * math.sin(c2 * t4 / (t4 + 1.0))
+            acc += wg * tt * sin(c2 * t4 / (t4 + 1.0))
         return 2.0 * h * acc
 
-    def tail(lo: float) -> float:
+    def tail(lo, sin=math.sin, cos=math.cos):
         """int_lo^(1/2) 2 s^-4 (sin(c2 w) - sin(c2)) ds, w = 1/(1+s^4), with
         the difference as -2 cos(c2 (1+w)/2) sin(c2 (1-w)/2)."""
         h = 0.5 - lo
@@ -200,8 +212,8 @@ def example_model(c2: float) -> VorticityModel:
             s = lo + h * sg
             s4 = s * s * s * s
             q = s4 / (1.0 + s4)  # 1 - w, free of cancellation
-            acc += (wg * math.cos(c2 * (1.0 - 0.5 * q))
-                    * math.sin(0.5 * c2 * q) / s4)
+            acc += (wg * cos(c2 * (1.0 - 0.5 * q))
+                    * sin(0.5 * c2 * q) / s4)
         return -4.0 * h * acc
 
     p1 = panel(0.0, 1.0)
@@ -219,6 +231,20 @@ def example_model(c2: float) -> VorticityModel:
             # past t = 2 the integrand tends to 2 t^2 sin(c2): that part in
             # closed form, the remainder in s = 1/t on [1/t, 1/2]
             s = p2 + sin_c2 * (2.0 / 3.0) * (x * t - 8.0) + tail(1.0 / t)
+        return 0.5 * psi * psi - (1.0 + c1) * (2.0 / 3.0) * x * t + s
+
+    def F_arr(psi: np.ndarray) -> np.ndarray:
+        # F's three branches over masks of the nodes, in F's operation order
+        x = np.abs(psi)
+        t = np.sqrt(x)
+        s = np.empty_like(t)
+        near, far = t <= 1.0, t > 2.0
+        mid = ~(near | far)
+        s[near] = panel(0.0, t[near], np.sin)
+        s[mid] = p1 + panel(1.0, t[mid], np.sin)
+        tf = t[far]
+        s[far] = (p2 + sin_c2 * (2.0 / 3.0) * (x[far] * tf - 8.0)
+                  + tail(1.0 / tf, np.sin, np.cos))
         return 0.5 * psi * psi - (1.0 + c1) * (2.0 / 3.0) * x * t + s
 
     def g_arr(u: np.ndarray) -> np.ndarray:
@@ -241,7 +267,7 @@ def example_model(c2: float) -> VorticityModel:
     return VorticityModel(
         model_id="example",
         f=f, g=g, F=F, ledger=ledger,
-        f_arr=f_arr, g_arr=g_arr,
+        f_arr=f_arr, g_arr=g_arr, F_arr=F_arr,
     )
 
 
@@ -328,11 +354,20 @@ def potential_by_quadrature(model: VorticityModel, psi: float,
 
 
 def potential_grid(model: VorticityModel, psis: np.ndarray) -> np.ndarray:
-    """F on a 1-d grid of any order and sign, node by node."""
+    """F on a 1-d grid of any order and sign, bit for bit the scalar F's
+    values: in one array pass where the model has F_arr, else node by
+    node.  A NaN or +-inf node is rejected as F rejects it."""
     psis = np.asarray(psis, dtype=float)
     if psis.ndim != 1 or len(psis) == 0:
         raise ParameterDomainError("psis must be a nonempty 1-d array")
-    return np.array([model.F(p) for p in psis.tolist()])
+    if model.F_arr is None:
+        return np.array([model.F(p) for p in psis.tolist()])
+    bad = ~np.isfinite(psis)
+    if bad.any():
+        _finite(float(psis[bad][0]))  # raises as F does
+    # F overflows to inf or nan quietly past |psi| ~ 1e154; so does F_arr
+    with np.errstate(over="ignore", invalid="ignore"):
+        return model.F_arr(psis)
 
 
 def find_positive_zero(model: VorticityModel, hi: float = 2.0,

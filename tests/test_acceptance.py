@@ -50,7 +50,12 @@ def test_pinned_report(acceptance_results):
     # measures arrival_radius and fit_residual).  The DOP853 pair moved
     # every orbit: 34cbbd33... -> 78cf9482... (criterion 4's imbalance
     # 1.42e-10 -> 3.61e-11, criterion 8's minimum 0.0015345 -> 0.0015279,
-    # criterion 13's byte count 4185 -> 4182)
+    # criterion 13's byte count 4185 -> 4182).  Criterion 5's solves start
+    # from a coarse fixed point and report their sweeps and last change:
+    # 78cf9482... -> 252fc758... (residual 2.2019719381205505e-10 ->
+    # 2.2023982637620065e-10, ball_ratio and end_ratio in their last
+    # digits, 8 -> 5 sweeps at a = 10 and 100, criterion 13's byte count
+    # 4182 -> 4390)
     import hashlib
 
     c8, c11 = acceptance_results[7].measures, acceptance_results[10].measures
@@ -60,4 +65,4 @@ def test_pinned_report(acceptance_results):
         "0.0003662595529639628", "3.0013417654039216")
     text = verify.render_report(acceptance_results)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "78cf94821a295cf2e8c908f6913a069601f9dea3b025cb43e6186cf5dcb32c74")
+        "252fc7583681546f5ba3389a479776da9e4cd781c492a82cdc1c2d15e4d09879")

@@ -206,6 +206,7 @@ def test_picard_command(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(next(tmp_path.glob("picard_*.json")).read_text())
     assert payload["residual"] < 1e-8
+    assert payload["sweeps"] >= 1 and payload["last_change"] <= 1e-13 * 2
 
 
 def test_banach_command(tmp_path, capsys):

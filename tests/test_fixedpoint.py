@@ -11,6 +11,8 @@ from vortexplane import (FixedPointFailureError, InfeasibleConstantsError,
                          integrate_backward, picard_residual, picard_solve,
                          rate_transform, select_contraction_constants)
 from vortexplane.fixedpoint import _BLOCK, equilibrium_dichotomy_certificate
+from vortexplane.integrator import (_PICARD_N, _PICARD_TOL,
+                                    IntegrationConfig, series_start)
 from vortexplane.quadrature import cumtrapz
 
 PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
@@ -108,13 +110,25 @@ def test_picard_domain_guards(constantin):
         picard_solve(constantin, 2.0, n=4)
 
 
-def _whole_grid_picard(model, a, r_end, n, tol=1e-13, max_iter=200):
+def _whole_grid_picard(model, a, r_end, n, tol=1e-13, max_iter=200,
+                       coarse=True):
     # the sweep as one pass of whole-grid numpy operations: the oracle for
-    # the blocked sweep of picard_solve
+    # the blocked sweep of picard_solve, from the same coarse start unless
+    # coarse is False
     rs = np.linspace(0.0, r_end, n + 1)
     h = float(rs[1] - rs[0])
     ball = model.ledger.eta * a / 4.0
-    psi = np.full(n + 1, float(a))
+    if coarse and n // 64 >= 512:
+        try:
+            rc, pc, _, _ = _whole_grid_picard(model, a, r_end, n // 64, tol,
+                                              max_iter)
+        except FixedPointFailureError as exc:
+            raise FixedPointFailureError(
+                f"coarse start on {n // 64} intervals for the {n}-interval "
+                f"grid failed: {exc}") from exc
+        psi = np.interp(rs, rc, pc)
+    else:
+        psi = np.full(n + 1, float(a))
     for sweep in range(1, max_iter + 1):
         w = rs * model.f_arr(psi)
         inner = cumtrapz(w, h)
@@ -162,13 +176,52 @@ def test_picard_ball_escape_message(constantin):
     assert str(got.value) == str(ref.value)
 
 
-def test_picard_budget_exhausted_message(constantin):
+def test_picard_coarse_ball_escape_message(constantin):
+    tiny = replace(constantin, ledger=replace(constantin.ledger, eta=1e-6))
     with pytest.raises(FixedPointFailureError) as ref:
-        _whole_grid_picard(constantin, 10.0, 1.0, 2 * _BLOCK, max_iter=2)
+        _whole_grid_picard(tiny, 10.0, 1.0, 512)
+    with pytest.raises(FixedPointFailureError) as got:
+        picard_solve(tiny, 10.0, r_end=1.0, n=2 * _BLOCK)
+    assert "left the ball" in str(ref.value)
+    assert str(got.value) == (
+        f"coarse start on 512 intervals for the 32768-interval grid "
+        f"failed: {ref.value}")
+
+
+def test_picard_budget_exhausted_message(constantin):
+    # n = 2 _BLOCK starts from the solve on n // 64 = 512 intervals, which
+    # runs out of sweeps first
+    with pytest.raises(FixedPointFailureError) as ref:
+        _whole_grid_picard(constantin, 10.0, 1.0, 512, max_iter=2)
     with pytest.raises(FixedPointFailureError) as got:
         picard_solve(constantin, 10.0, r_end=1.0, n=2 * _BLOCK, max_iter=2)
     assert "no convergence within 2 sweeps" in str(ref.value)
-    assert str(got.value) == str(ref.value)
+    assert str(got.value) == (
+        f"coarse start on 512 intervals for the 32768-interval grid "
+        f"failed: {ref.value}")
+
+
+@pytest.mark.parametrize("a", [10.0, 100.0])
+def test_coarse_start_matches_cold_start(models, a):
+    # the coarse start changes the iterates, not the fixed point they reach
+    n = 1 << 17
+    for model in models.values():
+        _, cold, _, _ = _whole_grid_picard(model, a, 1.0, n, coarse=False)
+        grid = picard_solve(model, a, r_end=1.0, n=n)
+        assert float(np.max(np.abs(grid.values - cold))) <= 1e-11 * a
+        assert grid.sweeps <= 5
+
+
+def test_series_start_keeps_the_cold_start(models):
+    # the 512-point heads lie below the coarse-start threshold
+    config = IntegrationConfig(r_max=1.0)
+    for model in models.values():
+        for a in (1.5, 10.0, 100.0):
+            _, psi = series_start(model, a, config)[:2]
+            _, cold, _, _ = _whole_grid_picard(model, a, config.r_handoff,
+                                               _PICARD_N, _PICARD_TOL,
+                                               coarse=False)
+            assert psi.tobytes() == cold.tobytes()
 
 
 _BAD_BUDGETS = [dict(max_iter=0), dict(max_iter=-1), dict(max_iter=2.0),

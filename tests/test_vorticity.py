@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from vortexplane import (C2_UPPER_BOUND, ParameterDomainError,
                          constantin_model, example_model, find_positive_zero,
-                         make_model, potential_by_quadrature, power_law_model)
+                         level_set_geometry, make_model,
+                         potential_by_quadrature, power_law_model)
 from vortexplane.quadrature import adaptive_simpson
+from vortexplane.sequences import sample_loglin
 from vortexplane.vorticity import potential_grid
 
 finite_u = st.floats(min_value=-50.0, max_value=50.0,
@@ -224,3 +226,27 @@ def test_potential_grid_maps_F_bit_for_bit():
         for model in _MODELS:
             point = np.array([model.F(float(p)) for p in psis])
             assert potential_grid(model, psis).tobytes() == point.tobytes()
+
+
+@pytest.mark.parametrize("c2", [None, 1e-4, 0.01, 0.02],
+                         ids=lambda c2: "constantin" if c2 is None
+                         else f"example_{c2:g}")
+def test_potential_grid_array_F_bit_for_bit(c2):
+    # the grids level_set_geometry, check_lambda and
+    # check_level_set_sandwich pass, and both signed zeros
+    model = constantin_model() if c2 is None else example_model(c2)
+    assert model.F_arr is not None
+    psi_plus = level_set_geometry(model).psi_plus
+    grids = (np.linspace(0.0, 16.0, 2000)[1:], np.linspace(0.0, psi_plus, 1024),
+             sample_loglin(1000, 1e-3, 1e3, seed=0), np.linspace(-4.0, 4.0, 200),
+             np.array([0.0, -0.0, 1.0, -1.0, 4.0, -4.0]))
+    for psis in grids:
+        point = np.array([model.F(p) for p in psis.tolist()])
+        assert potential_grid(model, psis).tobytes() == point.tobytes()
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.model_id)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_potential_grid_rejects_non_finite(model, bad):
+    with pytest.raises(ParameterDomainError, match="finite"):
+        potential_grid(model, np.array([0.5, bad, 2.0]))
