@@ -59,7 +59,6 @@ def main() -> None:
               f"fit residual {result.fit_residual:.3e}")
     print(f"closest approach to the origin: min R = "
           f"{result.min_radius_achieved:.6e}")
-    print(f"origin event fired: {result.origin_hit}")
 
 
 if __name__ == "__main__":

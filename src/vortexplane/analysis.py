@@ -389,7 +389,7 @@ def verify_crossing_bounds(traj: Trajectory, seq: CrossingSequence,
 @dataclass(frozen=True)
 class ShotRecord:
     a: float
-    outcome: str                # "left" | "right" | "origin"
+    outcome: str                # "left" | "right"
     r_stop: float
     min_radius: float
 
@@ -399,12 +399,14 @@ class ShootingResult:
     a_lo: float
     a_hi: float
     a_star: float
-    origin_hit: bool
     min_radius_achieved: float
     history: List[ShotRecord] = field(default_factory=list)
     # the fit to the arrival (None where the bisection safeguard decided)
     arrival_radius: Optional[float] = None
     fit_residual: Optional[float] = None
+    # always False: no shot ends at the origin.  perfbench/workloads.py and
+    # the shoot command's JSON still read it
+    origin_hit: bool = False
 
 
 def _classification_config(a: float, rel_tol: float,
@@ -419,8 +421,8 @@ def _classification_config(a: float, rel_tol: float,
 
 def classify_shot(model: VorticityModel, a: float,
                   rel_tol: float = 1e-9) -> ShotRecord:
-    """Run from psi(0) = a until the orbit either reaches the origin or
-    spends its energy and falls toward one side's well.
+    """Run from psi(0) = a until the orbit spends its energy and falls
+    toward one side's well.
 
     The start must have positive energy F(a): from E <= 0 the orbit never
     reaches the energy-zero event and no side can be named.
@@ -431,17 +433,13 @@ def classify_shot(model: VorticityModel, a: float,
         raise ParameterDomainError(
             f"shot a={a!r} starts at energy F(a) = {start_energy!r} <= 0")
     traj = integrate(model, a, _classification_config(a, rel_tol, model))
-    if traj.termination is Termination.ORIGIN_REACHED:
-        outcome = "origin"
-    elif traj.termination is Termination.EVENT:
-        outcome = "right" if float(traj.psi[-1]) > 0.0 else "left"
-    else:
+    if traj.termination is not Termination.EVENT:
         raise ToleranceError(
             f"shot a={a!r} did not resolve within r <= "
             f"{_classification_config(a, rel_tol, model).r_max!r} "
             f"(termination {traj.termination.value})")
-    return ShotRecord(a=a, outcome=outcome, r_stop=float(traj.r[-1]),
-                      min_radius=traj.min_radius)
+    return ShotRecord(a=a, outcome="right" if traj.psi[-1] > 0.0 else "left",
+                      r_stop=float(traj.r[-1]), min_radius=traj.min_radius)
 
 
 def scan_for_bracket(model: VorticityModel, a_start: float = 2.0,
@@ -502,15 +500,11 @@ def _fit_arrival(model: VorticityModel, lo: ShotRecord, hi: ShotRecord,
         return None
     r_m = _MATCH_SHARE * max(lo.r_stop, hi.r_stop)
     s0 = _ARRIVAL_S0
-    forward_config = IntegrationConfig(r_max=r_m, rel_tol=rel_tol,
-                                       abs_tol=1e-12)
-    # backward sweeps read no r_max; the tiny origin_radius keeps the
-    # capture gate shut near the arrival
-    backward_config = IntegrationConfig(r_max=r_m, rel_tol=rel_tol,
-                                        abs_tol=1e-12, origin_radius=1e-300)
+    # the backward sweeps read no r_max
+    config = IntegrationConfig(r_max=r_m, rel_tol=rel_tol, abs_tol=1e-12)
 
     def forward(a: float) -> Tuple[float, float]:
-        traj = integrate(model, a, forward_config)
+        traj = integrate(model, a, config)
         if traj.termination is not Termination.REACHED_RMAX:
             raise _NoFit
         return float(traj.psi[-1]), float(traj.beta[-1])
@@ -520,7 +514,7 @@ def _fit_arrival(model: VorticityModel, lo: ShotRecord, hi: ShotRecord,
             raise _NoFit
         psi, beta = arrival_start(model, R, s0)
         traj = integrate_backward(model, R - s0, psi, beta, r_end=r_m,
-                                  config=backward_config)
+                                  config=config)
         if traj.termination is not Termination.REACHED_RMAX:
             raise _NoFit
         return float(traj.psi[0]), float(traj.beta[0])
@@ -604,12 +598,6 @@ def shoot_for_origin(model: VorticityModel, a_lo: float, a_hi: float,
         raise ParameterDomainError(
             f"ends shot {lo.a!r}, {hi.a!r}, not [{a_lo!r}, {a_hi!r}]")
     history = [lo, hi]
-    if lo.outcome == "origin" or hi.outcome == "origin":
-        star = lo if lo.outcome == "origin" else hi
-        return ShootingResult(a_lo=a_lo, a_hi=a_hi, a_star=star.a,
-                              origin_hit=True,
-                              min_radius_achieved=star.min_radius,
-                              history=history)
     if lo.outcome == hi.outcome:
         raise NoBracketError(
             f"both endpoints classify as {lo.outcome!r}; no separatrix "
@@ -617,7 +605,6 @@ def shoot_for_origin(model: VorticityModel, a_lo: float, a_hi: float,
     fit = _fit_arrival(model, lo, hi, rel_tol) if a_hi - a_lo > tol else None
     probes = [] if fit is None else [fit[0] - 0.5 * tol, fit[0] + 0.5 * tol]
     left_a, right_a = a_lo, a_hi
-    origin_hit = False
     for _ in range(max_iter):
         if right_a - left_a <= tol or [left_a, right_a] == probes:
             break
@@ -627,10 +614,6 @@ def shoot_for_origin(model: VorticityModel, a_lo: float, a_hi: float,
                    0.5 * (left_a + right_a))
         rec = classify_shot(model, mid, rel_tol)
         history.append(rec)
-        if rec.outcome == "origin":
-            origin_hit = True
-            left_a = right_a = mid
-            break
         if rec.outcome == lo.outcome:
             left_a = mid
         else:
@@ -639,7 +622,6 @@ def shoot_for_origin(model: VorticityModel, a_lo: float, a_hi: float,
     return ShootingResult(
         a_lo=left_a, a_hi=right_a,
         a_star=fit[0] if confirmed else 0.5 * (left_a + right_a),
-        origin_hit=origin_hit,
         min_radius_achieved=min(r.min_radius for r in history),
         history=history,
         arrival_radius=fit[1] if confirmed else None,

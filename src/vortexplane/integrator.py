@@ -6,39 +6,33 @@ error norm, which blends the pair's 5th- and 3rd-order estimates, and
 I-control of the step.  Each accepted step has two dense representations:
 the pair's 7th-order dense output, which costs 3 more stages and which the
 5-point Gauss rule of the dissipation density beta^2/r reads, and the cubic
-Hermite of the stored endpoints (used for the zero-energy stop, the origin
-capture, the closest approach and all after-the-fact sampling, so results
-never depend on which steps the controller happened to take beyond their
-endpoints).  An orbit stores one row per accepted step.
-
-In the loop R = hypot(psi, beta) serves only the origin capture: a step
-with an endpoint below _R_WATCH gets its hull bound on R (_hull_floor), and
-only where that lies below origin_radius an 11-point grid and a golden
-search.  Trajectory.closest_approach finds the closest approach afterwards.
+Hermite of the stored endpoints (used for the zero-energy stop, the closest
+approach and all after-the-fact sampling, so results never depend on which
+steps the controller happened to take beyond their endpoints).  An orbit
+stores one row per accepted step.
 
 The left endpoint r = 0 is singular, so integrate() opens with a short
 Picard series head on [0, r_handoff] computed by the fixed-point solver
 (_PICARD_N points, tolerance _PICARD_TOL) and hands the state to the
 stepper at r_handoff.  The other end an orbit can have, its arrival at the
-origin at a finite radius R, starts a backward sweep from arrival_start's
-series.
+origin at a finite radius R, is no event of the stepper: a backward sweep
+starts from arrival_start's series there, and analysis fits R.
 
 The forward, restart and backward sweeps share one core, _integrate_core.
 It ends a step early in one place: with stop_at_zero_energy, where the
-energy E = beta^2/2 + F(psi) first falls through 0, or at an origin capture
-strictly before that.  It forms every row that is not an accepted step's
-end with _row, and returns the Trajectory, reversed into ascending r for a
-backward sweep.  An accepted step calls no Python function but f and F, or
-hands over to a crossing window: the core inlines _hull_floor, _dense and
-the full-step _dissipation, each with the same operations in the same
-order.
+energy E = beta^2/2 + F(psi) first falls through 0.  It forms every row
+that is not an accepted step's end with _row, and returns the Trajectory,
+reversed into ascending r for a backward sweep.  An accepted step calls no
+Python function but f and F, or hands over to a crossing window: the core
+inlines _dense and the full-step _dissipation, each with the same
+operations in the same order.
 
 For the square-root families, f(sig t^2) = sig (t^2 - t m(t^2)), so psi(r)
 carries a (r - r_c)^(5/2) term at each crossing r_c of psi = 0, where no
 r-step is smooth.  A forward sweep hands each crossing with |psi| < 1/4 to a
 crossing window (_window), which steps t = sqrt|psi|, where the orbit is
-analytic.  An entry floor on E keeps E > 0 and R > origin_radius through a
-window, so the zero-energy stop and the origin capture stay on the plain path.
+analytic.  An entry floor on E keeps E > 0 through a window, so the
+zero-energy stop stays on the plain path.
 """
 
 from __future__ import annotations
@@ -179,18 +173,16 @@ _R_STEP, _WINDOW_DT = 0.08, 0.1
 # Picard head grid size and sweep tolerance
 _PICARD_N = 512
 _PICARD_TOL = 1e-13
-# the in-step search for the radius minimum switches on below this R
-_R_WATCH = 2.5
 _STOP_BISECTIONS = 60
 _THETA_STEP_CAP = 0.9 * math.pi
 # crossing windows (_window) open below |psi| = _WINDOW_PSI = _WINDOW_T^2;
-# there |beta| stays above _BETA_MIN (or origin_radius)
+# there |beta| stays above _BETA_MIN, as E stays above _E_FLOOR
 _WINDOW_PSI, _WINDOW_T, _BETA_MIN = 0.25, 0.5, 0.05
+_E_FLOOR = 0.5 * _BETA_MIN ** 2
 
 
 class Termination(enum.Enum):
     REACHED_RMAX = "reached_rmax"
-    ORIGIN_REACHED = "origin_reached"
     EVENT = "event"
     STEP_FAILURE = "step_failure"
 
@@ -202,12 +194,11 @@ class IntegrationConfig:
     abs_tol: float = 1e-12
     r_handoff: float = 0.0625
     max_steps: int = 2_000_000
-    origin_radius: float = 1e-6
     # end the run where E = beta^2/2 + F(psi) first falls through 0
     stop_at_zero_energy: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("r_max", "r_handoff", "origin_radius", "rel_tol"):
+        for name in ("r_max", "r_handoff", "rel_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ParameterDomainError(
@@ -248,10 +239,9 @@ def _hermite_radius(s: float, psi: float, beta: float, psi1: float,
 _BLOCK = 4096
 
 
-def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, h,
-                hypot=np.hypot):
-    """Lower bound on _hermite_radius over s in [0, 1], for one step or for
-    numpy arrays of steps.
+def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, h):
+    """Lower bound on _hermite_radius over s in [0, 1], for numpy arrays of
+    steps.
 
     The cubic Hermite from P0 = (psi, beta) to P3 = (psi1, beta1) with end
     slopes h*k1 and h*k13 is the Bezier curve with control points P0,
@@ -260,11 +250,10 @@ def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, h,
     This holds for either sign of h.  The slack, 1e-12 of the control
     points' size (plus 1e-300 for underflow), is orders above the few-ulp
     rounding of this bound and of the radius as _hermite_radius computes it.
-    On floats with hypot=math.hypot it gives the core's inline copy's bits.
     """
     sx = psi + psi1
     sy = beta + beta1
-    norm = hypot(sx, sy)
+    norm = np.hypot(sx, sy)
     slack = 1e-12 * (abs(psi) + abs(beta) + abs(psi1) + abs(beta1)
                      + abs(h) * (abs(k1p) + abs(k1b) + abs(k13p) + abs(k13b))
                      ) + 1e-300
@@ -507,7 +496,7 @@ def _row(model: VorticityModel, r: float, psi: float, beta: float,
             0.5 * beta * beta + model.F(psi))
 
 
-def _window(f, F, r, psi, beta, theta, e, h, rtol, atol, r_target, e_floor,
+def _window(f, F, r, psi, beta, theta, e, h, rtol, atol, r_target,
             append_row, append_diss):
     """Cross psi = 0 in t = sqrt|psi| from the state after an accepted step.
 
@@ -515,7 +504,7 @@ def _window(f, F, r, psi, beta, theta, e, h, rtol, atol, r_target, e_floor,
     pair: t falls to 0, where the crossing is stored with psi = 0, then rises
     (sig flipped) to _WINDOW_T.  Each t-step stores a row and int 2 sig t
     beta/r dt, 5-point Gauss on the dense z; a step past r_target, below
-    1e-14, or to E or beta^2/2 <= e_floor is not taken.  rtol and atol are
+    1e-14, or to E or beta^2/2 <= _E_FLOOR is not taken.  rtol and atol are
     the core's scaled tolerances.  Returns the last row's (r, psi, beta,
     theta, E), the next r-step and the attempts."""
     sig = 1.0 if psi > 0.0 else -1.0
@@ -587,7 +576,7 @@ def _window(f, F, r, psi, beta, theta, e, h, rtol, atol, r_target, e_floor,
             continue
         psi1 = sig * t1 * t1
         e1 = 0.5 * beta1 * beta1 + F(psi1)
-        if not (r1 < r_target and e1 > e_floor < 0.5 * beta1 * beta1):
+        if not (r1 < r_target and e1 > _E_FLOOR < 0.5 * beta1 * beta1):
             break
         theta1 = math.atan2(beta1, psi1)
         theta1 += TWO_PI * round((theta - theta1) / TWO_PI)
@@ -634,8 +623,8 @@ def _integrate_core(model: VorticityModel, r_target: float,
 
     rows and diss (one interval fewer) are the orbit so far, the start row
     alone or a Picard head.  The core extends both lists in integration
-    order and reverses them for a backward run.  A start already inside
-    origin_radius is captured before the first step.
+    order and reverses them for a backward run.  A start at the origin,
+    where the phase is undefined, is refused.
     """
     f, F = model.f, model.F
     hypot, atan2, sqrt = math.hypot, math.atan2, math.sqrt
@@ -643,22 +632,21 @@ def _integrate_core(model: VorticityModel, r_target: float,
     rtol, atol = _TOL_SCALE * config.rel_tol, _TOL_SCALE * config.abs_tol
     # e0 is the stored E at the step's left end: the zero-energy stop
     # compares it with the right end's stored E
-    r, psi, beta, radius0, theta, e0 = rows[-1]
+    r, psi, beta, _, theta, e0 = rows[-1]
     span = abs(r_target - r)
     if span <= 0.0:
         raise ParameterDomainError("empty integration range")
+    if psi == 0.0 and beta == 0.0:
+        raise ParameterDomainError("the start state is the origin")
     h = _initial_step(f, r, psi, beta, direction, rtol, atol, span)
     k1p, k1b = beta, -beta / r - f(psi)
-    origin_radius, stop = config.origin_radius, config.stop_at_zero_energy
-    term = Termination.ORIGIN_REACHED if radius0 < origin_radius else None
-    nsteps, rejected = 0, False
+    stop, nsteps, rejected = config.stop_at_zero_energy, 0, False
     neg_f = SQRT_FAMILY_NEG_F.get(model.model_id) if direction > 0.0 else None
-    e_floor = 0.5 * max(origin_radius, _BETA_MIN) ** 2
     # max, min and abs as comparisons that pick the same operand (max(a, b)
     # is b only where b > a); an absolute value may come out as -0.0 where
     # it only adds to a positive term; r > 0 and h > 0 on every sweep
     apsi, abeta = abs(psi), abs(beta)
-    while term is None:
+    while True:
         if nsteps >= config.max_steps or h < 1e-14 * (r if r > 1.0 else 1.0):
             term = Termination.STEP_FAILURE
             break
@@ -810,35 +798,6 @@ def _integrate_core(model: VorticityModel, r_target: float,
                    + _D6_12 * k12b + _D6_13 * k13b + _D6_14 * k14b
                    + _D6_15 * k15b + _D6_16 * k16b)
 
-        # origin capture inside the step (see the module docstring)
-        radius1, origin_s = hypot(psi1, beta1), None
-        if radius0 < _R_WATCH or radius1 < _R_WATCH:
-            # _hull_floor(*seg) inlined, same operations and order: the step's
-            # Hermite is the Bezier curve on P0, P0 + hs k1/3, P3 - hs k13/3,
-            # P3, so R >= u.P >= min_i u.P_i for u along P0 + P3, less slack
-            sx, sy = psi + psi1, beta + beta1
-            norm = hypot(sx, sy)
-            slack = 1e-12 * (apsi + abeta + ap1 + ab1
-                             + h * ((k1p if k1p >= 0.0 else -k1p)
-                                    + (k1b if k1b >= 0.0 else -k1b)
-                                    + (k13p if k13p >= 0.0 else -k13p)
-                                    + (k13b if k13b >= 0.0 else -k13b))
-                             ) + 1e-300
-            if norm == 0.0:
-                floor = -slack
-            else:
-                ux, uy = sx / norm, sy / norm
-                h3 = hs / 3.0
-                c0 = ux * psi + uy * beta
-                c3 = ux * psi1 + uy * beta1
-                floor = min(c0, c0 + h3 * (ux * k1p + uy * k1b),
-                            c3 - h3 * (ux * k13p + uy * k13b), c3) - slack
-            if not floor >= origin_radius:
-                seg = (psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, hs)
-                cand_s, cand_rad = _radius_search(seg, _radius_grid(seg))
-                if cand_rad < origin_radius:
-                    origin_s = cand_s
-
         # the zero-energy stop: the first falling sign change of E on an
         # 11-point grid of the Hermite, then bisection
         e1 = 0.5 * beta1 * beta1 + F(psi1)
@@ -859,11 +818,6 @@ def _integrate_core(model: VorticityModel, r_target: float,
                     s_cut = bisect_root(lambda s: e_at(s) or -ea, k / 10.0,
                                         (k + 1) / 10.0, ea, _STOP_BISECTIONS)
                     break
-
-        # the one early end of a step: the zero-energy stop, unless the
-        # origin capture comes strictly before it (the stop wins a tie)
-        if origin_s is not None and (s_cut is None or origin_s < s_cut):
-            term, s_cut = Termination.ORIGIN_REACHED, origin_s
         if s_cut is not None:
             append_row(_row(model, r + s_cut * hs,
                             _hermite(psi, psi1, k1p, k13p, hs, s_cut),
@@ -873,7 +827,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
                                      s_cut))
             break
 
-        append_row((r1, psi1, beta1, radius1, theta1, e1))
+        append_row((r1, psi1, beta1, hypot(psi1, beta1), theta1, e1))
         # _dissipation(..., 1.0) unrolled: s_hi = 1.0 makes s = sg, u = 1 - sg
         # and hs*s_hi = hs, and 0.0 + t0 = t0 as each term t is >= +0
         b0 = beta + _GS0 * (d0 + _GU0 * (d1 + _GS0 * (d2 + _GU0 * (
@@ -891,9 +845,6 @@ def _integrate_core(model: VorticityModel, r_target: float,
                           + _GW2 * b2 * b2 / (r + _GS2 * hs)
                           + _GW3 * b3 * b3 / (r + _GS3 * hs)
                           + _GW4 * b4 * b4 / (r + _GS4 * hs)))
-        if radius1 < origin_radius:
-            term = Termination.ORIGIN_REACHED
-            break
         if last:
             term = Termination.REACHED_RMAX
             break
@@ -912,23 +863,22 @@ def _integrate_core(model: VorticityModel, r_target: float,
         h *= fac if fac < 3.0 else 3.0
         r, psi, beta, theta = r1, psi1, beta1, theta1
         apsi, abeta = ap1, ab1
-        k1p, k1b = k13p, k13b
-        radius0, e0 = radius1, e1
-        # a crossing window opens where E stays above e_floor in it: there
+        k1p, k1b, e0 = k13p, k13b, e1
+        # a crossing window opens where E stays above _E_FLOOR in it: there
         # -neg_f <= F <= 0, 2E <= beta^2 <= 2(E + neg_f), and E falls by
         # int 2t|beta|/r dt <= sqrt(2|E + neg_f|) (|psi| + 1/4)/r as t runs
-        # |psi|^(1/2) -> 0 -> 1/2.  So beta^2/2 >= E > e_floor > 0 there, and
-        # R >= |beta| > origin_radius: neither the stop nor the capture fires
+        # |psi|^(1/2) -> 0 -> 1/2.  So beta^2/2 >= E > _E_FLOOR > 0 there,
+        # and the stop does not fire inside a window
         if (neg_f and 1e-20 < ap1 < _WINDOW_PSI and psi1 * beta1 < 0.0
                 and e1 - math.sqrt(2.0 * abs(e1 + neg_f))
-                * (ap1 + _WINDOW_PSI) / r1 > e_floor):
+                * (ap1 + _WINDOW_PSI) / r1 > _E_FLOOR):
             r, psi, beta, theta, e0, h, n = _window(
                 f, F, r, psi, beta, theta, e0, h, rtol, atol, r_target,
-                e_floor, append_row, append_diss)
+                append_row, append_diss)
             nsteps += n
-            assert 0.5 * beta * beta > e_floor  # the window bails out above it
+            assert 0.5 * beta * beta > _E_FLOOR  # the window bails out above
             apsi, abeta = abs(psi), abs(beta)
-            k1p, k1b, radius0 = beta, -beta / r - f(psi), hypot(psi, beta)
+            k1p, k1b = beta, -beta / r - f(psi)
             # the first r-step past a full window is a share of the distance
             # |psi/beta| back to the branch point
             if apsi == _WINDOW_PSI and h > _EXIT_STEP * apsi / abeta:
@@ -997,7 +947,7 @@ def integrate(model: VorticityModel, a: float,
     """Orbit of the admissible profile from psi(0) = a, beta(0) = 0.
 
     The singular endpoint is covered by the Picard head; the zero-energy
-    stop and the origin capture start at the handoff radius.
+    stop starts at the handoff radius.
     """
     check_start_value(a)
     if config.r_max <= config.r_handoff:

@@ -42,3 +42,10 @@ def test_shot_replay_and_acceptance_hooks():
     assert callable(cache.run)
     for family in workloads.FAMILIES:
         assert getattr(cache, family).model_id == family
+
+
+def test_shooting_result_keeps_origin_hit():
+    # the shooting workload's check reads result.origin_hit
+    result = analysis.ShootingResult(a_lo=2.0, a_hi=3.0, a_star=2.5,
+                                     min_radius_achieved=0.1)
+    assert result.origin_hit is False

@@ -246,62 +246,6 @@ def test_pinned_orbit(request, name):
     assert _digest(traj) == _PINNED[name]
 
 
-def test_pinned_origin_capture(constantin):
-    # a wide origin radius turns the a = 10 orbit's closest approach into
-    # an origin capture found by the in-step refinement
-    traj = integrate(constantin, 10.0,
-                     IntegrationConfig(r_max=100.0, origin_radius=0.1))
-    assert _digest(traj) == (
-        "dc8f2582673059a2d3405284c1a044b4679d9da1a116976bdef5a7be991ed1b4",
-        "8045d52d9d92a445ebbd47859a135f1c30110729987160e8bac6f3e2ead6cdf2",
-        "0.09893175221647375", "63.52528525625046", "origin_reached")
-
-
-def test_pinned_capture_against_energy_event(constantin):
-    # the zero-energy stop at r = 60.42 comes before the capture at
-    # r = 63.52 (test_pinned_origin_capture) and ends the run
-    traj = integrate(constantin, 10.0, IntegrationConfig(
-        r_max=100.0, origin_radius=0.1, stop_at_zero_energy=True))
-    assert _digest(traj) == (
-        "005299c2ca146fc0b9b7db05d0f3eccb7cdd31333a761c4d8403adaf74ef4607",
-        "e4e4a5a5063eeff245f9152991d3278002fa8e73c83e3ec0e7fbd104562a3e61",
-        "0.18940536382704526", "54.340883522107696", "event")
-    assert (traj.r[-1], traj.psi[-1], traj.beta[-1]) == (
-        60.41665374119911, -1.2844724429737688, 0.5395667507592703)
-
-
-@pytest.mark.parametrize("rel_tol, pinned", [
-    (1e-3, (0.006, (
-        "d0d1bd3f7c0d0552509563b6e2da7d195c3f995b93545d2facf7f1fbb5f9780b",
-        "002e12077b3339fdc2023c7f40c1a33b929e447df5e92bca23cd570e36db4eb9",
-        "0.0017015702915421423", "23.500938459473407", "origin_reached"))),
-    (1e-6, (0.0044, (
-        "43ca13e7123cb529dad0676a338d98aadff67aca87f2d3e34b478acc7f10553e",
-        "02b364617be8102ae9afa08caaa559de780c51a281d3cc6fd7865908b8d9ac18",
-        "0.004157304175397608", "23.3808992472912", "origin_reached"))),
-])
-def test_pinned_in_step_capture(constantin, rel_tol, pinned):
-    # the orbit dips inside origin_radius and out again within one step, so
-    # only the in-step search finds the capture, at s = 0.65 and 0.74.  An
-    # origin_radius below _BETA_MIN leaves the windows' entry floor as it is,
-    # so the run with the default radius takes the same steps and shows the
-    # uncut step: both of its ends lie outside origin_radius
-    origin_radius, digest = pinned
-
-    def run(**kw):
-        return integrate_from(constantin, 8.0, -0.5, -1.0, IntegrationConfig(
-            r_max=35.0, rel_tol=rel_tol, **kw))
-
-    traj = run(origin_radius=origin_radius)
-    assert _digest(traj) == digest
-    n = traj.n_points
-    full = run()
-    assert np.array_equal(full.r[:n - 1], traj.r[:-1])
-    assert full.r[n - 2] < traj.r[-1] < full.r[n - 1]
-    assert min(full.radius[:n]) > origin_radius
-    assert origin_radius > traj.radius[-1] >= traj.min_radius
-
-
 def test_pinned_backward_sweep(constantin):
     traj = integrate_backward(constantin, 6.0, 1.5, 0.2)
     assert _digest(traj) == (
@@ -327,27 +271,28 @@ def test_start_row_keeps_signed_zero_angle(constantin, backward):
 
 @pytest.mark.parametrize("psi0, beta0", [(0.0, 0.0), (0.0, -0.0),
                                          (-0.0, 0.0), (-0.0, -0.0)])
-def test_start_inside_origin_radius_is_captured(constantin, psi0, beta0):
-    # a start row with R < origin_radius ends the run before the first step;
-    # stepping from the origin would meet the theta cap at a start angle of
-    # +-pi (psi = -0.0) and halve h down to a step failure
-    traj = integrate_from(constantin, 2.0, psi0, beta0,
-                          IntegrationConfig(r_max=10.0))
-    assert traj.termination is Termination.ORIGIN_REACHED
-    assert traj.n_points == 1 and traj.dissipation.size == 0
-    assert (traj.r[0], traj.min_radius, traj.min_radius_r) == (2.0, 0.0, 2.0)
-    bw = integrate_backward(constantin, 6.0, 0.0, 0.0)
-    assert bw.termination is Termination.ORIGIN_REACHED
-    assert bw.n_points == 1 and bw.r[0] == 6.0
+def test_start_at_origin_is_refused(constantin, psi0, beta0):
+    # the origin has no phase: stepping from it would meet the theta cap at
+    # a start angle of +-pi (psi = -0.0) and halve h down to a step failure
+    with pytest.raises(ParameterDomainError, match="origin"):
+        integrate_from(constantin, 2.0, psi0, beta0,
+                       IntegrationConfig(r_max=10.0))
+    with pytest.raises(ParameterDomainError, match="origin"):
+        integrate_backward(constantin, 6.0, psi0, beta0)
 
 
 def test_one_row_trajectory(constantin):
-    # a captured start has no step: locate refuses (it used to return step
-    # -1, whose Hermite ran from r[-1] to r[0]) and the closest approach is
-    # the start row itself
-    traj = integrate_from(constantin, 2.0, 0.0, 1e-7,
-                          IntegrationConfig(r_max=10.0))
-    assert traj.n_points == 1
+    # a trajectory of its start row alone has no step: locate refuses (it
+    # used to return step -1, whose Hermite ran from r[-1] to r[0]) and the
+    # closest approach is the start row itself.  The stepper makes one where
+    # max_steps=1 and the first attempt is rejected
+    row = integrator._row(constantin, 2.0, 0.0, 1e-7)
+    traj = integrator.Trajectory(constantin, *(np.array([v]) for v in row),
+                                 dissipation=np.zeros(0),
+                                 termination=Termination.STEP_FAILURE)
+    made = integrate_from(constantin, 2.0, 0.0, 1e-7,
+                          IntegrationConfig(r_max=10.0, max_steps=1))
+    assert _rows(made) == _rows(traj)
     for r in (2.0, 3.0):
         with pytest.raises(ParameterDomainError, match="no steps"):
             traj.locate(r)
@@ -408,18 +353,13 @@ _ROW_RUNS = {
                                    IntegrationConfig(r_max=100.0)),
     "powerlaw": lambda m: integrate(m["powerlaw"], 10.0,
                                     IntegrationConfig(r_max=100.0)),
-    "capture": lambda m: integrate(m["constantin"], 10.0, IntegrationConfig(
-        r_max=100.0, origin_radius=0.1)),
-    "capture_stop": lambda m: integrate(m["constantin"], 10.0,
-                                        IntegrationConfig(
-                                            r_max=100.0, origin_radius=0.1,
-                                            stop_at_zero_energy=True)),
-    "in_step_0.001": lambda m: integrate_from(
+    # the orbit passes the origin at R = 0.0017 (0.0042) inside one step
+    "near_origin_0.001": lambda m: integrate_from(
         m["constantin"], 8.0, -0.5, -1.0,
-        IntegrationConfig(r_max=35.0, rel_tol=1e-3, origin_radius=0.019)),
-    "in_step_1e-06": lambda m: integrate_from(
+        IntegrationConfig(r_max=35.0, rel_tol=1e-3)),
+    "near_origin_1e-06": lambda m: integrate_from(
         m["constantin"], 8.0, -0.5, -1.0,
-        IntegrationConfig(r_max=35.0, rel_tol=1e-6, origin_radius=0.0044)),
+        IntegrationConfig(r_max=35.0, rel_tol=1e-6)),
     "backward": lambda m: integrate_backward(m["constantin"], 6.0, 1.5, 0.2),
 }
 _ROW_RUNS.update({f"{name}_a2": (lambda m, name=name: integrate(
@@ -443,14 +383,10 @@ _ROWS = {
         "cbf3094f50ec41a706890077b7cf29d85dc2003a4057b400867dc53ee630c950",
     "example_a2":
         "45b7490a3b76f6aeb5346803d8acb0e4ff720221840a598fa8847eaef85c48a8",
-    "capture":
-        "6245333857e8b490bbf4eb9922663fec70259db13468d9acff636dd42ec18a61",
-    "capture_stop":
-        "e164195ae5befcfafceff47749344cbf0e982d6adcd2343d5e1b8c013951918b",
-    "in_step_0.001":
-        "1845fff0dec17b9f985362dedb3375e27e3582fb1fb9a052f4f089ffed1f260a",
-    "in_step_1e-06":
-        "1ad8e82dbdf283c789a53f5e1a1f88b716a79fe344eaf49c1f77213756f060ec",
+    "near_origin_0.001":
+        "3f2d4100697ca18326a5278e06b9758a4674cb4b2329d99d206042ff828e4b23",
+    "near_origin_1e-06":
+        "ad2df0eb3aadafeb782e6a04827995309d785ef48901d714e4691dc4fe75a13b",
     "backward":
         "1eef1bf3ce187c9551b7562101ffd65aa72853ac2ad4e1afc49d18a12ecdca87",
     "shot_constantin_2":
@@ -584,9 +520,7 @@ _step = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda h: h != 0.0)
 def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
                                           k7p, k7b, hs):
     seg = (psi, beta, psi1, beta1, k1p, k1b, k7p, k7b, hs)
-    # the core's copy on floats, and the closest-approach pass on arrays
-    floor = max(float(_hull_floor(*seg, hypot=math.hypot)),
-                float(_hull_floor(*(np.array([v]) for v in seg))[0]))
+    floor = float(_hull_floor(*(np.array([v]) for v in seg))[0])
     for k in range(101):
         s = k / 100.0
         rad = math.hypot(_hermite(psi, psi1, k1p, k7p, hs, s),
@@ -599,12 +533,10 @@ def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
 # --------------------------------------------- inlined per-step helpers
 #
 # An accepted step calls no Python function but f and F: the core carries
-# inlined copies of _hull_floor, of the dense-output coefficients _dense and
-# of the full-step _dissipation.  The tracer below holds all three to their
-# references bit for bit on every step that forms them; the full-step
-# dissipation is pinned by the dissipation sha256s of _PINNED as well.  The capture gate's grid and search run only
-# where the hull floor lies below origin_radius, so these runs take
-# origin_radius 0.3, which the orbits reach at r = 34 to 54.
+# inlined copies of the dense-output coefficients _dense and of the
+# full-step _dissipation.  The tracer below holds both to their references
+# bit for bit on every accepted step; the full-step dissipation is pinned by
+# the dissipation sha256s of _PINNED as well.
 
 def _core_lines(text):
     """Source line numbers of the lines of _integrate_core holding text."""
@@ -615,29 +547,22 @@ def _core_lines(text):
 @pytest.mark.parametrize("stop", [False, True])
 @pytest.mark.parametrize("name", ["constantin", "example", "powerlaw"])
 def test_inlined_helpers_match_references(models, name, stop):
-    # a line event fires before its line runs: at the capture gate floor is
-    # this step's, and after the dissipation append the last dissipation is
-    [at_floor] = _core_lines("if not floor >= origin_radius:")
-    [at_diss] = _core_lines("if radius1 < origin_radius:")
-    checked = {at_floor: 0, at_diss: 0}
+    # a line event fires before its line runs: at the test of last that
+    # follows the dissipation append, the last dissipation is this step's
+    [at_diss] = _core_lines("if last:")
+    checked = [0]
 
     def local_trace(frame, event, arg):
-        if event == "line" and frame.f_lineno in checked:
+        if event == "line" and frame.f_lineno == at_diss:
             v = frame.f_locals
-            seg = tuple(v[k] for k in ("psi", "beta", "psi1", "beta1", "k1p",
-                                       "k1b", "k13p", "k13b", "hs"))
-            if frame.f_lineno == at_floor:
-                assert v["floor"].hex() == float(
-                    _hull_floor(*seg, hypot=math.hypot)).hex()
-            else:
-                dense = tuple(v[f"d{m}"] for m in range(7))
-                ks = [v[f"k{j}b"] for j in (1, 6, 7, 8, 9, 10, 11, 12, 13, 14,
-                                            15, 16)]
-                assert [d.hex() for d in dense] == [d.hex() for d in (
-                    integrator._dense(v["hs"], v["beta"], v["beta1"], *ks))]
-                assert v["diss"][-1].hex() == integrator._dissipation(
-                    v["r"], v["hs"], v["beta"], dense, 1.0).hex()
-            checked[frame.f_lineno] += 1
+            dense = tuple(v[f"d{m}"] for m in range(7))
+            ks = [v[f"k{j}b"] for j in (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+                                        16)]
+            assert [d.hex() for d in dense] == [d.hex() for d in (
+                integrator._dense(v["hs"], v["beta"], v["beta1"], *ks))]
+            assert v["diss"][-1].hex() == integrator._dissipation(
+                v["r"], v["hs"], v["beta"], dense, 1.0).hex()
+            checked[0] += 1
         return local_trace
 
     def trace(frame, event, arg):
@@ -648,28 +573,33 @@ def test_inlined_helpers_match_references(models, name, stop):
     sys.settrace(trace)
     try:
         traj = integrate(models[name], 10.0, IntegrationConfig(
-            r_max=100.0, origin_radius=0.3, stop_at_zero_energy=stop))
+            r_max=100.0, stop_at_zero_energy=stop))
     finally:
         sys.settrace(None)
-    assert traj.termination is Termination.ORIGIN_REACHED
-    assert min(checked.values()) > 0, checked
+    assert traj.termination is (Termination.EVENT if stop
+                                else Termination.REACHED_RMAX)
+    assert checked[0] > 0
 
 
 def test_no_per_step_helper_calls(constantin):
-    # a setprofile guard: _dissipation and the capture gate's grid and
-    # search run once, for the cut step, _hull_floor never runs,
-    # _hermite_radius runs only in the grid and inside golden_min, and no
-    # Python function but f and F is called from the core on more than a
-    # few steps
-    from_core, radius_callers = {}, set()
+    # a setprofile guard over one run to the zero-energy stop and a whole
+    # shooting solve: _dissipation runs once per run, for the cut step; the
+    # core never calls _hull_floor or the radius helpers, which only
+    # closest_approach reaches (_radius_search at most twice per shot);
+    # and no Python function but f and F is called from the core on more
+    # than a few steps
+    from vortexplane import shoot_for_origin
+    from_core, radius_callers, searches = {}, set(), {}
     core = integrator._integrate_core.__code__
 
     def profile(frame, event, arg):
         if event != "call":
             return
-        code = frame.f_code
-        if frame.f_back.f_code is core:
+        code, caller = frame.f_code, frame.f_back.f_code
+        if caller is core:
             from_core[code.co_name] = from_core.get(code.co_name, 0) + 1
+        if code.co_name == "_radius_search":
+            searches[caller.co_name] = searches.get(caller.co_name, 0) + 1
         if code is _hermite_radius.__code__:
             # the lambda and, before Python 3.12, the comprehension are
             # frames of their own
@@ -681,14 +611,17 @@ def test_no_per_step_helper_calls(constantin):
     sys.setprofile(profile)
     try:
         traj = integrate(constantin, 10.0, IntegrationConfig(
-            r_max=100.0, origin_radius=0.3, stop_at_zero_energy=True))
+            r_max=100.0, stop_at_zero_energy=True))
+        result = shoot_for_origin(constantin, 2.0, 4.0, tol=1e-6)
     finally:
         sys.setprofile(None)
-    assert traj.termination is Termination.ORIGIN_REACHED
-    assert from_core["_dissipation"] == from_core["_radius_search"] == 1
-    assert from_core["_radius_grid"] == 1
-    assert "_hull_floor" not in from_core
+    assert traj.termination is Termination.EVENT
+    assert from_core["_dissipation"] == 1 + len(result.history)
+    assert not {"_hull_floor", "_radius_grid", "_radius_search",
+                "_hermite_radius"} & set(from_core)
     assert radius_callers == {"golden_min", "_radius_grid"}
+    assert list(searches) == ["closest_approach"]
+    assert 0 < searches["closest_approach"] <= 2 * len(result.history)
     busy = {name for name, n in from_core.items() if n > 100}
     assert busy == {"f", "F"}
 
@@ -697,32 +630,31 @@ def test_no_per_step_helper_calls(constantin):
 
 @pytest.fixture(scope="module")
 def shot_sweep(models):
-    """Three models x a = 2, 2.25, ... 12 x origin_radius 1e-6 and 0.1 with
-    the zero-energy stop: the sha256 of each run's termination, min_radius,
-    min_radius_r and last row, and the sha256 of the runs' rows-only
-    digests."""
+    """Three models x a = 2, 2.25, ... 12 with the zero-energy stop: the
+    sha256 of each run's termination, min_radius, min_radius_r and last
+    row, and the sha256 of the runs' rows-only digests."""
     digest, rows = hashlib.sha256(), hashlib.sha256()
     for name in sorted(models):
         for k in range(41):
             a = 2.0 + 0.25 * k
-            for origin_radius in (1e-6, 0.1):
-                traj = integrate(models[name], a, IntegrationConfig(
-                    r_max=50.0 + 0.8 * a * a, rel_tol=1e-9,
-                    origin_radius=origin_radius, stop_at_zero_energy=True))
-                last = tuple(float(c[-1]) for c in (
-                    traj.r, traj.psi, traj.beta, traj.radius, traj.theta,
-                    traj.E))
-                digest.update(repr((
-                    traj.termination.value, repr(traj.min_radius),
-                    repr(traj.min_radius_r), last)).encode())
-                rows.update(_rows(traj).encode())
+            traj = integrate(models[name], a, IntegrationConfig(
+                r_max=50.0 + 0.8 * a * a, rel_tol=1e-9,
+                stop_at_zero_energy=True))
+            last = tuple(float(c[-1]) for c in (
+                traj.r, traj.psi, traj.beta, traj.radius, traj.theta, traj.E))
+            digest.update(repr((
+                traj.termination.value, repr(traj.min_radius),
+                repr(traj.min_radius_r), last)).encode())
+            rows.update(_rows(traj).encode())
     return digest.hexdigest(), rows.hexdigest()
 
 
 def test_pinned_shot_sweep(shot_sweep):
+    # recorded with the stepper's origin capture in place, at its default
+    # radius 1e-6, which no run of the sweep reached
     assert shot_sweep == (
-        "fe6fa0bab4ed1b2cdc426ff088fb1fbdcb105f624536f3b9ecf2ba103dc1dd32",
-        "24ac96820608f98ad98eb88032a17fb15aa2cb82250f0a020b598ce95b7a9792")
+        "d4c19d35071397d84b4caef7f516666a55dc8e766ee9b61cc705645ba9302941",
+        "9f9795704a4cebd7d22b007317750abb48cb11e5b82392b83f0719e007aa7ed4")
 
 
 # ------------------------------------------- closest approach after the run
@@ -794,34 +726,37 @@ def test_closest_approach_against_dense_sampling(models, name, stop):
 
 
 def test_min_radius_inside_stored_range(constantin):
-    # the in-loop minimum used to fold in the uncut step past a stop: on
-    # 11 of these 80 runs min_radius_r lay beyond r[-1]
+    # the in-loop minimum used to fold in the uncut step past a stop, which
+    # put min_radius_r beyond r[-1] on some of these runs
     for k in range(40):
         a = 2.0 + 0.25 * k
-        for origin_radius in (1e-6, 0.1):
-            traj = integrate(constantin, a, IntegrationConfig(
-                r_max=80.0, origin_radius=origin_radius,
-                stop_at_zero_energy=True))
-            assert traj.r[0] <= traj.min_radius_r <= traj.r[-1]
-            assert traj.min_radius <= float(np.min(traj.radius))
+        traj = integrate(constantin, a, IntegrationConfig(
+            r_max=80.0, stop_at_zero_energy=True))
+        assert traj.r[0] <= traj.min_radius_r <= traj.r[-1]
+        assert traj.min_radius <= float(np.min(traj.radius))
 
 
 def test_capture_grid_idle_while_shooting(constantin, monkeypatch):
-    # the core scans a step's Hermite only where its hull floor lies below
-    # origin_radius; a whole shooting solve never gets there
+    # the core never scans a step's Hermite for the origin: in a whole
+    # shooting solve the radius grid and search are reached only from
+    # closest_approach, the search at most twice per shot
     from vortexplane import shoot_for_origin
     calls = {}
-    search = integrator._radius_search
 
-    def counted(*args):
-        caller = sys._getframe(1).f_code.co_name
-        calls[caller] = calls.get(caller, 0) + 1
-        return search(*args)
+    def counted(helper):
+        def wrapper(*args):
+            key = (helper.__name__, sys._getframe(1).f_code.co_name)
+            calls[key] = calls.get(key, 0) + 1
+            return helper(*args)
+        return wrapper
 
-    monkeypatch.setattr(integrator, "_radius_search", counted)
+    for name in ("_radius_grid", "_radius_search"):
+        monkeypatch.setattr(integrator, name,
+                            counted(getattr(integrator, name)))
     result = shoot_for_origin(constantin, 2.0, 4.0, tol=1e-6)
-    assert "_integrate_core" not in calls
-    assert 0 < calls["closest_approach"] <= 2 * len(result.history)
+    assert {caller for _, caller in calls} == {"closest_approach"}
+    assert 0 < calls["_radius_search", "closest_approach"] <= (
+        2 * len(result.history))
 
 
 # -------------------------------------------------------- input hardening
@@ -831,8 +766,6 @@ def test_capture_grid_idle_while_shooting(constantin, monkeypatch):
     ("r_max", -5.0), ("r_handoff", 0.0), ("r_handoff", math.nan),
     ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", math.inf),
     ("abs_tol", -1e-12), ("abs_tol", math.nan), ("max_steps", 0),
-    ("origin_radius", math.nan), ("origin_radius", -1.0),
-    ("origin_radius", 0.0), ("origin_radius", math.inf),
 ])
 def test_config_rejects_bad_values(field, value):
     kwargs = {"r_max": 10.0, field: value}
