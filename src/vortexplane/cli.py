@@ -330,6 +330,8 @@ def cmd_banach(args: argparse.Namespace) -> int:
         "psi_low": float(psi.values[0]),
         "beta_low": float(beta.values[0]),
         "max_dev_from_anchor_value": dev_from_anchor,
+        "sweeps": psi.sweeps,
+        "last_change": psi.last_change,
     }
     path = _write_json(out, f"banach_{model.model_id}.json", payload)
     print(f"interval=[{psi.r[0]:.6f}, {psi.r[-1]:g}] "

@@ -17,10 +17,12 @@ for a window of rates k derived below.  Grid operators use the trapezoid
 rule; the Simpson re-evaluation serves as an independent residual oracle.
 A Picard sweep is one left-to-right pass over cache-sized blocks of the
 grid that gives the iterates of the whole-grid trapezoid rule bit for bit.
-On a fine grid the iterates start from the fixed point of a grid
-_COARSE_RATIO times coarser, read onto the fine nodes by linear
-interpolation (nested iteration; Hackbusch, Multi-Grid Methods and
-Applications, 1985, ch. 5); smaller grids start from the constant a.
+On a fine grid the iterates start from the fixed points of the grids
+_COARSE_RATIO and 2 _COARSE_RATIO times coarser: Richardson extrapolation
+of the pair removes the trapezoid rule's h^2 term down to the fine grid's
+own, and a 4-point cubic reads the result onto the fine nodes (nested
+iteration; Hackbusch, Multi-Grid Methods and Applications, 1985, ch. 5).
+Other grids start from the constant a.
 """
 
 from __future__ import annotations
@@ -42,10 +44,14 @@ _PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 _LAM_LO = 1.0 + 1e-12
 # nodes per block of a Picard sweep: a block's work arrays stay in L2
 _BLOCK = 16384
-# a Picard solve on n intervals starts from the solve on n // _COARSE_RATIO
-# intervals once that has at least _COARSE_MIN; the integrator's 512-point
-# heads stay far below and keep their constant start
+# a Picard solve on n intervals starts from the solves on n // _COARSE_RATIO
+# and n // (2 _COARSE_RATIO) intervals once 2 _COARSE_RATIO divides n and
+# n // _COARSE_RATIO >= _COARSE_MIN; the integrator's 512-point heads stay
+# far below and keep their constant start
 _COARSE_RATIO, _COARSE_MIN = 64, 512
+# the trapezoid error of the coarse fixed point less the fine one's, per
+# unit of the coarser fixed point less the coarse one (three coarse errors)
+_RICHARDSON = (1.0 - _COARSE_RATIO ** -2) / 3.0
 
 
 def check_start_value(a: float) -> None:
@@ -94,6 +100,63 @@ def _check_budget(n: int, n_min: int, tol: float, max_iter: int) -> None:
             f"tol must be finite and >= 0, got {tol!r}")
 
 
+def _lagrange(offsets: Tuple[int, ...], t: np.ndarray) -> list:
+    """Weights at t of the cubic through nodes 0 and offsets, one array per
+    offset; node 0's weight is left out (see _cubic_read)."""
+    nodes = (0,) + offsets
+    weights = []
+    for x in offsets:
+        w = np.ones_like(t)
+        for y in nodes:
+            if y != x:
+                w *= (t - y) / (x - y)
+        weights.append(w)
+    return weights
+
+
+# stencils of the 4-point cubic relative to the left node j of an interval:
+# the first interval, the inner ones and the last
+_STENCILS = ((1, 2, 3), (-1, 1, 2), (-2, -1, 1))
+
+
+def _cubic_read(v: np.ndarray, m: int) -> np.ndarray:
+    """Read the values v on cells + 1 uniform nodes onto the grid m times
+    finer with the 4-point cubic, centred where the nodes allow.
+
+    The grids nest, so fine node j m + k lies at t = k / m past coarse node
+    j, and the fine values of interval j are a row of a (cells, m) view with
+    fixed weights per column.  Difference form, v_j + sum_i w_i(t)
+    (v_{j+i} - v_j), reads a constant back exactly and every coarse node
+    back bit for bit.
+    """
+    cells = len(v) - 1
+    out = np.empty(cells * m + 1)
+    out[-1] = v[-1]
+    rows = out[:-1].reshape(cells, m)
+    t = np.arange(m) / m
+    for (lo, hi), offsets in zip(((0, 1), (1, cells - 1), (cells - 1, cells)),
+                                 _STENCILS):
+        base = v[lo:hi, None]
+        part = rows[lo:hi]
+        part[:] = 0.0
+        for i, w in zip(offsets, _lagrange(offsets, t)):
+            part += (v[lo + i:hi + i, None] - base) * w
+        part += base
+    return out
+
+
+def _coarse_solve(model: VorticityModel, a: float, r_end: float, n: int,
+                  ratio: int, tol: float, max_iter: int) -> GridFunction:
+    """The fixed point on n // ratio intervals, for the start of the
+    n-interval solve; a failure names both grid sizes."""
+    try:
+        return picard_solve(model, a, r_end, n // ratio, tol, max_iter)
+    except FixedPointFailureError as exc:
+        raise FixedPointFailureError(
+            f"coarse start on {n // ratio} intervals for the {n}-interval "
+            f"grid failed: {exc}") from exc
+
+
 def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
                  n: int = 512, tol: float = 1e-13,
                  max_iter: int = 200) -> GridFunction:
@@ -103,12 +166,16 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     particular keeps psi >= a/8 > 0); escape or failure to converge within
     max_iter raises FixedPointFailureError.
 
-    When n // _COARSE_RATIO >= _COARSE_MIN the iterates start from the
-    fixed point on n // _COARSE_RATIO intervals (same tol and max_iter),
-    interpolated linearly onto the n + 1 nodes; otherwise from psi = a.
-    The interpolant is a convex combination of coarse values inside the
-    ball, so the start lies in it too.  A failure of the coarse solve
-    names the coarse start and both grid sizes.
+    When 2 _COARSE_RATIO divides n and n // _COARSE_RATIO >= _COARSE_MIN
+    the iterates start from the fixed points psi_c on n // _COARSE_RATIO
+    and psi_2c on n // (2 _COARSE_RATIO) intervals (same tol and
+    max_iter).  Their difference, read onto the psi_c nodes, is three
+    times the trapezoid rule's h^2 term of psi_c; Richardson extrapolation
+    psi_c - (psi_2c - psi_c) / 3 (1 - _COARSE_RATIO^-2) keeps only the
+    fine grid's own h^2 term.  _cubic_read puts the result on the n + 1
+    nodes, and np.clip keeps it in the ball.  Any other n starts from
+    psi = a.  A failure of either coarse solve names the coarse start and
+    both grid sizes.
 
     A sweep is one left-to-right pass over blocks of _BLOCK nodes, so a
     block's work arrays stay in cache.  Each block re-evaluates r f(psi)
@@ -126,16 +193,14 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     h = float(rs[1] - rs[0])
     half_h = 0.5 * h
     ball = eta * a / 4.0
-    coarse_n = n // _COARSE_RATIO
-    if coarse_n >= _COARSE_MIN:
-        try:
-            coarse = picard_solve(model, a, r_end, coarse_n, tol, max_iter)
-        except FixedPointFailureError as exc:
-            raise FixedPointFailureError(
-                f"coarse start on {coarse_n} intervals for the {n}-interval "
-                f"grid failed: {exc}") from exc
-        # the ends coincide, so node 0 reads a
-        psi = np.interp(rs, coarse.r, coarse.values)
+    if n % (2 * _COARSE_RATIO) == 0 and n // _COARSE_RATIO >= _COARSE_MIN:
+        coarse, coarser = (
+            _coarse_solve(model, a, r_end, n, ratio, tol, max_iter).values
+            for ratio in (_COARSE_RATIO, 2 * _COARSE_RATIO))
+        # the pair agrees at node 0, so the start keeps psi(0) = a
+        drift = _cubic_read(coarser - coarse[::2], 2)
+        psi = _cubic_read(coarse - drift * _RICHARDSON, _COARSE_RATIO)
+        np.clip(psi, a - ball, a + ball, out=psi)
     else:
         psi = np.full(n + 1, float(a))
     new = psi.copy()  # node 0 stays at a

@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import HypothesisViolationError, ParameterDomainError
-from .search import bisect_root
+from .search import newton_root
 from .vorticity import VorticityModel, potential_grid
 
 TWO_PI = 2.0 * math.pi
@@ -44,11 +44,6 @@ class LevelSetGeometry:
     peak_curvature: float
 
 
-def _bisect(fn, lo: float, hi: float) -> float:
-    """Root of fn on the sign-change bracket [lo, hi], to 1e-14 relative."""
-    return bisect_root(fn, lo, hi, fn(lo), 200, 1e-14)
-
-
 def level_set_geometry(model: VorticityModel, n: int = 1024,
                        scan_hi: float = 16.0) -> LevelSetGeometry:
     """Trace the right lobe of E = 0 and measure its tip.
@@ -57,7 +52,9 @@ def level_set_geometry(model: VorticityModel, n: int = 1024,
     For odd f with a single positive zero the two coincide and the lobe is
     the single arc beta^2 = -2 F(psi) over [0, psi_plus].  The tip
     curvature is computed from the graph psi(beta), which stays smooth
-    across the tip: kappa = -psi''(beta=0) equals 1/f(psi_plus).
+    across the tip: kappa = -psi''(beta=0) equals 1/f(psi_plus).  Every
+    root is a Newton iteration with F' = f, kept inside its bracket and
+    stopped at 1e-14 relative.
     """
     probes = np.linspace(0.0, scan_hi, 2000)[1:]
     fvals = potential_grid(model, probes)
@@ -72,7 +69,11 @@ def level_set_geometry(model: VorticityModel, n: int = 1024,
     def root(j: int) -> float:
         if fvals[j] == 0.0:
             return float(probes[j])
-        return _bisect(model.F, float(probes[j]), float(probes[j + 1]))
+        lo, hi = float(probes[j]), float(probes[j + 1])
+        # start where the chord through the bracket's ends crosses zero
+        f_lo, f_hi = float(fvals[j]), float(fvals[j + 1])
+        start = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        return newton_root(model.F, model.f, lo, hi, f_lo, start, 200, 1e-14)
 
     psi_minus = root(hits[0])
     psi_plus = root(hits[-1]) if len(hits) > 1 else psi_minus
@@ -88,8 +89,13 @@ def level_set_geometry(model: VorticityModel, n: int = 1024,
     # 5-point second difference of psi(beta) at the tip; psi is even in beta
     def psi_of_beta(b: float) -> float:
         target = -0.5 * b * b
-        return _bisect(lambda p: model.F(p) - target,
-                       model.ledger.u0, psi_plus + 1.0)
+
+        def gap(p: float) -> float:
+            return model.F(p) - target
+
+        lo = model.ledger.u0
+        return newton_root(gap, model.f, lo, psi_plus + 1.0, gap(lo),
+                           psi_plus, 200, 1e-14)
 
     d = 0.01
     p0 = psi_plus

@@ -1,10 +1,13 @@
 """Bracketed one-dimensional searches shared by every refinement: a
-bisection kernel and a golden-section minimizer (Brent, Algorithms for
-Minimization without Derivatives, 1973), each with a fixed iteration count.
+bisection kernel, a Newton iteration safeguarded by its bracket (Press et
+al., Numerical Recipes, 3rd ed., 2007, sec. 9.4) and a golden-section
+minimizer (Brent, Algorithms for Minimization without Derivatives, 1973),
+each with a fixed iteration count.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Tuple
 
 _INVPHI = 0.6180339887498949
@@ -33,6 +36,41 @@ def bisect_root(g: Callable[[float], float], lo: float, hi: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def newton_root(g: Callable[[float], float], dg: Callable[[float], float],
+                lo: float, hi: float, g_lo: float, x: float, iters: int,
+                xtol: float) -> float:
+    """Root of g in [lo, hi] by Newton steps with slope dg from x, given
+    g_lo = g(lo) and a sign change on the bracket.
+
+    Each step first narrows the bracket at x as bisect_root does.  It
+    returns x where g is exactly zero and the Newton point once the step
+    is at most xtol * max(1, |x|); a Newton point outside the open
+    bracket (a zero or non-finite slope included) is replaced by the
+    bracket's midpoint, returned once the bracket is that narrow.  After
+    iters steps the last point is returned.
+    """
+    up = g_lo > 0.0
+    for _ in range(iters):
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if (gx > 0.0) == up:
+            lo = x
+        else:
+            hi = x
+        slope = dg(x)
+        step = gx / slope if slope != 0.0 else math.inf
+        nxt = x - step
+        if abs(step) <= xtol * max(1.0, abs(x)):
+            return nxt
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if hi - lo <= xtol * max(1.0, abs(nxt)):
+                return nxt
+        x = nxt
+    return x
 
 
 def golden_min(fn: Callable[[float], float], lo: float, hi: float,

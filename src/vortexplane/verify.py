@@ -194,7 +194,7 @@ def criterion_contraction(cache: RunCache) -> CriterionResult:
         abs(cc.k - math.sqrt(cc.k_lo * cc.k_hi)) / cc.k,
         abs(cc.zeta - cc.k_lo / cc.k) / cc.zeta)
     ordered = cc.k_lo < cc.k < cc.k_hi and 1.0 < cc.lam_star < cc.lam_mid < 3.0
-    _, _, factor = banach_solve(cache.constantin, 6.0, 2.0, 0.1)
+    solved, _, factor = banach_solve(cache.constantin, 6.0, 2.0, 0.1)
     probe_psi, probe_beta, _ = banach_solve(cache.constantin, 6.0, 1.0, 0.0)
     probe_dev = max(float(np.max(np.abs(probe_psi.values - 1.0))),
                     float(np.max(np.abs(probe_beta.values))))
@@ -204,7 +204,9 @@ def criterion_contraction(cache: RunCache) -> CriterionResult:
         6, "backward contraction constants and solve", passed,
         "identities to 1e-12, factor <= zeta + 0.05, probe dev < 1e-8",
         {"zeta": float(cc.zeta), "identity_gap": identity_gap,
-         "observed_factor": float(factor), "probe_deviation": probe_dev})
+         "observed_factor": float(factor), "probe_deviation": probe_dev,
+         "banach_sweeps": solved.sweeps,
+         "banach_last_change": solved.last_change})
 
 
 def criterion_rotation_envelope(cache: RunCache) -> CriterionResult:

@@ -55,7 +55,13 @@ def test_pinned_report(acceptance_results):
     # 78cf9482... -> 252fc758... (residual 2.2019719381205505e-10 ->
     # 2.2023982637620065e-10, ball_ratio and end_ratio in their last
     # digits, 8 -> 5 sweeps at a = 10 and 100, criterion 13's byte count
-    # 4182 -> 4390)
+    # 4182 -> 4390).  Criterion 5's solves start from a Richardson pair of
+    # coarse fixed points and criterion 6 reports the sweeps and last
+    # change of its (6, 2, 0.1) solve: 252fc758... -> 7fee7c48...
+    # (residual 2.2023982637620065e-10 -> 2.2018298295733985e-10,
+    # ball_ratio and end_ratio in their last digits, 5 -> 1 sweeps at
+    # a = 10 and 100, banach_sweeps 7, criterion 13's byte count
+    # 4390 -> 4471)
     import hashlib
 
     c8, c11 = acceptance_results[7].measures, acceptance_results[10].measures
@@ -65,4 +71,4 @@ def test_pinned_report(acceptance_results):
         "0.0003662595529639628", "3.0013417654039216")
     text = verify.render_report(acceptance_results)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "252fc7583681546f5ba3389a479776da9e4cd781c492a82cdc1c2d15e4d09879")
+        "7fee7c4896e158e18f0a3baba8cb141b109ffc7e1dc4e98092852a84a34bbd9e")

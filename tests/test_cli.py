@@ -216,6 +216,7 @@ def test_banach_command(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(next(tmp_path.glob("banach_*.json")).read_text())
     assert payload["observed_factor"] < payload["zeta"] < 1.0
+    assert payload["sweeps"] >= 2 and payload["last_change"] <= 1e-12 * 2
 
 
 def test_banach_rejects_steep_anchor(tmp_path, capsys):

@@ -10,7 +10,10 @@ from vortexplane import (FixedPointFailureError, InfeasibleConstantsError,
                          ParameterDomainError, banach_solve, beta_from_psi,
                          integrate_backward, picard_residual, picard_solve,
                          rate_transform, select_contraction_constants)
-from vortexplane.fixedpoint import _BLOCK, equilibrium_dichotomy_certificate
+from vortexplane import fixedpoint
+from vortexplane.fixedpoint import (_BLOCK, _RICHARDSON, _STENCILS,
+                                    _cubic_read, _lagrange,
+                                    equilibrium_dichotomy_certificate)
 from vortexplane.integrator import (_PICARD_N, _PICARD_TOL,
                                     IntegrationConfig, series_start)
 from vortexplane.quadrature import cumtrapz
@@ -110,23 +113,43 @@ def test_picard_domain_guards(constantin):
         picard_solve(constantin, 2.0, n=4)
 
 
+def _gather_cubic(v, m):
+    # the 4-point cubic of _cubic_read node by node: each fine node gathers
+    # its interval's stencil and the weights of its sub-position
+    cells = len(v) - 1
+    i = np.arange(cells * m)
+    j, k = i // m, i % m
+    stencil = np.where(j == 0, 0, np.where(j == cells - 1, 2, 1))
+    offsets = np.array(_STENCILS)[stencil]
+    weights = np.array([_lagrange(o, np.arange(m) / m) for o in _STENCILS])
+    acc = np.zeros(cells * m)
+    for q in range(3):
+        acc += (v[j + offsets[:, q]] - v[j]) * weights[stencil, q, k]
+    return np.append(acc + v[j], v[-1])
+
+
 def _whole_grid_picard(model, a, r_end, n, tol=1e-13, max_iter=200,
                        coarse=True):
     # the sweep as one pass of whole-grid numpy operations: the oracle for
-    # the blocked sweep of picard_solve, from the same coarse start unless
-    # coarse is False
+    # the blocked sweep of picard_solve, from the same Richardson start
+    # unless coarse is False
     rs = np.linspace(0.0, r_end, n + 1)
     h = float(rs[1] - rs[0])
     ball = model.ledger.eta * a / 4.0
-    if coarse and n // 64 >= 512:
-        try:
-            rc, pc, _, _ = _whole_grid_picard(model, a, r_end, n // 64, tol,
-                                              max_iter)
-        except FixedPointFailureError as exc:
-            raise FixedPointFailureError(
-                f"coarse start on {n // 64} intervals for the {n}-interval "
-                f"grid failed: {exc}") from exc
-        psi = np.interp(rs, rc, pc)
+    if coarse and n % 128 == 0 and n // 64 >= 512:
+        pcs = []
+        for ratio in (64, 128):
+            try:
+                pcs.append(_whole_grid_picard(model, a, r_end, n // ratio,
+                                              tol, max_iter)[1])
+            except FixedPointFailureError as exc:
+                raise FixedPointFailureError(
+                    f"coarse start on {n // ratio} intervals for the "
+                    f"{n}-interval grid failed: {exc}") from exc
+        pc, p2c = pcs
+        drift = _gather_cubic(p2c - pc[::2], 2)
+        psi = np.clip(_gather_cubic(pc - drift * _RICHARDSON, 64),
+                      a - ball, a + ball)
     else:
         psi = np.full(n + 1, float(a))
     for sweep in range(1, max_iter + 1):
@@ -149,7 +172,8 @@ def _whole_grid_picard(model, a, r_end, n, tol=1e-13, max_iter=200,
 
 
 # blocks cover nodes 1..n, so n = _BLOCK + 1 and 2 _BLOCK + 1 end on a
-# one-node block
+# one-node block; 2^17 and 2 _BLOCK take the Richardson start, 2 _BLOCK + 1
+# (not a multiple of 128) and the rest the constant one
 _ORACLE_GRIDS = [(512, 0.0625), (1 << 17, 1.0)] + [
     (n, 1.0) for n in (_BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
                        2 * _BLOCK, 2 * _BLOCK + 1)]
@@ -188,6 +212,25 @@ def test_picard_coarse_ball_escape_message(constantin):
         f"failed: {ref.value}")
 
 
+def test_picard_coarser_start_failure_message(constantin, monkeypatch):
+    # the solve on n // 128 intervals, given too few sweeps, fails after
+    # the one on n // 64 intervals succeeded
+    solve = fixedpoint.picard_solve
+
+    def short_of_sweeps(model, a, r_end, n, tol, max_iter):
+        return solve(model, a, r_end, n, tol, 2 if n == 256 else max_iter)
+
+    with pytest.raises(FixedPointFailureError) as ref:
+        _whole_grid_picard(constantin, 10.0, 1.0, 256, max_iter=2)
+    monkeypatch.setattr(fixedpoint, "picard_solve", short_of_sweeps)
+    with pytest.raises(FixedPointFailureError) as got:
+        solve(constantin, 10.0, r_end=1.0, n=2 * _BLOCK)
+    assert "no convergence within 2 sweeps" in str(ref.value)
+    assert str(got.value) == (
+        f"coarse start on 256 intervals for the 32768-interval grid "
+        f"failed: {ref.value}")
+
+
 def test_picard_budget_exhausted_message(constantin):
     # n = 2 _BLOCK starts from the solve on n // 64 = 512 intervals, which
     # runs out of sweeps first
@@ -209,7 +252,29 @@ def test_coarse_start_matches_cold_start(models, a):
         _, cold, _, _ = _whole_grid_picard(model, a, 1.0, n, coarse=False)
         grid = picard_solve(model, a, r_end=1.0, n=n)
         assert float(np.max(np.abs(grid.values - cold))) <= 1e-11 * a
-        assert grid.sweeps <= 5
+        assert grid.sweeps == 1
+
+
+def test_equilibrium_start_is_exact(constantin):
+    # psi = a = u0 is the fixed point; both coarse solves return it, the
+    # extrapolation and the cubic keep it, and the one sweep changes nothing
+    grid = picard_solve(constantin, 1.0, r_end=1.0, n=1 << 17)
+    assert (grid.sweeps, grid.last_change) == (1, 0.0)
+    assert np.all(grid.values == 1.0)
+
+
+def test_cubic_read_nests_and_is_exact_on_cubics():
+    rng = np.random.default_rng(0)
+    v = rng.random(17)
+    for m in (2, 5, 64):
+        fine = _cubic_read(v, m)
+        assert fine[::m].tobytes() == v.tobytes()
+        assert fine.tobytes() == _gather_cubic(v, m).tobytes()
+        assert np.all(_cubic_read(np.full(17, 3.7), m) == 3.7)
+        x, xf = np.arange(17.0), np.arange(16 * m + 1) / m
+        for degree in (1, 2, 3):
+            assert np.allclose(_cubic_read(x ** degree, m), xf ** degree,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_series_start_keeps_the_cold_start(models):

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vortexplane import (ParameterDomainError, level_set_geometry,
-                         theta_envelope)
+                         phaseplane, theta_envelope)
 from vortexplane.phaseplane import scaled_lobe_peak
 
 
@@ -38,3 +39,30 @@ def test_level_set_geometry(constantin):
 def test_scaled_lobe_peak():
     assert math.isclose(scaled_lobe_peak(0.0), 16.0 / 9.0, rel_tol=1e-15)
     assert scaled_lobe_peak(0.05) > 16.0 / 9.0
+
+
+def test_level_set_geometry_newton_calls(models, monkeypatch):
+    # the lobe's roots cost a few scalar F calls each; the grids go through
+    # potential_grid and are not counted
+    inside = []
+    grid = phaseplane.potential_grid
+
+    def counted_grid(model, psis):
+        inside.append(True)
+        try:
+            return grid(model, psis)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(phaseplane, "potential_grid", counted_grid)
+    for model in models.values():
+        calls = []
+
+        def F(psi, F=model.F):
+            if not inside:
+                calls.append(psi)
+            return F(psi)
+
+        geo = level_set_geometry(replace(model, F=F))
+        assert geo.psi_plus == level_set_geometry(model).psi_plus
+        assert 0 < len(calls) <= 30

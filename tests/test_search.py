@@ -1,7 +1,6 @@
 import math
 
-from vortexplane.phaseplane import _bisect
-from vortexplane.search import bisect_root, golden_min
+from vortexplane.search import bisect_root, golden_min, newton_root
 
 
 def test_exact_zero_at_midpoint_is_returned():
@@ -22,7 +21,27 @@ def test_underflowing_bracket_converges():
         return 1e-200 * (0.3 - x)
 
     assert abs(bisect_root(g, 0.0, 1.0, g(0.0), 200, 1e-14) - 0.3) <= 1e-14
-    assert abs(_bisect(g, 0.0, 1.0) - 0.3) <= 1e-14
+    # the Newton bracket compares signs too
+    assert abs(newton_root(g, lambda x: -1e-200, 0.0, 1.0, g(0.0), 0.9, 200,
+                           1e-14) - 0.3) <= 1e-14
+
+
+def test_newton_falls_back_to_bisection():
+    # a zero slope at the start and Newton points that leave the bracket
+    # (atan overshoots from 0.5) both take the bracket's midpoint
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return math.atan(x - 0.1)
+
+    def dg(x):
+        return 0.0 if x == 0.9 else 1.0 / (1.0 + (x - 0.1) ** 2)
+
+    root = newton_root(g, dg, -4.0, 6.0, g(-4.0), 0.9, 200, 1e-14)
+    assert abs(root - 0.1) <= 1e-14
+    assert calls[1:3] == [0.9, 0.5 * (-4.0 + 0.9)]
+    assert len(calls) < 15
 
 
 def test_golden_min_parabola():
