@@ -14,7 +14,6 @@ Usage:
 import argparse
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from vortexplane import IntegrationConfig, integrate
 from vortexplane.integrator import series_start
@@ -27,6 +26,8 @@ def main() -> None:
     ap.add_argument("--r-max", type=float, default=2000.0)
     ap.add_argument("--rel-tols", default="1e-9,1e-10,1e-11")
     args = ap.parse_args()
+    # imported after parse_args: scipy is slow to load and --help needs none
+    from scipy.integrate import solve_ivp
 
     model = constantin_model()
     f = model.f

@@ -432,11 +432,11 @@ def classify_shot(model: VorticityModel, a: float,
     if not start_energy > 0.0:
         raise ParameterDomainError(
             f"shot a={a!r} starts at energy F(a) = {start_energy!r} <= 0")
-    traj = integrate(model, a, _classification_config(a, rel_tol, model))
+    config = _classification_config(a, rel_tol, model)
+    traj = integrate(model, a, config)
     if traj.termination is not Termination.EVENT:
         raise ToleranceError(
-            f"shot a={a!r} did not resolve within r <= "
-            f"{_classification_config(a, rel_tol, model).r_max!r} "
+            f"shot a={a!r} did not resolve within r <= {config.r_max!r} "
             f"(termination {traj.termination.value})")
     return ShotRecord(a=a, outcome="right" if traj.psi[-1] > 0.0 else "left",
                       r_stop=float(traj.r[-1]), min_radius=traj.min_radius)

@@ -37,7 +37,6 @@ def theta_envelope(lambda_g: float, r):
 @dataclass(frozen=True)
 class LevelSetGeometry:
     """Right lobe of {E = 0}: psi in [0, psi_plus], beta = +-sqrt(-2F)."""
-    psi_minus: float
     psi_plus: float
     psi_grid: np.ndarray
     beta_grid: np.ndarray
@@ -46,63 +45,30 @@ class LevelSetGeometry:
 
 def level_set_geometry(model: VorticityModel, n: int = 1024,
                        scan_hi: float = 16.0) -> LevelSetGeometry:
-    """Trace the right lobe of E = 0 and measure its tip.
+    """Trace the right lobe of E = 0 and its tip.
 
-    psi_plus is the largest positive root of F; psi_minus the smallest.
-    For odd f with a single positive zero the two coincide and the lobe is
-    the single arc beta^2 = -2 F(psi) over [0, psi_plus].  The tip
-    curvature is computed from the graph psi(beta), which stays smooth
-    across the tip: kappa = -psi''(beta=0) equals 1/f(psi_plus).  Every
-    root is a Newton iteration with F' = f, kept inside its bracket and
-    stopped at 1e-14 relative.
+    psi_plus is the positive root of F.  F < 0 on (0, u0], as f < 0 there,
+    and F rises past u0, as f > 0 there, so the root is the one sign change
+    on [u0, scan_hi]: a Newton iteration with F' = f, kept inside that
+    bracket and stopped at 1e-14 relative.  The lobe is the single arc
+    beta^2 = -2 F(psi) over [0, psi_plus].  Its graph psi(beta) stays
+    smooth across the tip: differentiating F(psi(beta)) = -beta^2/2 twice
+    gives f psi'' + f' psi'^2 = -1 with psi' = 0 at beta = 0, so the tip
+    curvature is kappa = -psi''(0) = 1/f(psi_plus).
     """
-    probes = np.linspace(0.0, scan_hi, 2000)[1:]
-    fvals = potential_grid(model, probes)
-    # a root at a probe where F is 0, else in the bracket it opens by a
-    # sign change; only the first and the last are refined
-    hits = np.flatnonzero((fvals[:-1] == 0.0)
-                          | (fvals[:-1] * fvals[1:] < 0.0))
-    if len(hits) == 0:
+    u0 = model.ledger.u0
+    f_lo, f_hi = model.F(u0), model.F(scan_hi)
+    if not f_lo < 0.0 < f_hi:
         raise HypothesisViolationError(
-            "F has no positive root on the scan range; level set unbounded")
-
-    def root(j: int) -> float:
-        if fvals[j] == 0.0:
-            return float(probes[j])
-        lo, hi = float(probes[j]), float(probes[j + 1])
-        # start where the chord through the bracket's ends crosses zero
-        f_lo, f_hi = float(fvals[j]), float(fvals[j + 1])
-        start = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        return newton_root(model.F, model.f, lo, hi, f_lo, start, 200, 1e-14)
-
-    psi_minus = root(hits[0])
-    psi_plus = root(hits[-1]) if len(hits) > 1 else psi_minus
-    if psi_plus <= model.ledger.u0:
-        raise HypothesisViolationError(
-            "level set root does not clear the positive equilibrium")
+            "F does not change sign on [u0, scan_hi]; no lobe end in range")
+    psi_plus = newton_root(model.F, model.f, u0, scan_hi, f_lo, scan_hi,
+                           200, 1e-14)
 
     psis = np.linspace(0.0, psi_plus, n)
     pot = potential_grid(model, psis)
     betas = np.sqrt(np.maximum(0.0, -2.0 * pot))
     betas[-1] = 0.0
-
-    # 5-point second difference of psi(beta) at the tip; psi is even in beta
-    def psi_of_beta(b: float) -> float:
-        target = -0.5 * b * b
-
-        def gap(p: float) -> float:
-            return model.F(p) - target
-
-        lo = model.ledger.u0
-        return newton_root(gap, model.f, lo, psi_plus + 1.0, gap(lo),
-                           psi_plus, 200, 1e-14)
-
-    d = 0.01
-    p0 = psi_plus
-    p1 = psi_of_beta(d)
-    p2 = psi_of_beta(2.0 * d)
-    curv = -(-2.0 * p2 + 32.0 * p1 - 30.0 * p0) / (12.0 * d * d)
-    return LevelSetGeometry(psi_minus, psi_plus, psis, betas, curv)
+    return LevelSetGeometry(psi_plus, psis, betas, 1.0 / model.f(psi_plus))
 
 
 def scaled_lobe_peak(eps: float) -> float:

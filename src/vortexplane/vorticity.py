@@ -16,8 +16,8 @@ certified constants used by the solvers and checks:
 
 All scalar callables accept and return plain floats; the *_arr variants
 are vectorized over numpy arrays and exist for grid-based solvers; F_arr
-gives F's bits over finite nodes (constantin and modulated families).  f,
-g and F reject NaN and +-inf.  F is exact for the constantin and power-law
+gives F's bits over finite nodes (constantin and modulated families).  f
+and F reject NaN and +-inf.  F is exact for the constantin and power-law
 families and a fixed Gauss-Legendre rule for the modulated one.
 """
 
@@ -78,7 +78,6 @@ class ConstantsLedger:
 class VorticityModel:
     model_id: str
     f: Callable[[float], float]
-    g: Callable[[float], float]
     F: Callable[[float], float]
     ledger: ConstantsLedger
     f_arr: Callable[[np.ndarray], np.ndarray]
@@ -86,10 +85,6 @@ class VorticityModel:
     # F over an array of finite nodes, bit for bit F's values; None where
     # no array form keeps F's bits
     F_arr: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @property
-    def u0(self) -> float:
-        return self.ledger.u0
 
 
 def _at_zero(u: float) -> float:
@@ -119,11 +114,6 @@ def constantin_model() -> VorticityModel:
             return u + math.sqrt(-u)
         return _at_zero(u)
 
-    def g(u: float) -> float:
-        if _finite(u) > 0.0:
-            return math.sqrt(u)
-        return -math.sqrt(-u) if u < 0.0 else 0.0
-
     def F(psi: float) -> float:
         a = abs(_finite(psi))
         return 0.5 * psi * psi - (2.0 / 3.0) * a * math.sqrt(a)
@@ -142,7 +132,7 @@ def constantin_model() -> VorticityModel:
     )
     return VorticityModel(
         model_id="constantin",
-        f=f, g=g, F=F, ledger=ledger,
+        f=f, F=F, ledger=ledger,
         f_arr=lambda u: u - np.sign(u) * np.sqrt(np.abs(u)),
         g_arr=lambda u: np.sign(u) * np.sqrt(np.abs(u)),
         F_arr=F_arr,
@@ -164,13 +154,10 @@ def example_model(c2: float) -> VorticityModel:
         raise ParameterDomainError(
             f"c2 must lie in (0, {C2_UPPER_BOUND!r}), got {c2!r}")
     c1 = math.sin(0.5 * c2)
-
-    def modulation(u: float) -> float:
-        uu = min(u * u, _MAX)
-        return 1.0 + c1 - math.sin(c2 * uu / (uu + 1.0))
+    # the modulation's limit, c2 uu / (uu + 1) -> c2, where u * u overflows
+    m_big = 1.0 + c1 - math.sin(c2)
 
     def f(u: float) -> float:
-        # modulation(u) inlined: f runs six times per stepper step
         if 0.0 < u < _BIG:
             uu = u * u
             return u - math.sqrt(u) * (1.0 + c1
@@ -179,15 +166,12 @@ def example_model(c2: float) -> VorticityModel:
             uu = u * u
             return u + math.sqrt(-u) * (1.0 + c1
                                         - math.sin(c2 * uu / (uu + 1.0)))
-        # zero, or |u| >= _BIG: u - g(u) is the inline form where u * u is
-        # finite, and g rejects NaN and +-inf
-        return u - g(u) if u else 0.0
-
-    def g(u: float) -> float:
-        if _finite(u) == 0.0:
-            return 0.0
-        s = math.sqrt(abs(u)) * modulation(u)
-        return s if u > 0.0 else -s
+        # zero, NaN, +-inf or |u| >= _BIG
+        if _finite(u) > 0.0:
+            return u - math.sqrt(u) * m_big
+        if u < 0.0:
+            return u + math.sqrt(-u) * m_big
+        return 0.0
 
     # panel and tail take a float or an array of upper (lower) limits,
     # with math's sin and cos for F and numpy's for F_arr; the tests check
@@ -266,7 +250,7 @@ def example_model(c2: float) -> VorticityModel:
     )
     return VorticityModel(
         model_id="example",
-        f=f, g=g, F=F, ledger=ledger,
+        f=f, F=F, ledger=ledger,
         f_arr=f_arr, g_arr=g_arr, F_arr=F_arr,
     )
 
@@ -283,11 +267,6 @@ def power_law_model(alpha: float) -> VorticityModel:
         if -_INF < u < 0.0:
             return u + (-u) ** alpha
         return _at_zero(u)
-
-    def g(u: float) -> float:
-        if _finite(u) > 0.0:
-            return u ** alpha
-        return -((-u) ** alpha) if u < 0.0 else 0.0
 
     def F(psi: float) -> float:
         a = abs(_finite(psi))
@@ -306,7 +285,7 @@ def power_law_model(alpha: float) -> VorticityModel:
     )
     return VorticityModel(
         model_id="powerlaw",
-        f=f, g=g, F=F, ledger=ledger,
+        f=f, F=F, ledger=ledger,
         f_arr=lambda u: u - np.sign(u) * np.abs(u) ** alpha,
         g_arr=lambda u: np.sign(u) * np.abs(u) ** alpha,
     )

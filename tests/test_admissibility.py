@@ -77,9 +77,6 @@ def _broken_model() -> VorticityModel:
     def f(u: float) -> float:
         return u - math.copysign(math.sqrt(abs(u)), u)
 
-    def g(u: float) -> float:
-        return 0.5
-
     def big_f(u: float) -> float:
         return 0.5 * u * u - (2.0 / 3.0) * abs(u) ** 1.5
 
@@ -87,7 +84,7 @@ def _broken_model() -> VorticityModel:
                              lambda_g=0.75, c=0.0, nu=0.5,
                              params={})
     return VorticityModel(
-        model_id="broken", f=f, g=g, F=big_f, ledger=ledger,
+        model_id="broken", f=f, F=big_f, ledger=ledger,
         f_arr=lambda u: u - np.copysign(np.sqrt(np.abs(u)), u),
         g_arr=lambda u: np.full_like(u, 0.5))
 

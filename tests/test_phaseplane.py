@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vortexplane import (ParameterDomainError, level_set_geometry,
-                         phaseplane, theta_envelope)
+from vortexplane import (HypothesisViolationError, ParameterDomainError,
+                         level_set_geometry, phaseplane, theta_envelope)
 from vortexplane.phaseplane import scaled_lobe_peak
 
 
@@ -25,15 +25,25 @@ def test_theta_envelope_values():
 def test_level_set_geometry(constantin):
     geo = level_set_geometry(constantin)
     assert abs(geo.psi_plus - 16.0 / 9.0) < 1e-9
-    # single positive root of F, so both markers land on it
-    assert abs(geo.psi_minus - geo.psi_plus) < 1e-9
     # tip of the right lobe: psi(beta) = 16/9 - (9/8) beta^2 + O(beta^4)
-    assert abs(geo.peak_curvature - 2.25) < 1e-4
+    assert geo.peak_curvature == 1.0 / constantin.f(geo.psi_plus)
+    assert abs(geo.peak_curvature - 2.25) <= 1e-12
     # widest beta extent sits at psi = 1 with beta = 1/sqrt(3)
     assert abs(float(np.max(geo.beta_grid)) - 1.0 / math.sqrt(3.0)) < 1e-3
-    # every grid point satisfies E = 0
-    for psi, beta in zip(geo.psi_grid[::100], geo.beta_grid[::100]):
-        assert abs(0.5 * beta * beta + constantin.F(psi)) < 1e-9
+
+
+def test_level_set_grid_on_zero_energy(models):
+    # every grid point satisfies E = 0, in every family
+    for model in models.values():
+        geo = level_set_geometry(model)
+        for psi, beta in zip(geo.psi_grid[::100], geo.beta_grid[::100]):
+            assert abs(0.5 * beta * beta + model.F(psi)) < 1e-9
+
+
+def test_level_set_geometry_needs_sign_change(constantin):
+    # F(1.5) < 0: the scan range ends inside the lobe
+    with pytest.raises(HypothesisViolationError):
+        level_set_geometry(constantin, scan_hi=1.5)
 
 
 def test_scaled_lobe_peak():

@@ -22,7 +22,7 @@ _MODELS = (constantin_model(), example_model(0.02), power_law_model(0.3))
 def test_positive_zero_all_models(constantin, example, powerlaw):
     for model in (constantin, example, powerlaw):
         assert abs(find_positive_zero(model) - 1.0) <= 1e-9
-        assert model.u0 == 1.0
+        assert model.ledger.u0 == 1.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -36,13 +36,13 @@ def test_oddness(u):
 @settings(max_examples=200, deadline=None)
 @given(finite_u)
 def test_decomposition(u):
-    # f(u) = u - g(u) with g odd and u g(u) >= 0
+    # f(u) = u - g(u) with g odd and u g(u) >= 0, for f_arr and the scalar f
     for model in _MODELS:
-        assert math.isclose(model.f(u), u - model.g(u),
-                            rel_tol=1e-12, abs_tol=1e-300)
-        assert math.isclose(model.g(-u), -model.g(u),
-                            rel_tol=1e-12, abs_tol=1e-300)
-        assert u * model.g(u) >= 0.0
+        g, g_neg = model.g_arr(np.array([u, -u])).tolist()
+        for fu in (float(model.f_arr(np.array([u]))[0]), model.f(u)):
+            assert math.isclose(fu, u - g, rel_tol=1e-12, abs_tol=1e-300)
+        assert math.isclose(g_neg, -g, rel_tol=1e-12, abs_tol=1e-300)
+        assert u * g >= 0.0
 
 
 def test_parameter_bound_exact_value():
@@ -147,29 +147,32 @@ def test_potential_grid_rejects_empty_or_2d(psis):
 
 @pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.model_id)
 def test_nan_input_is_rejected(model):
-    # f, g and F reject every non-finite input in every family; f, six calls
+    # f and F reject every non-finite input in every family; f, six calls
     # per step, does it in its sign tests, which only finite values pass
-    for fn in (model.f, model.g, model.F):
+    for fn in (model.f, model.F):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ParameterDomainError, match="finite"):
                 fn(bad)
-    for fn in (model.f, model.g, model.F):
+    for fn in (model.f, model.F):
         for zero in (0.0, -0.0):
             assert fn(zero) == 0.0
 
 
 def test_example_finite_past_square_overflow(example):
     # u * u overflows past |u| ~ 1.34e154, where the modulation used to
-    # become inf / inf; below that f keeps the bits of its inline form
+    # become inf / inf; below that f keeps the bits of its inline form, past
+    # 1e154 it takes the modulation's limit 1 + c1 - sin(c2)
     c1, c2 = math.sin(0.01), 0.02
     for u in (1e150, 1e154, 1.3e154):
         uu = u * u
         mod = 1.0 + c1 - math.sin(c2 * uu / (uu + 1.0))
         assert example.f(u) == u - math.sqrt(u) * mod
         assert example.f(-u) == -u + math.sqrt(u) * mod
-    for u in (1e155, 1e200, -1e200, 1e308):
-        assert math.isfinite(example.f(u)) and math.isfinite(example.g(u))
-        assert example.f(u) == u - example.g(u)
+    limit = 1.0 + c1 - math.sin(c2)
+    for u in (1.5e154, 1e155, 1e200, 1e308):
+        assert math.isfinite(example.f(u))
+        assert example.f(u) == u - math.sqrt(u) * limit
+        assert example.f(-u) == -u + math.sqrt(u) * limit
     with np.errstate(over="ignore"):
         values = example.f_arr(np.array([1e200, -1e200, 1e154, 2.0]))
     assert np.all(np.isfinite(values))
