@@ -3,15 +3,18 @@
 Each check samples a stated inequality with low-discrepancy points and
 reports a CheckRecord: pass/fail, the tolerance used, and the witnesses
 (extremal sample, location, certified constant) a reader needs to audit
-the verdict.  A record with passed=None marks a check that does not apply
-to the model at hand.
+the verdict.  Checks that read the same sample share one draw and one f
+pass: check_symmetry gives the oddness and decomposition records of
+[-100, 100], check_ball the growth and Lipschitz records of a ball.  A
+record with passed=None marks a check that does not apply to the model
+at hand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -72,84 +75,68 @@ def check_zero(model: VorticityModel, tol: float = 1e-9) -> CheckRecord:
         witnesses={"root": root, "u0": model.ledger.u0, "deviation": dev})
 
 
-def check_oddness(model: VorticityModel, n: int = 10_000, seed: int = 0,
-                  tol: float = 1e-12) -> CheckRecord:
-    """f(-u) = -f(u) on samples of [-100, 100]."""
+def check_symmetry(model: VorticityModel, n: int = 10_000, seed: int = 0,
+                   tol: float = 1e-12) -> Tuple[CheckRecord, CheckRecord]:
+    """The oddness record, f(-u) = -f(u), and the decomposition record,
+    f(u) = u - g(u), on one sample of [-100, 100]."""
     us = sample_interval(n, -100.0, 100.0, seed=seed)
     fv = model.f_arr(us)
-    fm = model.f_arr(-us)
-    dev = np.abs(fm + fv) / (1.0 + np.abs(fv))
-    j = int(np.argmax(dev))
-    return CheckRecord(
-        name="oddness", passed=bool(dev[j] <= tol), tolerance=tol,
-        witnesses={"max_relative_deviation": float(dev[j]),
-                   "argmax": float(us[j])})
+
+    def record(name: str, dev: np.ndarray) -> CheckRecord:
+        j = int(np.argmax(dev))
+        return CheckRecord(
+            name=name, passed=bool(dev[j] <= tol), tolerance=tol,
+            witnesses={"max_relative_deviation": float(dev[j]),
+                       "argmax": float(us[j])})
+
+    return (record("oddness",
+                   np.abs(model.f_arr(-us) + fv) / (1.0 + np.abs(fv))),
+            record("decomposition",
+                   np.abs(fv - (us - model.g_arr(us))) / (1.0 + np.abs(us))))
 
 
-def check_decomposition(model: VorticityModel, n: int = 10_000, seed: int = 0,
-                        tol: float = 1e-12) -> CheckRecord:
-    """f(u) = u - g(u) exactly, sampled."""
-    us = sample_interval(n, -100.0, 100.0, seed=seed)
-    dev = np.abs(model.f_arr(us) - (us - model.g_arr(us))) \
-        / (1.0 + np.abs(us))
-    j = int(np.argmax(dev))
-    return CheckRecord(
-        name="decomposition", passed=bool(dev[j] <= tol), tolerance=tol,
-        witnesses={"max_relative_deviation": float(dev[j]),
-                   "argmax": float(us[j])})
+def check_ball(model: VorticityModel, a: float, n: int = 10_000,
+               seed: int = 0, tol: float = 1e-12
+               ) -> Tuple[CheckRecord, CheckRecord]:
+    """The growth and Lipschitz records of the ball around a, on one sorted
+    sample of [(1-eta/4)a, (1+eta/4)a].
 
-
-def _check_centre(a: float) -> None:
-    """Reject a ball centre a that is not a finite number > 0: the growth
-    interval [(1-eta/4)a, (1+eta/4)a] is then empty or reversed."""
+    Growth: eta lies in (3, 7/2] and |f| <= eta a.  Lipschitz: adjacent-pair
+    slopes stay within the ledger's constant L, which itself sits at or
+    below the 5/2 ceiling.  A centre that is not finite and > 0 makes the
+    interval empty or reversed and is refused.
+    """
     if not (math.isfinite(a) and a > 0.0):
         raise ParameterDomainError(
             f"ball centre a must be finite and > 0, got {a!r}")
-
-
-def check_growth(model: VorticityModel, a: float, n: int = 10_000,
-                 seed: int = 0, tol: float = 1e-12) -> CheckRecord:
-    """eta lies in (3, 7/2] and |f| <= eta a on [(1-eta/4)a, (1+eta/4)a]."""
-    _check_centre(a)
-    eta = model.ledger.eta
-    range_ok = 3.0 < eta <= 3.5
-    lo, hi = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a
-    xs = sample_interval(n, lo, hi, seed=seed)
-    fv = np.abs(model.f_arr(xs))
-    j = int(np.argmax(fv))
-    bound = eta * a
-    bound_ok = bool(fv[j] <= bound * (1.0 + tol))
-    return CheckRecord(
-        name=f"growth_a_{a:g}", passed=range_ok and bound_ok, tolerance=tol,
-        witnesses={"eta": eta, "max_abs_f": float(fv[j]),
-                   "argmax": float(xs[j]), "bound": bound,
-                   "interval": [lo, hi], "eta_in_range": range_ok})
-
-
-def check_lipschitz(model: VorticityModel, a: float, n: int = 10_000,
-                    seed: int = 0, tol: float = 1e-12) -> CheckRecord:
-    """Adjacent-pair slopes on the growth interval stay within the ledger's
-    Lipschitz constant, which itself sits at or below the 5/2 ceiling."""
-    _check_centre(a)
     eta, L = model.ledger.eta, model.ledger.L
+    range_ok = 3.0 < eta <= 3.5
     lo, hi = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a
     xs = np.sort(sample_interval(n, lo, hi, seed=seed))
     fv = model.f_arr(xs)
+    absf = np.abs(fv)
+    j = int(np.argmax(absf))
+    bound = eta * a
+    bound_ok = bool(absf[j] <= bound * (1.0 + tol))
+    growth = CheckRecord(
+        name=f"growth_a_{a:g}", passed=range_ok and bound_ok, tolerance=tol,
+        witnesses={"eta": eta, "max_abs_f": float(absf[j]),
+                   "argmax": float(xs[j]), "bound": bound,
+                   "interval": [lo, hi], "eta_in_range": range_ok})
     dx = np.diff(xs)
     keep = dx > 1e-13 * max(1.0, hi)
     if not keep.any():
         raise ParameterDomainError(
             f"ball centre a={a!r} is too small: the growth interval "
             f"[{lo!r}, {hi!r}] leaves no sample pair to take a slope over")
-    slopes = np.abs(np.diff(fv)[keep] / dx[keep])
-    j = int(np.argmax(slopes))
-    worst = float(slopes[j])
-    return CheckRecord(
+    worst = float(np.max(np.abs(np.diff(fv)[keep] / dx[keep])))
+    lipschitz = CheckRecord(
         name=f"lipschitz_a_{a:g}",
         passed=bool(worst <= L * (1.0 + tol) and L <= 2.5),
         tolerance=tol,
         witnesses={"max_slope": worst, "L": L, "ceiling": 2.5,
                    "interval": [lo, hi]})
+    return growth, lipschitz
 
 
 def check_lambda(model: VorticityModel, n: int = 1000,
@@ -265,8 +252,7 @@ def full_report(model: VorticityModel, a_values=(1.0, 10.0, 100.0),
     report = AdmissibilityReport(model_id=model.model_id,
                                  params=dict(model.ledger.params), seed=seed)
     report.checks.append(check_zero(model))
-    report.checks.append(check_oddness(model, seed=seed))
-    report.checks.append(check_decomposition(model, seed=seed))
+    report.checks.extend(check_symmetry(model, seed=seed))
     report.checks.append(check_lambda(model))
     report.checks.append(check_ring_bound(model, seed=seed))
     report.checks.append(check_coercivity(model))
@@ -276,6 +262,5 @@ def full_report(model: VorticityModel, a_values=(1.0, 10.0, 100.0),
     if pb is not None:
         report.checks.append(pb)
     for a in a_values:
-        report.checks.append(check_growth(model, a, seed=seed))
-        report.checks.append(check_lipschitz(model, a, seed=seed))
+        report.checks.extend(check_ball(model, a, seed=seed))
     return report

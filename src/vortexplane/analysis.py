@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (HypothesisViolationError, NoBracketError,
                      ParameterDomainError, ToleranceError)
 from .fixedpoint import check_start_value, require_finite
-from .integrator import (_BLOCK, IntegrationConfig, Termination, Trajectory,
+from .integrator import (IntegrationConfig, Termination, Trajectory,
                          arrival_start, integrate, integrate_backward)
 from .phaseplane import TWO_PI
 from .search import bisect_root
@@ -109,7 +109,10 @@ class RingSpec:
 
     def rate_eta(self, r_minus: float) -> float:
         """Certified rotation rate eta_hat = 1 - 1/(2 r_minus) - (1+eps)^-nu,
-        valid while R >= 1 + eps and r >= r_minus."""
+        valid while R >= 1 + eps and r >= r_minus > 0."""
+        if not (math.isfinite(r_minus) and r_minus > 0.0):
+            raise ParameterDomainError(
+                f"r_minus must be finite and > 0, got {r_minus!r}")
         return 1.0 - 0.5 / r_minus - (1.0 + self.epsilon) ** (-self.nu)
 
 
@@ -277,6 +280,7 @@ def crossing_sequence(traj: Trajectory,
     """Locate the per-rotation window passages, or None when the angle is
     not strictly decreasing across the requested span (e.g. after the orbit
     falls into a potential well and the rotation stalls)."""
+    require_finite(theta0=theta0, theta1=theta1)
     r_lo = float(traj.r[0]) if r_start is None else float(r_start)
     r_hi = float(traj.r[-1]) if r_end is None else float(r_end)
     if not (traj.r[0] <= r_lo < r_hi <= traj.r[-1]):
@@ -344,19 +348,14 @@ def verify_crossing_bounds(traj: Trajectory, seq: CrossingSequence,
     s = (1.0 + ring.epsilon) ** (-ring.nu)
 
     # sampled rotation rate on window nodes where the annulus hypothesis
-    # holds: theta' = (psi beta' - beta^2) / R^2 from the vector field, in
-    # blocks so that no temporary spans the window
-    i_lo = int(np.searchsorted(traj.r, seq.r_start, side="left"))
-    i_hi = int(np.searchsorted(traj.r, seq.r_end, side="right"))
-    margin = -math.inf
-    for lo in range(i_lo, i_hi, _BLOCK):
-        part = slice(lo, min(lo + _BLOCK, i_hi))
-        keep = traj.radius[part] >= 1.0 + ring.epsilon
-        r, psi, beta = (c[part][keep] for c in (traj.r, traj.psi, traj.beta))
-        dbeta = -beta / r - traj.model.f_arr(psi)
-        dth = (psi * dbeta - beta * beta) / (psi * psi + beta * beta)
-        if len(dth):
-            margin = max(margin, float(np.max(dth + eta_hat)))
+    # holds: theta' = (psi beta' - beta^2) / R^2 from the vector field
+    part = slice(int(np.searchsorted(traj.r, seq.r_start, side="left")),
+                 int(np.searchsorted(traj.r, seq.r_end, side="right")))
+    keep = traj.radius[part] >= 1.0 + ring.epsilon
+    r, psi, beta = (c[part][keep] for c in (traj.r, traj.psi, traj.beta))
+    dbeta = -beta / r - traj.model.f_arr(psi)
+    dth = (psi * dbeta - beta * beta) / (psi * psi + beta * beta)
+    margin = float(np.max(dth + eta_hat)) if len(dth) else -math.inf
 
     gap_upper = 0.5 * math.pi / eta_hat
     gap_lower = math.pi / (3.0 - 2.0 * ring.c * s)

@@ -220,28 +220,13 @@ def _hermite(y0: float, y1: float, d0: float, d1: float, h: float,
             + s2 * (s - 1.0) * h * d1)
 
 
-def _hermite_radius(s: float, psi: float, beta: float, psi1: float,
-                    beta1: float, k1p: float, k1b: float, k13p: float,
-                    k13b: float, h: float) -> float:
-    """hypot of the Hermite state at s, bit for bit what
-    math.hypot(_hermite(psi, ...), _hermite(beta, ...)) returns."""
-    s2 = s * s
-    t2 = (1.0 - s) ** 2
-    w0 = (1.0 + 2.0 * s) * t2
-    w1 = s * t2 * h
-    w2 = s2 * (3.0 - 2.0 * s)
-    w3 = s2 * (s - 1.0) * h
-    return math.hypot(w0 * psi + w1 * k1p + w2 * psi1 + w3 * k13p,
-                      w0 * beta + w1 * k1b + w2 * beta1 + w3 * k13b)
-
-
 # steps per block of the array passes over stored steps
 _BLOCK = 4096
 
 
 def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, h):
-    """Lower bound on _hermite_radius over s in [0, 1], for numpy arrays of
-    steps.
+    """Lower bound on a step's Hermite radius over s in [0, 1], for numpy
+    arrays of steps.
 
     The cubic Hermite from P0 = (psi, beta) to P3 = (psi1, beta1) with end
     slopes h*k1 and h*k13 is the Bezier curve with control points P0,
@@ -249,7 +234,7 @@ def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, h):
     For the unit vector u along P0 + P3, R(s) >= u.P(s) >= min_i u.P_i.
     This holds for either sign of h.  The slack, 1e-12 of the control
     points' size (plus 1e-300 for underflow), is orders above the few-ulp
-    rounding of this bound and of the radius as _hermite_radius computes it.
+    rounding of this bound and of the radius as _step_minimum computes it.
     """
     sx = psi + psi1
     sy = beta + beta1
@@ -267,22 +252,24 @@ def _hull_floor(psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, h):
     return np.where(norm == 0.0, -slack, floor - slack)
 
 
-def _radius_grid(seg: Tuple[float, ...], s_lo: float = 0.0) -> List[float]:
-    """_hermite_radius(s, *seg) at s = s_lo + (1 - s_lo) k/10, k = 0..10."""
-    return [_hermite_radius(s_lo + (1.0 - s_lo) * (k / 10.0), *seg)
-            for k in range(11)]
+def _step_minimum(seg: Tuple[float, ...],
+                  s_lo: float) -> Tuple[float, float]:
+    """(s, R) of the smallest R = hypot(psi, beta) on the Hermite of one
+    step, seg = (psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, h), over
+    [s_lo, 1]: golden_min around the least of 11 evenly spaced points where
+    that is lower, else that grid point."""
+    psi, beta, psi1, beta1, k1p, k1b, k13p, k13b, h = seg
 
+    def radius(s: float) -> float:
+        return math.hypot(_hermite(psi, psi1, k1p, k13p, h, s),
+                          _hermite(beta, beta1, k1b, k13b, h, s))
 
-def _radius_search(seg: Tuple[float, ...], rgrid: List[float],
-                   s_lo: float = 0.0) -> Tuple[float, float]:
-    """(s, R) of a step's radius minimum: golden_min of
-    _hermite_radius(s, *seg) around the minimum of rgrid, the step's
-    _radius_grid(seg, s_lo), where it is lower, else that grid point."""
-    j = rgrid.index(min(rgrid))
+    grid = [radius(s_lo + (1.0 - s_lo) * (k / 10.0)) for k in range(11)]
+    j = grid.index(min(grid))
     lo, mid, hi = (s_lo + (1.0 - s_lo) * (k / 10.0)
                    for k in (max(0, j - 1), j, min(10, j + 1)))
-    s, rad = golden_min(lambda s: _hermite_radius(s, *seg), lo, hi)
-    return (s, rad) if rad < rgrid[j] else (mid, rgrid[j])
+    s, rad = golden_min(radius, lo, hi)
+    return (s, rad) if rad < grid[j] else (mid, grid[j])
 
 
 def _dense(hs, y, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15,
@@ -402,9 +389,10 @@ class Trajectory:
         stored steps over [r_from, r[-1]], the whole orbit by default.
 
         One numpy pass in blocks forms each step's _hull_floor from the node
-        slopes of node(); only steps whose floor lies below the smallest node
-        radius get the grid, and _radius_search runs on them in order of grid
-        minimum while a floor is below the best value found."""
+        slopes of node() and keeps the steps whose floor lies below the
+        smallest node radius.  _step_minimum runs on them in ascending order
+        of floor and stops at the first floor at or above the best value
+        found: every step it skips has a minimum at or above that floor."""
         r, psi, beta, radius = self.r, self.psi, self.beta, self.radius
         if len(r) == 1 and r_from in (None, r[0]):
             return float(r[0]), float(radius[0])
@@ -423,17 +411,15 @@ class Trajectory:
             cols = (ps[:-1], bs[:-1], ps[1:], bs[1:], dp[:-1], db[:-1],
                     dp[1:], db[1:], np.diff(rs))
             floor = _hull_floor(*cols)
-            for j in np.flatnonzero(floor < best).tolist():
-                seg = tuple(float(c[j]) for c in cols)
-                s_lo = s0 if lo + j == i0 else 0.0
-                grid = _radius_grid(seg, s_lo)
-                cands.append((min(grid), float(floor[j]), lo + j, s_lo, grid,
-                              seg))
-        for _, floor, i, s_lo, grid, seg in sorted(cands, key=lambda c: c[0]):
-            if floor < best:
-                s, rad = _radius_search(seg, grid, s_lo)
-                if rad < best:
-                    best_r, best = float(r[i]) + s * seg[-1], rad
+            cands += [(float(floor[j]), lo + j,
+                       tuple(float(c[j]) for c in cols))
+                      for j in np.flatnonzero(floor < best).tolist()]
+        for floor, i, seg in sorted(cands):
+            if floor >= best:
+                break
+            s, rad = _step_minimum(seg, s0 if i == i0 else 0.0)
+            if rad < best:
+                best_r, best = float(r[i]) + s * seg[-1], rad
         r_lo = float(r[0] if r_from is None else r_from)
         return min(max(best_r, r_lo), float(r[-1])), best
 

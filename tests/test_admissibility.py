@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from vortexplane import ParameterDomainError, full_report
-from vortexplane.admissibility import (check_decomposition, check_growth,
-                                       check_lambda, check_level_set_sandwich,
-                                       check_lipschitz, check_zero)
+from vortexplane.admissibility import (check_ball, check_lambda,
+                                       check_level_set_sandwich,
+                                       check_symmetry, check_zero)
 from vortexplane.vorticity import ConstantsLedger, VorticityModel
 
 
@@ -91,8 +92,9 @@ def _broken_model() -> VorticityModel:
 
 def test_broken_decomposition_detected():
     model = _broken_model()
-    rec = check_decomposition(model)
-    assert rec.passed is False
+    oddness, decomposition = check_symmetry(model)
+    assert oddness.passed is True
+    assert decomposition.passed is False
     rep = full_report(model)
     assert rep.overall is False
 
@@ -101,12 +103,11 @@ def test_individual_checks_expose_witnesses(constantin):
     zero = check_zero(constantin)
     assert zero.passed
     assert abs(zero.witnesses["root"] - 1.0) <= 1e-9
-    growth = check_growth(constantin, 10.0)
+    growth, lip = check_ball(constantin, 10.0)
     assert growth.passed
     assert growth.witnesses["bound"] == pytest.approx(
         constantin.ledger.eta * 10.0)
     assert growth.witnesses["max_abs_f"] <= growth.witnesses["bound"]
-    lip = check_lipschitz(constantin, 10.0)
     assert lip.passed
     assert lip.witnesses["max_slope"] < constantin.ledger.L
 
@@ -115,3 +116,29 @@ def test_individual_checks_expose_witnesses(constantin):
 def test_check_lambda_rejects_empty_sample(constantin, n):
     with pytest.raises(ParameterDomainError):
         check_lambda(constantin, n=n)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf, 1e-300])
+def test_check_ball_rejects_bad_centre(constantin, a):
+    # 1e-300 is finite and > 0, but its interval is too narrow for a slope
+    with pytest.raises(ParameterDomainError):
+        check_ball(constantin, a)
+
+
+# sha256 of each report's indented canonical JSON at seed 0: every
+# witness of every check, to the last bit
+_PINNED_REPORTS = {
+    "constantin":
+        "89f1e68afddebf1c82f0da782ff932eda0aa4de482ff49ac17cb570f9f3dc4a8",
+    "example":
+        "07a64e42905667a0db2ae04c03503fe3191a37763f1b72060b4675a5dd9989af",
+    "powerlaw":
+        "5144d6e4cdb7641df4add2825a1d975ae3532f617f7c8a1d3fbb414b4204ebbf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_REPORTS))
+def test_pinned_report_json(models, name):
+    text = json.dumps(full_report(models[name], seed=0).to_json_dict(),
+                      sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_REPORTS[name]

@@ -40,6 +40,23 @@ def test_ring_rate_eta():
     assert ring.rate_eta(r_minus) > 0.0
 
 
+@pytest.mark.parametrize("r_minus", [0.0, -1.0, math.nan, math.inf])
+def test_ring_rate_eta_rejects_bad_radius(r_minus):
+    ring = RingSpec(epsilon=0.05, delta=0.1, c=0.0, nu=0.5)
+    with pytest.raises(ParameterDomainError):
+        ring.rate_eta(r_minus)
+
+
+def test_crossing_bounds_refuse_window_from_origin(constantin, run10):
+    # the default window starts at r[0] = 0, where the certified rate
+    # 1 - 1/(2 r_minus) - (1+eps)^-nu has no value
+    seq = crossing_sequence(run10, r_end=50.0)
+    assert seq.r_start == 0.0 and seq.count > 0
+    with pytest.raises(ParameterDomainError):
+        verify_crossing_bounds(run10, seq,
+                               RingSpec.for_model(constantin, 0.05, 0.1))
+
+
 def test_energy_entry_frozen(run10):
     entry = e_region_entry(run10)
     assert entry is not None
@@ -208,6 +225,15 @@ def test_crossing_sequence_window_validation(run10):
         crossing_sequence(run10, r_start=90.0, r_end=50.0)
     with pytest.raises(ParameterDomainError):
         crossing_sequence(run10, r_start=0.0, r_end=1e9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("angle", ["theta0", "theta1"])
+def test_crossing_sequence_rejects_non_finite_angle(run10, angle, value):
+    # a non-finite theta1 never lets tau_plus fall below the end angle, so
+    # the rotation list would grow without bound
+    with pytest.raises(ParameterDomainError):
+        crossing_sequence(run10, **{angle: value})
 
 
 @pytest.mark.parametrize("a", [1.5, 16.0 / 9.0, math.nan, math.inf])

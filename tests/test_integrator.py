@@ -16,7 +16,7 @@ from vortexplane import (IntegrationConfig, ParameterDomainError, Termination,
                          integrate_from, transversality_check)
 from vortexplane import integrator
 from vortexplane.analysis import _classification_config
-from vortexplane.integrator import _hermite, _hermite_radius, _hull_floor
+from vortexplane.integrator import _hermite, _hull_floor, _step_minimum
 
 
 def test_tableau_matches_scipy():
@@ -525,8 +525,6 @@ def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
         s = k / 100.0
         rad = math.hypot(_hermite(psi, psi1, k1p, k7p, hs, s),
                          _hermite(beta, beta1, k1b, k7b, hs, s))
-        assert _hermite_radius(s, psi, beta, psi1, beta1, k1p, k1b, k7p,
-                               k7b, hs) == rad
         assert floor <= rad
 
 
@@ -584,10 +582,11 @@ def test_inlined_helpers_match_references(models, name, stop):
 def test_no_per_step_helper_calls(constantin):
     # a setprofile guard over one run to the zero-energy stop and a whole
     # shooting solve: _dissipation runs once per run, for the cut step; the
-    # core never calls _hull_floor or the radius helpers, which only
-    # closest_approach reaches (_radius_search at most twice per shot);
-    # and no Python function but f and F is called from the core on more
-    # than a few steps
+    # core never calls _hull_floor or _step_minimum, which only
+    # closest_approach reaches (_step_minimum at most twice per shot), and
+    # a step's radius is evaluated only by _step_minimum's grid and its
+    # golden_min; and no Python function but f and F is called from the
+    # core on more than a few steps
     from vortexplane import shoot_for_origin
     from_core, radius_callers, searches = {}, set(), {}
     core = integrator._integrate_core.__code__
@@ -598,13 +597,12 @@ def test_no_per_step_helper_calls(constantin):
         code, caller = frame.f_code, frame.f_back.f_code
         if caller is core:
             from_core[code.co_name] = from_core.get(code.co_name, 0) + 1
-        if code.co_name == "_radius_search":
+        if code is _step_minimum.__code__:
             searches[caller.co_name] = searches.get(caller.co_name, 0) + 1
-        if code is _hermite_radius.__code__:
-            # the lambda and, before Python 3.12, the comprehension are
-            # frames of their own
+        if code.co_qualname == "_step_minimum.<locals>.radius":
+            # before Python 3.12 the comprehension is a frame of its own
             back = frame.f_back
-            while back.f_code.co_name in ("<lambda>", "<listcomp>"):
+            while back.f_code.co_name == "<listcomp>":
                 back = back.f_back
             radius_callers.add(back.f_code.co_name)
 
@@ -617,9 +615,8 @@ def test_no_per_step_helper_calls(constantin):
         sys.setprofile(None)
     assert traj.termination is Termination.EVENT
     assert from_core["_dissipation"] == 1 + len(result.history)
-    assert not {"_hull_floor", "_radius_grid", "_radius_search",
-                "_hermite_radius"} & set(from_core)
-    assert radius_callers == {"golden_min", "_radius_grid"}
+    assert not {"_hull_floor", "_step_minimum", "radius"} & set(from_core)
+    assert radius_callers == {"golden_min", "_step_minimum"}
     assert list(searches) == ["closest_approach"]
     assert 0 < searches["closest_approach"] <= 2 * len(result.history)
     busy = {name for name, n in from_core.items() if n > 100}
@@ -725,6 +722,58 @@ def test_closest_approach_against_dense_sampling(models, name, stop):
             assert lo <= r_at <= float(traj.r[-1])
 
 
+def _every_step_minimum(traj, r_from=None):
+    """closest_approach with no floor and no order: _step_minimum on every
+    stored step at or past r_from, in order of r, against the smallest node
+    radius."""
+    r, psi, beta, radius = traj.r, traj.psi, traj.beta, traj.radius
+    i0, s0 = (0, 0.0) if r_from is None else traj.locate(r_from)
+    first = i0 + 1 if s0 > 0.0 else i0
+    k = first + int(np.argmin(radius[first:]))
+    best_r, best = float(r[k]), float(radius[k])
+    fp = traj.model.f_arr(psi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = np.where(r == 0.0, -0.5 * fp, -beta / r - fp)
+    dp = np.where(r == 0.0, 0.0, beta)
+    cols = (psi[:-1], beta[:-1], psi[1:], beta[1:], dp[:-1], db[:-1],
+            dp[1:], db[1:], np.diff(r))
+    for i in range(i0, len(r) - 1):
+        seg = tuple(float(c[i]) for c in cols)
+        s, rad = _step_minimum(seg, s0 if i == i0 else 0.0)
+        if rad < best:
+            best_r, best = float(r[i]) + s * seg[-1], rad
+    lo = float(r[0] if r_from is None else r_from)
+    return min(max(best_r, lo), float(r[-1])), best
+
+
+def test_closest_approach_equals_every_step_search(models, run10, run100):
+    # skipping the steps whose hull floor is at or above the best value
+    # found changes no bit: run10 whole and from inside a step, the last
+    # quarter of run100 from inside a step, and zero-energy stops; each
+    # also from just past its closest approach, inside the step that holds
+    # it, where the search starts mid-step
+    def mid(traj, share):
+        j = int(share * (traj.n_points - 1))
+        return 0.5 * float(traj.r[j] + traj.r[j + 1])
+
+    def past_min(traj):
+        i, _ = traj.locate(traj.min_radius_r)
+        return 0.5 * (traj.min_radius_r + float(traj.r[i + 1]))
+
+    runs = [(run10, None), (run10, mid(run10, 0.5)), (run10, past_min(run10)),
+            (run100, mid(run100, 0.75))]
+    for name in ("constantin", "example", "powerlaw"):
+        for a in (2.5, 3.0013, 6.0):
+            traj = integrate(models[name], a, IntegrationConfig(
+                r_max=80.0, stop_at_zero_energy=True))
+            assert traj.termination is Termination.EVENT
+            runs += [(traj, None), (traj, mid(traj, 0.4)),
+                     (traj, past_min(traj))]
+    for traj, r_from in runs:
+        assert traj.closest_approach(r_from) == _every_step_minimum(
+            traj, r_from)
+
+
 def test_min_radius_inside_stored_range(constantin):
     # the in-loop minimum used to fold in the uncut step past a stop, which
     # put min_radius_r beyond r[-1] on some of these runs
@@ -738,8 +787,8 @@ def test_min_radius_inside_stored_range(constantin):
 
 def test_capture_grid_idle_while_shooting(constantin, monkeypatch):
     # the core never scans a step's Hermite for the origin: in a whole
-    # shooting solve the radius grid and search are reached only from
-    # closest_approach, the search at most twice per shot
+    # shooting solve a step's radius minimum is searched only from
+    # closest_approach, at most twice per shot
     from vortexplane import shoot_for_origin
     calls = {}
 
@@ -750,12 +799,11 @@ def test_capture_grid_idle_while_shooting(constantin, monkeypatch):
             return helper(*args)
         return wrapper
 
-    for name in ("_radius_grid", "_radius_search"):
-        monkeypatch.setattr(integrator, name,
-                            counted(getattr(integrator, name)))
+    monkeypatch.setattr(integrator, "_step_minimum",
+                        counted(integrator._step_minimum))
     result = shoot_for_origin(constantin, 2.0, 4.0, tol=1e-6)
     assert {caller for _, caller in calls} == {"closest_approach"}
-    assert 0 < calls["_radius_search", "closest_approach"] <= (
+    assert 0 < calls["_step_minimum", "closest_approach"] <= (
         2 * len(result.history))
 
 
