@@ -66,8 +66,9 @@ class AdmissibilityReport:
         }
 
 
-def check_zero(model: VorticityModel, tol: float = 1e-9) -> CheckRecord:
+def check_zero(model: VorticityModel) -> CheckRecord:
     """The located positive zero of f agrees with the ledger value u0."""
+    tol = 1e-9
     root = find_positive_zero(model)
     dev = abs(root - model.ledger.u0)
     return CheckRecord(
@@ -75,11 +76,12 @@ def check_zero(model: VorticityModel, tol: float = 1e-9) -> CheckRecord:
         witnesses={"root": root, "u0": model.ledger.u0, "deviation": dev})
 
 
-def check_symmetry(model: VorticityModel, n: int = 10_000, seed: int = 0,
-                   tol: float = 1e-12) -> Tuple[CheckRecord, CheckRecord]:
+def check_symmetry(model: VorticityModel, seed: int = 0
+                   ) -> Tuple[CheckRecord, CheckRecord]:
     """The oddness record, f(-u) = -f(u), and the decomposition record,
     f(u) = u - g(u), on one sample of [-100, 100]."""
-    us = sample_interval(n, -100.0, 100.0, seed=seed)
+    tol = 1e-12
+    us = sample_interval(10_000, -100.0, 100.0, seed=seed)
     fv = model.f_arr(us)
 
     def record(name: str, dev: np.ndarray) -> CheckRecord:
@@ -95,8 +97,7 @@ def check_symmetry(model: VorticityModel, n: int = 10_000, seed: int = 0,
                    np.abs(fv - (us - model.g_arr(us))) / (1.0 + np.abs(us))))
 
 
-def check_ball(model: VorticityModel, a: float, n: int = 10_000,
-               seed: int = 0, tol: float = 1e-12
+def check_ball(model: VorticityModel, a: float, seed: int = 0
                ) -> Tuple[CheckRecord, CheckRecord]:
     """The growth and Lipschitz records of the ball around a, on one sorted
     sample of [(1-eta/4)a, (1+eta/4)a].
@@ -109,10 +110,11 @@ def check_ball(model: VorticityModel, a: float, n: int = 10_000,
     if not (math.isfinite(a) and a > 0.0):
         raise ParameterDomainError(
             f"ball centre a must be finite and > 0, got {a!r}")
+    tol = 1e-12
     eta, L = model.ledger.eta, model.ledger.L
     range_ok = 3.0 < eta <= 3.5
     lo, hi = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a
-    xs = np.sort(sample_interval(n, lo, hi, seed=seed))
+    xs = np.sort(sample_interval(10_000, lo, hi, seed=seed))
     fv = model.f_arr(xs)
     absf = np.abs(fv)
     j = int(np.argmax(absf))
@@ -139,12 +141,12 @@ def check_ball(model: VorticityModel, a: float, n: int = 10_000,
     return growth, lipschitz
 
 
-def check_lambda(model: VorticityModel, n: int = 1000,
-                 tol: float = 1e-10) -> CheckRecord:
+def check_lambda(model: VorticityModel) -> CheckRecord:
     """Flux ratio: psi g(psi) >= 0 and
     int_0^psi g >= psi g(psi) / (2 lambda_g), sampled on a log grid."""
+    tol = 1e-10
     lam = model.ledger.lambda_g
-    psis = sample_loglin(n, 1e-3, 1e3, seed=0)
+    psis = sample_loglin(1000, 1e-3, 1e3, seed=0)
     flux = psis * model.g_arr(psis)
     # int_0^psi g = psi^2/2 - F(psi)
     gints = 0.5 * psis * psis - potential_grid(model, psis)
@@ -162,12 +164,12 @@ def check_lambda(model: VorticityModel, n: int = 1000,
                    "in_range": bool(0.0 < lam < 1.0)})
 
 
-def check_ring_bound(model: VorticityModel, n: int = 10_000, seed: int = 0,
-                     tol: float = 1e-9) -> CheckRecord:
+def check_ring_bound(model: VorticityModel, seed: int = 0) -> CheckRecord:
     """-c/R^nu <= psi g(psi)/R^2 <= (1+c)/R^nu for |psi| <= R, sampled over
     radii and ray positions."""
+    tol = 1e-9
     c, nu = model.ledger.c, model.ledger.nu
-    pts = kronecker(n, dim=2, seed=seed)
+    pts = kronecker(10_000, dim=2, seed=seed)
     radii = 10.0 ** (-2.0 + 5.0 * pts[:, 0])
     ts = 2.0 * pts[:, 1] - 1.0
     psis = ts * radii
@@ -185,18 +187,18 @@ def check_ring_bound(model: VorticityModel, n: int = 10_000, seed: int = 0,
                    "lower_violation": float(lo_dev)})
 
 
-def check_level_set_sandwich(model: VorticityModel, n: int = 200,
-                             tol: float = 1e-9) -> CheckRecord:
+def check_level_set_sandwich(model: VorticityModel) -> CheckRecord:
     """Modulated models only: the energy sits between the two reference
     surfaces R^2/2 - kappa (2/3)|psi|^{3/2} for kappa = 1+c1 (below) and
     kappa = 1-(c2-c1) (above)."""
+    tol = 1e-9
     c2 = model.ledger.params.get("c2")
     if c2 is None:
         return CheckRecord(
             name="level_set_sandwich", passed=None, tolerance=tol,
             witnesses={}, note="needs the modulated model")
     c1 = math.sin(0.5 * c2)
-    psis = np.linspace(-4.0, 4.0, n)
+    psis = np.linspace(-4.0, 4.0, 200)
     pot = potential_grid(model, psis)
     cubic = (2.0 / 3.0) * np.abs(psis) ** 1.5
     # beta^2/2 is in the energy and in both surfaces, so it cancels

@@ -10,7 +10,6 @@ trajectories with the same stored points give identical diagnostics.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -18,9 +17,10 @@ import numpy as np
 
 from .errors import (HypothesisViolationError, NoBracketError,
                      ParameterDomainError, ToleranceError)
-from .fixedpoint import check_start_value, require_finite
+from .fixedpoint import _check_count, check_start_value, require_finite
 from .integrator import (IntegrationConfig, Termination, Trajectory,
-                         arrival_start, integrate, integrate_backward)
+                         _check_start_energy, arrival_start, integrate,
+                         integrate_backward)
 from .phaseplane import TWO_PI
 from .search import bisect_root
 from .vorticity import VorticityModel, arrival_law
@@ -36,6 +36,9 @@ _FIT_STEP = 1e-8
 _FIT_ITER = 12
 # scan_for_bracket refuses a walk of more start values (one shot each)
 _SCAN_MAX_SHOTS = 10_000
+# the rotation window: crossing_sequence times each turn's passage from
+# theta_start + _THETA0 to theta_start + _THETA1, less 2 pi per turn
+_THETA0, _THETA1 = 3.0 * math.pi / 4.0, math.pi / 4.0
 
 
 # ---------------------------------------------------------------- features
@@ -116,15 +119,14 @@ class RingSpec:
         return 1.0 - 0.5 / r_minus - (1.0 + self.epsilon) ** (-self.nu)
 
 
-def rate_onset_radius(traj: Trajectory, ring: RingSpec,
-                      margin: float = 0.01) -> float:
+def rate_onset_radius(traj: Trajectory, ring: RingSpec) -> float:
     """First stored node where the rotation-rate budget clears the margin:
-    -1 + 1/(2r) + (1+eps)^-nu <= -margin."""
+    -1 + 1/(2r) + (1+eps)^-nu <= -0.01."""
     s = (1.0 + ring.epsilon) ** (-ring.nu)
-    room = 1.0 - s - margin
+    room = 1.0 - s - 0.01
     if room <= 0.0:
         raise HypothesisViolationError(
-            f"ring too tight: no radius gives rotation margin {margin!r}")
+            "ring too tight: no radius gives rotation margin 0.01")
     threshold = 0.5 / room
     idx = np.flatnonzero(traj.r >= threshold)
     if len(idx) == 0:
@@ -208,19 +210,15 @@ class AxisCrossing:
     transversal: bool
 
 
-def transversality_check(traj: Trajectory,
-                         r_to: Optional[float] = None) -> List[AxisCrossing]:
+def transversality_check(traj: Trajectory) -> List[AxisCrossing]:
     """All psi = 0 crossings while E > 0: each must be transversal
     (|beta| > 1e-8) and satisfy the flow identity beta' + beta/r = -f(psi),
     whose residual at the axis is |f(psi*)| ~ 0.
 
     A step holds a crossing when psi leaves one strict sign for zero or the
-    other sign (signs are compared, never multiplied); with r_to, only the
-    steps that end at or before it count.
+    other sign (signs are compared, never multiplied).
     """
-    k = len(traj.r) if r_to is None else int(
-        np.searchsorted(traj.r, r_to, side="right"))
-    psi, E = traj.psi[:k], traj.E[:k]
+    psi, E = traj.psi, traj.E
     a, b = psi[:-1], psi[1:]
     hits = (((a > 0.0) & (b <= 0.0)) | ((a < 0.0) & (b >= 0.0))) \
         & (E[:-1] > 0.0) & (E[1:] > 0.0)
@@ -247,12 +245,10 @@ def transversality_check(traj: Trajectory,
 @dataclass(frozen=True)
 class CrossingSequence:
     """Radii r_minus[n] / r_plus[n] where the unwrapped angle reaches
-    theta_start + theta0 - 2 pi n and theta_start + theta1 - 2 pi n."""
+    theta_start + 3 pi/4 - 2 pi n and theta_start + pi/4 - 2 pi n."""
     r_start: float
     r_end: float
     theta_start: float
-    theta0: float
-    theta1: float
     r_minus: np.ndarray
     r_plus: np.ndarray
 
@@ -272,15 +268,12 @@ def _theta_nodes(window: np.ndarray, targets: Sequence[float],
 
 
 def crossing_sequence(traj: Trajectory,
-                      theta0: float = 3.0 * math.pi / 4.0,
-                      theta1: float = math.pi / 4.0,
                       r_start: Optional[float] = None,
                       r_end: Optional[float] = None
                       ) -> Optional[CrossingSequence]:
     """Locate the per-rotation window passages, or None when the angle is
     not strictly decreasing across the requested span (e.g. after the orbit
     falls into a potential well and the rotation stalls)."""
-    require_finite(theta0=theta0, theta1=theta1)
     r_lo = float(traj.r[0]) if r_start is None else float(r_start)
     r_hi = float(traj.r[-1]) if r_end is None else float(r_end)
     if not (traj.r[0] <= r_lo < r_hi <= traj.r[-1]):
@@ -295,22 +288,15 @@ def crossing_sequence(traj: Trajectory,
     theta_end = traj.hermite("theta", i_end)(s_end)
     taus: List[float] = []      # tau_minus, tau_plus of each rotation
     n = 1
-    while True:
-        tau_minus = theta_start + theta0 - TWO_PI * n
-        tau_plus = theta_start + theta1 - TWO_PI * n
-        if tau_minus >= theta_start or tau_plus < theta_end:
-            if tau_minus >= theta_start:
-                raise ParameterDomainError(
-                    "theta0 must define a drop below the starting angle")
-            break
-        taus += [tau_minus, tau_plus]
+    while theta_start + _THETA1 - TWO_PI * n >= theta_end:
+        taus += [theta_start + _THETA0 - TWO_PI * n,
+                 theta_start + _THETA1 - TWO_PI * n]
         n += 1
     radii = np.array([_refine_crossing(traj, "theta", tau, int(node))[0]
                       for tau, node in zip(taus,
                                            _theta_nodes(window, taus, i_lo))])
     return CrossingSequence(r_start=r_lo, r_end=r_hi,
-                            theta_start=theta_start, theta0=theta0,
-                            theta1=theta1, r_minus=radii[0::2],
+                            theta_start=theta_start, r_minus=radii[0::2],
                             r_plus=radii[1::2])
 
 
@@ -364,12 +350,12 @@ def verify_crossing_bounds(traj: Trajectory, seq: CrossingSequence,
                    and np.all(gaps >= gap_lower - slack))
 
     ns = np.arange(1, seq.count + 1, dtype=float)
-    linear_cap = (TWO_PI * ns - math.pi / 4.0) / eta_hat + seq.r_start
+    linear_cap = (TWO_PI * ns - _THETA1) / eta_hat + seq.r_start
     linear_ok = bool(np.all(seq.r_plus <= linear_cap + slack))
 
     terms = gaps / (4.0 * seq.r_plus)
     floors = (math.pi * eta_hat / (12.0 - 8.0 * ring.c * s)) \
-        / (TWO_PI * ns - math.pi / 4.0 + eta_hat * seq.r_start)
+        / (TWO_PI * ns - _THETA1 + eta_hat * seq.r_start)
     harmonic_ok = bool(np.all(terms >= floors - slack))
 
     chain_ok = (2.0 * eta_hat < 2.0 < (3.0 + ring.c) / (1.0 + ring.c)
@@ -423,10 +409,11 @@ def classify_shot(model: VorticityModel, a: float,
     """Run from psi(0) = a until the orbit spends its energy and falls
     toward one side's well.
 
-    The start must have positive energy F(a): from E <= 0 the orbit never
-    reaches the energy-zero event and no side can be named.
+    The start must have finite, positive energy F(a): from E <= 0 the
+    orbit never reaches the energy-zero event and no side can be named.
     """
     check_start_value(a)
+    _check_start_energy(a, 0.0)
     start_energy = model.F(a)
     if not start_energy > 0.0:
         raise ParameterDomainError(
@@ -585,10 +572,7 @@ def shoot_for_origin(model: VorticityModel, a_lo: float, a_hi: float,
         raise ParameterDomainError(f"need a_lo < a_hi, got {a_lo!r}, {a_hi!r}")
     if not tol > 0.0:
         raise ParameterDomainError(f"tol must be positive, got {tol!r}")
-    if (isinstance(max_iter, bool)
-            or not isinstance(max_iter, numbers.Integral) or max_iter < 1):
-        raise ParameterDomainError(
-            f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _check_count("max_iter", max_iter, 1)
     if ends is None:
         ends = (classify_shot(model, a_lo, rel_tol),
                 classify_shot(model, a_hi, rel_tol))

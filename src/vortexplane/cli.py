@@ -311,8 +311,7 @@ def cmd_banach(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     constants = select_contraction_constants(
         T=args.T, L=min(model.ledger.L, 2.5))
-    psi, beta, factor = banach_solve(model, args.T, args.psi_t, args.beta_t,
-                                     constants=constants)
+    psi, beta, factor = banach_solve(model, args.T, args.psi_t, args.beta_t)
     dev_from_anchor = float(np.max(np.abs(psi.values - args.psi_t)))
     out = _ensure_out(args)
     payload = {

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -85,19 +85,12 @@ class GridFunction:
         return float(self.r[1] - self.r[0])
 
 
-def _check_budget(n: int, n_min: int, tol: float, max_iter: int) -> None:
-    """Reject a grid size, tolerance or sweep budget no solve can run on."""
-    for name, value in (("n", n), ("max_iter", max_iter)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ParameterDomainError(
-                f"{name} must be an integer, got {value!r}")
-    if n < n_min:
-        raise ParameterDomainError(f"need at least {n_min} intervals")
-    if max_iter < 1:
-        raise ParameterDomainError(f"max_iter must be >= 1, got {max_iter!r}")
-    if not (math.isfinite(tol) and tol >= 0.0):
+def _check_count(name: str, value: int, least: int) -> None:
+    """Reject a grid size or sweep budget that is not an integer >= least."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
         raise ParameterDomainError(
-            f"tol must be finite and >= 0, got {tol!r}")
+            f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _lagrange(offsets: Tuple[int, ...], t: np.ndarray) -> list:
@@ -187,7 +180,11 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     if not 0.0 < r_end <= 1.0:
         raise ParameterDomainError(
             f"contraction certified for 0 < r_end <= 1, got {r_end!r}")
-    _check_budget(n, 8, tol, max_iter)
+    _check_count("n", n, 8)
+    _check_count("max_iter", max_iter, 1)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterDomainError(
+            f"tol must be finite and >= 0, got {tol!r}")
     eta = model.ledger.eta
     rs = np.linspace(0.0, r_end, n + 1)
     h = float(rs[1] - rs[0])
@@ -256,16 +253,11 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
 
 def picard_residual(model: VorticityModel, grid: GridFunction) -> float:
     """Sup distance between the grid and the operator re-applied with the
-    Simpson rule; an oracle the trapezoid iteration never saw."""
-    rs, psi = grid.r, grid.values
-    a = float(psi[0])
-    h = grid.h
-    w = rs * model.f_arr(psi)
-    inner = cumsimpson(w, h)
-    integrand = np.zeros(len(rs))
-    integrand[1:] = inner[1:] / rs[1:]
-    outer = cumsimpson(integrand, h)
-    return float(np.max(np.abs((a - outer) - psi)))
+    Simpson rule, a + int_0^r beta with beta from beta_from_psi; an oracle
+    the trapezoid iteration never saw."""
+    beta = beta_from_psi(model, grid).values
+    return float(np.max(np.abs(
+        (grid.values[0] + cumsimpson(beta, grid.h)) - grid.values)))
 
 
 def beta_from_psi(model: VorticityModel, grid: GridFunction) -> GridFunction:
@@ -325,8 +317,9 @@ def select_contraction_constants(T: float = 6.0,
             f"({rate_lo!r}, {_PHI_AT_3!r}) over lambda in ({_LAM_LO!r}, 3)")
     # bisect on the predicate rate_transform >= L, never an exact zero:
     # lam_star is the lower edge of the ulps where rate_transform rounds to L
+    # (the bracket reaches adjacent doubles within 54 halvings, then stalls)
     lam_star = bisect_root(lambda lam: 1.0 if rate_transform(lam) >= L
-                           else -1.0, _LAM_LO, 3.0, -1.0, 200)
+                           else -1.0, _LAM_LO, 3.0, -1.0, 64)
     lam_mid = 0.5 * (lam_star + 3.0)
     mll = lam_mid * math.log(lam_mid)
     k_lo = max(mll, L * (1.25 * mll + 0.5))
@@ -346,21 +339,19 @@ def _tail(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
-                 n: int = 2048, tol: float = 1e-12, max_iter: int = 400,
-                 constants: Optional[ContractionConstants] = None
+                 max_iter: int = 400
                  ) -> Tuple[GridFunction, GridFunction, float]:
     """Backward fixed point on [sqrt(T^2 - 1), T] anchored at (psi_T, beta_T).
 
-    Returns the psi and beta grids plus the largest observed contraction
-    ratio of successive weighted distances, which must stay below the
-    certified zeta.  Iterates are confined to the domain
-    |psi - psi_T| <= eta psi_T / 4, |beta| <= 2 |beta_T| + eta psi_T.
+    Returns the psi and beta grids on 2048 intervals plus the largest
+    observed contraction ratio of successive weighted distances, which must
+    stay below the certified zeta.  Iterates are confined to the domain
+    |psi - psi_T| <= eta psi_T / 4, |beta| <= 2 |beta_T| + eta psi_T; the
+    sweeps stop once a sup change is at most 1e-12 max(1, psi_T).
     """
     require_finite(T=T, psi_T=psi_T, beta_T=beta_T)
-    _check_budget(n, 1, tol, max_iter)
-    if constants is None:
-        constants = select_contraction_constants(
-            T=T, L=min(model.ledger.L, 2.5))
+    _check_count("max_iter", max_iter, 1)
+    constants = select_contraction_constants(T=T, L=min(model.ledger.L, 2.5))
     if psi_T < 1.0:
         raise ParameterDomainError(
             f"anchor value psi_T must be >= 1, got {psi_T!r}")
@@ -370,13 +361,13 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
             f"anchor slope too steep: |beta_T| must be <= eta psi_T / 8 "
             f"= {eta * psi_T / 8.0!r}")
     r_lo = math.sqrt(T * T - 1.0)
-    rs = np.linspace(r_lo, T, n + 1)
+    rs = np.linspace(r_lo, T, 2049)
     h = float(rs[1] - rs[0])
     weight = np.exp(-constants.k * (rs - r_lo))
     psi_ball = eta * psi_T / 4.0
     beta_ball = 2.0 * abs(beta_T) + eta * psi_T
 
-    psi = np.full(n + 1, float(psi_T))
+    psi = np.full(len(rs), float(psi_T))
     beta = beta_T * T / rs
     prev_wdist = None
     factor = 0.0
@@ -399,7 +390,7 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
         if prev_wdist is not None and prev_wdist > floor:
             factor = max(factor, wdist / prev_wdist)
         prev_wdist = wdist
-        if change <= tol * max(1.0, psi_T):
+        if change <= 1e-12 * max(1.0, psi_T):
             return (GridFunction(rs, psi, sweeps=sweep, last_change=change),
                     GridFunction(rs, beta, sweeps=sweep, last_change=change),
                     factor)
@@ -435,15 +426,14 @@ class DichotomyCertificate:
                 and self.contraction_factor <= self.zeta)
 
 
-def equilibrium_dichotomy_certificate(model: VorticityModel, T: float = 6.0,
-                                      tolerance: float = 1e-10
+def equilibrium_dichotomy_certificate(model: VorticityModel
                                       ) -> DichotomyCertificate:
+    """The certificate of the equilibrium (u0, 0) at anchor T = 6."""
     from .integrator import IntegrationConfig, integrate_from
 
-    u0 = model.ledger.u0
+    T, u0 = 6.0, model.ledger.u0
     constants = select_contraction_constants(T=T, L=min(model.ledger.L, 2.5))
-    psi_g, beta_g, factor = banach_solve(model, T, u0, 0.0,
-                                         constants=constants)
+    psi_g, beta_g, factor = banach_solve(model, T, u0, 0.0)
     r_lo = math.sqrt(T * T - 1.0)
     config = IntegrationConfig(r_max=T, rel_tol=1e-12, abs_tol=1e-14)
     traj = integrate_from(model, r_lo, u0, 0.0, config)
@@ -456,5 +446,5 @@ def equilibrium_dichotomy_certificate(model: VorticityModel, T: float = 6.0,
         zeta=constants.zeta,
         forward_psi_dev=float(np.max(np.abs(traj.psi - u0))),
         forward_beta_dev=float(np.max(np.abs(traj.beta))),
-        tolerance=tolerance,
+        tolerance=1e-10,
     )

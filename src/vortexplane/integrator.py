@@ -928,6 +928,15 @@ def arrival_start(model: VorticityModel, R: float,
             -ks * (p + s * ((p + 1.0) * b1 + s * (p + 2.0) * b2)))
 
 
+def _check_start_energy(psi: float, beta: float) -> None:
+    """Refuse a start state whose psi^2 or beta^2 overflows: its energy
+    beta^2/2 + F(psi) has no finite value (psi^2/2 overflows before
+    int_0^psi g does in every family)."""
+    if not (math.isfinite(psi * psi) and math.isfinite(beta * beta)):
+        raise ParameterDomainError(
+            f"start (psi, beta) = ({psi!r}, {beta!r}) has no finite energy")
+
+
 def integrate(model: VorticityModel, a: float,
               config: IntegrationConfig) -> Trajectory:
     """Orbit of the admissible profile from psi(0) = a, beta(0) = 0.
@@ -936,6 +945,7 @@ def integrate(model: VorticityModel, a: float,
     stop starts at the handoff radius.
     """
     check_start_value(a)
+    _check_start_energy(a, 0.0)
     if config.r_max <= config.r_handoff:
         raise ParameterDomainError("r_max must exceed r_handoff")
     rs, psis, betas, cum = series_start(model, a, config)
@@ -957,6 +967,7 @@ def integrate_from(model: VorticityModel, r0: float, psi0: float,
                    beta0: float, config: IntegrationConfig) -> Trajectory:
     """Forward orbit from an interior state (r0 > 0)."""
     require_finite(r0=r0, psi0=psi0, beta0=beta0)
+    _check_start_energy(psi0, beta0)
     if r0 <= 0.0:
         raise ParameterDomainError(f"r0 must be positive, got {r0!r}")
     if config.r_max <= r0:
@@ -974,6 +985,7 @@ def integrate_backward(model: VorticityModel, T: float, psi_T: float,
     per-interval dissipation keeps the ascending orientation.
     """
     require_finite(T=T, psi_T=psi_T, beta_T=beta_T)
+    _check_start_energy(psi_T, beta_T)
     if r_end is None:
         if T <= 1.0:
             raise ParameterDomainError("default r_end needs T > 1")

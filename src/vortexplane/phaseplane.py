@@ -18,6 +18,9 @@ from .search import newton_root
 from .vorticity import VorticityModel, potential_grid
 
 TWO_PI = 2.0 * math.pi
+# level_set_geometry: the lobe's nodes and the right end of psi_plus's
+# bracket [u0, _SCAN_HI] (psi_plus < 2 in every family)
+_LOBE_N, _SCAN_HI = 1024, 16.0
 
 
 def theta_envelope(lambda_g: float, r):
@@ -43,13 +46,12 @@ class LevelSetGeometry:
     peak_curvature: float
 
 
-def level_set_geometry(model: VorticityModel, n: int = 1024,
-                       scan_hi: float = 16.0) -> LevelSetGeometry:
+def level_set_geometry(model: VorticityModel) -> LevelSetGeometry:
     """Trace the right lobe of E = 0 and its tip.
 
     psi_plus is the positive root of F.  F < 0 on (0, u0], as f < 0 there,
     and F rises past u0, as f > 0 there, so the root is the one sign change
-    on [u0, scan_hi]: a Newton iteration with F' = f, kept inside that
+    on [u0, _SCAN_HI]: a Newton iteration with F' = f, kept inside that
     bracket and stopped at 1e-14 relative.  The lobe is the single arc
     beta^2 = -2 F(psi) over [0, psi_plus].  Its graph psi(beta) stays
     smooth across the tip: differentiating F(psi(beta)) = -beta^2/2 twice
@@ -57,14 +59,14 @@ def level_set_geometry(model: VorticityModel, n: int = 1024,
     curvature is kappa = -psi''(0) = 1/f(psi_plus).
     """
     u0 = model.ledger.u0
-    f_lo, f_hi = model.F(u0), model.F(scan_hi)
+    f_lo, f_hi = model.F(u0), model.F(_SCAN_HI)
     if not f_lo < 0.0 < f_hi:
         raise HypothesisViolationError(
-            "F does not change sign on [u0, scan_hi]; no lobe end in range")
-    psi_plus = newton_root(model.F, model.f, u0, scan_hi, f_lo, scan_hi,
+            "F does not change sign on [u0, 16]; no lobe end in range")
+    psi_plus = newton_root(model.F, model.f, u0, _SCAN_HI, f_lo, _SCAN_HI,
                            200, 1e-14)
 
-    psis = np.linspace(0.0, psi_plus, n)
+    psis = np.linspace(0.0, psi_plus, _LOBE_N)
     pot = potential_grid(model, psis)
     betas = np.sqrt(np.maximum(0.0, -2.0 * pot))
     betas[-1] = 0.0
@@ -76,9 +78,10 @@ def scaled_lobe_peak(eps: float) -> float:
     return (16.0 / 9.0) * (1.0 + eps) ** 2
 
 
-def scaled_lobe_curve(eps: float, n: int = 512) -> Tuple[np.ndarray, np.ndarray]:
-    """Upper branch of the reference lobe with modulation factor 1 + eps."""
+def scaled_lobe_curve(eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper branch of the reference lobe with modulation factor 1 + eps,
+    on 512 nodes."""
     peak = scaled_lobe_peak(eps)
-    psis = np.linspace(0.0, peak, n)
+    psis = np.linspace(0.0, peak, 512)
     val = (4.0 / 3.0) * (1.0 + eps) * psis ** 1.5 - psis ** 2
     return psis, np.sqrt(np.maximum(0.0, val))

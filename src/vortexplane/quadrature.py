@@ -9,11 +9,12 @@ independent residual oracle.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import ToleranceError
+from .errors import ParameterDomainError, ToleranceError
 
 _MAX_DEPTH = 48
 
@@ -47,7 +48,11 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, floor, depth):
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-10) -> float:
-    """Integrate f on [a, b] to absolute tolerance tol."""
+    """Integrate f on [a, b] to absolute tolerance tol, finite and >= 0
+    (a NaN tol would let no panel converge)."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterDomainError(
+            f"tol must be finite and >= 0, got {tol!r}")
     if a == b:
         return 0.0
     fa, fb = f(a), f(b)

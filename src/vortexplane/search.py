@@ -73,16 +73,16 @@ def newton_root(g: Callable[[float], float], dg: Callable[[float], float],
     return x
 
 
-def golden_min(fn: Callable[[float], float], lo: float, hi: float,
-               iters: int = 80) -> Tuple[float, float]:
-    """(x, fn(x)) at the midpoint of the bracket left by iters golden-section
+def golden_min(fn: Callable[[float], float], lo: float,
+               hi: float) -> Tuple[float, float]:
+    """(x, fn(x)) at the midpoint of the bracket left by 80 golden-section
     steps on [lo, hi]."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = fn(c)
     fd = fn(d)
-    for _ in range(iters):
+    for _ in range(80):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

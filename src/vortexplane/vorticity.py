@@ -16,9 +16,9 @@ certified constants used by the solvers and checks:
 
 All scalar callables accept and return plain floats; the *_arr variants
 are vectorized over numpy arrays and exist for grid-based solvers; F_arr
-gives F's bits over finite nodes (constantin and modulated families).  f
-and F reject NaN and +-inf.  F is exact for the constantin and power-law
-families and a fixed Gauss-Legendre rule for the modulated one.
+gives F's bits over finite nodes.  f and F reject NaN and +-inf.  F is
+exact for the constantin and power-law families and a fixed
+Gauss-Legendre rule for the modulated one.
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ class VorticityModel:
     ledger: ConstantsLedger
     f_arr: Callable[[np.ndarray], np.ndarray]
     g_arr: Callable[[np.ndarray], np.ndarray]
-    # F over an array of finite nodes, bit for bit F's values; None where
-    # no array form keeps F's bits
-    F_arr: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # F over an array of finite nodes, bit for bit F's values
+    F_arr: Callable[[np.ndarray], np.ndarray]
 
 
 def _at_zero(u: float) -> float:
@@ -272,6 +271,11 @@ def power_law_model(alpha: float) -> VorticityModel:
         a = abs(_finite(psi))
         return 0.5 * psi * psi - a ** (1.0 + alpha) / (1.0 + alpha)
 
+    def F_arr(psi: np.ndarray) -> np.ndarray:
+        # np.float_power rounds as ** does; np.power does not everywhere
+        return (0.5 * psi * psi
+                - np.float_power(np.abs(psi), 1.0 + alpha) / (1.0 + alpha))
+
     ledger = ConstantsLedger(
         u0=1.0,
         eta=eta,
@@ -288,6 +292,7 @@ def power_law_model(alpha: float) -> VorticityModel:
         f=f, F=F, ledger=ledger,
         f_arr=lambda u: u - np.sign(u) * np.abs(u) ** alpha,
         g_arr=lambda u: np.sign(u) * np.abs(u) ** alpha,
+        F_arr=F_arr,
     )
 
 
@@ -324,23 +329,21 @@ def arrival_law(model: VorticityModel) -> Optional[Tuple[float, float]]:
     return None
 
 
-def potential_by_quadrature(model: VorticityModel, psi: float,
-                            tol: float = 1e-12) -> float:
-    """F(psi) by direct adaptive quadrature of f; the independent route."""
+def potential_by_quadrature(model: VorticityModel, psi: float) -> float:
+    """F(psi) by direct adaptive quadrature of f to 1e-12; the independent
+    route."""
     if psi == 0.0:
         return 0.0
-    return adaptive_simpson(model.f, 0.0, psi, tol=tol)
+    return adaptive_simpson(model.f, 0.0, psi, tol=1e-12)
 
 
 def potential_grid(model: VorticityModel, psis: np.ndarray) -> np.ndarray:
     """F on a 1-d grid of any order and sign, bit for bit the scalar F's
-    values: in one array pass where the model has F_arr, else node by
-    node.  A NaN or +-inf node is rejected as F rejects it."""
+    values, in one F_arr pass.  A NaN or +-inf node is rejected as F
+    rejects it."""
     psis = np.asarray(psis, dtype=float)
     if psis.ndim != 1 or len(psis) == 0:
         raise ParameterDomainError("psis must be a nonempty 1-d array")
-    if model.F_arr is None:
-        return np.array([model.F(p) for p in psis.tolist()])
     bad = ~np.isfinite(psis)
     if bad.any():
         _finite(float(psis[bad][0]))  # raises as F does
@@ -349,20 +352,21 @@ def potential_grid(model: VorticityModel, psis: np.ndarray) -> np.ndarray:
         return model.F_arr(psis)
 
 
-def find_positive_zero(model: VorticityModel, hi: float = 2.0,
-                       probes: int = 200, tol: float = 1e-13) -> float:
-    """Locate the positive zero of f by probing (0, hi] and bisecting.
+def find_positive_zero(model: VorticityModel) -> float:
+    """Locate the positive zero of f by probing (0, 2] at 200 points and
+    bisecting to 1e-13.
 
     Raises HypothesisViolationError when no sign change (or exact zero)
     shows up among the probes, e.g. for f(u) = u.
     """
-    us = [hi * (k + 1) / probes for k in range(probes)]
+    us = [2.0 * (k + 1) / 200 for k in range(200)]
     vals = [model.f(u) for u in us]
     for u, v in zip(us, vals):
         if v == 0.0:
             return u
     for j in range(len(us) - 1):
         if vals[j] * vals[j + 1] < 0.0:
-            return bisect_root(model.f, us[j], us[j + 1], vals[j], 200, tol)
+            return bisect_root(model.f, us[j], us[j + 1], vals[j], 200,
+                               1e-13)
     raise HypothesisViolationError(
         "f has no sign change on the probe grid; no positive zero found")

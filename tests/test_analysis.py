@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,8 @@ from vortexplane import (HypothesisViolationError, IntegrationConfig,
                          integrate, rate_onset_radius, ring_entry,
                          scan_for_bracket, shoot_for_origin,
                          transversality_check, verify_crossing_bounds)
-from vortexplane import analysis
+from vortexplane import (admissibility, analysis, fixedpoint, phaseplane,
+                         search, vorticity)
 from vortexplane.integrator import Trajectory, arrival_start
 
 
@@ -91,26 +93,6 @@ def test_transversality_roster(run10):
     assert radii == sorted(radii)
 
 
-def test_transversality_r_to(run10, powerlaw):
-    # run10's crossings are nodes a window stored; the power law has no
-    # windows, so each of its crossings is refined inside a step.  r_to
-    # keeps exactly the crossings whose step ends at or before it, also
-    # when it falls inside a step that holds a crossing.
-    short = integrate(powerlaw, 20.0, IntegrationConfig(r_max=30.0))
-    for traj, refined in ((run10, False), (short, True)):
-        full = transversality_check(traj)
-        radii = np.array([c.r for c in full])
-        ends = traj.r[np.searchsorted(traj.r, radii)]
-        assert np.all(ends > radii) if refined else np.all(ends == radii)
-        cuts = {float(traj.r[0]), float(traj.r[-1])}
-        for c, end in zip(full, ends):
-            cuts |= {c.r, float(end), float(np.nextafter(end, 0.0)),
-                     0.5 * (c.r + float(end))}
-        for r_to in sorted(cuts):
-            assert transversality_check(traj, r_to=r_to) == [
-                c for c, end in zip(full, ends) if end <= r_to]
-
-
 def test_ring_entry_frozen(constantin, run100):
     ring = RingSpec.for_model(constantin, 0.05, 0.1)
     entry = ring_entry(run100, ring)
@@ -171,8 +153,9 @@ def test_rate_onset_frozen(constantin, run100):
     ring = RingSpec.for_model(constantin, 0.05, 0.1)
     r_minus = rate_onset_radius(run100, ring)
     assert abs(r_minus - 35.61113293026504) < 1e-6
+    # (1 + 1e-4)^(-1/2) leaves the rotation budget short of its 0.01 margin
     with pytest.raises(HypothesisViolationError):
-        rate_onset_radius(run100, ring, margin=0.9999)
+        rate_onset_radius(run100, RingSpec.for_model(constantin, 1e-4, 0.1))
 
 
 def test_crossing_sequence_run100(constantin, run100):
@@ -225,15 +208,6 @@ def test_crossing_sequence_window_validation(run10):
         crossing_sequence(run10, r_start=90.0, r_end=50.0)
     with pytest.raises(ParameterDomainError):
         crossing_sequence(run10, r_start=0.0, r_end=1e9)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("angle", ["theta0", "theta1"])
-def test_crossing_sequence_rejects_non_finite_angle(run10, angle, value):
-    # a non-finite theta1 never lets tau_plus fall below the end angle, so
-    # the rotation list would grow without bound
-    with pytest.raises(ParameterDomainError):
-        crossing_sequence(run10, **{angle: value})
 
 
 @pytest.mark.parametrize("a", [1.5, 16.0 / 9.0, math.nan, math.inf])
@@ -513,3 +487,36 @@ def test_pinned_refinements(constantin, run10, run100):
         "60.41671079364288", "-1.2844416594275987", "0.5395748645786087")
     assert repr(run10.closest_approach()) == (
         "(63.851279557813626, 0.06577157320082933)")
+
+
+# ------------------------------------------------- constants, not knobs
+#
+# Each of these was a defaulted parameter that no caller set, and several
+# took bad input quietly: potential_by_quadrature's tol = nan hung,
+# find_positive_zero's hi = -2 returned -1, transversality_check's
+# r_to = nan kept every crossing, rate_onset_radius took a negative margin,
+# the lobe's n = -1 raised a raw ValueError and the certificate's
+# tolerance = nan failed quietly.  They are the argument's fixed values now.
+
+def test_fixed_values_are_not_parameters():
+    removed = {
+        fixedpoint.banach_solve: {"n", "tol", "constants"},
+        fixedpoint.equilibrium_dichotomy_certificate: {"T", "tolerance"},
+        admissibility.check_zero: {"tol"},
+        admissibility.check_symmetry: {"n", "tol"},
+        admissibility.check_ball: {"n", "tol"},
+        admissibility.check_lambda: {"n", "tol"},
+        admissibility.check_ring_bound: {"n", "tol"},
+        admissibility.check_level_set_sandwich: {"n", "tol"},
+        analysis.crossing_sequence: {"theta0", "theta1"},
+        analysis.rate_onset_radius: {"margin"},
+        analysis.transversality_check: {"r_to"},
+        phaseplane.level_set_geometry: {"n", "scan_hi"},
+        phaseplane.scaled_lobe_curve: {"n"},
+        vorticity.find_positive_zero: {"hi", "probes", "tol"},
+        vorticity.potential_by_quadrature: {"tol"},
+        search.golden_min: {"iters"},
+    }
+    assert sum(map(len, removed.values())) == 28
+    for fn, names in removed.items():
+        assert not names & set(inspect.signature(fn).parameters), fn

@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
 import json
 import re
 
 import pytest
 
+from vortexplane import RingSpec, ring_entry, verify
 from vortexplane.cli import main
 
 _BASE = {"--out", "--config"}
@@ -183,6 +186,61 @@ def test_simulate_reports_energy_entry(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(next(tmp_path.glob("events_*.json")).read_text())
     assert abs(payload["energy_entry"]["r_cross"] - 60.41671079364288) < 1e-6
+
+
+def test_simulate_ring_entry(tmp_path, capsys, constantin, run10):
+    # the CLI's orbit is run10's: same a, r_max and tolerances
+    code = main(["simulate", "--a", "10", "--rmax", "100", "--ring",
+                 "0.05:0.1", "--out", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    payload = json.loads(next(tmp_path.glob("events_*.json")).read_text())
+    entry = ring_entry(run10, RingSpec.for_model(constantin, 0.05, 0.1))
+    assert payload["ring_entry"] == {
+        "r_entry": entry.r_entry, "min_radius_after": entry.min_radius_after,
+        "min_radius_r": entry.min_radius_r}
+    assert payload["ring_note"] is None
+
+
+def test_simulate_ring_note(tmp_path, capsys):
+    # R(0) = 5 does not exceed 8 (1 + delta): the capture is not attempted
+    code = main(["simulate", "--a", "5", "--rmax", "20", "--ring",
+                 "0.05:0.1", "--out", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    payload = json.loads(next(tmp_path.glob("events_*.json")).read_text())
+    assert payload["ring_entry"] is None
+    assert "must exceed 8 (1 + delta)" in payload["ring_note"]
+
+
+@pytest.mark.parametrize("model", ["constantin", "example", "powerlaw"])
+def test_simulate_refuses_start_without_finite_energy(tmp_path, capsys,
+                                                      model):
+    # a^2 overflows: the power law raised a raw OverflowError (exit 1) and
+    # constantin wrote an E column of NaN (exit 0)
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model, "--a", "1e300", "--rmax",
+                 "2", "--out", str(out)]) == 2
+    assert "finite energy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_paper_writes_the_pinned_report(tmp_path, capsys,
+                                               monkeypatch,
+                                               acceptance_results):
+    monkeypatch.setattr(verify, "run_all", lambda: acceptance_results)
+    assert main(["verify-paper", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 15 and lines[13] == "overall: PASS"
+    assert lines[14] == f"wrote {tmp_path / 'verify_report.json'}"
+    text = (tmp_path / "verify_report.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == (
+        "7fee7c4896e158e18f0a3baba8cb141b109ffc7e1dc4e98092852a84a34bbd9e")
+    failed = [dataclasses.replace(acceptance_results[0], passed=False),
+              *acceptance_results[1:]]
+    monkeypatch.setattr(verify, "run_all", lambda: failed)
+    assert main(["verify-paper", "--out", str(tmp_path / "failed")]) == 1
+    assert capsys.readouterr().out.splitlines()[13] == "overall: FAIL"
 
 
 def test_portrait_requires_amplitudes(tmp_path, capsys):

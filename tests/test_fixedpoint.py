@@ -16,7 +16,7 @@ from vortexplane.fixedpoint import (_BLOCK, _RICHARDSON, _STENCILS,
                                     equilibrium_dichotomy_certificate)
 from vortexplane.integrator import (_PICARD_N, _PICARD_TOL,
                                     IntegrationConfig, series_start)
-from vortexplane.quadrature import cumtrapz
+from vortexplane.quadrature import cumsimpson, cumtrapz
 
 PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 
@@ -55,6 +55,18 @@ def test_contraction_constants_frozen():
     assert c.zeta < 1.0
 
 
+def test_lam_star_is_the_exhausted_bracket():
+    # 64 halvings leave the same lam_star as 200: the bracket [1 + 1e-12, 3]
+    # stops moving at adjacent doubles after at most 54
+    rate_lo = rate_transform(fixedpoint._LAM_LO)
+    grid = np.linspace(rate_lo * 1.01, PHI_AT_3 * 0.999, 200).tolist()
+    for L in [1.0 + math.sqrt(2.0), 2.5, 1.0, 2.6] + grid:
+        ref = fixedpoint.bisect_root(
+            lambda lam: 1.0 if rate_transform(lam) >= L else -1.0,
+            fixedpoint._LAM_LO, 3.0, -1.0, 200)
+        assert select_contraction_constants(6.0, L).lam_star == ref
+
+
 def test_contraction_constants_identities():
     c = select_contraction_constants(6.0, 2.5)
     assert math.isclose(rate_transform(c.lam_star), c.L, rel_tol=1e-10)
@@ -86,6 +98,27 @@ def test_picard_residual_small(constantin):
     grid = picard_solve(constantin, 2.0, r_end=1.0, n=1 << 15)
     assert picard_residual(constantin, grid) < 1e-8
     assert grid.values[0] == 2.0
+
+
+def _two_pass_residual(model, grid):
+    # the residual as it was written before it read beta_from_psi: the
+    # double integral a - int (1/xi) int tau f, each pass by cumsimpson
+    rs, psi = grid.r, grid.values
+    inner = cumsimpson(rs * model.f_arr(psi), grid.h)
+    integrand = np.zeros(len(rs))
+    integrand[1:] = inner[1:] / rs[1:]
+    outer = cumsimpson(integrand, grid.h)
+    return float(np.max(np.abs((float(psi[0]) - outer) - psi)))
+
+
+def test_picard_residual_keeps_the_two_pass_bits(models):
+    # -(x / r) == (-x) / r and cumsimpson(-y) == -cumsimpson(y) exactly
+    for model in models.values():
+        for a in (1.0, 3.7, 10.0, 100.0):
+            for n in (512, 1000, 1 << 17):
+                grid = picard_solve(model, a, r_end=1.0, n=n)
+                assert picard_residual(model, grid) == _two_pass_residual(
+                    model, grid)
 
 
 def test_picard_ball_containment(constantin):
@@ -300,7 +333,8 @@ def test_picard_rejects_bad_budget(constantin, bad):
         picard_solve(constantin, 2.0, **bad)
 
 
-@pytest.mark.parametrize("bad", _BAD_BUDGETS + [dict(n=0)], ids=repr)
+@pytest.mark.parametrize("bad", [b for b in _BAD_BUDGETS if "max_iter" in b],
+                         ids=repr)
 def test_banach_rejects_bad_budget(constantin, bad):
     with pytest.raises(ParameterDomainError):
         banach_solve(constantin, 6.0, 2.0, 0.1, **bad)

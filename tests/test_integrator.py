@@ -281,6 +281,31 @@ def test_start_at_origin_is_refused(constantin, psi0, beta0):
         integrate_backward(constantin, 6.0, psi0, beta0)
 
 
+@pytest.mark.parametrize("psi, beta", [(1e300, 0.0), (-2e154, 0.0),
+                                       (2.0, 1e300), (2.0, -2e154)])
+def test_start_without_finite_energy_is_refused(models, psi, beta):
+    # psi^2 or beta^2 overflows: the energy has no value.  The power law's
+    # F raised a raw OverflowError and constantin's stored an E of NaN
+    calls = []
+
+    def F(p):
+        calls.append(p)
+        return 0.0
+
+    config = IntegrationConfig(r_max=10.0)
+    for model in models.values():
+        model = dataclasses.replace(model, F=F)
+        runs = [lambda: integrate_from(model, 2.0, psi, beta, config),
+                lambda: integrate_backward(model, 6.0, psi, beta)]
+        if beta == 0.0 and psi > 0.0:
+            runs += [lambda: integrate(model, psi, config),
+                     lambda: classify_shot(model, psi)]
+        for run in runs:
+            with pytest.raises(ParameterDomainError, match="finite energy"):
+                run()
+    assert calls == []
+
+
 def test_one_row_trajectory(constantin):
     # a trajectory of its start row alone has no step: locate refuses (it
     # used to return step -1, whose Hermite ran from r[-1] to r[0]) and the

@@ -41,9 +41,9 @@ def test_level_set_grid_on_zero_energy(models):
 
 
 def test_level_set_geometry_needs_sign_change(constantin):
-    # F(1.5) < 0: the scan range ends inside the lobe
+    # an F < 0 everywhere has no lobe end on [u0, 16]
     with pytest.raises(HypothesisViolationError):
-        level_set_geometry(constantin, scan_hi=1.5)
+        level_set_geometry(replace(constantin, F=lambda p: -1.0))
 
 
 def test_scaled_lobe_peak():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexplane.errors import ToleranceError
+from vortexplane.errors import ParameterDomainError, ToleranceError
 from vortexplane.quadrature import adaptive_simpson, cumsimpson, cumtrapz
 
 
@@ -36,6 +36,15 @@ def test_simpson_quadratics(a, b, c):
     val = adaptive_simpson(lambda x: a * x * x + b * x + c, -1.0, 2.0, 1e-12)
     exact = a * 3.0 + b * 1.5 + c * 3.0
     assert abs(val - exact) <= 1e-10 * (1.0 + abs(exact))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_simpson_rejects_bad_tolerance(tol):
+    # a NaN tol let no panel converge: every branch recursed to the depth cap
+    calls = []
+    with pytest.raises(ParameterDomainError):
+        adaptive_simpson(lambda x: calls.append(x) or x, 0.0, 1.0, tol)
+    assert calls == []
 
 
 def test_cumtrapz_shape_and_head():

@@ -231,17 +231,26 @@ def test_potential_grid_maps_F_bit_for_bit():
             assert potential_grid(model, psis).tobytes() == point.tobytes()
 
 
-@pytest.mark.parametrize("c2", [None, 1e-4, 0.01, 0.02],
-                         ids=lambda c2: "constantin" if c2 is None
-                         else f"example_{c2:g}")
-def test_potential_grid_array_F_bit_for_bit(c2):
+_ARRAY_F_MODELS = (
+    [constantin_model()] + [example_model(c2) for c2 in (1e-4, 0.01, 0.02)]
+    + [power_law_model(alpha) for alpha in (0.03, 0.3, 0.5, 0.97)])
+
+
+@pytest.mark.parametrize("model", _ARRAY_F_MODELS,
+                         ids=lambda m: "_".join([m.model_id] + [
+                             f"{v:g}" for v in m.ledger.params.values()]))
+def test_potential_grid_array_F_bit_for_bit(model):
     # the grids level_set_geometry, check_lambda and
-    # check_level_set_sandwich pass, and both signed zeros
-    model = constantin_model() if c2 is None else example_model(c2)
-    assert model.F_arr is not None
+    # check_level_set_sandwich pass, the old 1,999-probe scan, the
+    # benchmark's audit grid, both signed zeros and a signed sample of
+    # magnitudes 1e-300 .. 1e150
     psi_plus = level_set_geometry(model).psi_plus
+    rng = np.random.default_rng(0)
+    wide = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(
+        -300.0, 150.0, 20_000)
     grids = (np.linspace(0.0, 16.0, 2000)[1:], np.linspace(0.0, psi_plus, 1024),
              sample_loglin(1000, 1e-3, 1e3, seed=0), np.linspace(-4.0, 4.0, 200),
+             np.linspace(0.0, 50.0, 201), rng.uniform(-1e3, 1e3, 20_000), wide,
              np.array([0.0, -0.0, 1.0, -1.0, 4.0, -4.0]))
     for psis in grids:
         point = np.array([model.F(p) for p in psis.tolist()])
