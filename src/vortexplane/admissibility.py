@@ -2,7 +2,7 @@
 
 Each check samples a stated inequality with low-discrepancy points and
 reports a CheckRecord: pass/fail, the tolerance used, and the witnesses
-(extremal sample, location, certified constant) a reader needs to audit
+(extremal sample, location, audited constant) a reader needs to audit
 the verdict.  Checks that read the same sample share one draw and one f
 pass: check_symmetry gives the oddness and decomposition records of
 [-100, 100], check_ball the growth and Lipschitz records of a ball.  A

@@ -19,13 +19,11 @@ from .errors import (HypothesisViolationError, NoBracketError,
                      ParameterDomainError, ToleranceError)
 from .fixedpoint import _check_count, check_start_value, require_finite
 from .integrator import (IntegrationConfig, Termination, Trajectory,
-                         _check_start_energy, arrival_start, integrate,
-                         integrate_backward)
+                         _check_start_energy, _hermite_root, arrival_start,
+                         integrate, integrate_backward)
 from .phaseplane import TWO_PI
-from .search import bisect_root
 from .vorticity import VorticityModel, arrival_law
 
-_BISECTIONS = 60
 # the arrival fit of shoot_for_origin: the backward start lies
 # _ARRIVAL_S0 inside R, the part-orbits meet at _MATCH_SHARE of the
 # larger stop radius of the bracket's ends, and the fit ends once its step
@@ -51,10 +49,10 @@ def _refine_crossing(traj: Trajectory, name: str, level: float,
     double resolution places the root far more finely than the nearest
     representable r ever could; returns (r, sigma).
     """
-    q = traj.hermite(name, i)
-    s = bisect_root(lambda s: q(s) - level, 0.0, 1.0, q(0.0) - level,
-                    _BISECTIONS)
-    return float(traj.r[i]) + s * float(traj.r[i + 1] - traj.r[i]), s
+    (y0, d0), (y1, d1) = traj.node(name, i), traj.node(name, i + 1)
+    h = float(traj.r[i + 1] - traj.r[i])
+    s = _hermite_root(y0, y1, d0, d1, h, level)
+    return float(traj.r[i]) + s * h, s
 
 
 def _state(traj: Trajectory, i: int, s: float) -> Tuple[float, float]:

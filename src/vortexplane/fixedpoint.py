@@ -317,9 +317,9 @@ def select_contraction_constants(T: float = 6.0,
             f"({rate_lo!r}, {_PHI_AT_3!r}) over lambda in ({_LAM_LO!r}, 3)")
     # bisect on the predicate rate_transform >= L, never an exact zero:
     # lam_star is the lower edge of the ulps where rate_transform rounds to L
-    # (the bracket reaches adjacent doubles within 54 halvings, then stalls)
+    # (the bracket reaches adjacent doubles within 54 halvings, and stops)
     lam_star = bisect_root(lambda lam: 1.0 if rate_transform(lam) >= L
-                           else -1.0, _LAM_LO, 3.0, -1.0, 64)
+                           else -1.0, _LAM_LO, 3.0, -1.0)
     lam_mid = 0.5 * (lam_star + 3.0)
     mll = lam_mid * math.log(lam_mid)
     k_lo = max(mll, L * (1.25 * mll + 0.5))

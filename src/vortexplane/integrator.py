@@ -6,10 +6,10 @@ error norm, which blends the pair's 5th- and 3rd-order estimates, and
 I-control of the step.  Each accepted step has two dense representations:
 the pair's 7th-order dense output, which costs 3 more stages and which the
 5-point Gauss rule of the dissipation density beta^2/r reads, and the cubic
-Hermite of the stored endpoints (used for the zero-energy stop, the closest
-approach and all after-the-fact sampling, so results never depend on which
-steps the controller happened to take beyond their endpoints).  An orbit
-stores one row per accepted step.
+Hermite of the stored endpoints, of E for the zero-energy stop and of psi
+and beta for the cut row, the closest approach and all sampling after the
+run, so results never depend on which steps the controller happened to
+take beyond their endpoints.  An orbit stores one row per accepted step.
 
 The left endpoint r = 0 is singular, so integrate() opens with a short
 Picard series head on [0, r_handoff] computed by the fixed-point solver
@@ -19,13 +19,17 @@ origin at a finite radius R, is no event of the stepper: a backward sweep
 starts from arrival_start's series there, and analysis fits R.
 
 The forward, restart and backward sweeps share one core, _integrate_core.
-It ends a step early in one place: with stop_at_zero_energy, where the
-energy E = beta^2/2 + F(psi) first falls through 0.  It forms every row
-that is not an accepted step's end with _row, and returns the Trajectory,
-reversed into ascending r for a backward sweep.  An accepted step calls no
-Python function but f and F, or hands over to a crossing window: the core
-inlines _dense and the full-step _dissipation, each with the same
-operations in the same order.
+It ends a step early in one place: with stop_at_zero_energy, where E's
+Hermite (slopes dE/dr = -beta^2/r) first falls through 0, found by
+_hermite_root as analysis.e_region_entry finds it, so the last (r, psi,
+beta) of a stopped run is what e_region_entry reports for the same orbit.
+The cut row keeps the energy of its state, which misses 0 by the psi and
+beta Hermites' error (up to 3.7e-5, of either sign, over 123 shots at
+rel_tol 1e-9).  It forms every row that is not an accepted step's end
+with _row, and returns the Trajectory, reversed into ascending r for a
+backward sweep.  An accepted step calls no Python function but f and F, or
+hands over to a crossing window: the core inlines _dense and the full-step
+_dissipation, each with the same operations in the same order.
 
 For the square-root families, f(sig t^2) = sig (t^2 - t m(t^2)), so psi(r)
 carries a (r - r_c)^(5/2) term at each crossing r_c of psi = 0, where no
@@ -173,7 +177,6 @@ _R_STEP, _WINDOW_DT = 0.08, 0.1
 # Picard head grid size and sweep tolerance
 _PICARD_N = 512
 _PICARD_TOL = 1e-13
-_STOP_BISECTIONS = 60
 _THETA_STEP_CAP = 0.9 * math.pi
 # crossing windows (_window) open below |psi| = _WINDOW_PSI = _WINDOW_T^2;
 # there |beta| stays above _BETA_MIN, as E stays above _E_FLOOR
@@ -194,7 +197,7 @@ class IntegrationConfig:
     abs_tol: float = 1e-12
     r_handoff: float = 0.0625
     max_steps: int = 2_000_000
-    # end the run where E = beta^2/2 + F(psi) first falls through 0
+    # end the run where the Hermite of the stored E first falls through 0
     stop_at_zero_energy: bool = False
 
     def __post_init__(self) -> None:
@@ -218,6 +221,14 @@ def _hermite(y0: float, y1: float, d0: float, d1: float, h: float,
             + s * (1.0 - s) ** 2 * h * d0
             + s2 * (3.0 - 2.0 * s) * y1
             + s2 * (s - 1.0) * h * d1)
+
+
+def _hermite_root(y0: float, y1: float, d0: float, d1: float, h: float,
+                  level: float) -> float:
+    """Local coordinate s in [0, 1] where the cubic Hermite of one step
+    crosses level, given a sign change of y - level between its ends."""
+    return bisect_root(lambda s: _hermite(y0, y1, d0, d1, h, s) - level,
+                       0.0, 1.0, y0 - level)
 
 
 # steps per block of the array passes over stored steps
@@ -784,33 +795,19 @@ def _integrate_core(model: VorticityModel, r_target: float,
                    + _D6_12 * k12b + _D6_13 * k13b + _D6_14 * k14b
                    + _D6_15 * k15b + _D6_16 * k16b)
 
-        # the zero-energy stop: the first falling sign change of E on an
-        # 11-point grid of the Hermite, then bisection
+        # the zero-energy stop, on the Hermites of the stored step r1 - r
         e1 = 0.5 * beta1 * beta1 + F(psi1)
-        s_cut = None
         if stop and e0 > 0.0 >= e1:
-            def e_at(s: float) -> float:
-                pm = _hermite(psi, psi1, k1p, k13p, hs, s)
-                bm = _hermite(beta, beta1, k1b, k13b, hs, s)
-                return 0.5 * bm * bm + F(pm)
-
-            ev = [e_at(k / 10.0) for k in range(11)]
-            for k in range(10):
-                ea = ev[k]
-                if ea > 0.0 >= ev[k + 1]:
-                    # an exact zero sides with the far end: the root is the
-                    # near edge of E's zero set
-                    term = Termination.EVENT
-                    s_cut = bisect_root(lambda s: e_at(s) or -ea, k / 10.0,
-                                        (k + 1) / 10.0, ea, _STOP_BISECTIONS)
-                    break
-        if s_cut is not None:
-            append_row(_row(model, r + s_cut * hs,
-                            _hermite(psi, psi1, k1p, k13p, hs, s_cut),
-                            _hermite(beta, beta1, k1b, k13b, hs, s_cut),
+            h1 = r1 - r
+            s_cut = _hermite_root(e0, e1, -beta * beta / r,
+                                  -beta1 * beta1 / r1, h1, 0.0)
+            append_row(_row(model, r + s_cut * h1,
+                            _hermite(psi, psi1, k1p, k13p, h1, s_cut),
+                            _hermite(beta, beta1, k1b, k13b, h1, s_cut),
                             theta))
             append_diss(_dissipation(r, hs, beta, (d0, d1, d2, d3, d4, d5, d6),
                                      s_cut))
+            term = Termination.EVENT
             break
 
         append_row((r1, psi1, beta1, hypot(psi1, beta1), theta1, e1))

@@ -2,7 +2,7 @@
 bisection kernel, a Newton iteration safeguarded by its bracket (Press et
 al., Numerical Recipes, 3rd ed., 2007, sec. 9.4) and a golden-section
 minimizer (Brent, Algorithms for Minimization without Derivatives, 1973),
-each with a fixed iteration count.
+each with a fixed iteration budget.
 """
 
 from __future__ import annotations
@@ -11,23 +11,27 @@ import math
 from typing import Callable, Tuple
 
 _INVPHI = 0.6180339887498949
+_BISECTIONS = 60
 
 
 def bisect_root(g: Callable[[float], float], lo: float, hi: float,
-                g_lo: float, iters: int, xtol: float = 0.0) -> float:
+                g_lo: float, xtol: float = 0.0) -> float:
     """Root of g in [lo, hi], given g_lo = g(lo) and a sign change on the
     bracket.
 
     The bracket keeps the end whose sign class (> 0 or <= 0) matches g_lo;
     signs are compared, never multiplied, so tiny values cannot underflow
-    into a false sign.  Returns the midpoint where g is exactly zero or
-    where hi - lo <= xtol * max(1, |mid|), else the final midpoint.  A
-    rounded g is often exactly zero over a run of ulps; to get the near
-    edge of that run instead, pass a g that never returns 0.0.
+    into a false sign.  Returns the midpoint where g is exactly zero, where
+    hi - lo <= xtol * max(1, |mid|), where it rounds to an end (the bracket
+    has stalled) or after _BISECTIONS halvings.  A rounded g is often
+    exactly zero over a run of ulps; to get the near edge of that run
+    instead, pass a g that never returns 0.0.
     """
     up = g_lo > 0.0
-    for _ in range(iters):
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         gm = g(mid)
         if gm == 0.0 or hi - lo <= xtol * max(1.0, abs(mid)):
             return mid

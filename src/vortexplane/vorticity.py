@@ -5,7 +5,8 @@ A model packages the nonlinearity f of the radial profile equation
     psi'' + psi'/r + f(psi) = 0,        f(u) = u - g(u),
 
 together with its potential F(psi) = int_0^psi f(u) du and a ledger of
-certified constants used by the solvers and checks:
+constants used by the solvers and checks, audited (not proven) on the
+admissibility checks' samples:
 
     u0        positive zero of f (f vanishes exactly at 0 and +-u0)
     eta       growth constant for the short-range existence ball,
@@ -16,9 +17,11 @@ certified constants used by the solvers and checks:
 
 All scalar callables accept and return plain floats; the *_arr variants
 are vectorized over numpy arrays and exist for grid-based solvers; F_arr
-gives F's bits over finite nodes.  f and F reject NaN and +-inf.  F is
-exact for the constantin and power-law families and a fixed
-Gauss-Legendre rule for the modulated one.
+gives F's bits over the nodes F accepts.  f rejects NaN and +-inf; F,
+potential_grid and potential_by_quadrature reject any psi whose psi^2/2
+is not finite, NaN and +-inf included.  F is exact for the constantin and
+power-law families and a fixed Gauss-Legendre rule for the modulated
+one.
 """
 
 from __future__ import annotations
@@ -103,6 +106,13 @@ def _finite(u: float) -> float:
     raise ParameterDomainError(f"model input must be finite, got {u!r}")
 
 
+def _no_potential(psi: float) -> ParameterDomainError:
+    """Every family's F is psi^2/2 less a sublinear integral: finite
+    exactly where psi^2/2 is.  This refuses any other psi."""
+    return ParameterDomainError(
+        f"F needs a psi with finite psi^2/2, got psi={psi!r}")
+
+
 def constantin_model() -> VorticityModel:
     """f(u) = u - sign(u) sqrt(|u|), the square-root vorticity profile."""
 
@@ -114,8 +124,11 @@ def constantin_model() -> VorticityModel:
         return _at_zero(u)
 
     def F(psi: float) -> float:
-        a = abs(_finite(psi))
-        return 0.5 * psi * psi - (2.0 / 3.0) * a * math.sqrt(a)
+        half = 0.5 * psi * psi
+        if not half < _INF:
+            raise _no_potential(psi)
+        a = abs(psi)
+        return half - (2.0 / 3.0) * a * math.sqrt(a)
 
     def F_arr(psi: np.ndarray) -> np.ndarray:
         a = np.abs(psi)
@@ -204,7 +217,10 @@ def example_model(c2: float) -> VorticityModel:
     sin_c2 = math.sin(c2)
 
     def F(psi: float) -> float:
-        x = abs(_finite(psi))
+        half = 0.5 * psi * psi
+        if not half < _INF:
+            raise _no_potential(psi)
+        x = abs(psi)
         t = math.sqrt(x)
         if t <= 1.0:
             s = panel(0.0, t)
@@ -214,7 +230,7 @@ def example_model(c2: float) -> VorticityModel:
             # past t = 2 the integrand tends to 2 t^2 sin(c2): that part in
             # closed form, the remainder in s = 1/t on [1/t, 1/2]
             s = p2 + sin_c2 * (2.0 / 3.0) * (x * t - 8.0) + tail(1.0 / t)
-        return 0.5 * psi * psi - (1.0 + c1) * (2.0 / 3.0) * x * t + s
+        return half - (1.0 + c1) * (2.0 / 3.0) * x * t + s
 
     def F_arr(psi: np.ndarray) -> np.ndarray:
         # F's three branches over masks of the nodes, in F's operation order
@@ -268,8 +284,10 @@ def power_law_model(alpha: float) -> VorticityModel:
         return _at_zero(u)
 
     def F(psi: float) -> float:
-        a = abs(_finite(psi))
-        return 0.5 * psi * psi - a ** (1.0 + alpha) / (1.0 + alpha)
+        half = 0.5 * psi * psi
+        if not half < _INF:
+            raise _no_potential(psi)
+        return half - abs(psi) ** (1.0 + alpha) / (1.0 + alpha)
 
     def F_arr(psi: np.ndarray) -> np.ndarray:
         # np.float_power rounds as ** does; np.power does not everywhere
@@ -331,7 +349,9 @@ def arrival_law(model: VorticityModel) -> Optional[Tuple[float, float]]:
 
 def potential_by_quadrature(model: VorticityModel, psi: float) -> float:
     """F(psi) by direct adaptive quadrature of f to 1e-12; the independent
-    route."""
+    route.  It takes the psi that F takes."""
+    if not 0.5 * psi * psi < _INF:
+        raise _no_potential(psi)
     if psi == 0.0:
         return 0.0
     return adaptive_simpson(model.f, 0.0, psi, tol=1e-12)
@@ -339,17 +359,16 @@ def potential_by_quadrature(model: VorticityModel, psi: float) -> float:
 
 def potential_grid(model: VorticityModel, psis: np.ndarray) -> np.ndarray:
     """F on a 1-d grid of any order and sign, bit for bit the scalar F's
-    values, in one F_arr pass.  A NaN or +-inf node is rejected as F
-    rejects it."""
+    values, in one F_arr pass.  A node F refuses is refused as F refuses
+    it."""
     psis = np.asarray(psis, dtype=float)
     if psis.ndim != 1 or len(psis) == 0:
         raise ParameterDomainError("psis must be a nonempty 1-d array")
-    bad = ~np.isfinite(psis)
-    if bad.any():
-        _finite(float(psis[bad][0]))  # raises as F does
-    # F overflows to inf or nan quietly past |psi| ~ 1e154; so does F_arr
     with np.errstate(over="ignore", invalid="ignore"):
-        return model.F_arr(psis)
+        bad = ~(0.5 * psis * psis < _INF)
+    if bad.any():
+        raise _no_potential(float(psis[bad][0]))
+    return model.F_arr(psis)
 
 
 def find_positive_zero(model: VorticityModel) -> float:
@@ -366,7 +385,6 @@ def find_positive_zero(model: VorticityModel) -> float:
             return u
     for j in range(len(us) - 1):
         if vals[j] * vals[j + 1] < 0.0:
-            return bisect_root(model.f, us[j], us[j + 1], vals[j], 200,
-                               1e-13)
+            return bisect_root(model.f, us[j], us[j + 1], vals[j], 1e-13)
     raise HypothesisViolationError(
         "f has no sign change on the probe grid; no positive zero found")

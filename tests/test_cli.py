@@ -235,7 +235,7 @@ def test_verify_paper_writes_the_pinned_report(tmp_path, capsys,
     assert lines[14] == f"wrote {tmp_path / 'verify_report.json'}"
     text = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(text).hexdigest() == (
-        "7fee7c4896e158e18f0a3baba8cb141b109ffc7e1dc4e98092852a84a34bbd9e")
+        "3ec4dda2cd4637a6fe49502b8e1e674580cdafb943426ba96ac76c9dbaa7c134")
     failed = [dataclasses.replace(acceptance_results[0], passed=False),
               *acceptance_results[1:]]
     monkeypatch.setattr(verify, "run_all", lambda: failed)

@@ -55,16 +55,44 @@ def test_contraction_constants_frozen():
     assert c.zeta < 1.0
 
 
+def _exhausted_bracket(L):
+    """lam_star after 200 plain halvings of [1 + 1e-12, 3] on the predicate
+    rate_transform >= L."""
+    lo, hi = fixedpoint._LAM_LO, 3.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if rate_transform(mid) >= L:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+_LAM_GRID = [1.0 + math.sqrt(2.0), 2.5, 1.0, 2.6] + np.linspace(
+    rate_transform(fixedpoint._LAM_LO) * 1.01, PHI_AT_3 * 0.999, 200).tolist()
+
+
 def test_lam_star_is_the_exhausted_bracket():
-    # 64 halvings leave the same lam_star as 200: the bracket [1 + 1e-12, 3]
-    # stops moving at adjacent doubles after at most 54
-    rate_lo = rate_transform(fixedpoint._LAM_LO)
-    grid = np.linspace(rate_lo * 1.01, PHI_AT_3 * 0.999, 200).tolist()
-    for L in [1.0 + math.sqrt(2.0), 2.5, 1.0, 2.6] + grid:
-        ref = fixedpoint.bisect_root(
-            lambda lam: 1.0 if rate_transform(lam) >= L else -1.0,
-            fixedpoint._LAM_LO, 3.0, -1.0, 200)
-        assert select_contraction_constants(6.0, L).lam_star == ref
+    # bisect_root stops where the bracket [1 + 1e-12, 3] stalls on adjacent
+    # doubles and leaves the lam_star of 200 halvings
+    for L in _LAM_GRID:
+        assert select_contraction_constants(6.0, L).lam_star == (
+            _exhausted_bracket(L))
+
+
+def test_contraction_constants_stop_on_a_stalled_bracket(monkeypatch):
+    # the range check and at most 54 halvings before the bracket stalls
+    calls = [0]
+
+    def counted(lam):
+        calls[0] += 1
+        return rate_transform(lam)
+
+    monkeypatch.setattr(fixedpoint, "rate_transform", counted)
+    for L in _LAM_GRID:
+        calls[0] = 0
+        select_contraction_constants(6.0, L)
+        assert 0 < calls[0] <= 55, L
 
 
 def test_contraction_constants_identities():

@@ -329,17 +329,17 @@ def test_one_row_trajectory(constantin):
 
 _PINNED_SHOTS = {
     "constantin": (
-        ("right", "1.8729411547254216", "1.606888652432775"),
-        ("right", "5.509232632080097", "0.07956044774012183"),
-        ("left", "9.062835163192794", "0.7221463520931478")),
+        ("right", "1.8729415464409351", "1.6068885059036928"),
+        ("right", "5.5090997114577265", "0.07958301407942658"),
+        ("left", "9.062980538008333", "0.7221463520931478")),
     "example": (
-        ("right", "1.8562726925042867", "1.60875941427084"),
-        ("right", "5.353558795953192", "0.10164408335115938"),
-        ("left", "8.995507182339917", "0.7268453882675049")),
+        ("right", "1.8562727561217605", "1.6087593903425284"),
+        ("right", "5.35343948336095", "0.10166797332218239"),
+        ("left", "8.995647060301568", "0.7268453882675049")),
     "powerlaw": (
-        ("right", "1.3038631180855955", "1.751408437573355"),
-        ("right", "3.42267079217478", "0.7523587021721206"),
-        ("left", "5.920966334427431", "0.7763299935091983")),
+        ("right", "1.303863406948964", "1.7514083340444213"),
+        ("right", "3.422670789857032", "0.752358703937941"),
+        ("left", "5.921185930550708", "0.7763299935091983")),
 }
 
 
@@ -415,23 +415,23 @@ _ROWS = {
     "backward":
         "1eef1bf3ce187c9551b7562101ffd65aa72853ac2ad4e1afc49d18a12ecdca87",
     "shot_constantin_2":
-        "17b85cb92c9f6a2ea0ea2abcad238bd1c1a22cc62f419993b93dc1a53321b202",
+        "c81149091ed48787792073176bd578950ce93c286dbba30f9049642be7120225",
     "shot_constantin_3":
-        "3a73495e11ae1c910d9e610693b4a3422da54647512e8b09f26844cf1a05f566",
+        "189c10b9ef28ac66a2f7617440e85ac4a8ac6cc1661a6d4c171586a101c2b3af",
     "shot_constantin_4":
-        "2c498f245a214a867b078e64ef426a7f5d6efb5c3fdf2f0621200442b0b005b6",
+        "035ebc96377747bcbd83d64289a4aca8883e8418ce5c1f3080f0cd9a6c392ff1",
     "shot_example_2":
-        "7e3030a9e2d3c85db8ec9b4dd8bb47bf22dedfca8f1e9396a024a1adc5882881",
+        "585ef9e4b86fcdb6737d20c35184b4f3ec50633a069cd2891d7f96c6d88bd473",
     "shot_example_3":
-        "c9659a1c7caa351dde2f5677e501edb08823ad6578e8292aa7253927f9a00f3e",
+        "13765e3f45ff7926f79488a5a8d2a6ba6be08fa8826a325c07a2399e86cc6374",
     "shot_example_4":
-        "bbb0ba67cc5e1999e5c2350e92880b8a2b00b050d43ca21f14a2b024b112664c",
+        "b3864c1df616c98433d97dfd6ac9dfd2fe034e1896849cd39570f64589d3cc89",
     "shot_powerlaw_2":
-        "c9df4c392bf64362a154f1ccf704d77362529c9979ee7aa6ce5ba3a01602d23a",
+        "5361a76244daca8c786e8271371110ec18a84eb32a6cb8f0791af7bc33b75df5",
     "shot_powerlaw_3":
-        "a9782ee25988be28c6a9e11be747255d18a5a9b4ef2c6dfece1a72bf9574a388",
+        "8930c86b3e627648b648e776fdb6a2b1112f7934e293c45b61627aa8b8d57960",
     "shot_powerlaw_4":
-        "44af80d1b45bdeb4cf2cff52eb0f11f7dc6da92a44d6923ba8d009dc86ab832a",
+        "c91d0cb95c36437bed345acc920f19e6c6bbe5441d6593adde1bfa5a25971380",
 }
 
 
@@ -446,7 +446,8 @@ def test_rows_unchanged(request, models, name):
 
 def test_event_fn_called_once_per_accepted_step(constantin):
     # the stop reads the stored E of each accepted step, so F is called once
-    # per row and per accepted step, plus the stop's search and cut row
+    # per row and per accepted step; its search on E's Hermite calls none,
+    # and the cut row one more
     calls = [0]
 
     def counting_F(psi):
@@ -458,13 +459,29 @@ def test_event_fn_called_once_per_accepted_step(constantin):
         r_max=100.0, stop_at_zero_energy=True))
     assert traj.termination is Termination.EVENT
     assert (traj.r[-1], traj.psi[-1], traj.beta[-1]) == (
-        60.41665374119911, -1.2844724429737688, 0.5395667507592703)
+        60.41671079364288, -1.2844416594275987, 0.5395748645786087)
     # the Picard head stores 17 rows; every later row but the cut row is
     # one accepted step, and the step holding the stop is one more
     steps = len(traj.r) - 17
-    # 17 head rows, one per accepted step, and for the single crossing an
-    # 11-point grid, the bisection and the cut row
-    assert calls[0] == 17 + steps + 11 + 60 + 1
+    # 17 head rows, one per accepted step and the cut row
+    assert calls[0] == 17 + steps + 1
+
+
+@pytest.mark.parametrize("name", ["constantin", "example", "powerlaw"])
+def test_stop_is_the_energy_entry(models, name):
+    # the stop cuts where e_region_entry finds E's Hermite falling through 0
+    # on the same orbit run on without the stop: the same step, root and
+    # (r, psi, beta), bit for bit
+    from vortexplane import e_region_entry
+    model = models[name]
+    for a in range(2, 13):
+        config = _classification_config(float(a), 1e-9, model)
+        stopped = integrate(model, float(a), config)
+        entry = e_region_entry(integrate(model, float(a), dataclasses.replace(
+            config, stop_at_zero_energy=False)))
+        assert stopped.termination is Termination.EVENT
+        assert (stopped.r[-1], stopped.psi[-1], stopped.beta[-1]) == (
+            entry.r_cross, entry.psi, entry.beta), a
 
 
 # ------------------------------------------------------ crossing windows
@@ -673,10 +690,12 @@ def shot_sweep(models):
 
 def test_pinned_shot_sweep(shot_sweep):
     # recorded with the stepper's origin capture in place, at its default
-    # radius 1e-6, which no run of the sweep reached
+    # radius 1e-6, which no run of the sweep reached; re-recorded when the
+    # zero-energy stop moved onto E's own Hermite (every termination and
+    # side kept, r_stop moved by up to 0.011)
     assert shot_sweep == (
-        "d4c19d35071397d84b4caef7f516666a55dc8e766ee9b61cc705645ba9302941",
-        "9f9795704a4cebd7d22b007317750abb48cb11e5b82392b83f0719e007aa7ed4")
+        "561695a3df984d4695159f9961b390902d780d51d0d1d1265023bfdc6f072a40",
+        "95877e70e6e1dd1858d8f72ab6a05143663ecdfeb0deef3a76af8e643971cc63")
 
 
 # ------------------------------------------- closest approach after the run

@@ -4,14 +4,15 @@ scipy's DOP853 at rtol 1e-13 starts from the package's own Picard head and
 is read at every stored node on [1, 100]; against a run at rtol 1e-12 and
 2.5e-14 it is good to 3e-10 on these orbits.  The bounds are the errors
 the plain r-stepper measured, rounded up in the second digit; a change to
-the stepper may lower them but not exceed them.
+the stepper may lower them but not exceed them.  The zero-energy stop is
+held the same way to the reference's own E = 0 crossing.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from vortexplane import IntegrationConfig, integrate
+from vortexplane import IntegrationConfig, Termination, integrate
 from vortexplane.integrator import series_start
 
 _RTOLS = (1e-8, 1e-9, 1e-10)
@@ -29,20 +30,30 @@ _BOUNDS = {
 }
 
 
+# constantin (a, r_max): bound on the distance of the stop radius at
+# rel_tol 1e-10 from the reference's E = 0 crossing
+_STOP_BOUNDS = {(5.0, 50.0): 3.1e-5, (10.0, 100.0): 2.5e-6}
+
+
+def _reference(model, a, r_max, **options):
+    """scipy DOP853 at rtol 1e-13 from the package's Picard head to r_max."""
+    f = model.f
+    rs, psis, betas, _ = series_start(model, a, IntegrationConfig(r_max=r_max))
+    ref = solve_ivp(lambda r, y: (y[1], -y[1] / r - f(y[0])),
+                    (float(rs[-1]), r_max),
+                    [float(psis[-1]), float(betas[-1])], method="DOP853",
+                    rtol=1e-13, atol=1e-14, **options)
+    assert ref.success
+    return ref
+
+
 @pytest.fixture(scope="module")
 def errors(models):
     """(model, a) -> [(psi error, beta error) at each rel_tol in _RTOLS]."""
     out = {}
     for name, a in _BOUNDS:
         model = models[name]
-        f = model.f
-        rs, psis, betas, _ = series_start(model, a,
-                                          IntegrationConfig(r_max=100.0))
-        ref = solve_ivp(lambda r, y: (y[1], -y[1] / r - f(y[0])),
-                        (float(rs[-1]), 100.0),
-                        [float(psis[-1]), float(betas[-1])], method="DOP853",
-                        rtol=1e-13, atol=1e-14, dense_output=True)
-        assert ref.success
+        ref = _reference(model, a, 100.0, dense_output=True)
         out[name, a] = []
         for rel_tol in _RTOLS:
             traj = integrate(model, a, IntegrationConfig(r_max=100.0,
@@ -68,3 +79,19 @@ def test_global_error_proportional_to_tolerance(errors, key):
     for coarse, fine in zip(errors[key], errors[key][1:]):
         for c, g in zip(coarse, fine):
             assert 3.0 <= c / g <= 30.0, (coarse, fine)
+
+
+@pytest.mark.parametrize("a, r_max", sorted(_STOP_BOUNDS))
+def test_stop_radius_against_reference(constantin, a, r_max):
+    F = constantin.F
+
+    def energy(r, y):
+        return 0.5 * y[1] * y[1] + F(y[0])
+
+    energy.terminal, energy.direction = True, -1.0
+    ref = _reference(constantin, a, r_max, events=energy)
+    traj = integrate(constantin, a, IntegrationConfig(
+        r_max=r_max, rel_tol=1e-10, stop_at_zero_energy=True))
+    assert traj.termination is Termination.EVENT
+    error = abs(float(traj.r[-1]) - float(ref.t_events[0][0]))
+    assert error <= _STOP_BOUNDS[a, r_max], error

@@ -84,5 +84,5 @@ def test_shooting_scan_prints_the_table_without_a_bracket(monkeypatch,
     assert capsys.readouterr().out == (
         "       a   outcome      r_stop         min R\n"
         "   2.000     right       1.873      1.606889\n"
-        "   3.000     right       5.509      0.079560\n")
+        "   3.000     right       5.509      0.079583\n")
     assert shots == [2.0, 3.0, 2.0, 3.0]

@@ -10,7 +10,7 @@ def test_exact_zero_at_midpoint_is_returned():
         calls.append(x)
         return x - 0.25
 
-    assert bisect_root(g, 0.0, 1.0, g(0.0), 60) == 0.25
+    assert bisect_root(g, 0.0, 1.0, g(0.0)) == 0.25
     # g(0), then the midpoints 0.5 and 0.25
     assert calls == [0.0, 0.5, 0.25]
 
@@ -20,10 +20,24 @@ def test_underflowing_bracket_converges():
     def g(x):
         return 1e-200 * (0.3 - x)
 
-    assert abs(bisect_root(g, 0.0, 1.0, g(0.0), 200, 1e-14) - 0.3) <= 1e-14
+    assert abs(bisect_root(g, 0.0, 1.0, g(0.0), 1e-14) - 0.3) <= 1e-14
     # the Newton bracket compares signs too
     assert abs(newton_root(g, lambda x: -1e-200, 0.0, 1.0, g(0.0), 0.9, 200,
                            1e-14) - 0.3) <= 1e-14
+
+
+def test_stalled_bracket_stops_without_a_call():
+    # on adjacent doubles the midpoint rounds to an end: nothing can move
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x - 0.3
+
+    for lo in (0.3, 1.0, -2.5, 5e-324, 1e300):
+        hi = math.nextafter(lo, math.inf)
+        assert bisect_root(g, lo, hi, -1.0) in (lo, hi)
+    assert calls == []
 
 
 def test_newton_falls_back_to_bisection():

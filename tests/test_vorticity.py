@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -156,6 +157,33 @@ def test_nan_input_is_rejected(model):
     for fn in (model.f, model.F):
         for zero in (0.0, -0.0):
             assert fn(zero) == 0.0
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.model_id)
+def test_potential_refuses_psi_without_finite_square(model):
+    # F is psi^2/2 less a sublinear integral, so it is finite exactly where
+    # psi^2/2 is; each entry point refuses any other psi before an f or
+    # F_arr call (the quadrature used to recurse to depth 48 at 1e160)
+    calls = []
+
+    def counted(fn):
+        return lambda u: calls.append(fn) or fn(u)
+
+    spy = dataclasses.replace(model, f=counted(model.f),
+                              F_arr=counted(model.F_arr))
+    for psi in (1e300, -2e154, 1e160, math.nan, math.inf, -math.inf):
+        for run in (lambda: spy.F(psi),
+                    lambda: potential_grid(spy, np.array([1.0, psi])),
+                    lambda: potential_by_quadrature(spy, psi)):
+            with pytest.raises(ParameterDomainError, match="finite psi"):
+                run()
+    assert calls == []
+    for psi in (1.5e154, -1.5e154):
+        value = model.F(psi)
+        assert math.isfinite(value)
+        assert potential_grid(model, np.array([psi])).tolist() == [value]
+        assert math.isclose(potential_by_quadrature(model, psi), value,
+                            rel_tol=1e-12)
 
 
 def test_example_finite_past_square_overflow(example):
