@@ -181,8 +181,12 @@ def e_region_entry(traj: Trajectory) -> Optional[EnergyEntry]:
 
     E is nonincreasing along orbits, so there is at most one crossing; the
     entry is transversal when beta stays away from 0 there, in which case
-    dE/dr = -beta^2/r < 0 and the orbit genuinely enters {E < 0}.
+    dE/dr = -beta^2/r < 0 and the orbit genuinely enters {E < 0}.  A run
+    ended by the zero-energy stop is refused: its last row is the crossing.
     """
+    if traj.termination is Termination.EVENT:
+        raise ParameterDomainError(
+            "a stopped run's last row is its crossing; run without the stop")
     if float(traj.E[0]) <= 0.0:
         raise HypothesisViolationError(
             "energy must be positive at the start of the window")
@@ -432,6 +436,9 @@ def scan_for_bracket(model: VorticityModel, a_start: float = 2.0,
                      ) -> Tuple[float, float, List[ShotRecord]]:
     """Walk start values until two consecutive shots fall on opposite sides."""
     require_finite(a_start=a_start, a_stop=a_stop, step=step)
+    if a_stop <= a_start:
+        raise ParameterDomainError(
+            f"a_stop {a_stop!r} must exceed a_start {a_start!r}")
     # a += step must move a at both ends of the walk, and so between them
     if not (step > 0.0 and a_start + step > a_start
             and a_stop + step > a_stop):

@@ -29,8 +29,7 @@ from .errors import (HypothesisViolationError, NumericalError,
 from .fixedpoint import (banach_solve, beta_from_psi, check_start_value,
                          picard_residual, picard_solve,
                          select_contraction_constants)
-from .integrator import (IntegrationConfig, Termination, Trajectory,
-                         integrate)
+from .integrator import IntegrationConfig, integrate
 from .portrait import build_portrait_svg
 from .vorticity import VorticityModel, make_model
 
@@ -128,17 +127,6 @@ def _orbit_config(args: argparse.Namespace) -> IntegrationConfig:
                              abs_tol=args.tol_abs)
 
 
-def _constant_trajectory(model: VorticityModel, a: float,
-                         r_max: float) -> Trajectory:
-    rs = np.array([0.0, r_max])
-    level = model.F(a)
-    return Trajectory(
-        model=model, r=rs, psi=np.array([a, a]), beta=np.zeros(2),
-        radius=np.array([a, a]), theta=np.zeros(2),
-        E=np.array([level, level]), dissipation=np.zeros(1),
-        termination=Termination.REACHED_RMAX)
-
-
 # ------------------------------------------------------------- commands
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -165,10 +153,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     check_start_value(a)
     ring = _ring_from_args(args, model)
     config = _orbit_config(args)
-    if model.f(a) == 0.0:
-        traj = _constant_trajectory(model, a, args.rmax)
-    else:
-        traj = integrate(model, a, config)
+    traj = integrate(model, a, config)
 
     entry = None
     if float(traj.E[0]) > 0.0:
@@ -233,10 +218,7 @@ def cmd_portrait(args: argparse.Namespace) -> int:
     trajectories = []
     for a in a_values:
         check_start_value(a)
-        if model.f(a) == 0.0:
-            trajectories.append(_constant_trajectory(model, a, args.rmax))
-        else:
-            trajectories.append(integrate(model, a, config))
+        trajectories.append(integrate(model, a, config))
     svg = build_portrait_svg(model, trajectories, ring=ring,
                              clip_radius=args.clip)
     out = _ensure_out(args)
@@ -249,9 +231,6 @@ def cmd_portrait(args: argparse.Namespace) -> int:
 def cmd_shoot(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     a_lo, a_hi = _parse_pair(args.a, "--a")
-    if a_lo < 1.0 or a_hi <= a_lo:
-        raise ParameterDomainError(
-            f"--a must give 1 <= lo < hi, got {args.a!r}")
     rel = 1e-9 if args.tol_rel is None else args.tol_rel
     lo, hi, history = scan_for_bracket(model, a_start=a_lo, a_stop=a_hi,
                                        step=1.0, rel_tol=rel)
@@ -309,8 +288,7 @@ def cmd_picard(args: argparse.Namespace) -> int:
 
 def cmd_banach(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
-    constants = select_contraction_constants(
-        T=args.T, L=min(model.ledger.L, 2.5))
+    constants = select_contraction_constants(T=args.T, L=model.ledger.L)
     psi, beta, factor = banach_solve(model, args.T, args.psi_t, args.beta_t)
     dev_from_anchor = float(np.max(np.abs(psi.values - args.psi_t)))
     out = _ensure_out(args)

@@ -351,7 +351,7 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
     """
     require_finite(T=T, psi_T=psi_T, beta_T=beta_T)
     _check_count("max_iter", max_iter, 1)
-    constants = select_contraction_constants(T=T, L=min(model.ledger.L, 2.5))
+    constants = select_contraction_constants(T=T, L=model.ledger.L)
     if psi_T < 1.0:
         raise ParameterDomainError(
             f"anchor value psi_T must be >= 1, got {psi_T!r}")
@@ -432,7 +432,7 @@ def equilibrium_dichotomy_certificate(model: VorticityModel
     from .integrator import IntegrationConfig, integrate_from
 
     T, u0 = 6.0, model.ledger.u0
-    constants = select_contraction_constants(T=T, L=min(model.ledger.L, 2.5))
+    constants = select_contraction_constants(T=T, L=model.ledger.L)
     psi_g, beta_g, factor = banach_solve(model, T, u0, 0.0)
     r_lo = math.sqrt(T * T - 1.0)
     config = IntegrationConfig(r_max=T, rel_tol=1e-12, abs_tol=1e-14)

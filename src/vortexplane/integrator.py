@@ -35,8 +35,9 @@ For the square-root families, f(sig t^2) = sig (t^2 - t m(t^2)), so psi(r)
 carries a (r - r_c)^(5/2) term at each crossing r_c of psi = 0, where no
 r-step is smooth.  A forward sweep hands each crossing with |psi| < 1/4 to a
 crossing window (_window), which steps t = sqrt|psi|, where the orbit is
-analytic.  An entry floor on E keeps E > 0 through a window, so the
-zero-energy stop stays on the plain path.
+analytic; it starts from and appends to the core's rows and dissipation,
+and the core goes on from the last row.  An entry floor on E keeps E > 0
+through a window, so the zero-energy stop stays on the plain path.
 """
 
 from __future__ import annotations
@@ -493,17 +494,18 @@ def _row(model: VorticityModel, r: float, psi: float, beta: float,
             0.5 * beta * beta + model.F(psi))
 
 
-def _window(f, F, r, psi, beta, theta, e, h, rtol, atol, r_target,
-            append_row, append_diss):
-    """Cross psi = 0 in t = sqrt|psi| from the state after an accepted step.
+def _window(f, F, rows, diss, h, rtol, atol, r_target):
+    """Cross psi = 0 in t = sqrt|psi| from rows[-1], an accepted step's end.
 
     z = r + i beta (one complex state) runs in t, psi = sig t^2, by the same
     pair: t falls to 0, where the crossing is stored with psi = 0, then rises
-    (sig flipped) to _WINDOW_T.  Each t-step stores a row and int 2 sig t
-    beta/r dt, 5-point Gauss on the dense z; a step past r_target, below
-    1e-14, or to E or beta^2/2 <= _E_FLOOR is not taken.  rtol and atol are
-    the core's scaled tolerances.  Returns the last row's (r, psi, beta,
-    theta, E), the next r-step and the attempts."""
+    (sig flipped) to _WINDOW_T.  Each t-step appends its row to rows and int
+    2 sig t beta/r dt, 5-point Gauss on the dense z, to diss; a step past
+    r_target, below 1e-14, or to E or beta^2/2 <= _E_FLOOR is not taken.
+    rtol and atol are the core's scaled tolerances.  Returns the next r-step
+    and the attempts; the state to go on from is rows[-1]."""
+    r, psi, beta, _, theta, _ = rows[-1]
+    append_row, append_diss = rows.append, diss.append
     sig = 1.0 if psi > 0.0 else -1.0
     t, hdir, t_end, attempts = math.sqrt(sig * psi), -1.0, 0.0, 0
     ab, z = abs(beta), complex(r, beta)
@@ -599,7 +601,7 @@ def _window(f, F, r, psi, beta, theta, e, h, rtol, atol, r_target,
                 d4 + u * (d5 + s * d6))))))
             acc += wg * (t + s * hs) * zg.imag / zg.real
         append_diss(2.0 * sig * hs * acc)
-        z, psi, theta, t, e, ab, k1 = z1, psi1, theta1, t1, e1, ab1, k13
+        z, theta, t, ab, k1 = z1, theta1, t1, ab1, k13
         fac = _SAFETY * err ** -0.125 if err > 1e-10 else 3.0
         if rejected and fac > 1.0:
             fac = 1.0
@@ -609,7 +611,7 @@ def _window(f, F, r, psi, beta, theta, e, h, rtol, atol, r_target,
             if hdir > 0.0:
                 break
             sig, hdir, t_end = -sig, 1.0, _WINDOW_T  # on past the crossing
-    return z.real, psi, z.imag, theta, e, ht * (t + t + ht) / ab, attempts
+    return ht * (t + t + ht) / ab, attempts
 
 
 def _integrate_core(model: VorticityModel, r_target: float,
@@ -851,13 +853,12 @@ def _integrate_core(model: VorticityModel, r_target: float,
         # -neg_f <= F <= 0, 2E <= beta^2 <= 2(E + neg_f), and E falls by
         # int 2t|beta|/r dt <= sqrt(2|E + neg_f|) (|psi| + 1/4)/r as t runs
         # |psi|^(1/2) -> 0 -> 1/2.  So beta^2/2 >= E > _E_FLOOR > 0 there,
-        # and the stop does not fire inside a window
+        # and the stop does not fire in a window; the core resumes at rows[-1]
         if (neg_f and 1e-20 < ap1 < _WINDOW_PSI and psi1 * beta1 < 0.0
                 and e1 - math.sqrt(2.0 * abs(e1 + neg_f))
                 * (ap1 + _WINDOW_PSI) / r1 > _E_FLOOR):
-            r, psi, beta, theta, e0, h, n = _window(
-                f, F, r, psi, beta, theta, e0, h, rtol, atol, r_target,
-                append_row, append_diss)
+            h, n = _window(f, F, rows, diss, h, rtol, atol, r_target)
+            r, psi, beta, _, theta, e0 = rows[-1]
             nsteps += n
             assert 0.5 * beta * beta > _E_FLOOR  # the window bails out above
             apsi, abeta = abs(psi), abs(beta)

@@ -16,7 +16,7 @@ from vortexplane import (HypothesisViolationError, IntegrationConfig,
                          transversality_check, verify_crossing_bounds)
 from vortexplane import (admissibility, analysis, fixedpoint, phaseplane,
                          search, vorticity)
-from vortexplane.integrator import Trajectory, arrival_start
+from vortexplane.integrator import Termination, Trajectory, arrival_start
 
 
 def test_ring_spec_floor(constantin, example):
@@ -80,6 +80,18 @@ def test_energy_entry_requires_positive_start(constantin, run10, state_at):
                            IntegrationConfig(r_max=90.0))
     with pytest.raises(HypothesisViolationError):
         e_region_entry(inner)
+
+
+def test_energy_entry_refuses_a_stopped_run(models):
+    # a stopped run's last row is its crossing; test_stop_is_the_energy_entry
+    # compares it with the entry of the orbit run on
+    for model in models.values():
+        for a in range(2, 13):
+            traj = integrate(model, float(a), analysis._classification_config(
+                float(a), 1e-9, model))
+            assert traj.termination is Termination.EVENT
+            with pytest.raises(ParameterDomainError, match="stopped run"):
+                e_region_entry(traj)
 
 
 def test_transversality_roster(run10):
@@ -402,6 +414,8 @@ def test_arrival_fit_saves_f_calls(models, monkeypatch, family):
     lambda m: shoot_for_origin(m, 3.0, 4.0, max_iter=-1),
     lambda m: shoot_for_origin(m, 3.0, 4.0, max_iter=2.5),
     lambda m: shoot_for_origin(m, 3.0, 4.0, max_iter=True),
+    lambda m: scan_for_bracket(m, 5.0, 2.0),
+    lambda m: scan_for_bracket(m, 2.0, 2.0),
 ])
 def test_shooting_rejects_bad_input(constantin, monkeypatch, call):
     # refused before any shot, so no case can loop

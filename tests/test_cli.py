@@ -60,23 +60,33 @@ def test_check_writes_report(tmp_path, capsys):
 
 
 def test_simulate_constant_orbit(tmp_path, capsys):
-    code = main(["simulate", "--a", "1", "--out", str(tmp_path)])
-    assert code == 0
-    capsys.readouterr()
-    csvs = list(tmp_path.glob("trajectory_*.csv"))
-    assert len(csvs) == 1
-    lines = csvs[0].read_text().splitlines()
-    assert lines[0] == "r,psi,beta,R,theta,E"
-    assert len(lines) == 3
-    start = lines[1].split(",")
-    end = lines[2].split(",")
-    assert float(start[1]) == 1.0 and float(end[1]) == 1.0
-    assert float(start[2]) == 0.0 and float(end[2]) == 0.0
-    events = list(tmp_path.glob("events_*.json"))
-    assert len(events) == 1
-    payload = json.loads(events[0].read_text())
-    # 2 since shoot's bisection_evaluations became classification_shots
-    assert payload["schema_version"] == 2
+    # a = u0 = 1 is integrated like any start: the stepper keeps the exact
+    # equilibrium on all 121 rows of every family.  The cubic Hermite of a
+    # constant rounds the sampled radius 1 ulp low
+    for name in ("constantin", "example", "powerlaw"):
+        out = tmp_path / name
+        code = main(["simulate", "--model", name, "--a", "1",
+                     "--out", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        csvs = list(out.glob("trajectory_*.csv"))
+        assert len(csvs) == 1
+        lines = csvs[0].read_text().splitlines()
+        assert lines[0] == "r,psi,beta,R,theta,E"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert len(rows) == 121
+        assert rows[0][0] == 0.0 and rows[-1][0] == 100.0
+        assert all(row[1:5] == [1.0, 0.0, 1.0, 0.0] for row in rows)
+        assert len({row[5] for row in rows}) == 1
+        events = list(out.glob("events_*.json"))
+        assert len(events) == 1
+        payload = json.loads(events[0].read_text())
+        # 2 since shoot's bisection_evaluations became classification_shots
+        assert payload["schema_version"] == 2
+        assert payload["samples"] == 121
+        assert payload["termination"] == "reached_rmax"
+        assert payload["min_radius"] == 0.9999999999999999
+        assert payload["min_radius_r"] == 0.001171875
 
 
 def test_simulate_amplitude_below_one(tmp_path, capsys):
@@ -104,6 +114,8 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
     ["check", "--model", "example", "--alpha", "0.3"],
     ["check", "--model", "constantin", "--c2", "0.5", "--alpha", "7"],
     ["simulate", "--model", "powerlaw", "--c2", "0.02"],
+    ["shoot", "--a", "5:2"], ["shoot", "--a", "2:2"],
+    ["shoot", "--a", "0.5:3"],
 ])
 def test_bad_start_or_range_rejected(tmp_path, capsys, argv):
     out = tmp_path / "out"

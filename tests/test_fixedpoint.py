@@ -430,3 +430,25 @@ def test_equilibrium_dichotomy(constantin):
     assert cert.contraction_factor <= cert.zeta
     assert cert.backward_psi_dev <= cert.tolerance
     assert cert.forward_beta_dev <= cert.tolerance
+
+
+def _with_L(model, L):
+    return replace(model, ledger=replace(model.ledger, L=L))
+
+
+def test_contraction_constants_use_the_ledger_L(constantin):
+    # a ledger L above 2.5 gets its own constants, not those of L = 2.5
+    # (zeta 0.887)
+    wide = _with_L(constantin, 2.55)
+    banach_solve(wide, 6.0, 2.0, 0.1)
+    assert equilibrium_dichotomy_certificate(wide).zeta == 0.9127539173383304
+
+
+def test_contraction_constants_refuse_a_steep_ledger_L(constantin):
+    # no lambda in (0, 3) has rate_transform(lambda) = L once L reaches
+    # rate_transform(3) = 2.616
+    steep = _with_L(constantin, 2.7)
+    with pytest.raises(InfeasibleConstantsError):
+        banach_solve(steep, 6.0, 2.0, 0.1)
+    with pytest.raises(InfeasibleConstantsError):
+        equilibrium_dichotomy_certificate(steep)

@@ -537,7 +537,7 @@ def test_window_bails_out_below_the_floor(constantin, run10, monkeypatch):
     F, window, opened = constantin.F, integrator._window, []
 
     def counted(*args):
-        opened.append(args[2])
+        opened.append(args[2][-1][0])  # the window's start r
         return window(*args)
 
     monkeypatch.setattr(integrator, "_window", counted)
@@ -619,6 +619,37 @@ def test_inlined_helpers_match_references(models, name, stop):
     assert traj.termination is (Termination.EVENT if stop
                                 else Termination.REACHED_RMAX)
     assert checked[0] > 0
+
+
+def test_phase_cap_halves_steps(constantin):
+    # at tolerances of 0.5 the a = 10 orbit asks for steps that would turn
+    # the phase by 0.9 pi or more; each is halved, so no stored step turns
+    # it that far, and theta stays on atan2's branch up to whole turns
+    [at_halve] = _core_lines("h *= 0.5")
+    halved = [0]
+
+    def local_trace(frame, event, arg):
+        if event == "line" and frame.f_lineno == at_halve:
+            halved[0] += 1
+        return local_trace
+
+    def trace(frame, event, arg):
+        if frame.f_code is integrator._integrate_core.__code__:
+            return local_trace
+        return None
+
+    sys.settrace(trace)
+    try:
+        traj = integrate(constantin, 10.0, IntegrationConfig(
+            r_max=5000.0, rel_tol=0.5, abs_tol=0.5))
+    finally:
+        sys.settrace(None)
+    assert traj.termination is Termination.REACHED_RMAX
+    assert halved[0] > 0
+    assert float(np.max(np.abs(np.diff(traj.theta)))) < 0.9 * math.pi
+    turns = traj.theta - np.arctan2(traj.beta, traj.psi)
+    two_pi = 2.0 * math.pi
+    assert np.all(np.abs(turns - two_pi * np.round(turns / two_pi)) < 1e-9)
 
 
 def test_no_per_step_helper_calls(constantin):
