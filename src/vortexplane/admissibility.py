@@ -251,6 +251,8 @@ def check_parameter_bound(model: VorticityModel) -> Optional[CheckRecord]:
 
 def full_report(model: VorticityModel, a_values=(1.0, 10.0, 100.0),
                 seed: int = 0) -> AdmissibilityReport:
+    if len(a_values) == 0:
+        raise ParameterDomainError("full_report needs a ball centre a")
     report = AdmissibilityReport(model_id=model.model_id,
                                  params=dict(model.ledger.params), seed=seed)
     report.checks.append(check_zero(model))

@@ -93,9 +93,9 @@ class RingSpec:
         if self.c < 0.0:
             raise ParameterDomainError(f"c must be nonnegative, got {self.c!r}")
         floor = (1.0 + self.c) ** (1.0 / self.nu) - 1.0
-        if not self.delta > self.epsilon > floor:
+        if not math.inf > self.delta > self.epsilon > floor:
             raise ParameterDomainError(
-                f"need delta > epsilon > (1+c)^(1/nu) - 1 = {floor!r}, "
+                f"need finite delta > epsilon > (1+c)^(1/nu) - 1 = {floor!r}, "
                 f"got epsilon={self.epsilon!r}, delta={self.delta!r}")
 
     @classmethod
@@ -329,6 +329,7 @@ class CrossingBoundsReport:
 def verify_crossing_bounds(traj: Trajectory, seq: CrossingSequence,
                            ring: RingSpec,
                            slack: float = 1e-9) -> CrossingBoundsReport:
+    require_finite(slack=slack)
     eta_hat = ring.rate_eta(seq.r_start)
     if eta_hat <= 0.0:
         raise HypothesisViolationError(

@@ -274,8 +274,9 @@ def rate_transform(lam: float) -> float:
     """phi(lambda) = 44 ln(lambda) / (15 ln(lambda) + 2), increasing on
     (1, infty); its value at 3 caps the Lipschitz bounds this construction
     can absorb."""
-    if lam <= 1.0:
-        raise ParameterDomainError("rate transform needs lambda > 1")
+    if not 1.0 < lam < math.inf:
+        raise ParameterDomainError(
+            f"rate transform needs finite lambda > 1, got {lam!r}")
     ln = math.log(lam)
     return 44.0 * ln / (15.0 * ln + 2.0)
 

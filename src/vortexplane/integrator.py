@@ -34,10 +34,12 @@ _dissipation, each with the same operations in the same order.
 For the square-root families, f(sig t^2) = sig (t^2 - t m(t^2)), so psi(r)
 carries a (r - r_c)^(5/2) term at each crossing r_c of psi = 0, where no
 r-step is smooth.  A forward sweep hands each crossing with |psi| < 1/4 to a
-crossing window (_window), which steps t = sqrt|psi|, where the orbit is
-analytic; it starts from and appends to the core's rows and dissipation,
-and the core goes on from the last row.  An entry floor on E keeps E > 0
-through a window, so the zero-energy stop stays on the plain path.
+crossing window (_window), which steps r and beta in t = sqrt|psi|, where
+the orbit is analytic, as two real components with its stages inlined and
+no Python call but f, F and _dense; it starts from and appends to the core's
+rows and dissipation, and the core goes on from the last row.  An entry
+floor on E keeps E > 0 through a window, so the zero-energy stop stays on
+the plain path.
 """
 
 from __future__ import annotations
@@ -286,8 +288,8 @@ def _step_minimum(seg: Tuple[float, ...],
 
 def _dense(hs, y, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15,
            k16):
-    """(d0, ..., d6) of the pair's dense output on a step from y to y1, for
-    floats or the window's complex states (see the tableau)."""
+    """(d0, ..., d6) of the pair's dense output on a step from y to y1 in
+    one real component (see the tableau)."""
     d0 = y1 - y
     return (d0, hs * k1 - d0, d0 + d0 - hs * (k13 + k1),
             hs * (_D3_1 * k1 + _D3_6 * k6 + _D3_7 * k7 + _D3_8 * k8
@@ -497,25 +499,24 @@ def _row(model: VorticityModel, r: float, psi: float, beta: float,
 def _window(f, F, rows, diss, h, rtol, atol, r_target):
     """Cross psi = 0 in t = sqrt|psi| from rows[-1], an accepted step's end.
 
-    z = r + i beta (one complex state) runs in t, psi = sig t^2, by the same
-    pair: t falls to 0, where the crossing is stored with psi = 0, then rises
-    (sig flipped) to _WINDOW_T.  Each t-step appends its row to rows and int
-    2 sig t beta/r dt, 5-point Gauss on the dense z, to diss; a step past
-    r_target, below 1e-14, or to E or beta^2/2 <= _E_FLOOR is not taken.
-    rtol and atol are the core's scaled tolerances.  Returns the next r-step
-    and the attempts; the state to go on from is rows[-1]."""
+    The same pair steps r and beta in t, psi = sig t^2, as two real
+    components: kNr = 2 sig t / beta and kNb = (-beta/r - f(psi)) kNr at
+    stage N, each operation in the order of the complex z = r + i beta the
+    pinned digests were made with (stage 2 is (hs * _A2_1) * k1b).  t falls
+    to 0, where the crossing is stored with psi = 0, then rises (sig
+    flipped) to _WINDOW_T.  Each t-step appends its row to rows and int 2
+    sig t beta/r dt, 5-point Gauss on the dense r and beta, to diss; a step
+    past r_target, below 1e-14, or to E or beta^2/2 <= _E_FLOOR is not
+    taken.  rtol and atol are the core's scaled tolerances.  Returns the
+    next r-step and the attempts; the state to go on from is rows[-1]."""
     r, psi, beta, _, theta, _ = rows[-1]
     append_row, append_diss = rows.append, diss.append
     sig = 1.0 if psi > 0.0 else -1.0
     t, hdir, t_end, attempts = math.sqrt(sig * psi), -1.0, 0.0, 0
-    ab, z = abs(beta), complex(r, beta)
+    ab, rejected = abs(beta), False
     ht = h * ab / (t + t)  # dr = 2t dt / |beta|
-
-    def rhs(tt, zz):  # dz/dt = dr/dt (1 + i dbeta/dr)
-        kr = 2.0 * sig * tt / zz.imag
-        return complex(kr, (-zz.imag / zz.real - f(sig * tt * tt)) * kr)
-
-    k1, rejected = rhs(t, z), False
+    k1r = 2.0 * sig * t / beta
+    k1b = (-beta / r - f(sig * t * t)) * k1r
     while True:
         if ht > _WINDOW_DT:
             ht = _WINDOW_DT
@@ -528,45 +529,88 @@ def _window(f, F, rows, diss, h, rtol, atol, r_target):
             break
         hs = hdir * ht
         attempts += 1
-        k2 = rhs(t + _C2 * hs, z + hs * _A2_1 * k1)
-        k3 = rhs(t + _C3 * hs, z + hs * (_A3_1 * k1 + _A3_2 * k2))
-        k4 = rhs(t + _C4 * hs, z + hs * (_A4_1 * k1 + _A4_3 * k3))
-        k5 = rhs(t + _C5 * hs, z + hs * (_A5_1 * k1 + _A5_3 * k3
-                                         + _A5_4 * k4))
-        k6 = rhs(t + _C6 * hs, z + hs * (_A6_1 * k1 + _A6_4 * k4
-                                         + _A6_5 * k5))
-        k7 = rhs(t + _C7 * hs, z + hs * (_A7_1 * k1 + _A7_4 * k4
-                                         + _A7_5 * k5 + _A7_6 * k6))
-        k8 = rhs(t + _C8 * hs, z + hs * (_A8_1 * k1 + _A8_4 * k4
-                                         + _A8_5 * k5 + _A8_6 * k6
-                                         + _A8_7 * k7))
-        k9 = rhs(t + _C9 * hs, z + hs * (_A9_1 * k1 + _A9_4 * k4
-                                         + _A9_5 * k5 + _A9_6 * k6
-                                         + _A9_7 * k7 + _A9_8 * k8))
-        k10 = rhs(t + _C10 * hs, z + hs * (_A10_1 * k1 + _A10_4 * k4
-                                           + _A10_5 * k5 + _A10_6 * k6
-                                           + _A10_7 * k7 + _A10_8 * k8
-                                           + _A10_9 * k9))
-        k11 = rhs(t + _C11 * hs, z + hs * (_A11_1 * k1 + _A11_4 * k4
-                                           + _A11_5 * k5 + _A11_6 * k6
-                                           + _A11_7 * k7 + _A11_8 * k8
-                                           + _A11_9 * k9 + _A11_10 * k10))
+        zr = r + hs * _A2_1 * k1r
+        zb = beta + hs * _A2_1 * k1b
+        k2r = 2.0 * sig * (tt := t + _C2 * hs) / zb
+        k2b = (-zb / zr - f(sig * tt * tt)) * k2r
+        zr = r + hs * (_A3_1 * k1r + _A3_2 * k2r)
+        zb = beta + hs * (_A3_1 * k1b + _A3_2 * k2b)
+        k3r = 2.0 * sig * (tt := t + _C3 * hs) / zb
+        k3b = (-zb / zr - f(sig * tt * tt)) * k3r
+        zr = r + hs * (_A4_1 * k1r + _A4_3 * k3r)
+        zb = beta + hs * (_A4_1 * k1b + _A4_3 * k3b)
+        k4r = 2.0 * sig * (tt := t + _C4 * hs) / zb
+        k4b = (-zb / zr - f(sig * tt * tt)) * k4r
+        zr = r + hs * (_A5_1 * k1r + _A5_3 * k3r + _A5_4 * k4r)
+        zb = beta + hs * (_A5_1 * k1b + _A5_3 * k3b + _A5_4 * k4b)
+        k5r = 2.0 * sig * (tt := t + _C5 * hs) / zb
+        k5b = (-zb / zr - f(sig * tt * tt)) * k5r
+        zr = r + hs * (_A6_1 * k1r + _A6_4 * k4r + _A6_5 * k5r)
+        zb = beta + hs * (_A6_1 * k1b + _A6_4 * k4b + _A6_5 * k5b)
+        k6r = 2.0 * sig * (tt := t + _C6 * hs) / zb
+        k6b = (-zb / zr - f(sig * tt * tt)) * k6r
+        zr = r + hs * (_A7_1 * k1r + _A7_4 * k4r + _A7_5 * k5r + _A7_6 * k6r)
+        zb = beta + hs * (_A7_1 * k1b + _A7_4 * k4b + _A7_5 * k5b
+                          + _A7_6 * k6b)
+        k7r = 2.0 * sig * (tt := t + _C7 * hs) / zb
+        k7b = (-zb / zr - f(sig * tt * tt)) * k7r
+        zr = r + hs * (_A8_1 * k1r + _A8_4 * k4r + _A8_5 * k5r + _A8_6 * k6r
+                       + _A8_7 * k7r)
+        zb = beta + hs * (_A8_1 * k1b + _A8_4 * k4b + _A8_5 * k5b + _A8_6 * k6b
+                          + _A8_7 * k7b)
+        k8r = 2.0 * sig * (tt := t + _C8 * hs) / zb
+        k8b = (-zb / zr - f(sig * tt * tt)) * k8r
+        zr = r + hs * (_A9_1 * k1r + _A9_4 * k4r + _A9_5 * k5r + _A9_6 * k6r
+                       + _A9_7 * k7r + _A9_8 * k8r)
+        zb = beta + hs * (_A9_1 * k1b + _A9_4 * k4b + _A9_5 * k5b + _A9_6 * k6b
+                          + _A9_7 * k7b + _A9_8 * k8b)
+        k9r = 2.0 * sig * (tt := t + _C9 * hs) / zb
+        k9b = (-zb / zr - f(sig * tt * tt)) * k9r
+        zr = r + hs * (_A10_1 * k1r + _A10_4 * k4r + _A10_5 * k5r
+                       + _A10_6 * k6r + _A10_7 * k7r + _A10_8 * k8r
+                       + _A10_9 * k9r)
+        zb = beta + hs * (_A10_1 * k1b + _A10_4 * k4b + _A10_5 * k5b
+                          + _A10_6 * k6b + _A10_7 * k7b + _A10_8 * k8b
+                          + _A10_9 * k9b)
+        k10r = 2.0 * sig * (tt := t + _C10 * hs) / zb
+        k10b = (-zb / zr - f(sig * tt * tt)) * k10r
+        zr = r + hs * (_A11_1 * k1r + _A11_4 * k4r + _A11_5 * k5r
+                       + _A11_6 * k6r + _A11_7 * k7r + _A11_8 * k8r
+                       + _A11_9 * k9r + _A11_10 * k10r)
+        zb = beta + hs * (_A11_1 * k1b + _A11_4 * k4b + _A11_5 * k5b
+                          + _A11_6 * k6b + _A11_7 * k7b + _A11_8 * k8b
+                          + _A11_9 * k9b + _A11_10 * k10b)
+        k11r = 2.0 * sig * (tt := t + _C11 * hs) / zb
+        k11b = (-zb / zr - f(sig * tt * tt)) * k11r
         t1 = t_end if last else t + hs
-        k12 = rhs(t1, z + hs * (_A12_1 * k1 + _A12_4 * k4 + _A12_5 * k5
-                                + _A12_6 * k6 + _A12_7 * k7 + _A12_8 * k8
-                                + _A12_9 * k9 + _A12_10 * k10
-                                + _A12_11 * k11))
-        z1 = z + hs * (_B1 * k1 + _B6 * k6 + _B7 * k7 + _B8 * k8 + _B9 * k9
-                       + _B10 * k10 + _B11 * k11 + _B12 * k12)
-        e5 = (_E5_1 * k1 + _E5_6 * k6 + _E5_7 * k7 + _E5_8 * k8 + _E5_9 * k9
-              + _E5_10 * k10 + _E5_11 * k11 + _E5_12 * k12)
-        e3 = (_E3_1 * k1 + _E3_6 * k6 + _E3_7 * k7 + _E3_8 * k8 + _E3_9 * k9
-              + _E3_10 * k10 + _E3_11 * k11 + _E3_12 * k12)
-        r1, beta1, ab1 = z1.real, z1.imag, abs(z1.imag)
+        zr = r + hs * (_A12_1 * k1r + _A12_4 * k4r + _A12_5 * k5r
+                       + _A12_6 * k6r + _A12_7 * k7r + _A12_8 * k8r
+                       + _A12_9 * k9r + _A12_10 * k10r + _A12_11 * k11r)
+        zb = beta + hs * (_A12_1 * k1b + _A12_4 * k4b + _A12_5 * k5b
+                          + _A12_6 * k6b + _A12_7 * k7b + _A12_8 * k8b
+                          + _A12_9 * k9b + _A12_10 * k10b + _A12_11 * k11b)
+        k12r = 2.0 * sig * t1 / zb
+        k12b = (-zb / zr - f(sig * t1 * t1)) * k12r
+        r1 = r + hs * (_B1 * k1r + _B6 * k6r + _B7 * k7r + _B8 * k8r
+                       + _B9 * k9r + _B10 * k10r + _B11 * k11r + _B12 * k12r)
+        beta1 = beta + hs * (_B1 * k1b + _B6 * k6b + _B7 * k7b + _B8 * k8b
+                             + _B9 * k9b + _B10 * k10b + _B11 * k11b
+                             + _B12 * k12b)
+        ab1 = abs(beta1)
         sc_r = atol + rtol * r1
         sc_b = atol + rtol * (ab1 if ab1 > ab else ab)
-        x5 = (e5.real / sc_r) ** 2 + (e5.imag / sc_b) ** 2
-        x3 = (e3.real / sc_r) ** 2 + (e3.imag / sc_b) ** 2
+        x5 = ((_E5_1 * k1r + _E5_6 * k6r + _E5_7 * k7r + _E5_8 * k8r
+               + _E5_9 * k9r + _E5_10 * k10r + _E5_11 * k11r
+               + _E5_12 * k12r) / sc_r) ** 2 + (
+            (_E5_1 * k1b + _E5_6 * k6b + _E5_7 * k7b + _E5_8 * k8b
+             + _E5_9 * k9b + _E5_10 * k10b + _E5_11 * k11b
+             + _E5_12 * k12b) / sc_b) ** 2
+        x3 = ((_E3_1 * k1r + _E3_6 * k6r + _E3_7 * k7r + _E3_8 * k8r
+               + _E3_9 * k9r + _E3_10 * k10r + _E3_11 * k11r
+               + _E3_12 * k12r) / sc_r) ** 2 + (
+            (_E3_1 * k1b + _E3_6 * k6b + _E3_7 * k7b + _E3_8 * k8b
+             + _E3_9 * k9b + _E3_10 * k10b + _E3_11 * k11b
+             + _E3_12 * k12b) / sc_b) ** 2
         err = ht * x5 / math.sqrt(2.0 * (x5 + 0.01 * x3)) if x5 else 0.0
         if err > 1.0:
             fac = _SAFETY * err ** -0.125
@@ -580,28 +624,47 @@ def _window(f, F, rows, diss, h, rtol, atol, r_target):
         theta1 = math.atan2(beta1, psi1)
         theta1 += TWO_PI * round((theta - theta1) / TWO_PI)
         append_row((r1, psi1, beta1, math.hypot(psi1, beta1), theta1, e1))
-        k13 = rhs(t1, z1)
-        k14 = rhs(t + _C14 * hs, z + hs * (_A14_1 * k1 + _A14_7 * k7
-                                           + _A14_8 * k8 + _A14_9 * k9
-                                           + _A14_10 * k10 + _A14_11 * k11
-                                           + _A14_12 * k12 + _A14_13 * k13))
-        k15 = rhs(t + _C15 * hs, z + hs * (_A15_1 * k1 + _A15_6 * k6
-                                           + _A15_7 * k7 + _A15_8 * k8
-                                           + _A15_11 * k11 + _A15_12 * k12
-                                           + _A15_13 * k13 + _A15_14 * k14))
-        k16 = rhs(t + _C16 * hs, z + hs * (_A16_1 * k1 + _A16_6 * k6
-                                           + _A16_7 * k7 + _A16_8 * k8
-                                           + _A16_9 * k9 + _A16_13 * k13
-                                           + _A16_14 * k14 + _A16_15 * k15))
-        d0, d1, d2, d3, d4, d5, d6 = _dense(hs, z, z1, k1, k6, k7, k8, k9,
-                                            k10, k11, k12, k13, k14, k15, k16)
+        k13r = 2.0 * sig * t1 / beta1
+        k13b = (-beta1 / r1 - f(psi1)) * k13r
+        zr = r + hs * (_A14_1 * k1r + _A14_7 * k7r + _A14_8 * k8r
+                       + _A14_9 * k9r + _A14_10 * k10r + _A14_11 * k11r
+                       + _A14_12 * k12r + _A14_13 * k13r)
+        zb = beta + hs * (_A14_1 * k1b + _A14_7 * k7b + _A14_8 * k8b
+                          + _A14_9 * k9b + _A14_10 * k10b + _A14_11 * k11b
+                          + _A14_12 * k12b + _A14_13 * k13b)
+        k14r = 2.0 * sig * (tt := t + _C14 * hs) / zb
+        k14b = (-zb / zr - f(sig * tt * tt)) * k14r
+        zr = r + hs * (_A15_1 * k1r + _A15_6 * k6r + _A15_7 * k7r
+                       + _A15_8 * k8r + _A15_11 * k11r + _A15_12 * k12r
+                       + _A15_13 * k13r + _A15_14 * k14r)
+        zb = beta + hs * (_A15_1 * k1b + _A15_6 * k6b + _A15_7 * k7b
+                          + _A15_8 * k8b + _A15_11 * k11b + _A15_12 * k12b
+                          + _A15_13 * k13b + _A15_14 * k14b)
+        k15r = 2.0 * sig * (tt := t + _C15 * hs) / zb
+        k15b = (-zb / zr - f(sig * tt * tt)) * k15r
+        zr = r + hs * (_A16_1 * k1r + _A16_6 * k6r + _A16_7 * k7r
+                       + _A16_8 * k8r + _A16_9 * k9r + _A16_13 * k13r
+                       + _A16_14 * k14r + _A16_15 * k15r)
+        zb = beta + hs * (_A16_1 * k1b + _A16_6 * k6b + _A16_7 * k7b
+                          + _A16_8 * k8b + _A16_9 * k9b + _A16_13 * k13b
+                          + _A16_14 * k14b + _A16_15 * k15b)
+        k16r = 2.0 * sig * (tt := t + _C16 * hs) / zb
+        k16b = (-zb / zr - f(sig * tt * tt)) * k16r
+        p0, p1, p2, p3, p4, p5, p6 = _dense(hs, r, r1, k1r, k6r, k7r, k8r,
+                                            k9r, k10r, k11r, k12r, k13r,
+                                            k14r, k15r, k16r)
+        d0, d1, d2, d3, d4, d5, d6 = _dense(hs, beta, beta1, k1b, k6b, k7b,
+                                            k8b, k9b, k10b, k11b, k12b,
+                                            k13b, k14b, k15b, k16b)
         acc = 0.0
         for s, u, wg in zip(_GAUSS_S, _GAUSS_U, _GAUSS_W):
-            zg = z + s * (d0 + u * (d1 + s * (d2 + u * (d3 + s * (
-                d4 + u * (d5 + s * d6))))))
-            acc += wg * (t + s * hs) * zg.imag / zg.real
+            acc += wg * (t + s * hs) * (beta + s * (d0 + u * (d1 + s * (
+                d2 + u * (d3 + s * (d4 + u * (d5 + s * d6))))))) / (
+                r + s * (p0 + u * (p1 + s * (p2 + u * (p3 + s * (
+                    p4 + u * (p5 + s * p6)))))))
         append_diss(2.0 * sig * hs * acc)
-        z, theta, t, ab, k1 = z1, theta1, t1, ab1, k13
+        r, beta, theta, t, ab = r1, beta1, theta1, t1, ab1
+        k1r, k1b = k13r, k13b
         fac = _SAFETY * err ** -0.125 if err > 1e-10 else 3.0
         if rejected and fac > 1.0:
             fac = 1.0

@@ -19,6 +19,12 @@ def test_full_report_passes_everywhere(constantin, example, powerlaw):
         assert failed == []
 
 
+def test_full_report_refuses_no_ball(constantin):
+    # with no centre a the report would be overall True on no ball check
+    with pytest.raises(ParameterDomainError):
+        full_report(constantin, a_values=())
+
+
 def test_report_check_inventory(constantin, example, powerlaw):
     # the modulated family carries one extra record for its parameter window
     assert len(full_report(constantin).checks) == 14

@@ -34,6 +34,11 @@ def test_ring_spec_floor(constantin, example):
         RingSpec(epsilon=0.05, delta=0.1, c=0.0, nu=1.5)
 
 
+def test_ring_spec_refuses_infinite_delta(constantin):
+    with pytest.raises(ParameterDomainError):
+        RingSpec.for_model(constantin, 0.05, math.inf)
+
+
 def test_ring_rate_eta():
     ring = RingSpec(epsilon=0.05, delta=0.1, c=0.0, nu=0.5)
     r_minus = 40.0
@@ -47,6 +52,16 @@ def test_ring_rate_eta_rejects_bad_radius(r_minus):
     ring = RingSpec(epsilon=0.05, delta=0.1, c=0.0, nu=0.5)
     with pytest.raises(ParameterDomainError):
         ring.rate_eta(r_minus)
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf])
+def test_crossing_bounds_refuse_non_finite_slack(constantin, run10, slack):
+    # a nan slack fails every bound and an infinite one passes every bound
+    seq = crossing_sequence(run10, r_start=20.0, r_end=50.0)
+    with pytest.raises(ParameterDomainError):
+        verify_crossing_bounds(run10, seq,
+                               RingSpec.for_model(constantin, 0.05, 0.1),
+                               slack=slack)
 
 
 def test_crossing_bounds_refuse_window_from_origin(constantin, run10):

@@ -28,6 +28,13 @@ def test_rate_transform_at_three():
         rate_transform(1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_rate_transform_refuses_non_finite(lam):
+    # log(inf) / (15 log(inf) + 2) and a nan lambda both give nan
+    with pytest.raises(ParameterDomainError):
+        rate_transform(lam)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=1.001, max_value=2.99),
        st.floats(min_value=1e-4, max_value=0.01))

@@ -696,6 +696,39 @@ def test_no_per_step_helper_calls(constantin):
     assert busy == {"f", "F"}
 
 
+def test_window_calls_no_helper_per_stage(constantin, monkeypatch):
+    # a setprofile guard over the a = 10 run: a crossing window steps r and
+    # beta as two real components with its stages inlined, so the only
+    # Python functions it calls more than once per window are f, F and
+    # _dense, which runs once for r and once for beta per accepted t-step;
+    # and no nested function (an rhs closure) is compiled into it
+    window, rows_added, from_window = integrator._window, [], {}
+    code = window.__code__
+
+    def counted(*args):
+        n = len(args[2])
+        out = window(*args)
+        rows_added.append(len(args[2]) - n)
+        return out
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back.f_code is code:
+            name = frame.f_code.co_name
+            from_window[name] = from_window.get(name, 0) + 1
+
+    monkeypatch.setattr(integrator, "_window", counted)
+    sys.setprofile(profile)
+    try:
+        integrate(constantin, 10.0, IntegrationConfig(r_max=100.0))
+    finally:
+        sys.setprofile(None)
+    assert len(rows_added) >= 5 and sum(rows_added) > 10 * len(rows_added)
+    busy = {name for name, n in from_window.items() if n > len(rows_added)}
+    assert busy == {"f", "F", "_dense"}
+    assert from_window["_dense"] == 2 * sum(rows_added)
+    assert not any(inspect.iscode(c) for c in code.co_consts)
+
+
 # ------------------------------------------------------------ shot sweep
 
 @pytest.fixture(scope="module")
