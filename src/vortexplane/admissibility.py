@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ParameterDomainError
+from .fixedpoint import _PHI_AT_3
 from .sequences import kronecker, sample_interval, sample_loglin
 from .vorticity import (C2_UPPER_BOUND, VorticityModel, find_positive_zero,
                         potential_grid)
@@ -103,8 +104,9 @@ def check_ball(model: VorticityModel, a: float, seed: int = 0
     sample of [(1-eta/4)a, (1+eta/4)a].
 
     Growth: eta lies in (3, 7/2] and |f| <= eta a.  Lipschitz: adjacent-pair
-    slopes stay within the ledger's constant L, which itself sits at or
-    below the 5/2 ceiling.  A centre that is not finite and > 0 makes the
+    slopes stay within the ledger's constant L, which itself lies below
+    rate_transform(3) ~ 2.616, the ceiling select_contraction_constants
+    takes L up to.  A centre that is not finite and > 0 makes the
     interval empty or reversed and is refused.
     """
     if not (math.isfinite(a) and a > 0.0):
@@ -134,9 +136,9 @@ def check_ball(model: VorticityModel, a: float, seed: int = 0
     worst = float(np.max(np.abs(np.diff(fv)[keep] / dx[keep])))
     lipschitz = CheckRecord(
         name=f"lipschitz_a_{a:g}",
-        passed=bool(worst <= L * (1.0 + tol) and L <= 2.5),
+        passed=bool(worst <= L * (1.0 + tol) and L < _PHI_AT_3),
         tolerance=tol,
-        witnesses={"max_slope": worst, "L": L, "ceiling": 2.5,
+        witnesses={"max_slope": worst, "L": L, "ceiling": _PHI_AT_3,
                    "interval": [lo, hi]})
     return growth, lipschitz
 

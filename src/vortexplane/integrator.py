@@ -3,13 +3,14 @@
 The stepper is DOP853, the 8th-order Dormand-Prince pair of Hairer, Norsett
 & Wanner (Solving ODEs I, 2nd ed., II.10): 12 stages with FSAL, Hairer's
 error norm, which blends the pair's 5th- and 3rd-order estimates, and
-I-control of the step.  Each accepted step has two dense representations:
-the pair's 7th-order dense output, which costs 3 more stages and which the
-5-point Gauss rule of the dissipation density beta^2/r reads, and the cubic
-Hermite of the stored endpoints, of E for the zero-energy stop and of psi
-and beta for the cut row, the closest approach and all sampling after the
-run, so results never depend on which steps the controller happened to
-take beyond their endpoints.  An orbit stores one row per accepted step.
+I-control of the step.  A step's dissipation int beta^2/r dr is a
+component D' = beta^2/r of the same step: the pair's weights b_j on
+beta_j^2/r_j at the stages it has already formed (II.1), at no f call.
+Between its endpoints a step is read only through the cubic Hermite of
+the stored endpoints, of E for the zero-energy stop and of psi and beta
+for the cut row, the closest approach and all sampling after the run, so
+results never depend on which steps the controller happened to take
+beyond their endpoints.  An orbit stores one row per accepted step.
 
 The left endpoint r = 0 is singular, so integrate() opens with a short
 Picard series head on [0, r_handoff] computed by the fixed-point solver
@@ -28,16 +29,17 @@ beta Hermites' error (up to 3.7e-5, of either sign, over 123 shots at
 rel_tol 1e-9).  It forms every row that is not an accepted step's end
 with _row, and returns the Trajectory, reversed into ascending r for a
 backward sweep.  An accepted step calls no Python function but f and F, or
-hands over to a crossing window: the core inlines _dense and the full-step
-_dissipation, each with the same operations in the same order.
+hands over to a crossing window.  Only the cut step of a stopped run forms
+the pair's 3 dense-output stages, for _dense, whose beta _dissipation
+integrates over the share of the step before the cut.
 
 For the square-root families, f(sig t^2) = sig (t^2 - t m(t^2)), so psi(r)
 carries a (r - r_c)^(5/2) term at each crossing r_c of psi = 0, where no
 r-step is smooth.  A forward sweep hands each crossing with |psi| < 1/4 to a
 crossing window (_window), which steps r and beta in t = sqrt|psi|, where
 the orbit is analytic, as two real components with its stages inlined and
-no Python call but f, F and _dense; it starts from and appends to the core's
-rows and dissipation, and the core goes on from the last row.  An entry
+no Python call but f and F; it starts from and appends to the core's rows
+and dissipation, and the core goes on from the last row.  An entry
 floor on E keeps E > 0 through a window, so the zero-energy stop stays on
 the plain path.
 """
@@ -53,8 +55,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fixedpoint import (beta_from_psi, check_start_value, picard_solve,
-                         require_finite)
+from .fixedpoint import (_check_count, beta_from_psi, check_start_value,
+                         picard_solve, require_finite)
 from .phaseplane import TWO_PI
 from .quadrature import cumtrapz
 from .search import bisect_root, golden_min
@@ -63,7 +65,8 @@ from .vorticity import SQRT_FAMILY_NEG_F, VorticityModel, arrival_law
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.10), with
 # stages numbered from 1: k_i = f(r + c_i h, y + h sum_j a_ij k_j).  Stages
 # 1-12 make the 8th-order step y1 = y + h sum_j b_j k_j (c_12 = 1); k13 =
-# f(r + h, y1) starts the next step; 14-16 serve the 7th-order dense output.
+# f(r + h, y1) starts the next step; 14-16 serve the 7th-order dense output,
+# which only the cut step of a zero-energy stop reads.
 # Only the nonzero a_ij, b_j and error and dense weights are named.
 _C2, _C3, _C4, _C5, _C6, _C7 = (
     0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
@@ -153,15 +156,11 @@ _A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15 = (
     104.0996495089623, 29.8402934266605, -43.53345659001114,
     96.32455395918828, -39.17726167561544, -149.72683625798564)
 
-# 5-point Gauss-Legendre on [0, 1], with u = 1 - s at each point
+# 5-point Gauss-Legendre on [0, 1], for the cut step of a zero-energy stop
 _GAUSS_S = (0.046910077030668004, 0.23076534494715845, 0.5,
             0.7692346550528415, 0.953089922969332)
 _GAUSS_W = (0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
             0.23931433524968324, 0.11846344252809454)
-_GAUSS_U = tuple(1.0 - s for s in _GAUSS_S)
-_GS0, _GS1, _GS2, _GS3, _GS4 = _GAUSS_S
-_GW0, _GW1, _GW2, _GW3, _GW4 = _GAUSS_W
-_GU0, _GU1, _GU2, _GU3, _GU4 = _GAUSS_U
 
 # step control: the error norm is Hairer's, against _TOL_SCALE times the
 # requested rel_tol and abs_tol; a step's factor is _SAFETY err^(-1/8), at
@@ -174,7 +173,9 @@ _TOL_SCALE, _SAFETY, _EXIT_STEP = 0.77, 0.8, 0.6
 # the rows are sampled after the run on their cubic Hermite, which must
 # resolve the damping beta/r near the centre and psi's (r - r_c)^(5/2) term
 # at a crossing: an r-step is at most _R_STEP r, a window's t-step at most
-# _WINDOW_DT
+# _WINDOW_DT.  The dissipation reads no Hermite.  _R_STEP binds mostly on
+# short shots (the a* of a shooting fit is off by 2.2e-10 without it, by
+# 3.0e-11 with it); _WINDOW_DT holds about a tenth of the rows of long orbits
 _R_STEP, _WINDOW_DT = 0.08, 0.1
 
 # Picard head grid size and sweep tolerance
@@ -212,9 +213,8 @@ class IntegrationConfig:
         if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
             raise ParameterDomainError(
                 f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
-        if self.max_steps < 1:
-            raise ParameterDomainError(
-                f"max_steps must be >= 1, got {self.max_steps!r}")
+        # nsteps >= nan never holds: a float budget could be unlimited
+        _check_count("max_steps", self.max_steps, 1)
 
 
 def _hermite(y0: float, y1: float, d0: float, d1: float, h: float,
@@ -329,9 +329,9 @@ def _dissipation(r: float, hs: float, beta: float,
 class Trajectory:
     """Accepted-step samples of one orbit, ascending in r.
 
-    dissipation[i] holds int beta^2/r dr over [r[i], r[i+1]], evaluated
-    from the stepper's own dense output, so cumulative sums reproduce the
-    energy drop to integration accuracy.
+    dissipation[i] holds int beta^2/r dr over [r[i], r[i+1]], integrated
+    by the stepper as one more component of the step (E' = -beta^2/r), so
+    cumulative sums reproduce the energy drop to integration accuracy.
     """
     model: VorticityModel
     r: np.ndarray
@@ -505,7 +505,7 @@ def _window(f, F, rows, diss, h, rtol, atol, r_target):
     pinned digests were made with (stage 2 is (hs * _A2_1) * k1b).  t falls
     to 0, where the crossing is stored with psi = 0, then rises (sig
     flipped) to _WINDOW_T.  Each t-step appends its row to rows and int 2
-    sig t beta/r dt, 5-point Gauss on the dense r and beta, to diss; a step
+    sig t beta/r dt, the pair's weights on its stages, to diss; a step
     past r_target, below 1e-14, or to E or beta^2/2 <= _E_FLOOR is not
     taken.  rtol and atol are the core's scaled tolerances.  Returns the
     next r-step and the attempts; the state to go on from is rows[-1]."""
@@ -547,41 +547,47 @@ def _window(f, F, rows, diss, h, rtol, atol, r_target):
         k5b = (-zb / zr - f(sig * tt * tt)) * k5r
         zr = r + hs * (_A6_1 * k1r + _A6_4 * k4r + _A6_5 * k5r)
         zb = beta + hs * (_A6_1 * k1b + _A6_4 * k4b + _A6_5 * k5b)
-        k6r = 2.0 * sig * (tt := t + _C6 * hs) / zb
-        k6b = (-zb / zr - f(sig * tt * tt)) * k6r
+        k6r = 2.0 * sig * (t6 := t + _C6 * hs) / zb
+        q6 = zb / zr
+        k6b = (-q6 - f(sig * t6 * t6)) * k6r
         zr = r + hs * (_A7_1 * k1r + _A7_4 * k4r + _A7_5 * k5r + _A7_6 * k6r)
         zb = beta + hs * (_A7_1 * k1b + _A7_4 * k4b + _A7_5 * k5b
                           + _A7_6 * k6b)
-        k7r = 2.0 * sig * (tt := t + _C7 * hs) / zb
-        k7b = (-zb / zr - f(sig * tt * tt)) * k7r
+        k7r = 2.0 * sig * (t7 := t + _C7 * hs) / zb
+        q7 = zb / zr
+        k7b = (-q7 - f(sig * t7 * t7)) * k7r
         zr = r + hs * (_A8_1 * k1r + _A8_4 * k4r + _A8_5 * k5r + _A8_6 * k6r
                        + _A8_7 * k7r)
         zb = beta + hs * (_A8_1 * k1b + _A8_4 * k4b + _A8_5 * k5b + _A8_6 * k6b
                           + _A8_7 * k7b)
-        k8r = 2.0 * sig * (tt := t + _C8 * hs) / zb
-        k8b = (-zb / zr - f(sig * tt * tt)) * k8r
+        k8r = 2.0 * sig * (t8 := t + _C8 * hs) / zb
+        q8 = zb / zr
+        k8b = (-q8 - f(sig * t8 * t8)) * k8r
         zr = r + hs * (_A9_1 * k1r + _A9_4 * k4r + _A9_5 * k5r + _A9_6 * k6r
                        + _A9_7 * k7r + _A9_8 * k8r)
         zb = beta + hs * (_A9_1 * k1b + _A9_4 * k4b + _A9_5 * k5b + _A9_6 * k6b
                           + _A9_7 * k7b + _A9_8 * k8b)
-        k9r = 2.0 * sig * (tt := t + _C9 * hs) / zb
-        k9b = (-zb / zr - f(sig * tt * tt)) * k9r
+        k9r = 2.0 * sig * (t9 := t + _C9 * hs) / zb
+        q9 = zb / zr
+        k9b = (-q9 - f(sig * t9 * t9)) * k9r
         zr = r + hs * (_A10_1 * k1r + _A10_4 * k4r + _A10_5 * k5r
                        + _A10_6 * k6r + _A10_7 * k7r + _A10_8 * k8r
                        + _A10_9 * k9r)
         zb = beta + hs * (_A10_1 * k1b + _A10_4 * k4b + _A10_5 * k5b
                           + _A10_6 * k6b + _A10_7 * k7b + _A10_8 * k8b
                           + _A10_9 * k9b)
-        k10r = 2.0 * sig * (tt := t + _C10 * hs) / zb
-        k10b = (-zb / zr - f(sig * tt * tt)) * k10r
+        k10r = 2.0 * sig * (t10 := t + _C10 * hs) / zb
+        q10 = zb / zr
+        k10b = (-q10 - f(sig * t10 * t10)) * k10r
         zr = r + hs * (_A11_1 * k1r + _A11_4 * k4r + _A11_5 * k5r
                        + _A11_6 * k6r + _A11_7 * k7r + _A11_8 * k8r
                        + _A11_9 * k9r + _A11_10 * k10r)
         zb = beta + hs * (_A11_1 * k1b + _A11_4 * k4b + _A11_5 * k5b
                           + _A11_6 * k6b + _A11_7 * k7b + _A11_8 * k8b
                           + _A11_9 * k9b + _A11_10 * k10b)
-        k11r = 2.0 * sig * (tt := t + _C11 * hs) / zb
-        k11b = (-zb / zr - f(sig * tt * tt)) * k11r
+        k11r = 2.0 * sig * (t11 := t + _C11 * hs) / zb
+        q11 = zb / zr
+        k11b = (-q11 - f(sig * t11 * t11)) * k11r
         t1 = t_end if last else t + hs
         zr = r + hs * (_A12_1 * k1r + _A12_4 * k4r + _A12_5 * k5r
                        + _A12_6 * k6r + _A12_7 * k7r + _A12_8 * k8r
@@ -590,7 +596,8 @@ def _window(f, F, rows, diss, h, rtol, atol, r_target):
                           + _A12_6 * k6b + _A12_7 * k7b + _A12_8 * k8b
                           + _A12_9 * k9b + _A12_10 * k10b + _A12_11 * k11b)
         k12r = 2.0 * sig * t1 / zb
-        k12b = (-zb / zr - f(sig * t1 * t1)) * k12r
+        q12 = zb / zr
+        k12b = (-q12 - f(sig * t1 * t1)) * k12r
         r1 = r + hs * (_B1 * k1r + _B6 * k6r + _B7 * k7r + _B8 * k8r
                        + _B9 * k9r + _B10 * k10r + _B11 * k11r + _B12 * k12r)
         beta1 = beta + hs * (_B1 * k1b + _B6 * k6b + _B7 * k7b + _B8 * k8b
@@ -626,43 +633,12 @@ def _window(f, F, rows, diss, h, rtol, atol, r_target):
         append_row((r1, psi1, beta1, math.hypot(psi1, beta1), theta1, e1))
         k13r = 2.0 * sig * t1 / beta1
         k13b = (-beta1 / r1 - f(psi1)) * k13r
-        zr = r + hs * (_A14_1 * k1r + _A14_7 * k7r + _A14_8 * k8r
-                       + _A14_9 * k9r + _A14_10 * k10r + _A14_11 * k11r
-                       + _A14_12 * k12r + _A14_13 * k13r)
-        zb = beta + hs * (_A14_1 * k1b + _A14_7 * k7b + _A14_8 * k8b
-                          + _A14_9 * k9b + _A14_10 * k10b + _A14_11 * k11b
-                          + _A14_12 * k12b + _A14_13 * k13b)
-        k14r = 2.0 * sig * (tt := t + _C14 * hs) / zb
-        k14b = (-zb / zr - f(sig * tt * tt)) * k14r
-        zr = r + hs * (_A15_1 * k1r + _A15_6 * k6r + _A15_7 * k7r
-                       + _A15_8 * k8r + _A15_11 * k11r + _A15_12 * k12r
-                       + _A15_13 * k13r + _A15_14 * k14r)
-        zb = beta + hs * (_A15_1 * k1b + _A15_6 * k6b + _A15_7 * k7b
-                          + _A15_8 * k8b + _A15_11 * k11b + _A15_12 * k12b
-                          + _A15_13 * k13b + _A15_14 * k14b)
-        k15r = 2.0 * sig * (tt := t + _C15 * hs) / zb
-        k15b = (-zb / zr - f(sig * tt * tt)) * k15r
-        zr = r + hs * (_A16_1 * k1r + _A16_6 * k6r + _A16_7 * k7r
-                       + _A16_8 * k8r + _A16_9 * k9r + _A16_13 * k13r
-                       + _A16_14 * k14r + _A16_15 * k15r)
-        zb = beta + hs * (_A16_1 * k1b + _A16_6 * k6b + _A16_7 * k7b
-                          + _A16_8 * k8b + _A16_9 * k9b + _A16_13 * k13b
-                          + _A16_14 * k14b + _A16_15 * k15b)
-        k16r = 2.0 * sig * (tt := t + _C16 * hs) / zb
-        k16b = (-zb / zr - f(sig * tt * tt)) * k16r
-        p0, p1, p2, p3, p4, p5, p6 = _dense(hs, r, r1, k1r, k6r, k7r, k8r,
-                                            k9r, k10r, k11r, k12r, k13r,
-                                            k14r, k15r, k16r)
-        d0, d1, d2, d3, d4, d5, d6 = _dense(hs, beta, beta1, k1b, k6b, k7b,
-                                            k8b, k9b, k10b, k11b, k12b,
-                                            k13b, k14b, k15b, k16b)
-        acc = 0.0
-        for s, u, wg in zip(_GAUSS_S, _GAUSS_U, _GAUSS_W):
-            acc += wg * (t + s * hs) * (beta + s * (d0 + u * (d1 + s * (
-                d2 + u * (d3 + s * (d4 + u * (d5 + s * d6))))))) / (
-                r + s * (p0 + u * (p1 + s * (p2 + u * (p3 + s * (
-                    p4 + u * (p5 + s * p6)))))))
-        append_diss(2.0 * sig * hs * acc)
+        # int 2 sig t beta/r dt over the step: the pair's weights on
+        # the stages, tj qj = tj zb/zr at stage j
+        append_diss(2.0 * sig * hs * (
+            _B1 * t * beta / r + _B6 * t6 * q6 + _B7 * t7 * q7
+            + _B8 * t8 * q8 + _B9 * t9 * q9 + _B10 * t10 * q10
+            + _B11 * t11 * q11 + _B12 * t1 * q12))
         r, beta, theta, t, ab = r1, beta1, theta1, t1, ab1
         k1r, k1b = k13r, k13b
         fac = _SAFETY * err ** -0.125 if err > 1e-10 else 3.0
@@ -734,39 +710,46 @@ def _integrate_core(model: VorticityModel, r_target: float,
         k5b = -k5p / (r + _C5 * hs) - f(psi + hs * (
             _A5_1 * k1p + _A5_3 * k3p + _A5_4 * k4p))
         k6p = beta + hs * (_A6_1 * k1b + _A6_4 * k4b + _A6_5 * k5b)
-        k6b = -k6p / (r + _C6 * hs) - f(psi + hs * (
+        q6 = k6p / (r + _C6 * hs)
+        k6b = -q6 - f(psi + hs * (
             _A6_1 * k1p + _A6_4 * k4p + _A6_5 * k5p))
         k7p = beta + hs * (_A7_1 * k1b + _A7_4 * k4b + _A7_5 * k5b
                            + _A7_6 * k6b)
-        k7b = -k7p / (r + _C7 * hs) - f(psi + hs * (
+        q7 = k7p / (r + _C7 * hs)
+        k7b = -q7 - f(psi + hs * (
             _A7_1 * k1p + _A7_4 * k4p + _A7_5 * k5p + _A7_6 * k6p))
         k8p = beta + hs * (_A8_1 * k1b + _A8_4 * k4b + _A8_5 * k5b
                            + _A8_6 * k6b + _A8_7 * k7b)
-        k8b = -k8p / (r + _C8 * hs) - f(psi + hs * (
+        q8 = k8p / (r + _C8 * hs)
+        k8b = -q8 - f(psi + hs * (
             _A8_1 * k1p + _A8_4 * k4p + _A8_5 * k5p + _A8_6 * k6p
             + _A8_7 * k7p))
         k9p = beta + hs * (_A9_1 * k1b + _A9_4 * k4b + _A9_5 * k5b
                            + _A9_6 * k6b + _A9_7 * k7b + _A9_8 * k8b)
-        k9b = -k9p / (r + _C9 * hs) - f(psi + hs * (
+        q9 = k9p / (r + _C9 * hs)
+        k9b = -q9 - f(psi + hs * (
             _A9_1 * k1p + _A9_4 * k4p + _A9_5 * k5p + _A9_6 * k6p
             + _A9_7 * k7p + _A9_8 * k8p))
         k10p = beta + hs * (_A10_1 * k1b + _A10_4 * k4b + _A10_5 * k5b
                             + _A10_6 * k6b + _A10_7 * k7b + _A10_8 * k8b
                             + _A10_9 * k9b)
-        k10b = -k10p / (r + _C10 * hs) - f(psi + hs * (
+        q10 = k10p / (r + _C10 * hs)
+        k10b = -q10 - f(psi + hs * (
             _A10_1 * k1p + _A10_4 * k4p + _A10_5 * k5p + _A10_6 * k6p
             + _A10_7 * k7p + _A10_8 * k8p + _A10_9 * k9p))
         k11p = beta + hs * (_A11_1 * k1b + _A11_4 * k4b + _A11_5 * k5b
                             + _A11_6 * k6b + _A11_7 * k7b + _A11_8 * k8b
                             + _A11_9 * k9b + _A11_10 * k10b)
-        k11b = -k11p / (r + _C11 * hs) - f(psi + hs * (
+        q11 = k11p / (r + _C11 * hs)
+        k11b = -q11 - f(psi + hs * (
             _A11_1 * k1p + _A11_4 * k4p + _A11_5 * k5p + _A11_6 * k6p
             + _A11_7 * k7p + _A11_8 * k8p + _A11_9 * k9p + _A11_10 * k10p))
         k12p = beta + hs * (_A12_1 * k1b + _A12_4 * k4b + _A12_5 * k5b
                             + _A12_6 * k6b + _A12_7 * k7b + _A12_8 * k8b
                             + _A12_9 * k9b + _A12_10 * k10b
                             + _A12_11 * k11b)
-        k12b = -k12p / (r + hs) - f(psi + hs * (
+        q12 = k12p / (r + hs)
+        k12b = -q12 - f(psi + hs * (
             _A12_1 * k1p + _A12_4 * k4p + _A12_5 * k5p + _A12_6 * k6p
             + _A12_7 * k7p + _A12_8 * k8p + _A12_9 * k9p + _A12_10 * k10p
             + _A12_11 * k11p))
@@ -815,50 +798,8 @@ def _integrate_core(model: VorticityModel, r_target: float,
             rejected = True
             continue
 
-        # the end slope (the next step's first stage) and the dense-output
-        # stages; _dense(hs, beta, beta1, k1b, ...) inlined, for the
-        # dissipation quadrature
+        # the end slope, the next step's first stage
         k13p, k13b = beta1, -beta1 / r1 - f(psi1)
-        k14p = beta + hs * (_A14_1 * k1b + _A14_7 * k7b + _A14_8 * k8b
-                            + _A14_9 * k9b + _A14_10 * k10b + _A14_11 * k11b
-                            + _A14_12 * k12b + _A14_13 * k13b)
-        k14b = -k14p / (r + _C14 * hs) - f(psi + hs * (
-            _A14_1 * k1p + _A14_7 * k7p + _A14_8 * k8p + _A14_9 * k9p
-            + _A14_10 * k10p + _A14_11 * k11p + _A14_12 * k12p
-            + _A14_13 * k13p))
-        k15p = beta + hs * (_A15_1 * k1b + _A15_6 * k6b + _A15_7 * k7b
-                            + _A15_8 * k8b + _A15_11 * k11b + _A15_12 * k12b
-                            + _A15_13 * k13b + _A15_14 * k14b)
-        k15b = -k15p / (r + _C15 * hs) - f(psi + hs * (
-            _A15_1 * k1p + _A15_6 * k6p + _A15_7 * k7p + _A15_8 * k8p
-            + _A15_11 * k11p + _A15_12 * k12p + _A15_13 * k13p
-            + _A15_14 * k14p))
-        k16p = beta + hs * (_A16_1 * k1b + _A16_6 * k6b + _A16_7 * k7b
-                            + _A16_8 * k8b + _A16_9 * k9b + _A16_13 * k13b
-                            + _A16_14 * k14b + _A16_15 * k15b)
-        k16b = -k16p / (r + _C16 * hs) - f(psi + hs * (
-            _A16_1 * k1p + _A16_6 * k6p + _A16_7 * k7p + _A16_8 * k8p
-            + _A16_9 * k9p + _A16_13 * k13p + _A16_14 * k14p
-            + _A16_15 * k15p))
-        d0 = beta1 - beta
-        d1 = hs * k1b - d0
-        d2 = d0 + d0 - hs * (k13b + k1b)
-        d3 = hs * (_D3_1 * k1b + _D3_6 * k6b + _D3_7 * k7b + _D3_8 * k8b
-                   + _D3_9 * k9b + _D3_10 * k10b + _D3_11 * k11b
-                   + _D3_12 * k12b + _D3_13 * k13b + _D3_14 * k14b
-                   + _D3_15 * k15b + _D3_16 * k16b)
-        d4 = hs * (_D4_1 * k1b + _D4_6 * k6b + _D4_7 * k7b + _D4_8 * k8b
-                   + _D4_9 * k9b + _D4_10 * k10b + _D4_11 * k11b
-                   + _D4_12 * k12b + _D4_13 * k13b + _D4_14 * k14b
-                   + _D4_15 * k15b + _D4_16 * k16b)
-        d5 = hs * (_D5_1 * k1b + _D5_6 * k6b + _D5_7 * k7b + _D5_8 * k8b
-                   + _D5_9 * k9b + _D5_10 * k10b + _D5_11 * k11b
-                   + _D5_12 * k12b + _D5_13 * k13b + _D5_14 * k14b
-                   + _D5_15 * k15b + _D5_16 * k16b)
-        d6 = hs * (_D6_1 * k1b + _D6_6 * k6b + _D6_7 * k7b + _D6_8 * k8b
-                   + _D6_9 * k9b + _D6_10 * k10b + _D6_11 * k11b
-                   + _D6_12 * k12b + _D6_13 * k13b + _D6_14 * k14b
-                   + _D6_15 * k15b + _D6_16 * k16b)
 
         # the zero-energy stop, on the Hermites of the stored step r1 - r
         e1 = 0.5 * beta1 * beta1 + F(psi1)
@@ -870,29 +811,45 @@ def _integrate_core(model: VorticityModel, r_target: float,
                             _hermite(psi, psi1, k1p, k13p, h1, s_cut),
                             _hermite(beta, beta1, k1b, k13b, h1, s_cut),
                             theta))
-            append_diss(_dissipation(r, hs, beta, (d0, d1, d2, d3, d4, d5, d6),
-                                     s_cut))
+            # the cut step's share of the dissipation reads the pair's
+            # dense output, whose 3 extra stages no other step forms
+            k14p = beta + hs * (
+                _A14_1 * k1b + _A14_7 * k7b + _A14_8 * k8b + _A14_9 * k9b
+                + _A14_10 * k10b + _A14_11 * k11b + _A14_12 * k12b
+                + _A14_13 * k13b)
+            k14b = -k14p / (r + _C14 * hs) - f(psi + hs * (
+                _A14_1 * k1p + _A14_7 * k7p + _A14_8 * k8p + _A14_9 * k9p
+                + _A14_10 * k10p + _A14_11 * k11p + _A14_12 * k12p
+                + _A14_13 * k13p))
+            k15p = beta + hs * (
+                _A15_1 * k1b + _A15_6 * k6b + _A15_7 * k7b + _A15_8 * k8b
+                + _A15_11 * k11b + _A15_12 * k12b + _A15_13 * k13b
+                + _A15_14 * k14b)
+            k15b = -k15p / (r + _C15 * hs) - f(psi + hs * (
+                _A15_1 * k1p + _A15_6 * k6p + _A15_7 * k7p + _A15_8 * k8p
+                + _A15_11 * k11p + _A15_12 * k12p + _A15_13 * k13p
+                + _A15_14 * k14p))
+            k16p = beta + hs * (
+                _A16_1 * k1b + _A16_6 * k6b + _A16_7 * k7b + _A16_8 * k8b
+                + _A16_9 * k9b + _A16_13 * k13b + _A16_14 * k14b
+                + _A16_15 * k15b)
+            k16b = -k16p / (r + _C16 * hs) - f(psi + hs * (
+                _A16_1 * k1p + _A16_6 * k6p + _A16_7 * k7p + _A16_8 * k8p
+                + _A16_9 * k9p + _A16_13 * k13p + _A16_14 * k14p
+                + _A16_15 * k15p))
+            append_diss(_dissipation(r, hs, beta, _dense(
+                hs, beta, beta1, k1b, k6b, k7b, k8b, k9b, k10b, k11b, k12b,
+                k13b, k14b, k15b, k16b), s_cut))
             term = Termination.EVENT
             break
 
         append_row((r1, psi1, beta1, hypot(psi1, beta1), theta1, e1))
-        # _dissipation(..., 1.0) unrolled: s_hi = 1.0 makes s = sg, u = 1 - sg
-        # and hs*s_hi = hs, and 0.0 + t0 = t0 as each term t is >= +0
-        b0 = beta + _GS0 * (d0 + _GU0 * (d1 + _GS0 * (d2 + _GU0 * (
-            d3 + _GS0 * (d4 + _GU0 * (d5 + _GS0 * d6))))))
-        b1 = beta + _GS1 * (d0 + _GU1 * (d1 + _GS1 * (d2 + _GU1 * (
-            d3 + _GS1 * (d4 + _GU1 * (d5 + _GS1 * d6))))))
-        b2 = beta + _GS2 * (d0 + _GU2 * (d1 + _GS2 * (d2 + _GU2 * (
-            d3 + _GS2 * (d4 + _GU2 * (d5 + _GS2 * d6))))))
-        b3 = beta + _GS3 * (d0 + _GU3 * (d1 + _GS3 * (d2 + _GU3 * (
-            d3 + _GS3 * (d4 + _GU3 * (d5 + _GS3 * d6))))))
-        b4 = beta + _GS4 * (d0 + _GU4 * (d1 + _GS4 * (d2 + _GU4 * (
-            d3 + _GS4 * (d4 + _GU4 * (d5 + _GS4 * d6))))))
-        append_diss(hs * (_GW0 * b0 * b0 / (r + _GS0 * hs)
-                          + _GW1 * b1 * b1 / (r + _GS1 * hs)
-                          + _GW2 * b2 * b2 / (r + _GS2 * hs)
-                          + _GW3 * b3 * b3 / (r + _GS3 * hs)
-                          + _GW4 * b4 * b4 / (r + _GS4 * hs)))
+        # int beta^2/r dr over the step: the pair's weights on the stage
+        # betas kjp, at their radii r + c_j hs, where qj = kjp / (r + c_j hs)
+        append_diss(hs * (_B1 * beta * beta / r + _B6 * k6p * q6
+                          + _B7 * k7p * q7 + _B8 * k8p * q8 + _B9 * k9p * q9
+                          + _B10 * k10p * q10 + _B11 * k11p * q11
+                          + _B12 * k12p * q12))
         if last:
             term = Termination.REACHED_RMAX
             break

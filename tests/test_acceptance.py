@@ -66,7 +66,11 @@ def test_pinned_report(acceptance_results):
     # 3ec4dda2... (a* 3.0013417654039216 -> 3.001341765403924, R
     # 6.9223437719183245 -> 6.922343771918324, fit_residual 8.7534e-11 ->
     # 8.7824e-11, min_radius_achieved 3.662595529639628e-4 ->
-    # 3.662595541706584e-4, criterion 13's byte count 4471 -> 4469)
+    # 3.662595541706584e-4, criterion 13's byte count 4471 -> 4469).  Each
+    # step integrates its dissipation with the pair's weights on its
+    # stages, which moves only the dissipation: 3ec4dda2... -> 2f3d6c73...
+    # (criterion 4's imbalance 3.6106025625992437e-11 ->
+    # 3.526132106523367e-11, criterion 13's byte count 4469 -> 4468)
     import hashlib
 
     c8, c11 = acceptance_results[7].measures, acceptance_results[10].measures
@@ -76,4 +80,4 @@ def test_pinned_report(acceptance_results):
         "0.0003662595541706584", "3.001341765403924")
     text = verify.render_report(acceptance_results)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "3ec4dda2cd4637a6fe49502b8e1e674580cdafb943426ba96ac76c9dbaa7c134")
+        "2f3d6c73769047a6ad660330d79b5e7b2df56afa9a85be7dcb46a9bffb429670")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from vortexplane import ParameterDomainError, full_report
+from vortexplane import (InfeasibleConstantsError, ParameterDomainError,
+                         banach_solve, full_report)
 from vortexplane.admissibility import (check_ball, check_level_set_sandwich,
                                        check_symmetry, check_zero)
 from vortexplane.vorticity import ConstantsLedger, VorticityModel
@@ -119,6 +121,28 @@ def test_individual_checks_expose_witnesses(constantin):
     assert lip.witnesses["max_slope"] < constantin.ledger.L
 
 
+@pytest.mark.parametrize("L, feasible", [(2.55, True), (2.7, False)])
+def test_lipschitz_ceiling_is_the_contraction_ceiling(constantin, L,
+                                                      feasible):
+    # the Lipschitz records and banach_solve's contraction constants take L
+    # up to the same ceiling, rate_transform(3) ~ 2.616: the records passed
+    # only L <= 2.5 while the solve converged at 2.55
+    model = dataclasses.replace(
+        constantin, ledger=dataclasses.replace(constantin.ledger, L=L))
+    lipschitz = [c for c in full_report(model).checks
+                 if c.name.startswith("lipschitz_a_")]
+    assert len(lipschitz) == 3
+    assert all(c.passed is feasible for c in lipschitz)
+    assert {c.witnesses["ceiling"] for c in lipschitz} == {
+        2.6158590031955273}
+    if feasible:
+        _, _, factor = banach_solve(model, 6.0, 2.0, 0.1)
+        assert factor < 0.1
+    else:
+        with pytest.raises(InfeasibleConstantsError):
+            banach_solve(model, 6.0, 2.0, 0.1)
+
+
 @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf, 1e-300])
 def test_check_ball_rejects_bad_centre(constantin, a):
     # 1e-300 is finite and > 0, but its interval is too narrow for a slope
@@ -127,14 +151,16 @@ def test_check_ball_rejects_bad_centre(constantin, a):
 
 
 # sha256 of each report's indented canonical JSON at seed 0: every
-# witness of every check, to the last bit
+# witness of every check, to the last bit.  Re-recorded when the Lipschitz
+# records took their ceiling from rate_transform(3): only the "ceiling"
+# witness moved, 2.5 -> 2.6158590031955273
 _PINNED_REPORTS = {
     "constantin":
-        "89f1e68afddebf1c82f0da782ff932eda0aa4de482ff49ac17cb570f9f3dc4a8",
+        "ffc0802bae60a802ae56a8c82cdfcc38abd560f4ffd9f0e8c0105b6cb8cb6a64",
     "example":
-        "07a64e42905667a0db2ae04c03503fe3191a37763f1b72060b4675a5dd9989af",
+        "b6c15cfd554aab902ea572f0e2884dbe7537b0705742ad0894f7a6726545ae02",
     "powerlaw":
-        "5144d6e4cdb7641df4add2825a1d975ae3532f617f7c8a1d3fbb414b4204ebbf",
+        "27353909d452d92841ef58dbc055a34002d08c835a3a9dcc1600cb531b24a8ca",
 }
 
 

@@ -247,7 +247,7 @@ def test_verify_paper_writes_the_pinned_report(tmp_path, capsys,
     assert lines[14] == f"wrote {tmp_path / 'verify_report.json'}"
     text = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(text).hexdigest() == (
-        "3ec4dda2cd4637a6fe49502b8e1e674580cdafb943426ba96ac76c9dbaa7c134")
+        "2f3d6c73769047a6ad660330d79b5e7b2df56afa9a85be7dcb46a9bffb429670")
     failed = [dataclasses.replace(acceptance_results[0], passed=False),
               *acceptance_results[1:]]
     monkeypatch.setattr(verify, "run_all", lambda: failed)

@@ -205,13 +205,14 @@ def test_min_radius_tracks_dense_minimum(run10):
 # constantin and example pins were re-recorded when the crossing windows
 # landed: they step each crossing above the entry floor in t = sqrt|psi|.
 # Every pin in this file was re-recorded when the DOP853 pair replaced the
-# 5(4) pair: it stores one row per accepted step, about 4x fewer rows.
+# 5(4) pair: it stores one row per accepted step, about 4x fewer rows.  The
+# dissipation is pinned apart, in _DISS, since it moved alone when each step
+# began to integrate it with the pair's own weights.
 
 def _digest(traj):
     buf = io.StringIO()
     traj.to_csv(buf)
     return (hashlib.sha256(buf.getvalue().encode()).hexdigest(),
-            hashlib.sha256(traj.dissipation.tobytes()).hexdigest(),
             repr(traj.min_radius), repr(traj.min_radius_r),
             traj.termination.value)
 
@@ -219,19 +220,15 @@ def _digest(traj):
 _PINNED = {
     "run10": (
         "db7419b999709d5bd2120aec47d0a71cf90eeb34387e1476c20481d03ed71956",
-        "4adcba1cb8454348ebd712bf75f69cff947a1bd775f48be4a590146d338407c8",
         "0.06577157320082933", "63.851279557813626", "reached_rmax"),
     "run100": (
         "23a37e130432ca2085aad92aab24a9a6a565074e4afa30e21bada23bd301e72a",
-        "3d8bd3c97b582be7afa695ea1ad3cb9a7f31cf5fd52d36e570d88f8139b1fdcb",
         "0.995929722302343", "1997.3097086528517", "reached_rmax"),
     "example": (
         "a4b29e309dc5469f44437f2ca49b5125e255037c81da8d0d8e54d22302d39d7f",
-        "7c7d5ff747160487de4fb9b8f7c684aac7b343dcb7e66511bfc5e355ba74d75c",
         "0.0673779676308721", "63.43242623465643", "reached_rmax"),
     "powerlaw": (
         "48cd95a47963acf22c1ecb1fd7d428c72dfa440f6c0218b11498231164cf0ee6",
-        "5ea6e36f4a03e0348d82b841e1769eee7358db711b7ce58e7ddd3d49ff2ef79d",
         "0.053139447371702585", "48.29383262544251", "reached_rmax"),
 }
 
@@ -250,7 +247,6 @@ def test_pinned_backward_sweep(constantin):
     traj = integrate_backward(constantin, 6.0, 1.5, 0.2)
     assert _digest(traj) == (
         "fbb89d0bd6f8f37d332f64324b003d5b9a7957aa4a6308dc6dda76eacc7b763d",
-        "2c3abcdf5c9d149cd121f478ca538faceccde15065d0eafd13d0b599572af7bb",
         "1.4992166691760747", "5.916079783099616", "reached_rmax")
 
 
@@ -317,7 +313,7 @@ def test_one_row_trajectory(constantin):
                                  termination=Termination.STEP_FAILURE)
     made = integrate_from(constantin, 2.0, 0.0, 1e-7,
                           IntegrationConfig(r_max=10.0, max_steps=1))
-    assert _rows(made) == _rows(traj)
+    assert (_rows(made), _diss(made)) == (_rows(traj), _diss(traj))
     for r in (2.0, 3.0):
         with pytest.raises(ParameterDomainError, match="no steps"):
             traj.locate(r)
@@ -355,17 +351,24 @@ def test_pinned_shots(request, name):
 
 
 # Rows-only digests of what the step sequence decides, which never read the
-# closest approach.  All were re-recorded with the DOP853 pair.
+# closest approach, and the dissipation's apart.  _ROWS were recorded with
+# the dissipation split off, on the stepper whose dissipation was 5-point
+# Gauss on the dense output; the quadrature on the stages kept every one.
 
 def _rows(traj):
     """sha256 of what the step sequence decides: the six stored columns
-    (which fix the CSV), the dissipation and the termination."""
+    (which fix the CSV) and the termination."""
     digest = hashlib.sha256()
     for col in (traj.r, traj.psi, traj.beta, traj.radius, traj.theta,
-                traj.E, traj.dissipation):
+                traj.E):
         digest.update(col.tobytes())
     digest.update(traj.termination.value.encode())
     return digest.hexdigest()
+
+
+def _diss(traj):
+    """sha256 of the per-step dissipation."""
+    return hashlib.sha256(traj.dissipation.tobytes()).hexdigest()
 
 
 def _shot(name, a):
@@ -396,42 +399,84 @@ _ROW_RUNS.update({f"shot_{name}_{a:g}": _shot(name, a)
 
 _ROWS = {
     "run10":
-        "a1d03b5a8c7fb2aaa565dbe60acef6fa9b7f3ae11334571665dde167066e4c42",
+        "f8ad8bca9e8933d5486953195a35cbefeee707c73714072883af7fa5bc0ed137",
     "run100":
-        "e90ebc741ed47b7e483def7b74b40ea5cf2c18f3315c151cfe6a89ccacd319a3",
+        "ab82abefef9c19cea1380615070865640a19d277bef0db1369f5f8fe9d355a73",
     "example":
-        "39cf90d061056b0cb2b6d43a2874815e945656100e06d555ed0b1fe04513d663",
+        "84ae0ba906e3e99b521317ffce1cc00eb277640dc5ef71833fa0d15bfecbce81",
     "powerlaw":
-        "88e0df0b10f722188e0e5ffbf940d18b57dd5b14971ab114ee2f337878dbc127",
+        "4898bb81d1a2dedccfa97795f92cdae9046c12d196c2b7095d3cd5b270e0a307",
     # no crossing
     "constantin_a2":
-        "cbf3094f50ec41a706890077b7cf29d85dc2003a4057b400867dc53ee630c950",
+        "9b4364a173c1fc6c7196ff9a8bf9270b7f7d8f3bf73968a8c7bbc9e75feb889a",
     "example_a2":
-        "45b7490a3b76f6aeb5346803d8acb0e4ff720221840a598fa8847eaef85c48a8",
+        "867775dbf37839af0d90dc916768fe92ab484121e61e44b9a29fcb84cab1f304",
     "near_origin_0.001":
-        "3f2d4100697ca18326a5278e06b9758a4674cb4b2329d99d206042ff828e4b23",
+        "1afa83bd221c3c0356dc6a82d635b2923ee92877e927ba96193a158cb93b1367",
     "near_origin_1e-06":
-        "ad2df0eb3aadafeb782e6a04827995309d785ef48901d714e4691dc4fe75a13b",
+        "66a04285396a35ffd7abf32fa2e0f3f5d3a0ed3d96e136a3690df924decd3823",
     "backward":
-        "1eef1bf3ce187c9551b7562101ffd65aa72853ac2ad4e1afc49d18a12ecdca87",
+        "5808d4b9bb5fbb08668a41119ae0f0cd292863d9032507a560b0ee56895a4416",
     "shot_constantin_2":
-        "c81149091ed48787792073176bd578950ce93c286dbba30f9049642be7120225",
+        "6aef2b8e1391fb7167ab42f12dee89198eb22e7387355a0361da3dc62e0bb755",
     "shot_constantin_3":
-        "189c10b9ef28ac66a2f7617440e85ac4a8ac6cc1661a6d4c171586a101c2b3af",
+        "7f083506b104390253e30e3cfa1320001f957bf64cd02dfa5f1d3616bc1d3751",
     "shot_constantin_4":
-        "035ebc96377747bcbd83d64289a4aca8883e8418ce5c1f3080f0cd9a6c392ff1",
+        "2e445ced4e349bb1701882b58d575b135849e15c05976584acdaa2a8b391c164",
     "shot_example_2":
-        "585ef9e4b86fcdb6737d20c35184b4f3ec50633a069cd2891d7f96c6d88bd473",
+        "ed75c1cbfbb1b5e466dc3c6c975be3fa180d5c55bdec0811c396ccac8b77616a",
     "shot_example_3":
-        "13765e3f45ff7926f79488a5a8d2a6ba6be08fa8826a325c07a2399e86cc6374",
+        "c35adc34f301a3bd0978b02e80c1a6915ed7bf5d4805ed31a2caec0bbebb46d9",
     "shot_example_4":
-        "b3864c1df616c98433d97dfd6ac9dfd2fe034e1896849cd39570f64589d3cc89",
+        "1e06543c48d0cc90fc4fb6f30bc4184daf27d2fadb2f1409cd4dd0126e674365",
     "shot_powerlaw_2":
-        "5361a76244daca8c786e8271371110ec18a84eb32a6cb8f0791af7bc33b75df5",
+        "cc2b47701f1c5332446839524571b32c617e1e716ec2c52d11e2d3a6529c0d98",
     "shot_powerlaw_3":
-        "8930c86b3e627648b648e776fdb6a2b1112f7934e293c45b61627aa8b8d57960",
+        "f13452229fcb01c69378f59f5caf4208e4ba00fe443e2bfd9f5482bb14b61e21",
     "shot_powerlaw_4":
-        "c91d0cb95c36437bed345acc920f19e6c6bbe5441d6593adde1bfa5a25971380",
+        "1eea1e00eb1d179674bcccd0199620cbabb6ae09f297d0c4dc836ac69d3f5411",
+}
+
+
+# re-recorded once when each step's dissipation moved from 5-point Gauss on
+# the pair's dense output to the pair's own weights on its stages
+_DISS = {
+    "backward":
+        "0ba4cfebc217c3574bde08c67f25b517346ad375229b6ac99a8f74d218f1b2fe",
+    "constantin_a2":
+        "03fd1f295b9f0bfbd08484b116a4aeaeb9a8f8bea7ad86268d5b8e11f3746afe",
+    "example":
+        "e0568cbf0047aaa97438ecb27d9912802a91f1430b6bec2f5f854bea2358cc59",
+    "example_a2":
+        "c46f83e57138f7444c922462195c4311d22fcaf77e677c25fac58fdc852a0c6f",
+    "near_origin_0.001":
+        "7f6598a1aabe2a820bcf0984d487c8c51dd850f3ff306fc7ee872968ff32a4b7",
+    "near_origin_1e-06":
+        "16fbdeb289fb56b82379294c34871861010124f8d0e5df9f80522f758c2d8224",
+    "powerlaw":
+        "81dfe272d684202fea4a1653ad6a187074ed0ba947293ced98980faeae3d54a7",
+    "run10":
+        "fb02883e955905ceece85eb615edd725266470c48fb0585cc7eb6ac8494aa496",
+    "run100":
+        "13878975d1456ad54305b687dd2bcde550ace92da66ca639ee420444d27087ed",
+    "shot_constantin_2":
+        "7cf314519a3082f1997de7345fa52246b0e975df88a4dd5ea549bcc868115942",
+    "shot_constantin_3":
+        "c960ce9deac9b664297895135ecc5e749ad7150087a148b81203ee1e68bf315e",
+    "shot_constantin_4":
+        "48130932efbce9365e951006a81a6a6649463a1e43265db9a4250844608f4368",
+    "shot_example_2":
+        "1118ce744711057571bb45ce13c85569442c1add4c9250ccae6e198c05ccdc6a",
+    "shot_example_3":
+        "91d7c9b462f52613594d7b17dde12a4442ddf682b62e7d952b3556e56269c70a",
+    "shot_example_4":
+        "5ecea756bfbb0f4ce3d9db62cdf90ad2097f3cca432ec2d98150e101bdf03374",
+    "shot_powerlaw_2":
+        "11444304d7c861a004617bfc8374d4309310a9165b7a8f7a1bf375b60c0c4dbc",
+    "shot_powerlaw_3":
+        "6139f108668585c10b41712eba3ff2e2117f129c79ab9cb6cd06d260fbaeaa3f",
+    "shot_powerlaw_4":
+        "c1670989a4ead4fb5d774e57bf5c33ade54c2ed2112f04278634e219a6ffe2f6",
 }
 
 
@@ -442,6 +487,7 @@ def test_rows_unchanged(request, models, name):
     else:
         traj = request.getfixturevalue(name)
     assert _rows(traj) == _ROWS[name]
+    assert _diss(traj) == _DISS[name]
 
 
 def test_event_fn_called_once_per_accepted_step(constantin):
@@ -503,9 +549,9 @@ def test_crossings_are_nodes(run10, constantin, powerlaw, state_at):
 
 
 def test_window_rejects_few_attempts(constantin):
-    # f runs 3 times to start, 11 times per attempt and 4 more times per
-    # accepted step (a window adds 2 per crossing); the plain 5(4) stepper
-    # rejected 11.9 % of its attempts here
+    # f runs 3 times to start, 11 times per attempt and once more per
+    # accepted step, for its end slope (a window adds 2 per crossing); the
+    # plain 5(4) stepper rejected 11.9 % of its attempts here
     calls = [0]
 
     def counting_f(u):
@@ -515,7 +561,7 @@ def test_window_rejects_few_attempts(constantin):
     traj = integrate(dataclasses.replace(constantin, f=counting_f), 20.0,
                      IntegrationConfig(r_max=370.0, rel_tol=1e-9))
     steps = int(np.count_nonzero(traj.r > 0.0625))
-    assert 1.0 - steps / ((calls[0] - 3 - 4 * steps) / 11.0) < 0.05
+    assert 1.0 - steps / ((calls[0] - 3 - steps) / 11.0) < 0.05
 
 
 @pytest.mark.parametrize("offset", [-0.01, 0.01, 0.2])
@@ -570,13 +616,12 @@ def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
         assert floor <= rad
 
 
-# --------------------------------------------- inlined per-step helpers
+# --------------------------------------------- per-step dissipation
 #
-# An accepted step calls no Python function but f and F: the core carries
-# inlined copies of the dense-output coefficients _dense and of the
-# full-step _dissipation.  The tracer below holds both to their references
-# bit for bit on every accepted step; the full-step dissipation is pinned by
-# the dissipation sha256s of _PINNED as well.
+# An accepted step calls no Python function but f and F: its dissipation is
+# the pair's weights on the stage betas it has already formed.  Only the cut
+# step of a stopped run forms the 3 dense-output stages and calls _dense
+# and _dissipation, on the share of the step before the cut.
 
 def _core_lines(text):
     """Source line numbers of the lines of _integrate_core holding text."""
@@ -584,25 +629,64 @@ def _core_lines(text):
     return [first + k for k, line in enumerate(lines) if text in line]
 
 
+def _dense_stages(f, r, psi, beta, hs, kp, kb):
+    """Beta slopes of stages 14-16 from scipy's DOP853 tableau, given the
+    psi and beta slopes kp and kb of stages 1-13."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    kp, kb = list(kp), list(kb)
+    for j in (13, 14, 15):
+        weights = ref.A[j][:j].tolist()
+        stage_beta = beta + hs * math.fsum(w * k for w, k in zip(weights, kb))
+        stage_psi = psi + hs * math.fsum(w * k for w, k in zip(weights, kp))
+        kp.append(stage_beta)
+        kb.append(-stage_beta / (r + ref.C[j] * hs) - f(stage_psi))
+    return kb[13:]
+
+
 @pytest.mark.parametrize("stop", [False, True])
 @pytest.mark.parametrize("name", ["constantin", "example", "powerlaw"])
 def test_inlined_helpers_match_references(models, name, stop):
-    # a line event fires before its line runs: at the test of last that
-    # follows the dissipation append, the last dissipation is this step's
-    [at_diss] = _core_lines("if last:")
-    checked = [0]
+    # every full step's dissipation agrees with _dissipation on _dense over
+    # the whole step, its dense stages formed here from scipy's tableau:
+    # measured median 9.3e-13 relative and at most 5.5e-10 of
+    # hs max(beta^2)/r.  The cut step of a stopped run forms those stages
+    # itself, to scipy's within rounding, and its dissipation is
+    # _dissipation on _dense over the share s_cut before the cut, bit for bit
+    model = models[name]
+    [at_step] = _core_lines("if last:")
+    [at_cut] = _core_lines("term = Termination.EVENT")
+    rel, scaled, cuts = [], [], []
+
+    def reference(v, s_hi):
+        kp = [v[f"k{j}p"] for j in range(1, 14)]
+        kb = [v[f"k{j}b"] for j in range(1, 14)]
+        dense = _dense_stages(model.f, v["r"], v["psi"], v["beta"], v["hs"],
+                              kp, kb)
+        ks = [kb[j - 1] for j in (1, 6, 7, 8, 9, 10, 11, 12, 13)] + dense
+        return dense, integrator._dissipation(
+            v["r"], v["hs"], v["beta"],
+            integrator._dense(v["hs"], v["beta"], v["beta1"], *ks), s_hi)
 
     def local_trace(frame, event, arg):
-        if event == "line" and frame.f_lineno == at_diss:
+        # a line event fires before its line runs, after the dissipation
+        # append of the step
+        if event == "line" and frame.f_lineno == at_step:
             v = frame.f_locals
-            dense = tuple(v[f"d{m}"] for m in range(7))
-            ks = [v[f"k{j}b"] for j in (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-                                        16)]
-            assert [d.hex() for d in dense] == [d.hex() for d in (
-                integrator._dense(v["hs"], v["beta"], v["beta1"], *ks))]
+            got, (_, want) = v["diss"][-1], reference(v, 1.0)
+            rel.append(abs(got - want) / abs(want))
+            scaled.append(abs(got - want) * v["r"] / (
+                abs(v["hs"]) * max(v["beta"] ** 2, v["beta1"] ** 2)))
+        if event == "line" and frame.f_lineno == at_cut:
+            v = frame.f_locals
+            dense, _ = reference(v, v["s_cut"])
+            own = [v["k14b"], v["k15b"], v["k16b"]]
+            assert own == pytest.approx(dense, rel=1e-13, abs=1e-15)
+            ks = [v[f"k{j}b"] for j in (1, 6, 7, 8, 9, 10, 11, 12, 13)]
             assert v["diss"][-1].hex() == integrator._dissipation(
-                v["r"], v["hs"], v["beta"], dense, 1.0).hex()
-            checked[0] += 1
+                v["r"], v["hs"], v["beta"], integrator._dense(
+                    v["hs"], v["beta"], v["beta1"], *ks, *own),
+                v["s_cut"]).hex()
+            cuts.append(v["s_cut"])
         return local_trace
 
     def trace(frame, event, arg):
@@ -612,13 +696,14 @@ def test_inlined_helpers_match_references(models, name, stop):
 
     sys.settrace(trace)
     try:
-        traj = integrate(models[name], 10.0, IntegrationConfig(
+        traj = integrate(model, 10.0, IntegrationConfig(
             r_max=100.0, stop_at_zero_energy=stop))
     finally:
         sys.settrace(None)
     assert traj.termination is (Termination.EVENT if stop
                                 else Termination.REACHED_RMAX)
-    assert checked[0] > 0
+    assert len(rel) > 100 and len(cuts) == (1 if stop else 0)
+    assert float(np.median(rel)) <= 2e-12 and max(scaled) <= 1e-9
 
 
 def test_phase_cap_halves_steps(constantin):
@@ -654,7 +739,8 @@ def test_phase_cap_halves_steps(constantin):
 
 def test_no_per_step_helper_calls(constantin):
     # a setprofile guard over one run to the zero-energy stop and a whole
-    # shooting solve: _dissipation runs once per run, for the cut step; the
+    # shooting solve: _dense and _dissipation run once per run, for the
+    # cut step, and no accepted step calls either; the
     # core never calls _hull_floor or _step_minimum, which only
     # closest_approach reaches (_step_minimum at most twice per shot), and
     # a step's radius is evaluated only by _step_minimum's grid and its
@@ -688,6 +774,7 @@ def test_no_per_step_helper_calls(constantin):
         sys.setprofile(None)
     assert traj.termination is Termination.EVENT
     assert from_core["_dissipation"] == 1 + len(result.history)
+    assert from_core["_dense"] == 1 + len(result.history)
     assert not {"_hull_floor", "_step_minimum", "radius"} & set(from_core)
     assert radius_callers == {"golden_min", "_step_minimum"}
     assert list(searches) == ["closest_approach"]
@@ -698,10 +785,11 @@ def test_no_per_step_helper_calls(constantin):
 
 def test_window_calls_no_helper_per_stage(constantin, monkeypatch):
     # a setprofile guard over the a = 10 run: a crossing window steps r and
-    # beta as two real components with its stages inlined, so the only
-    # Python functions it calls more than once per window are f, F and
-    # _dense, which runs once for r and once for beta per accepted t-step;
-    # and no nested function (an rhs closure) is compiled into it
+    # beta as two real components with its stages inlined and integrates
+    # the dissipation with the pair's weights on them, so the only Python
+    # functions it calls more than once per window are f and F, and it
+    # never calls _dense; and no nested function (an rhs closure) is
+    # compiled into it
     window, rows_added, from_window = integrator._window, [], {}
     code = window.__code__
 
@@ -724,8 +812,8 @@ def test_window_calls_no_helper_per_stage(constantin, monkeypatch):
         sys.setprofile(None)
     assert len(rows_added) >= 5 and sum(rows_added) > 10 * len(rows_added)
     busy = {name for name, n in from_window.items() if n > len(rows_added)}
-    assert busy == {"f", "F", "_dense"}
-    assert from_window["_dense"] == 2 * sum(rows_added)
+    assert busy == {"f", "F"}
+    assert "_dense" not in from_window
     assert not any(inspect.iscode(c) for c in code.co_consts)
 
 
@@ -735,8 +823,8 @@ def test_window_calls_no_helper_per_stage(constantin, monkeypatch):
 def shot_sweep(models):
     """Three models x a = 2, 2.25, ... 12 with the zero-energy stop: the
     sha256 of each run's termination, min_radius, min_radius_r and last
-    row, and the sha256 of the runs' rows-only digests."""
-    digest, rows = hashlib.sha256(), hashlib.sha256()
+    row, and the sha256 of the runs' rows-only and dissipation digests."""
+    digest, rows, diss = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for name in sorted(models):
         for k in range(41):
             a = 2.0 + 0.25 * k
@@ -749,17 +837,21 @@ def shot_sweep(models):
                 traj.termination.value, repr(traj.min_radius),
                 repr(traj.min_radius_r), last)).encode())
             rows.update(_rows(traj).encode())
-    return digest.hexdigest(), rows.hexdigest()
+            diss.update(_diss(traj).encode())
+    return digest.hexdigest(), rows.hexdigest(), diss.hexdigest()
 
 
 def test_pinned_shot_sweep(shot_sweep):
     # recorded with the stepper's origin capture in place, at its default
     # radius 1e-6, which no run of the sweep reached; re-recorded when the
     # zero-energy stop moved onto E's own Hermite (every termination and
-    # side kept, r_stop moved by up to 0.011)
+    # side kept, r_stop moved by up to 0.011).  The rows digest was
+    # recorded with the dissipation split off, before the steps integrated
+    # it with the pair's weights, which kept it; the dissipation's after
     assert shot_sweep == (
         "561695a3df984d4695159f9961b390902d780d51d0d1d1265023bfdc6f072a40",
-        "95877e70e6e1dd1858d8f72ab6a05143663ecdfeb0deef3a76af8e643971cc63")
+        "e3ea042547701b468bcd908bb2218eefe155a54650ee2d6396c8eff9fc74c07c",
+        "2bd6769c537aa1e654a375729262b10a83ba881e35f1ab9d016ddf0a91da0370")
 
 
 # ------------------------------------------- closest approach after the run
@@ -927,6 +1019,15 @@ def test_config_rejects_bad_values(field, value):
     kwargs = {"r_max": 10.0, field: value}
     with pytest.raises(ParameterDomainError):
         IntegrationConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 1.0, True,
+                                   False, "10", 0, -3])
+def test_max_steps_must_be_a_whole_number(value):
+    # a float budget was accepted, and nsteps >= nan never fires, so
+    # max_steps=nan ran unlimited; a bool is an int but no step count
+    with pytest.raises(ParameterDomainError, match="max_steps"):
+        IntegrationConfig(r_max=10.0, max_steps=value)
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf])

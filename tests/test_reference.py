@@ -5,7 +5,8 @@ is read at every stored node on [1, 100]; against a run at rtol 1e-12 and
 2.5e-14 it is good to 3e-10 on these orbits.  The bounds are the errors
 the plain r-stepper measured, rounded up in the second digit; a change to
 the stepper may lower them but not exceed them.  The zero-energy stop is
-held the same way to the reference's own E = 0 crossing.
+held the same way to the reference's own E = 0 crossing, and each stored
+step's dissipation to the reference's integral of beta^2/r over that step.
 """
 
 import numpy as np
@@ -33,6 +34,13 @@ _BOUNDS = {
 # constantin (a, r_max): bound on the distance of the stop radius at
 # rel_tol 1e-10 from the reference's E = 0 crossing
 _STOP_BOUNDS = {(5.0, 50.0): 3.1e-5, (10.0, 100.0): 2.5e-6}
+
+# bounds on the per-step dissipation of constantin a = 10 (rel_tol 1e-10,
+# r_max 100) against the reference from each stored node: the median
+# relative error (measured 5.33e-12; 3.30e-12 when it was 5-point Gauss on
+# the dense output), and the largest error over h max(beta^2)/r at the step's
+# ends (measured 7.97e-10), which stays finite where beta passes 0
+_DISS_MEDIAN_BOUND, _DISS_SCALED_BOUND = 5.4e-12, 8.0e-10
 
 
 def _reference(model, a, r_max, **options):
@@ -95,3 +103,29 @@ def test_stop_radius_against_reference(constantin, a, r_max):
     assert traj.termination is Termination.EVENT
     error = abs(float(traj.r[-1]) - float(ref.t_events[0][0]))
     assert error <= _STOP_BOUNDS[a, r_max], error
+
+
+def test_step_dissipation_against_reference(constantin, run10):
+    # every stored step past the Picard head, the core's and the crossing
+    # windows' alike, against the reference's quadrature component
+    # D' = beta^2/r carried from the step's own stored node
+    f = constantin.f
+
+    def rhs(r, y):
+        return (y[1], -y[1] / r - f(y[0]), y[1] * y[1] / r)
+
+    r, psi, beta = run10.r, run10.psi, run10.beta
+    first = int(np.count_nonzero(r <= IntegrationConfig(r_max=1.0).r_handoff))
+    rel, scaled = [], []
+    for i in range(first - 1, len(r) - 1):
+        ref = solve_ivp(rhs, (float(r[i]), float(r[i + 1])),
+                        [float(psi[i]), float(beta[i]), 0.0],
+                        method="DOP853", rtol=1e-13, atol=1e-14)
+        assert ref.success
+        err = abs(float(run10.dissipation[i]) - float(ref.y[2, -1]))
+        rel.append(err / float(ref.y[2, -1]))
+        scaled.append(err * float(r[i]) / (float(r[i + 1] - r[i]) * max(
+            float(beta[i]) ** 2, float(beta[i + 1]) ** 2)))
+    assert np.count_nonzero(psi == 0.0) == 9 and len(rel) > 500
+    assert float(np.median(rel)) <= _DISS_MEDIAN_BOUND, np.median(rel)
+    assert max(scaled) <= _DISS_SCALED_BOUND, max(scaled)
