@@ -106,21 +106,21 @@ def check_ball(model: VorticityModel, a: float, seed: int = 0
     Growth: eta lies in (3, 7/2] and |f| <= eta a.  Lipschitz: adjacent-pair
     slopes stay within the ledger's constant L, which itself lies below
     rate_transform(3) ~ 2.616, the ceiling select_contraction_constants
-    takes L up to.  A centre that is not finite and > 0 makes the
-    interval empty or reversed and is refused.
+    takes L up to.  A centre that is not > 0, or whose ball end
+    (1 + eta/4) a or bound eta a is not finite, is refused.
     """
-    if not (math.isfinite(a) and a > 0.0):
-        raise ParameterDomainError(
-            f"ball centre a must be finite and > 0, got {a!r}")
     tol = 1e-12
     eta, L = model.ledger.eta, model.ledger.L
     range_ok = 3.0 < eta <= 3.5
-    lo, hi = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a
+    lo, hi, bound = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a, eta * a
+    if not (a > 0.0 and math.isfinite(hi) and math.isfinite(bound)):
+        raise ParameterDomainError(
+            f"ball centre a must be > 0 with a finite ball end and bound "
+            f"eta a, got {a!r}")
     xs = np.sort(sample_interval(10_000, lo, hi, seed=seed))
     fv = model.f_arr(xs)
     absf = np.abs(fv)
     j = int(np.argmax(absf))
-    bound = eta * a
     bound_ok = bool(absf[j] <= bound * (1.0 + tol))
     growth = CheckRecord(
         name=f"growth_a_{a:g}", passed=range_ok and bound_ok, tolerance=tol,

@@ -303,11 +303,11 @@ def select_contraction_constants(T: float = 6.0,
     slack, k_lo collects the ball and Lipschitz requirements, k_hi is the
     ceiling (T + sqrt(T^2 - 1)) ln(lam_mid) coming from the exponential
     comparison e^x <= 1 + lam x on [0, ln lam].  Geometric mean k keeps
-    zeta = k_lo / k strictly below 1.
+    zeta = k_lo / k strictly below 1.  T^2 must be finite, or k_hi = k = inf.
     """
-    if not (math.isfinite(T) and T >= 6.0):
+    if not (T >= 6.0 and math.isfinite(T * T)):
         raise ParameterDomainError(
-            f"anchor radius must be finite and >= 6, got {T!r}")
+            f"anchor radius must be >= 6 with T^2 finite, got {T!r}")
     if not L > 0.0:
         raise ParameterDomainError("Lipschitz bound must be positive")
     # the lambda* bracket [_LAM_LO, 3] holds a root only inside this range
@@ -348,7 +348,8 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
     observed contraction ratio of successive weighted distances, which must
     stay below the certified zeta.  Iterates are confined to the domain
     |psi - psi_T| <= eta psi_T / 4, |beta| <= 2 |beta_T| + eta psi_T; the
-    sweeps stop once a sup change is at most 1e-12 max(1, psi_T).
+    sweeps stop once a sup change is at most 1e-12 max(1, psi_T).  From
+    T ~ 1.05e6 the window holds no 2049 strictly increasing nodes.
     """
     require_finite(T=T, psi_T=psi_T, beta_T=beta_T)
     _check_count("max_iter", max_iter, 1)
@@ -363,6 +364,10 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
             f"= {eta * psi_T / 8.0!r}")
     r_lo = math.sqrt(T * T - 1.0)
     rs = np.linspace(r_lo, T, 2049)
+    if not np.all(np.diff(rs) > 0.0):
+        raise ParameterDomainError(
+            f"anchor radius T={T!r} is too large: the window "
+            f"[{r_lo!r}, {T!r}] holds no 2049 strictly increasing nodes")
     h = float(rs[1] - rs[0])
     weight = np.exp(-constants.k * (rs - r_lo))
     psi_ball = eta * psi_T / 4.0

@@ -7,10 +7,11 @@ I-control of the step.  A step's dissipation int beta^2/r dr is a
 component D' = beta^2/r of the same step: the pair's weights b_j on
 beta_j^2/r_j at the stages it has already formed (II.1), at no f call.
 Between its endpoints a step is read only through the cubic Hermite of
-the stored endpoints, of E for the zero-energy stop and of psi and beta
-for the cut row, the closest approach and all sampling after the run, so
-results never depend on which steps the controller happened to take
-beyond their endpoints.  An orbit stores one row per accepted step.
+the stored endpoints: of E for the zero-energy stop, of psi and beta for
+the cut row and of beta for its share of the dissipation, and for the
+closest approach and all sampling after the run, so results never depend
+on which steps the controller happened to take beyond their endpoints.
+An orbit stores one row per accepted step.
 
 The left endpoint r = 0 is singular, so integrate() opens with a short
 Picard series head on [0, r_handoff] computed by the fixed-point solver
@@ -29,9 +30,8 @@ beta Hermites' error (up to 3.7e-5, of either sign, over 123 shots at
 rel_tol 1e-9).  It forms every row that is not an accepted step's end
 with _row, and returns the Trajectory, reversed into ascending r for a
 backward sweep.  An accepted step calls no Python function but f and F, or
-hands over to a crossing window.  Only the cut step of a stopped run forms
-the pair's 3 dense-output stages, for _dense, whose beta _dissipation
-integrates over the share of the step before the cut.
+hands over to a crossing window.  The cut step's dissipation before the
+cut is _dissipation's 5-point Gauss on the cut row's beta Hermite.
 
 For the square-root families, f(sig t^2) = sig (t^2 - t m(t^2)), so psi(r)
 carries a (r - r_c)^(5/2) term at each crossing r_c of psi = 0, where no
@@ -65,15 +65,14 @@ from .vorticity import SQRT_FAMILY_NEG_F, VorticityModel, arrival_law
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.10), with
 # stages numbered from 1: k_i = f(r + c_i h, y + h sum_j a_ij k_j).  Stages
 # 1-12 make the 8th-order step y1 = y + h sum_j b_j k_j (c_12 = 1); k13 =
-# f(r + h, y1) starts the next step; 14-16 serve the 7th-order dense output,
-# which only the cut step of a zero-energy stop reads.
-# Only the nonzero a_ij, b_j and error and dense weights are named.
+# f(r + h, y1) starts the next step.  The pair's 7th-order dense output
+# (stages 14-16) is not used: a step is read between its ends only on the
+# cubic Hermite.  Only the nonzero a_ij, b_j and error weights are named.
 _C2, _C3, _C4, _C5, _C6, _C7 = (
     0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25)
-_C8, _C9, _C10, _C11, _C14, _C15, _C16 = (
-    0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 0.1,
-    0.2, 0.7777777777777778)
+_C8, _C9, _C10, _C11 = (
+    0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571)
 _A2_1 = 0.05260015195876773
 _A3_1, _A3_2 = 0.0197250569845379, 0.0591751709536137
 _A4_1, _A4_3 = 0.02958758547680685, 0.08876275643042054
@@ -115,46 +114,6 @@ _E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = (
     -0.18980075407240762, 4.450312892752409, 1.8915178993145003,
     -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
     0.20136540080403034, 0.02265179219836082)
-# the dense-output stages
-_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13 = (
-    0.056167502283047954, 0.25350021021662483, -0.2462390374708025,
-    -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
-    0.007567897660545699, -0.008298)
-_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14 = (
-    0.03183464816350214, 0.028300909672366776, 0.053541988307438566,
-    -0.05492374857139099, -0.00010834732869724932, 0.0003825710908356584,
-    -0.00034046500868740456, 0.1413124436746325)
-_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15 = (
-    -0.42889630158379194, -4.697621415361164, 7.683421196062599,
-    4.06898981839711, 0.3567271874552811, -0.0013990241651590145,
-    2.9475147891527724, -9.15095847217987)
-# dense output y(s) = y + s (d0 + u (d1 + s (d2 + u (d3 + s (d4 + u (d5
-# + s d6)))))), u = 1 - s, with d0 = y1 - y, d1 = h k1 - d0,
-# d2 = 2 d0 - h (k1 + k13) and d_m = h sum_j _Dm_j k_j for m = 3..6
-(_D3_1, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13, _D3_14,
- _D3_15, _D3_16) = (
-    -8.428938276109013, 0.5667149535193777, -3.0689499459498917,
-    2.38466765651207, 2.117034582445028, -0.871391583777973,
-    2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
-    18.148505520854727, -9.194632392478356, -4.436036387594894)
-(_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14,
- _D4_15, _D4_16) = (
-    10.427508642579134, 242.28349177525817, 165.20045171727028,
-    -374.5467547226902, -22.113666853125306, 7.733432668472264,
-    -30.674084731089398, -9.332130526430229, 15.697238121770845,
-    -31.139403219565178, -9.35292435884448, 35.81684148639408)
-(_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14,
- _D5_15, _D5_16) = (
-    19.985053242002433, -387.0373087493518, -189.17813819516758,
-    527.8081592054236, -11.57390253995963, 6.8812326946963,
-    -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
-    -60.19669523126412, 84.32040550667716, 11.99229113618279)
-(_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14,
- _D6_15, _D6_16) = (
-    -25.69393346270375, -154.18974869023643, -231.5293791760455,
-    357.6391179106141, 93.40532418362432, -37.45832313645163,
-    104.0996495089623, 29.8402934266605, -43.53345659001114,
-    96.32455395918828, -39.17726167561544, -149.72683625798564)
 
 # 5-point Gauss-Legendre on [0, 1], for the cut step of a zero-energy stop
 _GAUSS_S = (0.046910077030668004, 0.23076534494715845, 0.5,
@@ -173,9 +132,9 @@ _TOL_SCALE, _SAFETY, _EXIT_STEP = 0.77, 0.8, 0.6
 # the rows are sampled after the run on their cubic Hermite, which must
 # resolve the damping beta/r near the centre and psi's (r - r_c)^(5/2) term
 # at a crossing: an r-step is at most _R_STEP r, a window's t-step at most
-# _WINDOW_DT.  The dissipation reads no Hermite.  _R_STEP binds mostly on
-# short shots (the a* of a shooting fit is off by 2.2e-10 without it, by
-# 3.0e-11 with it); _WINDOW_DT holds about a tenth of the rows of long orbits
+# _WINDOW_DT.  _R_STEP binds mostly on short shots (the a* of a shooting fit
+# is off by 2.2e-10 without it, by 3.0e-11 with it); _WINDOW_DT holds about
+# a tenth of the rows of long orbits
 _R_STEP, _WINDOW_DT = 0.08, 0.1
 
 # Picard head grid size and sweep tolerance
@@ -286,43 +245,17 @@ def _step_minimum(seg: Tuple[float, ...],
     return (s, rad) if rad < grid[j] else (mid, grid[j])
 
 
-def _dense(hs, y, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15,
-           k16):
-    """(d0, ..., d6) of the pair's dense output on a step from y to y1 in
-    one real component (see the tableau)."""
-    d0 = y1 - y
-    return (d0, hs * k1 - d0, d0 + d0 - hs * (k13 + k1),
-            hs * (_D3_1 * k1 + _D3_6 * k6 + _D3_7 * k7 + _D3_8 * k8
-                  + _D3_9 * k9 + _D3_10 * k10 + _D3_11 * k11 + _D3_12 * k12
-                  + _D3_13 * k13 + _D3_14 * k14 + _D3_15 * k15
-                  + _D3_16 * k16),
-            hs * (_D4_1 * k1 + _D4_6 * k6 + _D4_7 * k7 + _D4_8 * k8
-                  + _D4_9 * k9 + _D4_10 * k10 + _D4_11 * k11 + _D4_12 * k12
-                  + _D4_13 * k13 + _D4_14 * k14 + _D4_15 * k15
-                  + _D4_16 * k16),
-            hs * (_D5_1 * k1 + _D5_6 * k6 + _D5_7 * k7 + _D5_8 * k8
-                  + _D5_9 * k9 + _D5_10 * k10 + _D5_11 * k11 + _D5_12 * k12
-                  + _D5_13 * k13 + _D5_14 * k14 + _D5_15 * k15
-                  + _D5_16 * k16),
-            hs * (_D6_1 * k1 + _D6_6 * k6 + _D6_7 * k7 + _D6_8 * k8
-                  + _D6_9 * k9 + _D6_10 * k10 + _D6_11 * k11 + _D6_12 * k12
-                  + _D6_13 * k13 + _D6_14 * k14 + _D6_15 * k15
-                  + _D6_16 * k16))
-
-
-def _dissipation(r: float, hs: float, beta: float,
-                 dense: Tuple[float, ...], s_hi: float) -> float:
-    """int beta^2/r dr over the first s_hi of a step, 5-point Gauss on the
-    pair's dense beta with coefficients dense = _dense(hs, beta, ...)."""
-    d0, d1, d2, d3, d4, d5, d6 = dense
+def _dissipation(r: float, h: float, beta: float, beta1: float, d0: float,
+                 d1: float, s_hi: float) -> float:
+    """int beta^2/r dr over the first s_hi of a step of width h from r,
+    5-point Gauss on the cubic Hermite of beta from (beta, d0) to
+    (beta1, d1)."""
     acc = 0.0
     for sg, wg in zip(_GAUSS_S, _GAUSS_W):
         s = s_hi * sg
-        u = 1.0 - s
-        bd = beta + s * (d0 + u * (d1 + s * (d2 + u * (d3 + s * (
-            d4 + u * (d5 + s * d6))))))
-        acc += wg * bd * bd / (r + s * hs)
-    return hs * s_hi * acc
+        b = _hermite(beta, beta1, d0, d1, h, s)
+        acc += wg * b * b / (r + s * h)
+    return h * s_hi * acc
 
 
 @dataclass
@@ -330,8 +263,9 @@ class Trajectory:
     """Accepted-step samples of one orbit, ascending in r.
 
     dissipation[i] holds int beta^2/r dr over [r[i], r[i+1]], integrated
-    by the stepper as one more component of the step (E' = -beta^2/r), so
-    cumulative sums reproduce the energy drop to integration accuracy.
+    by the stepper as one more component of the step (E' = -beta^2/r), or
+    for a stopped run's cut step on beta's Hermite, so cumulative sums
+    reproduce the energy drop to integration accuracy.
     """
     model: VorticityModel
     r: np.ndarray
@@ -811,35 +745,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
                             _hermite(psi, psi1, k1p, k13p, h1, s_cut),
                             _hermite(beta, beta1, k1b, k13b, h1, s_cut),
                             theta))
-            # the cut step's share of the dissipation reads the pair's
-            # dense output, whose 3 extra stages no other step forms
-            k14p = beta + hs * (
-                _A14_1 * k1b + _A14_7 * k7b + _A14_8 * k8b + _A14_9 * k9b
-                + _A14_10 * k10b + _A14_11 * k11b + _A14_12 * k12b
-                + _A14_13 * k13b)
-            k14b = -k14p / (r + _C14 * hs) - f(psi + hs * (
-                _A14_1 * k1p + _A14_7 * k7p + _A14_8 * k8p + _A14_9 * k9p
-                + _A14_10 * k10p + _A14_11 * k11p + _A14_12 * k12p
-                + _A14_13 * k13p))
-            k15p = beta + hs * (
-                _A15_1 * k1b + _A15_6 * k6b + _A15_7 * k7b + _A15_8 * k8b
-                + _A15_11 * k11b + _A15_12 * k12b + _A15_13 * k13b
-                + _A15_14 * k14b)
-            k15b = -k15p / (r + _C15 * hs) - f(psi + hs * (
-                _A15_1 * k1p + _A15_6 * k6p + _A15_7 * k7p + _A15_8 * k8p
-                + _A15_11 * k11p + _A15_12 * k12p + _A15_13 * k13p
-                + _A15_14 * k14p))
-            k16p = beta + hs * (
-                _A16_1 * k1b + _A16_6 * k6b + _A16_7 * k7b + _A16_8 * k8b
-                + _A16_9 * k9b + _A16_13 * k13b + _A16_14 * k14b
-                + _A16_15 * k15b)
-            k16b = -k16p / (r + _C16 * hs) - f(psi + hs * (
-                _A16_1 * k1p + _A16_6 * k6p + _A16_7 * k7p + _A16_8 * k8p
-                + _A16_9 * k9p + _A16_13 * k13p + _A16_14 * k14p
-                + _A16_15 * k15p))
-            append_diss(_dissipation(r, hs, beta, _dense(
-                hs, beta, beta1, k1b, k6b, k7b, k8b, k9b, k10b, k11b, k12b,
-                k13b, k14b, k15b, k16b), s_cut))
+            append_diss(_dissipation(r, h1, beta, beta1, k1b, k13b, s_cut))
             term = Termination.EVENT
             break
 

@@ -13,6 +13,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from .analysis import RingSpec
+from .errors import ParameterDomainError
 from .integrator import Trajectory
 from .phaseplane import level_set_geometry, scaled_lobe_curve
 from .vorticity import VorticityModel
@@ -72,6 +73,9 @@ def build_portrait_svg(model: VorticityModel,
 
     clip_radius crops the world box; otherwise it grows to the data.
     """
+    if clip_radius is not None and not 0.0 < clip_radius < math.inf:
+        raise ParameterDomainError(
+            f"clip_radius must be finite and positive, got {clip_radius!r}")
     trajectories = list(trajectories)
     geo = level_set_geometry(model)
     extent = 1.25 * geo.psi_plus

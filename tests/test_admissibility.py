@@ -143,9 +143,12 @@ def test_lipschitz_ceiling_is_the_contraction_ceiling(constantin, L,
             banach_solve(model, 6.0, 2.0, 0.1)
 
 
-@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf, 1e-300])
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf, 1e-300,
+                               1e308])
 def test_check_ball_rejects_bad_centre(constantin, a):
-    # 1e-300 is finite and > 0, but its interval is too narrow for a slope
+    # 1e-300 is finite and > 0, but its interval is too narrow for a slope;
+    # at 1e308 the bound eta a overflows, and the growth check passed
+    # against inf
     with pytest.raises(ParameterDomainError):
         check_ball(constantin, a)
 

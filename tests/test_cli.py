@@ -116,6 +116,9 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
     ["simulate", "--model", "powerlaw", "--c2", "0.02"],
     ["shoot", "--a", "5:2"], ["shoot", "--a", "2:2"],
     ["shoot", "--a", "0.5:3"],
+    ["portrait", "--clip", "0"], ["portrait", "--clip", "-1"],
+    ["check", "--a", "1e308"],
+    ["banach", "--T", "1e8", "--psiT", "2", "--betaT", "0.1"],
 ])
 def test_bad_start_or_range_rejected(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -127,6 +127,9 @@ def test_contraction_constants_domain():
     # no root
     with pytest.raises(InfeasibleConstantsError):
         select_contraction_constants(6.0, 1e-13)
+    # T^2 overflows: k_hi and k were inf and zeta 0.0
+    with pytest.raises(ParameterDomainError, match="T\\^2 finite"):
+        select_contraction_constants(1e200)
 
 
 def test_picard_residual_small(constantin):
@@ -416,6 +419,11 @@ def test_banach_anchor_guards(constantin):
     eta = constantin.ledger.eta
     with pytest.raises(ParameterDomainError):
         banach_solve(constantin, 6.0, 2.0, eta * 2.0 / 8.0 + 0.01)
+    # at 1e8 the window [sqrt(T^2 - 1), T] is the single node T, which
+    # passed after one sweep; at 1e200 the 400 sweeps ran on NaN
+    for T in (1e8, 1e200):
+        with pytest.raises(ParameterDomainError, match="anchor radius"):
+            banach_solve(constantin, T, 2.0, 0.1)
 
 
 @pytest.mark.parametrize("T, psi_T, beta_T", [

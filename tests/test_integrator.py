@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from vortexplane import (IntegrationConfig, ParameterDomainError, Termination,
                          classify_shot, integrate, integrate_backward,
@@ -21,16 +21,16 @@ from vortexplane.integrator import _hermite, _hull_floor, _step_minimum
 
 def test_tableau_matches_scipy():
     # every hard-coded DOP853 constant equals scipy's: A (with B its 13th
-    # row), C, E3, E5 and the dense-output rows D; a weight that scipy
-    # holds as zero has no constant.  Each stage's A row sums to its node
-    # to 1e-15 of the row's absolute sum: weights up to 43 in size carry
-    # rounding of a few 1e-15 each, so that is the sum's own resolution.
+    # row), C, E3 and E5; a weight that scipy holds as zero has no
+    # constant.  Each stage's A row sums to its node to 1e-15 of the row's
+    # absolute sum: weights up to 43 in size carry rounding of a few 1e-15
+    # each, so that is the sum's own resolution.
     from scipy.integrate._ivp import dop853_coefficients as ref
 
     def named(prefix, i):
         return getattr(integrator, f"{prefix}{i}", None)
 
-    for i in range(2, 17):
+    for i in range(2, 14):
         prefix = "_B" if i == 13 else f"_A{i}_"
         row = [named(prefix, j) for j in range(1, 17)]
         assert [0.0 if v is None else v for v in row] == ref.A[i - 1].tolist()
@@ -43,9 +43,6 @@ def test_tableau_matches_scipy():
     for name, table in (("_E3_", ref.E3), ("_E5_", ref.E5)):
         row = [named(name, j) for j in range(1, 14)]
         assert [0.0 if v is None else v for v in row] == table.tolist()
-    for m in range(3, 7):
-        row = [named(f"_D{m}_", j) for j in range(1, 17)]
-        assert [0.0 if v is None else v for v in row] == ref.D[m - 3].tolist()
 
 
 def test_against_reference_integrator(constantin, run10, state_at):
@@ -439,7 +436,9 @@ _ROWS = {
 
 
 # re-recorded once when each step's dissipation moved from 5-point Gauss on
-# the pair's dense output to the pair's own weights on its stages
+# the pair's dense output to the pair's own weights on its stages, and the
+# shot_* entries once more when a stopped run's cut step moved its share
+# onto beta's Hermite
 _DISS = {
     "backward":
         "0ba4cfebc217c3574bde08c67f25b517346ad375229b6ac99a8f74d218f1b2fe",
@@ -460,23 +459,23 @@ _DISS = {
     "run100":
         "13878975d1456ad54305b687dd2bcde550ace92da66ca639ee420444d27087ed",
     "shot_constantin_2":
-        "7cf314519a3082f1997de7345fa52246b0e975df88a4dd5ea549bcc868115942",
+        "990a547a273016b9f228e9fc75c77c9ab66d5a03f0d431a3467d6ef089adcdce",
     "shot_constantin_3":
-        "c960ce9deac9b664297895135ecc5e749ad7150087a148b81203ee1e68bf315e",
+        "e5a232c2b3eb0d3095cbe18e642832ec9148014fc49acb873a7fded19df61066",
     "shot_constantin_4":
-        "48130932efbce9365e951006a81a6a6649463a1e43265db9a4250844608f4368",
+        "103eb782bd7a3e4780dead102e1888a611debf6dc8c42e98d66006c282e867cd",
     "shot_example_2":
-        "1118ce744711057571bb45ce13c85569442c1add4c9250ccae6e198c05ccdc6a",
+        "d724692fd3b32556e38987010dac2b5fda67eefaf01b0228c784cbeaf3457047",
     "shot_example_3":
-        "91d7c9b462f52613594d7b17dde12a4442ddf682b62e7d952b3556e56269c70a",
+        "b6f45864cbaa2269cac57be60c8f43574eb096e22e44bb413f782975f3dd10bf",
     "shot_example_4":
-        "5ecea756bfbb0f4ce3d9db62cdf90ad2097f3cca432ec2d98150e101bdf03374",
+        "d682924427f636422da5054cdd54978c76d8623cad4366a7d11e6d6bc14e2f6f",
     "shot_powerlaw_2":
-        "11444304d7c861a004617bfc8374d4309310a9165b7a8f7a1bf375b60c0c4dbc",
+        "797f7e390f7d32e7367e7cdc4575372e47f9f90914fe0c35d1fce5db0d68708f",
     "shot_powerlaw_3":
-        "6139f108668585c10b41712eba3ff2e2117f129c79ab9cb6cd06d260fbaeaa3f",
+        "035725847a5858e32a5f71892fc14b3ef0c30033a93e9b4b71c66b2ebbabf918",
     "shot_powerlaw_4":
-        "c1670989a4ead4fb5d774e57bf5c33ade54c2ed2112f04278634e219a6ffe2f6",
+        "0c1e3925884d21ed28dfd71093b93f08f5e9ff8a0ba994902f16f771629bb0c1",
 }
 
 
@@ -620,8 +619,8 @@ def test_hull_floor_bounds_hermite_radius(psi, beta, psi1, beta1, k1p, k1b,
 #
 # An accepted step calls no Python function but f and F: its dissipation is
 # the pair's weights on the stage betas it has already formed.  Only the cut
-# step of a stopped run forms the 3 dense-output stages and calls _dense
-# and _dissipation, on the share of the step before the cut.
+# step of a stopped run calls _dissipation, on beta's Hermite over the share
+# of the step before the cut.
 
 def _core_lines(text):
     """Source line numbers of the lines of _integrate_core holding text."""
@@ -643,50 +642,65 @@ def _dense_stages(f, r, psi, beta, hs, kp, kb):
     return kb[13:]
 
 
+def _dense_dissipation(f, v):
+    """int beta^2/r dr over the whole step in the core's locals v: 5-point
+    Gauss on the pair's 7th-order dense beta, y + s (d0 + u (d1 + s (d2 +
+    u (d3 + s (d4 + u (d5 + s d6)))))) with u = 1 - s, d0 = beta1 - beta,
+    d1 = hs k1 - d0, d2 = 2 d0 - hs (k1 + k13) and d_m = hs sum_j D_mj k_j
+    from scipy's tableau, stages 14-16 formed here."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    kp = [v[f"k{j}p"] for j in range(1, 14)]
+    kb = [v[f"k{j}b"] for j in range(1, 14)]
+    kb += _dense_stages(f, v["r"], v["psi"], v["beta"], v["hs"], kp, kb)
+    r, hs, beta, beta1 = v["r"], v["hs"], v["beta"], v["beta1"]
+    d0 = beta1 - beta
+    d = [d0, hs * kb[0] - d0, d0 + d0 - hs * (kb[12] + kb[0])]
+    d += [hs * math.fsum(w * k for w, k in zip(row.tolist(), kb))
+          for row in ref.D]
+    acc = 0.0
+    for sg, wg in zip(integrator._GAUSS_S, integrator._GAUSS_W):
+        u = 1.0 - sg
+        b = beta + sg * (d[0] + u * (d[1] + sg * (d[2] + u * (d[3] + sg * (
+            d[4] + u * (d[5] + sg * d[6]))))))
+        acc += wg * b * b / (r + sg * hs)
+    return hs * acc
+
+
 @pytest.mark.parametrize("stop", [False, True])
 @pytest.mark.parametrize("name", ["constantin", "example", "powerlaw"])
 def test_inlined_helpers_match_references(models, name, stop):
-    # every full step's dissipation agrees with _dissipation on _dense over
-    # the whole step, its dense stages formed here from scipy's tableau:
-    # measured median 9.3e-13 relative and at most 5.5e-10 of
-    # hs max(beta^2)/r.  The cut step of a stopped run forms those stages
-    # itself, to scipy's within rounding, and its dissipation is
-    # _dissipation on _dense over the share s_cut before the cut, bit for bit
+    # every full step's dissipation agrees with 5-point Gauss on the pair's
+    # dense output over the whole step, its dense stages and coefficients
+    # formed here from scipy's tableau: measured median 9.3e-13 relative and
+    # at most 5.5e-10 of hs max(beta^2)/r.  The cut step of a stopped run is
+    # _dissipation on beta's Hermite over the share s_cut before the cut,
+    # bit for bit, and within 1e-15 relative of scipy's quad of the same
+    # Hermite's beta^2/r (measured at most 5.2e-16)
     model = models[name]
     [at_step] = _core_lines("if last:")
     [at_cut] = _core_lines("term = Termination.EVENT")
     rel, scaled, cuts = [], [], []
-
-    def reference(v, s_hi):
-        kp = [v[f"k{j}p"] for j in range(1, 14)]
-        kb = [v[f"k{j}b"] for j in range(1, 14)]
-        dense = _dense_stages(model.f, v["r"], v["psi"], v["beta"], v["hs"],
-                              kp, kb)
-        ks = [kb[j - 1] for j in (1, 6, 7, 8, 9, 10, 11, 12, 13)] + dense
-        return dense, integrator._dissipation(
-            v["r"], v["hs"], v["beta"],
-            integrator._dense(v["hs"], v["beta"], v["beta1"], *ks), s_hi)
 
     def local_trace(frame, event, arg):
         # a line event fires before its line runs, after the dissipation
         # append of the step
         if event == "line" and frame.f_lineno == at_step:
             v = frame.f_locals
-            got, (_, want) = v["diss"][-1], reference(v, 1.0)
+            got, want = v["diss"][-1], _dense_dissipation(model.f, v)
             rel.append(abs(got - want) / abs(want))
             scaled.append(abs(got - want) * v["r"] / (
                 abs(v["hs"]) * max(v["beta"] ** 2, v["beta1"] ** 2)))
         if event == "line" and frame.f_lineno == at_cut:
             v = frame.f_locals
-            dense, _ = reference(v, v["s_cut"])
-            own = [v["k14b"], v["k15b"], v["k16b"]]
-            assert own == pytest.approx(dense, rel=1e-13, abs=1e-15)
-            ks = [v[f"k{j}b"] for j in (1, 6, 7, 8, 9, 10, 11, 12, 13)]
-            assert v["diss"][-1].hex() == integrator._dissipation(
-                v["r"], v["hs"], v["beta"], integrator._dense(
-                    v["hs"], v["beta"], v["beta1"], *ks, *own),
-                v["s_cut"]).hex()
-            cuts.append(v["s_cut"])
+            r, h1, s_cut = v["r"], v["h1"], v["s_cut"]
+            ends = (v["beta"], v["beta1"], v["k1b"], v["k13b"])
+            got = v["diss"][-1]
+            assert got.hex() == integrator._dissipation(
+                r, h1, *ends, s_cut).hex()
+            want, _ = quad(lambda s: _hermite(*ends, h1, s) ** 2 / (
+                r + s * h1), 0.0, s_cut, epsabs=0.0, epsrel=1e-13)
+            want *= h1
+            cuts.append(abs(got - want) / abs(want))
         return local_trace
 
     def trace(frame, event, arg):
@@ -704,6 +718,7 @@ def test_inlined_helpers_match_references(models, name, stop):
                                 else Termination.REACHED_RMAX)
     assert len(rel) > 100 and len(cuts) == (1 if stop else 0)
     assert float(np.median(rel)) <= 2e-12 and max(scaled) <= 1e-9
+    assert all(c <= 1e-15 for c in cuts)
 
 
 def test_phase_cap_halves_steps(constantin):
@@ -739,13 +754,12 @@ def test_phase_cap_halves_steps(constantin):
 
 def test_no_per_step_helper_calls(constantin):
     # a setprofile guard over one run to the zero-energy stop and a whole
-    # shooting solve: _dense and _dissipation run once per run, for the
-    # cut step, and no accepted step calls either; the
-    # core never calls _hull_floor or _step_minimum, which only
-    # closest_approach reaches (_step_minimum at most twice per shot), and
-    # a step's radius is evaluated only by _step_minimum's grid and its
-    # golden_min; and no Python function but f and F is called from the
-    # core on more than a few steps
+    # shooting solve: _dissipation runs once per run, for the cut step,
+    # and no accepted step calls it; the core never calls _hull_floor or
+    # _step_minimum, which only closest_approach reaches (_step_minimum at
+    # most twice per shot), and a step's radius is evaluated only by
+    # _step_minimum's grid and its golden_min; and no Python function but f
+    # and F is called from the core on more than a few steps
     from vortexplane import shoot_for_origin
     from_core, radius_callers, searches = {}, set(), {}
     core = integrator._integrate_core.__code__
@@ -774,7 +788,6 @@ def test_no_per_step_helper_calls(constantin):
         sys.setprofile(None)
     assert traj.termination is Termination.EVENT
     assert from_core["_dissipation"] == 1 + len(result.history)
-    assert from_core["_dense"] == 1 + len(result.history)
     assert not {"_hull_floor", "_step_minimum", "radius"} & set(from_core)
     assert radius_callers == {"golden_min", "_step_minimum"}
     assert list(searches) == ["closest_approach"]
@@ -823,8 +836,10 @@ def test_window_calls_no_helper_per_stage(constantin, monkeypatch):
 def shot_sweep(models):
     """Three models x a = 2, 2.25, ... 12 with the zero-energy stop: the
     sha256 of each run's termination, min_radius, min_radius_r and last
-    row, and the sha256 of the runs' rows-only and dissipation digests."""
+    row, the sha256 of the runs' rows-only and dissipation digests, and
+    each run's termination and |E[0] - sum of its dissipation|."""
     digest, rows, diss = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    balance = []
     for name in sorted(models):
         for k in range(41):
             a = 2.0 + 0.25 * k
@@ -838,7 +853,9 @@ def shot_sweep(models):
                 repr(traj.min_radius_r), last)).encode())
             rows.update(_rows(traj).encode())
             diss.update(_diss(traj).encode())
-    return digest.hexdigest(), rows.hexdigest(), diss.hexdigest()
+            balance.append((traj.termination, abs(
+                float(traj.E[0]) - math.fsum(traj.dissipation.tolist()))))
+    return (digest.hexdigest(), rows.hexdigest(), diss.hexdigest()), balance
 
 
 def test_pinned_shot_sweep(shot_sweep):
@@ -847,11 +864,23 @@ def test_pinned_shot_sweep(shot_sweep):
     # zero-energy stop moved onto E's own Hermite (every termination and
     # side kept, r_stop moved by up to 0.011).  The rows digest was
     # recorded with the dissipation split off, before the steps integrated
-    # it with the pair's weights, which kept it; the dissipation's after
-    assert shot_sweep == (
+    # it with the pair's weights, which kept it; the dissipation's after,
+    # and again when the cut step's share moved from the pair's dense
+    # output onto beta's Hermite
+    assert shot_sweep[0] == (
         "561695a3df984d4695159f9961b390902d780d51d0d1d1265023bfdc6f072a40",
         "e3ea042547701b468bcd908bb2218eefe155a54650ee2d6396c8eff9fc74c07c",
-        "2bd6769c537aa1e654a375729262b10a83ba881e35f1ab9d016ddf0a91da0370")
+        "b240159112f26684b0ebb49ba14f6d021e96495a020f373e6b1fbf31b16f9622")
+
+
+def test_shot_sweep_balances(shot_sweep):
+    # every run stops where E's Hermite falls through 0, so its dissipation
+    # sums to E[0] up to the cut row's own energy error: at most 1.02e-5
+    # (median 2.2e-7) with the cut step's share on the pair's dense output,
+    # 9.97e-6 (median 2.7e-7) on beta's Hermite
+    terms, gaps = zip(*shot_sweep[1])
+    assert set(terms) == {Termination.EVENT} and len(gaps) == 123
+    assert max(gaps) <= 1.1e-5
 
 
 # ------------------------------------------- closest approach after the run

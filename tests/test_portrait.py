@@ -1,5 +1,7 @@
-from vortexplane import (IntegrationConfig, RingSpec, build_portrait_svg,
-                         integrate)
+import pytest
+
+from vortexplane import (IntegrationConfig, ParameterDomainError, RingSpec,
+                         build_portrait_svg, integrate)
 
 
 def test_svg_skeleton(constantin):
@@ -35,6 +37,13 @@ def test_svg_clip(constantin):
     clipped = build_portrait_svg(constantin, trajectories=(traj,),
                                  clip_radius=5.0)
     assert wide != clipped
+
+
+@pytest.mark.parametrize("clip", [0.0, -1.0, float("nan"), float("inf")])
+def test_svg_clip_must_be_finite_and_positive(constantin, clip):
+    # 0 divided by zero, -1 drew at a negative scale and nan was ignored
+    with pytest.raises(ParameterDomainError, match="clip_radius"):
+        build_portrait_svg(constantin, clip_radius=clip)
 
 
 def test_svg_deterministic(constantin):
