@@ -22,6 +22,7 @@ from .integrator import (IntegrationConfig, Termination, Trajectory,
                          _check_start_energy, _hermite_root, arrival_start,
                          integrate, integrate_backward)
 from .phaseplane import TWO_PI
+from .search import _BISECTIONS
 from .vorticity import VorticityModel, arrival_law
 
 # the arrival fit of shoot_for_origin: the backward start lies
@@ -53,6 +54,46 @@ def _refine_crossing(traj: Trajectory, name: str, level: float,
     h = float(traj.r[i + 1] - traj.r[i])
     s = _hermite_root(y0, y1, d0, d1, h, level)
     return float(traj.r[i]) + s * h, s
+
+
+def _refine_crossings(traj: Trajectory, name: str, levels: np.ndarray,
+                      nodes: np.ndarray) -> np.ndarray:
+    """r of _refine_crossing(traj, name, levels[k], nodes[k])[0] for every
+    k at once, with the same bits: one array bisection on the Hermite of
+    each segment, which keeps bisect_root's rules per element (the stall
+    exit, the exit on g == 0, the sign classes g > 0 and g <= 0 and the
+    _BISECTIONS budget).
+
+    The ends come from Trajectory.node and its scalar f.  The cubic
+    squares with np.float_power, which rounds as Python's ** does; an
+    array's ** rounds as x * x and moves some roots by an ulp.  A single
+    root stays with _refine_crossing: each halving here costs a dozen
+    numpy calls.
+    """
+    ends = [traj.node(name, i) + traj.node(name, i + 1)
+            for i in nodes.tolist()]
+    y0, d0, y1, d1 = np.array(ends, dtype=float).reshape(-1, 4).T
+    r0 = traj.r[nodes]
+    h = traj.r[nodes + 1] - r0
+    up = y0 - levels > 0.0
+    lo, hi = np.zeros(len(nodes)), np.ones(len(nodes))
+    s = np.empty(len(nodes))
+    live = np.ones(len(nodes), dtype=bool)
+    for _ in range(_BISECTIONS):
+        if not live.any():
+            break
+        mid = 0.5 * (lo + hi)
+        q, m2 = np.float_power(1.0 - mid, 2.0), mid * mid
+        g = ((1.0 + 2.0 * mid) * q * y0 + mid * q * h * d0
+             + m2 * (3.0 - 2.0 * mid) * y1 + m2 * (mid - 1.0) * h * d1
+             - levels)
+        done = live & ((mid == lo) | (mid == hi) | (g == 0.0))
+        s[done] = mid[done]
+        live &= ~done
+        keep_lo = (g > 0.0) == up
+        lo, hi = np.where(keep_lo, mid, lo), np.where(keep_lo, hi, mid)
+    s[live] = 0.5 * (lo + hi)[live]
+    return r0 + s * h
 
 
 def _state(traj: Trajectory, i: int, s: float) -> Tuple[float, float]:
@@ -294,9 +335,8 @@ def crossing_sequence(traj: Trajectory,
         taus += [theta_start + _THETA0 - TWO_PI * n,
                  theta_start + _THETA1 - TWO_PI * n]
         n += 1
-    radii = np.array([_refine_crossing(traj, "theta", tau, int(node))[0]
-                      for tau, node in zip(taus,
-                                           _theta_nodes(window, taus, i_lo))])
+    radii = _refine_crossings(traj, "theta", np.array(taus, dtype=float),
+                              _theta_nodes(window, taus, i_lo))
     return CrossingSequence(r_start=r_lo, r_end=r_hi,
                             theta_start=theta_start, r_minus=radii[0::2],
                             r_plus=radii[1::2])

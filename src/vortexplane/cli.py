@@ -215,16 +215,14 @@ def cmd_portrait(args: argparse.Namespace) -> int:
     a_values = _parse_float_list(args.a, "--a")
     ring = _ring_from_args(args, model)
     config = _orbit_config(args)
-    trajectories = []
-    for a in a_values:
-        check_start_value(a)
-        trajectories.append(integrate(model, a, config))
-    svg = build_portrait_svg(model, trajectories, ring=ring,
-                             clip_radius=args.clip)
+    # lazy orbits: build_portrait_svg refuses a bad clip before it runs one
+    svg = build_portrait_svg(model,
+                             (integrate(model, a, config) for a in a_values),
+                             ring=ring, clip_radius=args.clip)
     out = _ensure_out(args)
     path = _write_text(out, f"portrait_{model.model_id}.svg", svg)
     print(f"wrote {path} ({len(svg.encode('utf-8'))} bytes, "
-          f"{len(trajectories)} orbits)")
+          f"{len(a_values)} orbits)")
     return 0
 
 

@@ -8,7 +8,7 @@ formatting, no library-dependent rendering state.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -36,18 +36,22 @@ class _Frame:
         self.extent = extent
         self.scale = (_SIZE - 2.0 * _MARGIN) / (2.0 * extent)
 
-    def x(self, psi: float) -> float:
+    def x(self, psi):
+        """Viewport x of a float or, elementwise, of a float64 array."""
         return _MARGIN + (psi + self.extent) * self.scale
 
-    def y(self, beta: float) -> float:
+    def y(self, beta):
+        """Viewport y of a float or, elementwise, of a float64 array."""
         return _SIZE - _MARGIN - (beta + self.extent) * self.scale
 
-    def path(self, psis: Sequence[float], betas: Sequence[float],
+    def path(self, psis: np.ndarray, betas: np.ndarray,
              close: bool = False) -> str:
-        parts = []
-        for j, (p, b) in enumerate(zip(psis, betas)):
-            cmd = "M" if j == 0 else "L"
-            parts.append(f"{cmd}{_fmt(self.x(p))},{_fmt(self.y(b))}")
+        # one array pass per map rounds each point as the scalar maps do
+        xs = self.x(np.asarray(psis, dtype=float)).tolist()
+        ys = self.y(np.asarray(betas, dtype=float)).tolist()
+        parts = [f"L{x:.2f},{y:.2f}" for x, y in zip(xs, ys)]
+        if parts:
+            parts[0] = "M" + parts[0][1:]
         if close:
             parts.append("Z")
         return " ".join(parts)
@@ -71,7 +75,9 @@ def build_portrait_svg(model: VorticityModel,
     """Compose the zero level set, optional capture ring, reference
     sandwich curves for the modulated model, and orbit traces.
 
-    clip_radius crops the world box; otherwise it grows to the data.
+    clip_radius crops the world box; otherwise it grows to the data.  It
+    is checked before trajectories is read, so a lazy iterable of orbits
+    runs none of them for a bad clip.
     """
     if clip_radius is not None and not 0.0 < clip_radius < math.inf:
         raise ParameterDomainError(

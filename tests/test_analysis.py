@@ -237,6 +237,53 @@ def test_crossing_sequence_window_validation(run10):
         crossing_sequence(run10, r_start=0.0, r_end=1e9)
 
 
+def _scalar_radii(traj, seq):
+    """The radii of seq's targets from one scalar _refine_crossing each,
+    on the node _theta_nodes picks for it."""
+    i_lo, _ = traj.locate(seq.r_start)
+    i_end, s_end = traj.locate(seq.r_end)
+    theta_end = traj.hermite("theta", i_end)(s_end)
+    taus, n = [], 1
+    while seq.theta_start + analysis._THETA1 - phaseplane.TWO_PI * n \
+            >= theta_end:
+        taus += [seq.theta_start + analysis._THETA0 - phaseplane.TWO_PI * n,
+                 seq.theta_start + analysis._THETA1 - phaseplane.TWO_PI * n]
+        n += 1
+    nodes = analysis._theta_nodes(traj.theta[i_lo:i_end + 2], taus, i_lo)
+    return np.array([analysis._refine_crossing(traj, "theta", tau,
+                                               int(i))[0]
+                     for tau, i in zip(taus, nodes)])
+
+
+def test_crossing_sequence_matches_scalar_search(constantin, example,
+                                                 powerlaw, run10, run100):
+    # the array bisection finds every target's radius with the bits of the
+    # scalar search, on both constantin runs, strictly decreasing spans of
+    # the other two families, a span short of one turn and a one-turn span
+    ring = RingSpec.for_model(constantin, 0.05, 0.1)
+    ex10 = integrate(example, 10.0, IntegrationConfig(r_max=100.0))
+    pw10 = integrate(powerlaw, 10.0, IntegrationConfig(r_max=100.0))
+    spans = [(run10, 20.0, 50.0, None), (run10, 0.0, 50.0, None),
+             (run100, rate_onset_radius(run100, ring), 1990.0, 195),
+             (ex10, 5.0, e_region_entry(ex10).r_cross, None),
+             (pw10, 5.0, e_region_entry(pw10).r_cross, None),
+             (run10, 20.0, 21.0, 0), (run10, 20.0, 32.0, 1)]
+    for traj, r_start, r_end, count in spans:
+        seq = crossing_sequence(traj, r_start=r_start, r_end=r_end)
+        assert seq is not None
+        if count is not None:
+            assert seq.count == count
+        radii = _scalar_radii(traj, seq)
+        for got, want in ((seq.r_minus, radii[0::2]),
+                          (seq.r_plus, radii[1::2])):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    # the scalar search is not called per target any more
+    refine = analysis._refine_crossing.__code__
+    assert _count_calls(refine, crossing_sequence, run100,
+                        rate_onset_radius(run100, ring), 1990.0) == 0
+
+
 @pytest.mark.parametrize("a", [1.5, 16.0 / 9.0, math.nan, math.inf])
 def test_classify_shot_rejects_start_without_energy(constantin, a):
     # F(a) <= 0 for a <= 16/9: no energy-zero event can name a side

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from vortexplane import RingSpec, ring_entry, verify
+from vortexplane import RingSpec, cli, ring_entry, verify
 from vortexplane.cli import main
 
 _BASE = {"--out", "--config"}
@@ -271,6 +271,25 @@ def test_portrait_writes_svg(tmp_path, capsys):
     svgs = list(tmp_path.glob("portrait_*.svg"))
     assert len(svgs) == 1
     assert svgs[0].read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("clip", ["0", "-1"])
+def test_portrait_refuses_clip_before_integrating(tmp_path, capsys,
+                                                  monkeypatch, clip):
+    calls = []
+    real = cli.integrate
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "integrate", counted)
+    assert main(["portrait", "--a", "2,5", "--clip", clip,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "clip_radius must be finite and positive" in \
+        capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_picard_command(tmp_path, capsys):

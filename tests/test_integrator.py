@@ -800,9 +800,8 @@ def test_window_calls_no_helper_per_stage(constantin, monkeypatch):
     # a setprofile guard over the a = 10 run: a crossing window steps r and
     # beta as two real components with its stages inlined and integrates
     # the dissipation with the pair's weights on them, so the only Python
-    # functions it calls more than once per window are f and F, and it
-    # never calls _dense; and no nested function (an rhs closure) is
-    # compiled into it
+    # functions it calls more than once per window are f and F; and no
+    # nested function (an rhs closure) is compiled into it
     window, rows_added, from_window = integrator._window, [], {}
     code = window.__code__
 
@@ -826,7 +825,6 @@ def test_window_calls_no_helper_per_stage(constantin, monkeypatch):
     assert len(rows_added) >= 5 and sum(rows_added) > 10 * len(rows_added)
     busy = {name for name, n in from_window.items() if n > len(rows_added)}
     assert busy == {"f", "F"}
-    assert "_dense" not in from_window
     assert not any(inspect.iscode(c) for c in code.co_consts)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from vortexplane import (IntegrationConfig, ParameterDomainError, RingSpec,
@@ -51,3 +53,27 @@ def test_svg_deterministic(constantin):
     a = build_portrait_svg(constantin, trajectories=(traj,))
     b = build_portrait_svg(constantin, trajectories=(traj,))
     assert a == b
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_pinned_svg(constantin, run10, example, powerlaw):
+    # the bytes of four portraits: a ring with two orbits, the same
+    # clipped, the modulated model's sandwich curves and the power law
+    ring = RingSpec.for_model(constantin, 0.05, 0.1)
+    run5 = integrate(constantin, 5.0, IntegrationConfig(r_max=100.0))
+    orbits = (run5, run10)
+    assert _sha(build_portrait_svg(constantin, orbits, ring=ring)) == (
+        "de54329fac99edf567f30e606570577193c88e40ca9de8c6290aad7b0b8b3998")
+    assert _sha(build_portrait_svg(constantin, orbits, ring=ring,
+                                   clip_radius=3.0)) == (
+        "fb3de06aba96d661d0ec7ce64ba575f0f8526077973b81e857622f1807a9e840")
+    for model, digest in (
+            (example,
+             "71f1691874077536e6d9a9400434cc5662c52b2e45921b0fb639282e7913d8e8"),
+            (powerlaw,
+             "ae5be27a43c9548788a41ddbcd53cb396fe06ed71d77621b881f7c97afcb3814")):
+        orbit = integrate(model, 5.0, IntegrationConfig(r_max=60.0))
+        assert _sha(build_portrait_svg(model, (orbit,))) == digest
