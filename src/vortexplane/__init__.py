@@ -2,7 +2,7 @@
 
 The trajectory system is psi' = beta, beta' = -beta/r - f(psi) with an odd
 coercive vorticity function f.  The package builds admissible models,
-checks their constants, integrates orbits with certified energy decay,
+checks their constants, integrates orbits with audited energy decay,
 solves the short-range and backward fixed-point problems, and audits the
 rotation estimates that force every non-equilibrium orbit into the
 negative-energy well.

@@ -253,6 +253,9 @@ def check_parameter_bound(model: VorticityModel) -> Optional[CheckRecord]:
 
 def full_report(model: VorticityModel, a_values=(1.0, 10.0, 100.0),
                 seed: int = 0) -> AdmissibilityReport:
+    """Every admissibility check of model, with the ball checks at each
+    centre in a_values.  seed shifts the phase of every Kronecker sample;
+    it must be an integer of either sign (kronecker refuses the rest)."""
     if len(a_values) == 0:
         raise ParameterDomainError("full_report needs a ball centre a")
     report = AdmissibilityReport(model_id=model.model_id,

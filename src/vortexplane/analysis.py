@@ -345,7 +345,7 @@ def crossing_sequence(traj: Trajectory,
 @dataclass(frozen=True)
 class CrossingBoundsReport:
     """Numerical audit of the per-rotation estimates on a window where the
-    certified rate eta_hat applies."""
+    audited rate eta_hat applies."""
     eta_hat: float
     rate_margin: float          # max sampled theta' + eta_hat (<= 0 wanted)
     gap_lower: float

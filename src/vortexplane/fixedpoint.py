@@ -120,7 +120,14 @@ def _cubic_read(v: np.ndarray, m: int) -> np.ndarray:
     j, and the fine values of interval j are a row of a (cells, m) view with
     fixed weights per column.  Difference form, v_j + sum_i w_i(t)
     (v_{j+i} - v_j), reads a constant back exactly and every coarse node
-    back bit for bit.
+    back bit for bit (a -0.0 as +0.0).
+
+    Per stencil the sum is one einsum of the (cells, 3) differences with
+    the (3, m) weights, then + v_j.  Its output starts at +0.0 and takes
+    the products in stencil order, so each value is ((0 + d_1 w_1) +
+    d_2 w_2) + d_3 w_3 + v_j, rounded after every operation as separate
+    multiply-adds would round it; tests pin the bytes against a node by
+    node gather.
     """
     cells = len(v) - 1
     out = np.empty(cells * m + 1)
@@ -129,12 +136,12 @@ def _cubic_read(v: np.ndarray, m: int) -> np.ndarray:
     t = np.arange(m) / m
     for (lo, hi), offsets in zip(((0, 1), (1, cells - 1), (cells - 1, cells)),
                                  _STENCILS):
-        base = v[lo:hi, None]
-        part = rows[lo:hi]
-        part[:] = 0.0
-        for i, w in zip(offsets, _lagrange(offsets, t)):
-            part += (v[lo + i:hi + i, None] - base) * w
-        part += base
+        base = v[lo:hi]
+        diffs = np.stack([v[lo + i:hi + i] for i in offsets], axis=1)
+        diffs -= base[:, None]
+        np.einsum('ik,kj->ij', diffs, np.array(_lagrange(offsets, t)),
+                  out=rows[lo:hi])
+        rows[lo:hi] += base[:, None]
     return out
 
 
@@ -171,10 +178,12 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     both grid sizes.
 
     A sweep is one left-to-right pass over blocks of _BLOCK nodes, so a
-    block's work arrays stay in cache.  Each block re-evaluates r f(psi)
-    at the node to its left and carries over that node's integrand and
+    block's work arrays stay in cache.  Each block carries over, from the
+    node to its left, r f(psi) of the previous iterate, the integrand and
     both running sums; the sums add left to right as np.cumsum does, so
     the iterates are those of the whole-grid trapezoid rule bit for bit.
+    A block writes the new iterate over the old one once it has measured
+    the change, so a sweep allocates and touches no second grid.
     """
     check_start_value(a)
     if not 0.0 < r_end <= 1.0:
@@ -200,17 +209,20 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
         np.clip(psi, a - ball, a + ball, out=psi)
     else:
         psi = np.full(n + 1, float(a))
-    new = psi.copy()  # node 0 stays at a
-    # per block: its first node, its end, and views of the work arrays,
-    # whose index 0 holds the node left of the block
+    # per block, views of: the radii and iterate where it evaluates
+    # r f(psi) and the slots that take them, its radii and iterate, and
+    # the work arrays, whose index 0 holds the node left of the block.
+    # The first block evaluates node 0 too; a later one finds its left
+    # node's value carried over, since that node is already overwritten.
     width = min(_BLOCK, n)
     w, g, t = np.empty(width + 1), np.empty(width + 1), np.empty(width)
     blocks = []
     for s in range(1, n + 1, _BLOCK):
         e = min(s + _BLOCK, n + 1)
+        lo = 0 if s == 1 else s
         wk, gk, tk = w[:e - s + 1], g[:e - s + 1], t[:e - s]
-        blocks.append((s, e, rs[s - 1:e], rs[s:e], wk, wk[1:], wk[:-1],
-                       gk[1:], gk[:-1], tk))
+        blocks.append((rs[lo:e], psi[lo:e], wk[lo - s + 1:], rs[s:e],
+                       psi[s:e], wk[1:], wk[:-1], gk[1:], gk[:-1], tk))
     # max|new - a| and max|new - psi| of each block; their np.max keeps a
     # NaN, as the whole-grid max does
     stats = np.empty((len(blocks), 2))
@@ -218,9 +230,9 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
         # -0.0 + x == x for every x, signed zeros included
         inner = outer = -0.0
         g[0] = 0.0
-        for k, (s, e, r_left, r, wk, w_hi, w_lo, g_hi, g_lo, tk) \
+        for k, (r_f, psi_f, w_f, r, block, w_hi, w_lo, g_hi, g_lo, tk) \
                 in enumerate(blocks):
-            np.multiply(r_left, model.f_arr(psi[s - 1:e]), out=wk)
+            np.multiply(r_f, model.f_arr(psi_f), out=w_f)
             np.add(w_hi, w_lo, out=tk)
             tk *= half_h
             tk[0] += inner
@@ -232,19 +244,19 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
             tk[0] += outer
             np.cumsum(tk, out=tk)
             outer = tk[-1]
-            g[0] = g_hi[-1]
-            block = new[s:e]
-            np.subtract(a, tk, out=block)
-            np.subtract(block, a, out=tk)
-            stats[k, 0] = np.abs(tk, out=tk).max()
-            np.subtract(block, psi[s:e], out=tk)
-            stats[k, 1] = np.abs(tk, out=tk).max()
+            w[0], g[0] = w_hi[-1], g_hi[-1]
+            # the new block in tk; w_hi is free for the two distances
+            np.subtract(a, tk, out=tk)
+            np.subtract(tk, a, out=w_hi)
+            stats[k, 0] = np.abs(w_hi, out=w_hi).max()
+            np.subtract(tk, block, out=w_hi)
+            stats[k, 1] = np.abs(w_hi, out=w_hi).max()
+            block[:] = tk
         dev, change = stats.max(axis=0).tolist()
         if dev > ball * (1.0 + 1e-12):
             raise FixedPointFailureError(
                 f"iterate left the ball: |psi - a| reached {dev!r} "
                 f"against radius {ball!r}")
-        psi, new = new, psi
         if change <= tol * a:
             return GridFunction(rs, psi, sweeps=sweep, last_change=change)
     raise FixedPointFailureError(

@@ -8,6 +8,8 @@ powers of the plastic number; both are standard equidistributed choices.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ParameterDomainError
@@ -21,17 +23,31 @@ def kronecker(n: int, dim: int = 1, seed: int = 0) -> np.ndarray:
     """Return an (n, dim) array of quasi-random points in [0, 1).
 
     The seed only shifts the starting phase, so any seed gives the same
-    equidistribution quality.
+    equidistribution quality.  n, dim and seed must be integers (a bool is
+    not), n and dim positive; seed may have either sign.
+
+    The phase lies in [0, 1), so every x = phase + idx alpha is >= 0, and
+    for x >= 0 both x - floor(x) and x % 1.0 are exact and equal
+    fmod(x, 1): the cheaper first form gives the same bits.
     """
+    for name, value in (("n", n), ("dim", dim), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ParameterDomainError(
+                f"{name} must be an integer, got {value!r}")
     if n <= 0 or dim <= 0:
         raise ParameterDomainError("n and dim must be positive")
     if dim == 1:
         alphas = np.array([_GOLDEN_STEP])
     else:
         alphas = np.array([_PLASTIC ** -(j + 1) for j in range(dim)])
-    phase = (seed * _GOLDEN_STEP + 0.5) % 1.0
-    idx = np.arange(1, n + 1)[:, None]
-    return (phase + idx * alphas[None, :]) % 1.0
+    try:
+        phase = (seed * _GOLDEN_STEP + 0.5) % 1.0
+    except OverflowError:
+        raise ParameterDomainError(
+            "seed times the golden step overflows a float") from None
+    x = phase + np.arange(1, n + 1)[:, None] * alphas[None, :]
+    x -= np.floor(x)
+    return x
 
 
 def sample_interval(n: int, lo: float, hi: float, seed: int = 0) -> np.ndarray:

@@ -180,8 +180,8 @@ def criterion_picard_window(cache: RunCache) -> CriterionResult:
 
 
 def criterion_contraction(cache: RunCache) -> CriterionResult:
-    """6. The certified constants satisfy their defining relations, the
-    backward solve contracts no slower than certified, and the anchor
+    """6. The audited constants satisfy their defining relations, the
+    backward solve contracts no slower than audited, and the anchor
     (1, 0) returns the constant solution."""
     cc = select_contraction_constants(T=6.0, L=1.0 + math.sqrt(2.0))
     mll = cc.lam_mid * math.log(cc.lam_mid)
@@ -210,7 +210,7 @@ def criterion_contraction(cache: RunCache) -> CriterionResult:
 
 
 def criterion_rotation_envelope(cache: RunCache) -> CriterionResult:
-    """7. Finite-difference rotation rates stay inside the certified band
+    """7. Finite-difference rotation rates stay inside the audited band
     wherever E > 0 and r >= 1."""
     traj = cache.run(10.0, 100.0, 1e-10)
     r, theta, energy = traj.r, traj.theta, traj.E
@@ -270,7 +270,7 @@ def criterion_energy_entry(cache: RunCache) -> CriterionResult:
 
 
 def criterion_crossing_gaps(cache: RunCache) -> CriterionResult:
-    """10. Per-rotation window passages obey the certified gap bounds and
+    """10. Per-rotation window passages obey the audited gap bounds and
     the linear growth cap on the passage radii."""
     traj = cache.run(100.0, 7000.0, 1e-9)
     ring = RingSpec.for_model(cache.constantin, epsilon=0.05, delta=0.1)

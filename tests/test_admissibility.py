@@ -172,3 +172,11 @@ def test_pinned_report_json(models, name):
     text = json.dumps(full_report(models[name], seed=0).to_json_dict(),
                       sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_REPORTS[name]
+
+
+@pytest.mark.parametrize("seed", [math.nan, 1.5, True, math.inf])
+def test_full_report_refuses_non_integer_seed(constantin, seed):
+    # a NaN seed would sample NaN, and 1.5 or True would silently stand
+    # for some other seed
+    with pytest.raises(ParameterDomainError):
+        full_report(constantin, seed=seed)

@@ -119,6 +119,7 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
     ["portrait", "--clip", "0"], ["portrait", "--clip", "-1"],
     ["check", "--a", "1e308"],
     ["banach", "--T", "1e8", "--psiT", "2", "--betaT", "0.1"],
+    ["check", "--seed", "1" + "0" * 400],
 ])
 def test_bad_start_or_range_rejected(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -261,6 +262,21 @@ def test_blocked_sweep_matches_whole_grid(models, n, r_end):
             assert (grid.sweeps, grid.last_change) == (sweeps, change)
 
 
+def test_picard_sweeps_in_place(constantin):
+    # rs and the iterate are the only grid-length arrays a 2^17-node solve
+    # keeps (2.8 grids at the peak, with the block work arrays): a sweep
+    # writes each block over the old iterate instead of into a second grid
+    # (3.8 grids)
+    n = 1 << 17
+    tracemalloc.start()
+    try:
+        picard_solve(constantin, 10.0, r_end=1.0, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * (n + 1) * 8
+
+
 def test_picard_ball_escape_message(constantin):
     tiny = replace(constantin, ledger=replace(constantin.ledger, eta=1e-6))
     with pytest.raises(FixedPointFailureError) as ref:
@@ -346,6 +362,24 @@ def test_cubic_read_nests_and_is_exact_on_cubics():
         for degree in (1, 2, 3):
             assert np.allclose(_cubic_read(x ** degree, m), xf ** degree,
                                rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nodes, m", [(2049, 64), (1025, 2)])
+def test_cubic_read_matches_gather_at_picard_sizes(nodes, m):
+    # the two reads of the 2^17-node start: the einsum per stencil must
+    # round as the node by node multiply-adds do, on signed data with
+    # exact zeros of both signs and runs of equal values
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(nodes) * 10.0 ** rng.integers(-12, 3, nodes)
+    v[::7] = 0.0
+    v[3::11] = -0.0
+    v[100:140] = v[100]
+    fine = _cubic_read(v, m)
+    assert fine.tobytes() == _gather_cubic(v, m).tobytes()
+    # +0.0 + -0.0 is +0.0: a -0.0 node reads back as +0.0, the rest bit
+    # for bit
+    assert np.array_equal(fine[::m], v)
+    assert fine[::m][v != 0.0].tobytes() == v[v != 0.0].tobytes()
 
 
 def test_series_start_keeps_the_cold_start(models):

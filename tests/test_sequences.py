@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,3 +63,45 @@ def test_kronecker_rejects_empty_request(n, dim):
 def test_sample_loglin_rejects_bad_range(lo, hi):
     with pytest.raises(ParameterDomainError):
         sample_loglin(10, lo, hi)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, math.nan, math.inf,
+                                 -math.inf, np.float64(3.0)])
+def test_kronecker_refuses_non_integer_seed(bad):
+    with pytest.raises(ParameterDomainError):
+        kronecker(8, 1, seed=bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, math.nan, math.inf])
+def test_kronecker_refuses_non_integer_count(bad):
+    # a float count is refused, not rounded up to a row count
+    with pytest.raises(ParameterDomainError):
+        kronecker(bad)
+
+
+def test_kronecker_refuses_seed_beyond_float_range():
+    with pytest.raises(ParameterDomainError):
+        kronecker(8, 1, seed=10 ** 400)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, -3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 10_000])
+def test_kronecker_matches_float_modulo(n, dim, seed):
+    # the float-modulo form as the reference for x - floor(x): a numpy
+    # whose floor or subtraction rounds differently fails here
+    if dim == 1:
+        alphas = np.array([0.6180339887498949])
+    else:
+        alphas = np.array([1.3247179572447460 ** -(j + 1)
+                           for j in range(dim)])
+    phase = (seed * 0.6180339887498949 + 0.5) % 1.0
+    idx = np.arange(1, n + 1)[:, None]
+    expected = (phase + idx * alphas[None, :]) % 1.0
+    assert kronecker(n, dim, seed).tobytes() == expected.tobytes()
+
+
+def test_kronecker_integer_types_agree():
+    # a numpy integer seed or count gives the same bits as a Python int
+    assert (kronecker(np.int64(50), 2, np.int32(-3)).tobytes()
+            == kronecker(50, 2, -3).tobytes())
