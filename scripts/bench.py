@@ -6,9 +6,10 @@ repository root, so the package under test is ./src), parses the JSON object
 on the last line of each run, and records for every metric its median, first
 and third quartile and sample count, with the unit, the runs' exit codes and
 failed checks, the host and the commit.  The commit is HEAD with a dirty
-flag and the git tree hash of the src/ that ran: on a tree with uncommitted
-changes that hash equals `git rev-parse <commit>:src` of the commit that
-records them.
+flag, set by uncommitted changes to tracked files only (an untracked earlier
+BENCH_*.json leaves it clear), and the git tree hash of the src/ that ran: on
+a tree with uncommitted changes that hash equals `git rev-parse <commit>:src`
+of the commit that records them.
 
 Usage, from the repository root:
     python3 scripts/bench.py --tag 7 [--first-seed 1]
@@ -78,7 +79,8 @@ def main() -> int:
     snapshot = _git("stash", "create") or "HEAD"
     payload = {
         "commit": {"head": _git("rev-parse", "HEAD"),
-                   "dirty": bool(_git("status", "--porcelain")),
+                   "dirty": bool(_git("status", "--porcelain",
+                                      "--untracked-files=no")),
                    "src_tree": _git("rev-parse", f"{snapshot}:src")},
         "host": {"platform": platform.platform(),
                  "cpu_count": os.cpu_count()},

@@ -150,7 +150,7 @@ class RingSpec:
         return (1.0 + self.c) ** (1.0 / self.nu)
 
     def rate_eta(self, r_minus: float) -> float:
-        """Certified rotation rate eta_hat = 1 - 1/(2 r_minus) - (1+eps)^-nu,
+        """Audited rotation rate eta_hat = 1 - 1/(2 r_minus) - (1+eps)^-nu,
         valid while R >= 1 + eps and r >= r_minus > 0."""
         if not (math.isfinite(r_minus) and r_minus > 0.0):
             raise ParameterDomainError(
@@ -373,7 +373,7 @@ def verify_crossing_bounds(traj: Trajectory, seq: CrossingSequence,
     eta_hat = ring.rate_eta(seq.r_start)
     if eta_hat <= 0.0:
         raise HypothesisViolationError(
-            f"nonpositive certified rate eta_hat = {eta_hat!r}")
+            f"nonpositive audited rate eta_hat = {eta_hat!r}")
     s = (1.0 + ring.epsilon) ** (-ring.nu)
 
     # sampled rotation rate on window nodes where the annulus hypothesis

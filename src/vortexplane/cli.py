@@ -22,8 +22,9 @@ import numpy as np
 
 from . import verify
 from .admissibility import full_report
-from .analysis import (RingSpec, e_region_entry, ring_entry,
-                       scan_for_bracket, shoot_for_origin)
+from .analysis import (RingSpec, crossing_sequence, e_region_entry,
+                       rate_onset_radius, ring_entry, scan_for_bracket,
+                       shoot_for_origin, verify_crossing_bounds)
 from .errors import (HypothesisViolationError, NumericalError,
                      ParameterDomainError)
 from .fixedpoint import (banach_solve, beta_from_psi, check_start_value,
@@ -33,7 +34,7 @@ from .integrator import IntegrationConfig, integrate
 from .portrait import build_portrait_svg
 from .vorticity import VorticityModel, make_model
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # ------------------------------------------------------------- plumbing
 
@@ -165,6 +166,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             capture = ring_entry(traj, ring)
         except HypothesisViolationError as exc:
             capture_note = str(exc)
+    rotation = rotation_note = None
+    if ring is not None and entry is not None:
+        # criterion 10's audit: passages up to the E = 0 crossing, past
+        # which the angle can stall inside the well
+        try:
+            r_onset = rate_onset_radius(traj, ring)
+            if r_onset >= entry.r_cross:
+                raise HypothesisViolationError(
+                    f"rate onset r = {r_onset!r} is not before E = 0")
+            seq = crossing_sequence(traj, r_start=r_onset,
+                                    r_end=entry.r_cross)
+            if seq is None or seq.count == 0:
+                raise HypothesisViolationError(
+                    "the angle is not strictly decreasing up to E = 0"
+                    if seq is None else "no window passage before E = 0")
+            audit = verify_crossing_bounds(traj, seq, ring, slack=1e-3)
+            rotation = {"r_onset": r_onset, "eta_hat": float(audit.eta_hat),
+                        "count": int(seq.count),
+                        "min_gap": float(np.min(audit.gaps)),
+                        "max_gap": float(np.max(audit.gaps)),
+                        "audit_ok": bool(audit.ok)}
+        except HypothesisViolationError as exc:
+            rotation_note = str(exc)
 
     out = _ensure_out(args)
     tag = f"{model.model_id}_a{a:g}"
@@ -195,6 +219,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "min_radius_after": float(capture.min_radius_after),
             "min_radius_r": float(capture.min_radius_r)},
         "ring_note": capture_note,
+        "rotation": rotation,
+        "rotation_note": rotation_note,
     }
     json_path = _write_json(out, f"events_{tag}.json", payload)
     print(f"model={model.model_id} a={a:g} r_max={args.rmax:g} "
@@ -204,6 +230,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                         else f"{capture.r_entry:.6f}"))
     print("r_cross=" + ("none" if entry is None
                         else f"{entry.r_cross:.6f}"))
+    print("rotation=none" if rotation is None else
+          "rotation={count} passages eta_hat={eta_hat:.6f} "
+          "audit_ok={audit_ok}".format(**rotation))
     print(f"min_radius={traj.min_radius:.6g} at r={traj.min_radius_r:.6g}")
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")

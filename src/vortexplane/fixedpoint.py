@@ -188,7 +188,7 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     check_start_value(a)
     if not 0.0 < r_end <= 1.0:
         raise ParameterDomainError(
-            f"contraction certified for 0 < r_end <= 1, got {r_end!r}")
+            f"contraction audited for 0 < r_end <= 1, got {r_end!r}")
     _check_count("n", n, 8)
     _check_count("max_iter", max_iter, 1)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -295,7 +295,7 @@ def rate_transform(lam: float) -> float:
 
 @dataclass(frozen=True)
 class ContractionConstants:
-    """Certified rate window for the backward weighted metric."""
+    """Audited rate window for the backward weighted metric."""
     T: float
     L: float
     lam_star: float
@@ -358,7 +358,7 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
 
     Returns the psi and beta grids on 2048 intervals plus the largest
     observed contraction ratio of successive weighted distances, which must
-    stay below the certified zeta.  Iterates are confined to the domain
+    stay below the audited zeta.  Iterates are confined to the domain
     |psi - psi_T| <= eta psi_T / 4, |beta| <= 2 |beta_T| + eta psi_T; the
     sweeps stop once a sup change is at most 1e-12 max(1, psi_T).  From
     T ~ 1.05e6 the window holds no 2049 strictly increasing nodes.

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
-from vortexplane import RingSpec, cli, ring_entry, verify
+from vortexplane import (RingSpec, cli, crossing_sequence, e_region_entry,
+                         rate_onset_radius, ring_entry, verify,
+                         verify_crossing_bounds)
 from vortexplane.cli import main
 
 _BASE = {"--out", "--config"}
@@ -81,8 +83,8 @@ def test_simulate_constant_orbit(tmp_path, capsys):
         events = list(out.glob("events_*.json"))
         assert len(events) == 1
         payload = json.loads(events[0].read_text())
-        # 2 since shoot's bisection_evaluations became classification_shots
-        assert payload["schema_version"] == 2
+        # 3 since simulate's events gained rotation and rotation_note
+        assert payload["schema_version"] == 3
         assert payload["samples"] == 121
         assert payload["termination"] == "reached_rmax"
         assert payload["min_radius"] == 0.9999999999999999
@@ -211,15 +213,28 @@ def test_simulate_ring_entry(tmp_path, capsys, constantin, run10):
     assert code == 0
     capsys.readouterr()
     payload = json.loads(next(tmp_path.glob("events_*.json")).read_text())
-    entry = ring_entry(run10, RingSpec.for_model(constantin, 0.05, 0.1))
+    ring = RingSpec.for_model(constantin, 0.05, 0.1)
+    entry = ring_entry(run10, ring)
     assert payload["ring_entry"] == {
         "r_entry": entry.r_entry, "min_radius_after": entry.min_radius_after,
         "min_radius_r": entry.min_radius_r}
     assert payload["ring_note"] is None
+    # the rotation audit as criterion 10 calls it
+    r_onset = rate_onset_radius(run10, ring)
+    seq = crossing_sequence(run10, r_start=r_onset,
+                            r_end=e_region_entry(run10).r_cross)
+    audit = verify_crossing_bounds(run10, seq, ring, slack=1e-3)
+    assert payload["rotation"] == {
+        "r_onset": r_onset, "eta_hat": audit.eta_hat, "count": seq.count,
+        "min_gap": audit.gaps.min(), "max_gap": audit.gaps.max(),
+        "audit_ok": audit.ok}
+    assert payload["rotation_note"] is None
 
 
 def test_simulate_ring_note(tmp_path, capsys):
-    # R(0) = 5 does not exceed 8 (1 + delta): the capture is not attempted
+    # R(0) = 5 does not exceed 8 (1 + delta): the capture is not attempted;
+    # the orbit crosses E = 0 near r = 13.3 and ends at r = 20, short of the
+    # rate onset radius, so the rotation audit is not either
     code = main(["simulate", "--a", "5", "--rmax", "20", "--ring",
                  "0.05:0.1", "--out", str(tmp_path)])
     assert code == 0
@@ -227,6 +242,26 @@ def test_simulate_ring_note(tmp_path, capsys):
     payload = json.loads(next(tmp_path.glob("events_*.json")).read_text())
     assert payload["ring_entry"] is None
     assert "must exceed 8 (1 + delta)" in payload["ring_note"]
+    assert payload["energy_entry"] is not None
+    assert payload["rotation"] is None
+    assert "ends before the rate onset radius" in payload["rotation_note"]
+
+
+@pytest.mark.parametrize("eps, note", [
+    # a narrower inner circle moves the rate onset radius out: to r = 71.0,
+    # past the E = 0 crossing at r = 60.4, and to r = 59.0, less than one
+    # rotation before it
+    ("0.035", "is not before E = 0"),
+    ("0.038", "no window passage before E = 0")])
+def test_simulate_rotation_note(tmp_path, capsys, eps, note):
+    code = main(["simulate", "--a", "10", "--rmax", "100", "--ring",
+                 f"{eps}:0.1", "--out", str(tmp_path)])
+    assert code == 0
+    assert "rotation=none" in capsys.readouterr().out.splitlines()
+    payload = json.loads(next(tmp_path.glob("events_*.json")).read_text())
+    assert payload["ring_entry"] is not None
+    assert payload["rotation"] is None
+    assert note in payload["rotation_note"]
 
 
 @pytest.mark.parametrize("model", ["constantin", "example", "powerlaw"])
@@ -388,7 +423,7 @@ def test_shoot_command(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     payload = json.loads(next(tmp_path.glob("shoot_*.json")).read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert abs(payload["a_star"] - 3.0013413429260254) < 1e-3
     assert abs(payload["arrival_radius"] - 6.92234) < 1e-5
     assert 0.0 <= payload["fit_residual"] <= 1e-8
