@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fixedpoint import _PHI_AT_3
+from .fixedpoint import _PHI_AT_3, check_ball_centre
 from .sequences import kronecker, sample_interval, sample_loglin
 from .vorticity import (C2_UPPER_BOUND, VorticityModel, find_positive_zero,
                         potential_grid)
@@ -112,11 +112,8 @@ def check_ball(model: VorticityModel, a: float, seed: int = 0
     tol = 1e-12
     eta, L = model.ledger.eta, model.ledger.L
     range_ok = 3.0 < eta <= 3.5
+    check_ball_centre(a, eta)
     lo, hi, bound = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a, eta * a
-    if not (a > 0.0 and math.isfinite(hi) and math.isfinite(bound)):
-        raise ParameterDomainError(
-            f"ball centre a must be > 0 with a finite ball end and bound "
-            f"eta a, got {a!r}")
     xs = np.sort(sample_interval(10_000, lo, hi, seed=seed))
     fv = model.f_arr(xs)
     absf = np.abs(fv)

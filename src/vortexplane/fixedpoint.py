@@ -27,6 +27,7 @@ Other grids start from the constant a.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -61,6 +62,16 @@ def check_start_value(a: float) -> None:
             f"start value a must be finite and >= 1, got {a!r}")
 
 
+def check_ball_centre(a: float, eta: float) -> None:
+    """Reject a ball centre a that is not > 0, or whose ball end
+    (1 + eta/4) a or bound eta a is not finite."""
+    if not (a > 0.0 and math.isfinite((1.0 + eta / 4.0) * a)
+            and math.isfinite(eta * a)):
+        raise ParameterDomainError(
+            f"ball centre a must be > 0 with a finite ball end and bound "
+            f"eta a, got {a!r}")
+
+
 def require_finite(**values: float) -> None:
     """Reject the first keyword argument whose value is not finite."""
     for name, value in values.items():
@@ -73,7 +84,9 @@ class GridFunction:
     """Samples of a scalar function on an ascending uniform grid.
 
     A fixed-point solve also records how many sweeps it ran and the sup
-    change of its last sweep; other grids leave both at 0.
+    change of its last sweep; other grids leave both at 0.  A Picard
+    solve's r is the read-only node grid that every solve on the same
+    (r_end, n) shares (see _nodes).
     """
     r: np.ndarray
     values: np.ndarray
@@ -91,6 +104,16 @@ def _check_count(name: str, value: int, least: int) -> None:
             or value < least):
         raise ParameterDomainError(
             f"{name} must be an integer >= {least}, got {value!r}")
+
+
+@functools.lru_cache(maxsize=4)
+def _nodes(r_end: float, n: int) -> np.ndarray:
+    """np.linspace(0, r_end, n + 1), built once per (r_end, n) and shared
+    read-only: a fine solve, its two coarse starts and the integrator's
+    head each reuse their grid instead of faulting in a fresh one."""
+    rs = np.linspace(0.0, r_end, n + 1)
+    rs.flags.writeable = False
+    return rs
 
 
 def _lagrange(offsets: Tuple[int, ...], t: np.ndarray) -> list:
@@ -163,8 +186,10 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     """Iterate the short-range operator to its fixed point on [0, r_end].
 
     Every iterate must stay in the ball |psi - a| <= eta a / 4 (which in
-    particular keeps psi >= a/8 > 0); escape or failure to converge within
-    max_iter raises FixedPointFailureError.
+    particular keeps psi >= a/8 > 0); escape, a NaN iterate included, or
+    failure to converge within max_iter raises FixedPointFailureError.  A
+    start value whose ball end (1 + eta/4) a or bound eta a overflows is
+    refused, as admissibility.check_ball refuses it.
 
     When 2 _COARSE_RATIO divides n and n // _COARSE_RATIO >= _COARSE_MIN
     the iterates start from the fixed points psi_c on n // _COARSE_RATIO
@@ -195,7 +220,8 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
         raise ParameterDomainError(
             f"tol must be finite and >= 0, got {tol!r}")
     eta = model.ledger.eta
-    rs = np.linspace(0.0, r_end, n + 1)
+    check_ball_centre(a, eta)
+    rs = _nodes(float(r_end), n)
     h = float(rs[1] - rs[0])
     half_h = 0.5 * h
     ball = eta * a / 4.0
@@ -253,7 +279,7 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
             stats[k, 1] = np.abs(w_hi, out=w_hi).max()
             block[:] = tk
         dev, change = stats.max(axis=0).tolist()
-        if dev > ball * (1.0 + 1e-12):
+        if not dev <= ball * (1.0 + 1e-12):
             raise FixedPointFailureError(
                 f"iterate left the ball: |psi - a| reached {dev!r} "
                 f"against radius {ball!r}")
@@ -395,8 +421,8 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
         new_beta = beta_T * T / rs + _tail(rs * model.f_arr(psi), h) / rs
         dev_psi = float(np.max(np.abs(new_psi - psi_T)))
         dev_beta = float(np.max(np.abs(new_beta)))
-        if dev_psi > psi_ball * (1.0 + 1e-12) \
-                or dev_beta > beta_ball * (1.0 + 1e-12):
+        if not (dev_psi <= psi_ball * (1.0 + 1e-12)
+                and dev_beta <= beta_ball * (1.0 + 1e-12)):
             raise FixedPointFailureError(
                 f"iterate left the domain: |psi-psi_T|={dev_psi!r} "
                 f"(ball {psi_ball!r}), |beta|={dev_beta!r} "

@@ -810,7 +810,7 @@ def series_start(model: VorticityModel, a: float,
                  config: IntegrationConfig) -> Tuple[np.ndarray, np.ndarray,
                                                      np.ndarray, np.ndarray]:
     """Picard head on [0, r_handoff]: (r, psi, beta, cumulative dissipation)
-    on the fine fixed-point grid."""
+    on the fine fixed-point grid; r is the solve's shared read-only grid."""
     grid = picard_solve(model, a, r_end=config.r_handoff, n=_PICARD_N,
                         tol=_PICARD_TOL)
     betas = beta_from_psi(model, grid)

@@ -122,6 +122,8 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
     ["check", "--a", "1e308"],
     ["banach", "--T", "1e8", "--psiT", "2", "--betaT", "0.1"],
     ["check", "--seed", "1" + "0" * 400],
+    # the ball end overflows: the coarse start ran 200 sweeps on NaN (exit 3)
+    ["picard", "--a", "1e308"],
 ])
 def test_bad_start_or_range_rejected(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -22,6 +22,14 @@ from vortexplane.quadrature import cumsimpson, cumtrapz
 PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 
 
+@pytest.fixture(autouse=True)
+def _cold_node_grids():
+    # picard_solve shares its node grids through fixedpoint._nodes: each
+    # test starts without them, so a memory bound counts the grid the solve
+    # builds whatever ran before it
+    fixedpoint._nodes.cache_clear()
+
+
 def test_rate_transform_at_three():
     assert math.isclose(rate_transform(3.0), PHI_AT_3, rel_tol=1e-15)
     assert math.isclose(rate_transform(3.0), 2.6158590031955273, rel_tol=1e-13)
@@ -185,6 +193,52 @@ def test_picard_domain_guards(constantin):
         picard_solve(constantin, 2.0, n=4)
 
 
+@pytest.mark.parametrize("a", [6e307, 1e308])
+def test_picard_refuses_an_overflowing_ball(constantin, a):
+    # at 6e307 the bound eta a overflows, at 1e308 the ball end as well;
+    # both ran all 200 sweeps of the coarse start on NaN
+    with pytest.raises(ParameterDomainError, match="finite ball end"):
+        picard_solve(constantin, a, r_end=1.0, n=1 << 17)
+
+
+def _nan_model(model, calls):
+    def f_arr(u):
+        calls.append(len(u))
+        return np.full_like(u, np.nan)
+    return replace(model, f_arr=f_arr)
+
+
+def test_nan_iterate_leaves_the_ball_on_its_first_sweep(constantin):
+    # a NaN compares false, so it ran every sweep of the budget and was
+    # reported as no convergence
+    calls = []
+    with pytest.raises(FixedPointFailureError,
+                       match="left the ball: \\|psi - a\\| reached nan"):
+        picard_solve(_nan_model(constantin, calls), 2.0)
+    assert calls == [513]
+    calls.clear()
+    with pytest.raises(FixedPointFailureError,
+                       match="left the domain: .* \\|beta\\|=nan"):
+        banach_solve(_nan_model(constantin, calls), 6.0, 2.0, 0.1)
+    assert calls == [2049]
+
+
+def test_picard_nodes_are_one_shared_read_only_grid(constantin):
+    n = 1 << 17
+    first = picard_solve(constantin, 10.0, r_end=1.0, n=n)
+    second = picard_solve(constantin, 100.0, r_end=1.0, n=n)
+    assert first.r.tobytes() == np.linspace(0.0, 1.0, n + 1).tobytes()
+    assert second.r is first.r
+    with pytest.raises(ValueError):
+        first.r[1] = 0.5
+    # the oracles read the shared grid as they read a private copy
+    own = replace(first, r=np.linspace(0.0, 1.0, n + 1))
+    assert (beta_from_psi(constantin, first).values.tobytes()
+            == beta_from_psi(constantin, own).values.tobytes())
+    assert (picard_residual(constantin, first)
+            == picard_residual(constantin, own))
+
+
 def _gather_cubic(v, m):
     # the 4-point cubic of _cubic_read node by node: each fine node gathers
     # its interval's stencil and the weights of its sub-position
@@ -275,6 +329,21 @@ def test_picard_sweeps_in_place(constantin):
     finally:
         tracemalloc.stop()
     assert peak < 3.25 * (n + 1) * 8
+
+
+def test_picard_sweeps_in_place_on_a_cached_grid(constantin):
+    # once rs is cached the iterate is the only grid-length array a solve
+    # makes (1.8 grids at the peak); a second grid in the sweep would reach
+    # 2.8
+    n = 1 << 17
+    picard_solve(constantin, 10.0, r_end=1.0, n=n)
+    tracemalloc.start()
+    try:
+        picard_solve(constantin, 10.0, r_end=1.0, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * (n + 1) * 8
 
 
 def test_picard_ball_escape_message(constantin):
