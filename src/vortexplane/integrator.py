@@ -37,16 +37,18 @@ For the square-root families, f(sig t^2) = sig (t^2 - t m(t^2)), so psi(r)
 carries a (r - r_c)^(5/2) term at each crossing r_c of psi = 0, where no
 r-step is smooth.  A forward sweep hands each crossing with |psi| < 1/4 to a
 crossing window (_window), which steps r and beta in t = sqrt|psi|, where
-the orbit is analytic, as two real components with its stages inlined and
-no Python call but f and F; it starts from and appends to the core's rows
-and dissipation, and the core goes on from the last row.  An entry
-floor on E keeps E > 0 through a window, so the zero-energy stop stays on
-the plain path.
+the orbit is analytic, as two real components with no Python call but f
+and F; it starts from and appends to the core's rows and dissipation, and
+the core goes on from the last row.  An entry floor on E keeps E > 0
+through a window, so the zero-energy stop stays on the plain path.  The
+stages, sums and error norms of both loops are generated from the tableau
+at import (_define).
 """
 
 from __future__ import annotations
 
 import enum
+import linecache
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +69,9 @@ from .vorticity import SQRT_FAMILY_NEG_F, VorticityModel, arrival_law
 # 1-12 make the 8th-order step y1 = y + h sum_j b_j k_j (c_12 = 1); k13 =
 # f(r + h, y1) starts the next step.  The pair's 7th-order dense output
 # (stages 14-16) is not used: a step is read between its ends only on the
-# cubic Hermite.  Only the nonzero a_ij, b_j and error weights are named.
+# cubic Hermite.  Only the nonzero a_ij, b_j and error weights are named,
+# and the names are the sparsity: both stepper loops' stage, sum and error
+# lines are generated from the names that exist (_sum, below).
 _C2, _C3, _C4, _C5, _C6, _C7 = (
     0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25)
@@ -169,6 +173,10 @@ class IntegrationConfig:
             if not (math.isfinite(value) and value > 0.0):
                 raise ParameterDomainError(
                     f"{name} must be finite and positive, got {value!r}")
+        # a relative tolerance of 100 % or more turns off the error control
+        if self.rel_tol >= 1.0:
+            raise ParameterDomainError(
+                f"rel_tol must be below 1, got {self.rel_tol!r}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
             raise ParameterDomainError(
                 f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
@@ -430,19 +438,70 @@ def _row(model: VorticityModel, r: float, psi: float, beta: float,
             0.5 * beta * beta + model.F(psi))
 
 
+# The two stepper loops, _window and _integrate_core, are text: each is a
+# template of its own lines into which the generators below write stages
+# 2-12, the 8th-order end, the two error sums and the dissipation sum from
+# the tableau's names.  The text keeps the operation order the pinned
+# digests were made with.  _define compiles it once, here at import.
+
+def _sum(row: str, term: str, first: Optional[str] = None) -> str:
+    """The nonzero weights of row ("_A5_", "_B", "_E3_", ...), the names of
+    the tableau, on term for stage j, joined by +; first replaces stage 1's
+    term where given."""
+    return " + ".join(
+        f"{row}{j} * {first if j == 1 and first else term.format(j=j)}"
+        for j in range(1, 13) if f"{row}{j}" in globals())
+
+
+def _step(row: str, term: str) -> str:
+    """hs times _sum(row, term).  A lone weight multiplies hs first, as
+    (hs * w) * k: hs * (w * k) would round differently."""
+    terms = _sum(row, term)
+    return f"hs * ({terms})" if " + " in terms else f"hs * {terms}"
+
+
+def _stages(stage: Callable[[int], Tuple[str, ...]]) -> str:
+    """The lines of stages 2-12 from stage(i), at the loops' indent."""
+    return "\n        ".join(line for i in range(2, 13) for line in stage(i))
+
+
+def _define(name: str, src: str) -> Callable:
+    """The function that src defines as name, in this module's namespace.
+    The text goes into linecache with mtime None, which checkcache keeps,
+    so tracebacks and inspect.getsource show the lines that run."""
+    filename = f"<vortexplane.integrator:{name}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True),
+                                 filename)
+    ns: dict = {}
+    exec(compile(src, filename, "exec"), globals(), ns)
+    return ns[name]
+
+
+def _window_stage(i: int) -> Tuple[str, ...]:
+    # stage i sits at ti; stage 12 at the step's end t1 (c_12 = 1)
+    t = f"t + _C{i} * hs" if i < 12 else "t1"
+    return (f"zr = r + {_step(f'_A{i}_', 'k{j}r')}",
+            f"zb = beta + {_step(f'_A{i}_', 'k{j}b')}",
+            f"k{i}r = 2.0 * sig * (t{i} := {t}) / zb",
+            f"q{i} = zb / zr",
+            f"k{i}b = (-q{i} - f(sig * t{i} * t{i})) * k{i}r")
+
+
+_window = _define("_window", f'''\
 def _window(f, F, rows, diss, h, rtol, atol, r_target):
     """Cross psi = 0 in t = sqrt|psi| from rows[-1], an accepted step's end.
 
     The same pair steps r and beta in t, psi = sig t^2, as two real
     components: kNr = 2 sig t / beta and kNb = (-beta/r - f(psi)) kNr at
     stage N, each operation in the order of the complex z = r + i beta the
-    pinned digests were made with (stage 2 is (hs * _A2_1) * k1b).  t falls
-    to 0, where the crossing is stored with psi = 0, then rises (sig
-    flipped) to _WINDOW_T.  Each t-step appends its row to rows and int 2
-    sig t beta/r dt, the pair's weights on its stages, to diss; a step
-    past r_target, below 1e-14, or to E or beta^2/2 <= _E_FLOOR is not
-    taken.  rtol and atol are the core's scaled tolerances.  Returns the
-    next r-step and the attempts; the state to go on from is rows[-1]."""
+    pinned digests were made with (_step's rule: a lone weight multiplies
+    hs first).  t falls to 0, where the crossing is stored with psi = 0,
+    then rises (sig flipped) to _WINDOW_T.  Each t-step appends its row to
+    rows and int 2 sig t beta/r dt, the pair's weights on its stages, to
+    diss; a step past r_target, below 1e-14, or to E or beta^2/2 <=
+    _E_FLOOR is not taken.  rtol and atol are the core's scaled
+    tolerances.  Returns the next r-step and the attempts; the state to go
+    on from is rows[-1]."""
     r, psi, beta, _, theta, _ = rows[-1]
     append_row, append_diss = rows.append, diss.append
     sig = 1.0 if psi > 0.0 else -1.0
@@ -463,95 +522,17 @@ def _window(f, F, rows, diss, h, rtol, atol, r_target):
             break
         hs = hdir * ht
         attempts += 1
-        zr = r + hs * _A2_1 * k1r
-        zb = beta + hs * _A2_1 * k1b
-        k2r = 2.0 * sig * (tt := t + _C2 * hs) / zb
-        k2b = (-zb / zr - f(sig * tt * tt)) * k2r
-        zr = r + hs * (_A3_1 * k1r + _A3_2 * k2r)
-        zb = beta + hs * (_A3_1 * k1b + _A3_2 * k2b)
-        k3r = 2.0 * sig * (tt := t + _C3 * hs) / zb
-        k3b = (-zb / zr - f(sig * tt * tt)) * k3r
-        zr = r + hs * (_A4_1 * k1r + _A4_3 * k3r)
-        zb = beta + hs * (_A4_1 * k1b + _A4_3 * k3b)
-        k4r = 2.0 * sig * (tt := t + _C4 * hs) / zb
-        k4b = (-zb / zr - f(sig * tt * tt)) * k4r
-        zr = r + hs * (_A5_1 * k1r + _A5_3 * k3r + _A5_4 * k4r)
-        zb = beta + hs * (_A5_1 * k1b + _A5_3 * k3b + _A5_4 * k4b)
-        k5r = 2.0 * sig * (tt := t + _C5 * hs) / zb
-        k5b = (-zb / zr - f(sig * tt * tt)) * k5r
-        zr = r + hs * (_A6_1 * k1r + _A6_4 * k4r + _A6_5 * k5r)
-        zb = beta + hs * (_A6_1 * k1b + _A6_4 * k4b + _A6_5 * k5b)
-        k6r = 2.0 * sig * (t6 := t + _C6 * hs) / zb
-        q6 = zb / zr
-        k6b = (-q6 - f(sig * t6 * t6)) * k6r
-        zr = r + hs * (_A7_1 * k1r + _A7_4 * k4r + _A7_5 * k5r + _A7_6 * k6r)
-        zb = beta + hs * (_A7_1 * k1b + _A7_4 * k4b + _A7_5 * k5b
-                          + _A7_6 * k6b)
-        k7r = 2.0 * sig * (t7 := t + _C7 * hs) / zb
-        q7 = zb / zr
-        k7b = (-q7 - f(sig * t7 * t7)) * k7r
-        zr = r + hs * (_A8_1 * k1r + _A8_4 * k4r + _A8_5 * k5r + _A8_6 * k6r
-                       + _A8_7 * k7r)
-        zb = beta + hs * (_A8_1 * k1b + _A8_4 * k4b + _A8_5 * k5b + _A8_6 * k6b
-                          + _A8_7 * k7b)
-        k8r = 2.0 * sig * (t8 := t + _C8 * hs) / zb
-        q8 = zb / zr
-        k8b = (-q8 - f(sig * t8 * t8)) * k8r
-        zr = r + hs * (_A9_1 * k1r + _A9_4 * k4r + _A9_5 * k5r + _A9_6 * k6r
-                       + _A9_7 * k7r + _A9_8 * k8r)
-        zb = beta + hs * (_A9_1 * k1b + _A9_4 * k4b + _A9_5 * k5b + _A9_6 * k6b
-                          + _A9_7 * k7b + _A9_8 * k8b)
-        k9r = 2.0 * sig * (t9 := t + _C9 * hs) / zb
-        q9 = zb / zr
-        k9b = (-q9 - f(sig * t9 * t9)) * k9r
-        zr = r + hs * (_A10_1 * k1r + _A10_4 * k4r + _A10_5 * k5r
-                       + _A10_6 * k6r + _A10_7 * k7r + _A10_8 * k8r
-                       + _A10_9 * k9r)
-        zb = beta + hs * (_A10_1 * k1b + _A10_4 * k4b + _A10_5 * k5b
-                          + _A10_6 * k6b + _A10_7 * k7b + _A10_8 * k8b
-                          + _A10_9 * k9b)
-        k10r = 2.0 * sig * (t10 := t + _C10 * hs) / zb
-        q10 = zb / zr
-        k10b = (-q10 - f(sig * t10 * t10)) * k10r
-        zr = r + hs * (_A11_1 * k1r + _A11_4 * k4r + _A11_5 * k5r
-                       + _A11_6 * k6r + _A11_7 * k7r + _A11_8 * k8r
-                       + _A11_9 * k9r + _A11_10 * k10r)
-        zb = beta + hs * (_A11_1 * k1b + _A11_4 * k4b + _A11_5 * k5b
-                          + _A11_6 * k6b + _A11_7 * k7b + _A11_8 * k8b
-                          + _A11_9 * k9b + _A11_10 * k10b)
-        k11r = 2.0 * sig * (t11 := t + _C11 * hs) / zb
-        q11 = zb / zr
-        k11b = (-q11 - f(sig * t11 * t11)) * k11r
         t1 = t_end if last else t + hs
-        zr = r + hs * (_A12_1 * k1r + _A12_4 * k4r + _A12_5 * k5r
-                       + _A12_6 * k6r + _A12_7 * k7r + _A12_8 * k8r
-                       + _A12_9 * k9r + _A12_10 * k10r + _A12_11 * k11r)
-        zb = beta + hs * (_A12_1 * k1b + _A12_4 * k4b + _A12_5 * k5b
-                          + _A12_6 * k6b + _A12_7 * k7b + _A12_8 * k8b
-                          + _A12_9 * k9b + _A12_10 * k10b + _A12_11 * k11b)
-        k12r = 2.0 * sig * t1 / zb
-        q12 = zb / zr
-        k12b = (-q12 - f(sig * t1 * t1)) * k12r
-        r1 = r + hs * (_B1 * k1r + _B6 * k6r + _B7 * k7r + _B8 * k8r
-                       + _B9 * k9r + _B10 * k10r + _B11 * k11r + _B12 * k12r)
-        beta1 = beta + hs * (_B1 * k1b + _B6 * k6b + _B7 * k7b + _B8 * k8b
-                             + _B9 * k9b + _B10 * k10b + _B11 * k11b
-                             + _B12 * k12b)
+        {_stages(_window_stage)}
+        r1 = r + {_step("_B", "k{j}r")}
+        beta1 = beta + {_step("_B", "k{j}b")}
         ab1 = abs(beta1)
         sc_r = atol + rtol * r1
         sc_b = atol + rtol * (ab1 if ab1 > ab else ab)
-        x5 = ((_E5_1 * k1r + _E5_6 * k6r + _E5_7 * k7r + _E5_8 * k8r
-               + _E5_9 * k9r + _E5_10 * k10r + _E5_11 * k11r
-               + _E5_12 * k12r) / sc_r) ** 2 + (
-            (_E5_1 * k1b + _E5_6 * k6b + _E5_7 * k7b + _E5_8 * k8b
-             + _E5_9 * k9b + _E5_10 * k10b + _E5_11 * k11b
-             + _E5_12 * k12b) / sc_b) ** 2
-        x3 = ((_E3_1 * k1r + _E3_6 * k6r + _E3_7 * k7r + _E3_8 * k8r
-               + _E3_9 * k9r + _E3_10 * k10r + _E3_11 * k11r
-               + _E3_12 * k12r) / sc_r) ** 2 + (
-            (_E3_1 * k1b + _E3_6 * k6b + _E3_7 * k7b + _E3_8 * k8b
-             + _E3_9 * k9b + _E3_10 * k10b + _E3_11 * k11b
-             + _E3_12 * k12b) / sc_b) ** 2
+        x5 = (({_sum("_E5_", "k{j}r")}) / sc_r) ** 2 + (
+            ({_sum("_E5_", "k{j}b")}) / sc_b) ** 2
+        x3 = (({_sum("_E3_", "k{j}r")}) / sc_r) ** 2 + (
+            ({_sum("_E3_", "k{j}b")}) / sc_b) ** 2
         err = ht * x5 / math.sqrt(2.0 * (x5 + 0.01 * x3)) if x5 else 0.0
         if err > 1.0:
             fac = _SAFETY * err ** -0.125
@@ -570,9 +551,7 @@ def _window(f, F, rows, diss, h, rtol, atol, r_target):
         # int 2 sig t beta/r dt over the step: the pair's weights on
         # the stages, tj qj = tj zb/zr at stage j
         append_diss(2.0 * sig * hs * (
-            _B1 * t * beta / r + _B6 * t6 * q6 + _B7 * t7 * q7
-            + _B8 * t8 * q8 + _B9 * t9 * q9 + _B10 * t10 * q10
-            + _B11 * t11 * q11 + _B12 * t1 * q12))
+            {_sum("_B", "t{j} * q{j}", "t * beta / r")}))
         r, beta, theta, t, ab = r1, beta1, theta1, t1, ab1
         k1r, k1b = k13r, k13b
         fac = _SAFETY * err ** -0.125 if err > 1e-10 else 3.0
@@ -585,8 +564,18 @@ def _window(f, F, rows, diss, h, rtol, atol, r_target):
                 break
             sig, hdir, t_end = -sig, 1.0, _WINDOW_T  # on past the crossing
     return ht * (t + t + ht) / ab, attempts
+''')
 
 
+def _core_stage(i: int) -> Tuple[str, ...]:
+    # kip is beta at stage i, the slope of psi, and qi = kip / (r + c_i hs)
+    c = f"_C{i} * hs" if i < 12 else "hs"  # c_12 = 1
+    return (f"k{i}p = beta + {_step(f'_A{i}_', 'k{j}b')}",
+            f"q{i} = k{i}p / (r + {c})",
+            f"k{i}b = -q{i} - f(psi + {_step(f'_A{i}_', 'k{j}p')})")
+
+
+_integrate_core = _define("_integrate_core", f'''\
 def _integrate_core(model: VorticityModel, r_target: float,
                     direction: float, config: IntegrationConfig,
                     rows: List[Tuple[float, float, float, float, float, float]],
@@ -631,68 +620,9 @@ def _integrate_core(model: VorticityModel, r_target: float,
         hs = direction * h
         nsteps += 1
 
-        # stage i: kip is beta at the stage, the slope of psi
-        k2p = beta + hs * _A2_1 * k1b
-        k2b = -k2p / (r + _C2 * hs) - f(psi + hs * _A2_1 * k1p)
-        k3p = beta + hs * (_A3_1 * k1b + _A3_2 * k2b)
-        k3b = -k3p / (r + _C3 * hs) - f(psi + hs * (_A3_1 * k1p
-                                                    + _A3_2 * k2p))
-        k4p = beta + hs * (_A4_1 * k1b + _A4_3 * k3b)
-        k4b = -k4p / (r + _C4 * hs) - f(psi + hs * (_A4_1 * k1p
-                                                    + _A4_3 * k3p))
-        k5p = beta + hs * (_A5_1 * k1b + _A5_3 * k3b + _A5_4 * k4b)
-        k5b = -k5p / (r + _C5 * hs) - f(psi + hs * (
-            _A5_1 * k1p + _A5_3 * k3p + _A5_4 * k4p))
-        k6p = beta + hs * (_A6_1 * k1b + _A6_4 * k4b + _A6_5 * k5b)
-        q6 = k6p / (r + _C6 * hs)
-        k6b = -q6 - f(psi + hs * (
-            _A6_1 * k1p + _A6_4 * k4p + _A6_5 * k5p))
-        k7p = beta + hs * (_A7_1 * k1b + _A7_4 * k4b + _A7_5 * k5b
-                           + _A7_6 * k6b)
-        q7 = k7p / (r + _C7 * hs)
-        k7b = -q7 - f(psi + hs * (
-            _A7_1 * k1p + _A7_4 * k4p + _A7_5 * k5p + _A7_6 * k6p))
-        k8p = beta + hs * (_A8_1 * k1b + _A8_4 * k4b + _A8_5 * k5b
-                           + _A8_6 * k6b + _A8_7 * k7b)
-        q8 = k8p / (r + _C8 * hs)
-        k8b = -q8 - f(psi + hs * (
-            _A8_1 * k1p + _A8_4 * k4p + _A8_5 * k5p + _A8_6 * k6p
-            + _A8_7 * k7p))
-        k9p = beta + hs * (_A9_1 * k1b + _A9_4 * k4b + _A9_5 * k5b
-                           + _A9_6 * k6b + _A9_7 * k7b + _A9_8 * k8b)
-        q9 = k9p / (r + _C9 * hs)
-        k9b = -q9 - f(psi + hs * (
-            _A9_1 * k1p + _A9_4 * k4p + _A9_5 * k5p + _A9_6 * k6p
-            + _A9_7 * k7p + _A9_8 * k8p))
-        k10p = beta + hs * (_A10_1 * k1b + _A10_4 * k4b + _A10_5 * k5b
-                            + _A10_6 * k6b + _A10_7 * k7b + _A10_8 * k8b
-                            + _A10_9 * k9b)
-        q10 = k10p / (r + _C10 * hs)
-        k10b = -q10 - f(psi + hs * (
-            _A10_1 * k1p + _A10_4 * k4p + _A10_5 * k5p + _A10_6 * k6p
-            + _A10_7 * k7p + _A10_8 * k8p + _A10_9 * k9p))
-        k11p = beta + hs * (_A11_1 * k1b + _A11_4 * k4b + _A11_5 * k5b
-                            + _A11_6 * k6b + _A11_7 * k7b + _A11_8 * k8b
-                            + _A11_9 * k9b + _A11_10 * k10b)
-        q11 = k11p / (r + _C11 * hs)
-        k11b = -q11 - f(psi + hs * (
-            _A11_1 * k1p + _A11_4 * k4p + _A11_5 * k5p + _A11_6 * k6p
-            + _A11_7 * k7p + _A11_8 * k8p + _A11_9 * k9p + _A11_10 * k10p))
-        k12p = beta + hs * (_A12_1 * k1b + _A12_4 * k4b + _A12_5 * k5b
-                            + _A12_6 * k6b + _A12_7 * k7b + _A12_8 * k8b
-                            + _A12_9 * k9b + _A12_10 * k10b
-                            + _A12_11 * k11b)
-        q12 = k12p / (r + hs)
-        k12b = -q12 - f(psi + hs * (
-            _A12_1 * k1p + _A12_4 * k4p + _A12_5 * k5p + _A12_6 * k6p
-            + _A12_7 * k7p + _A12_8 * k8p + _A12_9 * k9p + _A12_10 * k10p
-            + _A12_11 * k11p))
-        psi1 = psi + hs * (_B1 * k1p + _B6 * k6p + _B7 * k7p + _B8 * k8p
-                           + _B9 * k9p + _B10 * k10p + _B11 * k11p
-                           + _B12 * k12p)
-        beta1 = beta + hs * (_B1 * k1b + _B6 * k6b + _B7 * k7b + _B8 * k8b
-                             + _B9 * k9b + _B10 * k10b + _B11 * k11b
-                             + _B12 * k12b)
+        {_stages(_core_stage)}
+        psi1 = psi + {_step("_B", "k{j}p")}
+        beta1 = beta + {_step("_B", "k{j}b")}
         r1 = r_target if last else r + hs
         # Hairer's error norm: the 5th-order estimate, damped where it
         # exceeds a tenth of the 3rd-order one
@@ -700,19 +630,11 @@ def _integrate_core(model: VorticityModel, r_target: float,
         ab1 = beta1 if beta1 >= 0.0 else -beta1
         sc_p = atol + rtol * (ap1 if ap1 > apsi else apsi)
         sc_b = atol + rtol * (ab1 if ab1 > abeta else abeta)
-        ep = (_E5_1 * k1p + _E5_6 * k6p + _E5_7 * k7p + _E5_8 * k8p
-              + _E5_9 * k9p + _E5_10 * k10p + _E5_11 * k11p
-              + _E5_12 * k12p) / sc_p
-        eb = (_E5_1 * k1b + _E5_6 * k6b + _E5_7 * k7b + _E5_8 * k8b
-              + _E5_9 * k9b + _E5_10 * k10b + _E5_11 * k11b
-              + _E5_12 * k12b) / sc_b
+        ep = ({_sum("_E5_", "k{j}p")}) / sc_p
+        eb = ({_sum("_E5_", "k{j}b")}) / sc_b
         x5 = ep * ep + eb * eb
-        ep = (_E3_1 * k1p + _E3_6 * k6p + _E3_7 * k7p + _E3_8 * k8p
-              + _E3_9 * k9p + _E3_10 * k10p + _E3_11 * k11p
-              + _E3_12 * k12p) / sc_p
-        eb = (_E3_1 * k1b + _E3_6 * k6b + _E3_7 * k7b + _E3_8 * k8b
-              + _E3_9 * k9b + _E3_10 * k10b + _E3_11 * k11b
-              + _E3_12 * k12b) / sc_b
+        ep = ({_sum("_E3_", "k{j}p")}) / sc_p
+        eb = ({_sum("_E3_", "k{j}b")}) / sc_b
         err = h * x5 / sqrt(2.0 * (x5 + 0.01 * (ep * ep + eb * eb))
                             ) if x5 else 0.0
         if err > 1.0:
@@ -752,10 +674,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
         append_row((r1, psi1, beta1, hypot(psi1, beta1), theta1, e1))
         # int beta^2/r dr over the step: the pair's weights on the stage
         # betas kjp, at their radii r + c_j hs, where qj = kjp / (r + c_j hs)
-        append_diss(hs * (_B1 * beta * beta / r + _B6 * k6p * q6
-                          + _B7 * k7p * q7 + _B8 * k8p * q8 + _B9 * k9p * q9
-                          + _B10 * k10p * q10 + _B11 * k11p * q11
-                          + _B12 * k12p * q12))
+        append_diss(hs * ({_sum("_B", "k{j}p * q{j}", "beta * beta / r")}))
         if last:
             term = Termination.REACHED_RMAX
             break
@@ -804,6 +723,7 @@ def _integrate_core(model: VorticityModel, r_target: float,
         radius=arr[:, 3], theta=arr[:, 4], E=arr[:, 5],
         dissipation=np.asarray(diss, dtype=float),
         termination=term)
+''')
 
 
 def series_start(model: VorticityModel, a: float,

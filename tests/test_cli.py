@@ -99,6 +99,7 @@ def test_simulate_amplitude_below_one(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--tol-rel", "0"], ["--tol-rel", "-1"], ["--tol-abs", "nan"],
     ["--rmax", "inf"], ["--rmax", "nan"], ["--a", "nan"], ["--a", "inf"],
+    ["--tol-rel", "1"],
 ])
 def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
     assert main(["simulate", *flags, "--out", str(tmp_path)]) == 2

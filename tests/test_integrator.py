@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import inspect
 import io
+import linecache
 import math
 import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -828,6 +830,35 @@ def test_window_calls_no_helper_per_stage(constantin, monkeypatch):
     assert not any(inspect.iscode(c) for c in code.co_consts)
 
 
+def test_generated_loops_show_their_lines(constantin):
+    # both stepper loops are compiled from text generated at import: an
+    # error raised by f at a window's third stage shows that stage's line
+    # in the traceback, and inspect.getsource returns the text that runs
+    # (it compiles to the same bytecode), also after linecache.checkcache
+    window, f, calls = integrator._window.__code__, constantin.f, [0]
+
+    def failing_f(psi):
+        if sys._getframe(1).f_code is window:
+            calls[0] += 1
+            if calls[0] == 3:  # k1b, stage 2, then stage 3
+                raise ArithmeticError("f fails")
+        return f(psi)
+
+    model = dataclasses.replace(constantin, f=failing_f)
+    with pytest.raises(ArithmeticError) as info:
+        integrate(model, 10.0, IntegrationConfig(r_max=100.0))
+    [frame] = [fs for fs in traceback.extract_tb(info.value.__traceback__)
+               if fs.name == "_window"]
+    assert frame.line.startswith("k3b = ") and "f(sig * t3 * t3)" in frame.line
+    for refresh in (lambda: None, linecache.checkcache):
+        refresh()
+        for fn in (integrator._window, integrator._integrate_core):
+            text = inspect.getsource(fn)
+            [code] = [c for c in compile(text, "<text>", "exec").co_consts
+                      if inspect.iscode(c)]
+            assert code.co_code == fn.__code__.co_code
+
+
 # ------------------------------------------------------------ shot sweep
 
 @pytest.fixture(scope="module")
@@ -1041,6 +1072,7 @@ def test_capture_grid_idle_while_shooting(constantin, monkeypatch):
     ("r_max", -5.0), ("r_handoff", 0.0), ("r_handoff", math.nan),
     ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", math.inf),
     ("abs_tol", -1e-12), ("abs_tol", math.nan), ("max_steps", 0),
+    ("rel_tol", 1.0), ("rel_tol", 1e300),
 ])
 def test_config_rejects_bad_values(field, value):
     kwargs = {"r_max": 10.0, field: value}
