@@ -13,16 +13,11 @@ sweeping back to sqrt(T^2 - 1) gives the system
     beta(r) = beta_T T / r + (1/r) int_r^T s f(psi(s)) ds,
 
 a contraction in the weighted sup metric  sup max(|dpsi|, |dbeta|) e^{-kr}
-for a window of rates k derived below.  Grid operators use the trapezoid
-rule; the Simpson re-evaluation serves as an independent residual oracle.
-A Picard sweep is one left-to-right pass over cache-sized blocks of the
-grid that gives the iterates of the whole-grid trapezoid rule bit for bit.
-On a fine grid the iterates start from the fixed points of the grids
-_COARSE_RATIO and 2 _COARSE_RATIO times coarser: Richardson extrapolation
-of the pair removes the trapezoid rule's h^2 term down to the fine grid's
-own, and a 4-point cubic reads the result onto the fine nodes (nested
-iteration; Hackbusch, Multi-Grid Methods and Applications, 1985, ch. 5).
-Other grids start from the constant a.
+for a window of rates k derived below.  The short-range operator is
+collocated in s = r^2 on Chebyshev-Lobatto nodes, where psi is analytic
+(see picard_solve); the integrator's head and the backward operator use
+the trapezoid rule.  The Simpson re-evaluation on a uniform grid serves as
+an independent residual oracle for the short-range fixed point.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -43,16 +38,9 @@ from .vorticity import VorticityModel
 
 _PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 _LAM_LO = 1.0 + 1e-12
-# nodes per block of a Picard sweep: a block's work arrays stay in L2
-_BLOCK = 16384
-# a Picard solve on n intervals starts from the solves on n // _COARSE_RATIO
-# and n // (2 _COARSE_RATIO) intervals once 2 _COARSE_RATIO divides n and
-# n // _COARSE_RATIO >= _COARSE_MIN; the integrator's 512-point heads stay
-# far below and keep their constant start
-_COARSE_RATIO, _COARSE_MIN = 64, 512
-# the trapezoid error of the coarse fixed point less the fine one's, per
-# unit of the coarser fixed point less the coarse one (three coarse errors)
-_RICHARDSON = (1.0 - _COARSE_RATIO ** -2) / 3.0
+# picard_solve: Chebyshev-Lobatto nodes 0.._CHEB_N in s = r^2, and the
+# stride of the nodes its grid samples by Clenshaw's recurrence
+_CHEB_N, _STRIDE = 32, 64
 
 
 def check_start_value(a: float) -> None:
@@ -84,9 +72,9 @@ class GridFunction:
     """Samples of a scalar function on an ascending uniform grid.
 
     A fixed-point solve also records how many sweeps it ran and the sup
-    change of its last sweep; other grids leave both at 0.  A Picard
-    solve's r is the read-only node grid that every solve on the same
-    (r_end, n) shares (see _nodes).
+    change of its last sweep; other grids leave both at 0.  picard_solve
+    samples its collocation polynomial on the read-only grid r that every
+    solve on the same (r_end, n) shares (see _nodes).
     """
     r: np.ndarray
     values: np.ndarray
@@ -96,6 +84,16 @@ class GridFunction:
     @property
     def h(self) -> float:
         return float(self.r[1] - self.r[0])
+
+
+def _check_ball(psi: np.ndarray, a: float, ball: float) -> None:
+    """Refuse psi once max |psi - a| exceeds the radius ball, or is NaN.
+    fl(x - a) is monotone in x, so psi's max and min give it exactly."""
+    dev = max(float(psi.max()) - a, a - float(psi.min()))
+    if not dev <= ball * (1.0 + 1e-12):
+        raise FixedPointFailureError(
+            f"iterate left the ball: |psi - a| reached {dev!r} "
+            f"against radius {ball!r}")
 
 
 def _check_count(name: str, value: int, least: int) -> None:
@@ -109,8 +107,8 @@ def _check_count(name: str, value: int, least: int) -> None:
 @functools.lru_cache(maxsize=4)
 def _nodes(r_end: float, n: int) -> np.ndarray:
     """np.linspace(0, r_end, n + 1), built once per (r_end, n) and shared
-    read-only: a fine solve, its two coarse starts and the integrator's
-    head each reuse their grid instead of faulting in a fresh one."""
+    read-only: Picard solves sampled on the same grid and the integrator's
+    heads each reuse it instead of faulting in a fresh one."""
     rs = np.linspace(0.0, r_end, n + 1)
     rs.flags.writeable = False
     return rs
@@ -168,16 +166,66 @@ def _cubic_read(v: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _coarse_solve(model: VorticityModel, a: float, r_end: float, n: int,
-                  ratio: int, tol: float, max_iter: int) -> GridFunction:
-    """The fixed point on n // ratio intervals, for the start of the
-    n-interval solve; a failure names both grid sizes."""
-    try:
-        return picard_solve(model, a, r_end, n // ratio, tol, max_iter)
-    except FixedPointFailureError as exc:
-        raise FixedPointFailureError(
-            f"coarse start on {n // ratio} intervals for the {n}-interval "
-            f"grid failed: {exc}") from exc
+def _integral(c: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients (rows) of int_0^s of the series c in
+    x = 2 s - 1, one degree higher, fixed by its value 0 at s = 0."""
+    d = np.concatenate([2.0 * c[:1], c[1:], np.zeros((2, c.shape[1]))])
+    out = np.zeros((len(c) + 1, c.shape[1]))
+    out[1:] = (d[:-2] - d[2:]) / (4.0 * np.arange(1, len(c) + 1)[:, None])
+    out[0] = out[1::2].sum(axis=0) - out[2::2].sum(axis=0)
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _collocation() -> Tuple[np.ndarray, np.ndarray]:
+    """(to_coeffs, K) on the _CHEB_N + 1 Chebyshev-Lobatto nodes of s in
+    [0, 1], ascending: node values to the coefficients of their interpolant
+    in x = 2 s - 1, and f to (1/4) int_0^s (1/v) int_0^v f (Trefethen,
+    Approximation Theory and Approximation Practice, 2013, ch. 19).  T_k at
+    the nodes comes from a table of 2N cosines, int_0^v f / v from the
+    exact downward recurrence of (1 + x) q = 2 int_0^v f; row s = 0 is 0.
+    """
+    N = _CHEB_N
+    table = np.array([math.cos(math.pi * m / N) for m in range(2 * N)])
+    T = table[np.arange(N + 2)[:, None] * (N - np.arange(N + 1)) % (2 * N)]
+    w = np.where(np.arange(N + 1) % N, 1.0, 0.5)
+    to_coeffs = (2.0 / N) * w[:, None] * T[:-1] * w
+    g = 4.0 * _integral(to_coeffs)
+    q = np.zeros((N + 3, N + 1))
+    for m in range(N + 1, 1, -1):
+        q[m - 1] = g[m] - 2.0 * q[m] - q[m + 1]
+    q[0] = 0.5 * g[1] - q[1] - 0.5 * q[2]
+    K = 0.25 * np.einsum('kj,ki->ji', T, _integral(q[:N + 1]))
+    K[0] = 0.0
+    return to_coeffs, K
+
+
+def _short_range_ball(model: VorticityModel, a: float, r_end: float) -> float:
+    """eta a / 4, once a, its ball and 0 < r_end <= 1 pass their checks."""
+    check_start_value(a)
+    if not 0.0 < r_end <= 1.0:
+        raise ParameterDomainError(
+            f"contraction audited for 0 < r_end <= 1, got {r_end!r}")
+    check_ball_centre(a, model.ledger.eta)
+    return model.ledger.eta * a / 4.0
+
+
+def _iterate(sweep: Callable, size: int, a: float, ball: float, tol: float,
+             max_iter: int) -> Tuple[np.ndarray, int, float]:
+    """(psi, sweeps, last change) of psi = sweep(psi) from the constant a,
+    once the sup change is at most tol a.  An iterate out of the ball
+    |psi - a| <= ball (which keeps psi >= a/8 > 0), a NaN one included, or
+    max_iter sweeps without convergence raise FixedPointFailureError."""
+    psi = np.full(size, float(a))
+    for k in range(1, max_iter + 1):
+        new = sweep(psi)
+        _check_ball(new, a, ball)
+        change = float(np.max(np.abs(new - psi)))
+        psi = new
+        if change <= tol * a:
+            return psi, k, change
+    raise FixedPointFailureError(
+        f"no convergence within {max_iter} sweeps (last change {change!r})")
 
 
 def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
@@ -185,108 +233,56 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
                  max_iter: int = 200) -> GridFunction:
     """Iterate the short-range operator to its fixed point on [0, r_end].
 
-    Every iterate must stay in the ball |psi - a| <= eta a / 4 (which in
-    particular keeps psi >= a/8 > 0); escape, a NaN iterate included, or
-    failure to converge within max_iter raises FixedPointFailureError.  A
-    start value whose ball end (1 + eta/4) a or bound eta a overflows is
-    refused, as admissibility.check_ball refuses it.
+    In s = r^2 the operator is a - (1/4) int_0^s (1/v) int_0^v f(psi), and
+    collocation on the _CHEB_N + 1 Chebyshev-Lobatto nodes of [0, r_end^2]
+    applies it as a - r_end^2 K f(psi) (Clenshaw & Norton, Comput. J. 6,
+    1963).  A sweep is one f_arr call; _iterate starts, stops and refuses.
 
-    When 2 _COARSE_RATIO divides n and n // _COARSE_RATIO >= _COARSE_MIN
-    the iterates start from the fixed points psi_c on n // _COARSE_RATIO
-    and psi_2c on n // (2 _COARSE_RATIO) intervals (same tol and
-    max_iter).  Their difference, read onto the psi_c nodes, is three
-    times the trapezoid rule's h^2 term of psi_c; Richardson extrapolation
-    psi_c - (psi_2c - psi_c) / 3 (1 - _COARSE_RATIO^-2) keeps only the
-    fine grid's own h^2 term.  _cubic_read puts the result on the n + 1
-    nodes, and np.clip keeps it in the ball.  Any other n starts from
-    psi = a.  A failure of either coarse solve names the coarse start and
-    both grid sizes.
-
-    A sweep is one left-to-right pass over blocks of _BLOCK nodes, so a
-    block's work arrays stay in cache.  Each block carries over, from the
-    node to its left, r f(psi) of the previous iterate, the integrand and
-    both running sums; the sums add left to right as np.cumsum does, so
-    the iterates are those of the whole-grid trapezoid rule bit for bit.
-    A block writes the new iterate over the old one once it has measured
-    the change, so a sweep allocates and touches no second grid.
+    The result samples the interpolant on the shared n + 1 node grid (see
+    _nodes), in the ball too: Clenshaw's sum of the coefficients of
+    psi - a on every _STRIDE-th node where _STRIDE divides n into at least
+    4 cells, else on every node (node 0 set to a), and _cubic_read between.
     """
-    check_start_value(a)
-    if not 0.0 < r_end <= 1.0:
-        raise ParameterDomainError(
-            f"contraction audited for 0 < r_end <= 1, got {r_end!r}")
+    ball = _short_range_ball(model, a, r_end)
     _check_count("n", n, 8)
     _check_count("max_iter", max_iter, 1)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterDomainError(
             f"tol must be finite and >= 0, got {tol!r}")
-    eta = model.ledger.eta
-    check_ball_centre(a, eta)
+    to_coeffs, K = _collocation()
+    scale = r_end * r_end
+    psi, sweeps, change = _iterate(
+        lambda p: a - scale * np.einsum('ij,j->i', K, model.f_arr(p)),
+        _CHEB_N + 1, a, ball, tol, max_iter)
+    rs = _nodes(float(r_end), n)
+    m = _STRIDE if n % _STRIDE == 0 and n >= 4 * _STRIDE else 1
+    two_x = 4.0 * (rs[::m] / r_end) ** 2 - 2.0
+    coeffs = np.einsum('kj,j->k', to_coeffs, psi - a)
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + two_x * b1 - b2, b1
+    values = a + (coeffs[0] + 0.5 * two_x * b1 - b2)
+    values[0] = a
+    values = _cubic_read(values, m)
+    _check_ball(values, a, ball)
+    return GridFunction(rs, values, sweeps=sweeps, last_change=change)
+
+
+def _trapezoid_solve(model: VorticityModel, a: float, r_end: float, n: int,
+                     tol: float) -> GridFunction:
+    """The short-range fixed point of the trapezoid rule on the shared
+    n + 1 node grid of [0, r_end]: the integrator's Picard head."""
+    ball = _short_range_ball(model, a, r_end)
     rs = _nodes(float(r_end), n)
     h = float(rs[1] - rs[0])
-    half_h = 0.5 * h
-    ball = eta * a / 4.0
-    if n % (2 * _COARSE_RATIO) == 0 and n // _COARSE_RATIO >= _COARSE_MIN:
-        coarse, coarser = (
-            _coarse_solve(model, a, r_end, n, ratio, tol, max_iter).values
-            for ratio in (_COARSE_RATIO, 2 * _COARSE_RATIO))
-        # the pair agrees at node 0, so the start keeps psi(0) = a
-        drift = _cubic_read(coarser - coarse[::2], 2)
-        psi = _cubic_read(coarse - drift * _RICHARDSON, _COARSE_RATIO)
-        np.clip(psi, a - ball, a + ball, out=psi)
-    else:
-        psi = np.full(n + 1, float(a))
-    # per block, views of: the radii and iterate where it evaluates
-    # r f(psi) and the slots that take them, its radii and iterate, and
-    # the work arrays, whose index 0 holds the node left of the block.
-    # The first block evaluates node 0 too; a later one finds its left
-    # node's value carried over, since that node is already overwritten.
-    width = min(_BLOCK, n)
-    w, g, t = np.empty(width + 1), np.empty(width + 1), np.empty(width)
-    blocks = []
-    for s in range(1, n + 1, _BLOCK):
-        e = min(s + _BLOCK, n + 1)
-        lo = 0 if s == 1 else s
-        wk, gk, tk = w[:e - s + 1], g[:e - s + 1], t[:e - s]
-        blocks.append((rs[lo:e], psi[lo:e], wk[lo - s + 1:], rs[s:e],
-                       psi[s:e], wk[1:], wk[:-1], gk[1:], gk[:-1], tk))
-    # max|new - a| and max|new - psi| of each block; their np.max keeps a
-    # NaN, as the whole-grid max does
-    stats = np.empty((len(blocks), 2))
-    for sweep in range(1, max_iter + 1):
-        # -0.0 + x == x for every x, signed zeros included
-        inner = outer = -0.0
-        g[0] = 0.0
-        for k, (r_f, psi_f, w_f, r, block, w_hi, w_lo, g_hi, g_lo, tk) \
-                in enumerate(blocks):
-            np.multiply(r_f, model.f_arr(psi_f), out=w_f)
-            np.add(w_hi, w_lo, out=tk)
-            tk *= half_h
-            tk[0] += inner
-            np.cumsum(tk, out=tk)
-            inner = tk[-1]
-            np.divide(tk, r, out=g_hi)
-            np.add(g_hi, g_lo, out=tk)
-            tk *= half_h
-            tk[0] += outer
-            np.cumsum(tk, out=tk)
-            outer = tk[-1]
-            w[0], g[0] = w_hi[-1], g_hi[-1]
-            # the new block in tk; w_hi is free for the two distances
-            np.subtract(a, tk, out=tk)
-            np.subtract(tk, a, out=w_hi)
-            stats[k, 0] = np.abs(w_hi, out=w_hi).max()
-            np.subtract(tk, block, out=w_hi)
-            stats[k, 1] = np.abs(w_hi, out=w_hi).max()
-            block[:] = tk
-        dev, change = stats.max(axis=0).tolist()
-        if not dev <= ball * (1.0 + 1e-12):
-            raise FixedPointFailureError(
-                f"iterate left the ball: |psi - a| reached {dev!r} "
-                f"against radius {ball!r}")
-        if change <= tol * a:
-            return GridFunction(rs, psi, sweeps=sweep, last_change=change)
-    raise FixedPointFailureError(
-        f"no convergence within {max_iter} sweeps (last change {change!r})")
+    slope = np.zeros(n + 1)
+
+    def sweep(psi: np.ndarray) -> np.ndarray:
+        slope[1:] = cumtrapz(rs * model.f_arr(psi), h)[1:] / rs[1:]
+        return a - cumtrapz(slope, h)
+
+    psi, sweeps, change = _iterate(sweep, n + 1, a, ball, tol, 200)
+    return GridFunction(rs, psi, sweeps=sweeps, last_change=change)
 
 
 def picard_residual(model: VorticityModel, grid: GridFunction) -> float:

@@ -14,11 +14,10 @@ on which steps the controller happened to take beyond their endpoints.
 An orbit stores one row per accepted step.
 
 The left endpoint r = 0 is singular, so integrate() opens with a short
-Picard series head on [0, r_handoff] computed by the fixed-point solver
-(_PICARD_N points, tolerance _PICARD_TOL) and hands the state to the
-stepper at r_handoff.  The other end an orbit can have, its arrival at the
-origin at a finite radius R, is no event of the stepper: a backward sweep
-starts from arrival_start's series there, and analysis fits R.
+trapezoid Picard head on [0, r_handoff] (_PICARD_N intervals, tolerance
+_PICARD_TOL) and hands the state to the stepper at r_handoff.  An orbit's
+arrival at the origin at a finite radius R is no event of the stepper: a
+backward sweep starts from arrival_start's series, and analysis fits R.
 
 The forward, restart and backward sweeps share one core, _integrate_core.
 It ends a step early in one place: with stop_at_zero_energy, where E's
@@ -57,8 +56,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fixedpoint import (_check_count, beta_from_psi, check_start_value,
-                         picard_solve, require_finite)
+from .fixedpoint import (_check_count, _trapezoid_solve, beta_from_psi,
+                         check_start_value, require_finite)
 from .phaseplane import TWO_PI
 from .quadrature import cumtrapz
 from .search import bisect_root, golden_min
@@ -468,7 +467,10 @@ def _stages(stage: Callable[[int], Tuple[str, ...]]) -> str:
 def _define(name: str, src: str) -> Callable:
     """The function that src defines as name, in this module's namespace.
     The text goes into linecache with mtime None, which checkcache keeps,
-    so tracebacks and inspect.getsource show the lines that run."""
+    so tracebacks and inspect.getsource show the lines that run, until
+    linecache.clearcache() drops it for good: on Python 3.11 updatecache
+    returns [] for a <...> name before it asks any loader, and for other
+    names lazycache asks the module's loader, which reads integrator.py."""
     filename = f"<vortexplane.integrator:{name}>"
     linecache.cache[filename] = (len(src), None, src.splitlines(True),
                                  filename)
@@ -730,14 +732,14 @@ def series_start(model: VorticityModel, a: float,
                  config: IntegrationConfig) -> Tuple[np.ndarray, np.ndarray,
                                                      np.ndarray, np.ndarray]:
     """Picard head on [0, r_handoff]: (r, psi, beta, cumulative dissipation)
-    on the fine fixed-point grid; r is the solve's shared read-only grid."""
-    grid = picard_solve(model, a, r_end=config.r_handoff, n=_PICARD_N,
-                        tol=_PICARD_TOL)
+    on the trapezoid grid; r is the solve's shared read-only grid."""
+    grid = _trapezoid_solve(model, a, config.r_handoff, _PICARD_N,
+                            _PICARD_TOL)
     betas = beta_from_psi(model, grid)
     rs = grid.r
     dens = np.zeros_like(rs)
     dens[1:] = betas.values[1:] ** 2 / rs[1:]
-    cum = cumtrapz(dens, float(rs[1] - rs[0]))
+    cum = cumtrapz(dens, grid.h)
     return rs, grid.values, betas.values, cum
 
 

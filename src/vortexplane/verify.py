@@ -154,8 +154,9 @@ def criterion_energy_decay(cache: RunCache) -> CriterionResult:
 
 
 def criterion_picard_window(cache: RunCache) -> CriterionResult:
-    """5. The short-range fixed point on [0, 1] stays in its ball, keeps
-    psi(1) >= a/8, and reproduces the integral equation to 1e-8."""
+    """5. The short-range fixed point on [0, 1], collocated and read on
+    2^17 + 1 nodes, stays in its ball, keeps psi(1) >= a/8, and meets the
+    Simpson oracle of the integral equation to 1e-8."""
     model = cache.constantin
     eta = model.ledger.eta
     ball_ratio = 0.0

@@ -70,7 +70,12 @@ def test_pinned_report(acceptance_results):
     # step integrates its dissipation with the pair's weights on its
     # stages, which moves only the dissipation: 3ec4dda2... -> 2f3d6c73...
     # (criterion 4's imbalance 3.6106025625992437e-11 ->
-    # 3.526132106523367e-11, criterion 13's byte count 4469 -> 4468)
+    # 3.526132106523367e-11, criterion 13's byte count 4469 -> 4468).
+    # Criterion 5's solves collocate on Chebyshev nodes in s = r^2 instead
+    # of sweeping the 2^17-interval trapezoid rule: 2f3d6c73... ->
+    # 54f5ea99... (residual 2.2018298295733985e-10 ->
+    # 2.7000623958883807e-13, ball_ratio and end_ratio in their 11th
+    # digits, 1 -> 8 sweeps at a = 10 and 100)
     import hashlib
 
     c8, c11 = acceptance_results[7].measures, acceptance_results[10].measures
@@ -80,4 +85,4 @@ def test_pinned_report(acceptance_results):
         "0.0003662595541706584", "3.001341765403924")
     text = verify.render_report(acceptance_results)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "2f3d6c73769047a6ad660330d79b5e7b2df56afa9a85be7dcb46a9bffb429670")
+        "54f5ea993d3d21a765dbf2ac733b2c590aea10b22bfc5634f29380bd4815922b")

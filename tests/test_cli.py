@@ -289,7 +289,7 @@ def test_verify_paper_writes_the_pinned_report(tmp_path, capsys,
     assert lines[14] == f"wrote {tmp_path / 'verify_report.json'}"
     text = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(text).hexdigest() == (
-        "2f3d6c73769047a6ad660330d79b5e7b2df56afa9a85be7dcb46a9bffb429670")
+        "54f5ea993d3d21a765dbf2ac733b2c590aea10b22bfc5634f29380bd4815922b")
     failed = [dataclasses.replace(acceptance_results[0], passed=False),
               *acceptance_results[1:]]
     monkeypatch.setattr(verify, "run_all", lambda: failed)

@@ -12,8 +12,8 @@ from vortexplane import (FixedPointFailureError, InfeasibleConstantsError,
                          integrate_backward, picard_residual, picard_solve,
                          rate_transform, select_contraction_constants)
 from vortexplane import fixedpoint
-from vortexplane.fixedpoint import (_BLOCK, _RICHARDSON, _STENCILS,
-                                    _cubic_read, _lagrange,
+from vortexplane.fixedpoint import (_STENCILS, _collocation, _cubic_read,
+                                    _lagrange, _trapezoid_solve,
                                     equilibrium_dichotomy_certificate)
 from vortexplane.integrator import (_PICARD_N, _PICARD_TOL,
                                     IntegrationConfig, series_start)
@@ -215,7 +215,7 @@ def test_nan_iterate_leaves_the_ball_on_its_first_sweep(constantin):
     with pytest.raises(FixedPointFailureError,
                        match="left the ball: \\|psi - a\\| reached nan"):
         picard_solve(_nan_model(constantin, calls), 2.0)
-    assert calls == [513]
+    assert calls == [33]
     calls.clear()
     with pytest.raises(FixedPointFailureError,
                        match="left the domain: .* \\|beta\\|=nan"):
@@ -255,29 +255,13 @@ def _gather_cubic(v, m):
 
 
 def _whole_grid_picard(model, a, r_end, n, tol=1e-13, max_iter=200,
-                       coarse=True):
-    # the sweep as one pass of whole-grid numpy operations: the oracle for
-    # the blocked sweep of picard_solve, from the same Richardson start
-    # unless coarse is False
+                       coarse=False):
+    # the trapezoid sweep as whole-grid numpy operations from psi = a (the
+    # cold start, coarse=False): the oracle for the integrator's Picard head
     rs = np.linspace(0.0, r_end, n + 1)
     h = float(rs[1] - rs[0])
     ball = model.ledger.eta * a / 4.0
-    if coarse and n % 128 == 0 and n // 64 >= 512:
-        pcs = []
-        for ratio in (64, 128):
-            try:
-                pcs.append(_whole_grid_picard(model, a, r_end, n // ratio,
-                                              tol, max_iter)[1])
-            except FixedPointFailureError as exc:
-                raise FixedPointFailureError(
-                    f"coarse start on {n // ratio} intervals for the "
-                    f"{n}-interval grid failed: {exc}") from exc
-        pc, p2c = pcs
-        drift = _gather_cubic(p2c - pc[::2], 2)
-        psi = np.clip(_gather_cubic(pc - drift * _RICHARDSON, 64),
-                      a - ball, a + ball)
-    else:
-        psi = np.full(n + 1, float(a))
+    psi = np.full(n + 1, float(a))
     for sweep in range(1, max_iter + 1):
         w = rs * model.f_arr(psi)
         inner = cumtrapz(w, h)
@@ -297,20 +281,13 @@ def _whole_grid_picard(model, a, r_end, n, tol=1e-13, max_iter=200,
         f"no convergence within {max_iter} sweeps (last change {change!r})")
 
 
-# blocks cover nodes 1..n, so n = _BLOCK + 1 and 2 _BLOCK + 1 end on a
-# one-node block; 2^17 and 2 _BLOCK take the Richardson start, 2 _BLOCK + 1
-# (not a multiple of 128) and the rest the constant one
-_ORACLE_GRIDS = [(512, 0.0625), (1 << 17, 1.0)] + [
-    (n, 1.0) for n in (_BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                       2 * _BLOCK, 2 * _BLOCK + 1)]
-
-
-@pytest.mark.parametrize("n, r_end", _ORACLE_GRIDS)
+# the integrator's Picard head: the grid and tolerance of series_start
+@pytest.mark.parametrize("n, r_end", [(512, 0.0625)])
 def test_blocked_sweep_matches_whole_grid(models, n, r_end):
     for model in models.values():
         for a in (1.5, 10.0):
             rs, psi, sweeps, change = _whole_grid_picard(model, a, r_end, n)
-            grid = picard_solve(model, a, r_end=r_end, n=n)
+            grid = _trapezoid_solve(model, a, r_end, n, 1e-13)
             assert grid.r.tobytes() == rs.tobytes()
             assert grid.values.tobytes() == psi.tobytes()
             assert (grid.sweeps, grid.last_change) == (sweeps, change)
@@ -346,69 +323,31 @@ def test_picard_sweeps_in_place_on_a_cached_grid(constantin):
     assert peak < 2.25 * (n + 1) * 8
 
 
+def _collocation_sweeps(model, a, count):
+    # the first count iterates of picard_solve on [0, 1] at its nodes
+    iterates = [np.full(33, a)]
+    for _ in range(count):
+        iterates.append(a - np.einsum('ij,j->i', _collocation()[1],
+                                      model.f_arr(iterates[-1])))
+    return iterates
+
+
 def test_picard_ball_escape_message(constantin):
     tiny = replace(constantin, ledger=replace(constantin.ledger, eta=1e-6))
-    with pytest.raises(FixedPointFailureError) as ref:
-        _whole_grid_picard(tiny, 10.0, 1.0, _BLOCK + 1)
     with pytest.raises(FixedPointFailureError) as got:
-        picard_solve(tiny, 10.0, r_end=1.0, n=_BLOCK + 1)
-    assert "left the ball" in str(ref.value)
-    assert str(got.value) == str(ref.value)
-
-
-def test_picard_coarse_ball_escape_message(constantin):
-    tiny = replace(constantin, ledger=replace(constantin.ledger, eta=1e-6))
-    with pytest.raises(FixedPointFailureError) as ref:
-        _whole_grid_picard(tiny, 10.0, 1.0, 512)
-    with pytest.raises(FixedPointFailureError) as got:
-        picard_solve(tiny, 10.0, r_end=1.0, n=2 * _BLOCK)
-    assert "left the ball" in str(ref.value)
-    assert str(got.value) == (
-        f"coarse start on 512 intervals for the 32768-interval grid "
-        f"failed: {ref.value}")
-
-
-def test_picard_coarser_start_failure_message(constantin, monkeypatch):
-    # the solve on n // 128 intervals, given too few sweeps, fails after
-    # the one on n // 64 intervals succeeded
-    solve = fixedpoint.picard_solve
-
-    def short_of_sweeps(model, a, r_end, n, tol, max_iter):
-        return solve(model, a, r_end, n, tol, 2 if n == 256 else max_iter)
-
-    with pytest.raises(FixedPointFailureError) as ref:
-        _whole_grid_picard(constantin, 10.0, 1.0, 256, max_iter=2)
-    monkeypatch.setattr(fixedpoint, "picard_solve", short_of_sweeps)
-    with pytest.raises(FixedPointFailureError) as got:
-        solve(constantin, 10.0, r_end=1.0, n=2 * _BLOCK)
-    assert "no convergence within 2 sweeps" in str(ref.value)
-    assert str(got.value) == (
-        f"coarse start on 256 intervals for the 32768-interval grid "
-        f"failed: {ref.value}")
+        picard_solve(tiny, 10.0, r_end=1.0, n=1 << 14)
+    dev = float(np.max(np.abs(_collocation_sweeps(tiny, 10.0, 1)[1] - 10.0)))
+    assert str(got.value) == (f"iterate left the ball: |psi - a| reached "
+                              f"{dev!r} against radius {1e-6 * 10.0 / 4.0!r}")
 
 
 def test_picard_budget_exhausted_message(constantin):
-    # n = 2 _BLOCK starts from the solve on n // 64 = 512 intervals, which
-    # runs out of sweeps first
-    with pytest.raises(FixedPointFailureError) as ref:
-        _whole_grid_picard(constantin, 10.0, 1.0, 512, max_iter=2)
     with pytest.raises(FixedPointFailureError) as got:
-        picard_solve(constantin, 10.0, r_end=1.0, n=2 * _BLOCK, max_iter=2)
-    assert "no convergence within 2 sweeps" in str(ref.value)
+        picard_solve(constantin, 10.0, r_end=1.0, n=1 << 14, max_iter=2)
+    _, first, second = _collocation_sweeps(constantin, 10.0, 2)
+    change = float(np.max(np.abs(second - first)))
     assert str(got.value) == (
-        f"coarse start on 512 intervals for the 32768-interval grid "
-        f"failed: {ref.value}")
-
-
-@pytest.mark.parametrize("a", [10.0, 100.0])
-def test_coarse_start_matches_cold_start(models, a):
-    # the coarse start changes the iterates, not the fixed point they reach
-    n = 1 << 17
-    for model in models.values():
-        _, cold, _, _ = _whole_grid_picard(model, a, 1.0, n, coarse=False)
-        grid = picard_solve(model, a, r_end=1.0, n=n)
-        assert float(np.max(np.abs(grid.values - cold))) <= 1e-11 * a
-        assert grid.sweeps == 1
+        f"no convergence within 2 sweeps (last change {change!r})")
 
 
 def test_equilibrium_start_is_exact(constantin):
@@ -417,6 +356,50 @@ def test_equilibrium_start_is_exact(constantin):
     grid = picard_solve(constantin, 1.0, r_end=1.0, n=1 << 17)
     assert (grid.sweeps, grid.last_change) == (1, 0.0)
     assert np.all(grid.values == 1.0)
+
+
+# psi(1) of the short-range fixed point on [0, 1] by Richardson
+# extrapolation, (4 g17 - g16) / 3, of the trapezoid fixed points on 2^16
+# and 2^17 intervals (the solver the collocation replaced), at a = _AMPS;
+# g17 alone is off by up to 2.07e-10 (constantin, a = 100)
+_AMPS = (1.0, 1.5, 10.0, 37.5, 100.0)
+_RICHARDSON_PSI1 = {
+    "constantin": (1.0, 1.4336811948371952, 8.378126722736145,
+                   30.093921902230505, 78.79947436559247),
+    "example": (1.0, 1.43258253438852, 8.3709493887891, 30.07987980412705,
+                78.77660896446675),
+    "powerlaw": (1.0, 1.4117128338822404, 8.113147513444096,
+                 29.378826147844165, 77.4369173286848),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_RICHARDSON_PSI1))
+def test_collocation_matches_the_richardson_trapezoid(models, family):
+    # measured worst: 2.9e-15 a (example, a = 37.5)
+    for a, psi1 in zip(_AMPS, _RICHARDSON_PSI1[family]):
+        grid = picard_solve(models[family], a, r_end=1.0, n=1 << 17)
+        assert abs(float(grid.values[-1]) - psi1) <= 1e-14 * a
+
+
+@pytest.mark.parametrize("n", [1 << 17, 1000, 192])
+def test_picard_reads_clenshaw_between_every_64th_node(models, monkeypatch,
+                                                       n):
+    # where 64 divides n into at least 4 cells the grid holds Clenshaw's
+    # sum on every 64th node and the 4-point cubic between them; at 2^17
+    # the sum on every node is at most 8.5e-16 a away (three families,
+    # a = 1.5 to 100).  Other grids hold the sum on every node.
+    for model in models.values():
+        for a in (1.5, 10.0, 37.5, 100.0):
+            read = picard_solve(model, a, r_end=1.0, n=n).values
+            with monkeypatch.context() as m:
+                m.setattr(fixedpoint, "_STRIDE", 1)
+                direct = picard_solve(model, a, r_end=1.0, n=n).values
+            assert read[::64].tobytes() == direct[::64].tobytes()
+            assert read[0] == a
+            if n == 1 << 17:
+                assert float(np.max(np.abs(read - direct))) <= 2e-15 * a
+            else:
+                assert read.tobytes() == direct.tobytes()
 
 
 def test_cubic_read_nests_and_is_exact_on_cubics():
