@@ -15,9 +15,9 @@ sweeping back to sqrt(T^2 - 1) gives the system
 a contraction in the weighted sup metric  sup max(|dpsi|, |dbeta|) e^{-kr}
 for a window of rates k derived below.  The short-range operator is
 collocated in s = r^2 on Chebyshev-Lobatto nodes, where psi is analytic
-(see picard_solve); the integrator's head and the backward operator use
-the trapezoid rule.  The Simpson re-evaluation on a uniform grid serves as
-an independent residual oracle for the short-range fixed point.
+(picard_solve, and picard_head for the integrator); the backward operator
+uses the trapezoid rule.  The Simpson re-evaluation on a uniform grid
+serves as an independent residual oracle for the short-range fixed point.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from .vorticity import VorticityModel
 _PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 _LAM_LO = 1.0 + 1e-12
 # picard_solve: Chebyshev-Lobatto nodes 0.._CHEB_N in s = r^2, and the
-# stride of the nodes its grid samples by Clenshaw's recurrence
-_CHEB_N, _STRIDE = 32, 64
+# stride of the nodes its grid samples by Clenshaw's recurrence; the
+# integrator's head stores _HEAD_CELLS + 1 rows
+_CHEB_N, _STRIDE, _HEAD_CELLS = 32, 64, 16
 
 
 def check_start_value(a: float) -> None:
@@ -104,14 +105,19 @@ def _check_count(name: str, value: int, least: int) -> None:
             f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cache hands them to every caller."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=4)
 def _nodes(r_end: float, n: int) -> np.ndarray:
     """np.linspace(0, r_end, n + 1), built once per (r_end, n) and shared
-    read-only: Picard solves sampled on the same grid and the integrator's
-    heads each reuse it instead of faulting in a fresh one."""
-    rs = np.linspace(0.0, r_end, n + 1)
-    rs.flags.writeable = False
-    return rs
+    read-only: Picard solves sampled on the same grid, and the integrator's
+    heads on their 17 rows, reuse it instead of faulting in a fresh one."""
+    return _read_only(np.linspace(0.0, r_end, n + 1))[0]
 
 
 def _lagrange(offsets: Tuple[int, ...], t: np.ndarray) -> list:
@@ -177,13 +183,15 @@ def _integral(c: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _collocation() -> Tuple[np.ndarray, np.ndarray]:
-    """(to_coeffs, K) on the _CHEB_N + 1 Chebyshev-Lobatto nodes of s in
-    [0, 1], ascending: node values to the coefficients of their interpolant
-    in x = 2 s - 1, and f to (1/4) int_0^s (1/v) int_0^v f (Trefethen,
-    Approximation Theory and Approximation Practice, 2013, ch. 19).  T_k at
-    the nodes comes from a table of 2N cosines, int_0^v f / v from the
-    exact downward recurrence of (1 + x) q = 2 int_0^v f; row s = 0 is 0.
+def _collocation() -> Tuple[np.ndarray, ...]:
+    """(to_coeffs, K, M, Q), read-only, on the _CHEB_N + 1 Chebyshev-Lobatto
+    nodes of s in [0, 1], ascending, in x = 2 s - 1: node values to their
+    interpolant's coefficients, f to (1/4) int_0^s (1/v) int_0^v f (Trefethen,
+    Approximation Theory and Approximation Practice, 2013, ch. 19), f to its
+    mean (1/s) int_0^s f at the head rows s_j = (j/_HEAD_CELLS)^2 and then
+    at the nodes, and node values to int_0^{s_j} of their interpolant.  T_k
+    comes from 2N cosines at the nodes and by recurrence at the rows, the
+    mean from the exact downward recurrence of (1 + x) q = 2 int_0^s f.
     """
     N = _CHEB_N
     table = np.array([math.cos(math.pi * m / N) for m in range(2 * N)])
@@ -196,8 +204,14 @@ def _collocation() -> Tuple[np.ndarray, np.ndarray]:
         q[m - 1] = g[m] - 2.0 * q[m] - q[m + 1]
     q[0] = 0.5 * g[1] - q[1] - 0.5 * q[2]
     K = 0.25 * np.einsum('kj,ki->ji', T, _integral(q[:N + 1]))
-    K[0] = 0.0
-    return to_coeffs, K
+    rows = np.ones((N + 2, _HEAD_CELLS + 1))
+    rows[1] = 2.0 * (np.arange(_HEAD_CELLS + 1) / _HEAD_CELLS) ** 2 - 1.0
+    for k in range(2, N + 2):
+        rows[k] = 2.0 * rows[1] * rows[k - 1] - rows[k - 2]
+    M = np.einsum('kj,ki->ji', np.hstack([rows, T])[:N + 1], q[:N + 1])
+    Q = np.einsum('kj,ki->ji', rows, _integral(to_coeffs))
+    K[0] = Q[0] = 0.0
+    return _read_only(to_coeffs, K, M, Q)
 
 
 def _short_range_ball(model: VorticityModel, a: float, r_end: float) -> float:
@@ -228,6 +242,15 @@ def _iterate(sweep: Callable, size: int, a: float, ball: float, tol: float,
         f"no convergence within {max_iter} sweeps (last change {change!r})")
 
 
+def _collocate(model: VorticityModel, a: float, r_end: float, ball: float,
+               tol: float, max_iter: int) -> Tuple[np.ndarray, int, float]:
+    """_iterate on a - r_end^2 K f(psi) at the _CHEB_N + 1 nodes."""
+    K, scale = _collocation()[1], r_end * r_end
+    return _iterate(
+        lambda p: a - scale * np.einsum('ij,j->i', K, model.f_arr(p)),
+        _CHEB_N + 1, a, ball, tol, max_iter)
+
+
 def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
                  n: int = 512, tol: float = 1e-13,
                  max_iter: int = 200) -> GridFunction:
@@ -249,15 +272,11 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterDomainError(
             f"tol must be finite and >= 0, got {tol!r}")
-    to_coeffs, K = _collocation()
-    scale = r_end * r_end
-    psi, sweeps, change = _iterate(
-        lambda p: a - scale * np.einsum('ij,j->i', K, model.f_arr(p)),
-        _CHEB_N + 1, a, ball, tol, max_iter)
+    psi, sweeps, change = _collocate(model, a, r_end, ball, tol, max_iter)
     rs = _nodes(float(r_end), n)
     m = _STRIDE if n % _STRIDE == 0 and n >= 4 * _STRIDE else 1
     two_x = 4.0 * (rs[::m] / r_end) ** 2 - 2.0
-    coeffs = np.einsum('kj,j->k', to_coeffs, psi - a)
+    coeffs = np.einsum('kj,j->k', _collocation()[0], psi - a)
     b1 = b2 = 0.0
     for c in coeffs[:0:-1]:
         b1, b2 = c + two_x * b1 - b2, b1
@@ -268,21 +287,23 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     return GridFunction(rs, values, sweeps=sweeps, last_change=change)
 
 
-def _trapezoid_solve(model: VorticityModel, a: float, r_end: float, n: int,
-                     tol: float) -> GridFunction:
-    """The short-range fixed point of the trapezoid rule on the shared
-    n + 1 node grid of [0, r_end]: the integrator's Picard head."""
+def picard_head(model: VorticityModel, a: float, r_end: float,
+                tol: float) -> Tuple[np.ndarray, ...]:
+    """The integrator's head: (r, psi, beta, cumulative dissipation) on the
+    shared grid _nodes(r_end, _HEAD_CELLS), read from f at picard_solve's
+    fixed point.  In s = r^2, with m = (1/s) int_0^s f, psi = a - (1/4)
+    int_0^s m, beta = -(r/2) m and int_0^r beta^2/r = (1/8) int_0^s m^2."""
     ball = _short_range_ball(model, a, r_end)
-    rs = _nodes(float(r_end), n)
-    h = float(rs[1] - rs[0])
-    slope = np.zeros(n + 1)
-
-    def sweep(psi: np.ndarray) -> np.ndarray:
-        slope[1:] = cumtrapz(rs * model.f_arr(psi), h)[1:] / rs[1:]
-        return a - cumtrapz(slope, h)
-
-    psi, sweeps, change = _iterate(sweep, n + 1, a, ball, tol, 200)
-    return GridFunction(rs, psi, sweeps=sweeps, last_change=change)
+    M, Q = _collocation()[2:]
+    mean = np.einsum('ij,j->i', M, model.f_arr(
+        _collocate(model, a, r_end, ball, tol, 200)[0]))
+    at_rows, at_nodes = mean[:_HEAD_CELLS + 1], mean[_HEAD_CELLS + 1:]
+    drop, cum = r_end * r_end * np.einsum(
+        'ij,kj->ki', Q, [at_nodes / 4.0, at_nodes * at_nodes / 8.0])
+    rs = _nodes(float(r_end), _HEAD_CELLS)
+    beta = -0.5 * rs * at_rows
+    beta[0] = 0.0
+    return rs, a - drop, beta, cum
 
 
 def picard_residual(model: VorticityModel, grid: GridFunction) -> float:

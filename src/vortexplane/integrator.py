@@ -14,8 +14,9 @@ on which steps the controller happened to take beyond their endpoints.
 An orbit stores one row per accepted step.
 
 The left endpoint r = 0 is singular, so integrate() opens with a short
-trapezoid Picard head on [0, r_handoff] (_PICARD_N intervals, tolerance
-_PICARD_TOL) and hands the state to the stepper at r_handoff.  An orbit's
+Picard head on [0, r_handoff], the short-range fixed point collocated in
+s = r^2 as in fixedpoint.picard_solve (tolerance _PICARD_TOL) and read on
+17 rows, and hands the state to the stepper at r_handoff.  An orbit's
 arrival at the origin at a finite radius R is no event of the stepper: a
 backward sweep starts from arrival_start's series, and analysis fits R.
 
@@ -56,10 +57,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fixedpoint import (_check_count, _trapezoid_solve, beta_from_psi,
-                         check_start_value, require_finite)
+from .fixedpoint import (_check_count, check_start_value, picard_head,
+                         require_finite)
 from .phaseplane import TWO_PI
-from .quadrature import cumtrapz
 from .search import bisect_root, golden_min
 from .vorticity import SQRT_FAMILY_NEG_F, VorticityModel, arrival_law
 
@@ -140,8 +140,7 @@ _TOL_SCALE, _SAFETY, _EXIT_STEP = 0.77, 0.8, 0.6
 # a tenth of the rows of long orbits
 _R_STEP, _WINDOW_DT = 0.08, 0.1
 
-# Picard head grid size and sweep tolerance
-_PICARD_N = 512
+# Picard head sweep tolerance
 _PICARD_TOL = 1e-13
 _THETA_STEP_CAP = 0.9 * math.pi
 # crossing windows (_window) open below |psi| = _WINDOW_PSI = _WINDOW_T^2;
@@ -729,18 +728,10 @@ def _integrate_core(model: VorticityModel, r_target: float,
 
 
 def series_start(model: VorticityModel, a: float,
-                 config: IntegrationConfig) -> Tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray, np.ndarray]:
+                 config: IntegrationConfig) -> Tuple[np.ndarray, ...]:
     """Picard head on [0, r_handoff]: (r, psi, beta, cumulative dissipation)
-    on the trapezoid grid; r is the solve's shared read-only grid."""
-    grid = _trapezoid_solve(model, a, config.r_handoff, _PICARD_N,
-                            _PICARD_TOL)
-    betas = beta_from_psi(model, grid)
-    rs = grid.r
-    dens = np.zeros_like(rs)
-    dens[1:] = betas.values[1:] ** 2 / rs[1:]
-    cum = cumtrapz(dens, grid.h)
-    return rs, grid.values, betas.values, cum
+    on 17 rows r_j = j r_handoff / 16 (see fixedpoint.picard_head)."""
+    return picard_head(model, a, config.r_handoff, _PICARD_TOL)
 
 
 def arrival_start(model: VorticityModel, R: float,
@@ -795,18 +786,11 @@ def integrate(model: VorticityModel, a: float,
     if config.r_max <= config.r_handoff:
         raise ParameterDomainError("r_max must exceed r_handoff")
     rs, psis, betas, cum = series_start(model, a, config)
-    n = len(rs) - 1
-    stride = max(1, n // 16)
-    idx = list(range(0, n, stride)) + [n]
-
-    rows = []
-    theta = 0.0
-    for j in idx:
-        rows.append(_row(model, float(rs[j]), float(psis[j]),
-                         float(betas[j]), theta))
-        theta = rows[-1][4]
-    diss = [float(cum[j1] - cum[j0]) for j0, j1 in zip(idx[:-1], idx[1:])]
-    return _integrate_core(model, config.r_max, 1.0, config, rows, diss)
+    # the head keeps psi >= a/8 > 0, so each theta lies within pi/2 of 0
+    rows = [_row(model, *state, 0.0)
+            for state in zip(rs.tolist(), psis.tolist(), betas.tolist())]
+    return _integrate_core(model, config.r_max, 1.0, config, rows,
+                           np.diff(cum).tolist())
 
 
 def integrate_from(model: VorticityModel, r0: float, psi0: float,

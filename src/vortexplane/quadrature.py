@@ -2,9 +2,9 @@
 
 The toolkit deliberately sticks to two closed Newton-Cotes rules: an
 adaptive Simpson scheme for one-off integrals of smooth scalar functions
-and cumulative trapezoid/Simpson passes on uniform grids.  Fixed-point
-operators iterate with the trapezoid rule; the Simpson pass serves as the
-independent residual oracle.
+and cumulative trapezoid/Simpson passes on uniform grids.  The backward
+fixed-point operator iterates with the trapezoid rule; the Simpson pass
+serves as the short-range fixed point's independent residual oracle.
 """
 
 from __future__ import annotations

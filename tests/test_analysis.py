@@ -537,7 +537,8 @@ def test_refined_min_radius(run10):
 # the minimum moves in its last digits (1997.300474951147 ->
 # 1997.3004749503928 and 63.8512839798916 -> 63.85128397989159), and the
 # value by one ulp on run10.  All were re-recorded when the crossing windows
-# moved run10 and run100, which now store each crossing as a node.
+# moved run10 and run100, which now store each crossing as a node, and
+# again when the Picard head moved onto the Chebyshev collocation.
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -548,21 +549,21 @@ def test_pinned_refinements(constantin, run10, run100):
     seq = crossing_sequence(run100, r_start=rate_onset_radius(run100, ring),
                             r_end=1990.0)
     assert _sha(repr(transversality_check(run10))) == (
-        "d241f66d22c265763969f7a1292729eb020ac96ee75264299d6e83017aa9c9a5")
+        "d3741747259a888d9e81c2b2aff3be09b6497fd647206521c202259fd65681c4")
     assert _sha(repr(seq.r_minus.tolist())) == (
-        "7f3da0d992219b8791faf442cb9c2db5416d74dc1910e42347c93194184d5a4e")
+        "ee6ef48377e1548d2c8d6114f1249306cf43169f832c1d886fdd74e32123b529")
     assert _sha(repr(seq.r_plus.tolist())) == (
-        "9747244d5e628a32933561e1c7ede0387315ea00fda46c86f5816ecd988ebd7c")
-    assert repr(seq.theta_start) == "-30.395128155160812"
+        "f273d51af8cf6afbef87b7272143eb34cbcd3c9688714be22e82b68330f08cd9")
+    assert repr(seq.theta_start) == "-30.39512815082527"
     assert repr(verify_crossing_bounds(run100, seq, ring).rate_margin) == (
-        "-0.3592525893710906")
+        "-0.35925258931045284")
     assert _sha(repr(ring_entry(run100, ring))) == (
-        "faecc6fd6efd503763fd3ddefe6833b14415a32785181c057dc1cc309f151e10")
+        "8e7bc0a92eb58a7aa30926a3f79f73bb85c245a0865044108629f83588491d78")
     entry = e_region_entry(run10)
     assert (repr(entry.r_cross), repr(entry.psi), repr(entry.beta)) == (
-        "60.41671079364288", "-1.2844416594275987", "0.5395748645786087")
+        "60.416710793617355", "-1.2844416594952368", "0.5395748645680484")
     assert repr(run10.closest_approach()) == (
-        "(63.851279557813626, 0.06577157320082933)")
+        "(63.85127955063399, 0.06577157320600462)")
 
 
 # ------------------------------------------------- constants, not knobs

@@ -13,11 +13,10 @@ from vortexplane import (FixedPointFailureError, InfeasibleConstantsError,
                          rate_transform, select_contraction_constants)
 from vortexplane import fixedpoint
 from vortexplane.fixedpoint import (_STENCILS, _collocation, _cubic_read,
-                                    _lagrange, _trapezoid_solve,
+                                    _lagrange,
                                     equilibrium_dichotomy_certificate)
-from vortexplane.integrator import (_PICARD_N, _PICARD_TOL,
-                                    IntegrationConfig, series_start)
-from vortexplane.quadrature import cumsimpson, cumtrapz
+from vortexplane.integrator import IntegrationConfig, series_start
+from vortexplane.quadrature import cumsimpson
 
 PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 
@@ -196,7 +195,7 @@ def test_picard_domain_guards(constantin):
 @pytest.mark.parametrize("a", [6e307, 1e308])
 def test_picard_refuses_an_overflowing_ball(constantin, a):
     # at 6e307 the bound eta a overflows, at 1e308 the ball end as well;
-    # both ran all 200 sweeps of the coarse start on NaN
+    # without the ball-centre check both ran a full sweep budget on NaN
     with pytest.raises(ParameterDomainError, match="finite ball end"):
         picard_solve(constantin, a, r_end=1.0, n=1 << 17)
 
@@ -252,45 +251,6 @@ def _gather_cubic(v, m):
     for q in range(3):
         acc += (v[j + offsets[:, q]] - v[j]) * weights[stencil, q, k]
     return np.append(acc + v[j], v[-1])
-
-
-def _whole_grid_picard(model, a, r_end, n, tol=1e-13, max_iter=200,
-                       coarse=False):
-    # the trapezoid sweep as whole-grid numpy operations from psi = a (the
-    # cold start, coarse=False): the oracle for the integrator's Picard head
-    rs = np.linspace(0.0, r_end, n + 1)
-    h = float(rs[1] - rs[0])
-    ball = model.ledger.eta * a / 4.0
-    psi = np.full(n + 1, float(a))
-    for sweep in range(1, max_iter + 1):
-        w = rs * model.f_arr(psi)
-        inner = cumtrapz(w, h)
-        integrand = np.zeros(n + 1)
-        integrand[1:] = inner[1:] / rs[1:]
-        new = a - cumtrapz(integrand, h)
-        dev = float(np.max(np.abs(new - a)))
-        if dev > ball * (1.0 + 1e-12):
-            raise FixedPointFailureError(
-                f"iterate left the ball: |psi - a| reached {dev!r} "
-                f"against radius {ball!r}")
-        change = float(np.max(np.abs(new - psi)))
-        psi = new
-        if change <= tol * a:
-            return rs, psi, sweep, change
-    raise FixedPointFailureError(
-        f"no convergence within {max_iter} sweeps (last change {change!r})")
-
-
-# the integrator's Picard head: the grid and tolerance of series_start
-@pytest.mark.parametrize("n, r_end", [(512, 0.0625)])
-def test_blocked_sweep_matches_whole_grid(models, n, r_end):
-    for model in models.values():
-        for a in (1.5, 10.0):
-            rs, psi, sweeps, change = _whole_grid_picard(model, a, r_end, n)
-            grid = _trapezoid_solve(model, a, r_end, n, 1e-13)
-            assert grid.r.tobytes() == rs.tobytes()
-            assert grid.values.tobytes() == psi.tobytes()
-            assert (grid.sweeps, grid.last_change) == (sweeps, change)
 
 
 def test_picard_sweeps_in_place(constantin):
@@ -351,8 +311,8 @@ def test_picard_budget_exhausted_message(constantin):
 
 
 def test_equilibrium_start_is_exact(constantin):
-    # psi = a = u0 is the fixed point; both coarse solves return it, the
-    # extrapolation and the cubic keep it, and the one sweep changes nothing
+    # psi = a = u0 is the fixed point: the one sweep changes nothing, and
+    # Clenshaw's sum and the cubic read keep it
     grid = picard_solve(constantin, 1.0, r_end=1.0, n=1 << 17)
     assert (grid.sweeps, grid.last_change) == (1, 0.0)
     assert np.all(grid.values == 1.0)
@@ -434,16 +394,53 @@ def test_cubic_read_matches_gather_at_picard_sizes(nodes, m):
     assert fine[::m][v != 0.0].tobytes() == v[v != 0.0].tobytes()
 
 
-def test_series_start_keeps_the_cold_start(models):
-    # the 512-point heads lie below the coarse-start threshold
+# psi and beta at r_handoff = 0.0625, and the cumulative dissipation there,
+# of the integrator's head by Richardson extrapolation, (4 g15 - g14) / 3, of
+# the trapezoid heads on 2^14 and 2^15 intervals (the solver the collocation
+# replaced; dissipation by the Simpson rule on the same grids), at a =
+# _HEAD_AMPS; the 512-interval trapezoid head was off by up to 2.6e-12 a
+_HEAD_AMPS = (1.5, 2.7, 10.0, 100.0)
+_RICHARDSON_HEAD = {
+    "constantin": (
+        (1.4997312349947016, -0.00859923766692768, 3.6984129830682734e-05),
+        (2.6989681124606033, -0.033014792815114324, 0.0005451734549518525),
+        (9.993323909109476, -0.2135909984972747, 0.022819937385590457),
+        (99.91212975758258, -2.8111955853013497, 3.953243976174498)),
+    "example": (
+        (1.4997266364045567, -0.008746353081470244, 3.8260559794526925e-05),
+        (2.698955941708007, -0.033404150852816616, 0.0005581095565879201),
+        (9.99329365145131, -0.21455895684669715, 0.02302725708413003),
+        (99.91203216563575, -2.814317459405283, 3.9620300910892996)),
+    "powerlaw": (
+        (1.4996381025205308, -0.011578530626889405, 6.70565310493234e-05),
+        (2.6986791109850436, -0.04225967369065927, 0.0008933108812286344),
+        (9.992184667398297, -0.25003324015278183, 0.03127266547098704),
+        (99.90625413215673, -2.999144111635809, 4.499603408987124)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_RICHARDSON_HEAD))
+def test_series_start_matches_the_richardson_trapezoid(models, family):
+    # measured worst: psi 1.8e-16 a, beta 1.7e-16 a, dissipation 1.5e-14
+    # relative (powerlaw, a = 100)
     config = IntegrationConfig(r_max=1.0)
-    for model in models.values():
-        for a in (1.5, 10.0, 100.0):
-            _, psi = series_start(model, a, config)[:2]
-            _, cold, _, _ = _whole_grid_picard(model, a, config.r_handoff,
-                                               _PICARD_N, _PICARD_TOL,
-                                               coarse=False)
-            assert psi.tobytes() == cold.tobytes()
+    for a, (psi, beta, diss) in zip(_HEAD_AMPS, _RICHARDSON_HEAD[family]):
+        rs, psis, betas, cum = series_start(models[family], a, config)
+        assert len(rs) == 17 and rs[-1] == config.r_handoff
+        assert (psis[0], betas[0], cum[0]) == (a, 0.0, 0.0)
+        assert abs(float(psis[-1]) - psi) <= 1e-14 * a
+        assert abs(float(betas[-1]) - beta) <= 1e-14 * a
+        assert abs(float(cum[-1]) - diss) <= 1e-13 * diss
+
+
+def test_collocation_operators_are_read_only():
+    # every solve in the process shares them: an in-place write by a caller
+    # would change every later solve
+    for op in _collocation():
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            op *= 2.0
 
 
 _BAD_BUDGETS = [dict(max_iter=0), dict(max_iter=-1), dict(max_iter=2.0),

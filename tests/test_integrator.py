@@ -206,7 +206,10 @@ def test_min_radius_tracks_dense_minimum(run10):
 # Every pin in this file was re-recorded when the DOP853 pair replaced the
 # 5(4) pair: it stores one row per accepted step, about 4x fewer rows.  The
 # dissipation is pinned apart, in _DISS, since it moved alone when each step
-# began to integrate it with the pair's own weights.
+# began to integrate it with the pair's own weights.  Every orbit pin here,
+# with _ROWS, _DISS, the stop row and the shot sweep, was re-recorded when
+# the Picard head moved from the 512-interval trapezoid rule to the
+# Chebyshev collocation: psi(r_handoff) moved by up to 2.6e-12 a.
 
 def _digest(traj):
     buf = io.StringIO()
@@ -218,17 +221,17 @@ def _digest(traj):
 
 _PINNED = {
     "run10": (
-        "db7419b999709d5bd2120aec47d0a71cf90eeb34387e1476c20481d03ed71956",
-        "0.06577157320082933", "63.851279557813626", "reached_rmax"),
+        "7be628ae93824a27288ed1f4abda01fa0e131a1278d6fdc2e3e25a8fbcc566d6",
+        "0.06577157320600462", "63.85127955063399", "reached_rmax"),
     "run100": (
-        "23a37e130432ca2085aad92aab24a9a6a565074e4afa30e21bada23bd301e72a",
-        "0.995929722302343", "1997.3097086528517", "reached_rmax"),
+        "1a6176e94761c2ad2d964ed394f26ebe85b5a7b3cb5302568bdc051bde451901",
+        "0.9959297218559336", "1997.309708719797", "reached_rmax"),
     "example": (
-        "a4b29e309dc5469f44437f2ca49b5125e255037c81da8d0d8e54d22302d39d7f",
-        "0.0673779676308721", "63.43242623465643", "reached_rmax"),
+        "e398c1e96ad9df2f86c9bc1810613ed1137a8237153a0b941609599814cda276",
+        "0.06737796761778789", "63.432426235718076", "reached_rmax"),
     "powerlaw": (
-        "48cd95a47963acf22c1ecb1fd7d428c72dfa440f6c0218b11498231164cf0ee6",
-        "0.053139447371702585", "48.29383262544251", "reached_rmax"),
+        "9b32fbe3361f68ed4d091d55300fcf000742a88edb3ce7b32ba63fc0fa194fae",
+        "0.053139361523191535", "48.29383015928229", "reached_rmax"),
 }
 
 
@@ -324,17 +327,17 @@ def test_one_row_trajectory(constantin):
 
 _PINNED_SHOTS = {
     "constantin": (
-        ("right", "1.8729415464409351", "1.6068885059036928"),
-        ("right", "5.5090997114577265", "0.07958301407942658"),
-        ("left", "9.062980538008333", "0.7221463520931478")),
+        ("right", "1.872941546437046", "1.6068885059045155"),
+        ("right", "5.509099711078769", "0.0795830141429522"),
+        ("left", "9.0629805379923", "0.7221463520911522")),
     "example": (
-        ("right", "1.8562727561217605", "1.6087593903425284"),
-        ("right", "5.35343948336095", "0.10166797332218239"),
-        ("left", "8.995647060301568", "0.7268453882675049")),
+        ("right", "1.856272756117794", "1.6087593903433683"),
+        ("right", "5.353439483117572", "0.1016679733704398"),
+        ("left", "8.995647060261343", "0.7268453882654698")),
     "powerlaw": (
-        ("right", "1.303863406948964", "1.7514083340444213"),
-        ("right", "3.422670789857032", "0.752358703937941"),
-        ("left", "5.921185930550708", "0.7763299935091983")),
+        ("right", "1.3038634069420425", "1.7514083340455808"),
+        ("right", "3.422670789847062", "0.7523587039453821"),
+        ("left", "5.9211359998446484", "0.7763299951020135")),
 }
 
 
@@ -398,18 +401,18 @@ _ROW_RUNS.update({f"shot_{name}_{a:g}": _shot(name, a)
 
 _ROWS = {
     "run10":
-        "f8ad8bca9e8933d5486953195a35cbefeee707c73714072883af7fa5bc0ed137",
+        "1f327f067dafeee70317678b10f3313a2d941aefa79f991a8deb6f162d3bd6a6",
     "run100":
-        "ab82abefef9c19cea1380615070865640a19d277bef0db1369f5f8fe9d355a73",
+        "97edfc8d785a513bc5ccde5d8075c0692f61e5fcc9fed0a164b20350f21fa7eb",
     "example":
-        "84ae0ba906e3e99b521317ffce1cc00eb277640dc5ef71833fa0d15bfecbce81",
+        "90400aa0f071d6e4cabe8b6c739f0569f85680ecd43b128495809b7eaf0c06c4",
     "powerlaw":
-        "4898bb81d1a2dedccfa97795f92cdae9046c12d196c2b7095d3cd5b270e0a307",
+        "11591fcdaa4dbd2a6da4830471ddfebca46b05452b088b6898754e4a285f28f6",
     # no crossing
     "constantin_a2":
-        "9b4364a173c1fc6c7196ff9a8bf9270b7f7d8f3bf73968a8c7bbc9e75feb889a",
+        "2293b8eadcd149c777fe7dd928eec0c284e648ab1e2932d945ee9c96fff82e80",
     "example_a2":
-        "867775dbf37839af0d90dc916768fe92ab484121e61e44b9a29fcb84cab1f304",
+        "8fa5cbbb39eec1f60efe0ca7832d6b8c877330273b5f2102cd5db0d54f906f52",
     "near_origin_0.001":
         "1afa83bd221c3c0356dc6a82d635b2923ee92877e927ba96193a158cb93b1367",
     "near_origin_1e-06":
@@ -417,23 +420,23 @@ _ROWS = {
     "backward":
         "5808d4b9bb5fbb08668a41119ae0f0cd292863d9032507a560b0ee56895a4416",
     "shot_constantin_2":
-        "6aef2b8e1391fb7167ab42f12dee89198eb22e7387355a0361da3dc62e0bb755",
+        "5d49de94dcd9a796f81499c40bf4a23b7cbe333917362defaed684550c2cf8da",
     "shot_constantin_3":
-        "7f083506b104390253e30e3cfa1320001f957bf64cd02dfa5f1d3616bc1d3751",
+        "71bcdfc51eaf5ecb5077a6fc22521f397d65788c9129f054368d58a9f8f256ac",
     "shot_constantin_4":
-        "2e445ced4e349bb1701882b58d575b135849e15c05976584acdaa2a8b391c164",
+        "025c2e4da278fad26e88da7e444390fdb7d0f7ed8cb0e32cedda94bfa7dec167",
     "shot_example_2":
-        "ed75c1cbfbb1b5e466dc3c6c975be3fa180d5c55bdec0811c396ccac8b77616a",
+        "f49df7d8136992870f70733725590f8942b4860845b56c3b2adbed8396a71d4c",
     "shot_example_3":
-        "c35adc34f301a3bd0978b02e80c1a6915ed7bf5d4805ed31a2caec0bbebb46d9",
+        "e02fcff1e9ffea79fb74f559064c27be857b0fa1be01a1300c16138dc25033e7",
     "shot_example_4":
-        "1e06543c48d0cc90fc4fb6f30bc4184daf27d2fadb2f1409cd4dd0126e674365",
+        "14c853a715518825e08d04b34a08b06cf3a04354d425a8e29157ec51ca1bef69",
     "shot_powerlaw_2":
-        "cc2b47701f1c5332446839524571b32c617e1e716ec2c52d11e2d3a6529c0d98",
+        "e96cea563876c72c83194930d46113a79e7f9496f399f799c8785c14312b33a9",
     "shot_powerlaw_3":
-        "f13452229fcb01c69378f59f5caf4208e4ba00fe443e2bfd9f5482bb14b61e21",
+        "460b088588f3d3bff71ec2b679857189952b008c56848d66e9f334f3501feef1",
     "shot_powerlaw_4":
-        "1eea1e00eb1d179674bcccd0199620cbabb6ae09f297d0c4dc836ac69d3f5411",
+        "34d07daeb4b1c6d4bb84cced21cdc84f0fcdd2f05f81d27a2394cb9c0370c25d",
 }
 
 
@@ -445,39 +448,39 @@ _DISS = {
     "backward":
         "0ba4cfebc217c3574bde08c67f25b517346ad375229b6ac99a8f74d218f1b2fe",
     "constantin_a2":
-        "03fd1f295b9f0bfbd08484b116a4aeaeb9a8f8bea7ad86268d5b8e11f3746afe",
+        "f9c3e90d29285147ea8dc103876a628cf74d64bd28eae9caf864d7342ad63504",
     "example":
-        "e0568cbf0047aaa97438ecb27d9912802a91f1430b6bec2f5f854bea2358cc59",
+        "926f0fd563ab67055f5a2434bc91e08b25177b6b966dfb4b5b541c522767ae02",
     "example_a2":
-        "c46f83e57138f7444c922462195c4311d22fcaf77e677c25fac58fdc852a0c6f",
+        "7f30d3b4214ec042a6eb8cc03205735f2bab54410567dc85c85dbe647f17bb49",
     "near_origin_0.001":
         "7f6598a1aabe2a820bcf0984d487c8c51dd850f3ff306fc7ee872968ff32a4b7",
     "near_origin_1e-06":
         "16fbdeb289fb56b82379294c34871861010124f8d0e5df9f80522f758c2d8224",
     "powerlaw":
-        "81dfe272d684202fea4a1653ad6a187074ed0ba947293ced98980faeae3d54a7",
+        "cadf0b780f74eb9ac1c4f08402fc350cd3cf37b0edca2968ac6f7349ddeb2d1c",
     "run10":
-        "fb02883e955905ceece85eb615edd725266470c48fb0585cc7eb6ac8494aa496",
+        "e9a2d61d58d8b96088705f7c64e9c2107561445f362231e83159e498f497c1cc",
     "run100":
-        "13878975d1456ad54305b687dd2bcde550ace92da66ca639ee420444d27087ed",
+        "02e59c659aba0a5f5f1e97e6baf14a8ac54dda15dd7426112bc32bd59986d672",
     "shot_constantin_2":
-        "990a547a273016b9f228e9fc75c77c9ab66d5a03f0d431a3467d6ef089adcdce",
+        "1f4b7c86e7203e321a2b6dee42e802bdba903ae5b1e2c4405ea2d556f12b9e9a",
     "shot_constantin_3":
-        "e5a232c2b3eb0d3095cbe18e642832ec9148014fc49acb873a7fded19df61066",
+        "c5388c6040373a785b88e6b9a45e18dba216984a9a4aa93b38b6ca038920e4c2",
     "shot_constantin_4":
-        "103eb782bd7a3e4780dead102e1888a611debf6dc8c42e98d66006c282e867cd",
+        "fa9ffec97a7c54ce25dd12e8213057b5e9f0d170bfca53b3a53373979e3e39f1",
     "shot_example_2":
-        "d724692fd3b32556e38987010dac2b5fda67eefaf01b0228c784cbeaf3457047",
+        "96521a371eb7c516bcf68a0bbfd8c5143437ceb381cd09985d53684265112394",
     "shot_example_3":
-        "b6f45864cbaa2269cac57be60c8f43574eb096e22e44bb413f782975f3dd10bf",
+        "825d1459063db52d0bda7e8b467c6aac1727a165556503b80990af6248865c2e",
     "shot_example_4":
-        "d682924427f636422da5054cdd54978c76d8623cad4366a7d11e6d6bc14e2f6f",
+        "6725fa46afb72899997279f1f667aa1dd939ee5258e91a4a05373528b4ec8a55",
     "shot_powerlaw_2":
-        "797f7e390f7d32e7367e7cdc4575372e47f9f90914fe0c35d1fce5db0d68708f",
+        "835665226a34ea45afb02ef5511d92b8a147c2b16996225c168f2108effedc10",
     "shot_powerlaw_3":
-        "035725847a5858e32a5f71892fc14b3ef0c30033a93e9b4b71c66b2ebbabf918",
+        "b0f7567a038866181010684fd54398266b52260b7ac1aef1fae0d591c598282a",
     "shot_powerlaw_4":
-        "0c1e3925884d21ed28dfd71093b93f08f5e9ff8a0ba994902f16f771629bb0c1",
+        "be35e24aa03e2e46bfe43b747946bf0828f133a6194f43054fd272aa58e0908d",
 }
 
 
@@ -506,7 +509,7 @@ def test_event_fn_called_once_per_accepted_step(constantin):
         r_max=100.0, stop_at_zero_energy=True))
     assert traj.termination is Termination.EVENT
     assert (traj.r[-1], traj.psi[-1], traj.beta[-1]) == (
-        60.41671079364288, -1.2844416594275987, 0.5395748645786087)
+        60.416710793617355, -1.2844416594952368, 0.5395748645680484)
     # the Picard head stores 17 rows; every later row but the cut row is
     # one accepted step, and the step holding the stop is one more
     steps = len(traj.r) - 17
@@ -897,9 +900,9 @@ def test_pinned_shot_sweep(shot_sweep):
     # and again when the cut step's share moved from the pair's dense
     # output onto beta's Hermite
     assert shot_sweep[0] == (
-        "561695a3df984d4695159f9961b390902d780d51d0d1d1265023bfdc6f072a40",
-        "e3ea042547701b468bcd908bb2218eefe155a54650ee2d6396c8eff9fc74c07c",
-        "b240159112f26684b0ebb49ba14f6d021e96495a020f373e6b1fbf31b16f9622")
+        "83914db0209f0356faf236d0af9878c9ad86e4b40bbe218841a151b64f8ebc46",
+        "35233f7f60b6a68fa69307cba3ee19352d47de31f8d466c46fd2df8313ac3f21",
+        "310f84b96b618e7fb5f8875a3a91e06ff2fab4ce14c473efe15214e1cb978002")
 
 
 def test_shot_sweep_balances(shot_sweep):

@@ -61,19 +61,20 @@ def _sha(text):
 
 def test_pinned_svg(constantin, run10, example, powerlaw):
     # the bytes of four portraits: a ring with two orbits, the same
-    # clipped, the modulated model's sandwich curves and the power law
+    # clipped, the modulated model's sandwich curves and the power law;
+    # re-recorded when the Picard head moved onto the Chebyshev collocation
     ring = RingSpec.for_model(constantin, 0.05, 0.1)
     run5 = integrate(constantin, 5.0, IntegrationConfig(r_max=100.0))
     orbits = (run5, run10)
     assert _sha(build_portrait_svg(constantin, orbits, ring=ring)) == (
-        "de54329fac99edf567f30e606570577193c88e40ca9de8c6290aad7b0b8b3998")
+        "9e31df234b269c70558ebc8277a4311fcd82c9693021305cebb08f0ac6ad927a")
     assert _sha(build_portrait_svg(constantin, orbits, ring=ring,
                                    clip_radius=3.0)) == (
-        "fb3de06aba96d661d0ec7ce64ba575f0f8526077973b81e857622f1807a9e840")
+        "aec87f3b0aba1c57974df9bd44652e35726823b5c7ac0ab95ff3121ff1793927")
     for model, digest in (
             (example,
-             "71f1691874077536e6d9a9400434cc5662c52b2e45921b0fb639282e7913d8e8"),
+             "b89c87c3a64da96216152d268e81d0420e0f2b7e3e8a0ac1f023b1faef7ab7f6"),
             (powerlaw,
-             "ae5be27a43c9548788a41ddbcd53cb396fe06ed71d77621b881f7c97afcb3814")):
+             "6aed5f51a921ea13fe949f991aa25c01257fe2d021f6e0b13af6f3d1de2c93bf")):
         orbit = integrate(model, 5.0, IntegrationConfig(r_max=60.0))
         assert _sha(build_portrait_svg(model, (orbit,))) == digest
