@@ -15,9 +15,8 @@ from .analysis import (RingSpec, classify_shot, crossing_sequence,
 from .errors import (FixedPointFailureError, HypothesisViolationError,
                      InfeasibleConstantsError, NoBracketError, NumericalError,
                      ParameterDomainError, ToleranceError, VortexPlaneError)
-from .fixedpoint import (banach_solve, beta_from_psi,
-                         equilibrium_dichotomy_certificate, picard_residual,
-                         picard_solve, rate_transform,
+from .fixedpoint import (banach_solve, equilibrium_dichotomy_certificate,
+                         picard_residual, picard_solve, rate_transform,
                          select_contraction_constants)
 from .integrator import (IntegrationConfig, Termination, Trajectory,
                          integrate, integrate_backward, integrate_from)
@@ -48,7 +47,6 @@ __all__ = [
     "VorticityModel",
     "__version__",
     "banach_solve",
-    "beta_from_psi",
     "build_portrait_svg",
     "classify_shot",
     "constantin_model",

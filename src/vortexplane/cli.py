@@ -27,14 +27,14 @@ from .analysis import (RingSpec, crossing_sequence, e_region_entry,
                        shoot_for_origin, verify_crossing_bounds)
 from .errors import (HypothesisViolationError, NumericalError,
                      ParameterDomainError)
-from .fixedpoint import (banach_solve, beta_from_psi, check_start_value,
+from .fixedpoint import (banach_solve, check_start_value, picard_head,
                          picard_residual, picard_solve,
                          select_contraction_constants)
 from .integrator import IntegrationConfig, integrate
 from .portrait import build_portrait_svg
 from .vorticity import VorticityModel, make_model
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # ------------------------------------------------------------- plumbing
 
@@ -289,25 +289,25 @@ def cmd_shoot(args: argparse.Namespace) -> int:
 def cmd_picard(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     a = _as_float(args.a, "--a")
-    grid = picard_solve(model, a, r_end=1.0, n=1 << 17, tol=1e-13)
+    grid = picard_solve(model, a, r_end=1.0, tol=1e-13)
     residual = picard_residual(model, grid)
-    slope = beta_from_psi(model, grid)
+    psi_end = float(grid.values[-1])
+    beta_end = float(picard_head(model, a, 1.0, 1e-13)[2][-1])
     out = _ensure_out(args)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model": model.model_id,
         "a": a,
         "r_end": 1.0,
-        "n": 1 << 17,
-        "psi_end": float(grid.values[-1]),
-        "beta_end": float(slope.values[-1]),
+        "psi_end": psi_end,
+        "beta_end": beta_end,
         "residual": residual,
         "sweeps": grid.sweeps,
         "last_change": grid.last_change,
     }
     path = _write_json(out, f"picard_{model.model_id}.json", payload)
-    print(f"psi({grid.r[-1]:g}) = {float(grid.values[-1])!r}")
-    print(f"beta({grid.r[-1]:g}) = {float(slope.values[-1])!r}")
+    print(f"psi(1) = {psi_end!r}")
+    print(f"beta(1) = {beta_end!r}")
     print(f"residual = {residual!r}")
     print(f"wrote {path}")
     return 0

@@ -16,8 +16,9 @@ a contraction in the weighted sup metric  sup max(|dpsi|, |dbeta|) e^{-kr}
 for a window of rates k derived below.  The short-range operator is
 collocated in s = r^2 on Chebyshev-Lobatto nodes, where psi is analytic
 (picard_solve, and picard_head for the integrator); the backward operator
-uses the trapezoid rule.  The Simpson re-evaluation on a uniform grid
-serves as an independent residual oracle for the short-range fixed point.
+uses the trapezoid rule.  picard_residual checks the short-range fixed
+point off its nodes: it re-applies the operator to the polynomial through
+them with a Gauss-Legendre rule the collocation does not use.
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ import numpy as np
 
 from .errors import (FixedPointFailureError, InfeasibleConstantsError,
                      ParameterDomainError)
-from .quadrature import cumsimpson, cumtrapz
+from .quadrature import cumtrapz
 from .search import bisect_root
-from .vorticity import VorticityModel
+from .vorticity import _GL_S, _GL_W, VorticityModel
 
 _PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 _LAM_LO = 1.0 + 1e-12
-# picard_solve: Chebyshev-Lobatto nodes 0.._CHEB_N in s = r^2, and the
-# stride of the nodes its grid samples by Clenshaw's recurrence; the
-# integrator's head stores _HEAD_CELLS + 1 rows
-_CHEB_N, _STRIDE, _HEAD_CELLS = 32, 64, 16
+# picard_solve: Chebyshev-Lobatto nodes 0.._CHEB_N in s = r^2; the
+# integrator's head stores _HEAD_CELLS + 1 rows r = r_end _HEAD_ROWS, the
+# bits of np.linspace(0, r_end, _HEAD_CELLS + 1) at about a fifth its cost
+_CHEB_N, _HEAD_CELLS = 32, 16
+_HEAD_ROWS = np.arange(_HEAD_CELLS + 1) / _HEAD_CELLS
 
 
 def check_start_value(a: float) -> None:
@@ -70,21 +72,15 @@ def require_finite(**values: float) -> None:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples of a scalar function on an ascending uniform grid.
+    """Samples of a scalar function on an ascending grid.
 
     A fixed-point solve also records how many sweeps it ran and the sup
-    change of its last sweep; other grids leave both at 0.  picard_solve
-    samples its collocation polynomial on the read-only grid r that every
-    solve on the same (r_end, n) shares (see _nodes).
+    change of its last sweep; other grids leave both at 0.
     """
     r: np.ndarray
     values: np.ndarray
     sweeps: int = 0
     last_change: float = 0.0
-
-    @property
-    def h(self) -> float:
-        return float(self.r[1] - self.r[0])
 
 
 def _check_ball(psi: np.ndarray, a: float, ball: float) -> None:
@@ -103,73 +99,6 @@ def _check_count(name: str, value: int, least: int) -> None:
             or value < least):
         raise ParameterDomainError(
             f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """The arrays, made read-only: a cache hands them to every caller."""
-    for x in arrays:
-        x.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=4)
-def _nodes(r_end: float, n: int) -> np.ndarray:
-    """np.linspace(0, r_end, n + 1), built once per (r_end, n) and shared
-    read-only: Picard solves sampled on the same grid, and the integrator's
-    heads on their 17 rows, reuse it instead of faulting in a fresh one."""
-    return _read_only(np.linspace(0.0, r_end, n + 1))[0]
-
-
-def _lagrange(offsets: Tuple[int, ...], t: np.ndarray) -> list:
-    """Weights at t of the cubic through nodes 0 and offsets, one array per
-    offset; node 0's weight is left out (see _cubic_read)."""
-    nodes = (0,) + offsets
-    weights = []
-    for x in offsets:
-        w = np.ones_like(t)
-        for y in nodes:
-            if y != x:
-                w *= (t - y) / (x - y)
-        weights.append(w)
-    return weights
-
-
-# stencils of the 4-point cubic relative to the left node j of an interval:
-# the first interval, the inner ones and the last
-_STENCILS = ((1, 2, 3), (-1, 1, 2), (-2, -1, 1))
-
-
-def _cubic_read(v: np.ndarray, m: int) -> np.ndarray:
-    """Read the values v on cells + 1 uniform nodes onto the grid m times
-    finer with the 4-point cubic, centred where the nodes allow.
-
-    The grids nest, so fine node j m + k lies at t = k / m past coarse node
-    j, and the fine values of interval j are a row of a (cells, m) view with
-    fixed weights per column.  Difference form, v_j + sum_i w_i(t)
-    (v_{j+i} - v_j), reads a constant back exactly and every coarse node
-    back bit for bit (a -0.0 as +0.0).
-
-    Per stencil the sum is one einsum of the (cells, 3) differences with
-    the (3, m) weights, then + v_j.  Its output starts at +0.0 and takes
-    the products in stencil order, so each value is ((0 + d_1 w_1) +
-    d_2 w_2) + d_3 w_3 + v_j, rounded after every operation as separate
-    multiply-adds would round it; tests pin the bytes against a node by
-    node gather.
-    """
-    cells = len(v) - 1
-    out = np.empty(cells * m + 1)
-    out[-1] = v[-1]
-    rows = out[:-1].reshape(cells, m)
-    t = np.arange(m) / m
-    for (lo, hi), offsets in zip(((0, 1), (1, cells - 1), (cells - 1, cells)),
-                                 _STENCILS):
-        base = v[lo:hi]
-        diffs = np.stack([v[lo + i:hi + i] for i in offsets], axis=1)
-        diffs -= base[:, None]
-        np.einsum('ik,kj->ij', diffs, np.array(_lagrange(offsets, t)),
-                  out=rows[lo:hi])
-        rows[lo:hi] += base[:, None]
-    return out
 
 
 def _integral(c: np.ndarray) -> np.ndarray:
@@ -205,13 +134,15 @@ def _collocation() -> Tuple[np.ndarray, ...]:
     q[0] = 0.5 * g[1] - q[1] - 0.5 * q[2]
     K = 0.25 * np.einsum('kj,ki->ji', T, _integral(q[:N + 1]))
     rows = np.ones((N + 2, _HEAD_CELLS + 1))
-    rows[1] = 2.0 * (np.arange(_HEAD_CELLS + 1) / _HEAD_CELLS) ** 2 - 1.0
+    rows[1] = 2.0 * _HEAD_ROWS ** 2 - 1.0
     for k in range(2, N + 2):
         rows[k] = 2.0 * rows[1] * rows[k - 1] - rows[k - 2]
     M = np.einsum('kj,ki->ji', np.hstack([rows, T])[:N + 1], q[:N + 1])
     Q = np.einsum('kj,ki->ji', rows, _integral(to_coeffs))
     K[0] = Q[0] = 0.0
-    return _read_only(to_coeffs, K, M, Q)
+    for op in (to_coeffs, K, M, Q):
+        op.flags.writeable = False
+    return to_coeffs, K, M, Q
 
 
 def _short_range_ball(model: VorticityModel, a: float, r_end: float) -> float:
@@ -261,10 +192,12 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
     applies it as a - r_end^2 K f(psi) (Clenshaw & Norton, Comput. J. 6,
     1963).  A sweep is one f_arr call; _iterate starts, stops and refuses.
 
-    The result samples the interpolant on the shared n + 1 node grid (see
-    _nodes), in the ball too: Clenshaw's sum of the coefficients of
-    psi - a on every _STRIDE-th node where _STRIDE divides n into at least
-    4 cells, else on every node (node 0 set to a), and _cubic_read between.
+    The result holds the fixed point on those nodes, r_j = r_end sqrt(s_j)
+    = r_end sin(pi j / (2 _CHEB_N)) ascending: node 0 is a and the last is
+    r_end exactly.  psi is the polynomial through them (picard_residual
+    reads it between the nodes).  n, the uniform grid the polynomial was
+    once sampled on, is still checked (an integer >= 8) so that calls
+    written for that grid keep working, but it changes no result.
     """
     ball = _short_range_ball(model, a, r_end)
     _check_count("n", n, 8)
@@ -273,26 +206,17 @@ def picard_solve(model: VorticityModel, a: float, r_end: float = 0.0625,
         raise ParameterDomainError(
             f"tol must be finite and >= 0, got {tol!r}")
     psi, sweeps, change = _collocate(model, a, r_end, ball, tol, max_iter)
-    rs = _nodes(float(r_end), n)
-    m = _STRIDE if n % _STRIDE == 0 and n >= 4 * _STRIDE else 1
-    two_x = 4.0 * (rs[::m] / r_end) ** 2 - 2.0
-    coeffs = np.einsum('kj,j->k', _collocation()[0], psi - a)
-    b1 = b2 = 0.0
-    for c in coeffs[:0:-1]:
-        b1, b2 = c + two_x * b1 - b2, b1
-    values = a + (coeffs[0] + 0.5 * two_x * b1 - b2)
-    values[0] = a
-    values = _cubic_read(values, m)
-    _check_ball(values, a, ball)
-    return GridFunction(rs, values, sweeps=sweeps, last_change=change)
+    rs = r_end * np.sin(np.arange(_CHEB_N + 1) * (0.5 * math.pi / _CHEB_N))
+    return GridFunction(rs, psi, sweeps=sweeps, last_change=change)
 
 
 def picard_head(model: VorticityModel, a: float, r_end: float,
                 tol: float) -> Tuple[np.ndarray, ...]:
-    """The integrator's head: (r, psi, beta, cumulative dissipation) on the
-    shared grid _nodes(r_end, _HEAD_CELLS), read from f at picard_solve's
-    fixed point.  In s = r^2, with m = (1/s) int_0^s f, psi = a - (1/4)
-    int_0^s m, beta = -(r/2) m and int_0^r beta^2/r = (1/8) int_0^s m^2."""
+    """The integrator's head: (r, psi, beta, cumulative dissipation) on
+    _HEAD_CELLS + 1 uniform rows of [0, r_end], read from f at
+    picard_solve's fixed point.  In s = r^2, with m = (1/s) int_0^s f,
+    psi = a - (1/4) int_0^s m, beta = -(r/2) m and int_0^r beta^2/r =
+    (1/8) int_0^s m^2."""
     ball = _short_range_ball(model, a, r_end)
     M, Q = _collocation()[2:]
     mean = np.einsum('ij,j->i', M, model.f_arr(
@@ -300,29 +224,39 @@ def picard_head(model: VorticityModel, a: float, r_end: float,
     at_rows, at_nodes = mean[:_HEAD_CELLS + 1], mean[_HEAD_CELLS + 1:]
     drop, cum = r_end * r_end * np.einsum(
         'ij,kj->ki', Q, [at_nodes / 4.0, at_nodes * at_nodes / 8.0])
-    rs = _nodes(float(r_end), _HEAD_CELLS)
+    rs = r_end * _HEAD_ROWS
     beta = -0.5 * rs * at_rows
     beta[0] = 0.0
     return rs, a - drop, beta, cum
 
 
 def picard_residual(model: VorticityModel, grid: GridFunction) -> float:
-    """Sup distance between the grid and the operator re-applied with the
-    Simpson rule, a + int_0^r beta with beta from beta_from_psi; an oracle
-    the trapezoid iteration never saw."""
-    beta = beta_from_psi(model, grid).values
-    return float(np.max(np.abs(
-        (grid.values[0] + cumsimpson(beta, grid.h)) - grid.values)))
-
-
-def beta_from_psi(model: VorticityModel, grid: GridFunction) -> GridFunction:
-    """beta = -(1/r) int_0^r tau f(psi) dtau on the same grid (beta(0) = 0)."""
-    rs, psi = grid.r, grid.values
-    w = rs * model.f_arr(psi)
-    inner = cumsimpson(w, grid.h)
-    beta = np.zeros(len(rs))
-    beta[1:] = -inner[1:] / rs[1:]
-    return GridFunction(rs, beta)
+    """Sup distance between picard_solve's polynomial and the operator
+    re-applied to it, at the 16 radii r_j = (j + 1/2) r_end / 16 between
+    the nodes.  The re-application takes two passes, beta(rho) = -(1/rho)
+    int_0^rho tau f(psi) and psi(r) = a + int_0^r beta, each by the
+    12-point Gauss-Legendre rule of vorticity._GL, which the collocation
+    does not use; psi between the nodes is Clenshaw's sum of the
+    coefficients of psi - a.  A grid of other than _CHEB_N + 1 nodes is
+    refused."""
+    if len(grid.values) != _CHEB_N + 1:
+        raise ParameterDomainError(
+            f"picard_residual reads the {_CHEB_N + 1} nodes of picard_solve, "
+            f"got {len(grid.values)}")
+    a, r_end = float(grid.values[0]), float(grid.r[-1])
+    coeffs = np.einsum('kj,j->k', _collocation()[0], grid.values - a)
+    gl_s, gl_w = np.array(_GL_S), np.array(_GL_W)
+    radii = (np.arange(16) + 0.5) * (r_end / 16.0)
+    rho = radii[:, None] * gl_s
+    two_x = 4.0 * (np.append(radii, rho[:, :, None] * gl_s) / r_end) ** 2 - 2.0
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + two_x * b1 - b2, b1
+    psi = a + (coeffs[0] + 0.5 * two_x * b1 - b2)
+    f = model.f_arr(psi[16:]).reshape(16, len(gl_s), len(gl_s))
+    beta = -rho * np.einsum('ijk,k->ij', f, gl_s * gl_w)
+    again = a + radii * np.einsum('ij,j->i', beta, gl_w)
+    return float(np.max(np.abs(again - psi[:16])))
 
 
 def rate_transform(lam: float) -> float:

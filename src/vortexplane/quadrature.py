@@ -1,10 +1,8 @@
 """Scalar quadrature helpers.
 
-The toolkit deliberately sticks to two closed Newton-Cotes rules: an
-adaptive Simpson scheme for one-off integrals of smooth scalar functions
-and cumulative trapezoid/Simpson passes on uniform grids.  The backward
-fixed-point operator iterates with the trapezoid rule; the Simpson pass
-serves as the short-range fixed point's independent residual oracle.
+Two closed Newton-Cotes rules: an adaptive Simpson scheme for one-off
+integrals of smooth scalar functions, and a cumulative trapezoid pass on
+uniform grids, with which the backward fixed-point operator iterates.
 """
 
 from __future__ import annotations
@@ -70,34 +68,3 @@ def cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
     np.cumsum(0.5 * h * (y[1:] + y[:-1]), out=out[1:])
     return out
 
-
-def cumsimpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative Simpson integral on a uniform grid, starting at 0.
-
-    Each interval [r_j, r_{j+1}] is integrated with the quadratic through
-    the three nearest nodes, which keeps the rule fourth order without
-    demanding an even panel count.
-    """
-    n = len(y) - 1
-    out = np.zeros_like(y)
-    if n == 0:
-        return out
-    if n == 1:
-        out[1] = 0.5 * h * (y[0] + y[1])
-        return out
-    inc = np.empty(n)
-    # interior intervals use the centered parabola; the two edge intervals
-    # use the one-sided parabola through their three nearest nodes
-    yl = y[:-2][: n - 1]
-    ym = y[1:-1][: n - 1]
-    yr = y[2:][: n - 1]
-    # integral of the parabola through (0,yl),(h,ym),(2h,yr) over [h,2h]
-    right_half = h / 12.0 * (-yl + 8.0 * ym + 5.0 * yr)
-    # ... and over [0,h]
-    left_half = h / 12.0 * (5.0 * yl + 8.0 * ym - yr)
-    inc[0] = left_half[0]
-    inc[1:] = right_half
-    # average with the forward-shifted estimate where both exist
-    inc[1:-1] = 0.5 * (right_half[:-1] + left_half[1:])
-    np.cumsum(inc, out=out[1:])
-    return out

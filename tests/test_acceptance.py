@@ -80,7 +80,13 @@ def test_pinned_report(acceptance_results):
     # trapezoid rule, which moves every orbit: 54f5ea99... -> 5d0b2b77...
     # (criterion 4's imbalance 3.526132106523367e-11 ->
     # 3.218185900333303e-11, criterion 8's minimum 0.0015279159937949525
-    # -> 0.001527945948572681, criterion 13's byte count 4468 -> 4464)
+    # -> 0.001527945948572681, criterion 13's byte count 4468 -> 4464).
+    # Criterion 5 reads its solves on their 33 nodes and checks them with
+    # the off-node Gauss-Legendre oracle instead of sampling 2^17 + 1
+    # nodes for a Simpson one: 5d0b2b77... -> f15843ce... (residual
+    # 2.7000623958883807e-13 -> 1.4210854715202004e-14, ball_ratio and
+    # end_ratio in their last digits, criterion 13's byte count
+    # 4464 -> 4463)
     import hashlib
 
     c8, c11 = acceptance_results[7].measures, acceptance_results[10].measures
@@ -90,4 +96,4 @@ def test_pinned_report(acceptance_results):
         "0.00036625955337485453", "3.00134176540639")
     text = verify.render_report(acceptance_results)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5d0b2b77508e6a7de2eaf3d199e5fb8d543e917fc4b6b1dad96c410409fc72d2")
+        "f15843ce41bd6453a39e5ace35fd8c1354ea2b208cad26e0b89bf41b873bcdb8")

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from vortexplane import analysis, integrator, verify, vorticity
+from vortexplane import (analysis, fixedpoint, integrator, verify,
+                         vorticity)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -49,3 +50,14 @@ def test_shooting_result_keeps_origin_hit():
     result = analysis.ShootingResult(a_lo=2.0, a_hi=3.0, a_star=2.5,
                                      min_radius_achieved=0.1)
     assert result.origin_hit is False
+
+
+@pytest.mark.parametrize("family", workloads.FAMILIES)
+def test_model_audit_picard_calls(family):
+    # ModelAudit.setup's warm-up solve, then op's solves and check's
+    # residual, with the arguments workloads.py passes
+    model = workloads._audit_model(family, 0.5)
+    fixedpoint.picard_solve(model, 10.0, r_end=1.0, n=1 << 10)
+    for a in workloads.PICARD_AMPS:
+        g = fixedpoint.picard_solve(model, a, r_end=1.0, n=1 << 17, tol=1e-13)
+        assert fixedpoint.picard_residual(model, g) < 1e-8

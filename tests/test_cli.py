@@ -83,8 +83,9 @@ def test_simulate_constant_orbit(tmp_path, capsys):
         events = list(out.glob("events_*.json"))
         assert len(events) == 1
         payload = json.loads(events[0].read_text())
-        # 3 since simulate's events gained rotation and rotation_note
-        assert payload["schema_version"] == 3
+        # 3 since simulate's events gained rotation and rotation_note, 4
+        # since picard's payload dropped n
+        assert payload["schema_version"] == 4
         assert payload["samples"] == 121
         assert payload["termination"] == "reached_rmax"
         assert payload["min_radius"] == 0.9999999999999999
@@ -290,7 +291,7 @@ def test_verify_paper_writes_the_pinned_report(tmp_path, capsys,
     assert lines[14] == f"wrote {tmp_path / 'verify_report.json'}"
     text = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(text).hexdigest() == (
-        "5d0b2b77508e6a7de2eaf3d199e5fb8d543e917fc4b6b1dad96c410409fc72d2")
+        "f15843ce41bd6453a39e5ace35fd8c1354ea2b208cad26e0b89bf41b873bcdb8")
     failed = [dataclasses.replace(acceptance_results[0], passed=False),
               *acceptance_results[1:]]
     monkeypatch.setattr(verify, "run_all", lambda: failed)
@@ -337,6 +338,8 @@ def test_picard_command(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     payload = json.loads(next(tmp_path.glob("picard_*.json")).read_text())
+    # 4 since the result is the collocation nodes, with no sampling grid n
+    assert payload["schema_version"] == 4 and "n" not in payload
     assert payload["residual"] < 1e-8
     assert payload["sweeps"] >= 1 and payload["last_change"] <= 1e-13 * 2
 
@@ -427,7 +430,7 @@ def test_shoot_command(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     payload = json.loads(next(tmp_path.glob("shoot_*.json")).read_text())
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert abs(payload["a_star"] - 3.0013413429260254) < 1e-3
     assert abs(payload["arrival_radius"] - 6.92234) < 1e-5
     assert 0.0 <= payload["fit_residual"] <= 1e-8

@@ -8,25 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexplane import (FixedPointFailureError, InfeasibleConstantsError,
-                         ParameterDomainError, banach_solve, beta_from_psi,
+                         ParameterDomainError, banach_solve,
                          integrate_backward, picard_residual, picard_solve,
                          rate_transform, select_contraction_constants)
 from vortexplane import fixedpoint
-from vortexplane.fixedpoint import (_STENCILS, _collocation, _cubic_read,
-                                    _lagrange,
-                                    equilibrium_dichotomy_certificate)
+from vortexplane.fixedpoint import (_collocation,
+                                    equilibrium_dichotomy_certificate,
+                                    picard_head)
 from vortexplane.integrator import IntegrationConfig, series_start
-from vortexplane.quadrature import cumsimpson
 
 PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
-
-
-@pytest.fixture(autouse=True)
-def _cold_node_grids():
-    # picard_solve shares its node grids through fixedpoint._nodes: each
-    # test starts without them, so a memory bound counts the grid the solve
-    # builds whatever ran before it
-    fixedpoint._nodes.cache_clear()
 
 
 def test_rate_transform_at_three():
@@ -146,27 +137,6 @@ def test_picard_residual_small(constantin):
     assert grid.values[0] == 2.0
 
 
-def _two_pass_residual(model, grid):
-    # the residual as it was written before it read beta_from_psi: the
-    # double integral a - int (1/xi) int tau f, each pass by cumsimpson
-    rs, psi = grid.r, grid.values
-    inner = cumsimpson(rs * model.f_arr(psi), grid.h)
-    integrand = np.zeros(len(rs))
-    integrand[1:] = inner[1:] / rs[1:]
-    outer = cumsimpson(integrand, grid.h)
-    return float(np.max(np.abs((float(psi[0]) - outer) - psi)))
-
-
-def test_picard_residual_keeps_the_two_pass_bits(models):
-    # -(x / r) == (-x) / r and cumsimpson(-y) == -cumsimpson(y) exactly
-    for model in models.values():
-        for a in (1.0, 3.7, 10.0, 100.0):
-            for n in (512, 1000, 1 << 17):
-                grid = picard_solve(model, a, r_end=1.0, n=n)
-                assert picard_residual(model, grid) == _two_pass_residual(
-                    model, grid)
-
-
 def test_picard_ball_containment(constantin):
     a = 10.0
     grid = picard_solve(constantin, a, r_end=1.0, n=1 << 14)
@@ -179,8 +149,8 @@ def test_picard_matches_integrator(constantin, run10, state_at):
     grid = picard_solve(constantin, 10.0, r_end=1.0, n=1 << 17)
     psi1, beta1 = state_at(run10, 1.0)
     assert abs(float(grid.values[-1]) - psi1) < 1e-8
-    slope = beta_from_psi(constantin, grid)
-    assert abs(float(slope.values[-1]) - beta1) < 1e-6
+    slope = picard_head(constantin, 10.0, 1.0, 1e-13)[2]
+    assert abs(float(slope[-1]) - beta1) < 1e-6
 
 
 def test_picard_domain_guards(constantin):
@@ -222,42 +192,9 @@ def test_nan_iterate_leaves_the_ball_on_its_first_sweep(constantin):
     assert calls == [2049]
 
 
-def test_picard_nodes_are_one_shared_read_only_grid(constantin):
-    n = 1 << 17
-    first = picard_solve(constantin, 10.0, r_end=1.0, n=n)
-    second = picard_solve(constantin, 100.0, r_end=1.0, n=n)
-    assert first.r.tobytes() == np.linspace(0.0, 1.0, n + 1).tobytes()
-    assert second.r is first.r
-    with pytest.raises(ValueError):
-        first.r[1] = 0.5
-    # the oracles read the shared grid as they read a private copy
-    own = replace(first, r=np.linspace(0.0, 1.0, n + 1))
-    assert (beta_from_psi(constantin, first).values.tobytes()
-            == beta_from_psi(constantin, own).values.tobytes())
-    assert (picard_residual(constantin, first)
-            == picard_residual(constantin, own))
-
-
-def _gather_cubic(v, m):
-    # the 4-point cubic of _cubic_read node by node: each fine node gathers
-    # its interval's stencil and the weights of its sub-position
-    cells = len(v) - 1
-    i = np.arange(cells * m)
-    j, k = i // m, i % m
-    stencil = np.where(j == 0, 0, np.where(j == cells - 1, 2, 1))
-    offsets = np.array(_STENCILS)[stencil]
-    weights = np.array([_lagrange(o, np.arange(m) / m) for o in _STENCILS])
-    acc = np.zeros(cells * m)
-    for q in range(3):
-        acc += (v[j + offsets[:, q]] - v[j]) * weights[stencil, q, k]
-    return np.append(acc + v[j], v[-1])
-
-
-def test_picard_sweeps_in_place(constantin):
-    # rs and the iterate are the only grid-length arrays a 2^17-node solve
-    # keeps (2.8 grids at the peak, with the block work arrays): a sweep
-    # writes each block over the old iterate instead of into a second grid
-    # (3.8 grids)
+def test_picard_solve_peaks_below_one_grid(constantin):
+    # the result is the 33 collocation nodes: a solve asked for n = 2^17
+    # builds no (n + 1)-node grid (sampling one peaked at 1.8 grids or more)
     n = 1 << 17
     tracemalloc.start()
     try:
@@ -265,22 +202,7 @@ def test_picard_sweeps_in_place(constantin):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.25 * (n + 1) * 8
-
-
-def test_picard_sweeps_in_place_on_a_cached_grid(constantin):
-    # once rs is cached the iterate is the only grid-length array a solve
-    # makes (1.8 grids at the peak); a second grid in the sweep would reach
-    # 2.8
-    n = 1 << 17
-    picard_solve(constantin, 10.0, r_end=1.0, n=n)
-    tracemalloc.start()
-    try:
-        picard_solve(constantin, 10.0, r_end=1.0, n=n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.25 * (n + 1) * 8
+    assert peak < (n + 1) * 8
 
 
 def _collocation_sweeps(model, a, count):
@@ -311,8 +233,7 @@ def test_picard_budget_exhausted_message(constantin):
 
 
 def test_equilibrium_start_is_exact(constantin):
-    # psi = a = u0 is the fixed point: the one sweep changes nothing, and
-    # Clenshaw's sum and the cubic read keep it
+    # psi = a = u0 is the fixed point: the one sweep changes nothing
     grid = picard_solve(constantin, 1.0, r_end=1.0, n=1 << 17)
     assert (grid.sweeps, grid.last_change) == (1, 0.0)
     assert np.all(grid.values == 1.0)
@@ -341,57 +262,47 @@ def test_collocation_matches_the_richardson_trapezoid(models, family):
         assert abs(float(grid.values[-1]) - psi1) <= 1e-14 * a
 
 
-@pytest.mark.parametrize("n", [1 << 17, 1000, 192])
-def test_picard_reads_clenshaw_between_every_64th_node(models, monkeypatch,
-                                                       n):
-    # where 64 divides n into at least 4 cells the grid holds Clenshaw's
-    # sum on every 64th node and the 4-point cubic between them; at 2^17
-    # the sum on every node is at most 8.5e-16 a away (three families,
-    # a = 1.5 to 100).  Other grids hold the sum on every node.
+def test_picard_returns_its_collocation_nodes(models):
+    # r_j = r_end sqrt(s_j) on the Chebyshev-Lobatto nodes s_j of [0, 1],
+    # from a at r = 0 to r_end; n is checked but changes no byte
+    s = (1.0 - np.cos(np.pi * np.arange(33) / 32)) / 2.0
     for model in models.values():
-        for a in (1.5, 10.0, 37.5, 100.0):
-            read = picard_solve(model, a, r_end=1.0, n=n).values
-            with monkeypatch.context() as m:
-                m.setattr(fixedpoint, "_STRIDE", 1)
-                direct = picard_solve(model, a, r_end=1.0, n=n).values
-            assert read[::64].tobytes() == direct[::64].tobytes()
-            assert read[0] == a
-            if n == 1 << 17:
-                assert float(np.max(np.abs(read - direct))) <= 2e-15 * a
-            else:
-                assert read.tobytes() == direct.tobytes()
+        for a in (1.5, 100.0):
+            grids = [picard_solve(model, a, r_end=0.5, n=n)
+                     for n in (8, 1000, 1 << 17)]
+            g = grids[0]
+            assert len(g.r) == len(g.values) == 33
+            assert (g.r[0], g.r[-1], g.values[0]) == (0.0, 0.5, a)
+            assert np.all(np.diff(g.r) > 0.0)
+            assert np.allclose(g.r, 0.5 * np.sqrt(s), rtol=0.0, atol=1e-15)
+            for other in grids[1:]:
+                assert other.r.tobytes() == g.r.tobytes()
+                assert other.values.tobytes() == g.values.tobytes()
+                assert (other.sweeps, other.last_change) == (
+                    g.sweeps, g.last_change)
 
 
-def test_cubic_read_nests_and_is_exact_on_cubics():
-    rng = np.random.default_rng(0)
-    v = rng.random(17)
-    for m in (2, 5, 64):
-        fine = _cubic_read(v, m)
-        assert fine[::m].tobytes() == v.tobytes()
-        assert fine.tobytes() == _gather_cubic(v, m).tobytes()
-        assert np.all(_cubic_read(np.full(17, 3.7), m) == 3.7)
-        x, xf = np.arange(17.0), np.arange(16 * m + 1) / m
-        for degree in (1, 2, 3):
-            assert np.allclose(_cubic_read(x ** degree, m), xf ** degree,
-                               rtol=0.0, atol=1e-12)
+@pytest.mark.parametrize("family", ["constantin", "example", "powerlaw"])
+def test_picard_residual_reads_the_polynomial_off_the_nodes(models, family):
+    # on the solved nodes the oracle reads rounding (measured worst
+    # 1.9e-16 a); a smooth 1e-10 a sin(3 s) error on the nodes, which the
+    # polynomial carries between them, it reads as 1.02-1.05e-10 a
+    model = models[family]
+    for a in _AMPS:
+        grid = picard_solve(model, a, r_end=1.0)
+        assert picard_residual(model, grid) <= 1e-15 * a
+        s = grid.r ** 2
+        bent = replace(grid, values=grid.values + 1e-10 * a * np.sin(3.0 * s))
+        assert picard_residual(model, bent) >= 0.5e-10 * a
 
 
-@pytest.mark.parametrize("nodes, m", [(2049, 64), (1025, 2)])
-def test_cubic_read_matches_gather_at_picard_sizes(nodes, m):
-    # the two reads of the 2^17-node start: the einsum per stencil must
-    # round as the node by node multiply-adds do, on signed data with
-    # exact zeros of both signs and runs of equal values
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(nodes) * 10.0 ** rng.integers(-12, 3, nodes)
-    v[::7] = 0.0
-    v[3::11] = -0.0
-    v[100:140] = v[100]
-    fine = _cubic_read(v, m)
-    assert fine.tobytes() == _gather_cubic(v, m).tobytes()
-    # +0.0 + -0.0 is +0.0: a -0.0 node reads back as +0.0, the rest bit
-    # for bit
-    assert np.array_equal(fine[::m], v)
-    assert fine[::m][v != 0.0].tobytes() == v[v != 0.0].tobytes()
+def test_picard_residual_refuses_other_grids(constantin):
+    grid = picard_solve(constantin, 10.0, r_end=1.0)
+    for k in (32, 34):
+        r = np.linspace(0.0, 1.0, k)
+        with pytest.raises(ParameterDomainError, match="33 nodes"):
+            picard_residual(constantin, replace(grid, r=r,
+                                                values=np.full(k, 10.0)))
 
 
 # psi and beta at r_handoff = 0.0625, and the cumulative dissipation there,
@@ -431,6 +342,16 @@ def test_series_start_matches_the_richardson_trapezoid(models, family):
         assert abs(float(psis[-1]) - psi) <= 1e-14 * a
         assert abs(float(betas[-1]) - beta) <= 1e-14 * a
         assert abs(float(cum[-1]) - diss) <= 1e-13 * diss
+
+
+def test_head_rows_round_as_linspace(constantin):
+    # picard_head scales one fixed row of fractions instead of calling
+    # np.linspace per head: j (r_end / 16) and r_end (j / 16) both round
+    # the exact product once
+    rng = np.random.default_rng(2)
+    for r_end in [0.0625, 0.1, 1.0, 1e-300, *rng.uniform(1e-6, 1.0, 50)]:
+        rs = picard_head(constantin, 2.0, float(r_end), 1e-13)[0]
+        assert rs.tobytes() == np.linspace(0.0, r_end, 17).tobytes()
 
 
 def test_collocation_operators_are_read_only():

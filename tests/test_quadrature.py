@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexplane.errors import ParameterDomainError, ToleranceError
-from vortexplane.quadrature import adaptive_simpson, cumsimpson, cumtrapz
+from vortexplane.quadrature import adaptive_simpson, cumtrapz
 
 
 def test_simpson_exact_on_cubic():
@@ -60,24 +60,6 @@ def test_cumtrapz_linear_exact():
     r = np.linspace(0.0, 2.0, 41)
     out = cumtrapz(2.0 * r, float(r[1]))
     assert np.max(np.abs(out - r ** 2)) < 1e-14
-
-
-def test_cumsimpson_quadratic_exact():
-    r = np.linspace(0.0, 1.0, 33)
-    out = cumsimpson(3.0 * r ** 2, float(r[1]))
-    assert out[0] == 0.0
-    assert np.max(np.abs(out - r ** 3)) < 1e-13
-
-
-def test_cumsimpson_convergence_order():
-    exact = lambda x: -np.cos(x) + 1.0
-    errs = []
-    for n in (64, 128):
-        r = np.linspace(0.0, 2.0, n + 1)
-        out = cumsimpson(np.sin(r), float(r[1]))
-        errs.append(np.max(np.abs(out - exact(r))))
-    order = math.log2(errs[0] / errs[1])
-    assert order > 3.5
 
 
 def test_simpson_bounded_jump_converges():
