@@ -192,10 +192,24 @@ def test_nan_iterate_leaves_the_ball_on_its_first_sweep(constantin):
     assert calls == [2049]
 
 
-def test_picard_solve_peaks_below_one_grid(constantin):
+def test_picard_sweeps_in_place(constantin):
     # the result is the 33 collocation nodes: a solve asked for n = 2^17
     # builds no (n + 1)-node grid (sampling one peaked at 1.8 grids or more)
     n = 1 << 17
+    tracemalloc.start()
+    try:
+        picard_solve(constantin, 10.0, r_end=1.0, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n + 1) * 8
+
+
+def test_picard_sweeps_in_place_on_a_cached_grid(constantin):
+    # once the collocation matrices are cached a repeated solve still makes
+    # no (n + 1)-node array
+    n = 1 << 17
+    picard_solve(constantin, 10.0, r_end=1.0, n=n)
     tracemalloc.start()
     try:
         picard_solve(constantin, 10.0, r_end=1.0, n=n)
