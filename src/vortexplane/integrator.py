@@ -13,25 +13,29 @@ closest approach and all sampling after the run, so results never depend
 on which steps the controller happened to take beyond their endpoints.
 An orbit stores one row per accepted step.
 
-The left endpoint r = 0 is singular, so integrate() opens with a short
-Picard head on [0, r_handoff], the short-range fixed point collocated in
-s = r^2 as in fixedpoint.picard_solve (tolerance _PICARD_TOL) and read on
-17 rows, and hands the state to the stepper at r_handoff.  An orbit's
+The left endpoint r = 0 is singular, so integrate() opens with a Picard
+head on [0, r_handoff], by default [0, 1], where fixedpoint audits the
+short-range contraction: the fixed point collocated in s = r^2 as in
+fixedpoint.picard_solve (tolerance _PICARD_TOL), exact to rounding there
+and read on 17 rows.  The stepper takes the state over at r_handoff; an
+r_max at or below it leaves the head on [0, r_max] alone.  An orbit's
 arrival at the origin at a finite radius R is no event of the stepper: a
 backward sweep starts from arrival_start's series, and analysis fits R.
 
 The forward, restart and backward sweeps share one core, _integrate_core.
-It ends a step early in one place: with stop_at_zero_energy, where E's
+A run ends a step early in one place: with stop_at_zero_energy, where E's
 Hermite (slopes dE/dr = -beta^2/r) first falls through 0, found by
 _hermite_root as analysis.e_region_entry finds it, so the last (r, psi,
 beta) of a stopped run is what e_region_entry reports for the same orbit.
-The cut row keeps the energy of its state, which misses 0 by the psi and
-beta Hermites' error (up to 3.7e-5, of either sign, over 123 shots at
-rel_tol 1e-9).  It forms every row that is not an accepted step's end
-with _row, and returns the Trajectory, reversed into ascending r for a
-backward sweep.  An accepted step calls no Python function but f and F, or
-hands over to a crossing window.  The cut step's dissipation before the
-cut is _dissipation's 5-point Gauss on the cut row's beta Hermite.
+integrate() scans the head's steps for it first (_head_stop), then the
+core its own, and both cut with _cut.  The cut row keeps the energy of
+its state, which misses 0 by the psi and beta Hermites' error (up to
+3.7e-5, of either sign, over 123 shots at rel_tol 1e-9).  The cut step's
+dissipation before the cut is _dissipation's 5-point Gauss on the cut
+row's beta Hermite.  The core forms every row that is not an accepted
+step's end with _row, and returns the Trajectory, reversed into ascending
+r for a backward sweep.  An accepted step calls no Python function but f
+and F, or hands over to a crossing window.
 
 For the square-root families, f(sig t^2) = sig (t^2 - t m(t^2)), so psi(r)
 carries a (r - r_c)^(5/2) term at each crossing r_c of psi = 0, where no
@@ -135,9 +139,10 @@ _TOL_SCALE, _SAFETY, _EXIT_STEP = 0.77, 0.8, 0.6
 # the rows are sampled after the run on their cubic Hermite, which must
 # resolve the damping beta/r near the centre and psi's (r - r_c)^(5/2) term
 # at a crossing: an r-step is at most _R_STEP r, a window's t-step at most
-# _WINDOW_DT.  _R_STEP binds mostly on short shots (the a* of a shooting fit
-# is off by 2.2e-10 without it, by 3.0e-11 with it); _WINDOW_DT holds about
-# a tenth of the rows of long orbits
+# _WINDOW_DT.  _R_STEP binds on the 14-20 steps past the head at r = 1, out
+# to r = 3-5, which are most of a short shot's (the a* of a shooting fit was
+# off by 2.2e-10 without it, by 3.0e-11 with it, at a handoff of 1/16);
+# _WINDOW_DT holds about a tenth of the rows of long orbits
 _R_STEP, _WINDOW_DT = 0.08, 0.1
 
 # Picard head sweep tolerance
@@ -160,7 +165,7 @@ class IntegrationConfig:
     r_max: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    r_handoff: float = 0.0625
+    r_handoff: float = 1.0
     max_steps: int = 2_000_000
     # end the run where the Hermite of the stored E first falls through 0
     stop_at_zero_energy: bool = False
@@ -264,6 +269,14 @@ def _dissipation(r: float, h: float, beta: float, beta1: float, d0: float,
     return h * s_hi * acc
 
 
+def _slopes(f: Callable[[float], float], r: float, psi: float,
+            beta: float) -> Tuple[float, float]:
+    """(dpsi/dr, dbeta/dr) of the vector field, with its limit at r = 0."""
+    if r == 0.0:
+        return 0.0, -0.5 * f(psi)
+    return beta, -beta / r - f(psi)
+
+
 @dataclass
 class Trajectory:
     """Accepted-step samples of one orbit, ascending in r.
@@ -307,10 +320,7 @@ class Trajectory:
         r = float(self.r[i])
         psi = float(self.psi[i])
         beta = float(self.beta[i])
-        if r == 0.0:
-            dpsi, dbeta = 0.0, -0.5 * self.model.f(psi)
-        else:
-            dpsi, dbeta = beta, -beta / r - self.model.f(psi)
+        dpsi, dbeta = _slopes(self.model.f, r, psi, beta)
         if name == "theta":
             rr = psi * psi + beta * beta
             dth = 0.0 if rr == 0.0 else (psi * dbeta - beta * dpsi) / rr
@@ -434,6 +444,52 @@ def _row(model: VorticityModel, r: float, psi: float, beta: float,
         th += TWO_PI * round((theta_prev - th) / TWO_PI)
     return (r, psi, beta, math.hypot(psi, beta), th,
             0.5 * beta * beta + model.F(psi))
+
+
+def _cut(model: VorticityModel, rows: list, diss: list,
+         left: Tuple[float, ...], right: Tuple[float, ...]) -> None:
+    """The zero-energy stop on one stored step, given its ends (r, psi,
+    beta, theta, E, dpsi/dr, dbeta/dr), E > 0 at the left and <= 0 at the
+    right: appends the row where E's cubic Hermite (slopes dE/dr =
+    -beta^2/r, 0 at r = 0) first falls through 0, found by _hermite_root,
+    with psi and beta on their Hermites and theta unwrapped against the
+    left end, and the step's _dissipation up to it.  The stepper and the
+    head scan (_head_stop) both cut here, as analysis.e_region_entry reads
+    the step."""
+    r, psi, beta, theta, e0, dp0, db0 = left
+    r1, psi1, beta1, _, e1, dp1, db1 = right
+    h = r1 - r
+    s = _hermite_root(e0, e1, 0.0 if r == 0.0 else -beta * beta / r,
+                      -beta1 * beta1 / r1, h, 0.0)
+    rows.append(_row(model, r + s * h, _hermite(psi, psi1, dp0, dp1, h, s),
+                     _hermite(beta, beta1, db0, db1, h, s), theta))
+    diss.append(_dissipation(r, h, beta, beta1, db0, db1, s))
+
+
+def _head_stop(model: VorticityModel, rows: list, diss: list) -> bool:
+    """Cut the head's rows and dissipation at the first step whose stored E
+    falls through 0, at the node slopes (_slopes), as the stepper cuts its
+    own steps; False, with nothing changed, where none does."""
+    for i in range(len(rows) - 1):
+        if rows[i][5] > 0.0 >= rows[i + 1][5]:
+            left, right = ((r, psi, beta, theta, e,
+                            *_slopes(model.f, r, psi, beta))
+                           for r, psi, beta, _, theta, e in rows[i:i + 2])
+            del rows[i + 1:], diss[i:]
+            _cut(model, rows, diss, left, right)
+            return True
+    return False
+
+
+def _trajectory(model: VorticityModel, rows: list, diss: list,
+                termination: Termination) -> Trajectory:
+    arr = np.asarray(rows, dtype=float)
+    return Trajectory(
+        model=model,
+        r=arr[:, 0], psi=arr[:, 1], beta=arr[:, 2],
+        radius=arr[:, 3], theta=arr[:, 4], E=arr[:, 5],
+        dissipation=np.asarray(diss, dtype=float),
+        termination=termination)
 
 
 # The two stepper loops, _window and _integrate_core, are text: each is a
@@ -661,14 +717,8 @@ def _integrate_core(model: VorticityModel, r_target: float,
         # the zero-energy stop, on the Hermites of the stored step r1 - r
         e1 = 0.5 * beta1 * beta1 + F(psi1)
         if stop and e0 > 0.0 >= e1:
-            h1 = r1 - r
-            s_cut = _hermite_root(e0, e1, -beta * beta / r,
-                                  -beta1 * beta1 / r1, h1, 0.0)
-            append_row(_row(model, r + s_cut * h1,
-                            _hermite(psi, psi1, k1p, k13p, h1, s_cut),
-                            _hermite(beta, beta1, k1b, k13b, h1, s_cut),
-                            theta))
-            append_diss(_dissipation(r, h1, beta, beta1, k1b, k13b, s_cut))
+            _cut(model, rows, diss, (r, psi, beta, theta, e0, k1p, k1b),
+                 (r1, psi1, beta1, theta1, e1, k13p, k13b))
             term = Termination.EVENT
             break
 
@@ -717,21 +767,17 @@ def _integrate_core(model: VorticityModel, r_target: float,
     if direction < 0.0:
         rows.reverse()
         diss = [-d for d in reversed(diss)]
-    arr = np.asarray(rows, dtype=float)
-    return Trajectory(
-        model=model,
-        r=arr[:, 0], psi=arr[:, 1], beta=arr[:, 2],
-        radius=arr[:, 3], theta=arr[:, 4], E=arr[:, 5],
-        dissipation=np.asarray(diss, dtype=float),
-        termination=term)
+    return _trajectory(model, rows, diss, term)
 ''')
 
 
 def series_start(model: VorticityModel, a: float,
                  config: IntegrationConfig) -> Tuple[np.ndarray, ...]:
-    """Picard head on [0, r_handoff]: (r, psi, beta, cumulative dissipation)
-    on 17 rows r_j = j r_handoff / 16 (see fixedpoint.picard_head)."""
-    return picard_head(model, a, config.r_handoff, _PICARD_TOL)
+    """Picard head on [0, r_h], r_h = min(r_handoff, r_max): (r, psi, beta,
+    cumulative dissipation) on 17 rows r_j = j r_h / 16 (see
+    fixedpoint.picard_head)."""
+    return picard_head(model, a, min(config.r_handoff, config.r_max),
+                       _PICARD_TOL)
 
 
 def arrival_start(model: VorticityModel, R: float,
@@ -778,19 +824,23 @@ def integrate(model: VorticityModel, a: float,
               config: IntegrationConfig) -> Trajectory:
     """Orbit of the admissible profile from psi(0) = a, beta(0) = 0.
 
-    The singular endpoint is covered by the Picard head; the zero-energy
-    stop starts at the handoff radius.
+    The singular endpoint is covered by the Picard head (series_start),
+    which is the whole orbit where r_max <= r_handoff; the stepper goes on
+    from its last row.  The zero-energy stop reads the head's steps first,
+    by the stepper's own cut (_cut).
     """
     check_start_value(a)
     _check_start_energy(a, 0.0)
-    if config.r_max <= config.r_handoff:
-        raise ParameterDomainError("r_max must exceed r_handoff")
     rs, psis, betas, cum = series_start(model, a, config)
     # the head keeps psi >= a/8 > 0, so each theta lies within pi/2 of 0
     rows = [_row(model, *state, 0.0)
             for state in zip(rs.tolist(), psis.tolist(), betas.tolist())]
-    return _integrate_core(model, config.r_max, 1.0, config, rows,
-                           np.diff(cum).tolist())
+    diss = np.diff(cum).tolist()
+    if config.stop_at_zero_energy and _head_stop(model, rows, diss):
+        return _trajectory(model, rows, diss, Termination.EVENT)
+    if config.r_max <= config.r_handoff:
+        return _trajectory(model, rows, diss, Termination.REACHED_RMAX)
+    return _integrate_core(model, config.r_max, 1.0, config, rows, diss)
 
 
 def integrate_from(model: VorticityModel, r0: float, psi0: float,

@@ -538,7 +538,8 @@ def test_refined_min_radius(run10):
 # 1997.3004749503928 and 63.8512839798916 -> 63.85128397989159), and the
 # value by one ulp on run10.  All were re-recorded when the crossing windows
 # moved run10 and run100, which now store each crossing as a node, and
-# again when the Picard head moved onto the Chebyshev collocation.
+# again when the Picard head moved onto the Chebyshev collocation, and
+# when its default end moved from r = 1/16 to 1.
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -549,21 +550,21 @@ def test_pinned_refinements(constantin, run10, run100):
     seq = crossing_sequence(run100, r_start=rate_onset_radius(run100, ring),
                             r_end=1990.0)
     assert _sha(repr(transversality_check(run10))) == (
-        "d3741747259a888d9e81c2b2aff3be09b6497fd647206521c202259fd65681c4")
+        "af78ff47e3838e3be155c95bc189c7a43332fad2d1f8ce81bf643c53ee0879f4")
     assert _sha(repr(seq.r_minus.tolist())) == (
-        "ee6ef48377e1548d2c8d6114f1249306cf43169f832c1d886fdd74e32123b529")
+        "bcadaeb54cd9dbb3d631792107b636bffd1a2ba51ad67294bc0612e540aa9f2e")
     assert _sha(repr(seq.r_plus.tolist())) == (
-        "f273d51af8cf6afbef87b7272143eb34cbcd3c9688714be22e82b68330f08cd9")
-    assert repr(seq.theta_start) == "-30.39512815082527"
+        "6ed654f12cf52335deab18a3e44ae80874950b137eb377d846d9aa6489cba9bd")
+    assert repr(seq.theta_start) == "-30.39512814132731"
     assert repr(verify_crossing_bounds(run100, seq, ring).rate_margin) == (
-        "-0.35925258931045284")
+        "-0.359252589444622")
     assert _sha(repr(ring_entry(run100, ring))) == (
-        "8e7bc0a92eb58a7aa30926a3f79f73bb85c245a0865044108629f83588491d78")
+        "195ffbea7d27cc37141a5a7fae4037ad445680b340bdedcd520fd6842d4a25b3")
     entry = e_region_entry(run10)
     assert (repr(entry.r_cross), repr(entry.psi), repr(entry.beta)) == (
-        "60.416710793617355", "-1.2844416594952368", "0.5395748645680484")
+        "60.416710793378435", "-1.2844416598221842", "0.5395748644849355")
     assert repr(run10.closest_approach()) == (
-        "(63.85127955063399, 0.06577157320600462)")
+        "(63.85127956215514, 0.06577157322244874)")
 
 
 # ------------------------------------------------- constants, not knobs

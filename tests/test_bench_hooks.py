@@ -35,7 +35,7 @@ def test_tracer_counts_the_calls_of_each_family(family):
 def test_shot_replay_and_acceptance_hooks():
     model = vorticity.constantin_model()
     config = analysis._classification_config(2.5, 1e-9, model)
-    assert config.r_handoff == 0.0625   # the _steps cut of the replay
+    assert config.r_handoff == 1.0   # the _steps cut of the replay
     r, psi, beta, dissipation = integrator.series_start(model, 2.5, config)
     assert r[-1] == config.r_handoff and psi[0] == 2.5
     assert len(verify._ORDERED) == 12

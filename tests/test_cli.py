@@ -63,7 +63,7 @@ def test_check_writes_report(tmp_path, capsys):
 
 def test_simulate_constant_orbit(tmp_path, capsys):
     # a = u0 = 1 is integrated like any start: the stepper keeps the exact
-    # equilibrium on all 121 rows of every family.  The cubic Hermite of a
+    # equilibrium on all 87 rows of every family.  The cubic Hermite of a
     # constant rounds the sampled radius 1 ulp low
     for name in ("constantin", "example", "powerlaw"):
         out = tmp_path / name
@@ -76,7 +76,7 @@ def test_simulate_constant_orbit(tmp_path, capsys):
         lines = csvs[0].read_text().splitlines()
         assert lines[0] == "r,psi,beta,R,theta,E"
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        assert len(rows) == 121
+        assert len(rows) == 87
         assert rows[0][0] == 0.0 and rows[-1][0] == 100.0
         assert all(row[1:5] == [1.0, 0.0, 1.0, 0.0] for row in rows)
         assert len({row[5] for row in rows}) == 1
@@ -86,10 +86,20 @@ def test_simulate_constant_orbit(tmp_path, capsys):
         # 3 since simulate's events gained rotation and rotation_note, 4
         # since picard's payload dropped n
         assert payload["schema_version"] == 4
-        assert payload["samples"] == 121
+        assert payload["samples"] == 87
         assert payload["termination"] == "reached_rmax"
         assert payload["min_radius"] == 0.9999999999999999
-        assert payload["min_radius_r"] == 0.001171875
+        assert payload["min_radius_r"] == 0.01875
+
+
+def test_simulate_within_the_head(tmp_path, capsys):
+    # an r_max below the handoff radius is the Picard head alone, on 17
+    # rows of [0, r_max]
+    assert main(["simulate", "--rmax", "0.5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads(next(tmp_path.glob("events_*.json")).read_text())
+    assert payload["samples"] == 17
+    assert payload["termination"] == "reached_rmax"
 
 
 def test_simulate_amplitude_below_one(tmp_path, capsys):
@@ -291,7 +301,7 @@ def test_verify_paper_writes_the_pinned_report(tmp_path, capsys,
     assert lines[14] == f"wrote {tmp_path / 'verify_report.json'}"
     text = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(text).hexdigest() == (
-        "f15843ce41bd6453a39e5ace35fd8c1354ea2b208cad26e0b89bf41b873bcdb8")
+        "6567a2340d292ef91194353c94abe6d113e1faa5d9578983da3c9391f8b6bb0d")
     failed = [dataclasses.replace(acceptance_results[0], passed=False),
               *acceptance_results[1:]]
     monkeypatch.setattr(verify, "run_all", lambda: failed)

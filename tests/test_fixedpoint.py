@@ -348,7 +348,7 @@ _RICHARDSON_HEAD = {
 def test_series_start_matches_the_richardson_trapezoid(models, family):
     # measured worst: psi 1.8e-16 a, beta 1.7e-16 a, dissipation 1.5e-14
     # relative (powerlaw, a = 100)
-    config = IntegrationConfig(r_max=1.0)
+    config = IntegrationConfig(r_max=1.0, r_handoff=0.0625)
     for a, (psi, beta, diss) in zip(_HEAD_AMPS, _RICHARDSON_HEAD[family]):
         rs, psis, betas, cum = series_start(models[family], a, config)
         assert len(rs) == 17 and rs[-1] == config.r_handoff

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from vortexplane import (IntegrationConfig, ParameterDomainError, Termination,
                          classify_shot, integrate, integrate_backward,
@@ -136,13 +137,28 @@ def test_sample_outside_span_raises(run10):
 
 
 def test_handoff_radius_invariance(constantin, state_at):
+    # the head to 1/16 against one to 1/32 and against the default, to 1
     a = 10.0
-    t1 = integrate(constantin, a, IntegrationConfig(r_max=50.0, r_handoff=1.0 / 16.0))
-    t2 = integrate(constantin, a, IntegrationConfig(r_max=50.0, r_handoff=1.0 / 32.0))
-    p1, b1 = state_at(t1, 50.0)
-    p2, b2 = state_at(t2, 50.0)
-    assert abs(p1 - p2) < 1e-6
-    assert abs(b1 - b2) < 1e-6
+    p1, b1 = state_at(integrate(constantin, a, IntegrationConfig(
+        r_max=50.0, r_handoff=1.0 / 16.0)), 50.0)
+    for r_handoff in (1.0 / 32.0, 1.0):
+        p2, b2 = state_at(integrate(constantin, a, IntegrationConfig(
+            r_max=50.0, r_handoff=r_handoff)), 50.0)
+        assert abs(p1 - p2) < 1e-6
+        assert abs(b1 - b2) < 1e-6
+
+
+def test_r_max_within_the_head(constantin):
+    # an r_max at or below the handoff radius is the Picard head on
+    # [0, r_max] alone, as series_start reads it
+    for r_max in (0.5, 1.0):
+        config = IntegrationConfig(r_max=r_max)
+        traj = integrate(constantin, 3.0, config)
+        rs, psis, betas, _ = integrator.series_start(constantin, 3.0, config)
+        assert traj.termination is Termination.REACHED_RMAX
+        assert traj.r[-1] == r_max and len(traj.dissipation) == 16
+        assert (traj.r.tobytes(), traj.psi.tobytes(), traj.beta.tobytes()) == (
+            rs.tobytes(), psis.tobytes(), betas.tobytes())
 
 
 def test_constant_orbit(constantin):
@@ -209,7 +225,9 @@ def test_min_radius_tracks_dense_minimum(run10):
 # began to integrate it with the pair's own weights.  Every orbit pin here,
 # with _ROWS, _DISS, the stop row and the shot sweep, was re-recorded when
 # the Picard head moved from the 512-interval trapezoid rule to the
-# Chebyshev collocation: psi(r_handoff) moved by up to 2.6e-12 a.
+# Chebyshev collocation: psi(r_handoff) moved by up to 2.6e-12 a.  All of
+# them, and the shot pins, once more when the head's default end moved from
+# r = 1/16 to 1, where the stepper now starts.
 
 def _digest(traj):
     buf = io.StringIO()
@@ -221,17 +239,17 @@ def _digest(traj):
 
 _PINNED = {
     "run10": (
-        "7be628ae93824a27288ed1f4abda01fa0e131a1278d6fdc2e3e25a8fbcc566d6",
-        "0.06577157320600462", "63.85127955063399", "reached_rmax"),
+        "697c088b944de12b49ad3bf8eb0f558ef80bfa169e2e00458d620fb396eb6913",
+        "0.06577157322244874", "63.85127956215514", "reached_rmax"),
     "run100": (
-        "1a6176e94761c2ad2d964ed394f26ebe85b5a7b3cb5302568bdc051bde451901",
-        "0.9959297218559336", "1997.309708719797", "reached_rmax"),
+        "fa1a2c66e6f8d7fb2d6a9a311257839ddfe349d31f5688ea978de56e698a21ab",
+        "0.995929722638157", "1997.3097083461687", "reached_rmax"),
     "example": (
-        "e398c1e96ad9df2f86c9bc1810613ed1137a8237153a0b941609599814cda276",
-        "0.06737796761778789", "63.432426235718076", "reached_rmax"),
+        "552e3209e692a910e8e423536499a38a0960bf9594cdc098e6d4bc0ce09fd34f",
+        "0.06737796764743725", "63.43242623664441", "reached_rmax"),
     "powerlaw": (
-        "9b32fbe3361f68ed4d091d55300fcf000742a88edb3ce7b32ba63fc0fa194fae",
-        "0.053139361523191535", "48.29383015928229", "reached_rmax"),
+        "45f771117f3c3a0161429b7825d3bb98ce325f52a4110b5008a2e472f1a0486a",
+        "0.05313958049168007", "48.29383051015943", "reached_rmax"),
 }
 
 
@@ -327,17 +345,17 @@ def test_one_row_trajectory(constantin):
 
 _PINNED_SHOTS = {
     "constantin": (
-        ("right", "1.872941546437046", "1.6068885059045155"),
-        ("right", "5.509099711078769", "0.0795830141429522"),
-        ("left", "9.0629805379923", "0.7221463520911522")),
+        ("right", "1.8729417966259723", "1.6068883865239296"),
+        ("right", "5.509009990411277", "0.0795988461716913"),
+        ("left", "9.06298053810666", "0.7221429757437586")),
     "example": (
-        ("right", "1.856272756117794", "1.6087593903433683"),
-        ("right", "5.353439483117572", "0.1016679733704398"),
-        ("left", "8.995647060261343", "0.7268453882654698")),
+        ("right", "1.8562732034589446", "1.6087591808363093"),
+        ("right", "5.353283133204915", "0.10170044289857814"),
+        ("left", "8.995647060413175", "0.7268453882837662")),
     "powerlaw": (
-        ("right", "1.3038634069420425", "1.7514083340455808"),
-        ("right", "3.422670789847062", "0.7523587039453821"),
-        ("left", "5.9211359998446484", "0.7763299951020135")),
+        ("right", "1.3038633713658676", "1.7514083779308602"),
+        ("right", "3.4226722947616226", "0.7523618747328216"),
+        ("left", "5.921463865792378", "0.776330022182738")),
 }
 
 
@@ -401,18 +419,18 @@ _ROW_RUNS.update({f"shot_{name}_{a:g}": _shot(name, a)
 
 _ROWS = {
     "run10":
-        "1f327f067dafeee70317678b10f3313a2d941aefa79f991a8deb6f162d3bd6a6",
+        "1c0c03fe087044c4e2860c58918118f4af78d222ba3a6cc18481c5076576419a",
     "run100":
-        "97edfc8d785a513bc5ccde5d8075c0692f61e5fcc9fed0a164b20350f21fa7eb",
+        "ddfcd67c416100f4e3155b9b275828047fd661780a63a120813cdbd54bf89547",
     "example":
-        "90400aa0f071d6e4cabe8b6c739f0569f85680ecd43b128495809b7eaf0c06c4",
+        "664d1c77f561407ab8bc5186132a7619b560e484e1962555931dfcf6d4614cb3",
     "powerlaw":
-        "11591fcdaa4dbd2a6da4830471ddfebca46b05452b088b6898754e4a285f28f6",
+        "6667995c92eb49d0c27f09c9cb08851720d2a50de164b5a7e1dfe9cb525bbbaf",
     # no crossing
     "constantin_a2":
-        "2293b8eadcd149c777fe7dd928eec0c284e648ab1e2932d945ee9c96fff82e80",
+        "237f3306bf51fc0d4731e75dbbb756243beb1d5d70e70ff1f9ee10fe82cf258a",
     "example_a2":
-        "8fa5cbbb39eec1f60efe0ca7832d6b8c877330273b5f2102cd5db0d54f906f52",
+        "c47664a5ddfcf8021a7f2d74d716d197a67d626aa1fd9fe725c50ca58e8b240d",
     "near_origin_0.001":
         "1afa83bd221c3c0356dc6a82d635b2923ee92877e927ba96193a158cb93b1367",
     "near_origin_1e-06":
@@ -420,23 +438,23 @@ _ROWS = {
     "backward":
         "5808d4b9bb5fbb08668a41119ae0f0cd292863d9032507a560b0ee56895a4416",
     "shot_constantin_2":
-        "5d49de94dcd9a796f81499c40bf4a23b7cbe333917362defaed684550c2cf8da",
+        "74cb8d4f903e868b7eca0766a9620eea6dbdfe0b9e7aa05f82274ea84c64ee20",
     "shot_constantin_3":
-        "71bcdfc51eaf5ecb5077a6fc22521f397d65788c9129f054368d58a9f8f256ac",
+        "fcf4bf4052722baaf1ee2d365085ca1aeb39d0b0a17c88b39dd2c6d06808d78d",
     "shot_constantin_4":
-        "025c2e4da278fad26e88da7e444390fdb7d0f7ed8cb0e32cedda94bfa7dec167",
+        "96c1d50a7aef4c7432b33b884685bd707dce21588e0193d53b396b51c8f05699",
     "shot_example_2":
-        "f49df7d8136992870f70733725590f8942b4860845b56c3b2adbed8396a71d4c",
+        "2043126d6b986edff792bf706e309f43ba3831829e03a6e6dbbba2b66897547e",
     "shot_example_3":
-        "e02fcff1e9ffea79fb74f559064c27be857b0fa1be01a1300c16138dc25033e7",
+        "1fb398a10c8d0f60bb379d30a94b327b79f6089550337c6a874d50787f609b34",
     "shot_example_4":
-        "14c853a715518825e08d04b34a08b06cf3a04354d425a8e29157ec51ca1bef69",
+        "b1493afb85960ec27e22803ac01b2f2948ea601cf10e8f84ba94f3debd3ed90b",
     "shot_powerlaw_2":
-        "e96cea563876c72c83194930d46113a79e7f9496f399f799c8785c14312b33a9",
+        "a43c4c2487b094d4dfcc878ec812e56b0ed8555375c27a0be392296b1a38ef92",
     "shot_powerlaw_3":
-        "460b088588f3d3bff71ec2b679857189952b008c56848d66e9f334f3501feef1",
+        "9ba3965bdcd3311d6b033563264e3ceebd86202d80de554fc1d5ebaa7cc614ec",
     "shot_powerlaw_4":
-        "34d07daeb4b1c6d4bb84cced21cdc84f0fcdd2f05f81d27a2394cb9c0370c25d",
+        "08d9a164e4313056b071de1fbbb22b4dd97dbbc4f5750b9ba07a9615c9a24271",
 }
 
 
@@ -448,39 +466,39 @@ _DISS = {
     "backward":
         "0ba4cfebc217c3574bde08c67f25b517346ad375229b6ac99a8f74d218f1b2fe",
     "constantin_a2":
-        "f9c3e90d29285147ea8dc103876a628cf74d64bd28eae9caf864d7342ad63504",
+        "aa3704d36916e515209b0a39831bb21ac9f05bdc69fd2ab790f72f389564c8d9",
     "example":
-        "926f0fd563ab67055f5a2434bc91e08b25177b6b966dfb4b5b541c522767ae02",
+        "151862da080cc194cf0594ed3674a2bd640abe54bd2325126d78bde0bd0925d4",
     "example_a2":
-        "7f30d3b4214ec042a6eb8cc03205735f2bab54410567dc85c85dbe647f17bb49",
+        "4949808d292487da8af707b98cb47adde9518afa7f574595e893c4edaa2e4c92",
     "near_origin_0.001":
         "7f6598a1aabe2a820bcf0984d487c8c51dd850f3ff306fc7ee872968ff32a4b7",
     "near_origin_1e-06":
         "16fbdeb289fb56b82379294c34871861010124f8d0e5df9f80522f758c2d8224",
     "powerlaw":
-        "cadf0b780f74eb9ac1c4f08402fc350cd3cf37b0edca2968ac6f7349ddeb2d1c",
+        "bf489061dc9b94e78853b4f28b623def009dca105eed134bcbe6c14314fe7955",
     "run10":
-        "e9a2d61d58d8b96088705f7c64e9c2107561445f362231e83159e498f497c1cc",
+        "55f88d22420b150cd4ce2678f11898a5080762545fa467d70504c2963975d890",
     "run100":
-        "02e59c659aba0a5f5f1e97e6baf14a8ac54dda15dd7426112bc32bd59986d672",
+        "621a7e1f1973dcca374629c329b001eca82c6bc5167321ee3037471eaabe054c",
     "shot_constantin_2":
-        "1f4b7c86e7203e321a2b6dee42e802bdba903ae5b1e2c4405ea2d556f12b9e9a",
+        "c6fb76ba5fa1417cdccd3fd6ab1f965417be285f406d3a625875d8bc8c05260a",
     "shot_constantin_3":
-        "c5388c6040373a785b88e6b9a45e18dba216984a9a4aa93b38b6ca038920e4c2",
+        "2003d573c1123bc99141d94bd7df639eba78389020c8900a47ce129cd0ca7ab6",
     "shot_constantin_4":
-        "fa9ffec97a7c54ce25dd12e8213057b5e9f0d170bfca53b3a53373979e3e39f1",
+        "07675a353d83bb006019627bc9acc041f9313b834e6afbabdb5b6b2f221b94ec",
     "shot_example_2":
-        "96521a371eb7c516bcf68a0bbfd8c5143437ceb381cd09985d53684265112394",
+        "644636b1af1a81059a4b0c44f8bf3ce5f5b6a676634d0db7388f572e12f46f4e",
     "shot_example_3":
-        "825d1459063db52d0bda7e8b467c6aac1727a165556503b80990af6248865c2e",
+        "ab38ba2477a8fcb14665ba4f9523257e4000ef7565cfb8db07fea11c84d7e503",
     "shot_example_4":
-        "6725fa46afb72899997279f1f667aa1dd939ee5258e91a4a05373528b4ec8a55",
+        "749d825c2e3565b244f00a43a273fecd2924426568535fbdd6ab15315f9d6973",
     "shot_powerlaw_2":
-        "835665226a34ea45afb02ef5511d92b8a147c2b16996225c168f2108effedc10",
+        "355d537ba9d383e17188a4f14e260d2733b57640397c02673fc076abdc0aceb3",
     "shot_powerlaw_3":
-        "b0f7567a038866181010684fd54398266b52260b7ac1aef1fae0d591c598282a",
+        "62577b116a3a41a7c1ff8cd1e256e736790c5a7bbdcffb0500e7c71976b90436",
     "shot_powerlaw_4":
-        "be35e24aa03e2e46bfe43b747946bf0828f133a6194f43054fd272aa58e0908d",
+        "1378d2f9e6fc5b906f9f60aa7d6355a5a504b0b5d963c0e52ea440d9f3b749d6",
 }
 
 
@@ -509,7 +527,7 @@ def test_event_fn_called_once_per_accepted_step(constantin):
         r_max=100.0, stop_at_zero_energy=True))
     assert traj.termination is Termination.EVENT
     assert (traj.r[-1], traj.psi[-1], traj.beta[-1]) == (
-        60.416710793617355, -1.2844416594952368, 0.5395748645680484)
+        60.416710793378435, -1.2844416598221842, 0.5395748644849355)
     # the Picard head stores 17 rows; every later row but the cut row is
     # one accepted step, and the step holding the stop is one more
     steps = len(traj.r) - 17
@@ -517,21 +535,50 @@ def test_event_fn_called_once_per_accepted_step(constantin):
     assert calls[0] == 17 + steps + 1
 
 
+def _zero_of_F(model):
+    """F's positive zero: a start just above it spends its energy early."""
+    return brentq(model.F, 1.0, 3.0, xtol=1e-15)
+
+
 @pytest.mark.parametrize("name", ["constantin", "example", "powerlaw"])
 def test_stop_is_the_energy_entry(models, name):
     # the stop cuts where e_region_entry finds E's Hermite falling through 0
     # on the same orbit run on without the stop: the same step, root and
-    # (r, psi, beta), bit for bit
+    # (r, psi, beta), bit for bit.  Starts just above F's zero stop inside
+    # the Picard head, the first of them in its first step, from r = 0
     from vortexplane import e_region_entry
     model = models[name]
-    for a in range(2, 13):
-        config = _classification_config(float(a), 1e-9, model)
-        stopped = integrate(model, float(a), config)
-        entry = e_region_entry(integrate(model, float(a), dataclasses.replace(
+    a0 = _zero_of_F(model)
+    near = [a0 + d for d in (1e-9, 1e-6, 1e-3, 0.02)]
+    for a in [*near, *map(float, range(2, 13))]:
+        config = _classification_config(a, 1e-9, model)
+        stopped = integrate(model, a, config)
+        entry = e_region_entry(integrate(model, a, dataclasses.replace(
             config, stop_at_zero_energy=False)))
         assert stopped.termination is Termination.EVENT
         assert (stopped.r[-1], stopped.psi[-1], stopped.beta[-1]) == (
             entry.r_cross, entry.psi, entry.beta), a
+        if a in near:
+            assert stopped.r[-1] < config.r_handoff
+            assert len(stopped.r) <= 17 and len(stopped.dissipation) == len(
+                stopped.r) - 1
+        if a == near[0]:
+            assert len(stopped.r) == 2
+
+
+@pytest.mark.parametrize("name", ["constantin", "example", "powerlaw"])
+def test_starts_just_above_the_zero_of_F_classify(models, name):
+    # F(a) > 0 admits the start, and its energy may reach 0 inside the
+    # head: the stop reads the head's steps, so every such shot classifies
+    # (while it read only the stepper's steps, 25 of these 40 ran to r_max,
+    # even with the head ending at r = 1/16)
+    model = models[name]
+    a0 = _zero_of_F(model)
+    inside = 0
+    for d in np.geomspace(1e-9, 0.3, 40):
+        rec = classify_shot(model, a0 + d)
+        inside += rec.r_stop < 1.0
+    assert 0 < inside < 40
 
 
 # ------------------------------------------------------ crossing windows
@@ -562,9 +609,10 @@ def test_window_rejects_few_attempts(constantin):
         calls[0] += 1
         return constantin.f(u)
 
+    config = IntegrationConfig(r_max=370.0, rel_tol=1e-9)
     traj = integrate(dataclasses.replace(constantin, f=counting_f), 20.0,
-                     IntegrationConfig(r_max=370.0, rel_tol=1e-9))
-    steps = int(np.count_nonzero(traj.r > 0.0625))
+                     config)
+    steps = int(np.count_nonzero(traj.r > config.r_handoff))
     assert 1.0 - steps / ((calls[0] - 3 - steps) / 11.0) < 0.05
 
 
@@ -683,7 +731,6 @@ def test_inlined_helpers_match_references(models, name, stop):
     # Hermite's beta^2/r (measured at most 5.2e-16)
     model = models[name]
     [at_step] = _core_lines("if last:")
-    [at_cut] = _core_lines("term = Termination.EVENT")
     rel, scaled, cuts = [], [], []
 
     def local_trace(frame, event, arg):
@@ -695,10 +742,14 @@ def test_inlined_helpers_match_references(models, name, stop):
             rel.append(abs(got - want) / abs(want))
             scaled.append(abs(got - want) * v["r"] / (
                 abs(v["hs"]) * max(v["beta"] ** 2, v["beta1"] ** 2)))
-        if event == "line" and frame.f_lineno == at_cut:
+        return local_trace
+
+    def cut_trace(frame, event, arg):
+        # the stepper's cut, in the helper it shares with the head scan
+        if event == "return":
             v = frame.f_locals
-            r, h1, s_cut = v["r"], v["h1"], v["s_cut"]
-            ends = (v["beta"], v["beta1"], v["k1b"], v["k13b"])
+            r, h1, s_cut = v["r"], v["h"], v["s"]
+            ends = (v["beta"], v["beta1"], v["db0"], v["db1"])
             got = v["diss"][-1]
             assert got.hex() == integrator._dissipation(
                 r, h1, *ends, s_cut).hex()
@@ -706,11 +757,14 @@ def test_inlined_helpers_match_references(models, name, stop):
                 r + s * h1), 0.0, s_cut, epsabs=0.0, epsrel=1e-13)
             want *= h1
             cuts.append(abs(got - want) / abs(want))
-        return local_trace
+        return cut_trace
 
     def trace(frame, event, arg):
         if frame.f_code is integrator._integrate_core.__code__:
             return local_trace
+        if (frame.f_code is integrator._cut.__code__
+                and frame.f_back.f_code is integrator._integrate_core.__code__):
+            return cut_trace
         return None
 
     sys.settrace(trace)
@@ -759,14 +813,14 @@ def test_phase_cap_halves_steps(constantin):
 
 def test_no_per_step_helper_calls(constantin):
     # a setprofile guard over one run to the zero-energy stop and a whole
-    # shooting solve: _dissipation runs once per run, for the cut step,
-    # and no accepted step calls it; the core never calls _hull_floor or
+    # shooting solve: _cut runs once per run, and its _dissipation for the
+    # cut step is the only one; the core never calls _hull_floor or
     # _step_minimum, which only closest_approach reaches (_step_minimum at
     # most twice per shot), and a step's radius is evaluated only by
     # _step_minimum's grid and its golden_min; and no Python function but f
     # and F is called from the core on more than a few steps
     from vortexplane import shoot_for_origin
-    from_core, radius_callers, searches = {}, set(), {}
+    from_core, radius_callers, searches, quadratures = {}, set(), {}, []
     core = integrator._integrate_core.__code__
 
     def profile(frame, event, arg):
@@ -775,6 +829,8 @@ def test_no_per_step_helper_calls(constantin):
         code, caller = frame.f_code, frame.f_back.f_code
         if caller is core:
             from_core[code.co_name] = from_core.get(code.co_name, 0) + 1
+        if code is integrator._dissipation.__code__:
+            quadratures.append(caller.co_name)
         if code is _step_minimum.__code__:
             searches[caller.co_name] = searches.get(caller.co_name, 0) + 1
         if code.co_qualname == "_step_minimum.<locals>.radius":
@@ -792,7 +848,8 @@ def test_no_per_step_helper_calls(constantin):
     finally:
         sys.setprofile(None)
     assert traj.termination is Termination.EVENT
-    assert from_core["_dissipation"] == 1 + len(result.history)
+    assert from_core["_cut"] == 1 + len(result.history)
+    assert quadratures == ["_cut"] * from_core["_cut"]
     assert not {"_hull_floor", "_step_minimum", "radius"} & set(from_core)
     assert radius_callers == {"golden_min", "_step_minimum"}
     assert list(searches) == ["closest_approach"]
@@ -898,11 +955,12 @@ def test_pinned_shot_sweep(shot_sweep):
     # recorded with the dissipation split off, before the steps integrated
     # it with the pair's weights, which kept it; the dissipation's after,
     # and again when the cut step's share moved from the pair's dense
-    # output onto beta's Hermite
+    # output onto beta's Hermite.  All three were re-recorded when the
+    # head's default end moved to r = 1 (every termination and side kept)
     assert shot_sweep[0] == (
-        "83914db0209f0356faf236d0af9878c9ad86e4b40bbe218841a151b64f8ebc46",
-        "35233f7f60b6a68fa69307cba3ee19352d47de31f8d466c46fd2df8313ac3f21",
-        "310f84b96b618e7fb5f8875a3a91e06ff2fab4ce14c473efe15214e1cb978002")
+        "e7e62ae01fb657e7356746d2f7989951e871f6b5a1bd2ea87686d8a1d39b77bb",
+        "5796ebc5830c2fc5adb5e436ca8fff1413aec2023753f50d8ebf42a4d2a5effa",
+        "347728c7c9195f7d6517a66b0aa7fbcf498249b29dde8bc361528150d365b92e")
 
 
 def test_shot_sweep_balances(shot_sweep):

@@ -63,18 +63,19 @@ def test_pinned_svg(constantin, run10, example, powerlaw):
     # the bytes of four portraits: a ring with two orbits, the same
     # clipped, the modulated model's sandwich curves and the power law;
     # re-recorded when the Picard head moved onto the Chebyshev collocation
+    # and when its default end moved from r = 1/16 to 1
     ring = RingSpec.for_model(constantin, 0.05, 0.1)
     run5 = integrate(constantin, 5.0, IntegrationConfig(r_max=100.0))
     orbits = (run5, run10)
     assert _sha(build_portrait_svg(constantin, orbits, ring=ring)) == (
-        "9e31df234b269c70558ebc8277a4311fcd82c9693021305cebb08f0ac6ad927a")
+        "e7836651498185717e7dd68be62cf0697226741758abef52d351ef93a5d81697")
     assert _sha(build_portrait_svg(constantin, orbits, ring=ring,
                                    clip_radius=3.0)) == (
-        "aec87f3b0aba1c57974df9bd44652e35726823b5c7ac0ab95ff3121ff1793927")
+        "64fe0c7a8f5622010b5d91e04b22aaa1f0fc3652c696b069cc0eac6f29a6e9a9")
     for model, digest in (
             (example,
-             "b89c87c3a64da96216152d268e81d0420e0f2b7e3e8a0ac1f023b1faef7ab7f6"),
+             "c0837dc74b960a5c2ee28db33efc8e8cf329da9b49b0463c9207a7c11b59c5eb"),
             (powerlaw,
-             "6aed5f51a921ea13fe949f991aa25c01257fe2d021f6e0b13af6f3d1de2c93bf")):
+             "9ff93c933b3524a1c5d83efd9b21443159775ea22dbb6753066980c5fc4009ad")):
         orbit = integrate(model, 5.0, IntegrationConfig(r_max=60.0))
         assert _sha(build_portrait_svg(model, (orbit,))) == digest
