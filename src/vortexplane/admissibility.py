@@ -173,9 +173,10 @@ def check_ring_bound(model: VorticityModel, seed: int = 0) -> CheckRecord:
     ts = 2.0 * pts[:, 1] - 1.0
     psis = ts * radii
     vals = psis * model.g_arr(psis) / radii ** 2
-    upper = (1.0 + c) * radii ** (-nu)
-    lower = -c * radii ** (-nu)
-    scale = np.maximum(1.0, radii ** (-nu))
+    decay = radii ** (-nu)
+    upper = (1.0 + c) * decay
+    lower = -c * decay
+    scale = np.maximum(1.0, decay)
     up_dev = np.max((vals - upper) / scale)
     lo_dev = np.max((lower - vals) / scale)
     return CheckRecord(

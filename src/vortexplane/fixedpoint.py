@@ -16,9 +16,10 @@ a contraction in the weighted sup metric  sup max(|dpsi|, |dbeta|) e^{-kr}
 for a window of rates k derived below.  The short-range operator is
 collocated in s = r^2 on Chebyshev-Lobatto nodes, where psi is analytic
 (picard_solve, and picard_head for the integrator); the backward operator
-uses the trapezoid rule.  picard_residual checks the short-range fixed
-point off its nodes: it re-applies the operator to the polynomial through
-them with a Gauss-Legendre rule the collocation does not use.
+is collocated in r on the Chebyshev-Lobatto nodes of its short window
+(banach_solve).  picard_residual checks the short-range fixed point off
+its nodes: it re-applies the operator to the polynomial through them with
+a Gauss-Legendre rule the collocation does not use.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from .errors import (FixedPointFailureError, InfeasibleConstantsError,
                      ParameterDomainError)
-from .quadrature import cumtrapz
 from .search import bisect_root
 from .vorticity import _GL_S, _GL_W, VorticityModel
 
@@ -113,12 +113,13 @@ def _integral(c: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _collocation() -> Tuple[np.ndarray, ...]:
-    """(to_coeffs, K, M, Q), read-only, on the _CHEB_N + 1 Chebyshev-Lobatto
-    nodes of s in [0, 1], ascending, in x = 2 s - 1: node values to their
-    interpolant's coefficients, f to (1/4) int_0^s (1/v) int_0^v f (Trefethen,
-    Approximation Theory and Approximation Practice, 2013, ch. 19), f to its
-    mean (1/s) int_0^s f at the head rows s_j = (j/_HEAD_CELLS)^2 and then
-    at the nodes, and node values to int_0^{s_j} of their interpolant.  T_k
+    """(to_coeffs, K, M, Q, J), read-only, on the _CHEB_N + 1
+    Chebyshev-Lobatto nodes of s in [0, 1], ascending, in x = 2 s - 1: node
+    values to their interpolant's coefficients, f to (1/4) int_0^s (1/v)
+    int_0^v f (Trefethen, Approximation Theory and Approximation Practice,
+    2013, ch. 19), f to its mean (1/s) int_0^s f at the head rows
+    s_j = (j/_HEAD_CELLS)^2 and then at the nodes, node values to
+    int_0^{s_j} of their interpolant, and node values to int_{s_j}^1.  T_k
     comes from 2N cosines at the nodes and by recurrence at the rows, the
     mean from the exact downward recurrence of (1 + x) q = 2 int_0^s f.
     """
@@ -138,11 +139,14 @@ def _collocation() -> Tuple[np.ndarray, ...]:
     for k in range(2, N + 2):
         rows[k] = 2.0 * rows[1] * rows[k - 1] - rows[k - 2]
     M = np.einsum('kj,ki->ji', np.hstack([rows, T])[:N + 1], q[:N + 1])
-    Q = np.einsum('kj,ki->ji', rows, _integral(to_coeffs))
-    K[0] = Q[0] = 0.0
-    for op in (to_coeffs, K, M, Q):
+    integral = _integral(to_coeffs)
+    Q = np.einsum('kj,ki->ji', rows, integral)
+    P = np.einsum('kj,ki->ji', T, integral)
+    K[0] = Q[0] = P[0] = 0.0
+    J = P[-1] - P
+    for op in (to_coeffs, K, M, Q, J):
         op.flags.writeable = False
-    return to_coeffs, K, M, Q
+    return to_coeffs, K, M, Q, J
 
 
 def _short_range_ball(model: VorticityModel, a: float, r_end: float) -> float:
@@ -218,7 +222,7 @@ def picard_head(model: VorticityModel, a: float, r_end: float,
     psi = a - (1/4) int_0^s m, beta = -(r/2) m and int_0^r beta^2/r =
     (1/8) int_0^s m^2."""
     ball = _short_range_ball(model, a, r_end)
-    M, Q = _collocation()[2:]
+    M, Q = _collocation()[2:4]
     mean = np.einsum('ij,j->i', M, model.f_arr(
         _collocate(model, a, r_end, ball, tol, 200)[0]))
     at_rows, at_nodes = mean[:_HEAD_CELLS + 1], mean[_HEAD_CELLS + 1:]
@@ -322,23 +326,21 @@ def select_contraction_constants(T: float = 6.0,
                                 k_lo=k_lo, k_hi=k_hi, k=k, zeta=k_lo / k)
 
 
-def _tail(values: np.ndarray, h: float) -> np.ndarray:
-    """int_r^T of grid samples via the trapezoid rule."""
-    cum = cumtrapz(values, h)
-    return cum[-1] - cum
-
-
 def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
                  max_iter: int = 400
                  ) -> Tuple[GridFunction, GridFunction, float]:
     """Backward fixed point on [sqrt(T^2 - 1), T] anchored at (psi_T, beta_T).
 
-    Returns the psi and beta grids on 2048 intervals plus the largest
-    observed contraction ratio of successive weighted distances, which must
-    stay below the audited zeta.  Iterates are confined to the domain
-    |psi - psi_T| <= eta psi_T / 4, |beta| <= 2 |beta_T| + eta psi_T; the
-    sweeps stop once a sup change is at most 1e-12 max(1, psi_T).  From
-    T ~ 1.05e6 the window holds no 2049 strictly increasing nodes.
+    Collocation on the _CHEB_N + 1 Chebyshev-Lobatto nodes of the window,
+    ascending from r_lo = sqrt(T^2 - 1) to T exactly, applies the two
+    integrals to T as w J with w = T - r_lo.  Returns the psi and beta
+    values on those nodes (the polynomials through them are the solution)
+    plus the largest observed contraction ratio of successive weighted
+    distances, which must stay below the audited zeta.  Iterates are
+    confined to the domain |psi - psi_T| <= eta psi_T / 4,
+    |beta| <= 2 |beta_T| + eta psi_T; the sweeps stop once a sup change is
+    at most 1e-12 max(1, psi_T).  Above T = 2^22 ~ 4.19e6 the window holds
+    no _CHEB_N + 1 strictly increasing nodes.
     """
     require_finite(T=T, psi_T=psi_T, beta_T=beta_T)
     _check_count("max_iter", max_iter, 1)
@@ -352,24 +354,28 @@ def banach_solve(model: VorticityModel, T: float, psi_T: float, beta_T: float,
             f"anchor slope too steep: |beta_T| must be <= eta psi_T / 8 "
             f"= {eta * psi_T / 8.0!r}")
     r_lo = math.sqrt(T * T - 1.0)
-    rs = np.linspace(r_lo, T, 2049)
+    w = T - r_lo
+    rs = r_lo + w * np.sin(np.arange(_CHEB_N + 1) * (0.5 * math.pi
+                                                     / _CHEB_N)) ** 2
     if not np.all(np.diff(rs) > 0.0):
         raise ParameterDomainError(
             f"anchor radius T={T!r} is too large: the window "
-            f"[{r_lo!r}, {T!r}] holds no 2049 strictly increasing nodes")
-    h = float(rs[1] - rs[0])
+            f"[{r_lo!r}, {T!r}] holds no {_CHEB_N + 1} strictly increasing "
+            f"nodes")
+    J = _collocation()[4]
     weight = np.exp(-constants.k * (rs - r_lo))
     psi_ball = eta * psi_T / 4.0
     beta_ball = 2.0 * abs(beta_T) + eta * psi_T
 
     psi = np.full(len(rs), float(psi_T))
-    beta = beta_T * T / rs
+    beta = anchor = beta_T * T / rs
     prev_wdist = None
     factor = 0.0
     floor = 1e3 * np.finfo(float).eps * max(1.0, psi_T)
     for sweep in range(1, max_iter + 1):
-        new_psi = psi_T - _tail(beta, h)
-        new_beta = beta_T * T / rs + _tail(rs * model.f_arr(psi), h) / rs
+        to_T = w * np.einsum('ij,kj->ki', J, [beta, rs * model.f_arr(psi)])
+        new_psi = psi_T - to_T[0]
+        new_beta = anchor + to_T[1] / rs
         dev_psi = float(np.max(np.abs(new_psi - psi_T)))
         dev_beta = float(np.max(np.abs(new_beta)))
         if not (dev_psi <= psi_ball * (1.0 + 1e-12)

@@ -8,6 +8,7 @@ powers of the plastic number; both are standard equidistributed choices.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -20,11 +21,12 @@ _PLASTIC = 1.3247179572447460
 
 
 def kronecker(n: int, dim: int = 1, seed: int = 0) -> np.ndarray:
-    """Return an (n, dim) array of quasi-random points in [0, 1).
+    """Return an (n, dim) read-only array of quasi-random points in [0, 1).
 
     The seed only shifts the starting phase, so any seed gives the same
     equidistribution quality.  n, dim and seed must be integers (a bool is
-    not), n and dim positive; seed may have either sign.
+    not), n and dim positive; seed may have either sign.  The points depend
+    on nothing else, so the last few draws are cached and shared.
 
     The phase lies in [0, 1), so every x = phase + idx alpha is >= 0, and
     for x >= 0 both x - floor(x) and x % 1.0 are exact and equal
@@ -36,6 +38,12 @@ def kronecker(n: int, dim: int = 1, seed: int = 0) -> np.ndarray:
                 f"{name} must be an integer, got {value!r}")
     if n <= 0 or dim <= 0:
         raise ParameterDomainError("n and dim must be positive")
+    # the cache sees validated ints only: True or 2.0 hash like 1 and 2
+    return _kronecker(int(n), int(dim), int(seed))
+
+
+@functools.lru_cache(maxsize=8)
+def _kronecker(n: int, dim: int, seed: int) -> np.ndarray:
     if dim == 1:
         alphas = np.array([_GOLDEN_STEP])
     else:
@@ -47,6 +55,7 @@ def kronecker(n: int, dim: int = 1, seed: int = 0) -> np.ndarray:
             "seed times the golden step overflows a float") from None
     x = phase + np.arange(1, n + 1)[:, None] * alphas[None, :]
     x -= np.floor(x)
+    x.flags.writeable = False
     return x
 
 

@@ -33,8 +33,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import HypothesisViolationError, ParameterDomainError
-from .quadrature import adaptive_simpson
+from .errors import (HypothesisViolationError, ParameterDomainError,
+                     ToleranceError)
 from .search import bisect_root
 
 # exact admissibility ceiling for the modulated model parameter:
@@ -345,6 +345,54 @@ def arrival_law(model: VorticityModel) -> Optional[Tuple[float, float]]:
     if model.model_id == "powerlaw":
         return model.ledger.params["alpha"], 1.0
     return None
+
+
+# adaptive Simpson, potential_by_quadrature's rule: bisection depth cap
+_MAX_DEPTH = 48
+
+
+def _simpson_panel(a, fa, b, fb, fm):
+    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, floor, depth):
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = _simpson_panel(a, fa, m, fm, flm)
+    right = _simpson_panel(m, fm, b, fb, frm)
+    err = left + right - whole
+    if abs(err) <= 15.0 * max(tol, floor):
+        return left + right + err / 15.0
+    if depth >= _MAX_DEPTH:
+        # a mild integrable kink leaves only roundoff-level mass this deep;
+        # a genuine divergence still shows an error far above the floor
+        if abs(err) <= 1e6 * floor:
+            return left + right + err / 15.0
+        raise ToleranceError(
+            f"adaptive Simpson stalled on [{a}, {b}] with error {err:.3e}")
+    half = 0.5 * tol
+    return (_adaptive(f, a, fa, m, fm, lm, flm, left, half, floor, depth + 1)
+            + _adaptive(f, m, fm, b, fb, rm, frm, right, half, floor,
+                        depth + 1))
+
+
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
+                     tol: float = 1e-10) -> float:
+    """Integrate f on [a, b] to absolute tolerance tol, finite and >= 0
+    (a NaN tol would let no panel converge)."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterDomainError(
+            f"tol must be finite and >= 0, got {tol!r}")
+    if a == b:
+        return 0.0
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = _simpson_panel(a, fa, b, fb, fm)
+    floor = 0.25 * np.finfo(float).eps * (abs(whole) + abs(b - a))
+    return _adaptive(f, a, fa, b, fb, m, fm, whole, tol, floor, 0)
 
 
 def potential_by_quadrature(model: VorticityModel, psi: float) -> float:

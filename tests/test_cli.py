@@ -301,7 +301,7 @@ def test_verify_paper_writes_the_pinned_report(tmp_path, capsys,
     assert lines[14] == f"wrote {tmp_path / 'verify_report.json'}"
     text = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(text).hexdigest() == (
-        "6567a2340d292ef91194353c94abe6d113e1faa5d9578983da3c9391f8b6bb0d")
+        "db37b1dacbcd688ad9a5a17ea5e0325dbd8c386cead485194b706bc9abbc9da6")
     failed = [dataclasses.replace(acceptance_results[0], passed=False),
               *acceptance_results[1:]]
     monkeypatch.setattr(verify, "run_all", lambda: failed)

@@ -16,6 +16,7 @@ from vortexplane.fixedpoint import (_collocation,
                                     equilibrium_dichotomy_certificate,
                                     picard_head)
 from vortexplane.integrator import IntegrationConfig, series_start
+from vortexplane.sequences import kronecker
 
 PHI_AT_3 = 44.0 * math.log(3.0) / (15.0 * math.log(3.0) + 2.0)
 
@@ -189,7 +190,7 @@ def test_nan_iterate_leaves_the_ball_on_its_first_sweep(constantin):
     with pytest.raises(FixedPointFailureError,
                        match="left the domain: .* \\|beta\\|=nan"):
         banach_solve(_nan_model(constantin, calls), 6.0, 2.0, 0.1)
-    assert calls == [2049]
+    assert calls == [33]
 
 
 def test_picard_sweeps_in_place(constantin):
@@ -369,9 +370,10 @@ def test_head_rows_round_as_linspace(constantin):
 
 
 def test_collocation_operators_are_read_only():
-    # every solve in the process shares them: an in-place write by a caller
-    # would change every later solve
-    for op in _collocation():
+    # every solve in the process shares them, and every ledger check of a
+    # seed shares its Kronecker points: an in-place write by a caller would
+    # change every later solve or report
+    for op in (*_collocation(), kronecker(10_000, 2, 0)):
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -420,15 +422,41 @@ def test_banach_equilibrium_probe(constantin):
     assert factor <= c.zeta
 
 
+def _clenshaw(grid, r):
+    """The polynomial through banach_solve's nodes, at radius r."""
+    coeffs = np.einsum('kj,j->k', _collocation()[0], grid.values)
+    lo, hi = float(grid.r[0]), float(grid.r[-1])
+    x = 2.0 * (r - lo) / (hi - lo) - 1.0
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    return float(coeffs[0] + x * b1 - b2)
+
+
 def test_banach_matches_backward_integration(constantin, state_at):
     psi_g, beta_g, factor = banach_solve(constantin, 6.0, 2.0, 0.1)
     assert math.isclose(factor, 0.04186091098154562, rel_tol=1e-9)
     bw = integrate_backward(constantin, 6.0, 2.0, 0.1)
     for r in np.linspace(float(bw.r[0]) + 1e-9, 6.0, 40):
         psi_b, beta_b = state_at(bw, float(r))
-        assert abs(float(np.interp(r, psi_g.r, psi_g.values)) - psi_b) < 1e-6
-        assert abs(float(np.interp(r, beta_g.r, beta_g.values)) - beta_b) \
-            < 1e-6
+        assert abs(_clenshaw(psi_g, float(r)) - psi_b) < 1e-6
+        assert abs(_clenshaw(beta_g, float(r)) - beta_b) < 1e-6
+
+
+@pytest.mark.parametrize("anchor", [(6.0, 2.0, 0.1), (10.0, 5.0, -0.3)])
+@pytest.mark.parametrize("family", ["constantin", "example", "powerlaw"])
+def test_banach_end_values_match_a_tight_backward_sweep(models, family,
+                                                        anchor):
+    # the trapezoid on 2,049 nodes was off by 1e-13 to 9e-13 in psi and by
+    # 1e-12 to 7e-12 in beta here; the collocation by at most 1.1e-14
+    model, (T, psi_T, beta_T) = models[family], anchor
+    psi_g, beta_g, _ = banach_solve(model, T, psi_T, beta_T)
+    bw = integrate_backward(model, T, psi_T, beta_T, config=IntegrationConfig(
+        r_max=T, rel_tol=1e-13, abs_tol=0.0))
+    assert psi_g.r[0] == bw.r[0] == math.sqrt(T * T - 1.0)
+    assert psi_g.r[-1] == T and len(psi_g.r) == 33
+    assert abs(float(psi_g.values[0]) - float(bw.psi[0])) < 1e-13
+    assert abs(float(beta_g.values[0]) - float(bw.beta[0])) < 1e-13
 
 
 def test_banach_anchor_guards(constantin):
@@ -442,6 +470,16 @@ def test_banach_anchor_guards(constantin):
     for T in (1e8, 1e200):
         with pytest.raises(ParameterDomainError, match="anchor radius"):
             banach_solve(constantin, T, 2.0, 0.1)
+
+
+def test_banach_refuses_a_window_its_nodes_do_not_resolve(constantin):
+    # the window is about 1/(2T) wide: its 33 nodes stay strictly
+    # increasing up to T = 2^22 and collapse at the next double
+    psi_g, _, _ = banach_solve(constantin, 2.0 ** 22, 2.0, 0.1)
+    assert np.all(np.diff(psi_g.r) > 0.0) and psi_g.r[-1] == 2.0 ** 22
+    with pytest.raises(ParameterDomainError, match="anchor radius"):
+        banach_solve(constantin, math.nextafter(2.0 ** 22, math.inf), 2.0,
+                     0.1)
 
 
 @pytest.mark.parametrize("T, psi_T, beta_T", [

@@ -1,12 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexplane.errors import ParameterDomainError, ToleranceError
-from vortexplane.quadrature import adaptive_simpson, cumtrapz
+from vortexplane.vorticity import adaptive_simpson
 
 
 def test_simpson_exact_on_cubic():
@@ -45,21 +44,6 @@ def test_simpson_rejects_bad_tolerance(tol):
     with pytest.raises(ParameterDomainError):
         adaptive_simpson(lambda x: calls.append(x) or x, 0.0, 1.0, tol)
     assert calls == []
-
-
-def test_cumtrapz_shape_and_head():
-    y = np.array([1.0, 3.0, 5.0])
-    out = cumtrapz(y, 0.5)
-    assert out.shape == y.shape
-    assert out[0] == 0.0
-    # two trapezoids of width 0.5: 0.5 (1 + 3)/2 + 0.5 (3 + 5)/2
-    assert abs(out[-1] - (0.5 * 2.0 + 0.5 * 4.0)) < 1e-15
-
-
-def test_cumtrapz_linear_exact():
-    r = np.linspace(0.0, 2.0, 41)
-    out = cumtrapz(2.0 * r, float(r[1]))
-    assert np.max(np.abs(out - r ** 2)) < 1e-14
 
 
 def test_simpson_bounded_jump_converges():

@@ -10,7 +10,7 @@ from vortexplane import (C2_UPPER_BOUND, ParameterDomainError,
                          constantin_model, example_model, find_positive_zero,
                          level_set_geometry, make_model,
                          potential_by_quadrature, power_law_model)
-from vortexplane.quadrature import adaptive_simpson
+from vortexplane.vorticity import adaptive_simpson
 from vortexplane.sequences import sample_loglin
 from vortexplane.vorticity import potential_grid
 
