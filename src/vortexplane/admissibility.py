@@ -3,16 +3,25 @@
 Each check samples a stated inequality with low-discrepancy points and
 reports a CheckRecord: pass/fail, the tolerance used, and the witnesses
 (extremal sample, location, audited constant) a reader needs to audit
-the verdict.  Checks that read the same sample share one draw and one f
-pass: check_symmetry gives the oddness and decomposition records of
+the verdict.  Checks that read the same sample share one f pass:
+check_symmetry gives the oddness and decomposition records of
 [-100, 100], check_ball the growth and Lipschitz records of a ball.  A
 record with passed=None marks a check that does not apply to the model
 at hand.
+
+The samples depend on the seed alone, so the last few seeds' geometry is
+cached read-only and shared by every model: the symmetry sample and its
+negation, the ball's unit points in ascending order, and the ring's
+radii, ray positions and squared radii.  Each is computed by the same
+operations as a fresh draw, so a report keeps its bits; the ball maps
+its sorted unit points, which _ball_points shows is the sorted draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -20,11 +29,12 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .fixedpoint import _PHI_AT_3, check_ball_centre
-from .sequences import kronecker, sample_interval, sample_loglin
+from .sequences import _integer, kronecker, sample_interval, sample_loglin
 from .vorticity import (C2_UPPER_BOUND, VorticityModel, find_positive_zero,
                         potential_grid)
 
 SCHEMA_VERSION = 1
+_N = 10_000  # points per sampled check
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,29 @@ class AdmissibilityReport:
         }
 
 
+def _samples(seed: int) -> Tuple[np.ndarray, ...]:
+    """(us, -us, unit, radii, psis, radii ** 2) of seed, read-only: the
+    symmetry sample of [-100, 100] and its negation, the ball's unit points
+    0, the draw's inner points ascending, 1, and the ring's radii, ray
+    positions psi and squared radii."""
+    return _sample_cache(_integer("seed", seed))
+
+
+@functools.lru_cache(maxsize=8)
+def _sample_cache(seed: int) -> Tuple[np.ndarray, ...]:
+    us = sample_interval(_N, -100.0, 100.0, seed=seed)
+    # sample_interval puts 0 and 1 in place of the draw's first and last
+    inner = np.sort(kronecker(_N, 1, seed)[1:-1, 0])
+    unit = np.concatenate(([0.0], inner, [1.0]))
+    pts = kronecker(_N, dim=2, seed=seed)
+    radii = 10.0 ** (-2.0 + 5.0 * pts[:, 0])
+    psis = (2.0 * pts[:, 1] - 1.0) * radii
+    out = (us, -us, unit, radii, psis, radii ** 2)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def check_zero(model: VorticityModel) -> CheckRecord:
     """The located positive zero of f agrees with the ledger value u0."""
     tol = 1e-9
@@ -82,7 +115,7 @@ def check_symmetry(model: VorticityModel, seed: int = 0
     """The oddness record, f(-u) = -f(u), and the decomposition record,
     f(u) = u - g(u), on one sample of [-100, 100]."""
     tol = 1e-12
-    us = sample_interval(10_000, -100.0, 100.0, seed=seed)
+    us, neg_us = _samples(seed)[:2]
     fv = model.f_arr(us)
 
     def record(name: str, dev: np.ndarray) -> CheckRecord:
@@ -93,9 +126,22 @@ def check_symmetry(model: VorticityModel, seed: int = 0
                        "argmax": float(us[j])})
 
     return (record("oddness",
-                   np.abs(model.f_arr(-us) + fv) / (1.0 + np.abs(fv))),
+                   np.abs(model.f_arr(neg_us) + fv) / (1.0 + np.abs(fv))),
             record("decomposition",
                    np.abs(fv - (us - model.g_arr(us))) / (1.0 + np.abs(us))))
+
+
+def _ball_points(lo: float, hi: float, seed: int) -> np.ndarray:
+    """np.sort(sample_interval(_N, lo, hi, seed)) to the bit, without the
+    sort.  The draw's inner points are fl(lo + fl(hi - lo) u) with u < 1,
+    monotone in u and at least lo; and fl(fl(hi - lo) u) sits below
+    fl(hi - lo) by at least that difference's own rounding error, so no
+    point passes hi (for a normal fl(hi - lo): a subnormal one leaves no
+    slope, and check_ball refuses the centre).  The ascending unit points
+    therefore map to the draw's values in order, lo first and hi last."""
+    xs = lo + (hi - lo) * _samples(seed)[2]
+    xs[0], xs[-1] = lo, hi
+    return xs
 
 
 def check_ball(model: VorticityModel, a: float, seed: int = 0
@@ -114,7 +160,7 @@ def check_ball(model: VorticityModel, a: float, seed: int = 0
     range_ok = 3.0 < eta <= 3.5
     check_ball_centre(a, eta)
     lo, hi, bound = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a, eta * a
-    xs = np.sort(sample_interval(10_000, lo, hi, seed=seed))
+    xs = _ball_points(lo, hi, seed)
     fv = model.f_arr(xs)
     absf = np.abs(fv)
     j = int(np.argmax(absf))
@@ -124,13 +170,15 @@ def check_ball(model: VorticityModel, a: float, seed: int = 0
         witnesses={"eta": eta, "max_abs_f": float(absf[j]),
                    "argmax": float(xs[j]), "bound": bound,
                    "interval": [lo, hi], "eta_in_range": range_ok})
-    dx = np.diff(xs)
+    dx, df = np.diff(xs), np.diff(fv)
     keep = dx > 1e-13 * max(1.0, hi)
-    if not keep.any():
-        raise ParameterDomainError(
-            f"ball centre a={a!r} is too small: the growth interval "
-            f"[{lo!r}, {hi!r}] leaves no sample pair to take a slope over")
-    worst = float(np.max(np.abs(np.diff(fv)[keep] / dx[keep])))
+    if not keep.all():
+        if not keep.any():
+            raise ParameterDomainError(
+                f"ball centre a={a!r} is too small: the growth interval "
+                f"[{lo!r}, {hi!r}] leaves no sample pair to take a slope over")
+        dx, df = dx[keep], df[keep]
+    worst = float(np.max(np.abs(df / dx)))
     lipschitz = CheckRecord(
         name=f"lipschitz_a_{a:g}",
         passed=bool(worst <= L * (1.0 + tol) and L < _PHI_AT_3),
@@ -168,11 +216,8 @@ def check_ring_bound(model: VorticityModel, seed: int = 0) -> CheckRecord:
     radii and ray positions."""
     tol = 1e-9
     c, nu = model.ledger.c, model.ledger.nu
-    pts = kronecker(10_000, dim=2, seed=seed)
-    radii = 10.0 ** (-2.0 + 5.0 * pts[:, 0])
-    ts = 2.0 * pts[:, 1] - 1.0
-    psis = ts * radii
-    vals = psis * model.g_arr(psis) / radii ** 2
+    radii, psis, radii_sq = _samples(seed)[3:]
+    vals = psis * model.g_arr(psis) / radii_sq
     decay = radii ** (-nu)
     upper = (1.0 + c) * decay
     lower = -c * decay
@@ -253,9 +298,25 @@ def full_report(model: VorticityModel, a_values=(1.0, 10.0, 100.0),
                 seed: int = 0) -> AdmissibilityReport:
     """Every admissibility check of model, with the ball checks at each
     centre in a_values.  seed shifts the phase of every Kronecker sample;
-    it must be an integer of either sign (kronecker refuses the rest)."""
-    if len(a_values) == 0:
+    it must be an integer of either sign (kronecker refuses the rest).
+    a_values must hold real numbers, no bool, whose record names f"{a:g}"
+    are distinct."""
+    try:
+        centres = tuple(a_values)
+    except TypeError:
+        raise ParameterDomainError(
+            f"a_values must be a sequence of ball centres, got {a_values!r}"
+        ) from None
+    if not centres:
         raise ParameterDomainError("full_report needs a ball centre a")
+    for a in centres:
+        if isinstance(a, bool) or not isinstance(a, numbers.Real):
+            raise ParameterDomainError(
+                f"a ball centre must be a real number, got {a!r}")
+    names = [f"{a:g}" for a in centres]
+    if len(set(names)) < len(names):
+        raise ParameterDomainError(
+            f"ball centres {centres!r} share a record name: {names!r}")
     report = AdmissibilityReport(model_id=model.model_id,
                                  params=dict(model.ledger.params), seed=seed)
     report.checks.append(check_zero(model))
@@ -268,6 +329,6 @@ def full_report(model: VorticityModel, a_values=(1.0, 10.0, 100.0),
     pb = check_parameter_bound(model)
     if pb is not None:
         report.checks.append(pb)
-    for a in a_values:
+    for a in centres:
         report.checks.extend(check_ball(model, a, seed=seed))
     return report

@@ -132,7 +132,7 @@ def _orbit_config(args: argparse.Namespace) -> IntegrationConfig:
 
 def cmd_check(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
-    a_values = tuple(_parse_float_list(args.a, "--a"))
+    a_values = _parse_float_list(args.a, "--a")
     report = full_report(model, a_values=a_values, seed=args.seed)
     out = _ensure_out(args)
     path = _write_json(out, f"check_{model.model_id}.json",

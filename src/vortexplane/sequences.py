@@ -32,14 +32,19 @@ def kronecker(n: int, dim: int = 1, seed: int = 0) -> np.ndarray:
     for x >= 0 both x - floor(x) and x % 1.0 are exact and equal
     fmod(x, 1): the cheaper first form gives the same bits.
     """
-    for name, value in (("n", n), ("dim", dim), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ParameterDomainError(
-                f"{name} must be an integer, got {value!r}")
+    n, dim = _integer("n", n), _integer("dim", dim)
+    seed = _integer("seed", seed)
     if n <= 0 or dim <= 0:
         raise ParameterDomainError("n and dim must be positive")
-    # the cache sees validated ints only: True or 2.0 hash like 1 and 2
-    return _kronecker(int(n), int(dim), int(seed))
+    return _kronecker(n, dim, seed)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, for a cache key: True or 2.0 hash like 1 and 2, so
+    a bool or a non-integer is refused before it can share an entry."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @functools.lru_cache(maxsize=8)

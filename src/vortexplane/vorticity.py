@@ -58,6 +58,9 @@ _GL_W = (0.023587668193255914, 0.05346966299765921, 0.08003916427167311,
          0.12457352290670139, 0.1167462682691774, 0.10158371336153296,
          0.08003916427167311, 0.05346966299765921, 0.023587668193255914)
 _GL = tuple(zip(_GL_S, _GL_W))
+# the same rule as columns, one row per node, for a broadcast over limits
+_GL_S_COL = np.array(_GL_S)[:, None]
+_GL_W_COL = np.array(_GL_W)[:, None]
 
 # Square-root families by model_id (f analytic in t = sqrt|psi|, as the
 # integrator's crossing windows need), with a bound on -F for |psi| <= 1/4:
@@ -185,9 +188,11 @@ def example_model(c2: float) -> VorticityModel:
             return u + math.sqrt(-u) * m_big
         return 0.0
 
-    # panel and tail take a float or an array of upper (lower) limits,
-    # with math's sin and cos for F and numpy's for F_arr; the tests check
-    # that the two round alike, so F_arr keeps F's bits
+    # panel and tail take float limits, with math's sin and cos, for F and
+    # the stepper; panel_arr and tail_arr take arrays of limits and run
+    # each node as one row of a (12, m) broadcast, in the same operation
+    # order, then add the rows in the scalar loop's order, so F_arr keeps
+    # F's bits; the tests check that np.sin and np.cos round alike
     def panel(lo, hi, sin=math.sin):
         """int_lo^hi 2 t^2 sin(c2 t^4/(t^4+1)) dt, one Gauss panel."""
         h = hi - lo
@@ -211,6 +216,29 @@ def example_model(c2: float) -> VorticityModel:
             acc += (wg * cos(c2 * (1.0 - 0.5 * q))
                     * sin(0.5 * c2 * q) / s4)
         return -4.0 * h * acc
+
+    def rows_added(terms):
+        acc = np.zeros(terms.shape[1])
+        for row in terms:
+            acc += row
+        return acc
+
+    def panel_arr(lo, hi):
+        h = hi - lo
+        t = lo + h * _GL_S_COL
+        tt = t * t
+        t4 = tt * tt
+        terms = _GL_W_COL * tt * np.sin(c2 * t4 / (t4 + 1.0))
+        return 2.0 * h * rows_added(terms)
+
+    def tail_arr(lo):
+        h = 0.5 - lo
+        s = lo + h * _GL_S_COL
+        s4 = s * s * s * s
+        q = s4 / (1.0 + s4)
+        terms = (_GL_W_COL * np.cos(c2 * (1.0 - 0.5 * q))
+                 * np.sin(0.5 * c2 * q) / s4)
+        return -4.0 * h * rows_added(terms)
 
     p1 = panel(0.0, 1.0)
     p2 = p1 + panel(1.0, 2.0)
@@ -239,11 +267,11 @@ def example_model(c2: float) -> VorticityModel:
         s = np.empty_like(t)
         near, far = t <= 1.0, t > 2.0
         mid = ~(near | far)
-        s[near] = panel(0.0, t[near], np.sin)
-        s[mid] = p1 + panel(1.0, t[mid], np.sin)
+        s[near] = panel_arr(0.0, t[near])
+        s[mid] = p1 + panel_arr(1.0, t[mid])
         tf = t[far]
         s[far] = (p2 + sin_c2 * (2.0 / 3.0) * (x[far] * tf - 8.0)
-                  + tail(1.0 / tf, np.sin, np.cos))
+                  + tail_arr(1.0 / tf))
         return 0.5 * psi * psi - (1.0 + c1) * (2.0 / 3.0) * x * t + s
 
     def g_arr(u: np.ndarray) -> np.ndarray:

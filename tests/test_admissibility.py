@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from vortexplane import (InfeasibleConstantsError, ParameterDomainError,
-                         banach_solve, full_report)
-from vortexplane.admissibility import (check_ball, check_level_set_sandwich,
+                         banach_solve, constantin_model, example_model,
+                         full_report, power_law_model)
+from vortexplane.admissibility import (_ball_points, _sample_cache, _samples,
+                                       check_ball, check_level_set_sandwich,
                                        check_symmetry, check_zero)
+from vortexplane.sequences import sample_interval
 from vortexplane.vorticity import ConstantsLedger, VorticityModel
 
 
@@ -172,6 +175,81 @@ def test_pinned_report_json(models, name):
     text = json.dumps(full_report(models[name], seed=0).to_json_dict(),
                       sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_REPORTS[name]
+
+
+# the same digest at seed 7 with odd centres, for each family at the end
+# of its parameter range; recorded before the ledger's samples were cached
+# and the ball's sort was dropped, so they pin that both keep the bits
+_PINNED_SEED7_REPORTS = {
+    "constantin":
+        "cbad533b9ae00addebf4ea037a3506ad01a372b33bfea4c10589a96aefdc40c4",
+    "example_0.0208":
+        "01bc3562dcb6a46c7b71ba27e09827b83a9216c644d4471baed513983fa2e855",
+    "powerlaw_0.97":
+        "51127c33a19acce79c14097958b73dc3463e5429b9e7e8bdcc19ba4e85691405",
+}
+_SEED7_MODELS = {"constantin": constantin_model,
+                 "example_0.0208": lambda: example_model(0.0208),
+                 "powerlaw_0.97": lambda: power_law_model(0.97)}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SEED7_REPORTS))
+def test_pinned_report_json_at_seed_7(name):
+    report = full_report(_SEED7_MODELS[name](), a_values=(0.37, 2.5, 3e4),
+                         seed=7)
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == _PINNED_SEED7_REPORTS[name])
+
+
+@pytest.mark.parametrize("eta", [28.0 / 9.0, 10.0 / 3.0])
+@pytest.mark.parametrize("seed", [-3, 0, 1, 7, 12345])
+def test_ball_points_are_the_sorted_draw(eta, seed):
+    # eta 28/9 is the constantin and power-law ledgers', 10/3 the
+    # modulated one's; the centres run from 7e-6 to 1e300 / eta
+    for a in np.geomspace(7e-6, 1e300 / eta, 61):
+        lo, hi = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a
+        drawn = np.sort(sample_interval(10_000, lo, hi, seed=seed))
+        assert _ball_points(lo, hi, seed).tobytes() == drawn.tobytes()
+
+
+def test_sample_cache_is_read_only_and_bounded():
+    # every model's report of a seed shares these arrays: an in-place write
+    # by a caller would change every later report, and CLI seeds must not
+    # grow the cache without limit
+    for arr in _samples(0):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    assert _sample_cache.cache_parameters()["maxsize"] == 8
+    for seed in range(20):
+        _samples(seed)
+    assert _sample_cache.cache_info().currsize <= 8
+    # the key is the validated int: True is refused, not taken for 1
+    with pytest.raises(ParameterDomainError):
+        _samples(True)
+
+
+@pytest.mark.parametrize("a_values", [
+    5.0, None, ["1"], "1", np.ones((2, 2)), [True], [np.bool_(True)],
+    [1.0, None], [1j], [1.0, 1.0], [1, 1.0], [1.0, 1.0000001],
+], ids=repr)
+def test_full_report_refuses_malformed_centres(constantin, a_values):
+    # a bare number or a 2-d array raised a raw TypeError or ValueError,
+    # True stood for the centre 1, and two centres that print alike wrote
+    # two records of the same name
+    with pytest.raises(ParameterDomainError):
+        full_report(constantin, a_values=a_values)
+
+
+def test_full_report_takes_any_iterable_of_centres(constantin):
+    want = full_report(constantin, a_values=(2.0, 5.0)).to_json_dict()
+    for centres in ([2.0, 5.0], (a for a in (2.0, 5.0)), np.array([2.0, 5.0]),
+                    [2, 5]):
+        got = full_report(constantin, a_values=centres).to_json_dict()
+        assert json.dumps(got, sort_keys=True) == json.dumps(
+            want, sort_keys=True)
 
 
 @pytest.mark.parametrize("seed", [math.nan, 1.5, True, math.inf])

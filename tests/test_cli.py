@@ -132,6 +132,8 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, flags):
     ["shoot", "--a", "0.5:3"],
     ["portrait", "--clip", "0"], ["portrait", "--clip", "-1"],
     ["check", "--a", "1e308"],
+    # two centres with one record name, growth_a_1
+    ["check", "--a", "1,1"],
     ["banach", "--T", "1e8", "--psiT", "2", "--betaT", "0.1"],
     ["check", "--seed", "1" + "0" * 400],
     # the ball end overflows: without the ball-centre check a sweep budget

@@ -260,7 +260,8 @@ def test_potential_grid_maps_F_bit_for_bit():
 
 
 _ARRAY_F_MODELS = (
-    [constantin_model()] + [example_model(c2) for c2 in (1e-4, 0.01, 0.02)]
+    [constantin_model()]
+    + [example_model(c2) for c2 in (1e-4, 0.01, 0.02, 0.0208)]
     + [power_law_model(alpha) for alpha in (0.03, 0.3, 0.5, 0.97)])
 
 
