@@ -1,20 +1,22 @@
 """Admissibility audit for vorticity models.
 
-Each check samples a stated inequality with low-discrepancy points and
-reports a CheckRecord: pass/fail, the tolerance used, and the witnesses
-(extremal sample, location, audited constant) a reader needs to audit
-the verdict.  Checks that read the same sample share one f pass:
-check_symmetry gives the oddness and decomposition records of
-[-100, 100], check_ball the growth and Lipschitz records of a ball.  A
-record with passed=None marks a check that does not apply to the model
-at hand.
+Each check reports a CheckRecord: pass/fail, the tolerance used, and the
+witnesses (extremal value, location, audited constant) a reader needs to
+audit the verdict.  Most checks sample a stated inequality with
+low-discrepancy points; checks that read the same sample share one f
+pass, as check_symmetry gives the oddness and decomposition records of
+[-100, 100].  check_ball samples nothing: every family's f is convex on
+u > 0, so the growth and Lipschitz bounds of a ball are read off f and f'
+at its two ends and at f's minimum (interval analysis in its simplest
+form; Moore, Kearfott & Cloud, Introduction to Interval Analysis, SIAM
+2009).  A record with passed=None marks a check that does not apply to
+the model at hand.
 
 The samples depend on the seed alone, so the last few seeds' geometry is
 cached read-only and shared by every model: the symmetry sample and its
-negation, the ball's unit points in ascending order, and the ring's
-radii, ray positions and squared radii.  Each is computed by the same
-operations as a fresh draw, so a report keeps its bits; the ball maps
-its sorted unit points, which _ball_points shows is the sorted draw.
+negation, and the ring's radii, ray positions and squared radii.  Each is
+computed by the same operations as a fresh draw, so a report keeps its
+bits.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .fixedpoint import _PHI_AT_3, check_ball_centre
+from .search import bisect_root
 from .sequences import _integer, kronecker, sample_interval, sample_loglin
 from .vorticity import (C2_UPPER_BOUND, VorticityModel, find_positive_zero,
                         potential_grid)
@@ -78,9 +81,8 @@ class AdmissibilityReport:
 
 
 def _samples(seed: int) -> Tuple[np.ndarray, ...]:
-    """(us, -us, unit, radii, psis, radii ** 2) of seed, read-only: the
-    symmetry sample of [-100, 100] and its negation, the ball's unit points
-    0, the draw's inner points ascending, 1, and the ring's radii, ray
+    """(us, -us, radii, psis, radii ** 2) of seed, read-only: the symmetry
+    sample of [-100, 100] and its negation, and the ring's radii, ray
     positions psi and squared radii."""
     return _sample_cache(_integer("seed", seed))
 
@@ -88,13 +90,10 @@ def _samples(seed: int) -> Tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=8)
 def _sample_cache(seed: int) -> Tuple[np.ndarray, ...]:
     us = sample_interval(_N, -100.0, 100.0, seed=seed)
-    # sample_interval puts 0 and 1 in place of the draw's first and last
-    inner = np.sort(kronecker(_N, 1, seed)[1:-1, 0])
-    unit = np.concatenate(([0.0], inner, [1.0]))
     pts = kronecker(_N, dim=2, seed=seed)
     radii = 10.0 ** (-2.0 + 5.0 * pts[:, 0])
     psis = (2.0 * pts[:, 1] - 1.0) * radii
-    out = (us, -us, unit, radii, psis, radii ** 2)
+    out = (us, -us, radii, psis, radii ** 2)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -131,69 +130,66 @@ def check_symmetry(model: VorticityModel, seed: int = 0
                    np.abs(fv - (us - model.g_arr(us))) / (1.0 + np.abs(us))))
 
 
-def _ball_points(lo: float, hi: float, seed: int) -> np.ndarray:
-    """np.sort(sample_interval(_N, lo, hi, seed)) to the bit, without the
-    sort.  The draw's inner points are fl(lo + fl(hi - lo) u) with u < 1,
-    monotone in u and at least lo; and fl(fl(hi - lo) u) sits below
-    fl(hi - lo) by at least that difference's own rounding error, so no
-    point passes hi (for a normal fl(hi - lo): a subnormal one leaves no
-    slope, and check_ball refuses the centre).  The ascending unit points
-    therefore map to the draw's values in order, lo first and hi last."""
-    xs = lo + (hi - lo) * _samples(seed)[2]
-    xs[0], xs[-1] = lo, hi
-    return xs
-
-
-def check_ball(model: VorticityModel, a: float, seed: int = 0
+def check_ball(model: VorticityModel, a: float
                ) -> Tuple[CheckRecord, CheckRecord]:
-    """The growth and Lipschitz records of the ball around a, on one sorted
-    sample of [(1-eta/4)a, (1+eta/4)a].
+    """The growth and Lipschitz records of the ball [lo, hi] =
+    [(1-eta/4)a, (1+eta/4)a], read off f and f' where their extremes lie.
 
-    Growth: eta lies in (3, 7/2] and |f| <= eta a.  Lipschitz: adjacent-pair
-    slopes stay within the ledger's constant L, which itself lies below
+    Growth: eta lies in (3, 7/2] and max |f| <= eta a.  Lipschitz:
+    sup |f'| stays within the ledger's constant L, which itself lies below
     rate_transform(3) ~ 2.616, the ceiling select_contraction_constants
-    takes L up to.  A centre that is not > 0, or whose ball end
-    (1 + eta/4) a or bound eta a is not finite, is refused.
+    takes L up to.  f is convex on u > 0 (each family's constructor proves
+    f'' > 0 there), so f' is increasing: sup |f'| = max(|f'(lo)|,
+    |f'(hi)|), and max |f| is the largest |f| at lo, at hi and, when
+    f'(lo) < 0 < f'(hi), at the root of f' that bisect_root finds.  The
+    values there are rounded evaluations, which the records' relative
+    tolerance covers.  A centre that is not > 0, or whose ball end
+    (1 + eta/4) a or bound eta a is not finite, is refused; so is a ball
+    narrower than 1e-13 max(1, hi), too narrow to take a slope over, and
+    one that reaches u <= 0, where f is not convex.
     """
     tol = 1e-12
     eta, L = model.ledger.eta, model.ledger.L
     range_ok = 3.0 < eta <= 3.5
     check_ball_centre(a, eta)
     lo, hi, bound = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a, eta * a
-    xs = _ball_points(lo, hi, seed)
-    fv = model.f_arr(xs)
-    absf = np.abs(fv)
-    j = int(np.argmax(absf))
-    bound_ok = bool(absf[j] <= bound * (1.0 + tol))
+    if not hi - lo > 1e-13 * max(1.0, hi):
+        raise ParameterDomainError(
+            f"ball centre a={a!r} is too small: the growth interval "
+            f"[{lo!r}, {hi!r}] is too narrow to take a slope over")
+    if not lo > 0.0:
+        raise ParameterDomainError(
+            f"eta={eta!r} puts the ball [{lo!r}, {hi!r}] of a={a!r} on "
+            f"u <= 0, where f is not convex")
+    d_lo, d_hi = model.df(lo), model.df(hi)
+    points = [lo, hi]
+    if d_lo < 0.0 < d_hi:
+        points.insert(1, bisect_root(model.df, lo, hi, d_lo))
+    absf = [abs(model.f(x)) for x in points]
+    j = absf.index(max(absf))
     growth = CheckRecord(
-        name=f"growth_a_{a:g}", passed=range_ok and bound_ok, tolerance=tol,
-        witnesses={"eta": eta, "max_abs_f": float(absf[j]),
-                   "argmax": float(xs[j]), "bound": bound,
+        name=f"growth_a_{a:g}",
+        passed=range_ok and bool(absf[j] <= bound * (1.0 + tol)),
+        tolerance=tol,
+        witnesses={"eta": eta, "max_abs_f": absf[j],
+                   "argmax": points[j], "bound": bound,
                    "interval": [lo, hi], "eta_in_range": range_ok})
-    dx, df = np.diff(xs), np.diff(fv)
-    keep = dx > 1e-13 * max(1.0, hi)
-    if not keep.all():
-        if not keep.any():
-            raise ParameterDomainError(
-                f"ball centre a={a!r} is too small: the growth interval "
-                f"[{lo!r}, {hi!r}] leaves no sample pair to take a slope over")
-        dx, df = dx[keep], df[keep]
-    worst = float(np.max(np.abs(df / dx)))
+    max_slope = max(abs(d_lo), abs(d_hi))
     lipschitz = CheckRecord(
         name=f"lipschitz_a_{a:g}",
-        passed=bool(worst <= L * (1.0 + tol) and L < _PHI_AT_3),
+        passed=bool(max_slope <= L * (1.0 + tol) and L < _PHI_AT_3),
         tolerance=tol,
-        witnesses={"max_slope": worst, "L": L, "ceiling": _PHI_AT_3,
+        witnesses={"max_slope": max_slope, "L": L, "ceiling": _PHI_AT_3,
                    "interval": [lo, hi]})
     return growth, lipschitz
 
 
-def check_lambda(model: VorticityModel) -> CheckRecord:
+def check_lambda(model: VorticityModel, seed: int = 0) -> CheckRecord:
     """Flux ratio: psi g(psi) >= 0 and
     int_0^psi g >= psi g(psi) / (2 lambda_g), sampled on a log grid."""
     tol = 1e-10
     lam = model.ledger.lambda_g
-    psis = sample_loglin(1000, 1e-3, 1e3, seed=0)
+    psis = sample_loglin(1000, 1e-3, 1e3, seed=seed)
     flux = psis * model.g_arr(psis)
     # int_0^psi g = psi^2/2 - F(psi)
     gints = 0.5 * psis * psis - potential_grid(model, psis)
@@ -216,7 +212,7 @@ def check_ring_bound(model: VorticityModel, seed: int = 0) -> CheckRecord:
     radii and ray positions."""
     tol = 1e-9
     c, nu = model.ledger.c, model.ledger.nu
-    radii, psis, radii_sq = _samples(seed)[3:]
+    radii, psis, radii_sq = _samples(seed)[2:]
     vals = psis * model.g_arr(psis) / radii_sq
     decay = radii ** (-nu)
     upper = (1.0 + c) * decay
@@ -321,7 +317,7 @@ def full_report(model: VorticityModel, a_values=(1.0, 10.0, 100.0),
                                  params=dict(model.ledger.params), seed=seed)
     report.checks.append(check_zero(model))
     report.checks.extend(check_symmetry(model, seed=seed))
-    report.checks.append(check_lambda(model))
+    report.checks.append(check_lambda(model, seed=seed))
     report.checks.append(check_ring_bound(model, seed=seed))
     report.checks.append(check_coercivity(model))
     report.checks.append(check_equilibrium_energy(model))
@@ -330,5 +326,5 @@ def full_report(model: VorticityModel, a_values=(1.0, 10.0, 100.0),
     if pb is not None:
         report.checks.append(pb)
     for a in centres:
-        report.checks.extend(check_ball(model, a, seed=seed))
+        report.checks.extend(check_ball(model, a))
     return report

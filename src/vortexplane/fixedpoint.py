@@ -297,12 +297,19 @@ def select_contraction_constants(T: float = 6.0,
     ceiling (T + sqrt(T^2 - 1)) ln(lam_mid) coming from the exponential
     comparison e^x <= 1 + lam x on [0, ln lam].  Geometric mean k keeps
     zeta = k_lo / k strictly below 1.  T^2 must be finite, or k_hi = k = inf.
+    The record of each validated (float(T), float(L)) is cached; a refusal
+    is raised on every call.
     """
     if not (T >= 6.0 and math.isfinite(T * T)):
         raise ParameterDomainError(
             f"anchor radius must be >= 6 with T^2 finite, got {T!r}")
     if not L > 0.0:
         raise ParameterDomainError("Lipschitz bound must be positive")
+    return _contraction_constants(float(T), float(L))
+
+
+@functools.lru_cache(maxsize=8)
+def _contraction_constants(T: float, L: float) -> ContractionConstants:
     # the lambda* bracket [_LAM_LO, 3] holds a root only inside this range
     rate_lo = rate_transform(_LAM_LO)
     if not rate_lo < L < _PHI_AT_3:

@@ -4,9 +4,11 @@ A model packages the nonlinearity f of the radial profile equation
 
     psi'' + psi'/r + f(psi) = 0,        f(u) = u - g(u),
 
-together with its potential F(psi) = int_0^psi f(u) du and a ledger of
-constants used by the solvers and checks, audited (not proven) on the
-admissibility checks' samples:
+together with its potential F(psi) = int_0^psi f(u) du, its derivative
+f' on u > 0 and a ledger of constants used by the solvers and checks.
+The admissibility checks audit eta and L at the points where f's
+convexity puts the extremes of |f| and |f'| on each ball; the others are
+audited on samples:
 
     u0        positive zero of f (f vanishes exactly at 0 and +-u0)
     eta       growth constant for the short-range existence ball,
@@ -17,11 +19,11 @@ admissibility checks' samples:
 
 All scalar callables accept and return plain floats; the *_arr variants
 are vectorized over numpy arrays and exist for grid-based solvers; F_arr
-gives F's bits over the nodes F accepts.  f rejects NaN and +-inf; F,
-potential_grid and potential_by_quadrature reject any psi whose psi^2/2
-is not finite, NaN and +-inf included.  F is exact for the constantin and
-power-law families and a fixed Gauss-Legendre rule for the modulated
-one.
+gives F's bits over the nodes F accepts.  f rejects NaN and +-inf, df
+anything but a finite u > 0; F, potential_grid and
+potential_by_quadrature reject any psi whose psi^2/2 is not finite, NaN
+and +-inf included.  F is exact for the constantin and power-law
+families and a fixed Gauss-Legendre rule for the modulated one.
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ class VorticityModel:
     g_arr: Callable[[np.ndarray], np.ndarray]
     # F over an array of finite nodes, bit for bit F's values
     F_arr: Callable[[np.ndarray], np.ndarray]
+    # f' at finite u > 0, increasing there: f is convex on u > 0, and
+    # check_ball reads the extremes of |f| and |f'| on a ball off that
+    df: Callable[[float], float]
 
 
 def _at_zero(u: float) -> float:
@@ -109,6 +114,13 @@ def _finite(u: float) -> float:
     raise ParameterDomainError(f"model input must be finite, got {u!r}")
 
 
+def _positive(u: float) -> float:
+    """u itself when finite and > 0, the domain of every df."""
+    if 0.0 < u < _INF:
+        return u
+    raise ParameterDomainError(f"df needs a finite u > 0, got {u!r}")
+
+
 def _no_potential(psi: float) -> ParameterDomainError:
     """Every family's F is psi^2/2 less a sublinear integral: finite
     exactly where psi^2/2 is.  This refuses any other psi."""
@@ -117,7 +129,10 @@ def _no_potential(psi: float) -> ParameterDomainError:
 
 
 def constantin_model() -> VorticityModel:
-    """f(u) = u - sign(u) sqrt(|u|), the square-root vorticity profile."""
+    """f(u) = u - sign(u) sqrt(|u|), the square-root vorticity profile.
+
+    On u > 0, f'(u) = 1 - u^(-1/2)/2 and f''(u) = u^(-3/2)/4 > 0.
+    """
 
     def f(u: float) -> float:
         if 0.0 < u < _INF:
@@ -151,6 +166,7 @@ def constantin_model() -> VorticityModel:
         f_arr=lambda u: u - np.sign(u) * np.sqrt(np.abs(u)),
         g_arr=lambda u: np.sign(u) * np.sqrt(np.abs(u)),
         F_arr=F_arr,
+        df=lambda u: 1.0 - 0.5 / math.sqrt(_positive(u)),
     )
 
 
@@ -164,6 +180,17 @@ def example_model(c2: float) -> VorticityModel:
     analytic with its nearest singularities 0.71 off the real axis, so a
     fixed Gauss-Legendre rule per panel of width <= 1 converges
     geometrically (Trefethen, SIAM Review 50, 2008).
+
+    f is convex on u > 0.  With m the modulation, x = c2 u^2/(u^2+1),
+    m' = -cos(x) x' and m'' = sin(x) x'^2 - cos(x) x'',
+
+        u^(3/2) f''(u) = m/4 - u m' - u^2 m''.
+
+    Here m >= 1 - c2, |u x'| = 2 c2 u^2/(u^2+1)^2 <= c2/2,
+    |u^2 x''| = 2 c2 u^2 |1 - 3u^2|/(u^2+1)^3 <= 0.76 c2 and
+    |sin(x) u^2 x'^2| <= c2^3/4, so u^(3/2) f'' >= (1 - c2)/4 - 1.27 c2
+    > 0.21 for every c2 < C2_UPPER_BOUND.  From u = _BIG on, f and f' take
+    m's limit m(inf) in place of m, a change below their rounding.
     """
     if not 0.0 < c2 < C2_UPPER_BOUND:
         raise ParameterDomainError(
@@ -282,6 +309,17 @@ def example_model(c2: float) -> VorticityModel:
     def f_arr(u: np.ndarray) -> np.ndarray:
         return u - g_arr(u)
 
+    def df(u: float) -> float:
+        # f' = 1 - m/(2 sqrt u) - sqrt(u) m', m' = -cos(x) x'
+        r = math.sqrt(_positive(u))
+        if u >= _BIG:
+            return 1.0 - 0.5 * m_big / r
+        uu = u * u
+        d = uu + 1.0
+        x = c2 * uu / d
+        return (1.0 - 0.5 * (1.0 + c1 - math.sin(x)) / r
+                + r * math.cos(x) * (2.0 * c2 * u / d / d))
+
     ledger = ConstantsLedger(
         u0=1.0,
         eta=10.0 / 3.0,
@@ -294,12 +332,16 @@ def example_model(c2: float) -> VorticityModel:
     return VorticityModel(
         model_id="example",
         f=f, F=F, ledger=ledger,
-        f_arr=f_arr, g_arr=g_arr, F_arr=F_arr,
+        f_arr=f_arr, g_arr=g_arr, F_arr=F_arr, df=df,
     )
 
 
 def power_law_model(alpha: float) -> VorticityModel:
-    """f(u) = u - sign(u) |u|^alpha for an exponent alpha in (0, 1)."""
+    """f(u) = u - sign(u) |u|^alpha for an exponent alpha in (0, 1).
+
+    On u > 0, f'(u) = 1 - alpha u^(alpha-1) and
+    f''(u) = alpha (1 - alpha) u^(alpha-2) > 0.
+    """
     if not 0.0 < alpha < 1.0:
         raise ParameterDomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     eta = 28.0 / 9.0
@@ -339,6 +381,7 @@ def power_law_model(alpha: float) -> VorticityModel:
         f_arr=lambda u: u - np.sign(u) * np.abs(u) ** alpha,
         g_arr=lambda u: np.sign(u) * np.abs(u) ** alpha,
         F_arr=F_arr,
+        df=lambda u: 1.0 - alpha * _positive(u) ** (alpha - 1.0),
     )
 
 
@@ -448,19 +491,22 @@ def potential_grid(model: VorticityModel, psis: np.ndarray) -> np.ndarray:
 
 
 def find_positive_zero(model: VorticityModel) -> float:
-    """Locate the positive zero of f by probing (0, 2] at 200 points and
-    bisecting to 1e-13.
+    """Locate the positive zero of f by probing (0, 2] at 200 points in
+    one f_arr pass and bisecting f to 1e-13: the first probe where f is
+    exactly zero wins, else the first sign change between probes.
 
     Raises HypothesisViolationError when no sign change (or exact zero)
     shows up among the probes, e.g. for f(u) = u.
     """
-    us = [2.0 * (k + 1) / 200 for k in range(200)]
-    vals = [model.f(u) for u in us]
-    for u, v in zip(us, vals):
-        if v == 0.0:
-            return u
-    for j in range(len(us) - 1):
-        if vals[j] * vals[j + 1] < 0.0:
-            return bisect_root(model.f, us[j], us[j + 1], vals[j], 1e-13)
+    us = 2.0 * (np.arange(200) + 1.0) / 200
+    vals = model.f_arr(us)
+    hits = np.flatnonzero(vals == 0.0)
+    if hits.size:
+        return float(us[hits[0]])
+    hits = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    if hits.size:
+        j = int(hits[0])
+        return bisect_root(model.f, float(us[j]), float(us[j + 1]),
+                           float(vals[j]), 1e-13)
     raise HypothesisViolationError(
         "f has no sign change on the probe grid; no positive zero found")

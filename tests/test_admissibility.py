@@ -9,8 +9,8 @@ import pytest
 from vortexplane import (InfeasibleConstantsError, ParameterDomainError,
                          banach_solve, constantin_model, example_model,
                          full_report, power_law_model)
-from vortexplane.admissibility import (_ball_points, _sample_cache, _samples,
-                                       check_ball, check_level_set_sandwich,
+from vortexplane.admissibility import (_sample_cache, _samples, check_ball,
+                                       check_lambda, check_level_set_sandwich,
                                        check_symmetry, check_zero)
 from vortexplane.sequences import sample_interval
 from vortexplane.vorticity import ConstantsLedger, VorticityModel
@@ -99,7 +99,8 @@ def _broken_model() -> VorticityModel:
         f_arr=lambda u: u - np.copysign(np.sqrt(np.abs(u)), u),
         g_arr=lambda u: np.full_like(u, 0.5),
         F_arr=lambda u: 0.5 * u * u - (2.0 / 3.0) * np.float_power(
-            np.abs(u), 1.5))
+            np.abs(u), 1.5),
+        df=lambda u: 1.0 - 0.5 / math.sqrt(u))
 
 
 def test_broken_decomposition_detected():
@@ -157,16 +158,16 @@ def test_check_ball_rejects_bad_centre(constantin, a):
 
 
 # sha256 of each report's indented canonical JSON at seed 0: every
-# witness of every check, to the last bit.  Re-recorded when the Lipschitz
-# records took their ceiling from rate_transform(3): only the "ceiling"
-# witness moved, 2.5 -> 2.6158590031955273
+# witness of every check, to the last bit.  Re-recorded when the ball
+# records read f and f' at the ball's ends and at f's minimum instead of
+# a sample: only the growth and Lipschitz witnesses moved
 _PINNED_REPORTS = {
     "constantin":
-        "ffc0802bae60a802ae56a8c82cdfcc38abd560f4ffd9f0e8c0105b6cb8cb6a64",
+        "075b11840dd1d8ef3a17bbe15ac21a20c30148e1d03abe2e02f07b03c7b21bb7",
     "example":
-        "b6c15cfd554aab902ea572f0e2884dbe7537b0705742ad0894f7a6726545ae02",
+        "9910ba2776932cbadfe851a9242191600544203594e76a9df22a637cf46c5cfc",
     "powerlaw":
-        "27353909d452d92841ef58dbc055a34002d08c835a3a9dcc1600cb531b24a8ca",
+        "e4a1a8150806c2c10ab7abe442b6e1dbbbdae4b83d93a359717c532ea83307cc",
 }
 
 
@@ -178,15 +179,15 @@ def test_pinned_report_json(models, name):
 
 
 # the same digest at seed 7 with odd centres, for each family at the end
-# of its parameter range; recorded before the ledger's samples were cached
-# and the ball's sort was dropped, so they pin that both keep the bits
+# of its parameter range; re-recorded with the seed-0 digests, and also
+# when the flux ratio took the report's seed
 _PINNED_SEED7_REPORTS = {
     "constantin":
-        "cbad533b9ae00addebf4ea037a3506ad01a372b33bfea4c10589a96aefdc40c4",
+        "6d765a327970aa79ba9fda8b7ac3e903780c0f3cdb4bc512ed1d3b59591311eb",
     "example_0.0208":
-        "01bc3562dcb6a46c7b71ba27e09827b83a9216c644d4471baed513983fa2e855",
+        "317c0e437cb70b84500db183bed89714abb328ceafbcdd8069b7684cad25e9fe",
     "powerlaw_0.97":
-        "51127c33a19acce79c14097958b73dc3463e5429b9e7e8bdcc19ba4e85691405",
+        "2c1d6e2d3b00d737241dac2c6294181116a9b869f94f8f5331b1af5285fb2aa9",
 }
 _SEED7_MODELS = {"constantin": constantin_model,
                  "example_0.0208": lambda: example_model(0.0208),
@@ -202,15 +203,52 @@ def test_pinned_report_json_at_seed_7(name):
             == _PINNED_SEED7_REPORTS[name])
 
 
-@pytest.mark.parametrize("eta", [28.0 / 9.0, 10.0 / 3.0])
-@pytest.mark.parametrize("seed", [-3, 0, 1, 7, 12345])
-def test_ball_points_are_the_sorted_draw(eta, seed):
-    # eta 28/9 is the constantin and power-law ledgers', 10/3 the
-    # modulated one's; the centres run from 7e-6 to 1e300 / eta
-    for a in np.geomspace(7e-6, 1e300 / eta, 61):
-        lo, hi = (1.0 - eta / 4.0) * a, (1.0 + eta / 4.0) * a
-        drawn = np.sort(sample_interval(10_000, lo, hi, seed=seed))
-        assert _ball_points(lo, hi, seed).tobytes() == drawn.tobytes()
+_BALL_MODELS = {"constantin": constantin_model,
+                "example_1e-9": lambda: example_model(1e-9),
+                "example_0.0208": lambda: example_model(0.0208),
+                "powerlaw_0.01": lambda: power_law_model(0.01),
+                "powerlaw_0.97": lambda: power_law_model(0.97)}
+
+
+@pytest.mark.parametrize("name", sorted(_BALL_MODELS))
+def test_ball_bounds_hold_over_dense_samples(name):
+    # f is convex on u > 0, so no sample of |f| and no secant slope may
+    # exceed the max |f| and sup |f'| read at the ball's ends and at f's
+    # minimum: checked on an even grid and on the Kronecker draws of seeds
+    # 0 and 7 that the records used to sample.  The grid is no finer, so
+    # that a secant's rounding error (2 ulps of f over its width, 6e-13 at
+    # a = 3e4) stays below the tolerance
+    model = _BALL_MODELS[name]()
+    for a in (0.37, 1.0, 2.5, 10.0, 100.0, 3e4):
+        growth, lipschitz = check_ball(model, a)
+        lo, hi = growth.witnesses["interval"]
+        for xs in (np.linspace(lo, hi, 2001),
+                   np.sort(sample_interval(10_000, lo, hi, seed=0)),
+                   np.sort(sample_interval(10_000, lo, hi, seed=7))):
+            fv = model.f_arr(xs)
+            assert np.max(np.abs(fv)) <= growth.witnesses["max_abs_f"] * (
+                1.0 + 1e-12)
+            slopes = np.abs(np.diff(fv) / np.diff(xs))
+            assert np.max(slopes) <= lipschitz.witnesses["max_slope"] * (
+                1.0 + 1e-12)
+
+
+def test_ball_refuses_an_interval_off_the_convex_side(constantin):
+    # eta >= 4 puts the ball's left end at u <= 0, where f is concave
+    model = dataclasses.replace(
+        constantin, ledger=dataclasses.replace(constantin.ledger, eta=4.5))
+    with pytest.raises(ParameterDomainError):
+        check_ball(model, 1.0)
+
+
+def test_flux_ratio_takes_the_seed():
+    # the flux ratio sampled seed 0 whatever the report's seed
+    model = power_law_model(0.97)
+    w0 = check_lambda(model, seed=0).witnesses
+    w7 = check_lambda(model, seed=7).witnesses
+    assert w0["arg_worst"] != w7["arg_worst"]
+    assert w0["worst_margin"] != w7["worst_margin"]
+    assert full_report(model, seed=7).checks[3].witnesses == w7
 
 
 def test_sample_cache_is_read_only_and_bounded():

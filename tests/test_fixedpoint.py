@@ -132,6 +132,29 @@ def test_contraction_constants_domain():
         select_contraction_constants(1e200)
 
 
+def test_contraction_constants_cached_on_float_keys():
+    # one record per validated (float(T), float(L)): T = 6 and T = 6.0 hash
+    # alike, and each gets the record of the float anchor
+    c = select_contraction_constants(6.0, 2.5)
+    assert select_contraction_constants(6, 2.5) is c
+    assert select_contraction_constants(np.float64(6.0), 2.5) is c
+    assert type(select_contraction_constants(7, 2.5).T) is float
+    assert fixedpoint._contraction_constants.cache_parameters()[
+        "maxsize"] == 8
+
+
+@pytest.mark.parametrize("T, L, error", [
+    (6.0, PHI_AT_3, InfeasibleConstantsError),
+    (6.0, 1e-13, InfeasibleConstantsError),
+    (5.0, 2.0, ParameterDomainError),
+    (6.0, -1.0, ParameterDomainError),
+])
+def test_contraction_constants_refuse_on_every_call(T, L, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            select_contraction_constants(T, L)
+
+
 def test_picard_residual_small(constantin):
     grid = picard_solve(constantin, 2.0, r_end=1.0, n=1 << 15)
     assert picard_residual(constantin, grid) < 1e-8

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv, mp
 
 from vortexplane import (C2_UPPER_BOUND, ParameterDomainError,
                          constantin_model, example_model, find_positive_zero,
                          level_set_geometry, make_model,
                          potential_by_quadrature, power_law_model)
-from vortexplane.vorticity import adaptive_simpson
+from vortexplane.search import bisect_root
 from vortexplane.sequences import sample_loglin
+from vortexplane.vorticity import adaptive_simpson
 from vortexplane.vorticity import potential_grid
 
 finite_u = st.floats(min_value=-50.0, max_value=50.0,
@@ -291,3 +293,136 @@ def test_potential_grid_array_F_bit_for_bit(model):
 def test_potential_grid_rejects_non_finite(model, bad):
     with pytest.raises(ParameterDomainError, match="finite"):
         potential_grid(model, np.array([0.5, bad, 2.0]))
+
+
+# ------------------------------------------------ the zero scan and f'
+
+def _scalar_zero_scan(model):
+    # the scan one scalar f call per probe made before the f_arr pass
+    us = [2.0 * (k + 1) / 200 for k in range(200)]
+    vals = [model.f(u) for u in us]
+    for u, v in zip(us, vals):
+        if v == 0.0:
+            return u
+    for j in range(len(us) - 1):
+        if vals[j] * vals[j + 1] < 0.0:
+            return bisect_root(model.f, us[j], us[j + 1], vals[j], 1e-13)
+    raise AssertionError("no zero on the probes")
+
+
+def _with_f(model, f, f_arr):
+    return dataclasses.replace(model, f=f, f_arr=f_arr)
+
+
+_ZERO_MODELS = (
+    [constantin_model()]
+    + [example_model(c2) for c2 in (1e-9, 1e-4, 0.005, 0.01, 0.02, 0.0208,
+                                    math.nextafter(C2_UPPER_BOUND, 0.0))]
+    + [power_law_model(al) for al in (1e-3, 0.1, 0.3, 0.5, 0.9, 0.97,
+                                      0.999)]
+    # a zero between the probes 1.0 and 1.01, and an exact zero at the
+    # probe 1.0 behind a sign change between 0.30 and 0.31
+    + [_with_f(constantin_model(), lambda u: u - math.sqrt(1.005 * u),
+               lambda u: u - np.sqrt(1.005 * u)),
+       _with_f(constantin_model(), lambda u: (u - 0.303) * (u - 1.0),
+               lambda u: (u - 0.303) * (u - 1.0))])
+
+
+@pytest.mark.parametrize("model", _ZERO_MODELS,
+                         ids=lambda m: repr(m.ledger.params or m.model_id))
+def test_zero_scan_keeps_the_scalar_bits(model):
+    root = find_positive_zero(model)
+    assert type(root) is float
+    assert root == _scalar_zero_scan(model)
+
+
+def test_zero_between_probes():
+    model = _ZERO_MODELS[-2]
+    root = find_positive_zero(model)
+    assert 1.0 < root < 1.01
+    assert abs(root - 1.005) <= 1e-12
+    assert find_positive_zero(_ZERO_MODELS[-1]) == 1.0
+
+
+def _mp_f(ctx, model):
+    """f on u > 0 in mpmath's context ctx (mp or iv)."""
+    if model.model_id == "constantin":
+        return lambda u: u - ctx.sqrt(u)
+    if model.model_id == "powerlaw":
+        alpha = ctx.mpf(model.ledger.params["alpha"])
+        return lambda u: u - u ** alpha
+    c2 = ctx.mpf(model.ledger.params["c2"])
+    return lambda u: u - ctx.sqrt(u) * (1 + ctx.sin(c2 / 2)
+                                        - ctx.sin(c2 * u * u / (u * u + 1)))
+
+
+def _u32_f2(ctx, model):
+    """u^(3/2) f''(u) on u > 0 as each constructor's docstring writes it."""
+    if model.model_id == "constantin":
+        return lambda u: ctx.mpf(1) / 4
+    if model.model_id == "powerlaw":
+        alpha = ctx.mpf(model.ledger.params["alpha"])
+        return lambda u: alpha * (1 - alpha) * u ** (alpha - ctx.mpf(0.5))
+    c2 = ctx.mpf(model.ledger.params["c2"])
+
+    def value(u):
+        uu = u * u
+        d = uu + 1
+        x = c2 * uu / d
+        dx = 2 * c2 * u / (d * d)
+        ddx = 2 * c2 * (1 - 3 * uu) / (d * d * d)
+        m = 1 + ctx.sin(c2 / 2) - ctx.sin(x)
+        dm = -ctx.cos(x) * dx
+        ddm = ctx.sin(x) * dx * dx - ctx.cos(x) * ddx
+        return m / 4 - u * dm - uu * ddm
+    return value
+
+
+# each family at the ends of its parameter range
+_EXTREME_MODELS = (constantin_model(), example_model(1e-9),
+                   example_model(math.nextafter(C2_UPPER_BOUND, 0.0)),
+                   power_law_model(1e-3), power_law_model(0.999))
+
+
+@pytest.mark.parametrize("model", _EXTREME_MODELS,
+                         ids=lambda m: repr(m.ledger.params or m.model_id))
+def test_df_is_the_derivative_of_f(model):
+    # 33 points of [1e-8, 1e8] and, for the modulated family, three past
+    # _BIG, where f and df take the modulation's limit; f'' against the
+    # formula the convexity proofs bound (and, for the modulated family,
+    # above the 0.21 its docstring proves)
+    us = list(np.geomspace(1e-8, 1e8, 33))
+    if model.model_id == "example":
+        us += [1e154, 1e200, 1e300]
+    f, u32_f2 = _mp_f(mp, model), _u32_f2(mp, model)
+    with mp.workdps(60):
+        for u in map(mp.mpf, us):
+            exact = mp.diff(f, u, h=u * mp.mpf("1e-25"))
+            assert abs(model.df(float(u)) - exact) <= 1e-14 * (1 + abs(exact))
+            if u < 1e154:
+                f2 = mp.diff(f, u, 2, h=u * mp.mpf("1e-15"))
+                assert mp.almosteq(f2 * u ** 1.5, u32_f2(u), 1e-25, 1e-40)
+                if model.model_id == "example":
+                    assert u32_f2(u) > 0.21
+
+
+@pytest.mark.parametrize("model", _EXTREME_MODELS,
+                         ids=lambda m: repr(m.ledger.params or m.model_id))
+def test_f_is_convex_on_enclosures(model):
+    # u^(3/2) f'' enclosed on each of 160 log-spaced pieces of [1e-8, 1e8]
+    # has a positive lower end
+    value = _u32_f2(iv, model)
+    ends = np.geomspace(1e-8, 1e8, 161)
+    dps, iv.dps = iv.dps, 20
+    try:
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            assert value(iv.mpf([float(lo), float(hi)])).a > 0
+    finally:
+        iv.dps = dps
+
+
+@pytest.mark.parametrize("u", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.model_id)
+def test_df_refuses_u_outside_the_positive_axis(model, u):
+    with pytest.raises(ParameterDomainError):
+        model.df(u)
